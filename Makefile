@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-fix lint-bench fuzz bench bench-overlap bench-smoke obs critpath serve-demo serve-smoke docs check clean
+.PHONY: build test race lint lint-fix lint-bench fuzz bench bench-overlap bench-smoke benchmark benchmark-compare obs critpath serve-demo serve-smoke docs check clean
 
 build: ## compile everything
 	$(GO) build ./...
@@ -44,9 +44,16 @@ bench-overlap: ## overlap=off/on pair only; asserts the sim_speedup_overlap tabl
 	@rm -f BENCH_overlap.json
 	@echo "bench-overlap: sim_speedup_overlap recorded"
 
-bench-smoke: ## one-iteration benchmark pass + bit-identity tests + CSR zero-alloc guard
+bench-smoke: ## one-iteration benchmark pass + bit-identity tests + CSR and des zero-alloc guards + des ns/switch, ns/event
 	$(GO) test -bench 'BenchmarkWallClock' -benchtime=1x -run '^$$' -benchmem ./internal/bench
 	$(GO) test -run 'TestParallelOffload|TestKernelAllocReduction|TestSparse|TestObs|TestPipeline|TestCSRBatchZeroAllocs|TestCSRKernel|TestCritPath|TestWhatIf' -v ./internal/bench
+	$(GO) test -bench 'BenchmarkDes' -benchtime=100000x -run 'TestDesZeroAllocs' -v ./internal/des
+
+benchmark: ## the repository benchmark (benchmark/README.md): all four workloads, one process each -> .bench_out/all.json
+	$(GO) run ./benchmark -json .bench_out/all.json
+
+benchmark-compare: ## compare two -json result files: make benchmark-compare A=.bench_out/parent.json B=.bench_out/change.json
+	$(GO) run ./benchmark -compare $(A) $(B)
 
 obs: ## replay the committed sample event logs and diff against the golden reports
 	$(GO) run ./cmd/mlstar-obs -in internal/bench/testdata/obs_events_mllib.jsonl > obs_report_mllib.txt

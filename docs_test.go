@@ -133,9 +133,10 @@ func TestDocsAnalyzers(t *testing.T) {
 	}
 }
 
-// sourceFlags parses every flag definition in the CLIs (cmd/*) and the
-// shared engine flags (internal/prof), returning the set of flag names a
-// binary in this repository actually accepts.
+// sourceFlags parses every flag definition in the CLIs (cmd/*), the
+// repository benchmark (benchmark/main.go) and the shared engine flags
+// (internal/prof), returning the set of flag names a binary in this
+// repository actually accepts.
 func sourceFlags(t *testing.T) map[string]bool {
 	t.Helper()
 	defRe := regexp.MustCompile(`\.(?:String|Int64|Int|Float64|Bool|Duration)\("([a-z][a-z0-9-]*)"`)
@@ -144,7 +145,7 @@ func sourceFlags(t *testing.T) map[string]bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files = append(files, "internal/prof/prof.go")
+	files = append(files, "benchmark/main.go", "internal/prof/prof.go")
 	flags := map[string]bool{}
 	for _, f := range files {
 		text, err := os.ReadFile(f)
@@ -198,7 +199,8 @@ func TestDocsFlags(t *testing.T) {
 // TestDocsCommands verifies the commands quoted in the docs:
 //
 //   - `go run ./<path>` must name a directory that exists,
-//   - `make <target>` must name a rule in the Makefile,
+//   - `make <target>` must name a rule in the Makefile (`VAR=value`
+//     arguments are skipped),
 //   - `-exp <id>` must name a registered experiment (globs, brace
 //     expansions, and `<id>` placeholders are skipped).
 func TestDocsCommands(t *testing.T) {
@@ -230,8 +232,8 @@ func TestDocsCommands(t *testing.T) {
 					}
 				case fields[0] == "make":
 					for _, f := range fields[1:] {
-						if strings.HasPrefix(f, "-") {
-							continue
+						if strings.HasPrefix(f, "-") || strings.Contains(f, "=") {
+							continue // make option or VAR=value
 						}
 						if !targets[f] {
 							t.Errorf("%s: `make %s`: no such Makefile target", doc, f)

@@ -68,7 +68,7 @@ func (b *Barrier) Arrive(p *Proc) int {
 	}
 	b.waiting = append(b.waiting, p)
 	b.arriveAt = append(b.arriveAt, b.sim.now)
-	p.block(fmt.Sprintf("barrier %q gen %d (%d/%d arrived)", b.name, gen, b.arrived, b.n))
+	p.block(blockReason{kind: blockedBarrier, name: b.name, gen: gen, arrived: b.arrived, n: b.n})
 	return gen
 }
 
@@ -110,5 +110,5 @@ func (s *Signal) Await(p *Proc) {
 		return
 	}
 	s.waiting = append(s.waiting, p)
-	p.block(fmt.Sprintf("signal %q", s.name))
+	p.block(blockReason{kind: blockedSignal, name: s.name})
 }

@@ -1,13 +1,18 @@
 // Package des implements a deterministic discrete-event simulation kernel.
 //
 // A Sim owns a virtual clock and a set of processes. Each process is a
-// goroutine, but the kernel enforces that exactly one process is runnable at
-// any moment: a process runs until it blocks on a simulation primitive
-// (Wait, Queue.Get, Resource.Acquire, ...), at which point control returns
-// to the kernel, which advances the clock to the next scheduled event and
-// resumes the corresponding process. Events at equal times fire in the order
-// they were scheduled, so a simulation is fully deterministic: the same
+// runtime coroutine (iter.Pull): it runs until it blocks on a simulation
+// primitive (Wait, Queue.Get, Resource.Acquire, ...), at which point it
+// yields to the kernel, which advances the clock to the next scheduled event
+// and resumes the corresponding process. A switch is a direct hand-off
+// between the two — no channel, no scheduler round trip — and exactly one of
+// kernel and processes runs at any moment. Events at equal times fire in the
+// order they were scheduled, so a simulation is fully deterministic: the same
 // program and seeds produce the same event trace, clock values, and results.
+//
+// Blocking, scheduling and dispatching an event allocate nothing: the event
+// heap is a typed slice, a block reason is a small value that only Blocked
+// formats, and a blocked Queue.Get receives through a slot in its Proc.
 //
 // The kernel is the substrate for the simulated cluster (package simnet),
 // the Spark-like execution engine (package engine), and the parameter-server
@@ -15,14 +20,14 @@
 package des
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"math"
 	"runtime/debug"
 	"sort"
 )
 
-// killed is the sentinel panic value used to unwind a process when the
+// killedPanic is the sentinel panic value used to unwind a process when the
 // simulation is shut down while the process is still blocked.
 type killedPanic struct{}
 
@@ -31,10 +36,9 @@ type killedPanic struct{}
 // Run, to spawn the initial processes) or from within process functions.
 type Sim struct {
 	now    float64
-	events eventHeap
+	events []event // binary min-heap ordered by event.before
 	seq    uint64
-	yield  chan struct{} // signalled by a process when it blocks or exits
-	procs  []*Proc
+	procs  []*Proc // unfinished processes, unordered; Proc.slot is the index
 	nextID int
 	closed bool
 	fault  *procPanic // panic captured from a process, re-raised by the kernel
@@ -49,7 +53,7 @@ type procPanic struct {
 
 // New returns an empty simulation with the clock at zero.
 func New() *Sim {
-	return &Sim{yield: make(chan struct{})}
+	return &Sim{}
 }
 
 // Now returns the current virtual time in seconds.
@@ -68,40 +72,132 @@ type event struct {
 	wake uint64
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+// before orders events by time, then by scheduling order.
+func (e event) before(o event) bool {
 	//mlstar:nolint floateq -- exact compare intentional: equal timestamps fall through to the seq tie-break
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
 func (s *Sim) schedule(at float64, p *Proc) {
 	if at < s.now {
 		panic(fmt.Sprintf("des: scheduling event in the past: %g < %g", at, s.now))
 	}
 	s.seq++
-	heap.Push(&s.events, event{at: at, seq: s.seq, proc: p, wake: p.wake})
+	e := event{at: at, seq: s.seq, proc: p, wake: p.wake}
 	p.pending++
+	// Sift up from a new last slot.
+	h := append(s.events, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+	s.events = h
+}
+
+// popEvent removes and returns the earliest event.
+func (s *Sim) popEvent() event {
+	h := s.events
+	top := h[0]
+	n := len(h) - 1
+	e := h[n]
+	h[n] = event{} // do not retain the process through the vacated slot
+	h = h[:n]
+	s.events = h
+	if n == 0 {
+		return top
+	}
+	// Sift the former last event down from the root.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
+	return top
+}
+
+// blockKind says which primitive a process is blocked on.
+type blockKind uint8
+
+const (
+	notBlocked blockKind = iota
+	blockedWait
+	blockedRecv
+	blockedRecvUntil
+	blockedBarrier
+	blockedSignal
+)
+
+// blockReason describes what a process is blocked on. It is recorded on
+// every block and rendered only by Sim.Blocked, so the hot path never formats
+// a string.
+type blockReason struct {
+	kind            blockKind
+	name            string  // queue, barrier or signal
+	t               float64 // wake-up time or deadline
+	gen, arrived, n int     // barrier generation and head count
+}
+
+func (r blockReason) String() string {
+	switch r.kind {
+	case blockedWait:
+		return fmt.Sprintf("wait until t=%.6f", r.t)
+	case blockedRecv:
+		return fmt.Sprintf("recv on queue %q", r.name)
+	case blockedRecvUntil:
+		return fmt.Sprintf("recv on queue %q until t=%.6f", r.name, r.t)
+	case blockedBarrier:
+		return fmt.Sprintf("barrier %q gen %d (%d/%d arrived)", r.name, r.gen, r.arrived, r.n)
+	case blockedSignal:
+		return fmt.Sprintf("signal %q", r.name)
+	}
+	return ""
 }
 
 // Proc is a simulation process. A Proc handle is passed to the process
 // function and is required by every blocking primitive, which keeps the
 // "who is blocking" bookkeeping explicit and cheap.
 type Proc struct {
-	sim     *Sim
-	name    string
-	id      int
-	resume  chan bool // true = run, false = killed
+	sim  *Sim
+	name string
+	id   int
+	slot int // index in sim.procs while unfinished
+
+	// The coroutine: the kernel resumes the process with next and unwinds
+	// it with stop; the process returns control with yield, which reports
+	// false once stop has been called.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+
 	done    bool
-	blocked string // description of the primitive the process is blocked on
-	pending int    // number of scheduled wake-ups not yet delivered
-	wake    uint64 // wake generation: bumped on every delivered resume
+	blocked blockReason // what the process is blocked on; zero while it runs
+	pending int         // number of scheduled wake-ups not yet delivered
+	wake    uint64      // wake generation: bumped on every delivered resume
+
+	// Receive slot of the Queue.Get or GetUntil the process is blocked in:
+	// Put fills it when it hands a value straight to this waiter.
+	recv     any
+	recvFull bool
 }
 
 // Name returns the process name given at Spawn time.
@@ -126,50 +222,59 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	if s.closed {
 		panic("des: Spawn on a closed simulation")
 	}
-	p := &Proc{sim: s, name: name, id: s.nextID, resume: make(chan bool)}
+	p := &Proc{sim: s, name: name, id: s.nextID, slot: len(s.procs)}
 	s.nextID++
 	s.procs = append(s.procs, p)
-	//mlstar:nolint determinism -- the kernel's own process launch: the goroutine runs only when the scheduler hands it the baton
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			p.done = true
 			if r := recover(); r != nil {
-				if _, ok := r.(killedPanic); !ok {
-					// Real bug in a process function: capture it so the
-					// kernel can re-raise on the goroutine running Run.
+				if _, killed := r.(killedPanic); !killed {
+					// Real bug in a process function: capture it here,
+					// where the stack still shows it, for the kernel to
+					// re-raise on the goroutine running Run.
 					s.fault = &procPanic{proc: p.name, value: r, stack: debug.Stack()}
 				}
 			}
-			s.yield <- struct{}{}
 		}()
-		if !<-p.resume {
-			panic(killedPanic{})
-		}
 		fn(p)
-	}()
+	})
 	s.schedule(s.now, p)
 	return p
 }
 
-// switchTo hands control to p and waits until it blocks or exits. A panic
+// switchTo hands control to p and returns when it blocks or exits. A panic
 // that escaped the process function is re-raised here, on the goroutine that
 // called Run, wrapped with the process name and stack.
 func (s *Sim) switchTo(p *Proc) {
-	p.blocked = ""
-	p.resume <- true
-	<-s.yield
+	p.blocked = blockReason{}
+	p.next()
+	if p.done {
+		s.forget(p)
+	}
 	if f := s.fault; f != nil {
 		s.fault = nil
 		panic(fmt.Sprintf("des: process %q panicked: %v\n%s", f.proc, f.value, f.stack))
 	}
 }
 
-// block returns control to the kernel and waits to be resumed. reason is a
-// human-readable description used in deadlock reports.
-func (p *Proc) block(reason string) {
+// forget drops a finished process from procs, so a long simulation does not
+// keep every task and forked sender it ever ran.
+func (s *Sim) forget(p *Proc) {
+	last := len(s.procs) - 1
+	moved := s.procs[last]
+	s.procs[p.slot] = moved
+	moved.slot = p.slot
+	s.procs[last] = nil
+	s.procs = s.procs[:last]
+}
+
+// block returns control to the kernel and waits to be resumed. reason is
+// what deadlock reports show.
+func (p *Proc) block(reason blockReason) {
 	p.blocked = reason
-	p.sim.yield <- struct{}{}
-	if !<-p.resume {
+	if !p.yield(struct{}{}) {
 		panic(killedPanic{})
 	}
 }
@@ -181,8 +286,8 @@ func (s *Sim) Run() float64 {
 	if s.closed {
 		panic("des: Run on a closed simulation")
 	}
-	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(event)
+	for len(s.events) > 0 {
+		ev := s.popEvent()
 		ev.proc.pending--
 		if ev.proc.done || ev.wake != ev.proc.wake {
 			// Finished process, or a wake-up that lost its race (the
@@ -207,7 +312,7 @@ func (s *Sim) Run() float64 {
 func (s *Sim) Blocked() []string {
 	var out []string
 	for _, p := range s.procs {
-		if !p.done && p.blocked != "" {
+		if p.blocked.kind != notBlocked {
 			out = append(out, fmt.Sprintf("%s: %s", p.name, p.blocked))
 		}
 	}
@@ -215,17 +320,18 @@ func (s *Sim) Blocked() []string {
 	return out
 }
 
-// shutdown unwinds every process still blocked so their goroutines exit.
+// shutdown unwinds every process still blocked, in spawn order, so their
+// deferred functions run and their coroutines exit.
 func (s *Sim) shutdown() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	for _, p := range s.procs {
-		if !p.done {
-			p.resume <- false
-			<-s.yield
-		}
+	left := s.procs
+	s.procs = nil
+	sort.Slice(left, func(i, j int) bool { return left[i].id < left[j].id })
+	for _, p := range left {
+		p.stop()
 	}
 }
 
@@ -246,7 +352,7 @@ func (p *Proc) WaitUntil(t float64) {
 		t = p.sim.now
 	}
 	p.sim.schedule(t, p)
-	p.block(fmt.Sprintf("wait until t=%.6f", t))
+	p.block(blockReason{kind: blockedWait, t: t})
 }
 
 // Yield lets every other process scheduled at the current instant run before

@@ -1,6 +1,9 @@
 package des
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Queue is an unbounded FIFO mailbox for values of type T. Put never blocks;
 // Get blocks the calling process until a value is available. When several
@@ -9,14 +12,51 @@ import "fmt"
 type Queue[T any] struct {
 	sim     *Sim
 	name    string
-	items   []T
-	waiters []*getWaiter[T]
+	items   fifo[T]
+	waiters fifo[*Proc] // blocked getters; each receives through its Proc's slot
 }
 
-type getWaiter[T any] struct {
-	proc  *Proc
-	value T
-	ready bool
+// fifo is a slice-backed first-in-first-out list. A pop zeroes the slot it
+// vacates, so a delivered value (a message and its model-partition payload)
+// is not kept reachable by the backing array, and the array is reused from
+// its start whenever the list drains, so steady-state traffic allocates
+// nothing.
+type fifo[E any] struct {
+	buf  []E
+	head int // buf[head:] are the live elements
+}
+
+func (f *fifo[E]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[E]) push(e E) {
+	if f.head > 0 && len(f.buf) == cap(f.buf) && 2*f.head >= len(f.buf) {
+		// Full, and at least half of it is dead prefix: slide the live
+		// elements down rather than grow. Each slide is paid for by the
+		// pops that made the prefix.
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, e)
+}
+
+func (f *fifo[E]) pop() E {
+	var zero E
+	e := f.buf[f.head]
+	f.buf[f.head] = zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return e
+}
+
+// removeFirst deletes the first element equal to e, keeping the order of the
+// rest.
+func removeFirst[E comparable](f *fifo[E], e E) {
+	if i := slices.Index(f.buf[f.head:], e); i >= 0 {
+		f.buf = slices.Delete(f.buf, f.head+i, f.head+i+1) // zeroes the freed last slot
+	}
 }
 
 // NewQueue returns an empty mailbox bound to sim. The name appears in
@@ -27,41 +67,49 @@ func NewQueue[T any](sim *Sim, name string) *Queue[T] {
 
 // Len returns the number of values currently buffered (not counting values
 // already assigned to blocked getters).
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Put appends v to the queue. If a process is blocked on Get, the value is
 // assigned to the longest-waiting getter, which is woken at the current
 // virtual time. Put may be called from any process or before Run.
 func (q *Queue[T]) Put(v T) {
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		if w.proc.done {
+	for q.waiters.len() > 0 {
+		w := q.waiters.pop()
+		if w.done {
 			continue
 		}
-		w.value = v
-		w.ready = true
-		q.sim.schedule(q.sim.now, w.proc)
+		w.recv, w.recvFull = v, true
+		q.sim.schedule(q.sim.now, w)
 		return
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
+}
+
+// await registers p as a getter and blocks it; it reports whether p was woken
+// with a value in its receive slot, and returns that value.
+func (q *Queue[T]) await(p *Proc, reason blockReason) (T, bool) {
+	q.waiters.push(p)
+	p.block(reason)
+	if !p.recvFull {
+		var zero T
+		return zero, false
+	}
+	v, _ := p.recv.(T) // a nil interface value of T comes back as the zero T
+	p.recv, p.recvFull = nil, false
+	return v, true
 }
 
 // Get removes and returns the oldest value in the queue, blocking p until
 // one is available. Retrieval itself consumes no virtual time.
 func (q *Queue[T]) Get(p *Proc) T {
-	if len(q.items) > 0 {
-		v := q.items[0]
-		q.items = q.items[1:]
+	if v, ok := q.TryGet(); ok {
 		return v
 	}
-	w := &getWaiter[T]{proc: p}
-	q.waiters = append(q.waiters, w)
-	p.block(fmt.Sprintf("recv on queue %q", q.name))
-	if !w.ready {
+	v, ok := q.await(p, blockReason{kind: blockedRecv, name: q.name})
+	if !ok {
 		panic(fmt.Sprintf("des: process %s woken on queue %q without a value", p.name, q.name))
 	}
-	return w.value
+	return v
 }
 
 // GetUntil is Get with a virtual-time deadline: it removes and returns the
@@ -75,41 +123,31 @@ func (q *Queue[T]) Get(p *Proc) T {
 // (internal/serve): a router drains its mailbox until either the batch
 // fills or the budget deadline passes, whichever comes first.
 func (q *Queue[T]) GetUntil(p *Proc, deadline float64) (T, bool) {
-	var zero T
 	if v, ok := q.TryGet(); ok {
 		return v, true
 	}
 	if deadline <= q.sim.now {
+		var zero T
 		return zero, false
 	}
-	w := &getWaiter[T]{proc: p}
-	q.waiters = append(q.waiters, w)
 	q.sim.schedule(deadline, p)
-	p.block(fmt.Sprintf("recv on queue %q until t=%.6f", q.name, deadline))
-	if w.ready {
-		return w.value, true
+	v, ok := q.await(p, blockReason{kind: blockedRecvUntil, name: q.name, t: deadline})
+	if !ok {
+		// Woken by the deadline: withdraw the registration so a later Put
+		// does not assign a value to a getter that has given up.
+		removeFirst(&q.waiters, p)
 	}
-	// Woken by the deadline: withdraw the registration so a later Put does
-	// not assign a value to a getter that has given up.
-	for i, x := range q.waiters {
-		if x == w {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-			break
-		}
-	}
-	return zero, false
+	return v, ok
 }
 
 // TryGet removes and returns the oldest value without blocking. The second
 // result reports whether a value was available.
 func (q *Queue[T]) TryGet() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // GetN blocks until n values have been received and returns them in arrival
