@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-fix lint-bench fuzz bench bench-overlap bench-smoke benchmark benchmark-compare obs critpath serve-demo serve-smoke docs check clean
+.PHONY: build test race lint lint-fix fuzz bench-smoke benchmark benchmark-compare repro-check obs critpath serve-demo serve-smoke docs check clean
 
 build: ## compile everything
 	$(GO) build ./...
@@ -21,32 +21,14 @@ lint-fix: ## apply SuggestedFixes in place, then assert a second pass finds noth
 	$(GO) run ./cmd/mlstar-lint -fix ./...
 	$(GO) run ./cmd/mlstar-lint -fix ./... | tee /dev/stderr | grep -q '^mlstar-lint: applied 0 fix(es)'
 
-lint-bench: ## cold vs warm lint-suite wall time -> BENCH_6.json
-	@rm -f .mlstar-lint-cache.json
-	( $(GO) run ./cmd/mlstar-lint -vet=false -bench cold ./... && \
-	  $(GO) run ./cmd/mlstar-lint -vet=false -bench warm ./... ) \
-		| tee /dev/stderr | $(GO) run ./cmd/mlstar-benchjson -out BENCH_6.json
-
 fuzz: ## short fuzz runs: libsvm reader + sparse encoding + telemetry event round-trips + causal graph pipeline
 	$(GO) test -fuzz=FuzzReadLibSVM -fuzztime=10s ./internal/data
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/sparse
 	$(GO) test -fuzz=FuzzEventRoundTrip -fuzztime=10s ./internal/obs
 	$(GO) test -fuzz=FuzzCausalGraph -fuzztime=10s ./internal/causal
 
-bench: ## wall-clock benchmarks (offload/sparse/pipeline/overlap/obs/causal on/off, slab kernels, CSR layout) -> BENCH_9.json
-	$(GO) test -bench 'BenchmarkWallClock' -run '^$$' -benchmem ./internal/bench \
-		| tee /dev/stderr | $(GO) run ./cmd/mlstar-benchjson -out BENCH_9.json
-
-bench-overlap: ## overlap=off/on pair only; asserts the sim_speedup_overlap table materializes
-	$(GO) test -bench 'BenchmarkWallClockOverlap' -run '^$$' -benchmem ./internal/bench \
-		| tee /dev/stderr | $(GO) run ./cmd/mlstar-benchjson -out BENCH_overlap.json
-	grep -q 'sim_speedup_overlap' BENCH_overlap.json
-	@rm -f BENCH_overlap.json
-	@echo "bench-overlap: sim_speedup_overlap recorded"
-
-bench-smoke: ## one-iteration benchmark pass + bit-identity tests + CSR and des zero-alloc guards + des ns/switch, ns/event
-	$(GO) test -bench 'BenchmarkWallClock' -benchtime=1x -run '^$$' -benchmem ./internal/bench
-	$(GO) test -run 'TestParallelOffload|TestKernelAllocReduction|TestSparse|TestObs|TestPipeline|TestCSRBatchZeroAllocs|TestCSRKernel|TestCritPath|TestWhatIf' -v ./internal/bench
+bench-smoke: ## deterministic simulated-ratio floors + CSR and des zero-alloc guards + des ns/switch, ns/event
+	$(GO) test -run 'TestSparseTrafficReduction|TestPipelineNoSlowdown|TestPipelineOverlapSpeedupTarget|TestCSRBatchZeroAllocs|TestCSRKernelZeroAllocs|TestCSRKernelFeatMajorZeroAllocs' -v ./internal/bench
 	$(GO) test -bench 'BenchmarkDes' -benchtime=100000x -run 'TestDesZeroAllocs' -v ./internal/des
 
 benchmark: ## the repository benchmark (benchmark/README.md): all four workloads, one process each -> .bench_out/all.json
@@ -54,6 +36,12 @@ benchmark: ## the repository benchmark (benchmark/README.md): all four workloads
 
 benchmark-compare: ## compare two -json result files: make benchmark-compare A=.bench_out/parent.json B=.bench_out/change.json
 	$(GO) run ./benchmark -compare $(A) $(B)
+
+repro-check: ## regenerate the -quick artifacts into a temp dir; every CSV and SVG written must equal its copy in results/
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/mlstar-repro -quick -out "$$tmp" && \
+	for f in "$$tmp"/*.csv "$$tmp"/*.svg; do cmp "$$f" "results/$$(basename "$$f")" || exit 1; done && \
+	echo "repro-check: every regenerated CSV and SVG matches results/"
 
 obs: ## replay the committed sample event logs and diff against the golden reports
 	$(GO) run ./cmd/mlstar-obs -in internal/bench/testdata/obs_events_mllib.jsonl > obs_report_mllib.txt
@@ -90,7 +78,7 @@ serve-smoke: ## serving-tier unit tests (shard invariance, hot swap, checkpoint 
 docs: ## check ARCHITECTURE/README/EXPERIMENTS: intra-repo links + quoted commands
 	$(GO) test -run 'TestDocs' -v ./...
 
-check: build lint race fuzz serve-demo critpath docs ## everything CI runs
+check: build lint race fuzz repro-check serve-demo critpath docs ## everything CI runs
 
 clean:
 	$(GO) clean ./...

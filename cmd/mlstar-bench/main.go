@@ -6,7 +6,7 @@
 //	mlstar-bench -list
 //	mlstar-bench -exp fig4h
 //	mlstar-bench -exp all -scale 2000 -out results/
-//	mlstar-bench -exp fig4h -cpuprofile cpu.pprof -par=off
+//	mlstar-bench -exp fig4h -cpuprofile cpu.pprof
 //	mlstar-bench -exp fig4a -sparse=on      # sparse model-delta exchange
 package main
 

@@ -20,8 +20,7 @@
 // Results are memoized in .mlstar-lint-cache.json at the module root, keyed
 // by the analyzer binary's own hash plus each package's file contents and
 // dependency keys (see cache.go); a warm run re-checks nothing. -stats
-// prints the hit/miss split, and -bench <label> emits the wall time in Go
-// benchmark format for mlstar-benchjson.
+// prints the hit/miss split and the suite's wall time.
 //
 // Findings are suppressed per statement with `//mlstar:nolint <analyzer> --
 // reason`; a malformed or unattached directive is itself reported as a
@@ -78,7 +77,6 @@ func main() {
 		list  = flag.Bool("list", false, "describe the analyzers and exit")
 		fix   = flag.Bool("fix", false, "apply suggested fixes to the source files and exit")
 		cache = flag.Bool("cache", true, "memoize results in "+cacheFileName+" at the module root")
-		bench = flag.String("bench", "", "print suite wall time in Go benchmark format, tagged cache=`label`")
 		stats = flag.Bool("stats", false, "print cache hit/miss statistics")
 	)
 	flag.Parse()
@@ -122,11 +120,6 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	if *bench != "" {
-		// Go benchmark format so `go run ./cmd/mlstar-benchjson` can fold the
-		// lint suite's wall time into the benchmark JSON.
-		fmt.Printf("BenchmarkLintSuite/cache=%s 1 %d ns/op\n", *bench, elapsed.Nanoseconds())
-	}
 	if *stats {
 		fmt.Fprintf(os.Stderr, "mlstar-lint: %d package(s): %d cached, %d analyzed in %s\n",
 			res.hits+res.misses, res.hits, res.misses, elapsed.Round(time.Millisecond))

@@ -1,10 +1,9 @@
 package bench
 
 // Virtual-time accounting for the full compute/comm overlap: feature-major
-// gradient production feeding the pipelined Reduce-Scatter. `make bench`
-// captures the overlap=off/on pair below as sim_speedup_overlap in
-// BENCH_9.json, and TestPipelineOverlapSpeedupTarget pins the acceptance
-// floor (≥ 2.2×) deterministically in the test tier.
+// gradient production feeding the pipelined Reduce-Scatter.
+// TestPipelineOverlapSpeedupTarget pins the simulated-time floor (≥ 2.2×)
+// deterministically in the test tier.
 
 import (
 	"fmt"
@@ -113,41 +112,15 @@ func runOverlapGD(spec clusters.Spec, ds *data.Dataset, iters int) (final []floa
 	return locals[0], simTime, cl.Net.TotalBytes()
 }
 
-// BenchmarkWallClockOverlap times the comm-bound distributed-GD run under
-// both gradient schedules. The cluster is clusters.CommBound — network
-// serialization ≈ fold/decode compute — and the workload keeps the gradient
-// pass small next to the collective, so the non-pipelined baseline pays
-// gradient + fold + wire per superstep while the overlapped schedule pays
-// roughly max(compute, comm): chunks ship while later feature blocks are
-// still accumulating. The simsec/op ratio of the pair is the
-// sim_speedup_overlap figure in BENCH_9.json (acceptance floor: ≥ 2.2).
-func BenchmarkWallClockOverlap(b *testing.B) {
-	ds := overlapDataset()
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"overlap=off", false}, {"overlap=on", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var bytes, simsec float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runWithOverlap(mode.on, func() {
-					_, simsec, bytes = runOverlapGD(clusters.CommBound(4), ds, 8)
-				})
-			}
-			b.ReportMetric(bytes, "commbytes/op")
-			b.ReportMetric(simsec, "simsec/op")
-		})
-	}
-}
-
 // TestPipelineOverlapSpeedupTarget pins the acceptance criterion where the
 // race-enabled test tier can guard it deterministically: on the comm-bound
 // cluster the overlapped schedule must beat the non-pipelined baseline by
 // ≥ 2.2× simulated time — while producing bit-identical models and charging
-// exactly the same bytes. (BenchmarkWallClockOverlap records the same ratio
-// in BENCH_9.json.)
+// exactly the same bytes. The cluster is clusters.CommBound — network
+// serialization ≈ fold/decode compute — and the workload keeps the gradient
+// pass small next to the collective, so the baseline pays gradient + fold +
+// wire per superstep while the overlapped schedule pays roughly
+// max(compute, comm).
 func TestPipelineOverlapSpeedupTarget(t *testing.T) {
 	ds := overlapDataset()
 	var offW, onW []float64

@@ -9,8 +9,7 @@ package bench
 // whole-partition encodings — so, like the pipeline switch, overlap-on must
 // match overlap-off on every training numeric AND charge exactly the same
 // TotalBytes. The crossings here cover the two trainers whose gradient
-// collectives stream (LBFGS* and SVRG) against the sparse exchange, the
-// slab kernels (GradStream's pass 1 branches on the kernel mode), and the
+// collectives stream (LBFGS* and SVRG) against the sparse exchange and the
 // offload pool.
 
 import (
@@ -58,28 +57,21 @@ func TestPipelineOverlapBitIdentityLBFGS(t *testing.T) {
 		return res
 	}
 	for _, sparseOn := range []bool{false, true} {
-		for _, kernelsOn := range []bool{true, false} {
-			var off, on *train.Result
-			cell := func() {
-				runWithKernels(kernelsOn, func() {
-					runWithOverlap(false, func() { off = run() })
-					runWithOverlap(true, func() { on = run() })
-				})
-			}
-			if sparseOn {
-				runWithSparse(true, cell)
-			} else {
-				cell()
-			}
-			name := "LBFGS-allreduce"
-			if sparseOn {
-				name += " sparse"
-			}
-			if !kernelsOn {
-				name += " viewpath"
-			}
-			requirePipelineParity(t, name, off, on)
+		var off, on *train.Result
+		cell := func() {
+			runWithOverlap(false, func() { off = run() })
+			runWithOverlap(true, func() { on = run() })
 		}
+		if sparseOn {
+			runWithSparse(true, cell)
+		} else {
+			cell()
+		}
+		name := "LBFGS-allreduce"
+		if sparseOn {
+			name += " sparse"
+		}
+		requirePipelineParity(t, name, off, on)
 	}
 }
 

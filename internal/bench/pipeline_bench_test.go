@@ -1,85 +1,30 @@
 package bench
 
-// Wall-clock and virtual-time accounting for the two data-path changes of
-// the pipelined-supersteps work: the chunked AllReduce schedule (virtual
-// time) and the CSR arena layout (real time). `make bench` captures both in
-// BENCH_5.json: sim_speedup_pipeline from the pipeline=off/on pair below,
-// and allocs_per_batch_csr from the layout=csr kernel benchmark — the
-// latter guarded at exactly zero by TestCSRBatchZeroAllocs in bench-smoke.
+// Allocation guard for the CSR arena layout: a cache-blocked mini-batch pass
+// over an arena must not allocate (make bench-smoke runs it).
 
 import (
 	"math/rand"
 	"testing"
 
-	"mllibstar/internal/clusters"
 	"mllibstar/internal/data"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/vec"
 )
 
-// BenchmarkWallClockPipeline times the comm-bound MLlib* high-dimensional
-// run under both superstep schedules. The cluster is clusters.CommBound —
-// network serialization ≈ fold/decode compute — so the sequential schedule
-// pays roughly compute + comm per superstep and the pipelined one
-// max(compute, comm); their simsec/op ratio is the sim_speedup_pipeline
-// figure in BENCH_5.json (acceptance floor: ≥ 1.3).
-func BenchmarkWallClockPipeline(b *testing.B) {
-	w := highDimWorkload()
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"pipeline=off", false}, {"pipeline=on", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var bytes, simsec float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runWithPipeline(mode.on, func() {
-					bytes, simsec = 0, 0
-					prm := tuned(sysMLlibStar, w.ds.Name, 0.1)
-					prm.MaxSteps = 6
-					res, err := runSystem(sysMLlibStar, clusters.CommBound(4), w, prm, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					bytes += res.TotalBytes
-					simsec += res.SimTime
-				})
-			}
-			b.ReportMetric(bytes, "commbytes/op")
-			b.ReportMetric(simsec, "simsec/op")
-		})
-	}
-}
-
-// csrKernelData builds the same logical dataset twice: once as
-// heap-scattered per-row slices (the pre-CSR layout — every row two private
-// allocations, interleaved with spacer garbage the way incremental parsing
-// leaves them) and once as a CSR arena. Values are bit-identical; only
-// memory layout differs.
-func csrKernelData() (scattered []glm.Example, arena *data.CSR, model []float64) {
+// csrKernelData builds a CSR arena and a random model over its features.
+func csrKernelData() (arena *data.CSR, model []float64) {
 	ds := data.Generate(data.Spec{Name: "csrbench", Rows: 4000, Cols: 20000, NNZPerRow: 12, Seed: 23})
-	arena = data.PackExamples(ds.Examples)
 	rng := rand.New(rand.NewSource(23))
-	spacers := make([][]byte, 0, len(ds.Examples))
-	scattered = make([]glm.Example, len(ds.Examples))
-	for i, e := range ds.Examples {
-		ind := append([]int32(nil), e.X.Ind...)
-		val := append([]float64(nil), e.X.Val...)
-		// Spacer allocations scatter consecutive rows across the heap.
-		spacers = append(spacers, make([]byte, 64+rng.Intn(512)))
-		scattered[i] = glm.Example{Label: e.Label, X: vec.Sparse{Ind: ind, Val: val}}
-	}
-	_ = spacers
 	model = make([]float64, ds.Features)
 	for i := range model {
 		model[i] = rng.NormFloat64()
 	}
-	return scattered, arena, model
+	return data.PackExamples(ds.Examples), model
 }
 
-// dotSweep is the mini-batch kernel both layouts run: a fused
-// dot-and-margin pass over each row, the inner loop of every GLM gradient.
+// dotSweep is a fused dot-and-margin pass over each row, the inner loop of
+// every GLM gradient.
 func dotSweep(model []float64, batch []glm.Example) float64 {
 	s := 0.0
 	for _, e := range batch {
@@ -89,43 +34,10 @@ func dotSweep(model []float64, batch []glm.Example) float64 {
 	return s
 }
 
-// BenchmarkWallClockCSRBatch compares cache-blocked mini-batch iteration
-// over the CSR arena against the same sweep over heap-scattered rows. Run
-// with -benchmem: the layout=csr sub-benchmark's allocs/op is the
-// allocs_per_batch_csr figure in BENCH_5.json and must be exactly 0.
-func BenchmarkWallClockCSRBatch(b *testing.B) {
-	scattered, arena, model := csrKernelData()
-	batch := arena.BlockRows(0)
-	sink := 0.0
-	b.Run("layout=rows", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for lo := 0; lo < len(scattered); lo += batch {
-				hi := lo + batch
-				if hi > len(scattered) {
-					hi = len(scattered)
-				}
-				sink += dotSweep(model, scattered[lo:hi])
-			}
-		}
-	})
-	b.Run("layout=csr", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			arena.Batches(batch, func(rows []glm.Example) {
-				sink += dotSweep(model, rows)
-			})
-		}
-	})
-	_ = sink
-}
-
-// TestCSRBatchZeroAllocs is the bench-smoke guard behind the
-// allocs_per_batch_csr = 0 acceptance criterion: a full cache-blocked
-// mini-batch pass over a CSR arena — the layout every Partition now returns
-// — must not allocate at all.
+// TestCSRBatchZeroAllocs: a full cache-blocked mini-batch pass over a CSR
+// arena — the layout every Partition returns — must not allocate at all.
 func TestCSRBatchZeroAllocs(t *testing.T) {
-	_, arena, model := csrKernelData()
+	arena, model := csrKernelData()
 	batch := arena.BlockRows(0)
 	sink := 0.0
 	allocs := testing.AllocsPerRun(10, func() {

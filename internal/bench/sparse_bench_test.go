@@ -81,41 +81,3 @@ func TestSparseTrafficReduction(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkWallClockSparse times the Figure-4-style MLlib-vs-MLlib* run on
-// the high-dimensional workload under both exchange modes and reports the
-// simulated traffic and clock alongside wall time, so `make bench` captures
-// the communication reduction in BENCH_3.json:
-//
-//	commbytes/op  simulated bytes on the wire per training run
-//	simsec/op     simulated seconds per training run
-func BenchmarkWallClockSparse(b *testing.B) {
-	w := highDimWorkload()
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"sparse=off", false}, {"sparse=on", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var bytes, simsec float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runWithSparse(mode.on, func() {
-					bytes, simsec = 0, 0
-					for _, sys := range []string{sysMLlib, sysMLlibStar} {
-						prm := tuned(sys, w.ds.Name, 0.1)
-						prm.MaxSteps = 6
-						res, err := runSystem(sys, clusters.Test(4), w, prm, nil)
-						if err != nil {
-							b.Fatal(err)
-						}
-						bytes += res.TotalBytes
-						simsec += res.SimTime
-					}
-				})
-			}
-			b.ReportMetric(bytes, "commbytes/op")
-			b.ReportMetric(simsec, "simsec/op")
-		})
-	}
-}

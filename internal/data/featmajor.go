@@ -22,10 +22,7 @@
 // skips.
 package data
 
-import (
-	"mllibstar/internal/glm"
-	"mllibstar/internal/vec"
-)
+import "mllibstar/internal/glm"
 
 // featMajor is the column-blocked (CSC) mirror of a CSR row range: entry p
 // of column j is row rows[p] (view-relative, ascending within the column)
@@ -97,8 +94,8 @@ func buildFeatMajor(c *CSR, lo, hi int) *featMajor {
 // Produced blocks may arrive in any order and each coordinate range must be
 // produced exactly once; the union of all Produce calls must cover
 // [0, len(g)). The result — gradient and loss bits — is Float64bits-
-// identical to GradAndLoss (withLoss) or AddGradient (without), kernels on
-// or off. The block pass allocates nothing.
+// identical to GradAndLoss (withLoss) or AddGradient (without). The block
+// pass allocates nothing.
 type GradStream struct {
 	obj      glm.Objective
 	w        []float64
@@ -139,41 +136,27 @@ func (gs *GradStream) Prepare() {
 	if gs.f == nil {
 		return
 	}
-	if kernelsOn {
-		c, lo, hi := gs.v.c, gs.v.lo, gs.v.hi
-		blk := c.BlockRows(0)
-		if gs.withLoss {
-			switch gs.obj.Loss.(type) {
-			case glm.Hinge:
-				for b := lo; b < hi; b += blk {
-					gs.lossSum = derivLossHinge(c, b, minInt(b+blk, hi), gs.w, gs.derivs[b-lo:], gs.lossSum)
-				}
-				return
-			case glm.Logistic:
-				for b := lo; b < hi; b += blk {
-					gs.lossSum = derivLossLogistic(c, b, minInt(b+blk, hi), gs.w, gs.derivs[b-lo:], gs.lossSum)
-				}
-				return
-			case glm.Squared:
-				for b := lo; b < hi; b += blk {
-					gs.lossSum = derivLossSquared(c, b, minInt(b+blk, hi), gs.w, gs.derivs[b-lo:], gs.lossSum)
-				}
-				return
-			}
-		} else if DerivsInto(gs.obj.Loss, gs.w, gs.v, gs.derivs) {
-			return
-		}
+	c, lo, hi := gs.v.c, gs.v.lo, gs.v.hi
+	if !gs.withLoss {
+		DerivsInto(gs.obj.Loss, gs.w, gs.v, gs.derivs)
+		return
 	}
-	// Interface fallback (kernels off or unknown loss): one vec.Dot per row
-	// feeds both the derivative and the value. The non-overlapped interface
-	// path computes the same dot twice (LossSum then AddGradient) on the
-	// same constant w, so the bits agree.
-	for i, e := range gs.v.Examples() {
-		m := vec.Dot(gs.w, e.X)
-		gs.derivs[i] = gs.obj.Loss.Deriv(m, e.Label)
-		if gs.withLoss {
-			gs.lossSum += gs.obj.Loss.Value(m, e.Label)
+	blk := c.BlockRows(0)
+	switch gs.obj.Loss.(type) {
+	case glm.Hinge:
+		for b := lo; b < hi; b += blk {
+			gs.lossSum = derivLossHinge(c, b, minInt(b+blk, hi), gs.w, gs.derivs[b-lo:], gs.lossSum)
 		}
+	case glm.Logistic:
+		for b := lo; b < hi; b += blk {
+			gs.lossSum = derivLossLogistic(c, b, minInt(b+blk, hi), gs.w, gs.derivs[b-lo:], gs.lossSum)
+		}
+	case glm.Squared:
+		for b := lo; b < hi; b += blk {
+			gs.lossSum = derivLossSquared(c, b, minInt(b+blk, hi), gs.w, gs.derivs[b-lo:], gs.lossSum)
+		}
+	default:
+		noKernel(gs.obj.Loss)
 	}
 }
 
@@ -211,7 +194,8 @@ func (gs *GradStream) Produce(lo, hi int) {
 
 // Work is the virtual charge of Produce(lo, hi): the pass-2 half of
 // totalWork, distributed over coordinate ranges by their share of the
-// mirrored nonzeros. Structural — identical with kernels on or off.
+// mirrored nonzeros. Structural: it depends on the sparsity pattern only,
+// never on the values.
 func (gs *GradStream) Work(lo, hi int) float64 {
 	if gs.f == nil || gs.nnz == 0 {
 		return 0

@@ -1,10 +1,10 @@
 package data_test
 
 // Gradient-stream bit-identity: the two-pass feature-major producer must
-// reproduce GradAndLoss / AddGradient Float64bits-exactly — for every
-// monomorphized loss, with kernels on and off, under model truncation, on
-// sub-views, and for any block partitioning of the coordinate range — and
-// the block pass (Produce) must not allocate.
+// reproduce the per-Example reference (glm.Objective.AddGradient / LossSum)
+// Float64bits-exactly — for every monomorphized loss, under model
+// truncation, on sub-views, and for any block partitioning of the
+// coordinate range — and the block pass (Produce) must not allocate.
 
 import (
 	"math"
@@ -37,48 +37,40 @@ func produceAll(gs *data.GradStream, n, blk int, reverse bool) {
 
 func TestGradStreamMatchesGradAndLoss(t *testing.T) {
 	v, dim := kernelView(t)
-	for _, kernels := range []bool{true, false} {
-		data.ConfigureKernels(kernels)
-		for _, tc := range kernelObjectives() {
-			// Full-width model and one shorter than the feature space: the
-			// second forces the truncation path, whose columns the stream
-			// must skip entirely.
-			for _, n := range []int{dim, dim / 3} {
-				w := testModel(n)
-				want := make([]float64, n+1)
-				wantLoss, _ := data.GradAndLoss(tc.obj, w, v, want[:n])
-				want[n] = wantLoss
-				for _, blk := range []int{1, 7, n/2 + 1, n + 1} {
-					for _, reverse := range []bool{false, true} {
-						got := make([]float64, n+1)
-						gs := data.NewGradStream(tc.obj, w, v, got, true, float64(v.NNZ())*2)
-						gs.Prepare()
-						produceAll(gs, n+1, blk, reverse)
-						requireBitsEqual(t, tc.name, got, want)
-					}
+	for _, tc := range kernelObjectives() {
+		// Full-width model and one shorter than the feature space: the
+		// second forces the truncation path, whose columns the stream
+		// must skip entirely.
+		for _, n := range []int{dim, dim / 3} {
+			w := testModel(n)
+			want := make([]float64, n+1)
+			tc.obj.AddGradient(w, v.Examples(), want[:n])
+			want[n] = tc.obj.LossSum(w, v.Examples())
+			for _, blk := range []int{1, 7, n/2 + 1, n + 1} {
+				for _, reverse := range []bool{false, true} {
+					got := make([]float64, n+1)
+					gs := data.NewGradStream(tc.obj, w, v, got, true, float64(v.NNZ())*2)
+					gs.Prepare()
+					produceAll(gs, n+1, blk, reverse)
+					requireBitsEqual(t, tc.name, got, want)
 				}
 			}
 		}
 	}
-	data.ConfigureKernels(true)
 }
 
 func TestGradStreamMatchesAddGradient(t *testing.T) {
 	v, dim := kernelView(t)
-	for _, kernels := range []bool{true, false} {
-		data.ConfigureKernels(kernels)
-		for _, tc := range kernelObjectives() {
-			w := testModel(dim)
-			want := make([]float64, dim)
-			data.AddGradient(tc.obj, w, v, want)
-			got := make([]float64, dim)
-			gs := data.NewGradStream(tc.obj, w, v, got, false, float64(v.NNZ()))
-			gs.Prepare()
-			produceAll(gs, dim, dim/5+1, false)
-			requireBitsEqual(t, tc.name, got, want)
-		}
+	for _, tc := range kernelObjectives() {
+		w := testModel(dim)
+		want := make([]float64, dim)
+		tc.obj.AddGradient(w, v.Examples(), want)
+		got := make([]float64, dim)
+		gs := data.NewGradStream(tc.obj, w, v, got, false, float64(v.NNZ()))
+		gs.Prepare()
+		produceAll(gs, dim, dim/5+1, false)
+		requireBitsEqual(t, tc.name, got, want)
 	}
-	data.ConfigureKernels(true)
 }
 
 func TestGradStreamSubViewAndEmpty(t *testing.T) {
@@ -128,12 +120,11 @@ func TestGradStreamWorkIsStructural(t *testing.T) {
 	if math.Abs(sum-total/2) > 1e-6*total {
 		t.Fatalf("sum of block Work = %v, want %v", sum, total/2)
 	}
-	// And must not depend on the kernel mode.
-	data.ConfigureKernels(false)
-	defer data.ConfigureKernels(true)
-	gs2 := data.NewGradStream(obj, w, v, make([]float64, dim+1), true, total)
+	// And must depend on the sparsity pattern only: another loss and model
+	// over the same rows charge the same.
+	gs2 := data.NewGradStream(glm.SVM(0.1), make([]float64, dim), v, make([]float64, dim+1), true, total)
 	if gs.Work(3, 41) != gs2.Work(3, 41) || gs.PrepareWork() != gs2.PrepareWork() {
-		t.Fatal("Work/PrepareWork differ across kernel modes")
+		t.Fatal("Work/PrepareWork depend on the loss or the model values")
 	}
 }
 

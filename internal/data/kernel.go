@@ -1,127 +1,103 @@
 // Slab kernels: loss-specialized, cache-blocked inner loops that consume
-// the CSR arena directly instead of dispatching through per-row glm.Example
-// views and glm.Loss interface calls.
+// the CSR arena directly — the local-compute path of every trainer hot loop.
 //
 // Contract (every kernel, every loss):
 //
-//   - Bit identity. A kernel performs exactly the floating-point operations
-//     of the Example-view code it replaces — same per-row order, same
-//     per-nonzero order, same vec.Dot/vec.Axpy truncation at the first index
-//     ≥ len(model), same `d != 0` update guard — so a trainer produces
-//     Float64bits-identical models with kernels on or off.
+//   - Bit identity with the reference. A kernel performs exactly the
+//     floating-point operations of the per-Example reference in glm / opt
+//     (glm.Objective.AddGradient, opt.LocalPassWith, ...) — same per-row
+//     order, same per-nonzero order, same vec.Dot/vec.Axpy truncation at the
+//     first index ≥ len(model), same `d != 0` update guard. The unit tests of
+//     this package and of opt compare the two bit for bit.
 //   - Zero allocations. Kernels write only into caller-owned buffers.
 //   - Work accounting. Returned work is the structural nonzeros-touched
-//     measure of the interface path (full row NNZ, counting truncated
-//     entries, exactly like glm.Objective.AddGradient).
+//     measure (full row NNZ, counting truncated entries, exactly like
+//     glm.Objective.AddGradient).
 //
 // Dispatch monomorphizes per loss: one type switch per kernel call selects a
 // hand-specialized body for hinge/logistic/squared in which the loss
 // derivative is a static, inlinable call on the concrete loss struct
-// (kernel_losses.go). Unknown losses and ConfigureKernels(false) fall back
-// to the original Example-view code path, which is what the kernels-on ≡
-// kernels-off parity suites compare against.
+// (kernel_losses.go). Those three are every loss glm.LossByName can return;
+// any other glm.Loss panics. The zero View has no rows, so every block loop
+// runs zero times and no kernel touches its nil arena (AddGradientRows takes
+// row indices, which a zero View cannot have).
 package data
 
 import (
+	"fmt"
+
 	"mllibstar/internal/glm"
-	"mllibstar/internal/vec"
 )
 
-// kernelsOn gates the slab kernels. Like par/sparse/pipeline it is set once
-// at startup (prof.Start / ConfigureKernels) before any trainer runs, and
-// only read from the training paths.
-var kernelsOn = true
-
-// ConfigureKernels enables or disables the slab kernels process-wide.
-// Training results are bit-identical either way; only the wall-clock speed
-// of the local compute changes. Call before starting simulations.
-func ConfigureKernels(on bool) { kernelsOn = on }
-
-// KernelsEnabled reports whether the slab kernels are active.
-func KernelsEnabled() bool { return kernelsOn }
+// noKernel is the default arm of every loss switch below.
+func noKernel(loss glm.Loss) {
+	panic(fmt.Sprintf("data: no slab kernel for loss %T", loss))
+}
 
 // AddGradient accumulates the loss gradient over the view's rows into g,
 // exactly like glm.Objective.AddGradient over Examples(): g += Σ l'(<w,x>,
-// y)·x, returning nonzeros touched. With kernels enabled and a known loss it
-// runs the fused margin→deriv→axpy slab pass in BlockRows-sized cache
-// blocks; otherwise it falls back to the interface path.
+// y)·x, returning nonzeros touched. It runs the fused margin→deriv→axpy slab
+// pass in BlockRows-sized cache blocks.
 func AddGradient(obj glm.Objective, w []float64, v View, g []float64) (nnz int) {
-	if kernelsOn && v.c != nil {
-		blk := v.c.BlockRows(0)
-		switch obj.Loss.(type) {
-		case glm.Hinge:
-			for lo := v.lo; lo < v.hi; lo += blk {
-				nnz += addGradHinge(v.c, lo, minInt(lo+blk, v.hi), w, g)
-			}
-			return nnz
-		case glm.Logistic:
-			for lo := v.lo; lo < v.hi; lo += blk {
-				nnz += addGradLogistic(v.c, lo, minInt(lo+blk, v.hi), w, g)
-			}
-			return nnz
-		case glm.Squared:
-			for lo := v.lo; lo < v.hi; lo += blk {
-				nnz += addGradSquared(v.c, lo, minInt(lo+blk, v.hi), w, g)
-			}
-			return nnz
+	blk := v.BlockRows(0)
+	switch obj.Loss.(type) {
+	case glm.Hinge:
+		for lo := v.lo; lo < v.hi; lo += blk {
+			nnz += addGradHinge(v.c, lo, minInt(lo+blk, v.hi), w, g)
 		}
+	case glm.Logistic:
+		for lo := v.lo; lo < v.hi; lo += blk {
+			nnz += addGradLogistic(v.c, lo, minInt(lo+blk, v.hi), w, g)
+		}
+	case glm.Squared:
+		for lo := v.lo; lo < v.hi; lo += blk {
+			nnz += addGradSquared(v.c, lo, minInt(lo+blk, v.hi), w, g)
+		}
+	default:
+		noKernel(obj.Loss)
 	}
-	return obj.AddGradient(w, v.Examples(), g)
+	return nnz
 }
 
 // AddGradientRows is AddGradient restricted to the given view-relative row
 // indices, in order — the sampled mini-batch gradient of the SendGradient
 // trainers, computed without gathering the rows into a fresh slice.
 func AddGradientRows(obj glm.Objective, w []float64, v View, rows []int32, g []float64) (nnz int) {
-	if kernelsOn && v.c != nil {
-		switch obj.Loss.(type) {
-		case glm.Hinge:
-			return addGradRowsHinge(v.c, v.lo, rows, w, g)
-		case glm.Logistic:
-			return addGradRowsLogistic(v.c, v.lo, rows, w, g)
-		case glm.Squared:
-			return addGradRowsSquared(v.c, v.lo, rows, w, g)
-		}
+	switch obj.Loss.(type) {
+	case glm.Hinge:
+		return addGradRowsHinge(v.c, v.lo, rows, w, g)
+	case glm.Logistic:
+		return addGradRowsLogistic(v.c, v.lo, rows, w, g)
+	case glm.Squared:
+		return addGradRowsSquared(v.c, v.lo, rows, w, g)
 	}
-	ex := v.Examples()
-	for _, ri := range rows {
-		e := ex[ri]
-		d := obj.Loss.Deriv(vec.Dot(w, e.X), e.Label)
-		if d != 0 {
-			vec.Axpy(d, e.X, g)
-		}
-		nnz += e.X.NNZ()
-	}
-	return nnz
+	noKernel(obj.Loss)
+	return 0
 }
 
 // LossSum returns Σ l(<w,x>, y) over the view's rows, bit-identical to
 // glm.Objective.LossSum over Examples(): the slab bodies thread one running
 // sum through the cache blocks so the summation order is exactly the
-// interface path's row order.
-func LossSum(obj glm.Objective, w []float64, v View) float64 {
-	if kernelsOn && v.c != nil {
-		blk := v.c.BlockRows(0)
-		sum := 0.0
-		switch obj.Loss.(type) {
-		case glm.Hinge:
-			for lo := v.lo; lo < v.hi; lo += blk {
-				sum = lossSumHinge(v.c, lo, minInt(lo+blk, v.hi), w, sum)
-			}
-			return sum
-		case glm.Logistic:
-			for lo := v.lo; lo < v.hi; lo += blk {
-				sum = lossSumLogistic(v.c, lo, minInt(lo+blk, v.hi), w, sum)
-			}
-			return sum
-		case glm.Squared:
-			for lo := v.lo; lo < v.hi; lo += blk {
-				sum = lossSumSquared(v.c, lo, minInt(lo+blk, v.hi), w, sum)
-			}
-			return sum
+// reference's row order.
+func LossSum(obj glm.Objective, w []float64, v View) (sum float64) {
+	blk := v.BlockRows(0)
+	switch obj.Loss.(type) {
+	case glm.Hinge:
+		for lo := v.lo; lo < v.hi; lo += blk {
+			sum = lossSumHinge(v.c, lo, minInt(lo+blk, v.hi), w, sum)
 		}
+	case glm.Logistic:
+		for lo := v.lo; lo < v.hi; lo += blk {
+			sum = lossSumLogistic(v.c, lo, minInt(lo+blk, v.hi), w, sum)
+		}
+	case glm.Squared:
+		for lo := v.lo; lo < v.hi; lo += blk {
+			sum = lossSumSquared(v.c, lo, minInt(lo+blk, v.hi), w, sum)
+		}
+	default:
+		noKernel(obj.Loss)
 	}
-	return obj.LossSum(w, v.Examples())
+	return sum
 }
 
 // GradAndLoss computes AddGradient and LossSum in one fused slab pass:
@@ -133,32 +109,28 @@ func LossSum(obj glm.Objective, w []float64, v View) float64 {
 // is the L-BFGS superstep hot path, where every iteration needs exactly this
 // gradient/loss pair.
 func GradAndLoss(obj glm.Objective, w []float64, v View, g []float64) (lossSum float64, nnz int) {
-	if kernelsOn && v.c != nil {
-		blk := v.c.BlockRows(0)
-		var n int
-		switch obj.Loss.(type) {
-		case glm.Hinge:
-			for lo := v.lo; lo < v.hi; lo += blk {
-				lossSum, n = gradLossHinge(v.c, lo, minInt(lo+blk, v.hi), w, g, lossSum)
-				nnz += n
-			}
-			return lossSum, nnz
-		case glm.Logistic:
-			for lo := v.lo; lo < v.hi; lo += blk {
-				lossSum, n = gradLossLogistic(v.c, lo, minInt(lo+blk, v.hi), w, g, lossSum)
-				nnz += n
-			}
-			return lossSum, nnz
-		case glm.Squared:
-			for lo := v.lo; lo < v.hi; lo += blk {
-				lossSum, n = gradLossSquared(v.c, lo, minInt(lo+blk, v.hi), w, g, lossSum)
-				nnz += n
-			}
-			return lossSum, nnz
+	blk := v.BlockRows(0)
+	var n int
+	switch obj.Loss.(type) {
+	case glm.Hinge:
+		for lo := v.lo; lo < v.hi; lo += blk {
+			lossSum, n = gradLossHinge(v.c, lo, minInt(lo+blk, v.hi), w, g, lossSum)
+			nnz += n
 		}
+	case glm.Logistic:
+		for lo := v.lo; lo < v.hi; lo += blk {
+			lossSum, n = gradLossLogistic(v.c, lo, minInt(lo+blk, v.hi), w, g, lossSum)
+			nnz += n
+		}
+	case glm.Squared:
+		for lo := v.lo; lo < v.hi; lo += blk {
+			lossSum, n = gradLossSquared(v.c, lo, minInt(lo+blk, v.hi), w, g, lossSum)
+			nnz += n
+		}
+	default:
+		noKernel(obj.Loss)
 	}
-	ex := v.Examples()
-	return obj.LossSum(w, ex), obj.AddGradient(w, ex, g)
+	return lossSum, nnz
 }
 
 // Value returns the full objective f(w) = (1/n)·Σ l + Ω(w) over the view,
@@ -171,15 +143,11 @@ func Value(obj glm.Objective, w []float64, v View) float64 {
 }
 
 // DerivsInto computes the per-row loss derivatives l'(<w,x_i>, y_i) of the
-// view into out (length ≥ NumRows) and reports whether a slab body handled
-// the loss. It exists for two-phase consumers like the sparse-accumulator
-// MGD step: w is constant during accumulation, so derivatives computed
-// up front are bit-identical to ones computed interleaved with the adds.
-func DerivsInto(loss glm.Loss, w []float64, v View, out []float64) bool {
-	if !kernelsOn || v.c == nil {
-		return false
-	}
-	blk := v.c.BlockRows(0)
+// view into out (length ≥ NumRows) — pass 1 of the two-pass GradStream: w is
+// constant during accumulation, so derivatives computed up front are
+// bit-identical to ones computed interleaved with the adds.
+func DerivsInto(loss glm.Loss, w []float64, v View, out []float64) {
+	blk := v.BlockRows(0)
 	switch loss.(type) {
 	case glm.Hinge:
 		for lo := v.lo; lo < v.hi; lo += blk {
@@ -194,21 +162,16 @@ func DerivsInto(loss glm.Loss, w []float64, v View, out []float64) bool {
 			derivsSquared(v.c, lo, minInt(lo+blk, v.hi), w, out[lo-v.lo:])
 		}
 	default:
-		return false
+		noKernel(loss)
 	}
-	return true
 }
 
 // SGDPassPlain runs one epoch of unregularized per-example SGD over the
 // view — margin, derivative, and the w ← w − η·l'·x update fused into one
-// slab pass — and reports whether a slab body handled the loss (callers
-// keep the interface loop as the fallback). sched is indexed exactly like
-// opt.LocalPass: stepBase plus the view-relative row number.
-func SGDPassPlain(loss glm.Loss, w []float64, v View, sched func(int) float64, stepBase int) (work int, ok bool) {
-	if !kernelsOn || v.c == nil {
-		return 0, false
-	}
-	blk := v.c.BlockRows(0)
+// slab pass. sched is indexed exactly like opt.LocalPass: stepBase plus the
+// view-relative row number.
+func SGDPassPlain(loss glm.Loss, w []float64, v View, sched func(int) float64, stepBase int) (work int) {
+	blk := v.BlockRows(0)
 	base := stepBase - v.lo // sched argument for arena row r is base + r
 	switch loss.(type) {
 	case glm.Hinge:
@@ -224,14 +187,14 @@ func SGDPassPlain(loss glm.Loss, w []float64, v View, sched func(int) float64, s
 			work += sgdPlainSquared(v.c, lo, minInt(lo+blk, v.hi), w, sched, base)
 		}
 	default:
-		return 0, false
+		noKernel(loss)
 	}
-	return work, true
+	return work
 }
 
 // lazyRescaleThreshold mirrors opt's rescaleThreshold: the scale s of the
 // lazily scaled representation w = s·vm is renormalized below it. The two
-// constants must stay equal for the kernels-on/off bit-identity contract;
+// constants must stay equal for bit identity with opt.LazyL2SGD.Step;
 // TestSGDPassLazyL2MatchesStep pins the behaviour.
 const lazyRescaleThreshold = 1e-9
 
@@ -241,14 +204,10 @@ const lazyRescaleThreshold = 1e-9
 // folds the shrinkage (1−ηλ) into s (materializing when the factor is
 // non-positive), applies the sparse −η·l'/s update to vm, and renormalizes
 // when s falls below the rescale threshold. It returns the updated scale
-// and the accumulated work, and reports whether a slab body handled the
-// loss; the caller owns the final materialization (and its +len(w) work),
-// exactly as opt.LocalPassWith does.
-func SGDPassLazyL2(loss glm.Loss, vm []float64, s, lambda float64, v View, sched func(int) float64, stepBase int) (sOut float64, work int, ok bool) {
-	if !kernelsOn || v.c == nil {
-		return s, 0, false
-	}
-	blk := v.c.BlockRows(0)
+// and the accumulated work; the caller owns the final materialization (and
+// its +len(w) work), exactly as opt.LocalPassWith does.
+func SGDPassLazyL2(loss glm.Loss, vm []float64, s, lambda float64, v View, sched func(int) float64, stepBase int) (sOut float64, work int) {
+	blk := v.BlockRows(0)
 	base := stepBase - v.lo
 	var n int
 	switch loss.(type) {
@@ -268,9 +227,9 @@ func SGDPassLazyL2(loss glm.Loss, vm []float64, s, lambda float64, v View, sched
 			work += n
 		}
 	default:
-		return s, 0, false
+		noKernel(loss)
 	}
-	return s, work, true
+	return s, work
 }
 
 func minInt(a, b int) int {

@@ -303,7 +303,7 @@ func derivsSquared(c *CSR, lo, hi int, w, out []float64) {
 
 // ---- GradAndLoss: g += l'·x and sum += l, one margin per row ------------
 //
-// The interface path computes the gradient and the loss sum in two separate
+// glm.Objective computes the gradient and the loss sum in two separate
 // passes (AddGradient then LossSum), evaluating every row's margin twice.
 // The model is constant across both passes, so computing the margin once and
 // feeding it to both the value and the derivative is bit-identical — the

@@ -2,13 +2,14 @@ package data_test
 
 // Slab-kernel bit-identity at the data layer: every kernel entry point must
 // produce Float64bits-identical numbers and identical work counts to the
-// Example-view interface path it replaces — including when the model is
+// per-Example reference in glm / opt — including when the model is
 // shorter than the feature space (the vec.Dot/vec.Axpy truncation rule), on
 // sub-views, and across cache-block boundaries. External test package: the
 // reference SGD implementations live in opt, which imports data.
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mllibstar/internal/data"
@@ -162,9 +163,7 @@ func TestKernelDerivsIntoMatchesLoop(t *testing.T) {
 	out := make([]float64, sub.NumRows())
 	for _, tc := range kernelObjectives() {
 		w := testModel(dim / 2)
-		if !data.DerivsInto(tc.obj.Loss, w, sub, out) {
-			t.Fatalf("%s: DerivsInto did not handle a monomorphized loss", tc.name)
-		}
+		data.DerivsInto(tc.obj.Loss, w, sub, out)
 		for i, e := range sub.Examples() {
 			want := tc.obj.Loss.Deriv(vec.Dot(w, e.X), e.Label)
 			if math.Float64bits(out[i]) != math.Float64bits(want) {
@@ -185,10 +184,7 @@ func TestKernelSGDPassPlainMatchesLocalPass(t *testing.T) {
 		const stepBase = 17
 		sched := opt.InvSqrt(0.5)
 		wk := testModel(dim)
-		work, ok := data.SGDPassPlain(tc.obj.Loss, wk, sub, sched, stepBase)
-		if !ok {
-			t.Fatalf("%s: SGDPassPlain did not handle a monomorphized loss", tc.name)
-		}
+		work := data.SGDPassPlain(tc.obj.Loss, wk, sub, sched, stepBase)
 		wi := testModel(dim)
 		wantWork := opt.LocalPass(tc.obj, wi, sub.Examples(), sched, stepBase)
 		if work != wantWork {
@@ -223,10 +219,7 @@ func TestSGDPassLazyL2MatchesStep(t *testing.T) {
 		w0 := testModel(dim)
 
 		vm := vec.Copy(w0)
-		sOut, work, ok := data.SGDPassLazyL2(tc.obj.Loss, vm, 1, lambda, sub, sched, stepBase)
-		if !ok {
-			t.Fatalf("%s: SGDPassLazyL2 did not handle a monomorphized loss", tc.name)
-		}
+		sOut, work := data.SGDPassLazyL2(tc.obj.Loss, vm, 1, lambda, sub, sched, stepBase)
 		wk := make([]float64, dim)
 		vec.ScaleTo(wk, sOut, vm)
 
@@ -245,50 +238,37 @@ func TestSGDPassLazyL2MatchesStep(t *testing.T) {
 	}
 }
 
-// customLoss is an out-of-registry loss: the kernels must decline it and the
-// public entry points must fall back to the interface path.
+// customLoss is a loss glm.LossByName cannot return.
 type customLoss struct{ glm.Squared }
 
 func (customLoss) Name() string { return "custom" }
 
-func TestKernelUnknownLossFallsBack(t *testing.T) {
+func TestKernelUnknownLossPanics(t *testing.T) {
 	v, dim := kernelView(t)
 	obj := glm.Objective{Loss: customLoss{}, Reg: glm.None{}}
 	w := testModel(dim)
-	if _, ok := data.SGDPassPlain(obj.Loss, vec.Copy(w), v, opt.Const(0.1), 0); ok {
-		t.Error("SGDPassPlain claimed to handle an unknown loss")
+	g := make([]float64, dim+1)
+	for name, fn := range map[string]func(){
+		"AddGradient":     func() { data.AddGradient(obj, w, v, g[:dim]) },
+		"AddGradientRows": func() { data.AddGradientRows(obj, w, v, []int32{0}, g[:dim]) },
+		"LossSum":         func() { data.LossSum(obj, w, v) },
+		"GradAndLoss":     func() { data.GradAndLoss(obj, w, v, g[:dim]) },
+		"DerivsInto":      func() { data.DerivsInto(obj.Loss, w, v, make([]float64, v.NumRows())) },
+		"SGDPassPlain":    func() { data.SGDPassPlain(obj.Loss, w, v, opt.Const(0.1), 0) },
+		"SGDPassLazyL2":   func() { data.SGDPassLazyL2(obj.Loss, w, 1, 0.1, v, opt.Const(0.1), 0) },
+		"GradStream":      func() { data.NewGradStream(obj, w, v, g, true, 0).Prepare() },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "customLoss") {
+					t.Errorf("%s: panic %q does not name the loss type", name, msg)
+				}
+			}()
+			fn()
+			t.Errorf("%s accepted an unknown loss", name)
+		}()
 	}
-	if _, _, ok := data.SGDPassLazyL2(obj.Loss, vec.Copy(w), 1, 0.1, v, opt.Const(0.1), 0); ok {
-		t.Error("SGDPassLazyL2 claimed to handle an unknown loss")
-	}
-	if ok := data.DerivsInto(obj.Loss, w, v, make([]float64, v.NumRows())); ok {
-		t.Error("DerivsInto claimed to handle an unknown loss")
-	}
-	// AddGradient/LossSum fall back internally; they must still agree with
-	// the interface path (which, for this loss, they are).
-	gk, gi := make([]float64, dim), make([]float64, dim)
-	if k, i := data.AddGradient(obj, w, v, gk), obj.AddGradient(w, v.Examples(), gi); k != i {
-		t.Errorf("fallback AddGradient work %d != %d", k, i)
-	}
-	requireBitsEqual(t, "fallback gradient", gk, gi)
-}
-
-func TestKernelConfigureOffMatchesOn(t *testing.T) {
-	v, dim := kernelView(t)
-	obj := glm.SVM(0.1)
-	w := testModel(dim)
-	g := func() []float64 {
-		out := make([]float64, dim)
-		data.AddGradient(obj, w, v, out)
-		return out
-	}
-	on := g()
-	data.ConfigureKernels(false)
-	defer data.ConfigureKernels(true)
-	if data.KernelsEnabled() {
-		t.Fatal("ConfigureKernels(false) did not take")
-	}
-	requireBitsEqual(t, "kernels on vs off", on, g())
 }
 
 func TestKernelEmptyView(t *testing.T) {
@@ -301,11 +281,16 @@ func TestKernelEmptyView(t *testing.T) {
 	if got, want := data.Value(obj, w, empty), obj.Reg.Value(w); math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("empty Value = %v, want Reg-only %v", got, want)
 	}
-	if _, ok := data.SGDPassPlain(obj.Loss, w, empty, opt.Const(0.1), 0); ok {
-		t.Error("SGDPassPlain handled a nil-arena view")
+	if work := data.SGDPassPlain(obj.Loss, w, empty, opt.Const(0.1), 0); work != 0 {
+		t.Errorf("empty SGDPassPlain work = %d", work)
 	}
-	// An empty sub-view of a real arena, by contrast, is handled (zero rows,
-	// zero work).
+	// The L2 pass over no rows still materializes the model once.
+	if work := opt.LocalPassView(obj, w, empty, opt.Const(0.1), 0, nil); work != len(w) {
+		t.Errorf("empty L2 LocalPassView work = %d, want len(w) = %d", work, len(w))
+	}
+	requireBitsEqual(t, "model after empty passes", w, testModel(8))
+	// An empty sub-view of a real arena behaves the same (zero rows, zero
+	// work).
 	d := data.Generate(data.Spec{Name: "k", Rows: 10, Cols: 8, NNZPerRow: 2, Seed: 1})
 	sub := data.ViewOf(d.Examples).Sub(4, 4)
 	if nnz := data.AddGradient(obj, w, sub, make([]float64, 8)); nnz != 0 {

@@ -14,10 +14,10 @@ import (
 //
 // Views are the entry point to the slab kernels (AddGradient, LossSum,
 // SGDPassPlain, ...): a kernel streams the ind/val slabs of the underlying
-// arena across [lo, hi) directly. Code that still needs per-row
-// glm.Example values (evaluation, fallback paths, custom losses) uses
-// Examples, which is a subslice of the arena's precomputed row views — the
-// exact values trainers consumed before the kernels existed.
+// arena across [lo, hi) directly. Code that needs per-row glm.Example
+// values (evaluation, the L1/ElasticNet eager pass, the reference
+// implementations in tests) uses Examples, which is a subslice of the
+// arena's precomputed row views.
 type View struct {
 	c      *CSR
 	lo, hi int

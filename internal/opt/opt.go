@@ -12,9 +12,7 @@ package opt
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
-	"mllibstar/internal/detrand"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/vec"
 )
@@ -181,6 +179,20 @@ type PassScratch struct {
 // use.
 func NewPassScratch() *PassScratch { return &PassScratch{} }
 
+// lazyFor returns a lazy updater holding w with strength lambda: the
+// scratch's own when it fits (a nil scratch allocates per call).
+func (sc *PassScratch) lazyFor(w []float64, lambda float64) *LazyL2SGD {
+	if sc != nil && sc.lazy != nil && len(sc.lazy.v) == len(w) {
+		sc.lazy.ResetWith(w, lambda)
+		return sc.lazy
+	}
+	lazy := NewLazyL2SGD(w, lambda)
+	if sc != nil {
+		sc.lazy = lazy
+	}
+	return lazy
+}
+
 // LocalPass runs per-example SGD over data (one epoch, in the given order),
 // using the lazy representation when obj has an L2 term and plain sparse
 // updates otherwise. It is the worker-local computation of the SendModel
@@ -205,16 +217,7 @@ func LocalPassWith(obj glm.Objective, w []float64, data []glm.Example, sched Sch
 			work += e.X.NNZ()
 		}
 	case glm.L2:
-		var lazy *LazyL2SGD
-		if sc != nil && sc.lazy != nil && len(sc.lazy.v) == len(w) {
-			lazy = sc.lazy
-			lazy.ResetWith(w, reg.Strength)
-		} else {
-			lazy = NewLazyL2SGD(w, reg.Strength)
-			if sc != nil {
-				sc.lazy = lazy
-			}
-		}
+		lazy := sc.lazyFor(w, reg.Strength)
 		for i, e := range data {
 			work += lazy.Step(obj.Loss, e, sched(stepBase+i))
 		}
@@ -244,70 +247,6 @@ func LocalMGDEpoch(obj glm.Objective, w []float64, data []glm.Example, batchSize
 		steps++
 	}
 	return work, steps
-}
-
-// SampleBatch fills idx with a uniform with-replacement sample of [0, n) and
-// returns the batch gathered from data. It is how the SendGradient trainers
-// draw XB each iteration.
-func SampleBatch(rng *rand.Rand, data []glm.Example, size int, out []glm.Example) []glm.Example {
-	if size >= len(data) {
-		return data
-	}
-	out = out[:0]
-	for i := 0; i < size; i++ {
-		out = append(out, data[rng.Intn(len(data))])
-	}
-	return out
-}
-
-// SeqConfig configures the sequential reference trainer.
-type SeqConfig struct {
-	Objective glm.Objective
-	Eta       float64
-	BatchSize int // 0 means full-batch GD
-	Iters     int
-	Seed      int64
-	EvalEvery int // record the objective every EvalEvery iterations (0 = 10)
-}
-
-// SeqPoint is one point of a sequential convergence curve.
-type SeqPoint struct {
-	Iter      int
-	Objective float64
-}
-
-// RunSeqMGD trains a model with sequential mini-batch gradient descent and
-// returns the final weights and the recorded convergence curve. It is the
-// single-machine reference: with a convex objective all distributed systems
-// must approach the same optimum this trainer approaches.
-func RunSeqMGD(cfg SeqConfig, data []glm.Example, dim int) ([]float64, []SeqPoint) {
-	if cfg.Iters <= 0 {
-		panic("opt: RunSeqMGD with no iterations")
-	}
-	evalEvery := cfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 10
-	}
-	rng := detrand.New(cfg.Seed)
-	w := make([]float64, dim)
-	accum := NewSparseAccum(dim)
-	var batchBuf []glm.Example
-	var curve []SeqPoint
-	curve = append(curve, SeqPoint{0, cfg.Objective.Value(w, data)})
-	for t := 1; t <= cfg.Iters; t++ {
-		batch := data
-		if cfg.BatchSize > 0 && cfg.BatchSize < len(data) {
-			if batchBuf == nil {
-				batchBuf = make([]glm.Example, 0, cfg.BatchSize)
-			}
-			batch = SampleBatch(rng, data, cfg.BatchSize, batchBuf)
-		}
-		MGDStepAccum(cfg.Objective, w, batch, cfg.Eta, accum)
-		if t%evalEvery == 0 || t == cfg.Iters {
-			curve = append(curve, SeqPoint{t, cfg.Objective.Value(w, data)})
-		}
-	}
-	return w, curve
 }
 
 // ReferenceOptimum runs a long, conservative sequential optimization and

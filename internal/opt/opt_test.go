@@ -33,6 +33,27 @@ func toyData(rng *rand.Rand, n, dim, nnz int) ([]glm.Example, []float64) {
 	return data, truth
 }
 
+// synthBatch builds a random sparse batch over dim features.
+func synthBatch(rng *rand.Rand, n, dim int) []glm.Example {
+	out := make([]glm.Example, n)
+	for i := range out {
+		var ind []int32
+		var val []float64
+		for ix := 0; ix < dim; ix++ {
+			if rng.Float64() < 0.25 {
+				ind = append(ind, int32(ix))
+				val = append(val, rng.NormFloat64())
+			}
+		}
+		label := 1.0
+		if rng.Float64() < 0.5 {
+			label = -1
+		}
+		out[i] = glm.Example{X: vec.Sparse{Ind: ind, Val: val}, Label: label}
+	}
+	return out
+}
+
 func TestMGDStepDecreasesObjectiveFullBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data, _ := toyData(rng, 200, 20, 5)
@@ -194,6 +215,31 @@ func TestLocalPassL2UsesLazyPath(t *testing.T) {
 	}
 }
 
+// TestLocalPassWithScratchBitIdentical asserts the scratch-reusing pass
+// matches the allocating one across repeated passes (the scratch carries
+// state between calls and must be fully reset).
+func TestLocalPassWithScratchBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	obj := glm.Objective{Loss: glm.Logistic{}, Reg: glm.L2{Strength: 0.03}}
+	dim := 20
+	data := synthBatch(rng, 40, dim)
+	wPlain := make([]float64, dim)
+	wScratch := make([]float64, dim)
+	sc := NewPassScratch()
+	for pass := 0; pass < 5; pass++ {
+		workP := LocalPass(obj, wPlain, data, Const(0.1), 0)
+		workS := LocalPassWith(obj, wScratch, data, Const(0.1), 0, sc)
+		if workP != workS {
+			t.Fatalf("pass %d: work %d != %d", pass, workS, workP)
+		}
+		for j := range wPlain {
+			if math.Float64bits(wPlain[j]) != math.Float64bits(wScratch[j]) {
+				t.Fatalf("pass %d: w[%d] differs", pass, j)
+			}
+		}
+	}
+}
+
 func TestLocalMGDEpochStepCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	data, _ := toyData(rng, 10, 5, 2)
@@ -205,39 +251,6 @@ func TestLocalMGDEpochStepCount(t *testing.T) {
 	_, steps = LocalMGDEpoch(glm.SVM(0), w, data, 0, Const(0.1), 0, nil)
 	if steps != 1 {
 		t.Errorf("full-batch steps = %d, want 1", steps)
-	}
-}
-
-func TestSampleBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	data := make([]glm.Example, 10)
-	for i := range data {
-		data[i].Label = float64(i)
-	}
-	out := SampleBatch(rng, data, 4, nil)
-	if len(out) != 4 {
-		t.Errorf("len = %d", len(out))
-	}
-	// Requesting >= n returns the data itself.
-	if got := SampleBatch(rng, data, 100, nil); len(got) != 10 {
-		t.Errorf("oversized sample len = %d", len(got))
-	}
-}
-
-func TestRunSeqMGDCurve(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	data, _ := toyData(rng, 200, 10, 3)
-	w, curve := RunSeqMGD(SeqConfig{
-		Objective: glm.SVM(0.01), Eta: 0.2, BatchSize: 32, Iters: 100, Seed: 1, EvalEvery: 20,
-	}, data, 10)
-	if len(w) != 10 {
-		t.Fatalf("dim = %d", len(w))
-	}
-	if curve[0].Iter != 0 || curve[len(curve)-1].Iter != 100 {
-		t.Errorf("curve endpoints: %+v", curve)
-	}
-	if curve[len(curve)-1].Objective >= curve[0].Objective {
-		t.Errorf("no progress: %+v", curve)
 	}
 }
 

@@ -46,9 +46,11 @@ func init() { Configure(true, 0) }
 // Configure enables or disables offload and sizes the worker pool
 // (workers <= 0 means GOMAXPROCS). Offload is forced off when GOMAXPROCS is
 // 1: with a single schedulable thread the pool could only add overhead, and
-// the contract promises the exact sequential path. Trainers read the
-// configuration at submit time, so call Configure before starting a run,
-// not during one.
+// the contract promises the exact sequential path. The package's init calls
+// Configure(true, 0) and no CLI changes it; tests call Configure(false, 0)
+// to run the inline path on a multi-core host. Trainers read the
+// configuration at submit time, so call it before starting a run, not
+// during one.
 func Configure(on bool, workers int) {
 	if runtime.GOMAXPROCS(0) == 1 {
 		on = false

@@ -1,23 +1,20 @@
 // Package prof wires the standard Go profiling endpoints and the engine
-// switches into the repository's CLIs: -par (the deterministic
-// compute-offload pool), -sparse (SparCML-style sparse model-delta
-// exchange), -pipeline/-chunks (chunked collectives overlapping compute
-// with communication), -overlap (feature-major gradient production feeding
-// the pipelined collective), -csrkernels (loss-monomorphized slab kernels over
-// the CSR arena), -obs/-obs-http (the structured telemetry layer),
-// -cpuprofile, -memprofile, and -trace. Results are bit-identical
-// with -par on or off — the flag only changes wall-clock behaviour — which
-// is what makes before/after profiles of the same run comparable; the same
-// holds for -csrkernels, which only swaps the local compute between the
-// Example-view interface path and the slab kernels. -sparse
-// and -pipeline keep every training numeric and byte count bit-identical
-// too, but shrink simulated time (that is their point), so compare
-// simulated timings only within one -sparse/-pipeline setting. -obs
-// observes without charging: enabling it changes no numerics, bytes, or
-// virtual times, only records them. -causal enriches the recorded log with
-// process identities, message ids, and barrier groups so mlstar-obs can
-// rebuild the happens-before graph (-critpath, -whatif); the enrichment is
-// observe-only too.
+// switches into the repository's CLIs: -sparse (SparCML-style sparse
+// model-delta exchange), -pipeline/-chunks (chunked collectives overlapping
+// compute with communication), -overlap (feature-major gradient production
+// feeding the pipelined collective), -obs/-obs-http (the structured telemetry
+// layer), -cpuprofile, -memprofile, and -trace. -sparse and -pipeline keep
+// every training numeric and byte count bit-identical, but shrink simulated
+// time (that is their point), so compare simulated timings only within one
+// -sparse/-pipeline setting. -obs observes without charging: enabling it
+// changes no numerics, bytes, or virtual times, only records them. -causal
+// enriches the recorded log with process identities, message ids, and
+// barrier groups so mlstar-obs can rebuild the happens-before graph
+// (-critpath, -whatif); the enrichment is observe-only too.
+//
+// The local compute has no switch: trainers always run the slab kernels
+// (internal/data), and the offload pool (internal/par) turns itself on when
+// GOMAXPROCS > 1.
 package prof
 
 import (
@@ -30,23 +27,18 @@ import (
 	"strconv"
 
 	"mllibstar/internal/allreduce"
-	"mllibstar/internal/data"
 	"mllibstar/internal/obs"
 	"mllibstar/internal/obs/obshttp"
-	"mllibstar/internal/par"
 	"mllibstar/internal/sparse"
 )
 
 // Config holds the parsed flag values. Obtain one with Register, then call
 // Start after flag.Parse.
 type Config struct {
-	par        onOff
 	sparse     onOff
 	pipeline   onOff
 	overlap    onOff
-	csrkernels onOff
 	chunks     *int
-	workers    *int
 	cpu        *string
 	mem        *string
 	trace      *string
@@ -86,14 +78,11 @@ func (v *onOff) IsBoolFlag() bool { return true }
 
 // Register declares the flags on fs (normally flag.CommandLine).
 func Register(fs *flag.FlagSet) *Config {
-	c := &Config{par: true, csrkernels: true}
-	fs.Var(&c.par, "par", "run pure numeric closures on the offload pool: on or off (bit-identical results; falls back to inline when GOMAXPROCS=1)")
+	c := &Config{}
 	fs.Var(&c.sparse, "sparse", "delta-encode model exchange when the nonzero coding is smaller: on or off (bit-identical numerics; changes simulated bytes and time)")
 	fs.Var(&c.pipeline, "pipeline", "pipeline the AllReduce supersteps: split the model into chunks and overlap chunk transfer with folding (bit-identical numerics and bytes; changes simulated time)")
 	fs.Var(&c.overlap, "overlap", "produce gradient blocks feature-major inside the pipelined collective, so chunks ship while later blocks are still computing: on or off (implies -pipeline; bit-identical numerics and bytes; changes simulated time)")
-	fs.Var(&c.csrkernels, "csrkernels", "run trainer hot loops through the loss-monomorphized slab kernels over the CSR arena: on or off (bit-identical results; off runs the Example-view interface path)")
 	c.chunks = fs.Int("chunks", 0, "chunk count for -pipeline/-overlap (0 = default "+strconv.Itoa(allreduce.DefaultChunks)+")")
-	c.workers = fs.Int("parworkers", 0, "offload pool size (0 = GOMAXPROCS)")
 	c.cpu = fs.String("cpuprofile", "", "write a CPU profile to this file")
 	c.mem = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	c.trace = fs.String("trace", "", "write a runtime execution trace to this file")
@@ -104,24 +93,26 @@ func Register(fs *flag.FlagSet) *Config {
 	return c
 }
 
-// Start applies the offload configuration and begins any requested
-// profiling. The returned stop function flushes profiles and must run before
-// the process exits (normally via defer in main).
+// Start applies the engine switches and begins any requested profiling. The
+// returned stop function flushes profiles and must run before the process
+// exits (normally via defer in main).
 func (c *Config) Start() (stop func(), err error) {
+	// -overlap implies the chunked schedule: without chunk messages there is
+	// nothing to hide block production behind.
+	chunked := bool(c.pipeline) || bool(c.overlap)
 	if *c.chunks != 0 {
+		if !chunked {
+			return nil, fmt.Errorf("prof: -chunks %d needs -pipeline or -overlap (nothing is chunked without one of them)", *c.chunks)
+		}
 		// Fail fast on nonsense chunk counts; the dim-aware bound is checked
 		// again by the CLIs once the model size is known.
 		if err := allreduce.ValidateChunks(*c.chunks, 0, 0); err != nil {
 			return nil, err
 		}
 	}
-	par.Configure(bool(c.par), *c.workers)
 	sparse.Configure(bool(c.sparse))
-	// -overlap implies the chunked schedule: without chunk messages there is
-	// nothing to hide block production behind.
-	allreduce.Configure(bool(c.pipeline) || bool(c.overlap), *c.chunks)
+	allreduce.Configure(chunked, *c.chunks)
 	allreduce.ConfigureOverlap(bool(c.overlap))
-	data.ConfigureKernels(bool(c.csrkernels))
 
 	var cpuFile, traceFile *os.File
 	if *c.cpu != "" {
