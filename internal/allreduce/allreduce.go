@@ -142,14 +142,8 @@ func reduceScatterGather(p *des.Proc, ex *engine.Executor, execs []string, self 
 	blocks := engine.Exchange(p, ex, execs, self, "rs:"+name, outgoing)
 	folded := append([]engine.Block(nil), blocks...)
 	sort.Slice(folded, func(a, b int) bool { return folded[a].From < folded[b].From })
-	h := par.Do(func() {
-		for _, b := range folded {
-			vec.AddScaled(own, b.Payload.(sparse.Enc).Dense(refOwn), 1)
-		}
-		if average {
-			vec.Scale(own, 1/float64(k))
-		}
-	})
+	scratch := foldScratch(ex, folded, hi-lo)
+	h := par.Do(func() { fold(own, folded, scratch, refOwn, average, k) })
 	// A sparse-encoded chunk's charge models its decode, so it is traced as
 	// Encode; dense chunks keep the Aggregate kind. The charges themselves
 	// replay the arrival sequence either way.
@@ -161,6 +155,7 @@ func reduceScatterGather(p *des.Proc, ex *engine.Executor, execs []string, self 
 		ex.ChargeKind(p, float64(hi-lo), kind, name)
 	}
 	h.Join()
+	ex.PutVec(scratch)
 
 	// Phase 2 — AllGather: a second shuffle round broadcasting the combined
 	// partition to everyone. After averaging the chunk is usually dense
@@ -200,4 +195,32 @@ func reduceScatterGather(p *des.Proc, ex *engine.Executor, execs []string, self 
 		ex.ChargeKind(p, float64(phi-plo), kind, name)
 	}
 	h.Join()
+}
+
+// foldScratch returns the vector a fold decodes its sparse chunks through —
+// one per fold, from the cluster's pool, whatever the number of chunks — or
+// nil when every chunk is dense and is read in place. The caller PutVecs it
+// after joining the fold.
+func foldScratch(ex *engine.Executor, chunks []engine.Block, n int) []float64 {
+	for _, b := range chunks {
+		if b.Payload.(sparse.Enc).IsSparse() {
+			return ex.GetVec(n)
+		}
+	}
+	return nil
+}
+
+// fold adds the received copies of a partition (or of one chunk of it) into
+// own in the order given — ascending sender — then applies the averaging
+// scale. Every copy is added densely, a sparse one after decoding it into
+// scratch: the coordinates it does not list still take part in the sum
+// (−0 + 0 is +0), which is what keeps the result bit-identical to the dense
+// exchange.
+func fold(own []float64, chunks []engine.Block, scratch, ref []float64, average bool, k int) {
+	for _, b := range chunks {
+		vec.AddScaled(own, b.Payload.(sparse.Enc).Decoded(scratch, ref), 1)
+	}
+	if average {
+		vec.Scale(own, 1/float64(k))
+	}
 }

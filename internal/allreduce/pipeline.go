@@ -171,15 +171,8 @@ func foldAndGather(p *des.Proc, ex *engine.Executor, execs []string, self int, n
 		if refOwn != nil {
 			refChunk = refOwn[colo:cohi]
 		}
-		fold := func() {
-			for _, b := range folded {
-				vec.AddScaled(ownChunk, b.Payload.(sparse.Enc).Dense(refChunk), 1)
-			}
-			if average {
-				vec.Scale(ownChunk, 1/float64(k))
-			}
-		}
-		h := par.Do(fold)
+		scratch := foldScratch(ex, folded, cohi-colo)
+		h := par.Do(func() { fold(ownChunk, folded, scratch, refChunk, average, k) })
 		for _, b := range blocks {
 			kind := trace.Aggregate
 			if b.Payload.(sparse.Enc).IsSparse() {
@@ -188,6 +181,7 @@ func foldAndGather(p *des.Proc, ex *engine.Executor, execs []string, self int, n
 			ex.ChargeKind(p, float64(cohi-colo), kind, name)
 		}
 		h.Join()
+		ex.PutVec(scratch)
 		if streamAG {
 			// Sparse exchange off: the AllGather encoding decision is
 			// statically dense, so the folded chunk streams out right away.

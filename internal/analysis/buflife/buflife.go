@@ -1,8 +1,9 @@
 // Package buflife is the flow-sensitive buffer-lifetime analyzer for the
 // engine's vector pool (vec.Pool, engine.Context.GetVec/PutVec). It runs a
 // forward may-dataflow over each function's CFG, tracking which locals hold
-// a pooled buffer (bound from GetVec/Get or from a callee known to return
-// one) and which have been retired by PutVec/Put, and reports:
+// a pooled buffer (bound from GetVec/Get, from the non-clearing Pool.Copy, or
+// from a callee known to return one) and which have been retired by
+// PutVec/Put, and reports:
 //
 //   - use-after-Put: any read of a buffer on some path after the pool took
 //     it back — including reads after a Put inside a nested branch, which
@@ -290,11 +291,22 @@ func (a *analyzer) putArg(call *ast.CallExpr) types.Object {
 	return obj
 }
 
-// isGetCall recognizes a pool-acquire primitive: a method call named Get or
-// GetVec whose result is a float slice.
+// isGetCall recognizes a pool-acquire primitive: a method call named Get,
+// GetVec or Copy whose result is a float slice. Copy must be a method — the
+// pool's acquire-and-fill — because the package-level vec.Copy is the plain
+// allocation the escape diagnostics recommend.
 func (a *analyzer) isGetCall(call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Get" && sel.Sel.Name != "GetVec") {
+	if !ok {
+		return false
+	}
+	switch sel.Sel.Name {
+	case "Get", "GetVec":
+	case "Copy":
+		if a.pass.TypesInfo.Selections[sel] == nil {
+			return false
+		}
+	default:
 		return false
 	}
 	tv, ok := a.pass.TypesInfo.Types[call]

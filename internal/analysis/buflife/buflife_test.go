@@ -28,3 +28,10 @@ func TestVecaliasMissesFlowSensitiveLifetimes(t *testing.T) {
 func TestBuflifeSilentOnKernelIdioms(t *testing.T) {
 	analysistest.RunSilent(t, "testdata/src/kernel", buflife.Analyzer)
 }
+
+// The message corpus distills internal/ps: Pool.Copy acquires the snapshot a
+// message carries, the receiver Puts it, and a received payload read after
+// its Put is a use of recycled memory.
+func TestBuflifeMessagePayloads(t *testing.T) {
+	analysistest.Run(t, "testdata/src/msg", buflife.Analyzer)
+}

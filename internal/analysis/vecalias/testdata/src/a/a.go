@@ -74,9 +74,10 @@ func returnsInts(p []int) []int {
 
 type pool struct{}
 
-func (pool) Get(n int) []float64 { return make([]float64, n) }
-func (pool) Put(b []float64)     {}
-func (pool) PutVec(b []float64)  {}
+func (pool) Get(n int) []float64          { return make([]float64, n) }
+func (pool) Copy(src []float64) []float64 { return append([]float64(nil), src...) }
+func (pool) Put(b []float64)              {}
+func (pool) PutVec(b []float64)           {}
 
 func useAfterPut(pl pool) float64 {
 	b := pl.Get(4)
@@ -120,4 +121,34 @@ func putLast(pl pool) {
 	b := pl.Get(4)
 	b[0] = 1
 	pl.Put(b)
+}
+
+// ---- buffers that ride a message (internal/ps) ----
+
+type chunkMsg struct{ vals []float64 }
+
+type inbox struct{ last []float64 }
+
+// Clean: Pool.Copy acquires a new buffer like Get, so a pooled copy of a
+// parameter shares nothing with the caller — it may be stored, or sent.
+func pushCopies(pl pool, ib *inbox, delta []float64) chunkMsg {
+	chunk := pl.Copy(delta[1:3])
+	ib.last = pl.Copy(delta)
+	return chunkMsg{vals: chunk}
+}
+
+// Clean: Copy rebinds a retired identifier to a live buffer, as Get does.
+func putThenCopy(pl pool, src []float64) float64 {
+	b := pl.Get(4)
+	pl.Put(b)
+	b = pl.Copy(src)
+	return b[0]
+}
+
+// A received payload is the receiver's only until it Puts it.
+func recvThenRead(pl pool, m chunkMsg, dst []float64) float64 {
+	vals := m.vals
+	copy(dst, vals)
+	pl.Put(vals)
+	return vals[0] // want `use of pooled buffer vals after Put`
 }

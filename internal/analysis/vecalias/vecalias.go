@@ -22,14 +22,17 @@
 //
 // and, at any call site, the same float-slice expression passed twice to
 // one call (two "machines" receiving one buffer). Copy with vec.Copy (or
-// append([]float64(nil), p...)) to transfer ownership; genuinely shared
+// append([]float64(nil), p...), or a pool's acquire-and-fill Pool.Copy when
+// the copy rides a message) to transfer ownership; genuinely shared
 // read-only buffers can be annotated //mlstar:nolint vecalias.
 //
 // The analyzer also enforces the buffer-pool ownership contract of vec.Pool
 // and engine.Context.GetVec/PutVec: after a statement-level Put(b)/PutVec(b)
 // the buffer is the pool's again, so within the same statement list any
 // later use of b — including a second Put — is flagged, until b is rebound
-// by an assignment.
+// by an assignment (from Get, GetVec, Pool.Copy or anything else). That
+// holds for a buffer the function acquired and for one it received in a
+// message payload alike.
 package vecalias
 
 import (

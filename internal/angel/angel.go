@@ -71,6 +71,11 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 		part := parts[r]
 		batchSize := maxInt(1, int(prm.BatchFraction*float64(part.NumRows())))
 		sim.Spawn(fmt.Sprintf("angel:worker%d", r), func(p *des.Proc) {
+			// Worker-owned buffers, reused across steps: the pull target, the
+			// pushed delta (Push copies what it sends) and the batch-gradient
+			// scratch.
+			w := make([]float64, dim)
+			delta := make([]float64, dim)
 			scratch := make([]float64, dim)
 			jitter := detrand.Worker(prm.Seed, r)
 			for t := 1; t <= prm.MaxSteps && !stop; t++ {
@@ -79,10 +84,10 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 					// clock; other workers drift within the SSP slack.
 					obs.Active().SetStep(t, p.Now())
 				}
-				w := deploy.Pull(p, node.Name(), r, t-1)
+				deploy.PullInto(p, node.Name(), r, t-1, w)
 				if r == 0 {
 					if obj, recorded := ev.Record(t-1, p.Now(), w); recorded {
-						res.FinalW = w
+						res.FinalW = append(res.FinalW[:0], w...)
 						if prm.TargetObjective > 0 && obj <= prm.TargetObjective {
 							stop = true
 							break
@@ -119,21 +124,21 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 				if prm.ComputeJitter > 0 {
 					effort *= 1 + prm.ComputeJitter*jitter.Float64()
 				}
-				var delta []float64
 				node.ComputeAsyncKind(p, effort, trace.Compute, "", func() {
-					local := vec.Copy(w)
-					opt.LocalMGDEpochView(prm.Objective, local, part, batchSize, opt.Const(eta), 0, scratch)
-					vec.AddScaled(local, w, -1)
-					delta = local
+					// delta holds the locally refined model, then the
+					// difference to the pulled one.
+					copy(delta, w)
+					opt.LocalMGDEpochView(prm.Objective, delta, part, batchSize, opt.Const(eta), 0, scratch)
+					vec.AddScaled(delta, w, -1)
 				})
 				res.Updates += int64(batches)
 				obs.Active().Updates(t, node.Name(), int64(batches), p.Now())
 				deploy.Push(p, node.Name(), r, t, delta)
 			}
 			if r == 0 && !stop {
-				w := deploy.Pull(p, node.Name(), r, prm.MaxSteps)
+				deploy.PullInto(p, node.Name(), r, prm.MaxSteps, w)
 				ev.Record(prm.MaxSteps, p.Now(), w)
-				res.FinalW = w
+				res.FinalW = append(res.FinalW[:0], w...)
 			}
 		})
 	}

@@ -25,12 +25,6 @@ type aggMsg struct {
 // books the message under the right encoding (see obs.EncodingOf).
 func (m aggMsg) IsSparse() bool { return m.enc.IsSparse() }
 
-// recvPartial is a decoded group-member partial awaiting the canonical fold.
-type recvPartial struct {
-	from int
-	vals []float64
-}
-
 // TreeAggregateVec runs compute on every executor to produce a partial dense
 // vector of length dim, then aggregates the partials into the driver through
 // `aggregators` intermediate executors — MLlib's treeAggregate. With
@@ -126,17 +120,20 @@ func (ctx *Context) TreeAggregateVecDelta(p *des.Proc, name string, dim, aggrega
 					enc := sparse.EncodeShared(partial, ref)
 					ex.Send(p, aggName, tag, enc.WireBytes(), aggMsg{from: i, enc: enc})
 					if enc.IsSparse() {
-						ctx.pool.Put(partial)
+						ctx.PutVec(partial)
 					}
 					return nil, 0
 				}
-				// Aggregator: collect the group members' partials, decoding
-				// each under the same per-message Aggregate charge the dense
-				// engine pays, then fold them in ascending sender order —
-				// the canonical summation order — overlapping the join on
-				// the offload pool. Source buffers are dead after the fold
-				// and recycled.
-				members := make([]recvPartial, 0, groupSize[group]-1)
+				// Aggregator: collect the group members' partials under the
+				// same per-message Aggregate charge the dense engine pays,
+				// then fold them in ascending sender order — the canonical
+				// summation order — on the offload pool. A sparse partial is
+				// decoded through one scratch vector and added densely: the
+				// coordinates it does not list must be added too (−0 + 0 is
+				// +0). A dense partial is the sender's pooled buffer, handed
+				// over with the message and recycled here after the fold.
+				members := make([]aggMsg, 0, groupSize[group]-1)
+				var scratch []float64
 				for m := 1; m < groupSize[group]; m++ {
 					msg := ex.Recv(p, tag)
 					am := msg.Payload.(aggMsg)
@@ -146,23 +143,24 @@ func (ctx *Context) TreeAggregateVecDelta(p *des.Proc, name string, dim, aggrega
 					kind := trace.Aggregate
 					if am.enc.IsSparse() {
 						kind = trace.Encode
+						if scratch == nil {
+							scratch = ctx.GetVec(dim)
+						}
 					}
-					var src []float64
-					ex.ChargeAsyncKind(p, float64(dim), kind, name, func() {
-						src = am.enc.Dense(ref)
-					})
-					members = append(members, recvPartial{from: am.from, vals: src})
+					ex.ChargeKind(p, float64(dim), kind, name)
+					members = append(members, am)
 				}
 				sort.Slice(members, func(a, b int) bool { return members[a].from < members[b].from })
 				h := par.Do(func() {
 					for _, m := range members {
-						vec.AddScaled(partial, m.vals, 1)
+						vec.AddScaled(partial, m.enc.Decoded(scratch, ref), 1)
 					}
 				})
 				h.Join()
 				for _, m := range members {
-					ctx.pool.Put(m.vals)
+					ctx.PutVec(m.enc.Dense())
 				}
+				ctx.PutVec(scratch)
 				// The reply to the driver is charged at its encoded size;
 				// the payload stays the dense sum (the driver folds it
 				// directly, as ever).
@@ -188,7 +186,7 @@ func (ctx *Context) TreeAggregateVecDelta(p *des.Proc, name string, dim, aggrega
 		driver.ComputeAsyncKind(p, float64(dim), trace.Aggregate, name, func() {
 			vec.AddScaled(total, part, 1)
 		})
-		ctx.pool.Put(part)
+		ctx.PutVec(part)
 	}
 	return total
 }

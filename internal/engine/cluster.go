@@ -17,6 +17,7 @@ import (
 	"mllibstar/internal/des"
 	"mllibstar/internal/simnet"
 	"mllibstar/internal/trace"
+	"mllibstar/internal/vec"
 )
 
 // Config tunes the engine's overheads, mirroring the fixed costs of Spark's
@@ -51,6 +52,7 @@ type Cluster struct {
 	Driver string
 	Execs  []string
 	execs  map[string]*Executor
+	pool   *vec.Pool // model-sized buffers of the driver and every executor (Context.GetVec, Executor.GetVec)
 }
 
 // NewCluster builds a cluster from node specs. The first spec is the driver;
@@ -66,6 +68,7 @@ func NewCluster(sim *des.Sim, netCfg simnet.Config, specs []simnet.NodeSpec, rec
 		Net:    net,
 		Driver: specs[0].Name,
 		execs:  map[string]*Executor{},
+		pool:   vec.NewPool(),
 	}
 	for _, sp := range specs[1:] {
 		ex := &Executor{
@@ -126,6 +129,16 @@ func (ex *Executor) Node() *simnet.Node { return ex.node }
 func (ex *Executor) PeerSpec(name string) simnet.NodeSpec {
 	return ex.cluster.Net.Node(name).Spec()
 }
+
+// GetVec returns a zeroed buffer of length n from the cluster's pool — the
+// pool behind Context.GetVec — for scratch a task body needs on the
+// simulation thread, such as the one vector a collective fold decodes its
+// sparse chunks through. The caller owns it until PutVec.
+func (ex *Executor) GetVec(n int) []float64 { return ex.cluster.pool.Get(n) }
+
+// PutVec recycles a buffer obtained from GetVec; nil is a no-op. The caller
+// must not use b afterwards.
+func (ex *Executor) PutVec(b []float64) { ex.cluster.pool.Put(b) }
 
 // TasksRun returns how many tasks this executor has completed.
 func (ex *Executor) TasksRun() int { return ex.tasksRun }

@@ -9,7 +9,6 @@ import (
 	"mllibstar/internal/obs"
 	"mllibstar/internal/par"
 	"mllibstar/internal/trace"
-	"mllibstar/internal/vec"
 )
 
 // Context is the driver-side handle for running stages, the analogue of a
@@ -22,25 +21,24 @@ type Context struct {
 	specSeq  int
 	rng      *rand.Rand
 	accums   []*Accumulator
-	pool     *vec.Pool
 }
 
 // NewContext returns a Context over the cluster with the given engine
 // configuration.
 func NewContext(c *Cluster, cfg Config) *Context {
-	return &Context{Cluster: c, Cfg: cfg, rng: detrand.New(cfg.StragglerSeed), pool: vec.NewPool()}
+	return &Context{Cluster: c, Cfg: cfg, rng: detrand.New(cfg.StragglerSeed)}
 }
 
-// GetVec returns a zeroed model-sized buffer from the context's pool. Pure
+// GetVec returns a zeroed model-sized buffer from the cluster's pool. Pure
 // task closures running on worker threads may call it concurrently. The
 // buffer's ownership transfers to the caller; return it with PutVec when the
 // values are dead. Buffer identity never affects numerics (every buffer
 // comes back zeroed), so pooling is outside the bit-identity contract.
-func (ctx *Context) GetVec(n int) []float64 { return ctx.pool.Get(n) }
+func (ctx *Context) GetVec(n int) []float64 { return ctx.Cluster.pool.Get(n) }
 
 // PutVec recycles a buffer obtained from GetVec. The caller must not use b
 // afterwards (the vecalias analyzer's pooled-buffer rule enforces this).
-func (ctx *Context) PutVec(b []float64) { ctx.pool.Put(b) }
+func (ctx *Context) PutVec(b []float64) { ctx.Cluster.pool.Put(b) }
 
 // Task is one unit of work in a stage, bound to a specific executor. Run
 // executes on the executor's process; it performs real computation, charges

@@ -215,8 +215,19 @@ func trainAllReduce(ctx *engine.Context, parts []data.View, dim int, cfg DistCon
 	st := New(cfg.Opts)
 	w := make([]float64, dim)
 	f := math.NaN()
-	var g []float64
 	done := false
+
+	// Buffers that live for the whole run: replica 0's gradient, and per
+	// executor the [gradient ; loss] partial the collective averages in
+	// place and the line-search loss (one element of losses). No message
+	// keeps a reference to them (the collectives copy or compress what they
+	// send), so each iteration clears and refills them.
+	g := make([]float64, dim)
+	partials := make([][]float64, k)
+	for i := range partials {
+		partials[i] = make([]float64, dim+1)
+	}
+	losses := make([]float64, k)
 
 	// Shared per-iteration state. In a real replicated L-BFGS every
 	// executor computes these identically; here replica 0 computes them
@@ -240,17 +251,19 @@ func trainAllReduce(ctx *engine.Context, parts []data.View, dim int, cfg DistCon
 		// pool. The closure only reads w — the next write to w (replica 0's
 		// line-search acceptance) sits behind the AllReduce and barrier this
 		// closure's join precedes.
-		partial := make([]float64, dim+1)
+		partial := partials[i]
 		if allreduce.OverlapEnabled() {
 			// Overlapped schedule: hand the collective a two-pass producer
 			// instead of a finished vector, so gradient chunks hit the wire
 			// while later coordinate blocks are still being accumulated. Bits
 			// and total charge match the one-shot pass exactly (data.GradStream
 			// contract); only virtual time moves.
+			clear(partial)
 			gs := data.NewGradStream(cfg.Objective, w, parts[i], partial, true, float64(parts[i].NNZ())*2)
 			allreduce.AverageProduced(p, ex, ctx.Cluster.Execs, i, fmt.Sprintf("lbg%d", it), partial, gs)
 		} else {
 			ex.ChargeAsync(p, float64(parts[i].NNZ())*2, func() {
+				clear(partial)
 				partial[dim], _ = data.GradAndLoss(cfg.Objective, w, parts[i], partial[:dim])
 			})
 			allreduce.Average(p, ex, ctx.Cluster.Execs, i, fmt.Sprintf("lbg%d", it), partial)
@@ -260,7 +273,7 @@ func trainAllReduce(ctx *engine.Context, parts []data.View, dim int, cfg DistCon
 		// performs it.
 		ex.ChargeKind(p, twoLoopWorkFactor*float64(st.Pairs()+1)*float64(dim), trace.Update, "two-loop")
 		if i == 0 {
-			g = vec.Copy(partial[:dim])
+			copy(g, partial[:dim])
 			vec.Scale(g, float64(k)/float64(total)) // mean of partials -> sum/total
 			regGradient(cfg.Objective, w, g)
 			f = partial[dim]*float64(k)/float64(total) + cfg.Objective.Reg.Value(w)
@@ -293,7 +306,7 @@ func trainAllReduce(ctx *engine.Context, parts []data.View, dim int, cfg DistCon
 				shared.accept = false
 			}
 			bar.Arrive(p) // trial visible to all replicas
-			lossVec := []float64{0}
+			lossVec := losses[i : i+1]
 			ex.ChargeAsync(p, float64(parts[i].NNZ()), func() {
 				lossVec[0] = data.LossSum(cfg.Objective, shared.trial, parts[i])
 			})

@@ -75,6 +75,15 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 	// example slice every step. Distinct buffers keep parallel task offload
 	// race-free.
 	rowScratch := make([][]int32, k)
+	// Per-executor sampling generators, re-seeded every step to the stream
+	// detrand.Step would build; full-batch runs draw nothing and have none.
+	var rngs []*rand.Rand
+	if prm.BatchFraction < 1 {
+		rngs = make([]*rand.Rand, k)
+		for i := range rngs {
+			rngs[i] = detrand.New(prm.Seed)
+		}
+	}
 
 	sim.Spawn("driver:mllib", func(p *des.Proc) {
 		ev.Record(0, p.Now(), w)
@@ -96,14 +105,14 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 			sum := ctx.TreeAggregateVec(p, fmt.Sprintf("mgd%d", t), dim+1, aggs, payload,
 				func(i int) ([]float64, float64) {
 					local := parts[i]
-					rng := detrand.Step(prm.Seed, t, i)
 					g := ctx.GetVec(dim + 1)
 					var work, count int
 					if prm.BatchFraction >= 1 {
 						work = data.AddGradient(prm.Objective, stepW, local, g[:dim])
 						count = local.NumRows()
 					} else {
-						rows := sampleRows(rng, local.NumRows(), prm.BatchFraction, &rowScratch[i])
+						detrand.ReseedStep(rngs[i], prm.Seed, t, i)
+						rows := sampleRows(rngs[i], local.NumRows(), prm.BatchFraction, &rowScratch[i])
 						work = data.AddGradientRows(prm.Objective, stepW, local, rows, g[:dim])
 						count = len(rows)
 					}

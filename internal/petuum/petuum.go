@@ -83,6 +83,11 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 		batchSize := max(1, int(prm.BatchFraction*float64(part.NumRows())))
 		sim.Spawn(fmt.Sprintf("petuum:worker%d", r), func(p *des.Proc) {
 			cursor := 0
+			// Worker-owned buffers, reused across steps: the pull target, the
+			// pushed delta (Push copies what it sends) and the gradient
+			// scratch.
+			w := make([]float64, dim)
+			delta := make([]float64, dim)
 			scratch := make([]float64, dim)
 			jitter := detrand.Worker(prm.Seed, r)
 			for t := 1; t <= prm.MaxSteps && !stop; t++ {
@@ -91,12 +96,12 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 					// clock; other workers drift within the SSP slack.
 					obs.Active().SetStep(t, p.Now())
 				}
-				w := deploy.Pull(p, node.Name(), r, t-1)
+				deploy.PullInto(p, node.Name(), r, t-1, w)
 				if r == 0 {
 					// The model pulled at clock t−1 reflects t−1 completed
 					// communication steps.
 					if obj, recorded := ev.Record(t-1, p.Now(), w); recorded {
-						res.FinalW = w
+						res.FinalW = append(res.FinalW[:0], w...)
 						if prm.TargetObjective > 0 && obj <= prm.TargetObjective {
 							stop = true
 							break
@@ -116,8 +121,8 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 				// the dense delta construction when regularized — so the
 				// charge is known before the arithmetic runs and the delta
 				// computation overlaps it on the offload pool. The closure is
-				// pure: w is this worker's private pull buffer, scratch and
-				// delta are worker-owned, batch is read-only.
+				// pure: w, scratch and delta are this worker's private buffers,
+				// batch is read-only.
 				work := span1.NNZ() + span2.NNZ()
 				if !regIsNone {
 					work += 2 * dim
@@ -126,24 +131,23 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 				if prm.ComputeJitter > 0 {
 					effort *= 1 + prm.ComputeJitter*jitter.Float64()
 				}
-				var delta []float64
 				node.ComputeAsyncKind(p, effort, trace.Compute, "", func() {
 					if regIsNone {
 						// Parallel SGD inside the batch: many updates per step.
 						// A wrapping window is two contiguous spans; running
 						// them back to back (stepBase continuing across the
 						// seam) is the same per-example update sequence the
-						// gathered batch produced.
-						local := vec.Copy(w)
-						opt.LocalPassView(prm.Objective, local, span1, opt.Const(eta), 0, nil)
+						// gathered batch produced. delta holds the locally
+						// refined model, then its difference to the pulled one.
+						copy(delta, w)
+						opt.LocalPassView(prm.Objective, delta, span1, opt.Const(eta), 0, nil)
 						if span2.NumRows() > 0 {
-							opt.LocalPassView(prm.Objective, local, span2, opt.Const(eta), span1.NumRows(), nil)
+							opt.LocalPassView(prm.Objective, delta, span2, opt.Const(eta), span1.NumRows(), nil)
 						}
-						delta = local
 						vec.AddScaled(delta, w, -1)
 					} else {
-						// One dense batch-GD update per communication step.
-						delta = make([]float64, dim)
+						// One dense batch-GD update per communication step;
+						// the loop overwrites every coordinate of delta.
 						data.AddGradient(prm.Objective, w, span1, scratch) // scratch = Σ∇l
 						if span2.NumRows() > 0 {
 							data.AddGradient(prm.Objective, w, span2, scratch)
@@ -165,9 +169,9 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 			}
 			if r == 0 && !stop {
 				// Final pull so the curve includes the fully-merged model.
-				w := deploy.Pull(p, node.Name(), r, prm.MaxSteps)
+				deploy.PullInto(p, node.Name(), r, prm.MaxSteps, w)
 				ev.Record(prm.MaxSteps, p.Now(), w)
-				res.FinalW = w
+				res.FinalW = append(res.FinalW[:0], w...)
 			}
 		})
 	}

@@ -48,25 +48,38 @@ func (c Config) Validate() error {
 const requestBytes = 64
 
 // PS is a running parameter-server deployment.
+//
+// Every model-sized vector on a message path comes from the deployment's
+// pool and changes owner with the message: reply snapshots a server's range
+// into a pooled buffer that PullInto recycles once it has copied it out, and
+// Push copies each chunk of the delta into a pooled buffer that the owning
+// server recycles once it has applied it. Nothing a caller passes in or gets
+// back is ever shared with a server.
 type PS struct {
-	cfg   Config
-	net   *simnet.Network
-	hosts []string // node names hosting servers, in server order
+	cfg        Config
+	net        *simnet.Network
+	hosts      []string // node names hosting servers, in server order
+	serverTags []string // request mailbox tag on each server's host node
+	replyTags  []string // pull-reply mailbox tag of each worker
+	pool       *vec.Pool
 }
 
 type pullReq struct {
-	worker   int
-	clock    int
-	replyTo  string
-	replyTag string
+	worker  int
+	clock   int
+	replyTo string
 }
 
+// pushReq carries one server's chunk of a delta in a pooled buffer the
+// server owns on receipt.
 type pushReq struct {
 	worker int
 	clock  int
 	vals   []float64
 }
 
+// rangeReply carries a snapshot of one server's range in a pooled buffer the
+// pulling worker owns on receipt.
 type rangeReply struct {
 	server int
 	vals   []float64
@@ -91,8 +104,19 @@ func New(sim *des.Sim, net *simnet.Network, nodeNames []string, cfg Config) (*PS
 	if cfg.Servers > len(nodeNames) {
 		return nil, fmt.Errorf("ps: %d servers but only %d nodes", cfg.Servers, len(nodeNames))
 	}
-	p := &PS{cfg: cfg, net: net, hosts: nodeNames[:cfg.Servers]}
+	p := &PS{
+		cfg:        cfg,
+		net:        net,
+		hosts:      nodeNames[:cfg.Servers],
+		serverTags: make([]string, cfg.Servers),
+		replyTags:  make([]string, cfg.Workers),
+		pool:       vec.NewPool(),
+	}
+	for w := range p.replyTags {
+		p.replyTags[w] = fmt.Sprintf("ps.pull.w%d", w)
+	}
 	for s := 0; s < cfg.Servers; s++ {
+		p.serverTags[s] = fmt.Sprintf("ps.req%d", s)
 		lo, hi := Range(cfg.Dim, cfg.Servers, s)
 		srv := &server{
 			ps:     p,
@@ -136,18 +160,17 @@ func BlockAlignedRange(dim, k, i, block int) (lo, hi int) {
 	return lo, hi
 }
 
-// serverTag is the request mailbox tag on a server's host node.
-func serverTag(s int) string { return fmt.Sprintf("ps.req%d", s) }
-
 // serve is the server loop: apply pushes immediately, gate pulls on SSP.
 func (s *server) serve(p *des.Proc) {
 	for {
-		msg := s.node.Recv(p, serverTag(s.index))
+		msg := s.node.Recv(p, s.ps.serverTags[s.index])
 		switch req := msg.Payload.(type) {
 		case pushReq:
 			// Applying a delta costs one unit per coordinate in the range.
-			s.node.ComputeKind(p, float64(len(req.vals)), trace.Update, "ps push")
-			vec.AddScaled(s.model, req.vals, s.ps.cfg.CombineScale)
+			vals := req.vals
+			s.node.ComputeKind(p, float64(len(vals)), trace.Update, "ps push")
+			vec.AddScaled(s.model, vals, s.ps.cfg.CombineScale)
+			s.ps.pool.Put(vals)
 			if req.clock > s.clocks[req.worker] {
 				s.clocks[req.worker] = req.clock
 			}
@@ -189,33 +212,47 @@ func (s *server) release(p *des.Proc) {
 }
 
 func (s *server) reply(p *des.Proc, req pullReq) {
-	snapshot := append([]float64(nil), s.model...)
-	s.node.SendPhase(p, req.replyTo, req.replyTag,
+	snapshot := s.ps.pool.Copy(s.model)
+	s.node.SendPhase(p, req.replyTo, s.ps.replyTags[req.worker],
 		float64(len(snapshot))*8, rangeReply{server: s.index, vals: snapshot}, obs.PhasePSPull)
 }
 
-// Pull fetches the full model for the given worker at the given clock,
-// blocking (per SSP) until every server's gate admits the request. The
-// calling process must run on the named node.
-func (p *PS) Pull(proc *des.Proc, nodeName string, worker, clock int) []float64 {
-	node := p.net.Node(nodeName)
-	replyTag := fmt.Sprintf("ps.pull.w%d", worker)
-	for s := 0; s < p.cfg.Servers; s++ {
-		node.SendPhase(proc, p.hosts[s], serverTag(s),
-			requestBytes, pullReq{worker: worker, clock: clock, replyTo: nodeName, replyTag: replyTag}, obs.PhasePSPull)
+// PullInto fetches the full model into dst (length Dim) for the given worker
+// at the given clock, blocking (per SSP) until every server's gate admits the
+// request. The calling process must run on the named node. dst stays the
+// caller's: a worker that keeps one pull buffer for the whole run pulls
+// without allocating.
+func (p *PS) PullInto(proc *des.Proc, nodeName string, worker, clock int, dst []float64) {
+	if len(dst) != p.cfg.Dim {
+		panic(fmt.Sprintf("ps: pull into dim %d != %d", len(dst), p.cfg.Dim))
 	}
-	w := make([]float64, p.cfg.Dim)
+	node := p.net.Node(nodeName)
+	replyTag := p.replyTags[worker]
+	for s := 0; s < p.cfg.Servers; s++ {
+		node.SendPhase(proc, p.hosts[s], p.serverTags[s],
+			requestBytes, pullReq{worker: worker, clock: clock, replyTo: nodeName}, obs.PhasePSPull)
+	}
 	for i := 0; i < p.cfg.Servers; i++ {
 		msg := node.Recv(proc, replyTag)
 		r := msg.Payload.(rangeReply)
+		vals := r.vals
 		lo, _ := Range(p.cfg.Dim, p.cfg.Servers, r.server)
-		copy(w[lo:], r.vals)
+		copy(dst[lo:], vals)
+		p.pool.Put(vals)
 	}
+}
+
+// Pull is PullInto with a freshly allocated result, which the caller owns.
+func (p *PS) Pull(proc *des.Proc, nodeName string, worker, clock int) []float64 {
+	w := make([]float64, p.cfg.Dim)
+	p.PullInto(proc, nodeName, worker, clock, w)
 	return w
 }
 
 // Push scatters the worker's delta to the owning servers and advances the
 // worker's clock. Deltas are applied server-side scaled by CombineScale.
+// Each chunk is copied before it is sent, so the caller may reuse delta as
+// soon as Push returns.
 func (p *PS) Push(proc *des.Proc, nodeName string, worker, clock int, delta []float64) {
 	if len(delta) != p.cfg.Dim {
 		panic(fmt.Sprintf("ps: delta dim %d != %d", len(delta), p.cfg.Dim))
@@ -223,8 +260,8 @@ func (p *PS) Push(proc *des.Proc, nodeName string, worker, clock int, delta []fl
 	node := p.net.Node(nodeName)
 	for s := 0; s < p.cfg.Servers; s++ {
 		lo, hi := Range(p.cfg.Dim, p.cfg.Servers, s)
-		chunk := append([]float64(nil), delta[lo:hi]...)
-		node.SendPhase(proc, p.hosts[s], serverTag(s),
+		chunk := p.pool.Copy(delta[lo:hi])
+		node.SendPhase(proc, p.hosts[s], p.serverTags[s],
 			float64(hi-lo)*8, pushReq{worker: worker, clock: clock, vals: chunk}, obs.PhasePSPush)
 	}
 }

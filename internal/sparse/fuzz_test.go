@@ -77,7 +77,11 @@ func FuzzRoundTrip(f *testing.F) {
 				t.Fatalf("encoding larger than dense: %v > %v", e.WireBytes(), e.DenseBytes())
 			}
 
-			got := e.Dense(ref)
+			scratch := make([]float64, n)
+			for i := range scratch {
+				scratch[i] = math.E // garbage Decoded must overwrite
+			}
+			got := e.Decoded(scratch, ref)
 			dst := make([]float64, n)
 			for i := range dst {
 				dst[i] = math.Pi // garbage DecodeInto must overwrite
@@ -86,7 +90,7 @@ func FuzzRoundTrip(f *testing.F) {
 			for i := range d {
 				want := math.Float64bits(d[i])
 				if math.Float64bits(got[i]) != want {
-					t.Fatalf("Dense bit drift at %d: %x != %x", i, math.Float64bits(got[i]), want)
+					t.Fatalf("Decoded bit drift at %d: %x != %x", i, math.Float64bits(got[i]), want)
 				}
 				if math.Float64bits(dst[i]) != want {
 					t.Fatalf("DecodeInto bit drift at %d: %x != %x", i, math.Float64bits(dst[i]), want)

@@ -281,18 +281,25 @@ func (e Enc) checkRef(ref []float64) {
 	}
 }
 
-// Dense returns the decoded dense vector, bitwise equal to the original.
-// The dense form is returned as-is (zero copy, shared — treat as
-// immutable); the sparse form allocates and overlays onto ref. ref must be
-// the same reference the sender encoded against.
-func (e Enc) Dense(ref []float64) []float64 {
+// Dense returns the vector a dense-form encoding ships — zero copy, shared
+// with the sender, so treat it as immutable unless the sender handed it over
+// — and nil for a sparse-form encoding, which carries no dense vector. A
+// receiver that recycles the buffers it is handed Puts the result
+// unconditionally (vec.Pool.Put ignores nil).
+func (e Enc) Dense() []float64 { return e.dense }
+
+// Decoded returns the encoded vector for reading, bitwise equal to the
+// original, without allocating: the dense form as is (see Dense), the sparse
+// form overlaid onto ref in scratch, which must have length Len and is the
+// caller's. A fold decodes all its sparse chunks through one scratch; it may
+// pass nil when every chunk is dense. ref must be the reference the sender
+// encoded against.
+func (e Enc) Decoded(scratch, ref []float64) []float64 {
 	if !e.IsSparse() {
 		return e.dense
 	}
-	e.checkRef(ref)
-	dst := make([]float64, e.n)
-	e.sv.Overlay(dst, ref)
-	return dst
+	e.DecodeInto(scratch, ref)
+	return scratch
 }
 
 // Slice restricts the encoding to the coordinate window [lo, hi) of the
@@ -326,7 +333,7 @@ func (e Enc) Slice(lo, hi int) Enc {
 }
 
 // DecodeInto reconstructs the original vector into dst (length n), bitwise.
-// Unlike Dense it always writes dst, so the caller owns the result.
+// Unlike Decoded it always writes dst, so the caller owns the result.
 func (e Enc) DecodeInto(dst, ref []float64) {
 	if !e.IsSparse() {
 		if len(dst) != e.n {

@@ -94,8 +94,11 @@ func TestEncodeDisabledIsDense(t *testing.T) {
 	if e.WireBytes() != 800 {
 		t.Fatalf("WireBytes = %v, want 800", e.WireBytes())
 	}
-	if got := e.Dense(nil); &got[0] != &d[0] {
+	if got := e.Dense(); &got[0] != &d[0] {
 		t.Fatalf("dense EncodeShared must share the caller's buffer")
+	}
+	if got := e.Decoded(nil, nil); &got[0] != &d[0] {
+		t.Fatalf("Decoded must read a dense encoding in place")
 	}
 }
 
@@ -122,9 +125,17 @@ func TestRoundTripBitwise(t *testing.T) {
 				} else {
 					e = EncodeCopy(c.d, c.ref)
 				}
-				got := e.Dense(c.ref)
+				scratch := make([]float64, len(c.d))
+				for i := range scratch {
+					scratch[i] = 42 // garbage that Decoded must fully overwrite
+				}
+				got := e.Decoded(scratch, c.ref)
 				if !sameBits(got, c.d) {
-					t.Errorf("%s (shared=%v): Dense round trip lost bits: %v != %v", c.name, shared, got, c.d)
+					t.Errorf("%s (shared=%v): Decoded round trip lost bits: %v != %v", c.name, shared, got, c.d)
+				}
+				if e.IsSparse() != (e.Dense() == nil) || e.IsSparse() != (&got[0] == &scratch[0]) {
+					t.Errorf("%s (shared=%v): sparse=%v but Dense()=%v and Decoded used scratch=%v",
+						c.name, shared, e.IsSparse(), e.Dense(), &got[0] == &scratch[0])
 				}
 				dst := make([]float64, len(c.d))
 				for i := range dst {
@@ -144,7 +155,7 @@ func TestEncodeCopyIndependence(t *testing.T) {
 	d := []float64{1, 2, 3, 4}
 	e := EncodeCopy(d, nil) // switch off: dense copy
 	d[0] = 99
-	if got := e.Dense(nil); got[0] != 1 {
+	if got := e.Dense(); got[0] != 1 {
 		t.Fatalf("EncodeCopy shared the caller's buffer: got %v", got[0])
 	}
 }
@@ -210,6 +221,6 @@ func TestDecodeRefMismatchPanics(t *testing.T) {
 				t.Fatalf("decoding against a nil ref when encoded against a real one must panic")
 			}
 		}()
-		e.Dense(nil)
+		e.Decoded(make([]float64, 20), nil)
 	})
 }

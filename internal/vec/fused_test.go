@@ -144,3 +144,29 @@ func TestPoolRecyclesZeroed(t *testing.T) {
 		t.Fatalf("Get(3) returned len %d", len(got))
 	}
 }
+
+func TestPoolCopyOverwritesRecycled(t *testing.T) {
+	p := NewPool()
+	src := []float64{1, 2, 3, 4}
+	fresh := p.Copy(src)
+	if &fresh[0] == &src[0] {
+		t.Fatal("Copy returned its argument")
+	}
+	for i := range fresh {
+		fresh[i] = -9 // stale contents a recycled buffer carries
+	}
+	p.Put(fresh)
+	got := p.Copy(src[1:])
+	if len(got) != 3 || &got[0] == &fresh[0] {
+		t.Fatalf("Copy of 3 elements reused the 4-element buffer (len %d)", len(got))
+	}
+	got = p.Copy(src)
+	if &got[0] != &fresh[0] {
+		t.Fatal("Copy did not recycle the free buffer of its length")
+	}
+	for i, v := range got {
+		if v != src[i] {
+			t.Fatalf("recycled Copy[%d] = %g, want %g", i, v, src[i])
+		}
+	}
+}
