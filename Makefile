@@ -27,10 +27,11 @@ fuzz: ## short fuzz runs: libsvm reader + sparse encoding + telemetry event roun
 	$(GO) test -fuzz=FuzzEventRoundTrip -fuzztime=10s ./internal/obs
 	$(GO) test -fuzz=FuzzCausalGraph -fuzztime=10s ./internal/causal
 
-bench-smoke: ## deterministic simulated-ratio floors + CSR and des zero-alloc guards + des ns/switch, ns/event + the ps steady-state allocation guard
+bench-smoke: ## deterministic simulated-ratio floors + CSR and des zero-alloc guards + des ns/switch, ns/event + the ps steady-state allocation guard + the evaluator's blocking-loss overlap tests and the Params validation table (under -race)
 	$(GO) test -run 'TestSparseTrafficReduction|TestPipelineNoSlowdown|TestPipelineOverlapSpeedupTarget|TestCSRBatchZeroAllocs|TestCSRKernelZeroAllocs|TestCSRKernelFeatMajorZeroAllocs' -v ./internal/bench
 	$(GO) test -bench 'BenchmarkDes' -benchtime=100000x -run 'TestDesZeroAllocs' -v ./internal/des
 	$(GO) test -run 'TestPSSteadyStateAllocs' -v ./internal/ps
+	$(GO) test -race -run 'TestEvaluatorOverlap|TestEvaluatorInlineWhenRead|TestValidateRejections' -v ./internal/train
 
 benchmark: ## the repository benchmark (benchmark/README.md): all four workloads, one process each -> .bench_out/all.json
 	$(GO) run ./benchmark -json .bench_out/all.json

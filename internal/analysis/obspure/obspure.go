@@ -11,12 +11,16 @@
 // from the simulation thread, where virtual time is well defined; the
 // analyzer enforces that statically instead of leaving it to code review.
 //
-// Closures reach the offload entry points two ways: as literal arguments
-// (par.Do(func() { ... })) and as named locals bound first and handed over
-// by identifier — the style the pipelined AllReduce scheduler uses
-// (fold := func() { ... }; h := par.Do(fold)). The analyzer resolves the
-// second form too: every func literal assigned to a local identifier within
-// the package is checked when that identifier is passed to an offload call.
+// Closures reach the offload entry points three ways: as literal arguments
+// (par.Do(func() { ... })); as named locals bound first and handed over by
+// identifier — the style the pipelined AllReduce scheduler uses
+// (fold := func() { ... }; h := par.Do(fold)); and as selectors — a struct
+// field holding the thunk (ev.thunk = func() { ... }; par.Go(ev.thunk)) or a
+// method value (par.Go(ev.evaluate)), the natural shapes for a thunk built
+// once and submitted many times. The analyzer resolves all of them within
+// the package: every func literal assigned to the identifier or field, and
+// the body of the function or method named, is checked where it is passed
+// to an offload call.
 package obspure
 
 import (
@@ -53,7 +57,7 @@ func run(pass *analysis.Pass) error {
 	if pass.Pkg != nil && pass.Pkg.Path() == obsPath {
 		return nil // the telemetry package may of course call itself
 	}
-	bound := boundLiterals(pass)
+	bound := boundBodies(pass)
 	pass.Inspect(func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CompositeLit:
@@ -65,7 +69,7 @@ func run(pass *analysis.Pass) error {
 				}
 				if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Pure" {
 					if lit, ok := ast.Unparen(kv.Value).(*ast.FuncLit); ok {
-						checkOffloaded(pass, lit, "Task.Pure closure")
+						checkOffloaded(pass, lit.Body, "Task.Pure closure")
 					}
 				}
 			}
@@ -77,7 +81,7 @@ func run(pass *analysis.Pass) error {
 					continue
 				}
 				if lit, ok := ast.Unparen(n.Rhs[i]).(*ast.FuncLit); ok {
-					checkOffloaded(pass, lit, "Task.Pure closure")
+					checkOffloaded(pass, lit.Body, "Task.Pure closure")
 				}
 			}
 		case *ast.CallExpr:
@@ -88,13 +92,19 @@ func run(pass *analysis.Pass) error {
 			for _, arg := range n.Args {
 				switch arg := ast.Unparen(arg).(type) {
 				case *ast.FuncLit:
-					checkOffloaded(pass, arg, name+" closure")
+					checkOffloaded(pass, arg.Body, name+" closure")
 				case *ast.Ident:
 					// fold := func() { ... }; par.Do(fold) — the named-
 					// closure style of the pipeline scheduler. Check every
-					// literal ever bound to that identifier.
-					for _, lit := range bound[pass.TypesInfo.ObjectOf(arg)] {
-						checkOffloaded(pass, lit, name+" closure "+arg.Name)
+					// body ever bound to that identifier.
+					for _, body := range bound[pass.TypesInfo.ObjectOf(arg)] {
+						checkOffloaded(pass, body, name+" closure "+arg.Name)
+					}
+				case *ast.SelectorExpr:
+					// par.Go(ev.thunk), par.Go(ev.evaluate): a field
+					// holding the thunk, or a method value.
+					for _, body := range bound[pass.TypesInfo.ObjectOf(arg.Sel)] {
+						checkOffloaded(pass, body, name+" closure "+arg.Sel.Name)
 					}
 				}
 			}
@@ -104,16 +114,24 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// boundLiterals maps each local variable object to the func literals
-// assigned to it (fold := func() { ... } or fold = func() { ... }, including
-// var declarations with initializers). Conservative by construction: a
-// variable assigned through any other expression contributes nothing, so
-// only closures whose body is visible are checked.
-func boundLiterals(pass *analysis.Pass) map[types.Object][]*ast.FuncLit {
-	bound := map[types.Object][]*ast.FuncLit{}
+// boundBodies maps each object that can name an offloaded thunk to the
+// function bodies it may stand for: a variable or struct field to the func
+// literals assigned to it (fold := func() { ... }, fold = func() { ... },
+// var declarations with initializers, ev.thunk = func() { ... }, and
+// T{thunk: func() { ... }}), a function or method to its declaration.
+// Conservative by construction: a variable assigned through any other
+// expression contributes nothing, so only thunks whose body is visible in
+// the package are checked.
+func boundBodies(pass *analysis.Pass) map[types.Object][]*ast.BlockStmt {
+	bound := map[types.Object][]*ast.BlockStmt{}
 	record := func(lhs, rhs ast.Expr) {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok {
+		var id *ast.Ident
+		switch lhs := ast.Unparen(lhs).(type) {
+		case *ast.Ident:
+			id = lhs
+		case *ast.SelectorExpr:
+			id = lhs.Sel
+		default:
 			return
 		}
 		lit, ok := ast.Unparen(rhs).(*ast.FuncLit)
@@ -121,7 +139,7 @@ func boundLiterals(pass *analysis.Pass) map[types.Object][]*ast.FuncLit {
 			return
 		}
 		if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
-			bound[obj] = append(bound[obj], lit)
+			bound[obj] = append(bound[obj], lit.Body)
 		}
 	}
 	pass.Inspect(func(n ast.Node) bool {
@@ -137,6 +155,16 @@ func boundLiterals(pass *analysis.Pass) map[types.Object][]*ast.FuncLit {
 				if i < len(n.Values) {
 					record(n.Names[i], n.Values[i])
 				}
+			}
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					record(kv.Key, kv.Value)
+				}
+			}
+		case *ast.FuncDecl:
+			if obj := pass.TypesInfo.ObjectOf(n.Name); obj != nil && n.Body != nil {
+				bound[obj] = append(bound[obj], n.Body)
 			}
 		}
 		return true
@@ -164,8 +192,8 @@ func offloadCallee(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 // Chained calls like obs.Active().Span(...) yield one diagnostic, on the
 // outer call; nested closures inside the body are offloaded transitively
 // and are walked too.
-func checkOffloaded(pass *analysis.Pass, lit *ast.FuncLit, where string) {
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
+func checkOffloaded(pass *analysis.Pass, body *ast.BlockStmt, where string) {
+	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true

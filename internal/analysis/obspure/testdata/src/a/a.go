@@ -3,8 +3,10 @@
 // arguments, par.Go/par.Do thunks) are flagged, including transitively
 // through nested literals and through the obs.Active() chain, and including
 // closures bound to a local name before being handed to the offload call
-// (the pipeline scheduler's fold/decode style); telemetry on the simulation
-// thread and offloaded closures without telemetry are clean.
+// (the pipeline scheduler's fold/decode style) and thunks reached through a
+// selector — a struct field holding the literal, a method value, a named
+// function (the build-once, submit-many style of an evaluator); telemetry on
+// the simulation thread and offloaded closures without telemetry are clean.
 package a
 
 import (
@@ -93,6 +95,61 @@ func inNamedReassigned() {
 		obs.Enable() // want `obs\.Enable called inside par\.Do closure work`
 	}
 	par.Do(work)
+}
+
+// evaluator mirrors a component that builds its thunk once and submits it
+// once per step.
+type evaluator struct {
+	thunk func() float64
+	obj   float64
+}
+
+// Struct-field thunks are resolved to the literals assigned to the field.
+func inFieldThunk(ev *evaluator) {
+	ev.thunk = func() float64 {
+		obs.Active().Eval(1, "", 0, 0.5, 0) // want `obs\.Eval called inside par\.Go closure thunk`
+		return 0
+	}
+	_ = par.Go(ev.thunk).Join()
+}
+
+// probe holds its thunk from construction on.
+type probe struct{ run func() float64 }
+
+func inFieldThunkLiteral() {
+	pr := &probe{run: func() float64 {
+		obs.Active().Meta("k", "v") // want `obs\.Meta called inside par\.Go closure run`
+		return 0
+	}}
+	_ = par.Go(pr.run).Join()
+}
+
+func (ev *evaluator) evaluate() float64 {
+	obs.Active().Eval(1, "", 0, ev.obj, 0) // want `obs\.Eval called inside par\.Go closure evaluate`
+	return 0
+}
+
+// Method values are resolved to the method's declaration.
+func inMethodValue(ev *evaluator) {
+	_ = par.Go(ev.evaluate).Join()
+}
+
+func noisyWork() {
+	obs.Active().SetStep(2, 0) // want `obs\.SetStep called inside par\.Do closure noisyWork`
+}
+
+// So are package-level functions handed over by name.
+func inNamedFunc() {
+	par.Do(noisyWork)
+}
+
+// Clean: the thunk computes, the commit — on the simulation thread, after
+// the join — emits the event.
+func (ev *evaluator) value() float64 { return ev.obj * 2 }
+
+func commitOnSimThread(ev *evaluator) {
+	v := par.Go(ev.value).Join()
+	obs.Active().Eval(1, "", 0, v, 0)
 }
 
 // Clean: a named closure without telemetry offloads fine.

@@ -60,6 +60,7 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 
 	ev := train.NewEvaluator(System, dataset, prm.Objective, evalData, prm.EvalEvery)
 	ev.Staleness = prm.Staleness
+	ev.StopAt(prm.TargetObjective)
 	res := &train.Result{System: System, Curve: ev.Curve}
 	sched := prm.Schedule()
 	_, regIsNone := prm.Objective.Reg.(glm.None)
@@ -86,12 +87,12 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 				}
 				deploy.PullInto(p, node.Name(), r, t-1, w)
 				if r == 0 {
-					if obj, recorded := ev.Record(t-1, p.Now(), w); recorded {
+					if ev.Due(t - 1) {
 						res.FinalW = append(res.FinalW[:0], w...)
-						if prm.TargetObjective > 0 && obj <= prm.TargetObjective {
-							stop = true
-							break
-						}
+					}
+					if ev.Record(t-1, p.Now(), w) {
+						stop = true
+						break
 					}
 					res.CommSteps = t
 					if prm.MaxSimTime > 0 && p.Now() >= prm.MaxSimTime {
@@ -143,6 +144,7 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 		})
 	}
 	res.SimTime = sim.Run()
+	ev.Wait()
 	res.TotalBytes = net.TotalBytes()
 	if res.FinalW == nil {
 		res.FinalW = make([]float64, dim)

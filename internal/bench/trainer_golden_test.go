@@ -8,10 +8,13 @@ package bench
 // once through the slab kernels (the two captures were byte-identical), so
 // these tests hold the kernels to the reference's numbers — the virtual
 // clock included, because a kernel returns exactly the nonzeros-touched work
-// measure of the loop it replaced. Regenerate (only when a change is meant
-// to move numerics) with
+// measure of the loop it replaced. Every configuration runs twice, with the
+// offload pool off and forced on: the evaluator's deferred objective
+// evaluation (train.Evaluator) and the offloaded kernels may not move a bit
+// of a record either way. Regenerate (only when a change is meant to move
+// numerics) with
 //
-//	go test ./internal/bench -run TestCSRKernelBitIdentity -update
+//	go test ./internal/bench -run 'TestCSRKernelBitIdentity|TestEarlyStopGolden' -update
 
 import (
 	"encoding/binary"
@@ -71,6 +74,12 @@ func requireGolden(t *testing.T, name string, res *train.Result, err error) {
 	}
 }
 
+// bothPools runs body with the offload pool off, then forced on.
+func bothPools(body func()) {
+	runWithPar(false, body)
+	runWithPar(true, body)
+}
+
 func goldenWorkload(t *testing.T) *workload {
 	t.Helper()
 	w, err := loadWorkload("avazu", RunConfig{Scale: 20000, EvalCap: 200})
@@ -97,8 +106,39 @@ func TestCSRKernelBitIdentityTrainers(t *testing.T) {
 	} {
 		prm := tuned(tc.system, "avazu", tc.l2)
 		prm.MaxSteps = 8
-		res, err := runSystem(tc.system, clusters.Test(4), w, prm, nil)
-		requireGolden(t, fmt.Sprintf("%s l2=%g", tc.system, tc.l2), res, err)
+		bothPools(func() {
+			res, err := runSystem(tc.system, clusters.Test(4), w, prm, nil)
+			requireGolden(t, fmt.Sprintf("%s l2=%g", tc.system, tc.l2), res, err)
+		})
+	}
+}
+
+// TestEarlyStopGolden pins the step a stop target ends the run at — and the
+// model, clock and bytes it ends with — for a parameter-server trainer
+// (worker 0 raises the stop flag the other workers poll) and an engine
+// trainer (the driver loop breaks). With a target the evaluator joins every
+// evaluation inside Record, so the stop step is the one the inline
+// evaluation gave.
+func TestEarlyStopGolden(t *testing.T) {
+	w := goldenWorkload(t)
+	for _, tc := range []struct {
+		system string
+		target float64
+	}{
+		{sysPetuumStar, 0.45},
+		{sysMLlibStar, 0.32},
+	} {
+		prm := tuned(tc.system, "avazu", 0)
+		prm.MaxSteps = 8
+		prm.TargetObjective = tc.target
+		bothPools(func() {
+			res, err := runSystem(tc.system, clusters.Test(4), w, prm, nil)
+			requireGolden(t, fmt.Sprintf("%s l2=0 target=%g", tc.system, tc.target), res, err)
+			if err == nil && (res.CommSteps >= prm.MaxSteps || res.Curve.Final().Objective > tc.target) {
+				t.Errorf("%s: ran %d steps to objective %g: the target %g did not stop it",
+					tc.system, res.CommSteps, res.Curve.Final().Objective, tc.target)
+			}
+		})
 	}
 }
 
@@ -110,32 +150,38 @@ func TestCSRKernelBitIdentitySquaredLoss(t *testing.T) {
 		prm := tuned(sysMLlibStar, "avazu", l2)
 		prm.MaxSteps = 8
 		prm.Objective.Loss = glm.Squared{}
-		res, err := runSystem(sysMLlibStar, clusters.Test(4), w, prm, nil)
-		requireGolden(t, fmt.Sprintf("%s squared l2=%g", sysMLlibStar, l2), res, err)
+		bothPools(func() {
+			res, err := runSystem(sysMLlibStar, clusters.Test(4), w, prm, nil)
+			requireGolden(t, fmt.Sprintf("%s squared l2=%g", sysMLlibStar, l2), res, err)
+		})
 	}
 }
 
 func TestCSRKernelBitIdentityLBFGS(t *testing.T) {
 	w := goldenWorkload(t)
 	for _, allReduce := range []bool{false, true} {
-		_, _, ctx := clusters.Test(4).Build(nil)
-		res, err := lbfgs.TrainDistributed(ctx, w.ds.Partition(4, 3), w.ds.Features, lbfgs.DistConfig{
-			Objective: glm.LogReg(0.01),
-			MaxIters:  6,
-			AllReduce: allReduce,
-		}, w.eval, w.ds.Name)
 		name := "LBFGS-tree"
 		if allReduce {
 			name = "LBFGS-allreduce"
 		}
-		requireGolden(t, name, res, err)
+		bothPools(func() {
+			_, _, ctx := clusters.Test(4).Build(nil)
+			res, err := lbfgs.TrainDistributed(ctx, w.ds.Partition(4, 3), w.ds.Features, lbfgs.DistConfig{
+				Objective: glm.LogReg(0.01),
+				MaxIters:  6,
+				AllReduce: allReduce,
+			}, w.eval, w.ds.Name)
+			requireGolden(t, name, res, err)
+		})
 	}
 }
 
 func TestCSRKernelBitIdentitySVRG(t *testing.T) {
 	w := goldenWorkload(t)
-	_, _, ctx := clusters.Test(4).Build(nil)
 	prm := train.Params{Objective: glm.LogReg(0.01), Eta: 0.1, MaxSteps: 5, EvalEvery: 1, Seed: 7}
-	res, err := core.TrainSVRG(ctx, w.ds.Partition(4, 3), w.ds.Features, prm, w.eval, w.ds.Name)
-	requireGolden(t, "MLlib*-SVRG", res, err)
+	bothPools(func() {
+		_, _, ctx := clusters.Test(4).Build(nil)
+		res, err := core.TrainSVRG(ctx, w.ds.Partition(4, 3), w.ds.Features, prm, w.eval, w.ds.Name)
+		requireGolden(t, "MLlib*-SVRG", res, err)
+	})
 }

@@ -47,6 +47,7 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 	sim := ctx.Cluster.Sim
 	net := ctx.Cluster.Net
 	ev := train.NewEvaluator(System, dataset, prm.Objective, evalData, prm.EvalEvery)
+	ev.StopAt(prm.TargetObjective)
 	sched := prm.Schedule()
 
 	res := &train.Result{System: System, Curve: ev.Curve}
@@ -134,10 +135,8 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 
 			res.CommSteps = t
 			// After AllReduce all locals hold the identical averaged model.
-			if obj, recorded := ev.Record(t, p.Now(), locals[0]); recorded {
-				if prm.TargetObjective > 0 && obj <= prm.TargetObjective {
-					break
-				}
+			if ev.Record(t, p.Now(), locals[0]) {
+				break
 			}
 			if prm.MaxSimTime > 0 && p.Now() >= prm.MaxSimTime {
 				break
@@ -145,6 +144,7 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 		}
 	})
 	res.SimTime = sim.Run()
+	ev.Wait()
 	res.FinalW = vec.Copy(locals[0])
 	res.TotalBytes = net.TotalBytes()
 	return res, nil

@@ -51,6 +51,7 @@ func TrainSVRG(ctx *engine.Context, parts []data.View, dim int, prm train.Params
 
 	sim := ctx.Cluster.Sim
 	ev := train.NewEvaluator(SystemSVRG, dataset, prm.Objective, evalData, prm.EvalEvery)
+	ev.StopAt(prm.TargetObjective)
 	res := &train.Result{System: SystemSVRG, Curve: ev.Curve}
 
 	locals := make([][]float64, k)
@@ -135,10 +136,8 @@ func TrainSVRG(ctx *engine.Context, parts []data.View, dim int, prm train.Params
 			obs.Active().Updates(t, "", stepUpdates, p.Now())
 
 			res.CommSteps = t
-			if obj, recorded := ev.Record(t, p.Now(), locals[0]); recorded {
-				if prm.TargetObjective > 0 && obj <= prm.TargetObjective {
-					break
-				}
+			if ev.Record(t, p.Now(), locals[0]) {
+				break
 			}
 			if prm.MaxSimTime > 0 && p.Now() >= prm.MaxSimTime {
 				break
@@ -146,6 +145,7 @@ func TrainSVRG(ctx *engine.Context, parts []data.View, dim int, prm train.Params
 		}
 	})
 	res.SimTime = sim.Run()
+	ev.Wait()
 	res.FinalW = vec.Copy(locals[0])
 	res.TotalBytes = ctx.Cluster.Net.TotalBytes()
 	return res, nil

@@ -59,6 +59,9 @@ func TrainDistributed(ctx *engine.Context, parts []data.View, dim int, cfg DistC
 	if cfg.MaxIters <= 0 {
 		return nil, fmt.Errorf("lbfgs: MaxIters %d", cfg.MaxIters)
 	}
+	if err := train.CheckStop(cfg.TargetObjective, cfg.MaxSimTime, cfg.EvalEvery); err != nil {
+		return nil, fmt.Errorf("lbfgs: %w", err)
+	}
 	k := ctx.NumExecutors()
 	if len(parts) != k {
 		return nil, fmt.Errorf("lbfgs: %d partitions for %d executors", len(parts), k)
@@ -76,6 +79,7 @@ func TrainDistributed(ctx *engine.Context, parts []data.View, dim int, cfg DistC
 		system = SystemStar
 	}
 	ev := train.NewEvaluator(system, dataset, cfg.Objective, evalData, cfg.EvalEvery)
+	ev.StopAt(cfg.TargetObjective)
 	res := &train.Result{System: system, Curve: ev.Curve}
 
 	if cfg.AllReduce {
@@ -84,6 +88,7 @@ func TrainDistributed(ctx *engine.Context, parts []data.View, dim int, cfg DistC
 		trainTree(ctx, parts, dim, cfg, total, ev, res)
 	}
 	res.SimTime = ctx.Cluster.Sim.Run()
+	ev.Wait()
 	res.TotalBytes = ctx.Cluster.Net.TotalBytes()
 	return res, nil
 }
@@ -189,10 +194,8 @@ func trainTree(ctx *engine.Context, parts []data.View, dim int, cfg DistConfig,
 			res.CommSteps = it
 			res.Updates++
 			obs.Active().Updates(it, ctx.Cluster.Driver, 1, p.Now())
-			if obj, recorded := ev.Record(it, p.Now(), w); recorded {
-				if cfg.TargetObjective > 0 && obj <= cfg.TargetObjective {
-					break
-				}
+			if ev.Record(it, p.Now(), w) {
+				break
 			}
 			if cfg.MaxSimTime > 0 && p.Now() >= cfg.MaxSimTime {
 				break
@@ -359,10 +362,8 @@ func trainAllReduce(ctx *engine.Context, parts []data.View, dim int, cfg DistCon
 			res.CommSteps = it
 			res.Updates++
 			obs.Active().Updates(it, "", 1, p.Now())
-			if obj, recorded := ev.Record(it, p.Now(), w); recorded {
-				if cfg.TargetObjective > 0 && obj <= cfg.TargetObjective {
-					break
-				}
+			if ev.Record(it, p.Now(), w) {
+				break
 			}
 			if cfg.MaxSimTime > 0 && p.Now() >= cfg.MaxSimTime {
 				break

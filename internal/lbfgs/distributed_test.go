@@ -2,6 +2,7 @@ package lbfgs_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mllibstar/internal/clusters"
@@ -105,6 +106,26 @@ func TestValidation(t *testing.T) {
 	_, _, ctx4 := clusters.Test(2).Build(nil)
 	if _, err := lbfgs.TrainDistributed(ctx4, make([]data.View, 2), 10, distCfg(false), nil, "d"); err == nil {
 		t.Error("want error for empty dataset")
+	}
+	// Stop criteria and cadence: non-finite or negative is an error naming
+	// the field (a NaN target would otherwise never stop the run).
+	for _, c := range []struct {
+		field  string
+		mutate func(*lbfgs.DistConfig)
+	}{
+		{"TargetObjective", func(c *lbfgs.DistConfig) { c.TargetObjective = math.NaN() }},
+		{"TargetObjective", func(c *lbfgs.DistConfig) { c.TargetObjective = -0.1 }},
+		{"MaxSimTime", func(c *lbfgs.DistConfig) { c.MaxSimTime = math.Inf(1) }},
+		{"MaxSimTime", func(c *lbfgs.DistConfig) { c.MaxSimTime = -1 }},
+		{"EvalEvery", func(c *lbfgs.DistConfig) { c.EvalEvery = -1 }},
+	} {
+		_, _, ctx := clusters.Test(2).Build(nil)
+		cfg := distCfg(false)
+		c.mutate(&cfg)
+		_, err := lbfgs.TrainDistributed(ctx, make([]data.View, 2), 10, cfg, nil, "d")
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("want error naming %s, got %v", c.field, err)
+		}
 	}
 }
 

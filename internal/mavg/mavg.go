@@ -45,6 +45,7 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 	net := ctx.Cluster.Net
 	driver := net.Node(ctx.Cluster.Driver)
 	ev := train.NewEvaluator(System, dataset, prm.Objective, evalData, prm.EvalEvery)
+	ev.StopAt(prm.TargetObjective)
 	aggs := mllib.Aggregators(prm, k)
 	sched := prm.Schedule()
 
@@ -91,10 +92,8 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 			driver.ComputeKind(p, float64(dim), trace.Update, "model averaging")
 
 			res.CommSteps = t
-			if obj, recorded := ev.Record(t, p.Now(), w); recorded {
-				if prm.TargetObjective > 0 && obj <= prm.TargetObjective {
-					break
-				}
+			if ev.Record(t, p.Now(), w) {
+				break
 			}
 			if prm.MaxSimTime > 0 && p.Now() >= prm.MaxSimTime {
 				break
@@ -102,6 +101,7 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 		}
 	})
 	res.SimTime = sim.Run()
+	ev.Wait()
 	res.FinalW = vec.Copy(w)
 	res.TotalBytes = net.TotalBytes()
 	return res, nil

@@ -65,6 +65,7 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 	net := ctx.Cluster.Net
 	driver := net.Node(ctx.Cluster.Driver)
 	ev := train.NewEvaluator(System, dataset, prm.Objective, evalData, prm.EvalEvery)
+	ev.StopAt(prm.TargetObjective)
 	aggs := Aggregators(prm, k)
 	sched := prm.Schedule()
 
@@ -133,10 +134,8 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 			}
 			ctx.PutVec(sum)
 			res.CommSteps = t
-			if obj, recorded := ev.Record(t, p.Now(), w); recorded {
-				if prm.TargetObjective > 0 && obj <= prm.TargetObjective {
-					break
-				}
+			if ev.Record(t, p.Now(), w) {
+				break
 			}
 			if prm.MaxSimTime > 0 && p.Now() >= prm.MaxSimTime {
 				break
@@ -144,6 +143,7 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 		}
 	})
 	res.SimTime = sim.Run()
+	ev.Wait()
 	res.FinalW = vec.Copy(w)
 	res.TotalBytes = net.TotalBytes()
 	return res, nil
@@ -151,17 +151,46 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 
 // sampleRows draws a Bernoulli sample of the row indices [0, n), matching
 // Spark's RDD.sample(false, fraction) used by MLlib's mini-batch step: one
-// rng.Float64 per row, in row order, so the sampled rows are exactly the
-// examples the old slice-gathering sampler kept. The indices accumulate into
-// *buf, which is reused across supersteps — the per-step batch allocation is
-// gone.
+// draw per row, in row order. The sample — and the generator state it leaves
+// — is bit for bit that of `rng.Float64() < fraction`, which computes
+// float64(rng.Int63())/2⁶³ and redraws when that rounds up to 1: the
+// conversion is monotone in the draw, so the float comparison is an integer
+// comparison of the draw against a threshold found once per call. That skips
+// the convert and the divide, 8·10⁷ times per compute8 repetition. The
+// indices accumulate into *buf, which is reused across supersteps.
 func sampleRows(rng *rand.Rand, n int, fraction float64, buf *[]int32) []int32 {
+	threshold := sampleThreshold(fraction)
 	out := (*buf)[:0]
-	for r := 0; r < n; r++ {
-		if rng.Float64() < fraction {
+	for r := 0; r < n; {
+		u := rng.Int63()
+		if u < threshold {
 			out = append(out, int32(r))
+		} else if u >= roundsToOne {
+			continue // Float64 redraws; so does this row
 		}
+		r++
 	}
 	*buf = out
 	return out
+}
+
+// roundsToOne is the first 63-bit draw whose float64 conversion is 2⁶³
+// (spacing there is 1024, the tie goes to the even mantissa), i.e. the draws
+// rand.Float64 rejects.
+const roundsToOne = 1<<63 - 512
+
+// sampleThreshold returns the draw U with float64(u)/2⁶³ < fraction ⇔ u < U
+// for every accepted draw u: a bisection on the very predicate rand.Float64
+// users evaluate, which is monotone in u.
+func sampleThreshold(fraction float64) int64 {
+	lo, hi := int64(0), int64(roundsToOne)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) < fraction {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }

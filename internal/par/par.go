@@ -18,6 +18,18 @@
 //     the joining process (via channel close), so offloaded runs stay clean
 //     under the race detector.
 //
+// Three kinds of closure are submitted today. A task's numeric body
+// (engine Task.Pure, Node.ComputeAsyncKind, Executor.ChargeAsync) reads the
+// step's model and its partition and writes the task's own buffers. A
+// collective's fold or decode (allreduce) writes a disjoint range of a
+// vector its executor owns. The objective evaluation of train.Evaluator
+// reads only the evaluator's own snapshot of the model (the caller's model
+// itself when it is joined before the caller gets control back) and the
+// immutable evaluation set, and writes one float — its result. It has no virtual-time
+// charge (evaluation is instrumentation), so no clock pins its join: the
+// evaluator joins it at the next evaluation or at the end of the run, and at
+// once when a stop target or a telemetry sink reads the value at that step.
+//
 // When the pool is disabled — explicitly via Configure(false, 0), or
 // implicitly because GOMAXPROCS == 1 — Go returns a lazy handle and the
 // closure runs inline on the first Join, on the same goroutine and at the

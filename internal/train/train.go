@@ -10,11 +10,13 @@ package train
 
 import (
 	"fmt"
+	"math"
 
 	"mllibstar/internal/glm"
 	"mllibstar/internal/metrics"
 	"mllibstar/internal/obs"
 	"mllibstar/internal/opt"
+	"mllibstar/internal/par"
 )
 
 // Params configures a distributed training run.
@@ -78,24 +80,32 @@ type Params struct {
 	Seed int64
 }
 
-// Validate fills defaults and rejects nonsensical parameters.
+// Validate fills defaults and rejects nonsensical parameters, naming the
+// field. NaN and ±Inf are rejected everywhere: a NaN fails every ordered
+// comparison, so it would pass a plain range test.
 func (p *Params) Validate() error {
 	if p.Objective.Loss == nil || p.Objective.Reg == nil {
 		return fmt.Errorf("train: objective not fully specified")
 	}
-	if p.Eta <= 0 {
-		return fmt.Errorf("train: eta %g must be positive", p.Eta)
+	if !(p.Eta > 0) || math.IsInf(p.Eta, 0) {
+		return fmt.Errorf("train: Eta %g must be finite and positive", p.Eta)
 	}
 	if p.MaxSteps <= 0 {
 		return fmt.Errorf("train: MaxSteps %d must be positive", p.MaxSteps)
 	}
-	if p.BatchFraction < 0 || p.BatchFraction > 1 {
-		return fmt.Errorf("train: batch fraction %g out of [0,1]", p.BatchFraction)
+	if !(p.BatchFraction >= 0 && p.BatchFraction <= 1) {
+		return fmt.Errorf("train: BatchFraction %g out of [0,1]", p.BatchFraction)
 	}
-	if p.EvalEvery <= 0 {
+	if err := CheckStop(p.TargetObjective, p.MaxSimTime, p.EvalEvery); err != nil {
+		return fmt.Errorf("train: %w", err)
+	}
+	if p.LocalPasses < 0 {
+		return fmt.Errorf("train: LocalPasses %d must be >= 0", p.LocalPasses)
+	}
+	if p.EvalEvery == 0 {
 		p.EvalEvery = 1
 	}
-	if p.LocalPasses <= 0 {
+	if p.LocalPasses == 0 {
 		p.LocalPasses = 1
 	}
 	if p.Staleness < 0 {
@@ -103,6 +113,26 @@ func (p *Params) Validate() error {
 	}
 	if p.Aggregators < 0 {
 		return fmt.Errorf("train: aggregators %d must be >= 0", p.Aggregators)
+	}
+	return nil
+}
+
+// CheckStop rejects non-finite or negative stop criteria and a negative
+// evaluation cadence, naming the field; zero means "disabled" (or, for the
+// cadence, "default"). lbfgs.DistConfig carries the same three fields and
+// shares the check.
+func CheckStop(targetObjective, maxSimTime float64, evalEvery int) error {
+	for _, f := range []struct {
+		field string
+		v     float64
+	}{
+		{"TargetObjective", targetObjective},
+		{"MaxSimTime", maxSimTime},
+		{"EvalEvery", float64(evalEvery)},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s %g must be finite and >= 0", f.field, f.v)
+		}
 	}
 	return nil
 }
@@ -126,15 +156,33 @@ type Result struct {
 	Updates    int64   // total model updates applied (local or global)
 }
 
-// Evaluator records convergence points against a fixed evaluation set.
+// Evaluator records convergence points against a fixed evaluation set, off
+// the simulation thread: Record snapshots the model and submits the
+// objective evaluation to the offload pool (par.Go), and the next Record —
+// or Wait — joins it and commits the value. At most one evaluation is in
+// flight, so points and telemetry Eval events are committed in step order.
+//
+// Nothing reads a value at the step that produced it unless the run has a
+// stop target or a telemetry sink (whose event order is pinned); Record sees
+// both and then joins the evaluation it just submitted, so such runs
+// evaluate inline, exactly where they always did. Everybody else — the
+// trainer after sim.Run(), any reader of Curve or Reached — calls Wait
+// first: until then the last point's Objective is a NaN placeholder.
 type Evaluator struct {
 	Objective glm.Objective
 	Data      []glm.Example
-	Curve     *metrics.Curve
-	every     int
+	// Curve holds one point per recorded step as soon as Record returns;
+	// the last point's Objective is final only after Wait.
+	Curve *metrics.Curve
+	every int
 	// Staleness is the run's SSP slack, attached to the telemetry eval
 	// events; the parameter-server trainers set it from their params.
 	Staleness int
+
+	target  float64     // StopAt; 0 = no early stop
+	reached bool        // the last committed objective met the target
+	snap    []float64   // the model a deferred evaluation reads; written only between Wait and par.Go
+	pending *par.Handle // the evaluation in flight, nil when none
 }
 
 // NewEvaluator builds an evaluator recording to a fresh curve. When
@@ -154,26 +202,66 @@ func NewEvaluator(system, dataset string, obj glm.Objective, evalData []glm.Exam
 	}
 }
 
-// Record evaluates w and appends a point if step is on the evaluation
-// cadence (step 0 and every `every` steps). It returns the objective when
-// evaluated, or NaN when skipped. Recorded points are mirrored to the
-// telemetry event log; like the curve itself, the evaluation consumes no
-// simulated time.
-func (ev *Evaluator) Record(step int, simTime float64, w []float64) (float64, bool) {
-	if step%ev.every != 0 {
-		return 0, false
-	}
-	obj := ev.Objective.Value(w, ev.Data)
-	ev.Curve.Add(step, simTime, obj)
-	obs.Active().Eval(step, "", simTime, obj, ev.Staleness)
-	return obj, true
-}
+// StopAt sets the objective at or below which Record reports the run as
+// done (0 = never). Call it before the run starts.
+func (ev *Evaluator) StopAt(target float64) { ev.target = target }
 
-// Reached reports whether the target objective has been met (target 0 means
-// never).
-func (ev *Evaluator) Reached(target float64) bool {
-	if target <= 0 || ev.Curve.Len() == 0 {
+// Due reports whether step is on the evaluation cadence (step 0 and every
+// `every` steps), i.e. whether Record(step, …) records a point.
+func (ev *Evaluator) Due(step int) bool { return step%ev.every == 0 }
+
+// Record appends a point for w if step is on the evaluation cadence and
+// starts its evaluation; it reports whether the stop target has been
+// reached. The caller may overwrite w as soon as Record returns — the
+// evaluation reads the evaluator's own copy — and Curve.Len() already
+// counts the point. Like the curve itself, the evaluation consumes no
+// simulated time. Record must be called from the simulation thread, with
+// non-decreasing steps.
+func (ev *Evaluator) Record(step int, simTime float64, w []float64) (reached bool) {
+	if !ev.Due(step) {
 		return false
 	}
-	return ev.Curve.Final().Objective <= target
+	ev.Wait()
+	// The value is read at this step only by a stop test or by a telemetry
+	// sink (whose event order is pinned); then the evaluation is joined
+	// before Record returns and can read w itself. Otherwise the trainer
+	// moves on, so the evaluation gets the evaluator's own copy.
+	inline := ev.target > 0 || obs.Active() != nil
+	model := w
+	if !inline {
+		ev.snap = append(ev.snap[:0], w...)
+		model = ev.snap
+	}
+	ev.Curve.Add(step, simTime, math.NaN())
+	obj, data := ev.Objective, ev.Data
+	ev.pending = par.Go(func() float64 { return obj.Value(model, data) })
+	if inline {
+		ev.Wait()
+	}
+	return ev.reached
+}
+
+// Wait joins the evaluation in flight, if any, and commits it: the
+// objective goes into its point and the telemetry Eval event is emitted —
+// here, on the simulation thread, not from the pool. A panic of the loss is
+// re-raised. Wait is idempotent; every trainer calls it once after
+// sim.Run().
+func (ev *Evaluator) Wait() {
+	h := ev.pending
+	if h == nil {
+		return
+	}
+	ev.pending = nil
+	obj := h.Join()
+	pt := &ev.Curve.Points[len(ev.Curve.Points)-1]
+	pt.Objective = obj
+	ev.reached = ev.target > 0 && obj <= ev.target
+	obs.Active().Eval(pt.Step, "", pt.Time, obj, ev.Staleness)
+}
+
+// Reached joins the evaluation in flight and reports whether the last
+// recorded objective met the stop target (no target means never).
+func (ev *Evaluator) Reached() bool {
+	ev.Wait()
+	return ev.reached
 }

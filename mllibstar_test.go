@@ -2,6 +2,7 @@ package mllibstar
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -112,6 +113,13 @@ func TestConfigErrors(t *testing.T) {
 		{L2: -1},
 		{L1: -0.5},
 		{System: "NotASystem"},
+		{Eta: math.NaN()},
+		{BatchFraction: math.NaN()},
+		{TargetObjective: math.NaN()},
+		{TargetObjective: -1},
+		{MaxSimTime: math.Inf(1)},
+		{EvalEvery: -1},
+		{System: LBFGS, Loss: "logistic", TargetObjective: math.NaN()},
 	}
 	for i, cfg := range cases {
 		if _, err := Train(ds, cfg); err == nil {
