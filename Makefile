@@ -21,16 +21,18 @@ lint-fix: ## apply SuggestedFixes in place, then assert a second pass finds noth
 	$(GO) run ./cmd/mlstar-lint -fix ./...
 	$(GO) run ./cmd/mlstar-lint -fix ./... | tee /dev/stderr | grep -q '^mlstar-lint: applied 0 fix(es)'
 
-fuzz: ## short fuzz runs: libsvm reader + sparse encoding + telemetry event round-trips + causal graph pipeline
+fuzz: ## short fuzz runs: libsvm reader + sparse encoding + telemetry event round-trips + the event encoder against encoding/json + causal graph pipeline
 	$(GO) test -fuzz=FuzzReadLibSVM -fuzztime=10s ./internal/data
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/sparse
 	$(GO) test -fuzz=FuzzEventRoundTrip -fuzztime=10s ./internal/obs
+	$(GO) test -fuzz=FuzzEventEncode -fuzztime=10s ./internal/obs
 	$(GO) test -fuzz=FuzzCausalGraph -fuzztime=10s ./internal/causal
 
-bench-smoke: ## deterministic simulated-ratio floors + CSR and des zero-alloc guards + des ns/switch, ns/event + the ps steady-state allocation guard + the evaluator's blocking-loss overlap tests and the Params validation table (under -race)
+bench-smoke: ## deterministic simulated-ratio floors + CSR and des zero-alloc guards + des ns/switch, ns/event + the ps steady-state allocation guard + the telemetry write path's allocation guard + the evaluator's blocking-loss overlap tests and the Params validation table (under -race)
 	$(GO) test -run 'TestSparseTrafficReduction|TestPipelineNoSlowdown|TestPipelineOverlapSpeedupTarget|TestCSRBatchZeroAllocs|TestCSRKernelZeroAllocs|TestCSRKernelFeatMajorZeroAllocs' -v ./internal/bench
 	$(GO) test -bench 'BenchmarkDes' -benchtime=100000x -run 'TestDesZeroAllocs' -v ./internal/des
 	$(GO) test -run 'TestPSSteadyStateAllocs' -v ./internal/ps
+	$(GO) test -run 'TestSinkRecordAllocs' -v ./internal/obs
 	$(GO) test -race -run 'TestEvaluatorOverlap|TestEvaluatorInlineWhenRead|TestValidateRejections' -v ./internal/train
 
 benchmark: ## the repository benchmark (benchmark/README.md): all four workloads, one process each -> .bench_out/all.json

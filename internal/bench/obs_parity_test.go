@@ -185,12 +185,12 @@ func TestObsBitIdentitySparse(t *testing.T) {
 	}
 }
 
-// sampleEvents runs the fixed attribution workload for one system and
-// returns its event log: avazu at small scale, l2=0.1, 8 steps, 4 workers —
-// the same shape as Figure 4's regularized comparison. Recorded with causal
-// enrichment so the committed logs also feed the critical-path and what-if
-// goldens; attribution ignores the extra fields.
-func sampleEvents(t *testing.T, system string) []obs.Event {
+// sampleLog runs the fixed attribution workload for one system and returns
+// the sink that recorded it: avazu at small scale, l2=0.1, 8 steps, 4
+// workers — the same shape as Figure 4's regularized comparison. Recorded
+// with causal enrichment so the committed logs also feed the critical-path
+// and what-if goldens; attribution ignores the extra fields.
+func sampleLog(t *testing.T, system string) *obs.Sink {
 	t.Helper()
 	w, err := loadWorkload("avazu", RunConfig{Scale: 20000, EvalCap: 200})
 	if err != nil {
@@ -198,11 +198,55 @@ func sampleEvents(t *testing.T, system string) []obs.Event {
 	}
 	prm := tuned(system, "avazu", 0.1)
 	prm.MaxSteps = 8
-	return runWithCausal(true, func() {
-		if _, err := runSystem(system, clusters.Test(4), w, prm, nil); err != nil {
+	s := obs.EnableCausal()
+	defer obs.Disable()
+	if _, err := runSystem(system, clusters.Test(4), w, prm, nil); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// sampleEvents is sampleLog's event log as a slice.
+func sampleEvents(t *testing.T, system string) []obs.Event {
+	t.Helper()
+	return sampleLog(t, system).Events()
+}
+
+// TestSampleLogsRegenerate holds the committed sample logs to a fresh run
+// without -update: the two sample configurations, written through
+// Sink.WriteJSONL, must equal testdata/obs_events_*.jsonl byte for byte. The
+// golden tests below only replay the committed files, so without this a
+// change to what is recorded or how it is encoded would stay invisible until
+// somebody ran -update and read the diff.
+func TestSampleLogsRegenerate(t *testing.T) {
+	for _, tc := range []struct {
+		system string
+		slug   string
+	}{
+		{sysMLlib, "mllib"},
+		{sysMLlibStar, "mllibstar"},
+	} {
+		var got bytes.Buffer
+		if err := sampleLog(t, tc.system).WriteJSONL(&got); err != nil {
 			t.Fatal(err)
 		}
-	})
+		path := filepath.Join("testdata", "obs_events_"+tc.slug+".jsonl")
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to generate)", err)
+		}
+		if bytes.Equal(got.Bytes(), want) {
+			continue
+		}
+		gotLines, wantLines := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+			if !bytes.Equal(gotLines[i], wantLines[i]) {
+				t.Fatalf("%s: fresh log differs from %s at line %d:\n got %s\nwant %s",
+					tc.system, path, i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("%s: fresh log has %d lines, %s has %d", tc.system, len(gotLines), path, len(wantLines))
+	}
 }
 
 // TestObsAttributionClassification pins the paper's diagnosis on fresh

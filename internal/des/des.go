@@ -25,6 +25,7 @@ import (
 	"math"
 	"runtime/debug"
 	"sort"
+	"strconv"
 )
 
 // killedPanic is the sentinel panic value used to unwind a process when the
@@ -177,10 +178,11 @@ func (r blockReason) String() string {
 // function and is required by every blocking primitive, which keeps the
 // "who is blocking" bookkeeping explicit and cheap.
 type Proc struct {
-	sim  *Sim
-	name string
-	id   int
-	slot int // index in sim.procs while unfinished
+	sim   *Sim
+	name  string
+	id    int
+	ident string // "name#id", built by the first Ident call
+	slot  int    // index in sim.procs while unfinished
 
 	// The coroutine: the kernel resumes the process with next and unwinds
 	// it with stop; the process returns control with yield, which reports
@@ -208,6 +210,17 @@ func (p *Proc) Name() string { return p.name }
 // reuse theirs), so "name#id" is the canonical process identity of the
 // causal trace.
 func (p *Proc) ID() int { return p.id }
+
+// Ident returns that canonical identity, "name#id". It is built on the first
+// call and kept, so a telemetry hook that stamps every event of a process
+// with it pays for one string per process, not one per event; a run without
+// causal tracing never builds it.
+func (p *Proc) Ident() string {
+	if p.ident == "" {
+		p.ident = p.name + "#" + strconv.Itoa(p.id)
+	}
+	return p.ident
+}
 
 // Sim returns the simulation this process belongs to.
 func (p *Proc) Sim() *Sim { return p.sim }

@@ -42,3 +42,30 @@ func TestForkJoinAfterChildAlreadyDone(t *testing.T) {
 		t.Errorf("join returned at %g, want 10", joinAt)
 	}
 }
+
+// TestIdent pins the process identity of the causal trace: "name#id" with the
+// spawn id, distinct for processes that share a name, and the same string —
+// not a fresh one — on every call.
+func TestIdent(t *testing.T) {
+	s := New()
+	var parent, first, second *Proc
+	parent = s.Spawn("driver:mgd", func(p *Proc) {
+		j1 := Fork(p, "send", func(*Proc) {})
+		j2 := Fork(p, "send", func(*Proc) {})
+		first, second = j1.Proc(), j2.Proc()
+		j1.Wait(p)
+		j2.Wait(p)
+	})
+	s.Run()
+	for _, tc := range []struct {
+		p    *Proc
+		want string
+	}{{parent, "driver:mgd#0"}, {first, "send#1"}, {second, "send#2"}} {
+		if got := tc.p.Ident(); got != tc.want {
+			t.Errorf("Ident() = %q, want %q", got, tc.want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = parent.Ident() }); allocs != 0 {
+		t.Errorf("Ident() allocates %.0f objects per call once built, want 0", allocs)
+	}
+}

@@ -45,9 +45,7 @@ func (ex *Executor) StartSender(p *des.Proc, name string) *Sender {
 		}
 	})
 	if sink := obs.Active(); sink.Causal() {
-		child := s.join.Proc()
-		sink.CausalFork(ex.name, obs.CausalProcID(p.Name(), p.ID()),
-			obs.CausalProcID(child.Name(), child.ID()), p.Now())
+		sink.CausalFork(ex.name, p.Ident(), s.join.Proc().Ident(), p.Now())
 	}
 	return s
 }

@@ -341,7 +341,7 @@ func trainAllReduce(ctx *engine.Context, parts []data.View, dim int, cfg DistCon
 			if sink := obs.Active(); sink.Causal() {
 				name := fmt.Sprintf("lbfgs-it%d", it)
 				bar.Observe(func(w *des.Proc, gen int, arrive, release float64) {
-					sink.CausalBarrier(name, gen, obs.CausalProcID(w.Name(), w.ID()), arrive, release)
+					sink.CausalBarrier(name, gen, w.Ident(), arrive, release)
 				})
 			}
 			tasks := make([]engine.Task, k)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 	"unicode/utf8"
@@ -72,3 +73,52 @@ func FuzzEventRoundTrip(f *testing.F) {
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// requireEncodesLikeJSON holds appendEvent to its contract on one event: the
+// bytes encoding/json would produce, or the same failure.
+func requireEncodesLikeJSON(t *testing.T, e Event) {
+	t.Helper()
+	want, wantErr := json.Marshal(&e)
+	// A non-empty prefix checks that the encoder appends rather than overwrites.
+	got, gotErr := appendEvent([]byte("x"), &e)
+	if wantErr != nil || gotErr != nil {
+		if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
+			t.Fatalf("%+v: appendEvent error %v, encoding/json error %v", e, gotErr, wantErr)
+		}
+		return
+	}
+	if string(got) != "x"+string(want) {
+		t.Fatalf("%+v:\nappendEvent   %s\nencoding/json x%s", e, got, want)
+	}
+}
+
+// FuzzEventEncode is the exactness contract of the JSONL writer: for every
+// Event — any float bit pattern, any byte string — the hand-written encoder
+// produces encoding/json's bytes, or both refuse the event with the same
+// error. The committed logs and every golden derived from them depend on it.
+func FuzzEventEncode(f *testing.F) {
+	f.Add(1, "driver", "compute", "", "", "", uint64(0), uint64(0), uint64(0), 0, uint64(0), int64(0), "", "", int64(0), "")
+	f.Add(3, "executor0", "tree-agg", "s", "driver", "sparse",
+		math.Float64bits(1200), math.Float64bits(0.015), math.Float64bits(0.016), 0, math.Float64bits(0), int64(0),
+		"agg:mgd3", "task:mgd3#17", int64(412), "")
+	f.Add(-7, "", "eval", "", "", "",
+		math.Float64bits(math.Copysign(0, -1)), math.Float64bits(1e-7), math.Float64bits(1e21), -2,
+		math.Float64bits(5e-324), int64(-1), "", "", int64(-9), "lbfgs-it3@0")
+	f.Add(0, "a\"b\\c", "<&>", "\x00\x1f", "\u2028\u2029", "\xff\xfe", math.Float64bits(1e-6), math.Float64bits(1e20),
+		math.Float64bits(math.MaxFloat64), 0, math.Float64bits(math.NaN()), int64(0), "caf\u00e9\t\n", "\x7f", int64(0), "~ ")
+	f.Add(0, "", "", "", "", "", math.Float64bits(math.Inf(1)), uint64(0), uint64(0), 0, math.Float64bits(math.Inf(-1)), int64(0), "", "", int64(0), "")
+	f.Fuzz(func(t *testing.T, step int, node, phase, dir, ch, enc string,
+		bits, startBits, endBits uint64, stale int, lossBits uint64, count int64, note, proc string, mid int64, grp string) {
+
+		requireEncodesLikeJSON(t, Event{
+			Step: step, Node: node, Phase: Phase(phase), Dir: Dir(dir),
+			Chan: Channel(ch), Enc: Encoding(enc),
+			Bytes: math.Float64frombits(bits),
+			Start: math.Float64frombits(startBits),
+			End:   math.Float64frombits(endBits),
+			Stale: stale,
+			Loss:  math.Float64frombits(lossBits),
+			Count: count, Note: note, Proc: proc, MID: mid, Grp: grp,
+		})
+	})
+}

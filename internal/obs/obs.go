@@ -21,8 +21,29 @@
 // Enable installs a fresh Sink that the instrumentation hooks in simnet,
 // engine, ps, and the trainers feed; Disable uninstalls it. All Sink methods
 // are nil-safe, so call sites write obs.Active().Event(...) unconditionally.
-// The sink itself is mutex-protected because the live HTTP endpoint
-// (internal/obs/obshttp) reads it concurrently with the running simulation.
+//
+// # Write path and read path
+//
+// Recording an event is one append under the sink's mutex; everything a
+// reader needs is computed when it reads. Three contracts keep that split
+// honest:
+//
+//   - The log is stored in fixed-capacity blocks that are append-only and
+//     never rewritten: a recorded event is not copied, moved or modified
+//     again. A reader (Events, WriteJSONL, the live HTTP endpoint in
+//     internal/obs/obshttp) copies the block headers under the mutex and
+//     reads the events outside it, concurrently with the running simulation.
+//   - The metrics registry is a fold over the log, caught up on read:
+//     Sink.Registry folds the events recorded since the last read, in log
+//     order, before it returns. A live sink and a replayed log
+//     (SinkFromEvents) run the same fold over the same events, so their
+//     expositions are byte-identical, whenever and however often either is
+//     read.
+//   - The JSONL writer is a hand-written encoder of the fixed Event schema
+//     that is exact against encoding/json — the committed logs and goldens
+//     were written by encoding/json and must not change by a byte. Only a
+//     string with a character that needs escaping is handed to encoding/json
+//     itself; ReadJSONL decodes with encoding/json.
 package obs
 
 import (
@@ -251,7 +272,9 @@ func Active() *Sink { return active.Load() }
 
 // CausalProcID renders a des process identity for the causal fields: the
 // process name qualified by its spawn id, which stays unique when several
-// helpers share a name (e.g. the per-collective sender forks).
+// helpers share a name (e.g. the per-collective sender forks). The hooks do
+// not call it per event: des.Proc.Ident builds the same string once per
+// process (des cannot import this package; a test here pins the two equal).
 func CausalProcID(name string, id int) string {
 	return name + "#" + strconv.Itoa(id)
 }

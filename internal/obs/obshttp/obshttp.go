@@ -4,8 +4,9 @@
 // dashboard embedding the repo's existing SVG renderers (convergence curves
 // and Figure-3 gantt charts).
 //
-// The handler only reads the sink — through its mutex-protected snapshot
-// accessors — so it is safe to serve while the simulation is still writing.
+// The handler only reads the sink — through its snapshot accessors, which
+// hold the sink's mutex just long enough to copy the log's block headers —
+// so it is safe to serve while the simulation is still writing.
 // Serving telemetry does not touch the virtual clock: a live dashboard
 // cannot change what the simulation computes, only watch it.
 package obshttp
@@ -48,7 +49,7 @@ func Handler(s *obs.Sink) http.Handler {
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := obs.WriteJSONL(w, s.Events()); err != nil {
+		if err := s.WriteJSONL(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -134,5 +135,105 @@ func TestServe(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
+	}
+}
+
+// TestScrapeWhileRecording is the concurrency contract of the block-stored
+// log (run under -race): while one goroutine records, every scrape of
+// /metrics, /events and /report through the handler is well-formed, and what
+// /events returned is a prefix of the final log — recorded events are never
+// rewritten, so a reader that snapshotted the blocks sees them as they stay.
+func TestScrapeWhileRecording(t *testing.T) {
+	const n, batch = 20000, 1000
+	s := obs.NewSink()
+	h := Handler(s)
+	tick := make(chan struct{}) // the scraper offers one after every round
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Meta("system", "MLlib*")
+		for i := 1; s.Len() < n; i++ {
+			now := float64(i) * 1e-4
+			switch i % 5 {
+			case 0:
+				s.SetStep(i/5, now)
+			case 1:
+				s.Message("executor0", obs.PhaseReduceScatter, obs.ChanShuffle, obs.DirSend, obs.EncSparse, 1200, now, now+5e-5)
+			case 2:
+				s.Message("executor1", obs.PhaseReduceScatter, obs.ChanShuffle, obs.DirRecv, obs.EncSparse, 1200, now, now+5e-5)
+			case 3:
+				s.Span("executor1", obs.PhaseCompute, now, now+9e-5, "")
+			case 4:
+				s.Eval(s.Step(), "", now, 1/float64(i), 0)
+			}
+			// Pace the recorder by the scraper, one round per batch, so the
+			// rounds spread over the whole recording and each of them races
+			// with the records of the next batch.
+			if s.Len()%batch == 0 {
+				<-tick
+			}
+		}
+	}()
+
+	scrape := func(path string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	// Every /events body must extend the previous one and the last must be
+	// the final log, which makes each of them a prefix of it.
+	var prev string
+	rounds := 0
+	round := func() {
+		for _, line := range strings.Split(strings.TrimSuffix(scrape("/metrics"), "\n"), "\n") {
+			if strings.HasPrefix(line, "#") {
+				continue
+			}
+			sp := strings.LastIndexByte(line, ' ')
+			if sp < 0 {
+				t.Fatalf("/metrics: malformed sample line %q", line)
+			}
+			if _, err := strconv.ParseFloat(line[sp+1:], 64); err != nil {
+				t.Fatalf("/metrics: sample line %q: %v", line, err)
+			}
+		}
+		body := scrape("/events")
+		if !strings.HasPrefix(body, prev) {
+			t.Fatalf("round %d: /events (%d bytes) does not extend the previous scrape (%d bytes)", rounds, len(body), len(prev))
+		}
+		if _, err := obs.ReadJSONL(strings.NewReader(body[len(prev):])); err != nil {
+			t.Fatalf("round %d: what /events added does not parse: %v", rounds, err)
+		}
+		prev = body
+		if rep := scrape("/report"); !strings.HasPrefix(rep, "bottleneck attribution") {
+			t.Fatalf("/report: %s", rep)
+		}
+		rounds++
+		select {
+		case tick <- struct{}{}:
+		default: // the recorder is mid-batch
+		}
+	}
+	for recording := true; recording; {
+		select {
+		case <-done:
+			recording = false
+		default:
+		}
+		round() // the last round runs after the recorder has finished
+	}
+
+	var final strings.Builder
+	if err := s.WriteJSONL(&final); err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != n || rounds < n/batch {
+		t.Errorf("recorded %d events over %d scrape rounds, want %d over at least %d", s.Len(), rounds, n, n/batch)
+	}
+	if prev != final.String() {
+		t.Errorf("/events after the last record (%d bytes) is not the final log (%d bytes)", len(prev), final.Len())
 	}
 }

@@ -120,25 +120,40 @@ func (f *Family) get(labelVals []string) *series {
 
 // Add increments a counter series by v (v must be non-negative).
 func (f *Family) Add(v float64, labelVals ...string) {
-	if v < 0 {
-		panic(fmt.Sprintf("obs: negative counter increment %g on %s", v, f.name))
-	}
 	f.reg.mu.Lock()
 	defer f.reg.mu.Unlock()
-	f.get(labelVals).value += v
+	f.add(v, labelVals...)
 }
 
 // Set sets a gauge series to v.
 func (f *Family) Set(v float64, labelVals ...string) {
 	f.reg.mu.Lock()
 	defer f.reg.mu.Unlock()
-	f.get(labelVals).value = v
+	f.set(v, labelVals...)
 }
 
 // Observe records one histogram observation.
 func (f *Family) Observe(v float64, labelVals ...string) {
 	f.reg.mu.Lock()
 	defer f.reg.mu.Unlock()
+	f.observe(v, labelVals...)
+}
+
+// add, set and observe are Add, Set and Observe for a caller that already
+// holds the registry lock: Sink.Registry folds a whole batch of events under
+// one acquisition, so an exposition never sees part of an event.
+func (f *Family) add(v float64, labelVals ...string) {
+	if v < 0 {
+		panic(fmt.Sprintf("obs: negative counter increment %g on %s", v, f.name))
+	}
+	f.get(labelVals).value += v
+}
+
+func (f *Family) set(v float64, labelVals ...string) {
+	f.get(labelVals).value = v
+}
+
+func (f *Family) observe(v float64, labelVals ...string) {
 	s := f.get(labelVals)
 	i := sort.SearchFloat64s(f.buckets, v) // first bucket with bound >= v
 	s.counts[i]++

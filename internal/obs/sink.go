@@ -19,26 +19,36 @@ var superstepBuckets = []float64{
 // batch, spanning singleton deadline flushes through large batch-full ones.
 var batchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
-// Sink accumulates the superstep event log and keeps the metrics registry
-// in sync with it: every recorded event also updates the relevant counter,
-// gauge, or histogram, so replaying a JSONL log through SinkFromEvents
-// rebuilds exactly the registry the live run exposed.
+// blockEvents is the capacity of one storage block of the event log.
+const blockEvents = 4096
+
+// Sink accumulates the superstep event log and derives the metrics registry
+// from it. Recording is one append: the log lives in fixed-capacity blocks,
+// so an event, once recorded, is never copied or rewritten — a full block is
+// followed by a fresh one, not regrown. The registry is a fold over the log,
+// caught up when it is read (Registry), so a live sink and a JSONL log
+// replayed through SinkFromEvents expose identical metrics by construction.
 //
 // Methods are nil-safe (a nil *Sink records nothing) so instrumentation
 // sites can call obs.Active().X(...) unconditionally. The mutex exists for
 // the live HTTP endpoint: the simulation writes from its single DES
-// goroutine while obshttp readers snapshot concurrently.
+// goroutine while obshttp readers snapshot concurrently. It guards only the
+// block list; readers copy the block headers under it and read the events
+// outside it, which is race-free because the elements below a snapshotted
+// length are immutable. The fold state is guarded by the registry's own
+// lock.
 type Sink struct {
 	mu     sync.Mutex
-	events []Event
-	reg    *Registry
+	blocks [][]Event    // every block but the last is full; a block's elements are written once, by the append that adds them
+	step   atomic.Int64 // current superstep: stored by record on a step marker, read by the hooks (Step) without the lock
+
+	reg       *Registry
+	folded    int     // events already folded into reg; with stepStart and haveStep, guarded by reg.mu
+	stepStart float64 // fold state: start of the superstep in progress at event folded-1
+	haveStep  bool
 
 	causal bool         // enrich events with causal identities (EnableCausal)
 	mid    atomic.Int64 // message-id allocator; ids start at 1 so 0 means "no causal pairing"
-
-	step      int
-	stepStart float64
-	haveStep  bool
 
 	mSuperstep *Family // gauge: current superstep
 	mStepDur   *Family // histogram: superstep virtual duration
@@ -94,10 +104,37 @@ func NewSink() *Sink {
 	}
 }
 
-// Registry returns the sink's metrics registry.
+// snapshot returns the block headers of the log recorded so far. The caller
+// may read the events without the lock; it must not write them.
+func (s *Sink) snapshot() [][]Event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([][]Event(nil), s.blocks...)
+}
+
+// logLen is the number of events in a snapshot.
+func logLen(blocks [][]Event) int {
+	if len(blocks) == 0 {
+		return 0
+	}
+	return (len(blocks)-1)*blockEvents + len(blocks[len(blocks)-1])
+}
+
+// Registry returns the sink's metrics registry, caught up with the log: the
+// events recorded since the last call are folded in first, in log order and
+// under one hold of the registry lock, so every exposition is the registry
+// of a prefix of the log.
 func (s *Sink) Registry() *Registry {
 	if s == nil {
 		return nil
+	}
+	blocks := s.snapshot()
+	s.reg.mu.Lock()
+	defer s.reg.mu.Unlock()
+	// A concurrent reader may have folded a later snapshot already; then
+	// there is nothing left to do for this one.
+	for n := logLen(blocks); s.folded < n; s.folded++ {
+		s.fold(&blocks[s.folded/blockEvents][s.folded%blockEvents])
 	}
 	return s.reg
 }
@@ -107,9 +144,15 @@ func (s *Sink) Events() []Event {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
+	blocks := s.snapshot()
+	if len(blocks) == 0 {
+		return nil
+	}
+	out := make([]Event, 0, logLen(blocks))
+	for _, b := range blocks {
+		out = append(out, b...)
+	}
+	return out
 }
 
 // Len returns the number of events recorded so far.
@@ -119,12 +162,22 @@ func (s *Sink) Len() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.events)
+	return logLen(s.blocks)
 }
 
-// WriteJSONL writes the event log to w.
+// WriteJSONL writes the event log recorded so far to w, block by block,
+// without flattening it and without holding the sink lock while it encodes.
 func (s *Sink) WriteJSONL(w io.Writer) error {
-	return WriteJSONL(w, s.Events())
+	if s == nil {
+		return nil
+	}
+	jw := newJSONLWriter(w)
+	for _, b := range s.snapshot() {
+		if err := jw.write(b); err != nil {
+			return err
+		}
+	}
+	return jw.flush()
 }
 
 // Step returns the current superstep.
@@ -132,14 +185,12 @@ func (s *Sink) Step() int {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.step
+	return int(s.step.Load())
 }
 
 // Causal reports whether this sink enriches events with causal identities.
 // Nil-safe like every Sink method, so instrumentation sites can gate the
-// (string-building) enrichment work on obs.Active().Causal().
+// enrichment work on obs.Active().Causal().
 func (s *Sink) Causal() bool {
 	if s == nil {
 		return false
@@ -157,47 +208,62 @@ func (s *Sink) NewMID() int64 {
 	return s.mid.Add(1)
 }
 
-// record appends an event and folds it into the registry. Caller holds no
-// locks. This is the single ingestion path, shared by the live hooks and by
-// SinkFromEvents replay, which is what keeps live and replayed registries
-// identical.
+// record appends an event to the log, noting the superstep a step marker
+// opens. Caller holds no locks. This is the single ingestion path, shared by
+// the live hooks and by SinkFromEvents replay; everything a reader derives
+// from the log (the registry, attribution, the causal graph) is computed
+// from what it appended.
 func (s *Sink) record(e Event) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.events = append(s.events, e)
+	last := len(s.blocks) - 1
+	if last < 0 || len(s.blocks[last]) == blockEvents {
+		s.blocks = append(s.blocks, make([]Event, 0, blockEvents))
+		last++
+	}
+	s.blocks[last] = append(s.blocks[last], e)
+	if e.Phase == PhaseStep {
+		s.step.Store(int64(e.Step))
+	}
+	s.mu.Unlock()
+}
+
+// fold books one event into the registry. Caller holds the registry lock.
+// Events are folded exactly once and in log order, so the float additions —
+// and with them the exposition — do not depend on when the registry is read.
+func (s *Sink) fold(e *Event) {
 	if e.End > 0 {
-		s.mVirtual.Set(e.End)
+		s.mVirtual.set(e.End)
 	}
 	switch {
 	case e.Dir == DirSend:
-		s.mBytes.Add(e.Bytes, string(e.Chan), string(e.Enc))
-		s.mMsgs.Add(1, string(e.Chan), string(e.Enc))
-		s.mPhaseSec.Add(e.End-e.Start, e.Node, string(e.Phase), string(e.Dir))
+		s.mBytes.add(e.Bytes, string(e.Chan), string(e.Enc))
+		s.mMsgs.add(1, string(e.Chan), string(e.Enc))
+		s.mPhaseSec.add(e.End-e.Start, e.Node, string(e.Phase), string(e.Dir))
 	case e.Dir == DirRecv:
-		s.mPhaseSec.Add(e.End-e.Start, e.Node, string(e.Phase), string(e.Dir))
+		s.mPhaseSec.add(e.End-e.Start, e.Node, string(e.Phase), string(e.Dir))
 	case e.Phase == PhaseStep:
 		if s.haveStep {
-			s.mStepDur.Observe(e.Start - s.stepStart)
+			s.mStepDur.observe(e.Start - s.stepStart)
 		}
-		s.step, s.stepStart, s.haveStep = e.Step, e.Start, true
-		s.mSuperstep.Set(float64(e.Step))
+		s.stepStart, s.haveStep = e.Start, true
+		s.mSuperstep.set(float64(e.Step))
 	case e.Phase == PhaseEval:
-		s.mLoss.Set(e.Loss)
-		s.mStale.Set(float64(e.Stale))
+		s.mLoss.set(e.Loss)
+		s.mStale.set(float64(e.Stale))
 	case e.Phase == PhaseUpdates:
-		s.mUpdates.Add(float64(e.Count))
+		s.mUpdates.add(float64(e.Count))
 	case e.Phase == PhaseMeta:
 		// metadata carries no metric
 	case e.Phase == PhaseServeRequest:
-		s.mServeReqs.Add(1)
-		s.mServeLatency.Observe(e.End - e.Start)
-		s.mServeEpoch.Set(float64(e.Count))
+		s.mServeReqs.add(1)
+		s.mServeLatency.observe(e.End - e.Start)
+		s.mServeEpoch.set(float64(e.Count))
 	case e.Phase == PhaseServeBatch:
-		s.mServeBatch.Observe(float64(e.Count))
-		s.mServeFlushes.Add(1, e.Note)
+		s.mServeBatch.observe(float64(e.Count))
+		s.mServeFlushes.add(1, e.Note)
 	case e.Phase == PhaseServeSwap:
-		s.mServeSwaps.Add(1)
-		s.mServeEpoch.Set(float64(e.Count))
+		s.mServeSwaps.add(1)
+		s.mServeEpoch.set(float64(e.Count))
 	case e.Phase == PhaseStage:
 		// the stage span aggregates its inner phases; counting it too would
 		// double-book the driver's seconds
@@ -206,7 +272,7 @@ func (s *Sink) record(e Event) {
 		// (a barrier event's span is the participant's wait, which the
 		// attribution already derives as residual wait time)
 	default:
-		s.mPhaseSec.Add(e.End-e.Start, e.Node, string(e.Phase), "")
+		s.mPhaseSec.add(e.End-e.Start, e.Node, string(e.Phase), "")
 	}
 }
 
@@ -365,13 +431,13 @@ func (s *Sink) ServeSwap(node string, now float64, epoch int64) {
 }
 
 // SinkFromEvents replays a decoded event log through a fresh sink, yielding
-// the same event slice and — because record is the single ingestion path,
-// and step transitions are themselves events — the same registry state the
-// original live run had.
+// the same event log and — because record is the single ingestion path, the
+// registry is a fold over the log, and step transitions are themselves
+// events — the same registry state the original live run had.
 func SinkFromEvents(events []Event) *Sink {
 	s := NewSink()
-	for _, e := range events {
-		s.record(e)
+	for i := range events {
+		s.record(events[i])
 	}
 	return s
 }

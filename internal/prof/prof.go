@@ -20,6 +20,7 @@ package prof
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -175,13 +176,11 @@ func (c *Config) Start() (stop func(), err error) {
 	return func() {
 		if *c.obsOut != "" && sink != nil {
 			f, err := os.Create(*c.obsOut)
+			if err == nil {
+				err = writeAndClose(f, *c.obsOut, sink.WriteJSONL)
+			}
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "prof:", err)
-			} else {
-				if err := sink.WriteJSONL(f); err != nil {
-					fmt.Fprintln(os.Stderr, "prof:", err)
-				}
-				_ = f.Close()
 			}
 		}
 		if *c.metricsOut != "" && sink != nil {
@@ -212,10 +211,24 @@ func (c *Config) Start() (stop func(), err error) {
 				return
 			}
 			runtime.GC() // materialize the final live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			if err := writeAndClose(f, *c.mem, pprof.WriteHeapProfile); err != nil {
 				fmt.Fprintln(os.Stderr, "prof:", err)
 			}
-			_ = f.Close()
 		}
 	}, nil
+}
+
+// writeAndClose runs write on f and closes it. A write error wins; after a
+// successful write the Close error is the one that says whether the bytes
+// reached the file (a full disk or an exceeded quota can surface only
+// there), so it is reported, naming the file.
+func writeAndClose(f io.WriteCloser, name string, write func(io.Writer) error) error {
+	if err := write(f); err != nil {
+		_ = f.Close() // the write error is the one to report
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("closing %s: %w", name, err)
+	}
+	return nil
 }

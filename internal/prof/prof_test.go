@@ -1,12 +1,18 @@
 package prof
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"mllibstar/internal/allreduce"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/sparse"
 )
 
@@ -78,5 +84,82 @@ func TestRegisterStartFlagCombinations(t *testing.T) {
 				sparse.Enabled(), allreduce.Enabled(), allreduce.OverlapEnabled(), allreduce.Chunks(),
 				tc.sparse, tc.chunked, tc.overlap, tc.chunks)
 		}
+	}
+}
+
+// TestObsLogRoundTrip drives the -obs flush end to end: events recorded
+// between Start and stop land in the file, and the file reads back to exactly
+// the sink's log.
+func TestObsLogRoundTrip(t *testing.T) {
+	defer obs.Disable()
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	fs := flag.NewFlagSet("prof", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	c := Register(fs)
+	if err := fs.Parse([]string{"-obs", path, "-causal"}); err != nil {
+		t.Fatal(err)
+	}
+	stop, err := c.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := obs.Active()
+	if sink == nil || !sink.Causal() {
+		t.Fatal("-obs -causal installed no causal sink")
+	}
+	sink.Meta("system", "MLlib*")
+	sink.SetStep(1, 0)
+	sink.SpanProc("executor0", obs.PhaseCompute, 0, 0.01, "", "task#1")
+	sink.MessageProc("executor0", obs.PhaseReduceScatter, obs.ChanShuffle, obs.DirSend, obs.EncSparse,
+		1200, 0.01, 0.011, "xch:rs:s1", "task#1", sink.NewMID())
+	sink.Eval(1, "", 0.011, 0.5, 0)
+	stop()
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := obs.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sink.Events(); len(want) != 5 || !reflect.DeepEqual(got, want) {
+		t.Errorf("the -obs file holds\n%+v\nthe sink recorded\n%+v", got, want)
+	}
+}
+
+// failingCloser accepts every write and fails its Close, the way a full disk
+// or an exceeded quota can surface only when the file is closed.
+type failingCloser struct {
+	bytes.Buffer
+	closed bool
+}
+
+func (f *failingCloser) Close() error {
+	f.closed = true
+	return errors.New("no space left on device")
+}
+
+func TestWriteAndCloseReportsCloseError(t *testing.T) {
+	payload := func(w io.Writer) error { _, err := io.WriteString(w, "log\n"); return err }
+
+	var fc failingCloser
+	err := writeAndClose(&fc, "events.jsonl", payload)
+	if err == nil || !strings.Contains(err.Error(), "closing events.jsonl") || !strings.Contains(err.Error(), "no space left") {
+		t.Errorf("failed Close after a good write reported as %v, want it to name the file and the cause", err)
+	}
+	if fc.String() != "log\n" {
+		t.Errorf("payload %q did not reach the writer", fc.String())
+	}
+
+	// A failed write is the error to report, and the file is still closed.
+	fc = failingCloser{}
+	writeErr := errors.New("short write")
+	if err := writeAndClose(&fc, "events.jsonl", func(io.Writer) error { return writeErr }); !errors.Is(err, writeErr) {
+		t.Errorf("write error reported as %v, want %v", err, writeErr)
+	}
+	if !fc.closed {
+		t.Error("file left open after a failed write")
 	}
 }

@@ -187,13 +187,14 @@ func (nd *Node) ComputeKind(p *des.Proc, work float64, kind trace.Kind, note str
 	return d
 }
 
-// causalProc renders p's causal identity, or "" when causal tracing is off —
-// the hot paths call it unconditionally, so the string build is gated here.
+// causalProc returns p's causal identity, or "" when causal tracing is off —
+// the hot paths call it unconditionally, so a run that does not trace never
+// makes a process build its identity.
 func causalProc(p *des.Proc) string {
 	if !obs.Active().Causal() {
 		return ""
 	}
-	return obs.CausalProcID(p.Name(), p.ID())
+	return p.Ident()
 }
 
 // Observe records a span over [start, end] — already-elapsed virtual time —

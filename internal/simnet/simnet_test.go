@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mllibstar/internal/des"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/trace"
 )
 
@@ -202,5 +203,29 @@ func TestUniformSpecs(t *testing.T) {
 	specs := Uniform("e", 3, 10, 20)
 	if len(specs) != 3 || specs[2].Name != "e2" || specs[0].SendBW != 20 {
 		t.Errorf("specs = %+v", specs)
+	}
+}
+
+// TestHooksStampCausalIdentity checks that under a causal sink the compute,
+// send and receive hooks stamp their events with the recording process's
+// identity, des.Proc.Ident.
+func TestHooksStampCausalIdentity(t *testing.T) {
+	sink := obs.EnableCausal()
+	defer obs.Disable()
+	sim, net := twoNodes(0.5)
+	sim.Spawn("sender", func(p *des.Proc) {
+		net.Node("a").Compute(p, 100)
+		net.Node("a").Send(p, "b", "data", 100, nil)
+	})
+	sim.Spawn("receiver", func(p *des.Proc) { net.Node("b").Recv(p, "data") })
+	sim.Run()
+	var procs []string
+	for _, e := range sink.Events() {
+		if e.Phase != obs.PhaseCausalSpec { // the network's self-description has no process
+			procs = append(procs, e.Proc)
+		}
+	}
+	if want := []string{"sender#0", "sender#0", "receiver#1"}; fmt.Sprint(procs) != fmt.Sprint(want) {
+		t.Errorf("events carry the identities %q, want %q (compute, send, recv)", procs, want)
 	}
 }

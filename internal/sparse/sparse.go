@@ -164,7 +164,12 @@ func CountDelta(d, ref []float64) int {
 // whose bit patterns differ, with d's values verbatim. Overlay(dst, ref) on
 // the result reproduces d bitwise.
 func Compress(d, ref []float64) Vec {
-	nnz := CountDelta(d, ref)
+	return compress(d, ref, CountDelta(d, ref))
+}
+
+// compress is Compress for a caller that has already counted: nnz must be
+// CountDelta(d, ref), which has also checked ref's length.
+func compress(d, ref []float64, nnz int) Vec {
 	v := Vec{Len: len(d), Ind: make([]int32, 0, nnz), Val: make([]float64, 0, nnz)}
 	if ref == nil {
 		for j, x := range d {
@@ -230,7 +235,7 @@ func EncodeShared(d, ref []float64) Enc {
 	if ref != nil {
 		refLen = len(ref)
 	}
-	return Enc{n: len(d), sparse: true, sv: Compress(d, ref), refLen: refLen}
+	return Enc{n: len(d), sparse: true, sv: compress(d, ref, nnz), refLen: refLen}
 }
 
 // EncodeCopy is EncodeShared for senders that go on mutating d: the dense
