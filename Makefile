@@ -28,8 +28,9 @@ fuzz: ## short fuzz runs: libsvm reader + sparse encoding + telemetry event roun
 	$(GO) test -fuzz=FuzzEventEncode -fuzztime=10s ./internal/obs
 	$(GO) test -fuzz=FuzzCausalGraph -fuzztime=10s ./internal/causal
 
-bench-smoke: ## deterministic simulated-ratio floors + CSR and des zero-alloc guards + des ns/switch, ns/event + the ps steady-state allocation guard + the telemetry write path's allocation guard + the evaluator's blocking-loss overlap tests and the Params validation table (under -race)
-	$(GO) test -run 'TestSparseTrafficReduction|TestPipelineNoSlowdown|TestPipelineOverlapSpeedupTarget|TestCSRBatchZeroAllocs|TestCSRKernelZeroAllocs|TestCSRKernelFeatMajorZeroAllocs' -v ./internal/bench
+bench-smoke: ## deterministic simulated-ratio floors + slab-kernel and des zero-alloc guards + slab-kernel ns/nnz per kernel, loss and row width + des ns/switch, ns/event + the ps steady-state allocation guard + the telemetry write path's allocation guard + the evaluator's blocking-loss overlap tests and the Params validation table (under -race)
+	$(GO) test -run 'TestSparseTrafficReduction|TestPipelineNoSlowdown|TestPipelineOverlapSpeedupTarget|TestCSRKernelZeroAllocs|TestCSRKernelFeatMajorZeroAllocs' -v ./internal/bench
+	$(GO) test -run '^$$' -bench 'BenchmarkSlabKernels' -benchtime=1x ./internal/data
 	$(GO) test -bench 'BenchmarkDes' -benchtime=100000x -run 'TestDesZeroAllocs' -v ./internal/des
 	$(GO) test -run 'TestPSSteadyStateAllocs' -v ./internal/ps
 	$(GO) test -run 'TestSinkRecordAllocs' -v ./internal/obs

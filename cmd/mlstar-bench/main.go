@@ -22,6 +22,15 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. It returns instead of exiting so that the
+// deferred stop flushes the profiles and telemetry of a failed run too.
+func run() error {
 	var (
 		list    = flag.Bool("list", false, "list available experiments and exit")
 		exp     = flag.String("exp", "", "experiment id to run, or \"all\"")
@@ -34,8 +43,7 @@ func main() {
 	flag.Parse()
 	stopProf, err := profCfg.Start()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	defer stopProf()
 
@@ -47,7 +55,7 @@ func main() {
 		if *exp == "" && !*list {
 			fmt.Println("\nrun one with: mlstar-bench -exp <id>")
 		}
-		return
+		return nil
 	}
 
 	cfg := bench.RunConfig{Scale: *scale, Grid: *grid, EvalCap: *evalCap}
@@ -57,8 +65,7 @@ func main() {
 	} else {
 		e, err := bench.ByID(*exp)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		exps = []bench.Experiment{e}
 	}
@@ -67,24 +74,22 @@ func main() {
 		start := time.Now()
 		report, err := e.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		fmt.Print(report.Text())
 		fmt.Printf("(%s finished in %s wall time)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		if *out != "" {
 			if err := os.MkdirAll(*out, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			for name, contents := range report.Files {
 				path := filepath.Join(*out, name)
 				if err := os.WriteFile(path, []byte(contents), 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
+					return err
 				}
 				fmt.Printf("wrote %s\n", path)
 			}
 		}
 	}
+	return nil
 }

@@ -24,6 +24,15 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. It returns instead of exiting so that the
+// deferred stop flushes the profiles and telemetry of a failed run too.
+func run() error {
 	var (
 		modelPath = flag.String("model", "", "model checkpoint to serve (from mlstar-train -save-model)")
 		swapPath  = flag.String("swap-model", "", "checkpoint to hot-swap in mid-traffic (optional)")
@@ -43,19 +52,14 @@ func main() {
 	flag.Parse()
 	stop, err := pc.Start()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	defer stop()
-	if err := run(*modelPath, *swapPath, *swapAt, *shards, *clientsN, *requests,
-		*qps, *nnz, *zipfS, *batchMax, *budget, *cluster2, *seed); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		stop()
-		os.Exit(1)
-	}
+	return serveModel(*modelPath, *swapPath, *swapAt, *shards, *clientsN, *requests,
+		*qps, *nnz, *zipfS, *batchMax, *budget, *cluster2, *seed)
 }
 
-func run(modelPath, swapPath string, swapAt float64, shards, clientsN, requests int,
+func serveModel(modelPath, swapPath string, swapAt float64, shards, clientsN, requests int,
 	qps float64, nnz int, zipfS float64, batchMax int, budget float64, cluster2 bool, seed int64) error {
 	if modelPath == "" {
 		return fmt.Errorf("mlstar-serve: -model is required (train one with mlstar-train -save-model)")

@@ -19,8 +19,17 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. It returns instead of exiting so that the
+// deferred stop flushes the profiles and telemetry of a failed run too.
+func run() error {
 	var (
-		system    = flag.String("system", "MLlib*", "training system: MLlib, MLlib+MA, MLlib*, Petuum, Petuum*, Angel")
+		system    = flag.String("system", "MLlib*", fmt.Sprintf("training system, one of %q", mllibstar.Systems()))
 		preset    = flag.String("preset", "", "synthetic preset dataset: avazu, url, kddb, kdd12, wx")
 		scale     = flag.Float64("scale", 5000, "preset downscale factor")
 		dataPath  = flag.String("data", "", "libsvm file to train on (alternative to -preset)")
@@ -47,15 +56,13 @@ func main() {
 	flag.Parse()
 	stop, err := pc.Start()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	defer stop()
 
 	ds, err := loadDataset(*preset, *scale, *dataPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	st := ds.Stats()
 	fmt.Printf("dataset: %s\n", st)
@@ -64,8 +71,7 @@ func main() {
 	// the smallest AllReduce partition (a clear error beats a silent clamp).
 	if allreduce.Enabled() {
 		if err := allreduce.ValidateChunks(allreduce.Chunks(), ds.Features, *execs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
 
@@ -96,8 +102,7 @@ func main() {
 	}
 	res, err := mllibstar.Train(ds, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 
 	fmt.Printf("system: %s  executors: %d\n", *system, *execs)
@@ -113,27 +118,25 @@ func main() {
 	}
 	if *csvOut != "" {
 		if err := os.WriteFile(*csvOut, []byte(res.Curve.CSV(true)), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Printf("wrote %s\n", *csvOut)
 	}
 	if *saveModel != "" {
 		f, err := os.Create(*saveModel)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		if err := res.Model.Save(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			_ = f.Close() // the Save error is the one to report
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Printf("wrote %s\n", *saveModel)
 	}
+	return nil
 }
 
 func loadDataset(preset string, scale float64, path string) (*mllibstar.Dataset, error) {

@@ -1,0 +1,61 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"mllibstar"
+	"mllibstar/internal/obs"
+)
+
+// TestBuiltBinary drives the compiled command: exit status, deferred flushes
+// and the flag help are only observable on the real binary.
+func TestBuiltBinary(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "mlstar-train")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+
+	// A run rejected after prof.Start (here by Params.Validate, on a negative
+	// -target) exits 1 with the message on stderr and still writes its -obs
+	// log — the run whose log you want.
+	t.Run("failed run still flushes telemetry", func(t *testing.T) {
+		log := filepath.Join(t.TempDir(), "events.jsonl")
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, "-obs", log, "-scale", "20000", "-steps", "2", "-target", "-1")
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("exit = %v, want status 1; stderr:\n%s", err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "TargetObjective") {
+			t.Errorf("stderr %q does not carry the validation message", stderr.String())
+		}
+		f, err := os.Open(log)
+		if err != nil {
+			t.Fatalf("the failed run left no event log: %v", err)
+		}
+		defer f.Close()
+		if _, err := obs.ReadJSONL(f); err != nil {
+			t.Errorf("event log of the failed run does not re-read: %v", err)
+		}
+	})
+
+	t.Run("system usage lists every system", func(t *testing.T) {
+		help, err := exec.Command(bin, "-h").CombinedOutput()
+		if err != nil {
+			t.Fatalf("-h: %v\n%s", err, help)
+		}
+		for _, sys := range mllibstar.Systems() {
+			if !strings.Contains(string(help), string(sys)) {
+				t.Errorf("-h output does not name %q:\n%s", sys, help)
+			}
+		}
+	})
+}

@@ -156,17 +156,3 @@ func FuncOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	return nil
 }
-
-// IsPkgFunc reports whether the call invokes the package-level function
-// pkgPath.name (not a method).
-func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	fn := FuncOf(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
-}

@@ -3,7 +3,7 @@
 // callgraph-based one:
 //
 //   - Offloaded closures (Task.Pure bodies, the fn argument of
-//     ComputeAsyncKind/ChargeAsync/ChargeAsyncKind, thunks handed to
+//     ComputeAsyncKind/ChargeAsync, thunks handed to
 //     par.Go/par.Do — whether written inline, bound to a local first, or
 //     named functions) must not REACH the obs/trace telemetry layer or a
 //     simulation charge operation through any chain of calls. The old
@@ -59,7 +59,6 @@ const (
 var offloadFuncs = map[string]bool{
 	"ComputeAsyncKind": true,
 	"ChargeAsync":      true,
-	"ChargeAsyncKind":  true,
 }
 
 // uniqueChargeNames are charge operations whose names exist nowhere else in
@@ -70,7 +69,6 @@ var uniqueChargeNames = map[string]bool{
 	"ComputeKind":      true,
 	"ComputeAsyncKind": true,
 	"ChargeAsync":      true,
-	"ChargeAsyncKind":  true,
 	"SendPhase":        true,
 	"RecvN":            true,
 	"WaitUntil":        true,

@@ -479,7 +479,7 @@ func (a *analyzer) callSinks(call *ast.CallExpr, st taint.State, emit sink) {
 // costcharge analyzer's classification).
 func isChargePrimitive(fn *types.Func) bool {
 	switch fn.Name() {
-	case "ComputeKind", "ComputeAsyncKind", "ChargeAsync", "ChargeAsyncKind", "SendPhase", "RecvN", "WaitUntil":
+	case "ComputeKind", "ComputeAsyncKind", "ChargeAsync", "SendPhase", "RecvN", "WaitUntil":
 		return true
 	}
 	pkg := ""

@@ -180,25 +180,6 @@ func (m *Module) LoadPackage(e Entry) (*Package, error) {
 	return check(m.fset, m.imp, e.ImportPath, e.Dir, names)
 }
 
-// Load expands the patterns and type-checks every matched package, in
-// dependency order. Drivers that can skip work should use List +
-// LoadPackage instead.
-func Load(dir string, patterns []string) ([]*Package, error) {
-	mod, err := List(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	pkgs := make([]*Package, 0, len(mod.Entries))
-	for _, e := range mod.Entries {
-		p, err := mod.LoadPackage(e)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
-}
-
 // LoadDir type-checks the single package rooted at dir under the given
 // import path. Used by the analysistest harness over testdata corpora.
 func LoadDir(dir, importPath string) (*Package, error) {

@@ -2,7 +2,7 @@
 // the deterministic compute pool must not touch the obs telemetry layer.
 //
 // Offloaded closures — Task.Pure bodies, the fn argument of
-// ComputeAsyncKind/ChargeAsync/ChargeAsyncKind, and thunks handed to
+// ComputeAsyncKind/ChargeAsync, and thunks handed to
 // par.Go/par.Do — run on worker goroutines whose interleaving is
 // scheduler-dependent. The obs sink is mutex-protected, so an obs call from
 // such a closure would not race, but it would append events in wall-clock
@@ -43,7 +43,6 @@ const parPath = "mllibstar/internal/par"
 var offloadFuncs = map[string]bool{
 	"ComputeAsyncKind": true,
 	"ChargeAsync":      true,
-	"ChargeAsyncKind":  true,
 }
 
 // Analyzer is the telemetry-purity check.

@@ -49,17 +49,6 @@ func (s State) Set(o types.Object, m Marks) {
 	s[o] = m
 }
 
-// Clear removes bits from o's marks.
-func (s State) Clear(o types.Object, m Marks) {
-	if v, ok := s[o]; ok {
-		if v &= ^m; v == 0 {
-			delete(s, o)
-		} else {
-			s[o] = v
-		}
-	}
-}
-
 // Clone returns an independent copy.
 func (s State) Clone() State {
 	out := make(State, len(s))

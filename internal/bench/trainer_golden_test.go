@@ -142,7 +142,7 @@ func TestEarlyStopGolden(t *testing.T) {
 	}
 }
 
-// TestCSRKernelBitIdentitySquaredLoss covers the third monomorphized loss at
+// TestCSRKernelBitIdentitySquaredLoss covers the third built-in loss at
 // trainer level: tuned() uses hinge and the SVRG/L-BFGS tests use logistic.
 func TestCSRKernelBitIdentitySquaredLoss(t *testing.T) {
 	w := goldenWorkload(t)

@@ -1,7 +1,6 @@
 package data
 
 import (
-	"fmt"
 	"sync"
 
 	"mllibstar/internal/glm"
@@ -40,11 +39,6 @@ type CSR struct {
 	featMu sync.Mutex
 	feat   map[[2]int]*featMajor
 }
-
-// DefaultBlockBytes is the slab footprint BlockRows targets per mini-batch
-// block: a quarter of a typical 1 MiB L2, leaving room for the model slices
-// the kernels stream alongside the rows.
-const DefaultBlockBytes = 256 << 10
 
 // PackExamples copies the examples, in order, into a fresh CSR arena.
 func PackExamples(examples []glm.Example) *CSR {
@@ -85,40 +79,3 @@ func (c *CSR) NumRows() int { return len(c.rows) }
 
 // NNZ returns the total number of stored nonzeros.
 func (c *CSR) NNZ() int { return len(c.ind) }
-
-// BlockRows returns how many consecutive rows fit a cache-sized block of
-// targetBytes (0 selects DefaultBlockBytes), counting 12 slab bytes per
-// nonzero plus 8 bytes per row for the row pointer, never fewer than one
-// row. The per-row term matters for near-empty rows: without it the average
-// footprint rounds to ~zero and a single "block" covers the whole dataset,
-// defeating the cache blocking exactly when rows are cheapest to block.
-func (c *CSR) BlockRows(targetBytes int) int {
-	if targetBytes <= 0 {
-		targetBytes = DefaultBlockBytes
-	}
-	if len(c.rows) == 0 {
-		return 1
-	}
-	bytesPerRow := (12*c.NNZ() + 8*len(c.rows) + len(c.rows) - 1) / len(c.rows)
-	n := targetBytes / bytesPerRow
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// Batches invokes fn on successive contiguous blocks of at most size rows,
-// in row order. The blocks are subslices of Rows — no copying, no
-// allocation — so a pass over all batches streams the slabs front to back.
-func (c *CSR) Batches(size int, fn func(batch []glm.Example)) {
-	if size <= 0 {
-		panic(fmt.Sprintf("data: Batches(%d)", size))
-	}
-	for lo := 0; lo < len(c.rows); lo += size {
-		hi := lo + size
-		if hi > len(c.rows) {
-			hi = len(c.rows)
-		}
-		fn(c.rows[lo:hi])
-	}
-}

@@ -49,50 +49,3 @@ func TestPackExamplesRowsAreSlabContiguous(t *testing.T) {
 		t.Error("row views should be capacity-clamped (three-index slices)")
 	}
 }
-
-func TestBatchesCoverAllRowsInOrderWithoutAllocating(t *testing.T) {
-	d := Generate(Spec{Name: "t", Rows: 103, Cols: 60, NNZPerRow: 4, Seed: 2})
-	c := PackExamples(d.Examples)
-	var seen int
-	c.Batches(16, func(batch []glm.Example) {
-		for _, e := range batch {
-			if e.Label != d.Examples[seen].Label {
-				t.Fatalf("row %d out of order", seen)
-			}
-			seen++
-		}
-	})
-	if seen != c.NumRows() {
-		t.Fatalf("batches covered %d rows, want %d", seen, c.NumRows())
-	}
-	sum := 0.0
-	allocs := testing.AllocsPerRun(20, func() {
-		c.Batches(16, func(batch []glm.Example) {
-			for _, e := range batch {
-				for _, v := range e.X.Val {
-					sum += v
-				}
-			}
-		})
-	})
-	if allocs != 0 {
-		t.Errorf("batch iteration allocates %.1f times per pass, want 0", allocs)
-	}
-	_ = sum
-}
-
-func TestBlockRowsTargetsCacheBlock(t *testing.T) {
-	d := Generate(Spec{Name: "t", Rows: 1000, Cols: 500, NNZPerRow: 8, Seed: 3})
-	c := PackExamples(d.Examples)
-	n := c.BlockRows(0)
-	if n < 1 {
-		t.Fatalf("BlockRows = %d", n)
-	}
-	perRow := 12 * c.NNZ() / c.NumRows()
-	if got := n * perRow; got > 2*DefaultBlockBytes {
-		t.Errorf("block of %d rows spans ~%d slab bytes, want ≤ ~%d", n, got, DefaultBlockBytes)
-	}
-	if c.BlockRows(1) != 1 {
-		t.Errorf("tiny target should clamp to one row")
-	}
-}

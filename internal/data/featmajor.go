@@ -136,28 +136,11 @@ func (gs *GradStream) Prepare() {
 	if gs.f == nil {
 		return
 	}
-	c, lo, hi := gs.v.c, gs.v.lo, gs.v.hi
 	if !gs.withLoss {
 		DerivsInto(gs.obj.Loss, gs.w, gs.v, gs.derivs)
 		return
 	}
-	blk := c.BlockRows(0)
-	switch gs.obj.Loss.(type) {
-	case glm.Hinge:
-		for b := lo; b < hi; b += blk {
-			gs.lossSum = derivLossHinge(c, b, minInt(b+blk, hi), gs.w, gs.derivs[b-lo:], gs.lossSum)
-		}
-	case glm.Logistic:
-		for b := lo; b < hi; b += blk {
-			gs.lossSum = derivLossLogistic(c, b, minInt(b+blk, hi), gs.w, gs.derivs[b-lo:], gs.lossSum)
-		}
-	case glm.Squared:
-		for b := lo; b < hi; b += blk {
-			gs.lossSum = derivLossSquared(c, b, minInt(b+blk, hi), gs.w, gs.derivs[b-lo:], gs.lossSum)
-		}
-	default:
-		noKernel(gs.obj.Loss)
-	}
+	gs.lossSum = derivLoss(gs.obj.Loss, gs.v.c, gs.v.lo, gs.v.hi, gs.w, gs.derivs)
 }
 
 // PrepareWork is the virtual charge of pass 1: half the stream's totalWork.
@@ -175,7 +158,7 @@ func (gs *GradStream) Produce(lo, hi int) {
 	if gs.f == nil {
 		return
 	}
-	colHi := minInt(minInt(hi, gs.f.cols), minInt(gs.dim, len(gs.w)))
+	colHi := min(hi, gs.f.cols, gs.dim, len(gs.w))
 	if lo >= colHi {
 		return
 	}
@@ -200,18 +183,16 @@ func (gs *GradStream) Work(lo, hi int) float64 {
 	if gs.f == nil || gs.nnz == 0 {
 		return 0
 	}
-	clo, chi := minInt(lo, gs.f.cols), minInt(hi, gs.f.cols)
+	clo, chi := min(lo, gs.f.cols), min(hi, gs.f.cols)
 	return gs.half * float64(gs.f.colPtr[chi]-gs.f.colPtr[clo]) / gs.nnz
 }
 
-// ---- pass 1: out[r-lo] = l'(<w,x_r>, y_r) and sum += l(<w,x_r>, y_r) ----
-//
-// The derivs* bodies with the loss value folded in: one margin per row
-// feeds both quantities, exactly like the fused gradLoss* bodies (the
-// logistic case shares the exponential via logisticValueDeriv), so the
-// derivative and loss bits match the single-pass kernels.
-
-func derivLossHinge(c *CSR, lo, hi int, w, out []float64, sum float64) float64 {
+// derivLoss is pass 1 with the loss: out[r-lo] = l'(<w,x_r>, y_r) and the
+// returned Σ l(<w,x_r>, y_r). It is the derivs body with the loss value
+// folded in: one margin per row feeds loss.ValueDeriv, exactly like the
+// fused gradLoss body, so the derivative and loss bits match the single-pass
+// kernels.
+func derivLoss(loss glm.Loss, c *CSR, lo, hi int, w, out []float64) (sum float64) {
 	rp, ind, val, lbl := c.rowPtr, c.ind, c.val, c.labels
 	n := int32(len(w))
 	trunc := c.maxInd >= n
@@ -224,49 +205,9 @@ func derivLossHinge(c *CSR, lo, hi int, w, out []float64, sum float64) float64 {
 		for p, ix := range rIx {
 			m += w[ix] * rVal[p]
 		}
-		y := lbl[r]
-		sum += glm.Hinge{}.Value(m, y)
-		out[r-lo] = glm.Hinge{}.Deriv(m, y)
-	}
-	return sum
-}
-
-func derivLossLogistic(c *CSR, lo, hi int, w, out []float64, sum float64) float64 {
-	rp, ind, val, lbl := c.rowPtr, c.ind, c.val, c.labels
-	n := int32(len(w))
-	trunc := c.maxInd >= n
-	for r := lo; r < hi; r++ {
-		rs, re := rp[r], rp[r+1]
-		end := rowPrefix(ind, rs, re, n, trunc)
-		rIx, rVal := ind[rs:end], val[rs:end]
-		rVal = rVal[:len(rIx)] // same length by construction; lets the compiler drop the rVal[p] bounds checks
-		m := 0.0
-		for p, ix := range rIx {
-			m += w[ix] * rVal[p]
-		}
-		v, d := logisticValueDeriv(m, lbl[r])
+		v, d := loss.ValueDeriv(m, lbl[r])
 		sum += v
 		out[r-lo] = d
-	}
-	return sum
-}
-
-func derivLossSquared(c *CSR, lo, hi int, w, out []float64, sum float64) float64 {
-	rp, ind, val, lbl := c.rowPtr, c.ind, c.val, c.labels
-	n := int32(len(w))
-	trunc := c.maxInd >= n
-	for r := lo; r < hi; r++ {
-		rs, re := rp[r], rp[r+1]
-		end := rowPrefix(ind, rs, re, n, trunc)
-		rIx, rVal := ind[rs:end], val[rs:end]
-		rVal = rVal[:len(rIx)] // same length by construction; lets the compiler drop the rVal[p] bounds checks
-		m := 0.0
-		for p, ix := range rIx {
-			m += w[ix] * rVal[p]
-		}
-		y := lbl[r]
-		sum += glm.Squared{}.Value(m, y)
-		out[r-lo] = glm.Squared{}.Deriv(m, y)
 	}
 	return sum
 }

@@ -2,7 +2,7 @@ package data_test
 
 // Gradient-stream bit-identity: the two-pass feature-major producer must
 // reproduce the per-Example reference (glm.Objective.AddGradient / LossSum)
-// Float64bits-exactly — for every monomorphized loss, under model
+// Float64bits-exactly — for every loss of kernelObjectives, under model
 // truncation, on sub-views, and for any block partitioning of the
 // coordinate range — and the block pass (Produce) must not allocate.
 

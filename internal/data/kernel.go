@@ -1,5 +1,5 @@
-// Slab kernels: loss-specialized, cache-blocked inner loops that consume
-// the CSR arena directly — the local-compute path of every trainer hot loop.
+// Slab kernels: fused inner loops that consume the CSR arena directly — the
+// local-compute path of every trainer hot loop.
 //
 // Contract (every kernel, every loss):
 //
@@ -14,90 +14,47 @@
 //     measure (full row NNZ, counting truncated entries, exactly like
 //     glm.Objective.AddGradient).
 //
-// Dispatch monomorphizes per loss: one type switch per kernel call selects a
-// hand-specialized body for hinge/logistic/squared in which the loss
-// derivative is a static, inlinable call on the concrete loss struct
-// (kernel_losses.go). Those three are every loss glm.LossByName can return;
-// any other glm.Loss panics. The zero View has no rows, so every block loop
-// runs zero times and no kernel touches its nil arena (AddGradientRows takes
-// row indices, which a zero View cannot have).
+// Each kernel has one body (kernel_losses.go) that takes the loss as a
+// glm.Loss value and calls it once per row, so any glm.Loss works and this
+// package names no concrete loss. Measured against per-loss copies of the
+// same bodies with the loss inlined (BenchmarkSlabKernels compiled against
+// both, alternating runs), the call costs 1.5–3.5 ns a row: visible at 2
+// nonzeros per row on the kernels that compute little more than the margin
+// of a branch-only loss (LossSum, DerivsInto, GradStream.Prepare: +15–30 %),
+// inside run-to-run spread at 15 and 64 — Table I's datasets have 11–115.
+// Every exported entry point is a zero-row guard — the zero View has a nil
+// arena — and one call over the view's arena rows [lo, hi).
 package data
 
-import (
-	"fmt"
-
-	"mllibstar/internal/glm"
-)
-
-// noKernel is the default arm of every loss switch below.
-func noKernel(loss glm.Loss) {
-	panic(fmt.Sprintf("data: no slab kernel for loss %T", loss))
-}
+import "mllibstar/internal/glm"
 
 // AddGradient accumulates the loss gradient over the view's rows into g,
 // exactly like glm.Objective.AddGradient over Examples(): g += Σ l'(<w,x>,
-// y)·x, returning nonzeros touched. It runs the fused margin→deriv→axpy slab
-// pass in BlockRows-sized cache blocks.
+// y)·x, returning nonzeros touched, in one fused margin→deriv→axpy slab pass.
 func AddGradient(obj glm.Objective, w []float64, v View, g []float64) (nnz int) {
-	blk := v.BlockRows(0)
-	switch obj.Loss.(type) {
-	case glm.Hinge:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			nnz += addGradHinge(v.c, lo, minInt(lo+blk, v.hi), w, g)
-		}
-	case glm.Logistic:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			nnz += addGradLogistic(v.c, lo, minInt(lo+blk, v.hi), w, g)
-		}
-	case glm.Squared:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			nnz += addGradSquared(v.c, lo, minInt(lo+blk, v.hi), w, g)
-		}
-	default:
-		noKernel(obj.Loss)
+	if v.NumRows() == 0 {
+		return 0
 	}
-	return nnz
+	return addGrad(obj.Loss, v.c, v.lo, v.hi, w, g)
 }
 
 // AddGradientRows is AddGradient restricted to the given view-relative row
 // indices, in order — the sampled mini-batch gradient of the SendGradient
 // trainers, computed without gathering the rows into a fresh slice.
 func AddGradientRows(obj glm.Objective, w []float64, v View, rows []int32, g []float64) (nnz int) {
-	switch obj.Loss.(type) {
-	case glm.Hinge:
-		return addGradRowsHinge(v.c, v.lo, rows, w, g)
-	case glm.Logistic:
-		return addGradRowsLogistic(v.c, v.lo, rows, w, g)
-	case glm.Squared:
-		return addGradRowsSquared(v.c, v.lo, rows, w, g)
+	if len(rows) == 0 {
+		return 0
 	}
-	noKernel(obj.Loss)
-	return 0
+	return addGradRows(obj.Loss, v.c, v.lo, rows, w, g)
 }
 
 // LossSum returns Σ l(<w,x>, y) over the view's rows, bit-identical to
-// glm.Objective.LossSum over Examples(): the slab bodies thread one running
-// sum through the cache blocks so the summation order is exactly the
-// reference's row order.
-func LossSum(obj glm.Objective, w []float64, v View) (sum float64) {
-	blk := v.BlockRows(0)
-	switch obj.Loss.(type) {
-	case glm.Hinge:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			sum = lossSumHinge(v.c, lo, minInt(lo+blk, v.hi), w, sum)
-		}
-	case glm.Logistic:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			sum = lossSumLogistic(v.c, lo, minInt(lo+blk, v.hi), w, sum)
-		}
-	case glm.Squared:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			sum = lossSumSquared(v.c, lo, minInt(lo+blk, v.hi), w, sum)
-		}
-	default:
-		noKernel(obj.Loss)
+// glm.Objective.LossSum over Examples(): one running sum in row order.
+func LossSum(obj glm.Objective, w []float64, v View) float64 {
+	if v.NumRows() == 0 {
+		return 0
 	}
-	return sum
+	return lossSum(obj.Loss, v.c, v.lo, v.hi, w)
 }
 
 // GradAndLoss computes AddGradient and LossSum in one fused slab pass:
@@ -109,28 +66,10 @@ func LossSum(obj glm.Objective, w []float64, v View) (sum float64) {
 // is the L-BFGS superstep hot path, where every iteration needs exactly this
 // gradient/loss pair.
 func GradAndLoss(obj glm.Objective, w []float64, v View, g []float64) (lossSum float64, nnz int) {
-	blk := v.BlockRows(0)
-	var n int
-	switch obj.Loss.(type) {
-	case glm.Hinge:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			lossSum, n = gradLossHinge(v.c, lo, minInt(lo+blk, v.hi), w, g, lossSum)
-			nnz += n
-		}
-	case glm.Logistic:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			lossSum, n = gradLossLogistic(v.c, lo, minInt(lo+blk, v.hi), w, g, lossSum)
-			nnz += n
-		}
-	case glm.Squared:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			lossSum, n = gradLossSquared(v.c, lo, minInt(lo+blk, v.hi), w, g, lossSum)
-			nnz += n
-		}
-	default:
-		noKernel(obj.Loss)
+	if v.NumRows() == 0 {
+		return 0, 0
 	}
-	return lossSum, nnz
+	return gradLoss(obj.Loss, v.c, v.lo, v.hi, w, g)
 }
 
 // Value returns the full objective f(w) = (1/n)·Σ l + Ω(w) over the view,
@@ -147,23 +86,10 @@ func Value(obj glm.Objective, w []float64, v View) float64 {
 // constant during accumulation, so derivatives computed up front are
 // bit-identical to ones computed interleaved with the adds.
 func DerivsInto(loss glm.Loss, w []float64, v View, out []float64) {
-	blk := v.BlockRows(0)
-	switch loss.(type) {
-	case glm.Hinge:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			derivsHinge(v.c, lo, minInt(lo+blk, v.hi), w, out[lo-v.lo:])
-		}
-	case glm.Logistic:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			derivsLogistic(v.c, lo, minInt(lo+blk, v.hi), w, out[lo-v.lo:])
-		}
-	case glm.Squared:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			derivsSquared(v.c, lo, minInt(lo+blk, v.hi), w, out[lo-v.lo:])
-		}
-	default:
-		noKernel(loss)
+	if v.NumRows() == 0 {
+		return
 	}
+	derivs(loss, v.c, v.lo, v.hi, w, out)
 }
 
 // SGDPassPlain runs one epoch of unregularized per-example SGD over the
@@ -171,70 +97,30 @@ func DerivsInto(loss glm.Loss, w []float64, v View, out []float64) {
 // slab pass. sched is indexed exactly like opt.LocalPass: stepBase plus the
 // view-relative row number.
 func SGDPassPlain(loss glm.Loss, w []float64, v View, sched func(int) float64, stepBase int) (work int) {
-	blk := v.BlockRows(0)
-	base := stepBase - v.lo // sched argument for arena row r is base + r
-	switch loss.(type) {
-	case glm.Hinge:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			work += sgdPlainHinge(v.c, lo, minInt(lo+blk, v.hi), w, sched, base)
-		}
-	case glm.Logistic:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			work += sgdPlainLogistic(v.c, lo, minInt(lo+blk, v.hi), w, sched, base)
-		}
-	case glm.Squared:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			work += sgdPlainSquared(v.c, lo, minInt(lo+blk, v.hi), w, sched, base)
-		}
-	default:
-		noKernel(loss)
+	if v.NumRows() == 0 {
+		return 0
 	}
-	return work
+	// The sched argument for arena row r is stepBase - v.lo + r.
+	return sgdPlain(loss, v.c, v.lo, v.hi, w, sched, stepBase-v.lo)
 }
 
-// lazyRescaleThreshold mirrors opt's rescaleThreshold: the scale s of the
-// lazily scaled representation w = s·vm is renormalized below it. The two
-// constants must stay equal for bit identity with opt.LazyL2SGD.Step;
-// TestSGDPassLazyL2MatchesStep pins the behaviour.
-const lazyRescaleThreshold = 1e-9
+// LazyRescaleThreshold is the scale below which the lazily scaled
+// representation w = s·vm is renormalized (s folded into vm, s = 1) — one
+// constant for SGDPassLazyL2 and opt.LazyL2SGD.Step, which must agree bit for
+// bit.
+const LazyRescaleThreshold = 1e-9
 
 // SGDPassLazyL2 runs one epoch of L2-regularized per-example SGD over the
 // view in Bottou's scaled representation w = s·vm, replicating
 // opt.LazyL2SGD.Step exactly: per example it computes the margin s·<vm,x>,
 // folds the shrinkage (1−ηλ) into s (materializing when the factor is
 // non-positive), applies the sparse −η·l'/s update to vm, and renormalizes
-// when s falls below the rescale threshold. It returns the updated scale
+// when s falls below LazyRescaleThreshold. It returns the updated scale
 // and the accumulated work; the caller owns the final materialization (and
 // its +len(w) work), exactly as opt.LocalPassWith does.
 func SGDPassLazyL2(loss glm.Loss, vm []float64, s, lambda float64, v View, sched func(int) float64, stepBase int) (sOut float64, work int) {
-	blk := v.BlockRows(0)
-	base := stepBase - v.lo
-	var n int
-	switch loss.(type) {
-	case glm.Hinge:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			s, n = sgdLazyHinge(v.c, lo, minInt(lo+blk, v.hi), vm, s, lambda, sched, base)
-			work += n
-		}
-	case glm.Logistic:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			s, n = sgdLazyLogistic(v.c, lo, minInt(lo+blk, v.hi), vm, s, lambda, sched, base)
-			work += n
-		}
-	case glm.Squared:
-		for lo := v.lo; lo < v.hi; lo += blk {
-			s, n = sgdLazySquared(v.c, lo, minInt(lo+blk, v.hi), vm, s, lambda, sched, base)
-			work += n
-		}
-	default:
-		noKernel(loss)
+	if v.NumRows() == 0 {
+		return s, 0
 	}
-	return s, work
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return sgdLazy(loss, v.c, v.lo, v.hi, vm, s, lambda, sched, stepBase-v.lo)
 }

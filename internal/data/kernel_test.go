@@ -3,13 +3,12 @@ package data_test
 // Slab-kernel bit-identity at the data layer: every kernel entry point must
 // produce Float64bits-identical numbers and identical work counts to the
 // per-Example reference in glm / opt — including when the model is
-// shorter than the feature space (the vec.Dot/vec.Axpy truncation rule), on
-// sub-views, and across cache-block boundaries. External test package: the
-// reference SGD implementations live in opt, which imports data.
+// shorter than the feature space (the vec.Dot/vec.Axpy truncation rule) and
+// on sub-views. External test package: the reference SGD implementations
+// live in opt, which imports data.
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"mllibstar/internal/data"
@@ -18,8 +17,34 @@ import (
 	"mllibstar/internal/vec"
 )
 
-// kernelObjectives covers every monomorphized loss, each with and without an
-// L2 term (the regularizer only matters for the SGD passes).
+// customLoss is a loss glm.LossByName cannot return — the squared hinge
+// max(0, 1 − y·margin)²/2. The kernel bodies take the loss as a value, so it
+// must come out bit-identical to the reference like the built-in three.
+type customLoss struct{}
+
+func (customLoss) Name() string { return "custom" }
+
+func (customLoss) Value(margin, y float64) float64 {
+	if v := 1 - y*margin; v > 0 {
+		return v * v / 2
+	}
+	return 0
+}
+
+func (customLoss) Deriv(margin, y float64) float64 {
+	if v := 1 - y*margin; v > 0 {
+		return -y * v
+	}
+	return 0
+}
+
+func (l customLoss) ValueDeriv(margin, y float64) (value, deriv float64) {
+	return l.Value(margin, y), l.Deriv(margin, y)
+}
+
+// kernelObjectives covers every loss glm.LossByName returns plus customLoss,
+// each with and without an L2 term (the regularizer only matters for the SGD
+// passes).
 func kernelObjectives() []struct {
 	name string
 	obj  glm.Objective
@@ -34,20 +59,17 @@ func kernelObjectives() []struct {
 		{"logistic-l2", glm.LogReg(0.1)},
 		{"squared", glm.Objective{Loss: glm.Squared{}, Reg: glm.None{}}},
 		{"squared-l2", glm.Objective{Loss: glm.Squared{}, Reg: glm.L2{Strength: 0.1}}},
+		{"custom", glm.Objective{Loss: customLoss{}, Reg: glm.None{}}},
+		{"custom-l2", glm.Objective{Loss: customLoss{}, Reg: glm.L2{Strength: 0.1}}},
 	}
 }
 
-// kernelView builds a dataset large enough that the blocked kernels cross
-// several cache-block boundaries (BlockRows is far below 4000 rows at this
-// density), with enough columns that a short model exercises truncation.
+// kernelView builds a dataset with enough columns that a short model
+// exercises truncation.
 func kernelView(t *testing.T) (data.View, int) {
 	t.Helper()
 	d := data.Generate(data.Spec{Name: "k", Rows: 4000, Cols: 120, NNZPerRow: 8, Seed: 11, NoiseRate: 0.05})
-	v := data.ViewOf(d.Examples)
-	if blk := v.BlockRows(0); blk >= v.NumRows() {
-		t.Fatalf("BlockRows(0) = %d covers all %d rows; test would not cross blocks", blk, v.NumRows())
-	}
-	return v, d.Features
+	return data.ViewOf(d.Examples), d.Features
 }
 
 // testModel returns a deterministic non-trivial model of length n.
@@ -134,8 +156,8 @@ func TestKernelLossSumAndValueMatchInterface(t *testing.T) {
 
 // TestKernelGradAndLossMatchesTwoPasses pins the fused kernel against the
 // two-pass interface path it replaces: same gradient bits, same loss-sum
-// bits (the logistic body shares one exponential between value and
-// derivative — the branch arithmetic must reproduce each method exactly).
+// bits (the body calls loss.ValueDeriv once per row, which for the logistic
+// loss shares one exponential between value and derivative).
 func TestKernelGradAndLossMatchesTwoPasses(t *testing.T) {
 	v, dim := kernelView(t)
 	for _, tc := range kernelObjectives() {
@@ -196,9 +218,8 @@ func TestKernelSGDPassPlainMatchesLocalPass(t *testing.T) {
 
 // TestSGDPassLazyL2MatchesStep pins the lazy-L2 kernel to opt.LazyL2SGD.Step
 // example by example, including the scaled-representation bookkeeping (the
-// shrink fold, the post-shrink −η·l'/s update, and the rescale threshold —
-// data.lazyRescaleThreshold must equal opt's rescaleThreshold for this to
-// hold).
+// shrink fold, the post-shrink −η·l'/s update, and the renormalization below
+// data.LazyRescaleThreshold).
 func TestSGDPassLazyL2MatchesStep(t *testing.T) {
 	v, dim := kernelView(t)
 	sub := v.Sub(0, 2000)
@@ -238,52 +259,91 @@ func TestSGDPassLazyL2MatchesStep(t *testing.T) {
 	}
 }
 
-// customLoss is a loss glm.LossByName cannot return.
-type customLoss struct{ glm.Squared }
+// TestKernelFusedBodiesSmallRanges drives the two bodies that fuse value and
+// derivative — gradLoss (two-row software pipelining: pair loop plus odd
+// tail) and derivLoss (GradStream pass 1) — over every short range shape: 0
+// to 3 rows, starting at even and odd arena rows, across an empty row, with
+// a full model and one short enough to truncate rows (one of them to
+// nothing).
+func TestKernelFusedBodiesSmallRanges(t *testing.T) {
+	const dim = 12
+	row := func(label float64, ind []int32, val []float64) glm.Example {
+		return glm.Example{Label: label, X: vec.Sparse{Ind: ind, Val: val}}
+	}
+	v := data.ViewOf([]glm.Example{
+		row(1, []int32{0, 3, 11}, []float64{0.5, -1.25, 2}),
+		row(-1, []int32{1, 2, 4, 5, 9}, []float64{1, 0.75, -0.5, 3, 0.125}),
+		row(1, nil, nil), // empty row: margin 0, work 0
+		row(-1, []int32{7, 8, 10, 11}, []float64{-2, 0.25, 1.5, 1}), // wholly cut by the short model
+		row(1, []int32{2}, []float64{4}),
+		row(1, []int32{0, 1, 2, 3, 4, 5, 6}, []float64{1, -1, 1, -1, 1, -1, 1}),
+	})
+	for _, tc := range kernelObjectives() {
+		for _, n := range []int{dim, 5} {
+			w := testModel(n)
+			for start := 0; start <= 3; start++ {
+				for rows := 0; rows <= 3; rows++ {
+					sub := v.Sub(start, start+rows)
+					want := make([]float64, n+1)
+					wantWork := tc.obj.AddGradient(w, sub.Examples(), want[:n])
+					want[n] = tc.obj.LossSum(w, sub.Examples())
 
-func (customLoss) Name() string { return "custom" }
+					got := make([]float64, n+1)
+					loss, work := data.GradAndLoss(tc.obj, w, sub, got[:n])
+					got[n] = loss
+					if work != wantWork {
+						t.Errorf("%s dim=%d rows [%d,%d): work %d (fused) != %d (reference)", tc.name, n, start, start+rows, work, wantWork)
+					}
+					requireBitsEqual(t, tc.name+" GradAndLoss", got, want)
 
-func TestKernelUnknownLossPanics(t *testing.T) {
-	v, dim := kernelView(t)
-	obj := glm.Objective{Loss: customLoss{}, Reg: glm.None{}}
-	w := testModel(dim)
-	g := make([]float64, dim+1)
-	for name, fn := range map[string]func(){
-		"AddGradient":     func() { data.AddGradient(obj, w, v, g[:dim]) },
-		"AddGradientRows": func() { data.AddGradientRows(obj, w, v, []int32{0}, g[:dim]) },
-		"LossSum":         func() { data.LossSum(obj, w, v) },
-		"GradAndLoss":     func() { data.GradAndLoss(obj, w, v, g[:dim]) },
-		"DerivsInto":      func() { data.DerivsInto(obj.Loss, w, v, make([]float64, v.NumRows())) },
-		"SGDPassPlain":    func() { data.SGDPassPlain(obj.Loss, w, v, opt.Const(0.1), 0) },
-		"SGDPassLazyL2":   func() { data.SGDPassLazyL2(obj.Loss, w, 1, 0.1, v, opt.Const(0.1), 0) },
-		"GradStream":      func() { data.NewGradStream(obj, w, v, g, true, 0).Prepare() },
-	} {
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, "customLoss") {
-					t.Errorf("%s: panic %q does not name the loss type", name, msg)
+					streamed := make([]float64, n+1)
+					gs := data.NewGradStream(tc.obj, w, sub, streamed, true, float64(sub.NNZ())*2)
+					gs.Prepare()
+					gs.Produce(0, n+1)
+					requireBitsEqual(t, tc.name+" GradStream", streamed, want)
 				}
-			}()
-			fn()
-			t.Errorf("%s accepted an unknown loss", name)
-		}()
+			}
+		}
 	}
 }
 
 func TestKernelEmptyView(t *testing.T) {
 	obj := glm.SVM(0.1)
 	w := testModel(8)
+	// The zero View has a nil arena: every entry point must return zero work
+	// without touching it.
 	var empty data.View
-	if nnz := data.AddGradient(obj, w, empty, make([]float64, 8)); nnz != 0 {
+	g := make([]float64, 9)
+	if nnz := data.AddGradient(obj, w, empty, g[:8]); nnz != 0 {
 		t.Errorf("empty AddGradient work = %d", nnz)
 	}
+	if nnz := data.AddGradientRows(obj, w, empty, nil, g[:8]); nnz != 0 {
+		t.Errorf("empty AddGradientRows work = %d", nnz)
+	}
+	if sum := data.LossSum(obj, w, empty); sum != 0 {
+		t.Errorf("empty LossSum = %v", sum)
+	}
+	if sum, nnz := data.GradAndLoss(obj, w, empty, g[:8]); sum != 0 || nnz != 0 {
+		t.Errorf("empty GradAndLoss = %v, work %d", sum, nnz)
+	}
+	data.DerivsInto(obj.Loss, w, empty, nil)
 	if got, want := data.Value(obj, w, empty), obj.Reg.Value(w); math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("empty Value = %v, want Reg-only %v", got, want)
 	}
 	if work := data.SGDPassPlain(obj.Loss, w, empty, opt.Const(0.1), 0); work != 0 {
 		t.Errorf("empty SGDPassPlain work = %d", work)
 	}
+	if s, work := data.SGDPassLazyL2(obj.Loss, w, 0.5, 0.1, empty, opt.Const(0.1), 0); s != 0.5 || work != 0 {
+		t.Errorf("empty SGDPassLazyL2 = scale %v, work %d", s, work)
+	}
+	g[8] = math.NaN()
+	gs := data.NewGradStream(obj, w, empty, g, true, 0)
+	gs.Prepare()
+	gs.Produce(0, len(g))
+	if work := gs.PrepareWork() + gs.Work(0, len(g)); work != 0 {
+		t.Errorf("empty GradStream work = %v", work)
+	}
+	requireBitsEqual(t, "gradient and loss slot after empty passes", g, make([]float64, 9))
 	// The L2 pass over no rows still materializes the model once.
 	if work := opt.LocalPassView(obj, w, empty, opt.Const(0.1), 0, nil); work != len(w) {
 		t.Errorf("empty L2 LocalPassView work = %d, want len(w) = %d", work, len(w))

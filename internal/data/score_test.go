@@ -67,13 +67,6 @@ func partitionBlocks(dim, k, i int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // shardedMargins scores the batch with k block-aligned shards and folds the
 // partials in shard order, exactly like the serving router.
 func shardedMargins(v View, w []float64, k int) []float64 {

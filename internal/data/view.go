@@ -66,11 +66,3 @@ func (v View) Row(i int) (label float64, ind []int32, val []float64) {
 	lo, hi := v.c.rowPtr[r], v.c.rowPtr[r+1]
 	return v.c.rows[r].Label, v.c.ind[lo:hi:hi], v.c.val[lo:hi:hi]
 }
-
-// BlockRows returns the arena's cache-block size in rows (see CSR.BlockRows).
-func (v View) BlockRows(targetBytes int) int {
-	if v.c == nil {
-		return 1
-	}
-	return v.c.BlockRows(targetBytes)
-}

@@ -38,9 +38,6 @@ func NewBarrier(sim *Sim, name string, n int) *Barrier {
 	return &Barrier{sim: sim, name: name, n: n}
 }
 
-// N returns the number of participants.
-func (b *Barrier) N() int { return b.n }
-
 // Arrive registers p at the barrier and blocks until the current generation
 // completes. It returns the generation number that was completed, which
 // callers can use to detect missed supersteps.
@@ -86,9 +83,6 @@ type Signal struct {
 func NewSignal(sim *Sim, name string) *Signal {
 	return &Signal{sim: sim, name: name}
 }
-
-// Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
 
 // Fire releases all current and future waiters. Firing twice is a no-op.
 func (s *Signal) Fire() {

@@ -65,10 +65,6 @@ func NewQueue[T any](sim *Sim, name string) *Queue[T] {
 	return &Queue[T]{sim: sim, name: name}
 }
 
-// Len returns the number of values currently buffered (not counting values
-// already assigned to blocked getters).
-func (q *Queue[T]) Len() int { return q.items.len() }
-
 // Put appends v to the queue. If a process is blocked on Get, the value is
 // assigned to the longest-waiting getter, which is woken at the current
 // virtual time. Put may be called from any process or before Run.

@@ -78,6 +78,3 @@ func (r *Resource) ReserveAt(at, service float64) (start, end float64) {
 // BusyTime returns the cumulative time the resource has spent serving
 // requests (including time booked in the future by Reserve).
 func (r *Resource) BusyTime() float64 { return r.busy }
-
-// FreeAt returns the virtual time at which the resource next becomes idle.
-func (r *Resource) FreeAt() float64 { return r.freeAt }

@@ -40,6 +40,3 @@ func (a *Accumulator) commit(stage, index, attempt int) {
 
 // Value returns the committed total. Driver-side only.
 func (a *Accumulator) Value() float64 { return a.committed }
-
-// Name returns the accumulator's name.
-func (a *Accumulator) Name() string { return a.name }

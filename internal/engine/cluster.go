@@ -164,11 +164,6 @@ func (ex *Executor) ChargeAsync(p *des.Proc, work float64, fn func()) {
 	ex.node.ComputeAsyncKind(p, work*ex.factor(), trace.Compute, "", fn)
 }
 
-// ChargeAsyncKind is ChargeAsync with an explicit trace kind and note.
-func (ex *Executor) ChargeAsyncKind(p *des.Proc, work float64, kind trace.Kind, note string, fn func()) {
-	ex.node.ComputeAsyncKind(p, work*ex.factor(), kind, note, fn)
-}
-
 // factor returns the straggler multiplier in effect for the current task.
 func (ex *Executor) factor() float64 {
 	if ex.slowdown > 1 {

@@ -62,9 +62,3 @@ func (s *Sender) Send(to, tag string, bytes float64, payload any) {
 // Close stops the drain process once the messages already enqueued have been
 // sent. It must be called exactly once.
 func (s *Sender) Close() { s.jobs.Put(sendJob{}) }
-
-// Join blocks p until the drain process has transmitted everything and
-// exited (Close must have been called first). Callers that only need the
-// messages delivered can skip it: a receiver holding a message implies its
-// send completed.
-func (s *Sender) Join(p *des.Proc) { s.join.Wait(p) }

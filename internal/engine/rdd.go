@@ -30,9 +30,6 @@ func (r *RDD[T]) NumPartitions() int { return r.parts }
 // ID returns the RDD's unique id (used by Executor.DropCache).
 func (r *RDD[T]) ID() int { return r.id }
 
-// Name returns the RDD's debug name.
-func (r *RDD[T]) Name() string { return r.name }
-
 // Cache marks the RDD so computed partitions are stored in executor block
 // stores and reused. It returns the receiver for chaining.
 func (r *RDD[T]) Cache() *RDD[T] {

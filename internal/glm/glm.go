@@ -24,9 +24,6 @@ type Example struct {
 	X     vec.Sparse
 }
 
-// NNZ returns the number of nonzero features of the example.
-func (e Example) NNZ() int { return e.X.NNZ() }
-
 // Loss is a margin-based loss l(margin, y), where margin = <w, x>.
 type Loss interface {
 	// Name identifies the loss in configs and reports.
@@ -35,6 +32,10 @@ type Loss interface {
 	Value(margin, y float64) float64
 	// Deriv returns ∂l/∂margin; the gradient w.r.t. the model is Deriv·x.
 	Deriv(margin, y float64) float64
+	// ValueDeriv returns (Value, Deriv) of one margin, bit for bit, sharing
+	// whatever the two have in common — the fused gradient-and-loss kernels
+	// call it once per row.
+	ValueDeriv(margin, y float64) (value, deriv float64)
 }
 
 // Hinge is the SVM loss max(0, 1 - y·margin) — the workload of the paper's
@@ -55,6 +56,10 @@ func (Hinge) Deriv(margin, y float64) float64 {
 		return -y
 	}
 	return 0
+}
+
+func (l Hinge) ValueDeriv(margin, y float64) (value, deriv float64) {
+	return l.Value(margin, y), l.Deriv(margin, y)
 }
 
 // Logistic is the logistic-regression loss log(1 + exp(-y·margin)).
@@ -81,6 +86,19 @@ func (Logistic) Deriv(margin, y float64) float64 {
 	return -y / (1 + math.Exp(z))
 }
 
+// ValueDeriv is Value and Deriv fused on the shared exponential: per branch
+// this is the exact operation sequence of each method, with exp computed
+// once.
+func (Logistic) ValueDeriv(margin, y float64) (value, deriv float64) {
+	if z := y * margin; z > 0 {
+		e := math.Exp(-z)
+		return math.Log1p(e), -y * e / (1 + e)
+	} else {
+		e := math.Exp(z)
+		return -z + math.Log1p(e), -y / (1 + e)
+	}
+}
+
 // Squared is the least-squares loss (margin - y)²/2.
 type Squared struct{}
 
@@ -89,6 +107,10 @@ func (Squared) Name() string { return "squared" }
 func (Squared) Value(margin, y float64) float64 { d := margin - y; return d * d / 2 }
 
 func (Squared) Deriv(margin, y float64) float64 { return margin - y }
+
+func (l Squared) ValueDeriv(margin, y float64) (value, deriv float64) {
+	return l.Value(margin, y), l.Deriv(margin, y)
+}
 
 // LossByName returns the loss with the given Name.
 func LossByName(name string) (Loss, error) {

@@ -70,6 +70,28 @@ func TestLossDerivMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
+// TestValueDerivMatchesValueAndDeriv: the fused form every gradient-and-loss
+// kernel calls is bit for bit the two methods it fuses — at zero, at the
+// smallest magnitudes, around the hinge kink, where exp saturates and where
+// it overflows, on both sides of the logistic z = y·margin branch.
+func TestValueDerivMatchesValueAndDeriv(t *testing.T) {
+	margins := []float64{0, math.Copysign(0, -1)}
+	for _, m := range []float64{math.SmallestNonzeroFloat64, 1e-300, 1e-9, 0.3, 1, math.Nextafter(1, 2), 2.5, 40, 800} {
+		margins = append(margins, m, -m)
+	}
+	for _, l := range []Loss{Hinge{}, Logistic{}, Squared{}} {
+		for _, y := range []float64{-1, 1} {
+			for _, m := range margins {
+				v, d := l.ValueDeriv(m, y)
+				if wv, wd := l.Value(m, y), l.Deriv(m, y); math.Float64bits(v) != math.Float64bits(wv) || math.Float64bits(d) != math.Float64bits(wd) {
+					t.Errorf("%s: ValueDeriv(%g, %g) = (%x, %x), want (Value, Deriv) = (%x, %x)", l.Name(), m, y,
+						math.Float64bits(v), math.Float64bits(d), math.Float64bits(wv), math.Float64bits(wd))
+				}
+			}
+		}
+	}
+}
+
 func TestRegularizers(t *testing.T) {
 	w := []float64{3, -4, 0}
 	l2 := L2{Strength: 0.1}

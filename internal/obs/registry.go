@@ -125,23 +125,10 @@ func (f *Family) Add(v float64, labelVals ...string) {
 	f.add(v, labelVals...)
 }
 
-// Set sets a gauge series to v.
-func (f *Family) Set(v float64, labelVals ...string) {
-	f.reg.mu.Lock()
-	defer f.reg.mu.Unlock()
-	f.set(v, labelVals...)
-}
-
-// Observe records one histogram observation.
-func (f *Family) Observe(v float64, labelVals ...string) {
-	f.reg.mu.Lock()
-	defer f.reg.mu.Unlock()
-	f.observe(v, labelVals...)
-}
-
-// add, set and observe are Add, Set and Observe for a caller that already
-// holds the registry lock: Sink.Registry folds a whole batch of events under
-// one acquisition, so an exposition never sees part of an event.
+// add, set and observe update a counter, gauge or histogram series for a
+// caller that already holds the registry lock: Sink.Registry folds a whole
+// batch of events under one acquisition, so an exposition never sees part of
+// an event.
 func (f *Family) add(v float64, labelVals ...string) {
 	if v < 0 {
 		panic(fmt.Sprintf("obs: negative counter increment %g on %s", v, f.name))

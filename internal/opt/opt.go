@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"mllibstar/internal/data"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/vec"
 )
@@ -95,9 +96,6 @@ type LazyL2SGD struct {
 	v      []float64
 }
 
-// rescaleThreshold triggers renormalization of the scaled representation.
-const rescaleThreshold = 1e-9
-
 // NewLazyL2SGD returns a lazy updater starting from a copy of w0.
 func NewLazyL2SGD(w0 []float64, lambda float64) *LazyL2SGD {
 	if lambda < 0 {
@@ -141,7 +139,7 @@ func (l *LazyL2SGD) Step(loss glm.Loss, e glm.Example, eta float64) (work int) {
 		vec.Axpy(-eta*d/l.s, e.X, l.v)
 	}
 	work += e.X.NNZ()
-	if l.s < rescaleThreshold {
+	if l.s < data.LazyRescaleThreshold {
 		l.materializeInPlace()
 		work += len(l.v)
 	}

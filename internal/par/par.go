@@ -83,10 +83,6 @@ func publish(on bool, workers int) {
 	cur.Store(&state{enabled: on, sem: make(chan struct{}, workers)})
 }
 
-// Enabled reports whether closures are currently offloaded to worker
-// threads.
-func Enabled() bool { return cur.Load().enabled }
-
 // Handle is a submitted closure's join point. A Handle may be joined more
 // than once (speculative task copies join the same computation); every Join
 // returns the same work value.

@@ -130,9 +130,6 @@ func New(sim *des.Sim, net *simnet.Network, nodeNames []string, cfg Config) (*PS
 	return p, nil
 }
 
-// Config returns the deployment configuration.
-func (p *PS) Config() Config { return p.cfg }
-
 // Range returns the contiguous model coordinate range [lo, hi) owned by
 // server i of k over a dim-coordinate model — the canonical range
 // partitioning of this package, exported so other range-sharded tiers

@@ -208,14 +208,8 @@ func New(sim *des.Sim, net *simnet.Network, names Names, cfg Config, weights []f
 	return d, nil
 }
 
-// Config returns the deployment configuration.
-func (d *Deployment) Config() Config { return d.cfg }
-
 // Epoch returns the last activated epoch.
 func (d *Deployment) Epoch() int64 { return d.epoch }
-
-// Shards returns the number of scoring shards.
-func (d *Deployment) Shards() int { return len(d.names.Shards) }
 
 // shardRange returns shard s's coordinate range.
 func (d *Deployment) shardRange(s int) (lo, hi int) {

@@ -23,7 +23,6 @@ package simnet
 
 import (
 	"fmt"
-	"sort"
 
 	"mllibstar/internal/des"
 	"mllibstar/internal/obs"
@@ -71,8 +70,6 @@ type Node struct {
 
 	bytesSent float64
 	bytesRecv float64
-	msgsSent  int
-	msgsRecv  int
 }
 
 // Network is a set of nodes sharing latency/overhead parameters, a trace
@@ -121,9 +118,6 @@ func New(sim *des.Sim, cfg Config, specs []NodeSpec, rec *trace.Recorder) *Netwo
 	return n
 }
 
-// Sim returns the underlying simulation.
-func (n *Network) Sim() *des.Sim { return n.sim }
-
 // Recorder returns the trace recorder (possibly nil).
 func (n *Network) Recorder() *trace.Recorder { return n.rec }
 
@@ -136,9 +130,6 @@ func (n *Network) Node(name string) *Node {
 	}
 	return nd
 }
-
-// Names returns node names in creation order.
-func (n *Network) Names() []string { return append([]string(nil), n.order...) }
 
 // TotalBytes returns the sum of payload bytes of every message sent so far.
 func (n *Network) TotalBytes() float64 { return n.totalBytes }
@@ -280,9 +271,7 @@ func (nd *Node) sendPhase(p *des.Proc, to, tag string, bytes float64, payload an
 		phase: ph, channel: ch, enc: enc, mid: mid,
 	}
 	nd.bytesSent += bytes
-	nd.msgsSent++
 	dst.bytesRecv += bytes
-	dst.msgsRecv++
 	nd.net.totalBytes += bytes
 	nd.net.totalMsgs++
 	dst.box(tag).Put(msg)
@@ -323,19 +312,6 @@ func (nd *Node) RecvN(p *des.Proc, tag string, count int) []*Message {
 	for len(out) < count {
 		out = append(out, nd.Recv(p, tag))
 	}
-	return out
-}
-
-// TrafficByNode returns "name sent/recv" accounting lines, sorted by name,
-// for debugging and experiment reports.
-func (n *Network) TrafficByNode() []string {
-	var out []string
-	for _, name := range n.order {
-		nd := n.nodes[name]
-		out = append(out, fmt.Sprintf("%s sent=%.0fB(%d msgs) recv=%.0fB(%d msgs)",
-			name, nd.bytesSent, nd.msgsSent, nd.bytesRecv, nd.msgsRecv))
-	}
-	sort.Strings(out)
 	return out
 }
 

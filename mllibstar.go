@@ -23,6 +23,7 @@ package mllibstar
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"mllibstar/internal/angel"
 	"mllibstar/internal/clusters"
@@ -65,6 +66,10 @@ const (
 // Systems lists every supported system.
 func Systems() []System {
 	return []System{MLlib, MLlibMA, MLlibStar, Petuum, PetuumStar, Angel, LBFGS, LBFGSStar, MLlibStarSVRG}
+}
+
+func unknownSystem(system System) error {
+	return fmt.Errorf("mllibstar: unknown system %q (valid: %q)", system, Systems())
 }
 
 // Dataset is a labelled sparse dataset (see GenerateDataset, ReadLibSVM,
@@ -246,6 +251,10 @@ func Train(ds *Dataset, cfg Config) (*Result, error) {
 	if system == "" {
 		system = MLlibStar
 	}
+	// Resolved before Partition, the most expensive setup step.
+	if !slices.Contains(Systems(), system) {
+		return nil, unknownSystem(system)
+	}
 	cluster := cfg.Cluster
 	if cluster.Executors == 0 {
 		cluster = Cluster1(8)
@@ -291,7 +300,7 @@ func Train(ds *Dataset, cfg Config) (*Result, error) {
 			Seed:            cfg.Seed,
 		}, evalData, ds.Name)
 	default:
-		return nil, fmt.Errorf("mllibstar: unknown system %q", system)
+		return nil, unknownSystem(system)
 	}
 	if err != nil {
 		return nil, err

@@ -134,6 +134,21 @@ func TestConfigErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownSystemNamesTheValidOnes: the error lists every Systems() entry,
+// and the system is resolved before the dataset is partitioned — Partition
+// panics on a negative executor count, so getting the error proves the order.
+func TestUnknownSystemNamesTheValidOnes(t *testing.T) {
+	_, err := Train(toyDataset(), Config{System: "NotASystem", Cluster: Cluster{Executors: -1}})
+	if err == nil || !strings.Contains(err.Error(), `unknown system "NotASystem"`) {
+		t.Fatalf("err = %v, want unknown system", err)
+	}
+	for _, sys := range Systems() {
+		if !strings.Contains(err.Error(), string(sys)) {
+			t.Errorf("error %q does not name %q", err, sys)
+		}
+	}
+}
+
 func TestTargetObjectiveStopsEarly(t *testing.T) {
 	res, err := Train(toyDataset(), Config{MaxSteps: 200, Eta: 0.3, Decay: true, TargetObjective: 0.8})
 	if err != nil {
