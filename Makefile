@@ -14,7 +14,8 @@ test: ## unit tests
 race: ## unit tests under the race detector
 	$(GO) test -race ./...
 
-lint: ## go vet + the repo's own analyzers, memoized in .mlstar-lint-cache.json
+lint: ## gofmt -l must list nothing; then go vet + the repo's own analyzers, memoized in .mlstar-lint-cache.json
+	@unformatted=$$(gofmt -l .) && if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/mlstar-lint -stats ./...
 
 lint-fix: ## apply SuggestedFixes in place, then assert a second pass finds nothing left (idempotency)
@@ -28,9 +29,10 @@ fuzz: ## short fuzz runs: libsvm reader + sparse encoding + telemetry event roun
 	$(GO) test -fuzz=FuzzEventEncode -fuzztime=10s ./internal/obs
 	$(GO) test -fuzz=FuzzCausalGraph -fuzztime=10s ./internal/causal
 
-bench-smoke: ## deterministic simulated-ratio floors + slab-kernel and des zero-alloc guards + slab-kernel ns/nnz per kernel, loss and row width + des ns/switch, ns/event + the ps steady-state allocation guard + the telemetry write path's allocation guard + the evaluator's blocking-loss overlap tests and the Params validation table (under -race)
+bench-smoke: ## deterministic simulated-ratio floors + slab-kernel and des zero-alloc guards + slab-kernel ns/nnz per kernel, loss and row width + the sampled-row gradient on a 72 MB arena (cold rows) + the mini-batch sampler's ns/draw + des ns/switch, ns/event + the ps steady-state allocation guard + the telemetry write path's allocation guard + the evaluator's blocking-loss overlap tests and the Params validation table (under -race)
 	$(GO) test -run 'TestSparseTrafficReduction|TestPipelineNoSlowdown|TestPipelineOverlapSpeedupTarget|TestCSRKernelZeroAllocs|TestCSRKernelFeatMajorZeroAllocs' -v ./internal/bench
-	$(GO) test -run '^$$' -bench 'BenchmarkSlabKernels' -benchtime=1x ./internal/data
+	$(GO) test -run '^$$' -bench 'BenchmarkSlabKernels|BenchmarkAddGradientRowsCold' -benchtime=1x ./internal/data
+	$(GO) test -run '^$$' -bench 'BenchmarkSampleRows' -benchtime=1x ./internal/mllib
 	$(GO) test -bench 'BenchmarkDes' -benchtime=100000x -run 'TestDesZeroAllocs' -v ./internal/des
 	$(GO) test -run 'TestPSSteadyStateAllocs' -v ./internal/ps
 	$(GO) test -run 'TestSinkRecordAllocs' -v ./internal/obs

@@ -162,12 +162,12 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Fatalf("baseline invalid: %v", err)
 	}
 	for name, fn := range map[string]func([]obs.Event){
-		"recv before wire":  func(e []obs.Event) { e[5].Start, e[5].End = 0.00105, 0.00115 },
-		"unmatched recv":    func(e []obs.Event) { e[5].MID = 99 },
-		"inverted span":     func(e []obs.Event) { e[3].Start, e[3].End = 0.001, 0 },
-		"non-finite span":   func(e []obs.Event) { e[3].End = math.NaN() },
-		"chain overlap":     func(e []obs.Event) { e[6].Start = 0.0005 },
-		"duplicate mid":     func(e []obs.Event) { e[4].MID = 1; e[3] = e[5] },
+		"recv before wire": func(e []obs.Event) { e[5].Start, e[5].End = 0.00105, 0.00115 },
+		"unmatched recv":   func(e []obs.Event) { e[5].MID = 99 },
+		"inverted span":    func(e []obs.Event) { e[3].Start, e[3].End = 0.001, 0 },
+		"non-finite span":  func(e []obs.Event) { e[3].End = math.NaN() },
+		"chain overlap":    func(e []obs.Event) { e[6].Start = 0.0005 },
+		"duplicate mid":    func(e []obs.Event) { e[4].MID = 1; e[3] = e[5] },
 	} {
 		if err := mutate(fn); err == nil {
 			t.Errorf("%s: Validate accepted the corrupted log", name)

@@ -65,9 +65,9 @@ func (r *retimer) drop(id int, replacements ...int) {
 // on the same chain — the gradient pass that fed the collective — or −1;
 // the overlap transform streams it (streamedInstance).
 type xchRun struct {
-	name string
-	host string
-	grad int
+	name                                               string
+	host                                               string
+	grad                                               int
 	rsSends, rsRecvs, folds, agSends, agRecvs, updates []int
 }
 

@@ -98,20 +98,20 @@ type redge struct {
 // rebuilds) carry key material from the original node they replace so the
 // replay order stays deterministic.
 type rnode struct {
-	kind    NodeKind
-	host    string
-	res     string
-	grp     string
-	dur     float64
-	exo     float64
-	preds   []redge
-	scaled  bool // duration or structure altered by the scenario
-	dropped bool
-	hasOrig bool
+	kind               NodeKind
+	host               string
+	res                string
+	grp                string
+	dur                float64
+	exo                float64
+	preds              []redge
+	scaled             bool // duration or structure altered by the scenario
+	dropped            bool
+	hasOrig            bool
 	origStart, origEnd float64
-	keyT   float64
-	keyID  int
-	keySub int
+	keyT               float64
+	keyID              int
+	keySub             int
 
 	newStart, newEnd float64
 }

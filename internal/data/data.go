@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"mllibstar/internal/detrand"
 	"mllibstar/internal/glm"
@@ -30,11 +31,28 @@ type Spec struct {
 	Seed      int64
 }
 
-// Dataset is an in-memory labelled dataset.
+// Dataset is an in-memory labelled dataset. It holds a lock (Partition's
+// memo): pass it by pointer.
 type Dataset struct {
 	Name     string
 	Features int
 	Examples []glm.Example
+
+	// parted is Partition's last result, so that the trainers of one
+	// comparison, which all ask for the same (k, seed), shuffle and repack
+	// the data once. One entry: another (k, seed) replaces it, never a
+	// second copy of the data.
+	partedMu sync.Mutex
+	parted   struct {
+		k    int
+		seed int64
+		// Examples as it was when parts was built: its length and first
+		// element's address. A reassigned or re-sliced Examples no longer
+		// matches and repartitions.
+		n     int
+		first *glm.Example
+		parts []View
+	}
 }
 
 // Stats summarizes a dataset the way Table I does.
@@ -221,14 +239,36 @@ func Preset(name string, scale float64) (Spec, error) {
 // numerics cannot depend on the layout — and the trainers keep the packed
 // form end-to-end (batch windows are Sub views, slab kernels consume the
 // arena directly).
+//
+// The last result is kept: a call with the same (k, seed) on the same
+// Examples slice (same length, same first element) returns a fresh []View
+// over the same arenas, which are shared and read-only — and keep their
+// cached feature-major mirrors from run to run. An Example edited in place
+// after the first call is not seen; assign a new Examples slice instead.
 func (d *Dataset) Partition(k int, seed int64) []View {
 	if k <= 0 {
 		panic(fmt.Sprintf("data: Partition(%d)", k))
 	}
-	perm := detrand.Perm(seed, len(d.Examples))
-	shuffled := make([]glm.Example, len(d.Examples))
+	var first *glm.Example
+	if len(d.Examples) > 0 {
+		first = &d.Examples[0]
+	}
+	d.partedMu.Lock()
+	defer d.partedMu.Unlock()
+	m := &d.parted
+	if m.parts == nil || m.k != k || m.seed != seed || m.n != len(d.Examples) || m.first != first {
+		m.k, m.seed, m.n, m.first = k, seed, len(d.Examples), first
+		m.parts = nil // the old arenas may go before the new ones are built
+		m.parts = partition(d.Examples, k, seed)
+	}
+	return append([]View(nil), m.parts...)
+}
+
+func partition(examples []glm.Example, k int, seed int64) []View {
+	perm := detrand.Perm(seed, len(examples))
+	shuffled := make([]glm.Example, len(examples))
 	for i, j := range perm {
-		shuffled[i] = d.Examples[j]
+		shuffled[i] = examples[j]
 	}
 	parts := make([]View, k)
 	for i := 0; i < k; i++ {
@@ -240,7 +280,9 @@ func (d *Dataset) Partition(k int, seed int64) []View {
 
 // Subsample returns a dataset with at most n examples drawn without
 // replacement (deterministically), used for objective evaluation on very
-// large datasets.
+// large datasets: d itself when it has no more than n, else bit-copies of the
+// drawn rows, in dataset order, packed into one arena of their own — an
+// evaluation sweeps them as one slab instead of hopping across d's.
 func (d *Dataset) Subsample(n int, seed int64) *Dataset {
 	if n >= len(d.Examples) {
 		return d
@@ -251,5 +293,5 @@ func (d *Dataset) Subsample(n int, seed int64) *Dataset {
 	for i, j := range perm {
 		out[i] = d.Examples[j]
 	}
-	return &Dataset{Name: d.Name + "-sample", Features: d.Features, Examples: out}
+	return &Dataset{Name: d.Name + "-sample", Features: d.Features, Examples: PackExamples(out).Rows()}
 }

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"mllibstar/internal/detrand"
 )
 
 func TestGenerateShape(t *testing.T) {
@@ -125,21 +129,154 @@ func TestPartitionCoversAll(t *testing.T) {
 	if len(sizes) > 2 {
 		t.Errorf("partition sizes should differ by at most one: %v", sizes)
 	}
-	// Deterministic given the seed.
-	parts2 := d.Partition(8, 99)
+	// Deterministic given the seed (a second Partition call would only
+	// return the kept result).
+	parts2 := partition(d.Examples, 8, 99)
 	if !reflect.DeepEqual(parts[0].Examples(), parts2[0].Examples()) {
 		t.Error("partitioning not deterministic")
 	}
+}
+
+// sameArenas reports whether two partitionings are views of the same memory.
+func sameArenas(a, b []View) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if &a[i].Examples()[0] != &b[i].Examples()[0] {
+			return false
+		}
+	}
+	return true
+}
+
+// requireFreshPartition holds parts to a partition built from scratch, value
+// for value.
+func requireFreshPartition(t *testing.T, what string, parts []View, d *Dataset, k int, seed int64) {
+	t.Helper()
+	want := partition(d.Examples, k, seed)
+	if len(parts) != len(want) {
+		t.Fatalf("%s: %d partitions, want %d", what, len(parts), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(parts[i].Examples(), want[i].Examples()) {
+			t.Fatalf("%s: partition %d differs from a freshly packed one", what, i)
+		}
+	}
+}
+
+func TestPartitionKeepsItsLastResult(t *testing.T) {
+	d := Generate(Spec{Name: "t", Rows: 103, Cols: 20, NNZPerRow: 3, Seed: 1})
+	first := d.Partition(8, 99)
+	requireFreshPartition(t, "first call", first, d, 8, 99)
+
+	// The same (k, seed): the same arenas under a slice of the caller's own.
+	again := d.Partition(8, 99)
+	if !sameArenas(first, again) {
+		t.Error("second call with the same (k, seed) repacked the data")
+	}
+	again[0] = View{}
+	if third := d.Partition(8, 99); third[0].NumRows() != first[0].NumRows() {
+		t.Error("a caller's write to the returned slice reached the kept result")
+	}
+
+	// Another k or seed replaces the entry: asking for the first pair again
+	// repacks, and gives the same values.
+	for _, other := range []struct {
+		k    int
+		seed int64
+	}{{4, 99}, {8, 100}} {
+		parts := d.Partition(other.k, other.seed)
+		requireFreshPartition(t, "other (k, seed)", parts, d, other.k, other.seed)
+		back := d.Partition(8, 99)
+		if sameArenas(first, back) {
+			t.Errorf("Partition(%d, %d) did not replace the kept result", other.k, other.seed)
+		}
+		requireFreshPartition(t, "after replacement", back, d, 8, 99)
+		first = back
+	}
+
+	// A re-sliced or reassigned Examples is another dataset.
+	d.Examples = d.Examples[1:]
+	resliced := d.Partition(8, 99)
+	requireFreshPartition(t, "re-sliced Examples", resliced, d, 8, 99)
+	d.Examples = append([]glmExample(nil), d.Examples...)
+	d.Examples[0].Label = -d.Examples[0].Label
+	reassigned := d.Partition(8, 99)
+	if sameArenas(resliced, reassigned) {
+		t.Error("reassigning Examples (same length) did not repartition")
+	}
+	requireFreshPartition(t, "reassigned Examples", reassigned, d, 8, 99)
+
+	empty := &Dataset{Name: "empty"}
+	if parts := empty.Partition(3, 1); len(parts) != 3 || parts[0].NumRows() != 0 {
+		t.Errorf("empty dataset: %d partitions, first has %d rows", len(parts), parts[0].NumRows())
+	}
+	if parts := empty.Partition(3, 1); len(parts) != 3 {
+		t.Errorf("empty dataset, second call: %d partitions", len(parts))
+	}
+}
+
+// TestPartitionConcurrent calls Partition from eight goroutines — four on one
+// (k, seed), four on others that keep replacing the entry; run under -race.
+func TestPartitionConcurrent(t *testing.T) {
+	d := Generate(Spec{Name: "t", Rows: 500, Cols: 20, NNZPerRow: 3, Seed: 1})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k, seed := 8, int64(99)
+			if g >= 4 {
+				k, seed = g, int64(g)
+			}
+			for n := 0; n < 20; n++ {
+				rows := 0
+				for _, p := range d.Partition(k, seed) {
+					rows += p.NumRows()
+				}
+				if rows != len(d.Examples) {
+					t.Errorf("Partition(%d, %d) covers %d of %d rows", k, seed, rows, len(d.Examples))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSubsample(t *testing.T) {
 	d := Generate(Spec{Name: "t", Rows: 100, Cols: 20, NNZPerRow: 3, Seed: 1})
 	s := d.Subsample(10, 5)
 	if len(s.Examples) != 10 || s.Features != 20 {
-		t.Errorf("subsample = %d x %d", len(s.Examples), s.Features)
+		t.Fatalf("subsample = %d x %d", len(s.Examples), s.Features)
+	}
+	// The rows are the drawn ones, in dataset order, bit for bit ...
+	drawn := detrand.Perm(5, len(d.Examples))[:10]
+	sort.Ints(drawn)
+	for i, j := range drawn {
+		if !reflect.DeepEqual(s.Examples[i], d.Examples[j]) {
+			t.Errorf("sample row %d is not dataset row %d", i, j)
+		}
+	}
+	// ... packed back to back in one slab of their own.
+	for i := 0; i+1 < len(s.Examples); i++ {
+		a, b := s.Examples[i].X, s.Examples[i+1].X
+		if len(a.Ind) == 0 || len(b.Ind) == 0 {
+			t.Fatal("generator produced an empty row; pick another seed")
+		}
+		// Row views are capacity-clamped, so adjacency is read off the
+		// addresses: each row's slices end where the next row's begin.
+		if reflect.ValueOf(a.Ind).Pointer()+uintptr(4*len(a.Ind)) != reflect.ValueOf(b.Ind).Pointer() ||
+			reflect.ValueOf(a.Val).Pointer()+uintptr(8*len(a.Val)) != reflect.ValueOf(b.Val).Pointer() {
+			t.Errorf("sample rows %d and %d are not adjacent in one backing array", i, i+1)
+		}
 	}
 	if got := d.Subsample(1000, 5); got != d {
 		t.Error("oversized subsample should return the dataset itself")
+	}
+	if got := d.Subsample(len(d.Examples), 5); got != d {
+		t.Error("a subsample of every row should return the dataset itself")
 	}
 }
 

@@ -2,9 +2,11 @@ package data_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"mllibstar/internal/data"
+	"mllibstar/internal/detrand"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/opt"
 )
@@ -74,4 +76,61 @@ func BenchmarkSlabKernels(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkAddGradientRowsCold is the regime BenchmarkSlabKernels' cache-
+// resident AddGradientRows row cannot show: the sampled-row gradient of a
+// SendGradient step on data larger than the cache. The arena is compute8's —
+// 400 000 rows × 15 nonzeros, 72 MB, in 8 partitions — every pass draws a
+// fresh 10 % Bernoulli sample of each partition (timer stopped), so the rows
+// a pass visits are cold, and two goroutines sweep four partitions each, the
+// way a stage's tasks run on a two-CPU offload pool and share the memory
+// system. ns/nnz is per thread: elapsed time × 2 / nonzeros visited.
+//
+//	go test -run '^$' -bench AddGradientRowsCold -benchtime 30x -count 5 ./internal/data
+func BenchmarkAddGradientRowsCold(b *testing.B) {
+	const k, threads, fraction = 8, 2, 0.1
+	d := data.Generate(data.Spec{Name: "cold", Rows: 400_000, Cols: 10_000, NNZPerRow: 15, ZipfS: 1.7, Seed: 7, NoiseRate: 0.05})
+	parts := d.Partition(k, 3)
+	obj := glm.Objective{Loss: glm.Hinge{}, Reg: glm.None{}}
+	w := testModel(d.Features)
+	gs := make([][]float64, k)
+	rows := make([][]int32, k)
+	for i := range gs {
+		gs[i] = make([]float64, d.Features)
+	}
+	rng := detrand.New(11)
+	draw := func() {
+		for i, part := range parts {
+			rows[i] = rows[i][:0]
+			for r := 0; r < part.NumRows(); r++ {
+				if rng.Float64() < fraction {
+					rows[i] = append(rows[i], int32(r))
+				}
+			}
+		}
+	}
+	draw()
+	if allocs := testing.AllocsPerRun(1, func() { data.AddGradientRows(obj, w, parts[0], rows[0], gs[0]) }); allocs != 0 {
+		b.Fatalf("%g allocs per call, want 0", allocs)
+	}
+	var visited [threads]int
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		b.StopTimer()
+		draw()
+		b.StartTimer()
+		var wg sync.WaitGroup
+		for th := 0; th < threads; th++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := th; i < k; i += threads {
+					visited[th] += data.AddGradientRows(obj, w, parts[i], rows[i], gs[i])
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())*threads/float64(visited[0]+visited[1]), "ns/nnz")
 }

@@ -8,7 +8,9 @@ package data_test
 // live in opt, which imports data.
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"mllibstar/internal/data"
@@ -112,30 +114,73 @@ func TestKernelAddGradientMatchesInterface(t *testing.T) {
 	}
 }
 
+// TestKernelAddGradientRowsMatchesInterface holds the sampled-row gradient to
+// glm.Objective.AddGradient over the gathered rows, bit for bit and in work,
+// for sample sizes on both sides of the kernel's warm-ahead chunk (none, one
+// row, one chunk less and more a row, a last chunk of one row, thousands),
+// through a sub-view at an odd arena offset, with an empty row in the
+// sample, and on a model short enough to truncate rows.
 func TestKernelAddGradientRowsMatchesInterface(t *testing.T) {
-	v, dim := kernelView(t)
-	sub := v.Sub(100, v.NumRows()-37) // offset view: arena rows != view rows
-	rows := make([]int32, 0, sub.NumRows()/3)
+	d := data.Generate(data.Spec{Name: "k", Rows: 16_000, Cols: 120, NNZPerRow: 8, Seed: 11, NoiseRate: 0.05})
+	const offset, emptyRow = 101, 6 // view row 6 is in every sample of three rows or more
+	d.Examples[offset+emptyRow].X = vec.Sparse{}
+	sub := data.ViewOf(d.Examples).Sub(offset, len(d.Examples)-37) // arena rows != view rows
+	all := make([]int32, 0, sub.NumRows()/3+1)
 	for r := 0; r < sub.NumRows(); r += 3 {
+		all = append(all, int32(r))
+	}
+	chunk := data.RowChunk
+	for _, count := range []int{0, 1, 3, chunk - 1, chunk, chunk + 1, 2*chunk + 1, 5000} {
+		rows := all[:count]
+		gathered := make([]glm.Example, count)
+		for j, ri := range rows {
+			gathered[j] = sub.Examples()[ri]
+		}
+		for _, tc := range kernelObjectives() {
+			for _, n := range []int{d.Features, d.Features / 2} {
+				w := testModel(n)
+				gk, gi := make([]float64, n), make([]float64, n)
+				nnzK := data.AddGradientRows(tc.obj, w, sub, rows, gk)
+				nnzI := tc.obj.AddGradient(w, gathered, gi)
+				label := fmt.Sprintf("%s, %d rows, dim=%d", tc.name, count, n)
+				if nnzK != nnzI {
+					t.Errorf("%s: work %d (kernel) != %d (interface)", label, nnzK, nnzI)
+				}
+				requireBitsEqual(t, label+": row gradient", gk, gi)
+			}
+		}
+	}
+}
+
+// TestKernelAddGradientRowsConcurrent runs the sampled-row gradient of two
+// partitions' worth of rows at once, as a stage's tasks do, each into its own
+// g: under -race this pins that the kernel — its warm-ahead loads included —
+// writes no memory the calls share. The results equal the one-at-a-time ones.
+func TestKernelAddGradientRowsConcurrent(t *testing.T) {
+	v, dim := kernelView(t)
+	obj := glm.SVM(0)
+	w := testModel(dim)
+	halves := []data.View{v.Sub(0, v.NumRows()/2), v.Sub(v.NumRows()/2, v.NumRows())}
+	rows := make([]int32, 0, v.NumRows()/4)
+	for r := 0; r < v.NumRows()/2; r += 2 {
 		rows = append(rows, int32(r))
 	}
-	for _, tc := range kernelObjectives() {
-		w := testModel(dim / 2)
-		gk, gi := make([]float64, len(w)), make([]float64, len(w))
-		nnzK := data.AddGradientRows(tc.obj, w, sub, rows, gk)
-		ex := sub.Examples()
-		nnzI := 0
-		for _, ri := range rows {
-			e := ex[ri]
-			if d := tc.obj.Loss.Deriv(vec.Dot(w, e.X), e.Label); d != 0 {
-				vec.Axpy(d, e.X, gi)
-			}
-			nnzI += e.X.NNZ()
-		}
-		if nnzK != nnzI {
-			t.Errorf("%s: work %d (kernel) != %d (interface)", tc.name, nnzK, nnzI)
-		}
-		requireBitsEqual(t, tc.name+" row gradient", gk, gi)
+	var want, got [2][]float64
+	for i := range halves {
+		want[i], got[i] = make([]float64, dim), make([]float64, dim)
+		data.AddGradientRows(obj, w, halves[i], rows, want[i])
+	}
+	var wg sync.WaitGroup
+	for i := range halves {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			data.AddGradientRows(obj, w, halves[i], rows, got[i])
+		}()
+	}
+	wg.Wait()
+	for i := range halves {
+		requireBitsEqual(t, fmt.Sprintf("concurrent half %d", i), got[i], want[i])
 	}
 }
 

@@ -14,6 +14,25 @@
 // (seed + worker*7907, seed + part*2654435761, seed + step*1_000_003 + i).
 // Changing any constant re-randomizes every figure under results/; do that
 // only together with regenerating the committed artifacts.
+//
+// Stream (stream.go) is the same generator read a block of raw outputs at a
+// time, for the one consumer that draws 8·10⁷ numbers per benchmark
+// repetition (mllib's per-step Bernoulli sampler). Its contract:
+//
+//   - Only this package can build one (NewStream; the fields are unexported),
+//     so the source under a Stream is always math/rand's own, seeded by
+//     math/rand's own Seed — no seeding table is copied here.
+//   - Its outputs are, word for word and forever, those of
+//     rand.New(rand.NewSource(seed)).Uint64(). The first 607 are read from
+//     that source; every later one is computed here with the generator's own
+//     recurrence x_n = x_{n−607} + x_{n−273} (mod 2⁶⁴), which is the stream —
+//     an additive lagged Fibonacci generator's state is its last 607 outputs
+//     — and not an approximation of it.
+//   - TestStreamEqualsMathRand pins the equality (10⁶ draws, block sizes
+//     that end on both sides of every window boundary) and
+//     TestSeedStepEqualsStep the re-seeding of a half-consumed Stream; a
+//     math/rand that changed its generator would fail both, as it would
+//     re-randomize every figure under results/.
 package detrand
 
 import "math/rand"
@@ -54,16 +73,6 @@ func Partition(seed int64, part int) *rand.Rand {
 // per-step mini-batch selection of the SendGradient trainer.
 func Step(seed int64, t, i int) *rand.Rand {
 	return New(stepSeed(seed, t, i))
-}
-
-// ReseedStep rewinds rng, in place, to the start of the stream Step(seed, t,
-// i) returns: a worker that draws a fresh stream every step keeps one
-// generator for the run instead of allocating a 4.9 KB source per step.
-// Seeding an existing generator and building a new one from the same seed
-// yield the same sequence bit for bit (math/rand's contract, and this
-// package's test).
-func ReseedStep(rng *rand.Rand, seed int64, t, i int) {
-	rng.Seed(stepSeed(seed, t, i))
 }
 
 func stepSeed(seed int64, t, i int) int64 {

@@ -14,7 +14,6 @@ package mllib
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"mllibstar/internal/data"
 	"mllibstar/internal/des"
@@ -71,18 +70,19 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 
 	res := &train.Result{System: System, Curve: ev.Curve}
 	w := make([]float64, dim)
-	// Per-executor sampled-row scratch, reused across supersteps: the
-	// Bernoulli sampler appends row indices here instead of gathering a fresh
-	// example slice every step. Distinct buffers keep parallel task offload
-	// race-free.
-	rowScratch := make([][]int32, k)
-	// Per-executor sampling generators, re-seeded every step to the stream
-	// detrand.Step would build; full-batch runs draw nothing and have none.
-	var rngs []*rand.Rand
+	// Per-executor sampling state, reused across supersteps: the stream,
+	// re-seeded every step to the one detrand.Step would build, and the row
+	// buffer the sampler fills (one entry more than the partition has rows,
+	// see sampleRows). Distinct per executor, so parallel task offload is
+	// race-free; full-batch runs draw nothing and have none.
+	var streams []*detrand.Stream
+	var rowScratch [][]int32
 	if prm.BatchFraction < 1 {
-		rngs = make([]*rand.Rand, k)
-		for i := range rngs {
-			rngs[i] = detrand.New(prm.Seed)
+		streams = make([]*detrand.Stream, k)
+		rowScratch = make([][]int32, k)
+		for i := range streams {
+			streams[i] = detrand.NewStream(prm.Seed)
+			rowScratch[i] = make([]int32, parts[i].NumRows()+1)
 		}
 	}
 
@@ -112,8 +112,8 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 						work = data.AddGradient(prm.Objective, stepW, local, g[:dim])
 						count = local.NumRows()
 					} else {
-						detrand.ReseedStep(rngs[i], prm.Seed, t, i)
-						rows := sampleRows(rngs[i], local.NumRows(), prm.BatchFraction, &rowScratch[i])
+						streams[i].SeedStep(prm.Seed, t, i)
+						rows := sampleRows(streams[i], local.NumRows(), prm.BatchFraction, rowScratch[i])
 						work = data.AddGradientRows(prm.Objective, stepW, local, rows, g[:dim])
 						count = len(rows)
 					}
@@ -151,27 +151,47 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 
 // sampleRows draws a Bernoulli sample of the row indices [0, n), matching
 // Spark's RDD.sample(false, fraction) used by MLlib's mini-batch step: one
-// draw per row, in row order. The sample — and the generator state it leaves
-// — is bit for bit that of `rng.Float64() < fraction`, which computes
-// float64(rng.Int63())/2⁶³ and redraws when that rounds up to 1: the
-// conversion is monotone in the draw, so the float comparison is an integer
-// comparison of the draw against a threshold found once per call. That skips
-// the convert and the divide, 8·10⁷ times per compute8 repetition. The
-// indices accumulate into *buf, which is reused across supersteps.
-func sampleRows(rng *rand.Rand, n int, fraction float64, buf *[]int32) []int32 {
+// draw per row, in row order. The sample — and the stream position it leaves
+// — is bit for bit that of `rng.Float64() < fraction` on the math/rand
+// generator the stream is, which computes float64(rng.Int63())/2⁶³ and
+// redraws when that rounds up to 1: the conversion is monotone in the draw,
+// so the float comparison is an integer comparison of the draw against a
+// threshold found once per call. The draws are taken from the stream a block
+// at a time (no call per draw) and decided by decideRows; the sampled
+// indices go to buf[:len(sample)], and buf must hold n+1 entries.
+func sampleRows(s *detrand.Stream, n int, fraction float64, buf []int32) []int32 {
 	threshold := sampleThreshold(fraction)
-	out := (*buf)[:0]
-	for r := 0; r < n; {
-		u := rng.Int63()
+	row, k := 0, 0
+	for row < n {
+		// One word per undecided row; a redraw leaves a row for the next
+		// block.
+		row, k = decideRows(s.Next(n-row), threshold, row, buf, k)
+	}
+	return buf[:k]
+}
+
+// decideRows decides one row per word, from row on: the row is sampled when
+// the word's 63-bit draw is below threshold. out[:k] holds the rows sampled
+// so far; the new row and k are returned. The row index is stored
+// unconditionally and kept by advancing k — the compiler makes that a
+// conditional move, where `if sampled { append }` is a branch a 10 % sample
+// mispredicts every tenth row — so out needs one entry beyond the rows it can
+// come to hold. A draw rand.Float64 rejects (probability 2⁻⁵⁴) samples
+// nothing, since threshold ≤ roundsToOne, and leaves its row to the next
+// word.
+func decideRows(words []uint64, threshold int64, row int, out []int32, k int) (int, int) {
+	for _, x := range words {
+		u := int64(x & (1<<63 - 1)) // rand.Int63 of the raw output
+		out[k] = int32(row)
 		if u < threshold {
-			out = append(out, int32(r))
-		} else if u >= roundsToOne {
+			k++
+		}
+		if u >= roundsToOne {
 			continue // Float64 redraws; so does this row
 		}
-		r++
+		row++
 	}
-	*buf = out
-	return out
+	return row, k
 }
 
 // roundsToOne is the first 63-bit draw whose float64 conversion is 2⁶³
