@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-fix fuzz bench-smoke benchmark benchmark-compare repro-check obs critpath serve-demo serve-smoke docs check clean
+.PHONY: build test race lint lint-fix fuzz bench-smoke smoke-lists benchmark benchmark-compare repro-check obs critpath serve-demo serve-smoke docs check clean
 
 build: ## compile everything
 	$(GO) build ./...
@@ -29,14 +29,44 @@ fuzz: ## short fuzz runs: libsvm reader + sparse encoding + telemetry event roun
 	$(GO) test -fuzz=FuzzEventEncode -fuzztime=10s ./internal/obs
 	$(GO) test -fuzz=FuzzCausalGraph -fuzztime=10s ./internal/causal
 
+# The test and benchmark lists bench-smoke selects, one per package and
+# flag. smoke-lists holds every alternative to a test that still exists:
+# `go test -run` with a stale name prints "no tests to run" and passes.
+SMOKE_BENCH_RUN := TestSparseTrafficReduction|TestPipelineNoSlowdown|TestPipelineOverlapSpeedupTarget|TestCSRKernelZeroAllocs|TestCSRKernelFeatMajorZeroAllocs
+SMOKE_DATA_BENCH := BenchmarkSlabKernels|BenchmarkAddGradientRowsCold
+SMOKE_MLLIB_BENCH := BenchmarkSampleRows
+SMOKE_DES_BENCH := BenchmarkDes
+SMOKE_DES_RUN := TestDesZeroAllocs
+SMOKE_PS_RUN := TestPSSteadyStateAllocs
+SMOKE_OBS_RUN := TestSinkRecordAllocs
+SMOKE_TRAIN_RUN := TestEvaluatorOverlap|TestEvaluatorInlineWhenRead|TestValidateRejections
+
 bench-smoke: ## deterministic simulated-ratio floors + slab-kernel and des zero-alloc guards + slab-kernel ns/nnz per kernel, loss and row width + the sampled-row gradient on a 72 MB arena (cold rows) + the mini-batch sampler's ns/draw + des ns/switch, ns/event + the ps steady-state allocation guard + the telemetry write path's allocation guard + the evaluator's blocking-loss overlap tests and the Params validation table (under -race)
-	$(GO) test -run 'TestSparseTrafficReduction|TestPipelineNoSlowdown|TestPipelineOverlapSpeedupTarget|TestCSRKernelZeroAllocs|TestCSRKernelFeatMajorZeroAllocs' -v ./internal/bench
-	$(GO) test -run '^$$' -bench 'BenchmarkSlabKernels|BenchmarkAddGradientRowsCold' -benchtime=1x ./internal/data
-	$(GO) test -run '^$$' -bench 'BenchmarkSampleRows' -benchtime=1x ./internal/mllib
-	$(GO) test -bench 'BenchmarkDes' -benchtime=100000x -run 'TestDesZeroAllocs' -v ./internal/des
-	$(GO) test -run 'TestPSSteadyStateAllocs' -v ./internal/ps
-	$(GO) test -run 'TestSinkRecordAllocs' -v ./internal/obs
-	$(GO) test -race -run 'TestEvaluatorOverlap|TestEvaluatorInlineWhenRead|TestValidateRejections' -v ./internal/train
+	$(GO) test -run '$(SMOKE_BENCH_RUN)' -v ./internal/bench
+	$(GO) test -run '^$$' -bench '$(SMOKE_DATA_BENCH)' -benchtime=1x ./internal/data
+	$(GO) test -run '^$$' -bench '$(SMOKE_MLLIB_BENCH)' -benchtime=1x ./internal/mllib
+	$(GO) test -bench '$(SMOKE_DES_BENCH)' -benchtime=100000x -run '$(SMOKE_DES_RUN)' -v ./internal/des
+	$(GO) test -run '$(SMOKE_PS_RUN)' -v ./internal/ps
+	$(GO) test -run '$(SMOKE_OBS_RUN)' -v ./internal/obs
+	$(GO) test -race -run '$(SMOKE_TRAIN_RUN)' -v ./internal/train
+
+smoke-lists: ## every alternative of bench-smoke's -run and -bench lists must match a test or benchmark in `go test -list`
+	@status=0; \
+	check() { \
+		names=$$($(GO) test -list '.*' "$$1" | grep -E '^(Test|Benchmark)') || { echo "smoke-lists: go test -list $$1 failed"; status=1; return; }; \
+		for alt in $$(printf '%s' "$$2" | tr '|' ' '); do \
+			printf '%s\n' "$$names" | grep -qE -- "$$alt" || { echo "smoke-lists: $$1: '$$alt' matches no test or benchmark"; status=1; }; \
+		done; \
+	}; \
+	check ./internal/bench '$(SMOKE_BENCH_RUN)'; \
+	check ./internal/data '$(SMOKE_DATA_BENCH)'; \
+	check ./internal/mllib '$(SMOKE_MLLIB_BENCH)'; \
+	check ./internal/des '$(SMOKE_DES_BENCH)|$(SMOKE_DES_RUN)'; \
+	check ./internal/ps '$(SMOKE_PS_RUN)'; \
+	check ./internal/obs '$(SMOKE_OBS_RUN)'; \
+	check ./internal/train '$(SMOKE_TRAIN_RUN)'; \
+	[ $$status -eq 0 ] && echo "smoke-lists: every bench-smoke alternative names a test"; \
+	exit $$status
 
 benchmark: ## the repository benchmark (benchmark/README.md): all four workloads, one process each -> .bench_out/all.json
 	$(GO) run ./benchmark -json .bench_out/all.json
@@ -85,7 +115,7 @@ serve-smoke: ## serving-tier unit tests (shard invariance, hot swap, checkpoint 
 docs: ## check ARCHITECTURE/README/EXPERIMENTS: intra-repo links + quoted commands
 	$(GO) test -run 'TestDocs' -v ./...
 
-check: build lint race fuzz repro-check serve-demo critpath docs ## everything CI runs
+check: build lint race fuzz repro-check serve-demo critpath smoke-lists docs ## everything CI runs
 
 clean:
 	$(GO) clean ./...

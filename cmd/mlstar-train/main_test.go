@@ -47,6 +47,38 @@ func TestBuiltBinary(t *testing.T) {
 		}
 	})
 
+	// The collective switches are an error on a trainer without the
+	// collective, and accepted on one with it. One chunk is the unchunked
+	// schedule — the configuration no flag at all gives — so -pipeline
+	// -chunks 1 configures nothing and is accepted everywhere.
+	t.Run("collective flags need a collective", func(t *testing.T) {
+		for _, args := range [][]string{
+			{"-system", "Petuum*", "-overlap", "-chunks", "2"},
+			{"-system", "MLlib", "-pipeline", "-chunks", "2"},
+			{"-system", "Angel", "-overlap", "-chunks", "1"},
+		} {
+			var stderr bytes.Buffer
+			cmd := exec.Command(bin, append(args, "-scale", "20000", "-steps", "2")...)
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("%q: exit = %v, want status 1; stderr:\n%s", args, err, stderr.String())
+			}
+			if msg := stderr.String(); !strings.Contains(msg, args[2]) || !strings.Contains(msg, args[1]+" does not use") {
+				t.Errorf("%q: stderr %q does not name the flag and the system", args, msg)
+			}
+		}
+		for _, args := range [][]string{
+			{"-system", "MLlib*", "-pipeline", "-chunks", "2"},
+			{"-system", "Petuum*", "-pipeline", "-chunks", "1"},
+		} {
+			if out, err := exec.Command(bin, append(args, "-scale", "20000", "-steps", "2")...).CombinedOutput(); err != nil {
+				t.Fatalf("%q: %v\n%s", args, err, out)
+			}
+		}
+	})
+
 	t.Run("system usage lists every system", func(t *testing.T) {
 		help, err := exec.Command(bin, "-h").CombinedOutput()
 		if err != nil {

@@ -1,10 +1,10 @@
 package allreduce_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
-	"mllibstar/internal/allreduce"
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/vec"
 )
@@ -16,7 +16,7 @@ import (
 // adding the decoded +0 still turns the −0 into +0, as the dense exchange
 // does. The result must equal, bit for bit, the fold over the full dense
 // vectors in ascending sender order (what Enc.Dense used to hand the fold),
-// with ref nil and non-nil, on the plain, chunked and overlapped schedules.
+// with ref nil and non-nil, at C = 1, 2 and 8, overlapped or not.
 func TestFoldAddsUntouchedCoordinates(t *testing.T) {
 	const k, dim = 4, 4000
 	negZero := math.Copysign(0, -1)
@@ -73,14 +73,7 @@ func TestFoldAddsUntouchedCoordinates(t *testing.T) {
 				t.Fatalf("setup: the dense fold leaves %v at coordinate %d, want +0", want[j], j)
 			}
 		}
-		clone := func() [][]float64 {
-			c := make([][]float64, k)
-			for i := range base {
-				c[i] = append([]float64(nil), base[i]...)
-			}
-			return c
-		}
-		check := func(label string, got [][]float64, bytes, denseBytes float64) {
+		requireFold := func(label string, got [][]float64, bytes, denseBytes float64) {
 			t.Helper()
 			if bytes >= denseBytes {
 				t.Errorf("ref=%v %s: %g bytes, not below the dense exchange's %g: no sparse chunk was folded", withRef, label, bytes, denseBytes)
@@ -95,28 +88,17 @@ func TestFoldAddsUntouchedCoordinates(t *testing.T) {
 			}
 		}
 
-		dense := clone()
-		_, denseBytes := collectiveRun(t, clusters.Test(k), dense, ref)
-		check("dense", dense, 0, denseBytes)
-
-		withSparseOn(t, func() {
-			got := clone()
-			_, bytes := collectiveRun(t, clusters.Test(k), got, ref)
-			check("plain", got, bytes, denseBytes)
-			for _, chunks := range []int{2, 8} {
-				withPipeline(t, true, chunks, func() {
-					got := clone()
-					_, bytes := collectiveRun(t, clusters.Test(k), got, ref)
-					check("pipeline", got, bytes, denseBytes)
-					if withRef {
-						return // the producing collective has no reference form
-					}
-					allreduce.ConfigureOverlap(true)
-					defer allreduce.ConfigureOverlap(false)
-					got, bytes = producedRun(t, clusters.Test(k), base)
-					check("overlap", got, bytes, denseBytes)
-				})
+		spec := clusters.Test(k)
+		dense, _, denseBytes := collective(t, spec, switches{chunks: 1}, opAverageDelta, base, ref)
+		requireFold("dense", dense, 0, denseBytes)
+		for _, chunks := range []int{1, 2, 8} {
+			got, _, bytes := collective(t, spec, switches{chunks: chunks, sparse: true}, opAverageDelta, base, ref)
+			requireFold(fmt.Sprintf("C=%d", chunks), got, bytes, denseBytes)
+			if withRef {
+				continue // the producing collective has no reference form
 			}
-		})
+			got, _, bytes = collective(t, spec, switches{chunks: chunks, sparse: true, overlap: true}, opProduced, base, nil)
+			requireFold(fmt.Sprintf("C=%d overlap", chunks), got, bytes, denseBytes)
+		}
 	}
 }

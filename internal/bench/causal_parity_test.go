@@ -297,7 +297,7 @@ func TestWhatIfChunkSweep(t *testing.T) {
 		}
 	}
 	var seq []obs.Event
-	runWithPipeline(false, func() { seq = runWithCausal(true, run) })
+	withCollective(colOff, func() { seq = runWithCausal(true, run) })
 	g := requireCausalGraph(t, "MLlib* sequential", seq)
 
 	for _, C := range []int{2, 4, 8} {
@@ -306,9 +306,9 @@ func TestWhatIfChunkSweep(t *testing.T) {
 			t.Fatalf("chunks=%d: %s", C, pred.Err)
 		}
 		var act []obs.Event
-		allreduce.Configure(true, C)
+		allreduce.Configure(C)
 		act = runWithCausal(true, run)
-		allreduce.Configure(false, 0)
+		allreduce.Configure(1)
 		ag := requireCausalGraph(t, fmt.Sprintf("MLlib* chunks=%d", C), act)
 		actual := ag.Makespan()
 		rel := math.Abs(pred.Makespan-actual) / actual
@@ -341,7 +341,7 @@ func TestWhatIfOverlapSweep(t *testing.T) {
 	ds := overlapDataset()
 	run := func() { runOverlapGD(clusters.CommBound(4), ds, 8) }
 	var seq []obs.Event
-	runWithOverlap(false, func() { seq = runWithCausal(true, run) })
+	withCollective(colOff, func() { seq = runWithCausal(true, run) })
 	g := requireCausalGraph(t, "GD sequential", seq)
 
 	for _, C := range []int{4, 8} {
@@ -350,11 +350,11 @@ func TestWhatIfOverlapSweep(t *testing.T) {
 			t.Fatalf("overlap C=%d: %s", C, pred.Err)
 		}
 		var act []obs.Event
-		allreduce.Configure(true, C)
+		allreduce.Configure(C)
 		allreduce.ConfigureOverlap(true)
 		act = runWithCausal(true, run)
 		allreduce.ConfigureOverlap(false)
-		allreduce.Configure(false, 0)
+		allreduce.Configure(1)
 		ag := requireCausalGraph(t, fmt.Sprintf("GD overlap C=%d", C), act)
 		actual := ag.Makespan()
 		rel := math.Abs(pred.Makespan-actual) / actual

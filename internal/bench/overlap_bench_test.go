@@ -125,8 +125,8 @@ func TestPipelineOverlapSpeedupTarget(t *testing.T) {
 	ds := overlapDataset()
 	var offW, onW []float64
 	var offTime, onTime, offBytes, onBytes float64
-	runWithOverlap(false, func() { offW, offTime, offBytes = runOverlapGD(clusters.CommBound(4), ds, 8) })
-	runWithOverlap(true, func() { onW, onTime, onBytes = runOverlapGD(clusters.CommBound(4), ds, 8) })
+	withCollective(colOff, func() { offW, offTime, offBytes = runOverlapGD(clusters.CommBound(4), ds, 8) })
+	withCollective(colOverlap, func() { onW, onTime, onBytes = runOverlapGD(clusters.CommBound(4), ds, 8) })
 	for j := range offW {
 		if math.Float64bits(offW[j]) != math.Float64bits(onW[j]) {
 			t.Fatalf("coord %d: overlap-on model %x != overlap-off %x", j,

@@ -11,10 +11,10 @@ import (
 	"mllibstar/internal/vec"
 )
 
-// This file holds the structural what-if transforms: re-chunking sequential
-// AllReduce collectives into the pipelined schedule (internal/allreduce's
-// pipelinedRSG), streaming gradient production into those chunks (-overlap,
-// allreduce.overlapRSG), and re-sharding the serving tier. Each rebuilds the
+// This file holds the structural what-if transforms: re-chunking unchunked
+// (C = 1) AllReduce collectives into internal/allreduce's schedule at C > 1,
+// streaming gradient production into those chunks (-overlap, the schedule
+// with an overlapped producer), and re-sharding the serving tier. Each rebuilds the
 // affected subgraph the way the simulator itself would have built it — same
 // byte splits, same enqueue orders, same gating — so the re-timed makespan
 // is a genuine prediction of the rerun, which TestWhatIfChunkSweep,
@@ -211,7 +211,8 @@ func effChunks(C, dim, k int) int {
 // C-chunk pipelined schedule: a forked sender drains all reduce-scatter
 // chunk sends chunk-major, the task folds chunk c as soon as its k−1 pieces
 // arrive, and the allgather chunk streams out right after its fold — the
-// exact structure of allreduce.pipelinedRSG, including the dim/k chunk cap.
+// exact structure of internal/allreduce's schedule at C > 1 without a
+// producer, including the dim/k chunk cap.
 func chunkTransform(r *retimer, C int) error {
 	insts, err := collectCollectives(r)
 	if err != nil {
@@ -477,7 +478,7 @@ func overlapTransform(r *retimer, C int) error {
 }
 
 // streamedInstance rebuilds one gradient-producing collective the way
-// allreduce.overlapRSG schedules it: the sender is forked at collective
+// internal/allreduce's schedule runs an overlapped producer: the sender is forked at collective
 // entry; pass 1 of the two-pass kernel (per-row derivatives) runs as half
 // the recorded gradient charge (GradStream's PrepareWork convention); then
 // the remaining half is produced block by block — chunk-major, peers in

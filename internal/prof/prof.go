@@ -18,6 +18,7 @@
 package prof
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -111,8 +112,12 @@ func (c *Config) Start() (stop func(), err error) {
 			return nil, err
 		}
 	}
+	chunks := 1 // unchunked
+	if chunked {
+		chunks = cmp.Or(*c.chunks, allreduce.DefaultChunks)
+	}
 	sparse.Configure(bool(c.sparse))
-	allreduce.Configure(chunked, *c.chunks)
+	allreduce.Configure(chunks)
 	allreduce.ConfigureOverlap(bool(c.overlap))
 
 	var cpuFile, traceFile *os.File

@@ -19,7 +19,7 @@ import (
 func TestRegisterStartFlagCombinations(t *testing.T) {
 	defer func() {
 		sparse.Configure(false)
-		allreduce.Configure(false, 0)
+		allreduce.Configure(1)
 		allreduce.ConfigureOverlap(false)
 	}()
 	for _, tc := range []struct {
@@ -31,10 +31,11 @@ func TestRegisterStartFlagCombinations(t *testing.T) {
 		overlap  bool
 		chunks   int
 	}{
-		{args: nil, chunks: allreduce.DefaultChunks},
+		{args: nil, chunks: 1},
 		{args: []string{"-sparse", "-overlap"}, sparse: true, chunked: true, overlap: true, chunks: allreduce.DefaultChunks},
 		{args: []string{"-pipeline", "-chunks", "4"}, chunked: true, chunks: 4},
 		{args: []string{"-overlap=on", "-chunks", "16"}, chunked: true, overlap: true, chunks: 16},
+		{args: []string{"-pipeline", "-chunks", "1"}, chunks: 1},
 		{args: []string{"-chunks", "4"}, startErr: []string{"-chunks", "-pipeline", "-overlap"}},
 		{args: []string{"-sparse", "-chunks", "4"}, startErr: []string{"-pipeline", "-overlap"}},
 		{args: []string{"-pipeline", "-chunks", "-1"}, startErr: []string{"chunk"}},

@@ -25,6 +25,7 @@ import (
 	"io"
 	"slices"
 
+	"mllibstar/internal/allreduce"
 	"mllibstar/internal/angel"
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/core"
@@ -255,6 +256,11 @@ func Train(ds *Dataset, cfg Config) (*Result, error) {
 	if !slices.Contains(Systems(), system) {
 		return nil, unknownSystem(system)
 	}
+	// The collective switches shape the AllReduce and nothing else; a system
+	// aggregating through the driver or a parameter server would ignore them.
+	if (allreduce.Enabled() || allreduce.OverlapEnabled()) && !usesAllReduce(system) {
+		return nil, fmt.Errorf("mllibstar: -pipeline, -chunks and -overlap configure the AllReduce collective, which %s does not use", system)
+	}
 	cluster := cfg.Cluster
 	if cluster.Executors == 0 {
 		cluster = Cluster1(8)
@@ -293,7 +299,7 @@ func Train(ds *Dataset, cfg Config) (*Result, error) {
 		res, err = lbfgs.TrainDistributed(ctx, parts, dim, lbfgs.DistConfig{
 			Objective:       obj,
 			MaxIters:        prm.MaxSteps,
-			AllReduce:       system == LBFGSStar,
+			AllReduce:       usesAllReduce(system),
 			TargetObjective: cfg.TargetObjective,
 			MaxSimTime:      cfg.MaxSimTime,
 			EvalEvery:       cfg.EvalEvery,
@@ -313,6 +319,12 @@ func Train(ds *Dataset, cfg Config) (*Result, error) {
 		TotalBytes: res.TotalBytes,
 		Updates:    res.Updates,
 	}, nil
+}
+
+// usesAllReduce reports whether the system aggregates through the AllReduce
+// collective rather than through the driver or a parameter server.
+func usesAllReduce(system System) bool {
+	return system == MLlibStar || system == LBFGSStar || system == MLlibStarSVRG
 }
 
 // GenerateDataset builds a synthetic classification dataset with rows
