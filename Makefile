@@ -37,7 +37,7 @@ SMOKE_DATA_BENCH := BenchmarkSlabKernels|BenchmarkAddGradientRowsCold
 SMOKE_MLLIB_BENCH := BenchmarkSampleRows
 SMOKE_DES_BENCH := BenchmarkDes
 SMOKE_DES_RUN := TestDesZeroAllocs
-SMOKE_PS_RUN := TestPSSteadyStateAllocs
+SMOKE_PS_RUN := TestPSSteadyStateAllocs|TestPushTouchedEqualsDense
 SMOKE_OBS_RUN := TestSinkRecordAllocs
 SMOKE_TRAIN_RUN := TestEvaluatorOverlap|TestEvaluatorInlineWhenRead|TestValidateRejections
 

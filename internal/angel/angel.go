@@ -77,7 +77,7 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 			// scratch.
 			w := make([]float64, dim)
 			delta := make([]float64, dim)
-			scratch := make([]float64, dim)
+			scratch := &opt.MGDScratch{}
 			jitter := detrand.Worker(prm.Seed, r)
 			for t := 1; t <= prm.MaxSteps && !stop; t++ {
 				if r == 0 {

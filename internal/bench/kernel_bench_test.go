@@ -24,6 +24,7 @@ func TestCSRKernelZeroAllocs(t *testing.T) {
 	rows := []int32{1, 5, 9, 40}
 	sched := opt.Const(0.05)
 	sc := &opt.PassScratch{}
+	mgd := &opt.MGDScratch{}
 	batch := v.Sub(0, 256)
 	// Warm the reusable scratch (lazy-L2 shadow).
 	opt.LocalPassView(obj, model, v, sched, 0, sc)
@@ -33,7 +34,7 @@ func TestCSRKernelZeroAllocs(t *testing.T) {
 		"GradAndLoss":     func() { data.GradAndLoss(obj, model, v, g) },
 		"LossSum":         func() { data.LossSum(obj, model, v) },
 		"LocalPassView":   func() { opt.LocalPassView(obj, model, v, sched, 0, sc) },
-		"MGDStepView":     func() { opt.MGDStepView(obj, model, batch, 0.05, g) },
+		"MGDStepView":     func() { opt.MGDStepView(obj, model, batch, 0.05, mgd) },
 	} {
 		if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {
 			t.Errorf("%s: %g allocs/op, want 0", name, allocs)

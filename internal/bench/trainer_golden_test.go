@@ -103,6 +103,7 @@ func TestCSRKernelBitIdentityTrainers(t *testing.T) {
 		{sysPetuumStar, 0.1},
 		{sysPetuumStar, 0},
 		{sysAngel, 0.1},
+		{sysAngel, 0}, // the batch step's touched-set update (None regularizer)
 	} {
 		prm := tuned(tc.system, "avazu", tc.l2)
 		prm.MaxSteps = 8

@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"slices"
 
 	"mllibstar/internal/glm"
 )
@@ -65,4 +66,40 @@ func (v View) Row(i int) (label float64, ind []int32, val []float64) {
 	r := v.lo + i
 	lo, hi := v.c.rowPtr[r], v.c.rowPtr[r+1]
 	return v.c.rows[r].Label, v.c.ind[lo:hi:hi], v.c.val[lo:hi:hi]
+}
+
+// AppendTouched appends to dst the distinct column indices below len(mark)
+// that the view's rows hold — the coordinates a kernel pass over the view
+// with a len(mark)-dimensional model reads or writes. Larger indices are
+// dropped exactly as the kernels truncate them (rows are ascending, so the
+// in-range entries of a row are its prefix). Indices already in dst count as
+// present, so appending a second view's set yields the union of the two.
+//
+// mark is caller-owned scratch, all 0 on entry and on return; dst must
+// already be distinct and in range. The cost is the view's nonzeros plus
+// len(dst), never the dimension. Whether an index was seen before is as
+// good as random on skewed data, so the loop does not branch on it: every
+// in-range index is written at dst's end, which advances only past a new one.
+func (v View) AppendTouched(dst []int32, mark []uint8) []int32 {
+	for _, j := range dst {
+		mark[j] = 1
+	}
+	if v.c != nil {
+		ind := v.c.ind[v.c.rowPtr[v.lo]:v.c.rowPtr[v.hi]]
+		n := int32(len(mark))
+		k := len(dst)
+		out := slices.Grow(dst, len(ind))[:k+len(ind)]
+		for _, j := range ind {
+			if j < n {
+				out[k] = j
+				k += int(mark[j] ^ 1)
+				mark[j] = 1
+			}
+		}
+		dst = out[:k]
+	}
+	for _, j := range dst {
+		mark[j] = 0
+	}
+	return dst
 }

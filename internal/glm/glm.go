@@ -242,22 +242,66 @@ func (o Objective) Value(w []float64, data []Example) float64 {
 	if len(data) == 0 {
 		return o.Reg.Value(w)
 	}
-	sum := 0.0
-	for _, e := range data {
-		sum += o.Loss.Value(vec.Dot(w, e.X), e.Label)
-	}
-	return sum/float64(len(data)) + o.Reg.Value(w)
+	return o.LossSum(w, data)/float64(len(data)) + o.Reg.Value(w)
 }
 
 // LossSum returns Σ l(<w,x_i>, y_i) over the examples, without dividing and
 // without the regularization term. Distributed evaluators aggregate LossSum
 // across partitions and divide by the global count.
+//
+// The sum is the row-at-a-time loop's, bit for bit: each margin is vec.Dot's
+// sum in vec.Dot's order and the losses fold in row order. The margins of
+// two consecutive rows are computed together, as independent chains, so each
+// hides the other's add latency.
 func (o Objective) LossSum(w []float64, data []Example) float64 {
 	sum := 0.0
-	for _, e := range data {
-		sum += o.Loss.Value(vec.Dot(w, e.X), e.Label)
+	i := 0
+	for ; i+1 < len(data); i += 2 {
+		a, b := &data[i], &data[i+1]
+		ma, mb := dot2(w, a.X, b.X)
+		sum += o.Loss.Value(ma, a.Label)
+		sum += o.Loss.Value(mb, b.Label)
+	}
+	if i < len(data) {
+		sum += o.Loss.Value(vec.Dot(w, data[i].X), data[i].Label)
 	}
 	return sum
+}
+
+// dot2 returns (vec.Dot(w, x), vec.Dot(w, y)) bit for bit. Indices ascend,
+// so vec.Dot's stop at the first index beyond len(w) keeps a prefix of each
+// row; the two sums advance in lockstep over the prefixes' common length,
+// then the longer one finishes alone.
+func dot2(w []float64, x, y vec.Sparse) (sx, sy float64) {
+	n := int32(len(w))
+	xi, yi := x.Ind[:inRange(x.Ind, n)], y.Ind[:inRange(y.Ind, n)]
+	xv, yv := x.Val[:len(xi)], y.Val[:len(yi)]
+	k := min(len(xi), len(yi))
+	for p := 0; p < k; p++ {
+		sx += w[xi[p]] * xv[p]
+		sy += w[yi[p]] * yv[p]
+	}
+	for p := k; p < len(xi); p++ {
+		sx += w[xi[p]] * xv[p]
+	}
+	for p := k; p < len(yi); p++ {
+		sy += w[yi[p]] * yv[p]
+	}
+	return sx, sy
+}
+
+// inRange returns how many of the ascending indices ind are below n: all of
+// them unless the last one is not.
+func inRange(ind []int32, n int32) int {
+	k := len(ind)
+	if k == 0 || ind[k-1] < n {
+		return k
+	}
+	p := 0
+	for p < k && ind[p] < n {
+		p++
+	}
+	return p
 }
 
 // AddGradient accumulates the gradient of the *loss term only*, summed (not

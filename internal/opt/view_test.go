@@ -46,7 +46,7 @@ func TestMGDStepViewBitIdentical(t *testing.T) {
 				wRef[j] = rng.NormFloat64()
 				wView[j] = wRef[j]
 			}
-			scratchRef, scratchView := make([]float64, n), make([]float64, n)
+			scratchRef, scratchView := make([]float64, n), &MGDScratch{}
 			for step := 0; step < 50; step++ {
 				batch := synthBatch(rng, 1+rng.Intn(8), dim)
 				eta := 0.1 / math.Sqrt(1+float64(step))
@@ -72,7 +72,7 @@ func TestLocalMGDEpochViewMatchesDense(t *testing.T) {
 		for _, n := range []int{dim, dim / 3} {
 			wRef, wView := make([]float64, n), make([]float64, n)
 			workRef, stepsRef := LocalMGDEpoch(obj, wRef, examples, 10, InvSqrt(0.05), 3, make([]float64, n))
-			workView, stepsView := LocalMGDEpochView(obj, wView, v, 10, InvSqrt(0.05), 3, make([]float64, n))
+			workView, stepsView := LocalMGDEpochView(obj, wView, v, 10, InvSqrt(0.05), 3, nil)
 			if workRef != workView || stepsRef != stepsView {
 				t.Fatalf("obj %d n=%d: view (work=%d steps=%d) != reference (work=%d steps=%d)",
 					oi, n, workView, stepsView, workRef, stepsRef)

@@ -29,7 +29,6 @@ import (
 	"mllibstar/internal/simnet"
 	"mllibstar/internal/trace"
 	"mllibstar/internal/train"
-	"mllibstar/internal/vec"
 )
 
 // System labels for the two aggregation rules.
@@ -85,11 +84,16 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 		sim.Spawn(fmt.Sprintf("petuum:worker%d", r), func(p *des.Proc) {
 			cursor := 0
 			// Worker-owned buffers, reused across steps: the pull target, the
-			// pushed delta (Push copies what it sends) and the gradient
-			// scratch.
+			// pushed delta (Push copies what it sends), the gradient scratch,
+			// and the batch's touched coordinates with their marks.
 			w := make([]float64, dim)
 			delta := make([]float64, dim)
 			scratch := make([]float64, dim)
+			var touched []int32
+			var mark []uint8
+			if regIsNone {
+				mark = make([]uint8, dim)
+			}
 			jitter := detrand.Worker(prm.Seed, r)
 			for t := 1; t <= prm.MaxSteps && !stop; t++ {
 				if r == 0 {
@@ -139,13 +143,21 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 						// them back to back (stepBase continuing across the
 						// seam) is the same per-example update sequence the
 						// gathered batch produced. delta holds the locally
-						// refined model, then its difference to the pulled one.
-						copy(delta, w)
+						// refined model, then its difference to the pulled one
+						// — on the batch's touched coordinates only: elsewhere
+						// the dense w[j] + -1·w[j] is +0 for a finite model,
+						// and PushTouched sends nothing else.
+						touched = span2.AppendTouched(span1.AppendTouched(touched[:0], mark), mark)
+						for _, j := range touched {
+							delta[j] = w[j]
+						}
 						opt.LocalPassView(prm.Objective, delta, span1, opt.Const(eta), 0, nil)
 						if span2.NumRows() > 0 {
 							opt.LocalPassView(prm.Objective, delta, span2, opt.Const(eta), span1.NumRows(), nil)
 						}
-						vec.AddScaled(delta, w, -1)
+						for _, j := range touched {
+							delta[j] += -1 * w[j] // vec.AddScaled(delta, w, -1), coordinate j
+						}
 					} else {
 						// One dense batch-GD update per communication step;
 						// the loop overwrites every coordinate of delta.
@@ -166,7 +178,11 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 				}
 				res.Updates += upd
 				obs.Active().Updates(t, node.Name(), upd, p.Now())
-				deploy.Push(p, node.Name(), r, t, delta)
+				if regIsNone {
+					deploy.PushTouched(p, node.Name(), r, t, delta, touched)
+				} else {
+					deploy.Push(p, node.Name(), r, t, delta)
+				}
 			}
 			if r == 0 && !stop {
 				// Final pull so the curve includes the fully-merged model.

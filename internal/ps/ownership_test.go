@@ -114,7 +114,8 @@ func TestPullReturnsCallerOwnedSlice(t *testing.T) {
 // psRunBytes returns the heap bytes a deployment of k workers and k servers
 // allocates over the given number of pull-and-push clocks, set-up included,
 // with every worker keeping its pull and delta buffers for the whole run.
-func psRunBytes(t *testing.T, k, dim, clocks int) uint64 {
+// With touched non-nil the pushes are PushTouched's sparse ones over it.
+func psRunBytes(t *testing.T, k, dim, clocks int, touched []int32) uint64 {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -126,7 +127,11 @@ func psRunBytes(t *testing.T, k, dim, clocks int) uint64 {
 			delta := ramp(dim, 1e-6)
 			for c := 1; c <= clocks; c++ {
 				deploy.PullInto(p, names[r], r, c-1, w)
-				deploy.Push(p, names[r], r, c, delta)
+				if touched == nil {
+					deploy.Push(p, names[r], r, c, delta)
+				} else {
+					deploy.PushTouched(p, names[r], r, c, delta, touched)
+				}
 			}
 		})
 	}
@@ -135,21 +140,33 @@ func psRunBytes(t *testing.T, k, dim, clocks int) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestPSSteadyStateAllocs guards the recycling: once the pool holds the peak
-// number of range buffers in flight, further clocks allocate messages and
+// TestPSSteadyStateAllocs guards the recycling: once the pools hold the
+// peak number of buffers in flight, further clocks allocate messages and
 // events but nothing model-sized. Before the pool every clock allocated 3·k
 // models (a snapshot and an assembled model per pull, the chunks per push).
+// The sparse push is held to the same bound with half the model touched:
+// its (index, value) chunks, 12 bytes a coordinate, come from the chunk free
+// list too, so a further clock allocates no index or value buffer.
 func TestPSSteadyStateAllocs(t *testing.T) {
 	const k, dim, n = 4, 1 << 16, 20
 	modelBytes := uint64(dim * 8)
-	short := psRunBytes(t, k, dim, n)
-	long := psRunBytes(t, k, dim, 2*n)
-	if long < short {
-		return
+	half := make([]int32, 0, dim/2)
+	for j := int32(dim - 1); j >= 0; j -= 2 { // every other coordinate, descending
+		half = append(half, j)
 	}
-	perClock := (long - short) / n
-	t.Logf("%d clocks allocate %d B, %d clocks %d B: %d B per further clock, model %d B", n, short, 2*n, long, perClock, modelBytes)
-	if perClock > modelBytes/4 {
-		t.Errorf("a further clock allocates %d B, more than a quarter of one %d B model: a message path allocates model-sized buffers again", perClock, modelBytes)
+	for _, tc := range []struct {
+		name    string
+		touched []int32
+	}{{"dense push", nil}, {"touched-set push", half}} {
+		short := psRunBytes(t, k, dim, n, tc.touched)
+		long := psRunBytes(t, k, dim, 2*n, tc.touched)
+		if long < short {
+			continue
+		}
+		perClock := (long - short) / n
+		t.Logf("%s: %d clocks allocate %d B, %d clocks %d B: %d B per further clock, model %d B", tc.name, n, short, 2*n, long, perClock, modelBytes)
+		if perClock > modelBytes/4 {
+			t.Errorf("%s: a further clock allocates %d B, more than a quarter of one %d B model: a message path allocates model-sized buffers again", tc.name, perClock, modelBytes)
+		}
 	}
 }

@@ -9,6 +9,14 @@
 // comparisons): server s owns the s-th contiguous range of the model and
 // serves requests over the node's simulated NIC, so pull/push traffic and
 // incast effects are modelled exactly like all other communication.
+//
+// A push may carry only the coordinates the worker touched (PushTouched), as
+// pooled (index, value) chunks the owning server applies sparsely; it is
+// still charged as the dense range on the wire and on the server, because
+// SSP timing is the semantics under study. Skipping an
+// untouched coordinate is exact: its delta is +0, and a server model starts
+// at +0 and changes only by addition, so it never holds the −0 that adding
+// +0 would turn into +0.
 package ps
 
 import (
@@ -49,12 +57,13 @@ const requestBytes = 64
 
 // PS is a running parameter-server deployment.
 //
-// Every model-sized vector on a message path comes from the deployment's
-// pool and changes owner with the message: reply snapshots a server's range
-// into a pooled buffer that PullInto recycles once it has copied it out, and
-// Push copies each chunk of the delta into a pooled buffer that the owning
-// server recycles once it has applied it. Nothing a caller passes in or gets
-// back is ever shared with a server.
+// Every vector on a message path comes from one of the deployment's pools
+// and changes owner with the message: reply snapshots a server's range into
+// a pooled buffer that PullInto recycles once it has copied it out; Push
+// copies each range of the delta into a pooled buffer, and PushTouched the
+// touched coordinates into a pooled sparse chunk, that the owning server
+// recycles once it has applied it. Nothing a caller passes in or gets back
+// is ever shared with a server.
 type PS struct {
 	cfg        Config
 	net        *simnet.Network
@@ -62,6 +71,11 @@ type PS struct {
 	serverTags []string // request mailbox tag on each server's host node
 	replyTags  []string // pull-reply mailbox tag of each worker
 	pool       *vec.Pool
+	outbox     [][]*chunk // per worker, the sparse chunk of each server while PushTouched fills them
+	// chunks holds the free sparse chunks, their capacity kept. Only
+	// simulation processes push and serve, and they never run at once, so
+	// unlike pool it needs no lock.
+	chunks []*chunk
 }
 
 type pullReq struct {
@@ -70,12 +84,22 @@ type pullReq struct {
 	replyTo string
 }
 
-// pushReq carries one server's chunk of a delta in a pooled buffer the
-// server owns on receipt.
+// pushReq carries one server's part of a delta, which the server owns on
+// receipt: the whole range in a pooled buffer (Push), or the touched
+// coordinates in a pooled sparse chunk (PushTouched) — possibly none, since
+// the message also advances the worker's clock.
 type pushReq struct {
 	worker int
 	clock  int
-	vals   []float64
+	vals   []float64 // dense: the range's delta; nil when sparse is set
+	sparse *chunk
+}
+
+// chunk is a sparse push payload: vals[i] is the delta of range-relative
+// coordinate idx[i], the indices distinct.
+type chunk struct {
+	idx  []int32
+	vals []float64
 }
 
 // rangeReply carries a snapshot of one server's range in a pooled buffer the
@@ -111,9 +135,11 @@ func New(sim *des.Sim, net *simnet.Network, nodeNames []string, cfg Config) (*PS
 		serverTags: make([]string, cfg.Servers),
 		replyTags:  make([]string, cfg.Workers),
 		pool:       vec.NewPool(),
+		outbox:     make([][]*chunk, cfg.Workers),
 	}
 	for w := range p.replyTags {
 		p.replyTags[w] = fmt.Sprintf("ps.pull.w%d", w)
+		p.outbox[w] = make([]*chunk, cfg.Servers)
 	}
 	for s := 0; s < cfg.Servers; s++ {
 		p.serverTags[s] = fmt.Sprintf("ps.req%d", s)
@@ -163,11 +189,20 @@ func (s *server) serve(p *des.Proc) {
 		msg := s.node.Recv(p, s.ps.serverTags[s.index])
 		switch req := msg.Payload.(type) {
 		case pushReq:
-			// Applying a delta costs one unit per coordinate in the range.
-			vals := req.vals
-			s.node.ComputeKind(p, float64(len(vals)), trace.Update, "ps push")
-			vec.AddScaled(s.model, vals, s.ps.cfg.CombineScale)
-			s.ps.pool.Put(vals)
+			// Applying a delta costs one unit per coordinate in the range,
+			// however few of them a sparse chunk carries.
+			s.node.ComputeKind(p, float64(len(s.model)), trace.Update, "ps push")
+			scale := s.ps.cfg.CombineScale
+			if c := req.sparse; c != nil {
+				// vec.AddScaled's expression, at the touched coordinates.
+				for i, j := range c.idx {
+					s.model[j] += scale * c.vals[i]
+				}
+				s.ps.putChunk(c)
+			} else {
+				vec.AddScaled(s.model, req.vals, scale)
+				s.ps.pool.Put(req.vals)
+			}
 			if req.clock > s.clocks[req.worker] {
 				s.clocks[req.worker] = req.clock
 			}
@@ -251,14 +286,76 @@ func (p *PS) Pull(proc *des.Proc, nodeName string, worker, clock int) []float64 
 // Each chunk is copied before it is sent, so the caller may reuse delta as
 // soon as Push returns.
 func (p *PS) Push(proc *des.Proc, nodeName string, worker, clock int, delta []float64) {
+	p.push(proc, nodeName, worker, clock, delta, nil, true)
+}
+
+// PushTouched is Push for a delta that is +0 at every coordinate outside
+// touched (distinct indices; nil or empty means none). Only the touched
+// coordinates are copied and applied, so the host cost is len(touched), not
+// Dim; the simulated cost is Push's, and so is the resulting model.
+func (p *PS) PushTouched(proc *des.Proc, nodeName string, worker, clock int, delta []float64, touched []int32) {
+	p.push(proc, nodeName, worker, clock, delta, touched, false)
+}
+
+// push sends every server its part of delta: the whole range when dense,
+// else the sparse chunk of the touched coordinates it owns. Every server gets
+// a message, an empty chunk included — it carries the clock advance — and the
+// wire charge is the whole range either way.
+func (p *PS) push(proc *des.Proc, nodeName string, worker, clock int, delta []float64, touched []int32, dense bool) {
 	if len(delta) != p.cfg.Dim {
 		panic(fmt.Sprintf("ps: delta dim %d != %d", len(delta), p.cfg.Dim))
+	}
+	out := p.outbox[worker]
+	if !dense {
+		for s := range out {
+			out[s] = p.getChunk()
+		}
+		for _, j := range touched {
+			s, lo := p.owner(int(j))
+			c := out[s]
+			c.idx = append(c.idx, j-int32(lo))
+			c.vals = append(c.vals, delta[j])
+		}
 	}
 	node := p.net.Node(nodeName)
 	for s := 0; s < p.cfg.Servers; s++ {
 		lo, hi := Range(p.cfg.Dim, p.cfg.Servers, s)
-		chunk := p.pool.Copy(delta[lo:hi])
+		var vals []float64
+		if dense {
+			vals = p.pool.Copy(delta[lo:hi])
+		}
 		node.SendPhase(proc, p.hosts[s], p.serverTags[s],
-			float64(hi-lo)*8, pushReq{worker: worker, clock: clock, vals: chunk}, obs.PhasePSPush)
+			float64(hi-lo)*8, pushReq{worker: worker, clock: clock, vals: vals, sparse: out[s]}, obs.PhasePSPush)
+		out[s] = nil
 	}
+}
+
+// owner returns the server whose Range holds coordinate j, and that range's
+// start: Range inverted, the first Dim mod Servers ranges being one longer.
+func (p *PS) owner(j int) (s, lo int) {
+	base, rem := p.cfg.Dim/p.cfg.Servers, p.cfg.Dim%p.cfg.Servers
+	long := rem * (base + 1)
+	if j < long {
+		s = j / (base + 1)
+		return s, s * (base + 1)
+	}
+	s = rem + (j-long)/base
+	return s, long + (s-rem)*base
+}
+
+// getChunk takes an empty sparse chunk from the free list, or a new one.
+func (p *PS) getChunk() *chunk {
+	if n := len(p.chunks); n > 0 {
+		c := p.chunks[n-1]
+		p.chunks = p.chunks[:n-1]
+		return c
+	}
+	return &chunk{}
+}
+
+// putChunk empties an applied chunk and returns it, capacity kept, to the
+// free list.
+func (p *PS) putChunk(c *chunk) {
+	c.idx, c.vals = c.idx[:0], c.vals[:0]
+	p.chunks = append(p.chunks, c)
 }
