@@ -32,7 +32,7 @@ fuzz: ## short fuzz runs: libsvm reader + sparse encoding + telemetry event roun
 # The test and benchmark lists bench-smoke selects, one per package and
 # flag. smoke-lists holds every alternative to a test that still exists:
 # `go test -run` with a stale name prints "no tests to run" and passes.
-SMOKE_BENCH_RUN := TestSparseTrafficReduction|TestPipelineNoSlowdown|TestPipelineOverlapSpeedupTarget|TestCSRKernelZeroAllocs|TestCSRKernelFeatMajorZeroAllocs
+SMOKE_BENCH_RUN := TestSparseTrafficReduction|TestPipelineNoSlowdown|TestPipelineOverlapSpeedupTarget|TestCSRKernelZeroAllocs|TestCSRKernelFeatMajorZeroAllocs|TestFig3GanttGolden|TestGanttReplayEqualsLive
 SMOKE_DATA_BENCH := BenchmarkSlabKernels|BenchmarkAddGradientRowsCold
 SMOKE_MLLIB_BENCH := BenchmarkSampleRows
 SMOKE_DES_BENCH := BenchmarkDes
@@ -41,7 +41,7 @@ SMOKE_PS_RUN := TestPSSteadyStateAllocs|TestPushTouchedEqualsDense
 SMOKE_OBS_RUN := TestSinkRecordAllocs
 SMOKE_TRAIN_RUN := TestEvaluatorOverlap|TestEvaluatorInlineWhenRead|TestValidateRejections
 
-bench-smoke: ## deterministic simulated-ratio floors + slab-kernel and des zero-alloc guards + slab-kernel ns/nnz per kernel, loss and row width + the sampled-row gradient on a 72 MB arena (cold rows) + the mini-batch sampler's ns/draw + des ns/switch, ns/event + the ps steady-state allocation guard + the telemetry write path's allocation guard + the evaluator's blocking-loss overlap tests and the Params validation table (under -race)
+bench-smoke: ## deterministic simulated-ratio floors + the Figure-3 gantt goldens and the live-vs-replay gantt test + slab-kernel and des zero-alloc guards + slab-kernel ns/nnz per kernel, loss and row width + the sampled-row gradient on a 72 MB arena (cold rows) + the mini-batch sampler's ns/draw + des ns/switch, ns/event + the ps steady-state allocation guard + the telemetry write path's allocation guard + the evaluator's blocking-loss overlap tests and the Params validation table (under -race)
 	$(GO) test -run '$(SMOKE_BENCH_RUN)' -v ./internal/bench
 	$(GO) test -run '^$$' -bench '$(SMOKE_DATA_BENCH)' -benchtime=1x ./internal/data
 	$(GO) test -run '^$$' -bench '$(SMOKE_MLLIB_BENCH)' -benchtime=1x ./internal/mllib

@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"mllibstar"
+	"mllibstar/internal/obs"
 )
 
 func main() {
@@ -44,7 +45,7 @@ func main() {
 		systems = []mllibstar.System{mllibstar.System(*system)}
 	}
 	for _, sys := range systems {
-		rec := mllibstar.NewTrace()
+		sink := mllibstar.NewTrace()
 		eta := 0.3
 		if sys == mllibstar.MLlib {
 			eta = 12
@@ -52,14 +53,15 @@ func main() {
 		res, err := mllibstar.Train(ds, mllibstar.Config{
 			System: sys, Cluster: mllibstar.Cluster1(*execs),
 			Eta: eta, Decay: true, BatchFraction: 0.1,
-			MaxSteps: *steps, Trace: rec, Seed: 7,
+			MaxSteps: *steps, Trace: sink, Seed: 7,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		fmt.Printf("--- %s: %d steps in %.4f simulated s ---\n", sys, res.CommSteps, res.SimTime)
-		fmt.Println(mllibstar.RenderGantt(rec, *width))
+		gantt := obs.GanttFromEvents(sink.Events())
+		fmt.Println(gantt.ASCII(*width))
 		name := strings.NewReplacer("*", "star", "+", "_").Replace(string(sys))
 		if *csvDir != "" {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -67,7 +69,7 @@ func main() {
 				os.Exit(1)
 			}
 			path := filepath.Join(*csvDir, fmt.Sprintf("gantt_%s.csv", name))
-			if err := os.WriteFile(path, []byte(rec.CSV()), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(gantt.CSV()), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
@@ -79,7 +81,7 @@ func main() {
 				os.Exit(1)
 			}
 			path := filepath.Join(*svgDir, fmt.Sprintf("gantt_%s.svg", name))
-			svg := mllibstar.RenderGanttSVG(rec, fmt.Sprintf("%s · cluster activity", sys), 900)
+			svg := gantt.SVG(fmt.Sprintf("%s · cluster activity", sys), 900)
 			if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)

@@ -75,8 +75,7 @@ func main() {
 	}
 
 	if *gantt != "" {
-		rec := obs.RecorderFromEvents(events)
-		svg := metrics.RenderGanttSVG(rec, "per-node activity, virtual time", 1100)
+		svg := obs.GanttFromEvents(events).SVG("per-node activity, virtual time", 1100)
 		if err := os.WriteFile(*gantt, []byte(svg), 0o644); err != nil {
 			fatal(err)
 		}

@@ -19,6 +19,7 @@ import (
 	"mllibstar"
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/des"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/prof"
 	"mllibstar/internal/serve"
 )
@@ -83,7 +84,7 @@ func serveModel(modelPath, swapPath string, swapAt float64, shards, clientsN, re
 	if cluster2 {
 		spec = clusters.Cluster2(shards)
 	}
-	sim, net, names := spec.BuildServe(shards, clientsN, nil)
+	sim, net, names := spec.BuildServe(shards, clientsN, obs.Active())
 	d, err := serve.New(sim, net, serve.Names{Router: names.Router, Shards: names.Shards},
 		serve.Config{Dim: len(weights), BatchMax: batchMax, BatchBudget: budget}, weights)
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 
 	"mllibstar"
 	"mllibstar/internal/allreduce"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/prof"
 )
 
@@ -96,9 +97,14 @@ func run() error {
 		Staleness:        *stale,
 		Seed:             *seed,
 	}
-	var rec = mllibstar.NewTrace()
 	if *gantt {
-		cfg.Trace = rec
+		// The gantt is drawn from the run's event log: the installed sink
+		// when -obs and friends set one (so the log still gets this run),
+		// otherwise a private one.
+		cfg.Trace = obs.Active()
+		if cfg.Trace == nil {
+			cfg.Trace = obs.NewSink()
+		}
 	}
 	res, err := mllibstar.Train(ds, cfg)
 	if err != nil {
@@ -114,7 +120,7 @@ func run() error {
 	fmt.Printf("training accuracy: %.2f%%\n", res.Model.Accuracy(ds.Examples)*100)
 
 	if *gantt {
-		fmt.Println(mllibstar.RenderGantt(rec, 110))
+		fmt.Println(mllibstar.RenderGantt(cfg.Trace, 110))
 	}
 	if *csvOut != "" {
 		if err := os.WriteFile(*csvOut, []byte(res.Curve.CSV(true)), 0o644); err != nil {

@@ -79,6 +79,32 @@ func TestBuiltBinary(t *testing.T) {
 		}
 	})
 
+	// -gantt draws from the run's sink, which is the installed one under
+	// -obs: the chart is printed and the log still records the run.
+	t.Run("gantt with obs writes both", func(t *testing.T) {
+		log := filepath.Join(t.TempDir(), "events.jsonl")
+		out, err := exec.Command(bin, "-gantt", "-obs", log, "-scale", "20000", "-steps", "2").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		f, err := os.Open(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		events, err := obs.ReadJSONL(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gantt := obs.GanttFromEvents(events)
+		if len(gantt.Spans) == 0 {
+			t.Fatalf("the -obs log holds %d events and no gantt span", len(events))
+		}
+		if !strings.Contains(string(out), gantt.ASCII(110)) {
+			t.Errorf("the printed gantt is not the logged run's:\n%s", out)
+		}
+	})
+
 	t.Run("system usage lists every system", func(t *testing.T) {
 		help, err := exec.Command(bin, "-h").CombinedOutput()
 		if err != nil {

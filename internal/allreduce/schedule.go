@@ -9,9 +9,9 @@ import (
 	"mllibstar/internal/des"
 	"mllibstar/internal/detrand"
 	"mllibstar/internal/engine"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/par"
 	"mllibstar/internal/sparse"
-	"mllibstar/internal/trace"
 	"mllibstar/internal/vec"
 )
 
@@ -71,13 +71,13 @@ func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name 
 			recvBW[j] = ex.PeerSpec(nm).RecvBW
 		}
 		order = RouteOrder(name, self, k, dim, ex.PeerSpec(execs[self]).SendBW, recvBW)
-		// Each production charge carries an observe-never-charge FeatBlock
+		// Each production charge carries an observe-never-charge feat-block
 		// span, so the overlap shows in the gantt without double-booking.
 		produce = func(c, lo, hi int) {
 			start := p.Now()
 			ex.ChargeAsync(p, prod.Work(lo, hi), func() { prod.Produce(lo, hi) })
 			if now := p.Now(); now > start {
-				ex.Node().Observe(p, trace.FeatBlock, start, now, fmt.Sprintf("fb:%s.c%d", name, c))
+				ex.Node().Observe(p, obs.PhaseFeatBlock, start, now, fmt.Sprintf("fb:%s.c%d", name, c))
 			}
 		}
 	}
@@ -133,7 +133,7 @@ func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name 
 			blocks = append(blocks, ex.Recv(p, tag).Payload.(engine.Block))
 		}
 		if now := p.Now(); C > 1 && now > idle {
-			ex.Node().Observe(p, trace.Pipeline, idle, now, tag)
+			ex.Node().Observe(p, obs.PhasePipeline, idle, now, tag)
 		}
 		return blocks
 	}
@@ -159,7 +159,7 @@ func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name 
 		scratch := foldScratch(ex, folded, cohi-colo)
 		h := par.Do(func() { fold(ownChunk, folded, scratch, refChunk, average, k) })
 		for _, b := range blocks {
-			ex.ChargeKind(p, float64(cohi-colo), kindOf(b, trace.Aggregate), name)
+			ex.ChargeKind(p, float64(cohi-colo), phaseOf(b, obs.PhaseAgg), name)
 		}
 		h.Join()
 		ex.PutVec(scratch)
@@ -192,7 +192,7 @@ func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name 
 		})
 		for _, b := range gathered {
 			clo, chi := chunkRange(dim, k, C, b.From, c)
-			ex.ChargeKind(p, float64(chi-clo), kindOf(b, trace.Update), name)
+			ex.ChargeKind(p, float64(chi-clo), phaseOf(b, obs.PhaseUpdate), name)
 		}
 		h.Join()
 	}
@@ -223,10 +223,10 @@ func chunkOf(e sparse.Enc, C, c int) sparse.Enc {
 	return e.Slice(lo, hi)
 }
 
-// kindOf is a received block's charge kind: Encode if sparse, else dense.
-func kindOf(b engine.Block, dense trace.Kind) trace.Kind {
+// phaseOf is a received block's charge phase: encode if sparse, else dense.
+func phaseOf(b engine.Block, dense obs.Phase) obs.Phase {
 	if b.IsSparse() {
-		return trace.Encode
+		return obs.PhaseEncode
 	}
 	return dense
 }

@@ -5,7 +5,7 @@
 //   - Offloaded closures (Task.Pure bodies, the fn argument of
 //     ComputeAsyncKind/ChargeAsync, thunks handed to
 //     par.Go/par.Do — whether written inline, bound to a local first, or
-//     named functions) must not REACH the obs/trace telemetry layer or a
+//     named functions) must not REACH the obs telemetry layer or a
 //     simulation charge operation through any chain of calls. The old
 //     obspure analyzer only saw obs calls written textually inside the
 //     closure body; costcharge follows the call graph, so a closure that
@@ -14,8 +14,8 @@
 //     -log determinism; charges from pool goroutines mutate virtual time
 //     off the simulation thread and corrupt the cost model.
 //
-//   - Observe-path functions — everything in internal/obs and
-//     internal/trace, plus any function or method named Observe* — must
+//   - Observe-path functions — everything in internal/obs, plus any
+//     function or method named Observe* — must
 //     never transitively consume simulated time or bytes (des waits, simnet
 //     sends/computes/receives): observe-never-charge. An observation that
 //     charges would double-account the very cost it reports.
@@ -46,7 +46,6 @@ import (
 
 const (
 	obsPath    = "mllibstar/internal/obs"
-	tracePath  = "mllibstar/internal/trace"
 	simnetPath = "mllibstar/internal/simnet"
 	desPath    = "mllibstar/internal/des"
 	parPath    = "mllibstar/internal/par"
@@ -87,7 +86,7 @@ const name = "costcharge"
 // Analyzer is the interprocedural cost-charge check.
 var Analyzer = &analysis.Analyzer{
 	Name:     name,
-	Doc:      "offloaded closures must not reach obs/trace or simulation charges; observe paths never charge; no duplicate charge statements",
+	Doc:      "offloaded closures must not reach obs telemetry or simulation charges; observe paths never charge; no duplicate charge statements",
 	FactsAll: true,
 	Run:      run,
 }
@@ -127,7 +126,7 @@ func (s *summary) via(bit uint8) string {
 }
 
 func run(pass *analysis.Pass) error {
-	if p := pass.Pkg.Path(); p == obsPath || p == tracePath || p == simnetPath || p == desPath || p == parPath {
+	if p := pass.Pkg.Path(); p == obsPath || p == simnetPath || p == desPath || p == parPath {
 		// The telemetry and cost-model layers implement the primitives; the
 		// contracts bind their users.
 		return nil
@@ -211,7 +210,7 @@ func remoteName(fn *types.Func) string {
 }
 
 // classify maps a remote callee to the primitive it implements: a telemetry
-// op (anything in obs or trace), a charge op (simnet transfers/computes,
+// op (anything in obs), a charge op (simnet transfers/computes,
 // des waits), or neither.
 func classify(fn *types.Func) (uint8, string) {
 	name := fn.Name()
@@ -222,8 +221,6 @@ func classify(fn *types.Func) (uint8, string) {
 	switch {
 	case pkg == obsPath || strings.HasPrefix(pkg, obsPath+"/"):
 		return reachesObs, "obs." + name
-	case pkg == tracePath:
-		return reachesObs, "trace." + name
 	case uniqueChargeNames[name]:
 		return reachesCharge, name
 	case pkg == simnetPath && simnetChargeNames[name]:
@@ -319,7 +316,7 @@ func reportOffloadRoots(pass *analysis.Pass, g *callgraph.Graph, sums map[*callg
 		}
 		if s.Bits&reachesObs != 0 {
 			pass.Reportf(r.pos.Pos(),
-				"%s reaches obs/trace telemetry (%s): offloaded code runs on pool goroutines in wall-clock order, so telemetry from it is nondeterministic; emit events from the simulation thread",
+				"%s reaches obs telemetry (%s): offloaded code runs on pool goroutines in wall-clock order, so telemetry from it is nondeterministic; emit events from the simulation thread",
 				r.where, s.ObsVia)
 		}
 		if s.Bits&reachesCharge != 0 {

@@ -1,5 +1,5 @@
 // Corpus for the costcharge analyzer: interprocedural reachability from
-// offloaded closures to obs/trace telemetry and to simulation charges, the
+// offloaded closures to obs telemetry and to simulation charges, the
 // observe-never-charge contract on Observe* functions, and duplicate charge
 // statements. Every telemetry and charge operation here is reached THROUGH
 // at least one helper call, which is exactly what the syntactic obspure
@@ -54,7 +54,7 @@ func pureWork() float64 {
 // logSpan → obs.Span): obspure sees no obs call in the body and stays
 // silent; costcharge follows the call graph.
 func offloadedObsViaHelper() {
-	ComputeAsyncKind(1, "agg", func() { // want `ComputeAsyncKind closure reaches obs/trace telemetry \(helperChain → logSpan`
+	ComputeAsyncKind(1, "agg", func() { // want `ComputeAsyncKind closure reaches obs telemetry \(helperChain → logSpan`
 		helperChain()
 	})
 }
@@ -75,7 +75,7 @@ func emitter() {
 }
 
 func namedFunctionOffload() {
-	ChargeAsync(5, emitter) // want `ChargeAsync function emitter reaches obs/trace telemetry \(logSpan`
+	ChargeAsync(5, emitter) // want `ChargeAsync function emitter reaches obs telemetry \(logSpan`
 }
 
 // A closure bound to a local before being handed over (the scheduler's

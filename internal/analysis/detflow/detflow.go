@@ -76,7 +76,6 @@ var Analyzer = &analysis.Analyzer{
 		"mllibstar/internal/ps",
 		"mllibstar/internal/serve",
 		"mllibstar/internal/simnet",
-		"mllibstar/internal/trace",
 		"mllibstar/internal/train",
 	},
 	Run: run,

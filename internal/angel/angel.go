@@ -24,7 +24,6 @@ import (
 	"mllibstar/internal/opt"
 	"mllibstar/internal/ps"
 	"mllibstar/internal/simnet"
-	"mllibstar/internal/trace"
 	"mllibstar/internal/train"
 	"mllibstar/internal/vec"
 )
@@ -83,7 +82,7 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 				if r == 0 {
 					// Step attribution for the event log follows worker 0's
 					// clock; other workers drift within the SSP slack.
-					obs.Active().SetStep(t, p.Now())
+					net.Sink().SetStep(t, p.Now())
 				}
 				deploy.PullInto(p, node.Name(), r, t-1, w)
 				if r == 0 {
@@ -125,7 +124,7 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 				if prm.ComputeJitter > 0 {
 					effort *= 1 + prm.ComputeJitter*jitter.Float64()
 				}
-				node.ComputeAsyncKind(p, effort, trace.Compute, "", func() {
+				node.ComputeAsyncKind(p, effort, obs.PhaseCompute, "", func() {
 					// delta holds the locally refined model, then the
 					// difference to the pulled one.
 					copy(delta, w)
@@ -133,7 +132,7 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 					vec.AddScaled(delta, w, -1)
 				})
 				res.Updates += int64(batches)
-				obs.Active().Updates(t, node.Name(), int64(batches), p.Now())
+				net.Sink().Updates(t, node.Name(), int64(batches), p.Now())
 				deploy.Push(p, node.Name(), r, t, delta)
 			}
 			if r == 0 && !stop {

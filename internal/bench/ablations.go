@@ -8,6 +8,7 @@ import (
 	"mllibstar/internal/des"
 	"mllibstar/internal/engine"
 	"mllibstar/internal/glm"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/opt"
 )
 
@@ -53,7 +54,7 @@ func runAblationSummation(cfg RunConfig) (*Report, error) {
 			prm.Decay = false
 			prm.MaxSteps = 60
 			prm.EvalEvery = 10
-			res, err := runSystem(system, spec, w, prm, nil)
+			res, err := runSystem(system, spec, w, prm, obs.Active())
 			if err != nil {
 				return nil, err
 			}
@@ -126,7 +127,7 @@ func runAblationWaves(cfg RunConfig) (*Report, error) {
 	for _, waves := range []int{1, 2, 4} {
 		parts := w.ds.Partition(k*waves, 3)
 		spec := clusters.Cluster1(k)
-		_, cl, ctx := spec.Build(nil)
+		_, cl, ctx := spec.Build(obs.Active())
 		var stageTime float64
 		cl.Sim.Spawn("driver", func(p *des.Proc) {
 			wModel := make([]float64, dim)
@@ -175,7 +176,7 @@ func runAblationAggregators(cfg RunConfig) (*Report, error) {
 		prm := tuned(sysMLlib, w.ds.Name, 0)
 		prm.MaxSteps = 4
 		prm.Aggregators = aggs
-		res, err := runSystem(sysMLlib, clusters.Cluster1(8), w, prm, nil)
+		res, err := runSystem(sysMLlib, clusters.Cluster1(8), w, prm, obs.Active())
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +191,7 @@ func runAblationAggregators(cfg RunConfig) (*Report, error) {
 	// Reference: MLlib* per-step time on the same workload.
 	prm := tuned(sysMLlibStar, w.ds.Name, 0)
 	prm.MaxSteps = 4
-	res, err := runSystem(sysMLlibStar, clusters.Cluster1(8), w, prm, nil)
+	res, err := runSystem(sysMLlibStar, clusters.Cluster1(8), w, prm, obs.Active())
 	if err != nil {
 		return nil, err
 	}

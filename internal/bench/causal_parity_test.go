@@ -30,7 +30,6 @@ import (
 	"mllibstar/internal/glm"
 	"mllibstar/internal/lbfgs"
 	"mllibstar/internal/obs"
-	"mllibstar/internal/trace"
 	"mllibstar/internal/train"
 )
 
@@ -76,11 +75,25 @@ func requireCausalGraph(t *testing.T, system string, events []obs.Event) *causal
 	return g
 }
 
+// timeline is the gantt CSV of an event log with the message tags blanked:
+// a causal sink keeps each message's tag in the note column, a plain sink
+// does not, and everything else must agree.
+func timeline(events []obs.Event) string {
+	g := obs.GanttFromEvents(events)
+	for i := range g.Spans {
+		if g.Spans[i].Dir != "" {
+			g.Spans[i].Note = ""
+		}
+	}
+	return g.CSV()
+}
+
 // TestCritPathBitIdentity runs every trainer config of the parity matrix
-// twice — causal tracing off and on — and requires full bitwise equality of
-// the results, the charged bytes, and the engine trace CSV; then validates
-// the graph built from the on-run's log. Tracing is observation only: it
-// must not shift the virtual clock by one ulp.
+// twice — into a private plain sink, and into an installed causal one — and
+// requires full bitwise equality of the results, the charged bytes, and the
+// gantt timeline; then validates the graph built from the causal run's log.
+// Tracing is observation only: it must not shift the virtual clock by one
+// ulp.
 func TestCritPathBitIdentity(t *testing.T) {
 	cfg := RunConfig{Scale: 20000, EvalCap: 200}
 	w, err := loadWorkload("avazu", cfg)
@@ -89,7 +102,7 @@ func TestCritPathBitIdentity(t *testing.T) {
 	}
 	type runner struct {
 		name string
-		run  func(rec *trace.Recorder) *train.Result
+		run  func(sink *obs.Sink) *train.Result
 	}
 	var cases []runner
 	for _, tc := range []struct {
@@ -110,8 +123,8 @@ func TestCritPathBitIdentity(t *testing.T) {
 		prm.MaxSteps = 8
 		cases = append(cases, runner{
 			name: fmt.Sprintf("%s/l2=%g", system, l2),
-			run: func(rec *trace.Recorder) *train.Result {
-				res, err := runSystem(system, clusters.Test(4), w, prm, rec)
+			run: func(sink *obs.Sink) *train.Result {
+				res, err := runSystem(system, clusters.Test(4), w, prm, sink)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,8 +140,8 @@ func TestCritPathBitIdentity(t *testing.T) {
 		}
 		cases = append(cases, runner{
 			name: name,
-			run: func(rec *trace.Recorder) *train.Result {
-				_, _, ctx := clusters.Test(4).Build(rec)
+			run: func(sink *obs.Sink) *train.Result {
+				_, _, ctx := clusters.Test(4).Build(sink)
 				parts := w.ds.Partition(4, 3)
 				res, err := lbfgs.TrainDistributed(ctx, parts, w.ds.Features, lbfgs.DistConfig{
 					Objective: glm.LogReg(0.01),
@@ -144,8 +157,8 @@ func TestCritPathBitIdentity(t *testing.T) {
 	}
 	cases = append(cases, runner{
 		name: "MLlib*-SVRG",
-		run: func(rec *trace.Recorder) *train.Result {
-			_, _, ctx := clusters.Test(4).Build(rec)
+		run: func(sink *obs.Sink) *train.Result {
+			_, _, ctx := clusters.Test(4).Build(sink)
 			parts := w.ds.Partition(4, 3)
 			prm := train.Params{Objective: glm.LogReg(0.01), Eta: 0.1, MaxSteps: 5, EvalEvery: 1, Seed: 7}
 			res, err := core.TrainSVRG(ctx, parts, w.ds.Features, prm, w.eval, w.ds.Name)
@@ -158,12 +171,12 @@ func TestCritPathBitIdentity(t *testing.T) {
 
 	for _, c := range cases {
 		var off, on *train.Result
-		offRec, onRec := new(trace.Recorder), new(trace.Recorder)
-		runWithCausal(false, func() { off = c.run(offRec) })
-		events := runWithCausal(true, func() { on = c.run(onRec) })
+		plain := obs.NewSink()
+		runWithCausal(false, func() { off = c.run(plain) })
+		events := runWithCausal(true, func() { on = c.run(obs.Active()) })
 		requireObsIdentical(t, c.name, off, on)
-		if offRec.CSV() != onRec.CSV() {
-			t.Errorf("%s: engine trace CSV differs between causal-off and causal-on runs", c.name)
+		if timeline(plain.Events()) != timeline(events) {
+			t.Errorf("%s: gantt timeline differs between plain and causal runs", c.name)
 		}
 		if len(events) == 0 {
 			t.Fatalf("%s: causal run recorded no events", c.name)
@@ -292,7 +305,7 @@ func TestWhatIfChunkSweep(t *testing.T) {
 	prm := tuned(sysMLlibStar, "avazu", 0.1)
 	prm.MaxSteps = 4
 	run := func() {
-		if _, err := runSystem(sysMLlibStar, clusters.CommBound(4), w, prm, nil); err != nil {
+		if _, err := runSystem(sysMLlibStar, clusters.CommBound(4), w, prm, obs.Active()); err != nil {
 			t.Fatal(err)
 		}
 	}

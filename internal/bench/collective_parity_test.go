@@ -24,6 +24,7 @@ import (
 	"mllibstar/internal/core"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/lbfgs"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/sparse"
 	"mllibstar/internal/train"
 )
@@ -84,7 +85,7 @@ func systemRow(system string, l2 float64) trainerRow {
 	return trainerRow{name: fmt.Sprintf("%s@l2=%g", system, l2), run: func(t *testing.T, w *workload) *train.Result {
 		prm := tuned(system, "avazu", l2)
 		prm.MaxSteps = 8
-		res, err := runSystem(system, clusters.Test(4), w, prm, nil)
+		res, err := runSystem(system, clusters.Test(4), w, prm, obs.Active())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +97,7 @@ func systemRow(system string, l2 float64) trainerRow {
 // (LBFGS*) or through the driver's tree aggregate (LBFGS).
 func lbfgsRow(name string, allReduce bool) trainerRow {
 	return trainerRow{name: name, run: func(t *testing.T, w *workload) *train.Result {
-		_, _, ctx := clusters.Test(4).Build(nil)
+		_, _, ctx := clusters.Test(4).Build(obs.Active())
 		res, err := lbfgs.TrainDistributed(ctx, w.ds.Partition(4, 3), w.ds.Features, lbfgs.DistConfig{
 			Objective: glm.LogReg(0.01),
 			MaxIters:  6,
@@ -113,7 +114,7 @@ var (
 	rowsMLlibStar = []trainerRow{systemRow(sysMLlibStar, 0.1), systemRow(sysMLlibStar, 0)}
 	rowLBFGSStar  = lbfgsRow("LBFGS*", true)
 	rowSVRG       = trainerRow{name: "MLlib*-SVRG", run: func(t *testing.T, w *workload) *train.Result {
-		_, _, ctx := clusters.Test(4).Build(nil)
+		_, _, ctx := clusters.Test(4).Build(obs.Active())
 		prm := train.Params{Objective: glm.LogReg(0.01), Eta: 0.1, MaxSteps: 5, EvalEvery: 1, Seed: 7}
 		res, err := core.TrainSVRG(ctx, w.ds.Partition(4, 3), w.ds.Features, prm, w.eval, w.ds.Name)
 		if err != nil {
@@ -210,7 +211,7 @@ func TestPipelineNoSlowdown(t *testing.T) {
 	prm := tuned(sysMLlibStar, "avazu", 0.1)
 	prm.MaxSteps = 4
 	run := func() *train.Result {
-		res, err := runSystem(sysMLlibStar, clusters.CommBound(4), w, prm, nil)
+		res, err := runSystem(sysMLlibStar, clusters.CommBound(4), w, prm, obs.Active())
 		if err != nil {
 			t.Fatal(err)
 		}

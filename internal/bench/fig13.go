@@ -2,11 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/data"
-	"mllibstar/internal/trace"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/train"
 )
 
@@ -89,31 +88,34 @@ func runTable1(cfg RunConfig) (*Report, error) {
 	return r, nil
 }
 
-// fig3Trace runs a few steps of the given system on the kdd12 preset with
-// tracing enabled and returns the recorder plus the result.
-func fig3Trace(system string, cfg RunConfig) (*trace.Recorder, *train.Result, error) {
+// fig3Trace runs a few steps of the given system on the kdd12 preset and
+// returns the run's gantt plus the result. The run records into a causal
+// sink (obs.CausalSink) whatever the telemetry flags say, so the gantt CSV
+// always carries each message's tag.
+func fig3Trace(system string, cfg RunConfig) (obs.Gantt, *train.Result, error) {
 	w, err := loadWorkload("kdd12", cfg)
 	if err != nil {
-		return nil, nil, err
+		return obs.Gantt{}, nil, err
 	}
-	rec := trace.New()
 	prm := tuned(system, w.ds.Name, 0)
 	prm.MaxSteps = 4
-	res, err := runSystem(system, clusters.Cluster1(8), w, prm, rec)
-	return rec, res, err
+	sink := obs.CausalSink()
+	from := sink.Len()
+	res, err := runSystem(system, clusters.Cluster1(8), w, prm, sink)
+	return obs.GanttFromEvents(sink.Events()[from:]), res, err
 }
 
 // runFig3 renders the three gantt charts of Figure 3.
 func runFig3(cfg RunConfig) (*Report, error) {
 	r := &Report{ID: "fig3", Title: "Gantt charts for MGD executions (kdd12, SVM, 8 executors)"}
 	for _, system := range []string{sysMLlib, sysMAvg, sysMLlibStar} {
-		rec, res, err := fig3Trace(system, cfg)
+		gantt, res, err := fig3Trace(system, cfg)
 		if err != nil {
 			return nil, err
 		}
 		r.addLine("--- %s (%d steps in %.3f simulated s) ---", system, res.CommSteps, res.SimTime)
-		r.Lines = append(r.Lines, rec.RenderASCII(100))
-		r.addFile(fmt.Sprintf("fig3_%s_gantt.csv", safe(system)), rec.CSV())
+		r.Lines = append(r.Lines, gantt.ASCII(100))
+		r.addFile(fmt.Sprintf("fig3_%s_gantt.csv", safe(system)), gantt.CSV())
 	}
 	r.addLine("Expected shape: (a) MLlib — driver Update bars with executors idle between stages;")
 	r.addLine("(b) +MA — same pattern, fewer steps needed; (c) MLlib* — executors busy nearly all the time.")
@@ -127,26 +129,14 @@ func runBottleneck(cfg RunConfig) (*Report, error) {
 	r := &Report{ID: "bottleneck", Title: "Driver bottleneck quantification (kdd12, 8 executors)"}
 	csv := "system,driver_busy_share,mean_executor_utilization\n"
 	for _, system := range []string{sysMLlib, sysMAvg, sysMLlibStar} {
-		rec, res, err := fig3Trace(system, cfg)
+		gantt, res, err := fig3Trace(system, cfg)
 		if err != nil {
 			return nil, err
 		}
-		bt := rec.BusyTime()
-		// Sum in fixed Kind order: map-order float accumulation would make
-		// the CSV differ in the last ulp between runs.
-		driver := 0.0
-		for k := trace.Kind(0); k < trace.KindCount; k++ {
-			driver += bt["driver"][k]
-		}
-		driverShare := driver / res.SimTime
-		util := rec.Utilization()
-		nodes := make([]string, 0, len(util))
-		for node := range util { //mlstar:nolint determinism -- order-insensitive: keys sorted before use
-			nodes = append(nodes, node)
-		}
-		sort.Strings(nodes)
+		driverShare := gantt.Busy("driver") / res.SimTime
+		util := gantt.Utilization()
 		execUtil, n := 0.0, 0
-		for _, node := range nodes {
+		for _, node := range gantt.Nodes() {
 			if node != "driver" {
 				execUtil += util[node]
 				n++

@@ -5,6 +5,7 @@ import (
 
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/metrics"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/train"
 )
 
@@ -79,7 +80,7 @@ func runTuned6(system string, spec clusters.Spec, w *workload, cfg RunConfig) (*
 	default:
 		prm.MaxSteps = 100
 	}
-	return runSystem(system, spec, w, prm, nil)
+	return runSystem(system, spec, w, prm, obs.Active())
 }
 
 // runFig6Panel runs the WX workload on Cluster 2 with the given machine

@@ -8,6 +8,7 @@ import (
 	"mllibstar/internal/dfs"
 	"mllibstar/internal/engine"
 	"mllibstar/internal/glm"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/opt"
 )
 
@@ -66,7 +67,7 @@ func runExtLoading(cfg RunConfig) (*Report, error) {
 	dim := w.ds.Features
 
 	spec := clusters.Cluster1(8)
-	_, cl, ctx := spec.Build(nil)
+	_, cl, ctx := spec.Build(obs.Active())
 	fs, err := dfs.New(cl.Sim, cl.Net, dfs.Config{
 		Nodes:       cl.Execs,
 		BlockBytes:  dataBytes / 32, // ~32 blocks over 8 datanodes

@@ -81,7 +81,7 @@ func TestObsBitIdentityTrainers(t *testing.T) {
 		prm := tuned(tc.system, "avazu", tc.l2)
 		prm.MaxSteps = 8
 		run := func() *train.Result {
-			res, err := runSystem(tc.system, clusters.Test(4), w, prm, nil)
+			res, err := runSystem(tc.system, clusters.Test(4), w, prm, obs.Active())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestObsBitIdentityLBFGS(t *testing.T) {
 	}
 	for _, allReduce := range []bool{false, true} {
 		run := func() *train.Result {
-			_, _, ctx := clusters.Test(4).Build(nil)
+			_, _, ctx := clusters.Test(4).Build(obs.Active())
 			parts := w.ds.Partition(4, 3)
 			res, err := lbfgs.TrainDistributed(ctx, parts, w.ds.Features, lbfgs.DistConfig{
 				Objective: glm.LogReg(0.01),
@@ -136,7 +136,7 @@ func TestObsBitIdentitySVRG(t *testing.T) {
 	}
 	prm := train.Params{Objective: glm.LogReg(0.01), Eta: 0.1, MaxSteps: 5, EvalEvery: 1, Seed: 7}
 	run := func() *train.Result {
-		_, _, ctx := clusters.Test(4).Build(nil)
+		_, _, ctx := clusters.Test(4).Build(obs.Active())
 		parts := w.ds.Partition(4, 3)
 		res, err := core.TrainSVRG(ctx, parts, w.ds.Features, prm, w.eval, w.ds.Name)
 		if err != nil {
@@ -160,7 +160,7 @@ func TestObsBitIdentitySparse(t *testing.T) {
 	prm := tuned(sysMLlibStar, w.ds.Name, 0.1)
 	prm.MaxSteps = 6
 	run := func() *train.Result {
-		res, err := runSystem(sysMLlibStar, clusters.Test(4), w, prm, nil)
+		res, err := runSystem(sysMLlibStar, clusters.Test(4), w, prm, obs.Active())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func sampleLog(t *testing.T, system string) *obs.Sink {
 	prm.MaxSteps = 8
 	s := obs.EnableCausal()
 	defer obs.Disable()
-	if _, err := runSystem(system, clusters.Test(4), w, prm, nil); err != nil {
+	if _, err := runSystem(system, clusters.Test(4), w, prm, obs.Active()); err != nil {
 		t.Fatal(err)
 	}
 	return s

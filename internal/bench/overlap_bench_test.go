@@ -17,6 +17,7 @@ import (
 	"mllibstar/internal/des"
 	"mllibstar/internal/engine"
 	"mllibstar/internal/glm"
+	"mllibstar/internal/obs"
 )
 
 var (
@@ -77,7 +78,7 @@ func runOverlapGD(spec clusters.Spec, ds *data.Dataset, iters int) (final []floa
 		}
 	}
 
-	sim, cl, ctx := spec.Build(nil)
+	sim, cl, ctx := spec.Build(obs.Active())
 	locals := make([][]float64, k)
 	for i := range locals {
 		locals[i] = make([]float64, dim)

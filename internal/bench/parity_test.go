@@ -16,6 +16,7 @@ import (
 	"mllibstar/internal/core"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/lbfgs"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/par"
 	"mllibstar/internal/train"
 )
@@ -79,7 +80,7 @@ func TestParallelOffloadBitIdentityTrainers(t *testing.T) {
 		prm := tuned(tc.system, "avazu", tc.l2)
 		prm.MaxSteps = 8
 		run := func() *train.Result {
-			res, err := runSystem(tc.system, clusters.Test(4), w, prm, nil)
+			res, err := runSystem(tc.system, clusters.Test(4), w, prm, obs.Active())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +101,7 @@ func TestParallelOffloadBitIdentityLBFGS(t *testing.T) {
 	}
 	for _, allReduce := range []bool{false, true} {
 		run := func() *train.Result {
-			_, _, ctx := clusters.Test(4).Build(nil)
+			_, _, ctx := clusters.Test(4).Build(obs.Active())
 			parts := w.ds.Partition(4, 3)
 			res, err := lbfgs.TrainDistributed(ctx, parts, w.ds.Features, lbfgs.DistConfig{
 				Objective: glm.LogReg(0.01),
@@ -131,7 +132,7 @@ func TestParallelOffloadBitIdentitySVRG(t *testing.T) {
 	}
 	prm := train.Params{Objective: glm.LogReg(0.01), Eta: 0.1, MaxSteps: 5, EvalEvery: 1, Seed: 7}
 	run := func() *train.Result {
-		_, _, ctx := clusters.Test(4).Build(nil)
+		_, _, ctx := clusters.Test(4).Build(obs.Active())
 		parts := w.ds.Partition(4, 3)
 		res, err := core.TrainSVRG(ctx, parts, w.ds.Features, prm, w.eval, w.ds.Name)
 		if err != nil {

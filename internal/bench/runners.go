@@ -10,8 +10,8 @@ import (
 	"mllibstar/internal/engine"
 	"mllibstar/internal/mavg"
 	"mllibstar/internal/mllib"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/petuum"
-	"mllibstar/internal/trace"
 	"mllibstar/internal/train"
 )
 
@@ -26,13 +26,14 @@ const (
 )
 
 // runSystem executes one training run of the named system on a fresh
-// simulated cluster built from spec, optionally recording activity traces.
-func runSystem(system string, spec clusters.Spec, w *workload, prm train.Params, rec *trace.Recorder) (*train.Result, error) {
+// simulated cluster built from spec, recording into sink (nil records
+// nothing).
+func runSystem(system string, spec clusters.Spec, w *workload, prm train.Params, sink *obs.Sink) (*train.Result, error) {
 	parts := w.ds.Partition(spec.Executors, 3)
 	dim := w.ds.Features
 	switch system {
 	case sysMLlib, sysMAvg, sysMLlibStar:
-		_, _, ctx := spec.Build(rec)
+		_, _, ctx := spec.Build(sink)
 		switch system {
 		case sysMLlib:
 			return mllib.Train(ctx, parts, dim, prm, w.eval, w.ds.Name)
@@ -42,10 +43,10 @@ func runSystem(system string, spec clusters.Spec, w *workload, prm train.Params,
 			return core.Train(ctx, parts, dim, prm, w.eval, w.ds.Name)
 		}
 	case sysPetuum, sysPetuumStar:
-		sim, net, names := spec.BuildNet(rec)
+		sim, net, names := spec.BuildNet(sink)
 		return petuum.Train(sim, net, names, parts, dim, prm, w.eval, w.ds.Name, system == sysPetuum)
 	case sysAngel:
-		sim, net, names := spec.BuildNet(rec)
+		sim, net, names := spec.BuildNet(sink)
 		return angel.Train(sim, net, names, parts, dim, prm, w.eval, w.ds.Name)
 	}
 	return nil, fmt.Errorf("bench: unknown system %q", system)
@@ -90,7 +91,7 @@ func runTuned(system string, spec clusters.Spec, w *workload, l2 float64,
 			p.Eta = eta
 			p.MaxSteps = searchSteps
 			p.TargetObjective = 0
-			res, err := runSystem(system, spec, w, p, nil)
+			res, err := runSystem(system, spec, w, p, obs.Active())
 			if err != nil {
 				return 0, err
 			}
@@ -101,7 +102,7 @@ func runTuned(system string, spec clusters.Spec, w *workload, l2 float64,
 		}
 		prm.Eta = eta
 	}
-	return runSystem(system, spec, w, prm, nil)
+	return runSystem(system, spec, w, prm, obs.Active())
 }
 
 // stepBudget returns the communication-step budget for a system: the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mllibstar/internal/clusters"
+	"mllibstar/internal/obs"
 )
 
 func init() {
@@ -51,7 +52,7 @@ func runExtTorrent(cfg RunConfig) (*Report, error) {
 		prm := tuned(v.system, w.ds.Name, 0)
 		prm.MaxSteps = 4
 		prm.TorrentBroadcast = v.torrent
-		_, cl, ctx := clusters.Cluster1(8).Build(nil)
+		_, cl, ctx := clusters.Cluster1(8).Build(obs.Active())
 		parts := w.ds.Partition(8, 3)
 		res, err := trainOn(v.system, ctx, parts, w, prm)
 		if err != nil {
@@ -91,7 +92,7 @@ func runExtBandwidth(cfg RunConfig) (*Report, error) {
 		for _, system := range []string{sysMAvg, sysMLlibStar} {
 			prm := tuned(system, w.ds.Name, 0)
 			prm.MaxSteps = 4
-			_, _, ctx := spec.Build(nil)
+			_, _, ctx := spec.Build(obs.Active())
 			parts := w.ds.Partition(8, 3)
 			res, err := trainOn(system, ctx, parts, w, prm)
 			if err != nil {
@@ -133,7 +134,7 @@ func runExtSpeculation(cfg RunConfig) (*Report, error) {
 		prm.MaxSteps = 30
 		prm.Aggregators = 32 // flat: tasks are pure and speculatable
 		prm.EvalEvery = 10
-		_, _, ctx := spec.Build(nil)
+		_, _, ctx := spec.Build(obs.Active())
 		parts := w.ds.Partition(32, 3)
 		res, err := trainOn(sysMLlib, ctx, parts, w, prm)
 		if err != nil {

@@ -14,6 +14,7 @@ import (
 
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/data"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/train"
 )
 
@@ -56,7 +57,7 @@ func TestSparseTrafficReduction(t *testing.T) {
 		prm := tuned(system, w.ds.Name, 0.1)
 		prm.MaxSteps = 6
 		run := func() *train.Result {
-			res, err := runSystem(system, clusters.Test(4), w, prm, nil)
+			res, err := runSystem(system, clusters.Test(4), w, prm, obs.Active())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,8 +18,8 @@ import (
 
 	"mllibstar/internal/des"
 	"mllibstar/internal/engine"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/simnet"
-	"mllibstar/internal/trace"
 )
 
 // Spec describes a simulated cluster.
@@ -113,14 +113,14 @@ func Test(executors int) Spec {
 // nodes (no Spark driver) — the substrate for the parameter-server systems,
 // which co-locate a server process and a worker process on each node. The
 // returned names are the worker node names in order.
-func (s Spec) BuildNet(rec *trace.Recorder) (*des.Sim, *simnet.Network, []string) {
+func (s Spec) BuildNet(sink *obs.Sink) (*des.Sim, *simnet.Network, []string) {
 	if s.Executors <= 0 {
 		panic(fmt.Sprintf("clusters: %d executors", s.Executors))
 	}
 	sim := des.New()
 	specs := simnet.Uniform("worker", s.Executors, s.ComputeRate, s.Bandwidth)
 	s.applySpread(specs)
-	net := simnet.New(sim, simnet.Config{Latency: s.Latency, OverheadBytes: 64}, specs, rec)
+	net := simnet.New(sim, simnet.Config{Latency: s.Latency, OverheadBytes: 64}, specs, sink)
 	names := make([]string, s.Executors)
 	for i := range names {
 		names[i] = specs[i].Name
@@ -139,7 +139,7 @@ type ServeNames struct {
 // node (running at DriverRate when set — the router is the serving
 // deployment's fan-out point, like the driver is training's), shards scoring
 // nodes, and clients load-generator nodes, all on the spec's network.
-func (s Spec) BuildServe(shards, clients int, rec *trace.Recorder) (*des.Sim, *simnet.Network, ServeNames) {
+func (s Spec) BuildServe(shards, clients int, sink *obs.Sink) (*des.Sim, *simnet.Network, ServeNames) {
 	if shards <= 0 || clients <= 0 {
 		panic(fmt.Sprintf("clusters: BuildServe(shards=%d, clients=%d)", shards, clients))
 	}
@@ -156,7 +156,7 @@ func (s Spec) BuildServe(shards, clients int, rec *trace.Recorder) (*des.Sim, *s
 	s.applySpread(shardSpecs)
 	specs = append(specs, shardSpecs...)
 	specs = append(specs, simnet.Uniform("client", clients, s.ComputeRate, s.Bandwidth)...)
-	net := simnet.New(sim, simnet.Config{Latency: s.Latency, OverheadBytes: 64}, specs, rec)
+	net := simnet.New(sim, simnet.Config{Latency: s.Latency, OverheadBytes: 64}, specs, sink)
 	names := ServeNames{Router: "router"}
 	for i := 0; i < shards; i++ {
 		names.Shards = append(names.Shards, shardSpecs[i].Name)
@@ -169,8 +169,8 @@ func (s Spec) BuildServe(shards, clients int, rec *trace.Recorder) (*des.Sim, *s
 
 // Build materializes the spec: a fresh simulation, a cluster whose first
 // node is the driver, and a Context configured with the spec's engine
-// overheads. rec may be nil to disable activity tracing.
-func (s Spec) Build(rec *trace.Recorder) (*des.Sim, *engine.Cluster, *engine.Context) {
+// overheads. sink is the run's telemetry sink; nil records nothing.
+func (s Spec) Build(sink *obs.Sink) (*des.Sim, *engine.Cluster, *engine.Context) {
 	if s.Executors <= 0 {
 		panic(fmt.Sprintf("clusters: %d executors", s.Executors))
 	}
@@ -186,7 +186,7 @@ func (s Spec) Build(rec *trace.Recorder) (*des.Sim, *engine.Cluster, *engine.Con
 	workers := simnet.Uniform("executor", s.Executors, s.ComputeRate, s.Bandwidth)
 	s.applySpread(workers)
 	specs = append(specs, workers...)
-	cl := engine.NewCluster(sim, simnet.Config{Latency: s.Latency, OverheadBytes: 64}, specs, rec)
+	cl := engine.NewCluster(sim, simnet.Config{Latency: s.Latency, OverheadBytes: 64}, specs, sink)
 	ctx := engine.NewContext(cl, s.Engine)
 	return sim, cl, ctx
 }

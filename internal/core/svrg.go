@@ -8,7 +8,6 @@ import (
 	"mllibstar/internal/des"
 	"mllibstar/internal/engine"
 	"mllibstar/internal/glm"
-	"mllibstar/internal/obs"
 	"mllibstar/internal/opt"
 	"mllibstar/internal/train"
 	"mllibstar/internal/vec"
@@ -73,7 +72,7 @@ func TrainSVRG(ctx *engine.Context, parts []data.View, dim int, prm train.Params
 	sim.Spawn("driver:mllibstar-svrg", func(p *des.Proc) {
 		ev.Record(0, p.Now(), locals[0])
 		for t := 1; t <= prm.MaxSteps; t++ {
-			obs.Active().SetStep(t, p.Now())
+			ctx.Cluster.Net.Sink().SetStep(t, p.Now())
 			copy(ref, locals[0])
 			tasks := make([]engine.Task, k)
 			for i := 0; i < k; i++ {
@@ -133,7 +132,7 @@ func TrainSVRG(ctx *engine.Context, parts []data.View, dim int, prm train.Params
 				stepUpdates += int64(parts[i].NumRows())
 			}
 			res.Updates += stepUpdates
-			obs.Active().Updates(t, "", stepUpdates, p.Now())
+			ctx.Cluster.Net.Sink().Updates(t, "", stepUpdates, p.Now())
 
 			res.CommSteps = t
 			if ev.Record(t, p.Now(), locals[0]) {

@@ -5,9 +5,9 @@ import (
 	"sort"
 
 	"mllibstar/internal/des"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/par"
 	"mllibstar/internal/sparse"
-	"mllibstar/internal/trace"
 	"mllibstar/internal/vec"
 )
 
@@ -138,16 +138,16 @@ func (ctx *Context) TreeAggregateVecDelta(p *des.Proc, name string, dim, aggrega
 					msg := ex.Recv(p, tag)
 					am := msg.Payload.(aggMsg)
 					// A sparse-encoded partial's per-message charge models
-					// the decode, so it is traced as Encode; the dense path
-					// keeps the Aggregate kind (the charge is the fold).
-					kind := trace.Aggregate
+					// the decode, so it is recorded as Encode; the dense path
+					// keeps the Aggregate phase (the charge is the fold).
+					ph := obs.PhaseAgg
 					if am.enc.IsSparse() {
-						kind = trace.Encode
+						ph = obs.PhaseEncode
 						if scratch == nil {
 							scratch = ctx.GetVec(dim)
 						}
 					}
-					ex.ChargeKind(p, float64(dim), kind, name)
+					ex.ChargeKind(p, float64(dim), ph, name)
 					members = append(members, am)
 				}
 				sort.Slice(members, func(a, b int) bool { return members[a].from < members[b].from })
@@ -183,7 +183,7 @@ func (ctx *Context) TreeAggregateVecDelta(p *des.Proc, name string, dim, aggrega
 			total = part
 			continue
 		}
-		driver.ComputeAsyncKind(p, float64(dim), trace.Aggregate, name, func() {
+		driver.ComputeAsyncKind(p, float64(dim), obs.PhaseAgg, name, func() {
 			vec.AddScaled(total, part, 1)
 		})
 		ctx.PutVec(part)

@@ -15,8 +15,8 @@ import (
 	"fmt"
 
 	"mllibstar/internal/des"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/simnet"
-	"mllibstar/internal/trace"
 	"mllibstar/internal/vec"
 )
 
@@ -58,11 +58,11 @@ type Cluster struct {
 // NewCluster builds a cluster from node specs. The first spec is the driver;
 // the rest are executors. Executor server processes are spawned immediately
 // and run until the simulation shuts down.
-func NewCluster(sim *des.Sim, netCfg simnet.Config, specs []simnet.NodeSpec, rec *trace.Recorder) *Cluster {
+func NewCluster(sim *des.Sim, netCfg simnet.Config, specs []simnet.NodeSpec, sink *obs.Sink) *Cluster {
 	if len(specs) < 2 {
 		panic("engine: need a driver and at least one executor")
 	}
-	net := simnet.New(sim, netCfg, specs, rec)
+	net := simnet.New(sim, netCfg, specs, sink)
 	c := &Cluster{
 		Sim:    sim,
 		Net:    net,
@@ -150,9 +150,9 @@ func (ex *Executor) Charge(p *des.Proc, work float64) {
 	ex.node.Compute(p, work*ex.factor())
 }
 
-// ChargeKind is Charge with an explicit trace kind (Aggregate, Update, ...).
-func (ex *Executor) ChargeKind(p *des.Proc, work float64, kind trace.Kind, note string) {
-	ex.node.ComputeKind(p, work*ex.factor(), kind, note)
+// ChargeKind is Charge with an explicit phase (aggregate, update, ...).
+func (ex *Executor) ChargeKind(p *des.Proc, work float64, ph obs.Phase, note string) {
+	ex.node.ComputeKind(p, work*ex.factor(), ph, note)
 }
 
 // ChargeAsync charges work on the simulated clock while fn — the pure
@@ -161,7 +161,7 @@ func (ex *Executor) ChargeKind(p *des.Proc, work float64, kind trace.Kind, note 
 // work must be computable without running fn; task bodies whose work is
 // value-dependent should use Task.Pure instead.
 func (ex *Executor) ChargeAsync(p *des.Proc, work float64, fn func()) {
-	ex.node.ComputeAsyncKind(p, work*ex.factor(), trace.Compute, "", fn)
+	ex.node.ComputeAsyncKind(p, work*ex.factor(), obs.PhaseCompute, "", fn)
 }
 
 // factor returns the straggler multiplier in effect for the current task.

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"mllibstar/internal/des"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/simnet"
-	"mllibstar/internal/trace"
 )
 
 // testCluster builds a driver + k executors cluster with simple rates:
@@ -17,7 +17,7 @@ func testCluster(k int, cfg Config) (*des.Sim, *Cluster, *Context) {
 	sim := des.New()
 	specs := []simnet.NodeSpec{{Name: "driver", ComputeRate: 1000, SendBW: 1e6, RecvBW: 1e6}}
 	specs = append(specs, simnet.Uniform("exec", k, 1000, 1e6)...)
-	cl := NewCluster(sim, simnet.Config{}, specs, trace.New())
+	cl := NewCluster(sim, simnet.Config{}, specs, obs.NewSink())
 	return sim, cl, NewContext(cl, cfg)
 }
 
@@ -324,9 +324,12 @@ func TestStageMarksRecorded(t *testing.T) {
 		}}}
 		ctx.RunStage(p, "mystage", tasks)
 	})
-	bt := cl.Net.Recorder().BusyTime()
-	if bt["exec0"][trace.Compute] <= 0 {
+	g := obs.GanttFromEvents(cl.Net.Sink().Events())
+	if g.BusyTime()["exec0"]["compute"] <= 0 {
 		t.Error("no compute span recorded for exec0")
+	}
+	if len(g.Markers) != 2 || g.Markers[0].Label != "stage mystage start" || g.Markers[1].Label != "stage mystage end" {
+		t.Errorf("stage markers = %v", g.Markers)
 	}
 	if ctx.Stages() != 1 {
 		t.Errorf("stages = %d", ctx.Stages())

@@ -8,8 +8,8 @@ import (
 	"testing/quick"
 
 	"mllibstar/internal/des"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/simnet"
-	"mllibstar/internal/trace"
 )
 
 // exchangeCluster builds a k-executor cluster for shuffle tests.
@@ -17,7 +17,7 @@ func exchangeCluster(k int) (*des.Sim, *Cluster, *Context) {
 	sim := des.New()
 	specs := []simnet.NodeSpec{{Name: "driver", ComputeRate: 1e6, SendBW: 1e6, RecvBW: 1e6}}
 	specs = append(specs, simnet.Uniform("exec", k, 1e6, 1e6)...)
-	cl := NewCluster(sim, simnet.Config{OverheadBytes: 32}, specs, trace.New())
+	cl := NewCluster(sim, simnet.Config{OverheadBytes: 32}, specs, obs.NewSink())
 	return sim, cl, NewContext(cl, Config{TaskBytes: 64, ResultBytes: 32})
 }
 

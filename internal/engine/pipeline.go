@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"mllibstar/internal/des"
-	"mllibstar/internal/obs"
-)
+import "mllibstar/internal/des"
 
 // sendJob is one queued message of an async Sender; a zero tag is the close
 // sentinel.
@@ -44,7 +41,7 @@ func (ex *Executor) StartSender(p *des.Proc, name string) *Sender {
 			ex.Send(child, j.to, j.tag, j.bytes, j.payload)
 		}
 	})
-	if sink := obs.Active(); sink.Causal() {
+	if sink := ex.cluster.Net.Sink(); sink.Causal() {
 		sink.CausalFork(ex.name, p.Ident(), s.join.Proc().Ident(), p.Now())
 	}
 	return s

@@ -8,7 +8,6 @@ import (
 	"mllibstar/internal/detrand"
 	"mllibstar/internal/obs"
 	"mllibstar/internal/par"
-	"mllibstar/internal/trace"
 )
 
 // Context is the driver-side handle for running stages, the analogue of a
@@ -81,9 +80,7 @@ func (ctx *Context) RunStage(p *des.Proc, name string, tasks []Task) []any {
 	ctx.stageSeq++
 	replyTag := fmt.Sprintf("res:%d", ctx.stageSeq)
 	driver := ctx.Cluster.Net.Node(ctx.Cluster.Driver)
-	rec := ctx.Cluster.Net.Recorder()
 	stageStart := p.Now()
-	rec.Mark(stageStart, "stage "+name+" start")
 
 	// Offload prefetch: submit every task's pure closure before the first
 	// task message leaves the driver. The stage's tasks are concurrently
@@ -100,7 +97,7 @@ func (ctx *Context) RunStage(p *des.Proc, name string, tasks []Task) []any {
 
 	for i, t := range tasks {
 		if ctx.Cfg.SchedulerWork > 0 {
-			driver.ComputeKind(p, ctx.Cfg.SchedulerWork, trace.Stage, "schedule "+name)
+			driver.ComputeKind(p, ctx.Cfg.SchedulerWork, obs.PhaseSchedule, "schedule "+name)
 		}
 		msg := &taskMsg{stage: ctx.stageSeq, index: i, replyTag: replyTag, envelope: ctx.Cfg.ResultBytes, run: ctx.withStraggler(taskRunner(handles[i], t))}
 		driver.Send(p, ctx.Cluster.reroute(t.Exec, i), "task", ctx.Cfg.TaskBytes+t.PayloadBytes, msg)
@@ -139,8 +136,7 @@ func (ctx *Context) RunStage(p *des.Proc, name string, tasks []Task) []any {
 			}
 		}
 	}
-	rec.Mark(p.Now(), "stage "+name+" end")
-	obs.Active().Stage(ctx.Cluster.Driver, name, stageStart, p.Now())
+	ctx.Cluster.Net.Sink().Stage(ctx.Cluster.Driver, name, stageStart, p.Now())
 	return results
 }
 

@@ -11,7 +11,6 @@ import (
 	"mllibstar/internal/glm"
 	"mllibstar/internal/obs"
 	"mllibstar/internal/sparse"
-	"mllibstar/internal/trace"
 	"mllibstar/internal/train"
 	"mllibstar/internal/vec"
 )
@@ -158,11 +157,11 @@ func trainTree(ctx *engine.Context, parts []data.View, dim int, cfg DistConfig,
 		g, f := gradStage(p, "lb0", w)
 		st.Update(w, g)
 		for it := 1; it <= cfg.MaxIters; it++ {
-			obs.Active().SetStep(it, p.Now())
+			ctx.Cluster.Net.Sink().SetStep(it, p.Now())
 			if math.Sqrt(vec.Norm2Sq(g)) < gradTolerance {
 				break
 			}
-			driver.ComputeKind(p, twoLoopWorkFactor*float64(st.Pairs()+1)*float64(dim), trace.Update, "two-loop")
+			driver.ComputeKind(p, twoLoopWorkFactor*float64(st.Pairs()+1)*float64(dim), obs.PhaseUpdate, "two-loop")
 			dir := st.Direction(g)
 			gd := dot(g, dir)
 			if gd >= 0 {
@@ -193,7 +192,7 @@ func trainTree(ctx *engine.Context, parts []data.View, dim int, cfg DistConfig,
 			st.Update(w, g)
 			res.CommSteps = it
 			res.Updates++
-			obs.Active().Updates(it, ctx.Cluster.Driver, 1, p.Now())
+			ctx.Cluster.Net.Sink().Updates(it, ctx.Cluster.Driver, 1, p.Now())
 			if ev.Record(it, p.Now(), w) {
 				break
 			}
@@ -274,7 +273,7 @@ func trainAllReduce(ctx *engine.Context, parts []data.View, dim int, cfg DistCon
 
 		// Replicated optimizer math: every executor pays for it; replica 0
 		// performs it.
-		ex.ChargeKind(p, twoLoopWorkFactor*float64(st.Pairs()+1)*float64(dim), trace.Update, "two-loop")
+		ex.ChargeKind(p, twoLoopWorkFactor*float64(st.Pairs()+1)*float64(dim), obs.PhaseUpdate, "two-loop")
 		if i == 0 {
 			copy(g, partial[:dim])
 			vec.Scale(g, float64(k)/float64(total)) // mean of partials -> sum/total
@@ -336,9 +335,9 @@ func trainAllReduce(ctx *engine.Context, parts []data.View, dim int, cfg DistCon
 	ctx.Cluster.Sim.Spawn("driver:lbfgsstar", func(p *des.Proc) {
 		ev.Record(0, p.Now(), w)
 		for it := 1; it <= cfg.MaxIters && !done; it++ {
-			obs.Active().SetStep(it, p.Now())
+			ctx.Cluster.Net.Sink().SetStep(it, p.Now())
 			bar := des.NewBarrier(ctx.Cluster.Sim, fmt.Sprintf("lbfgs-it%d", it), k)
-			if sink := obs.Active(); sink.Causal() {
+			if sink := ctx.Cluster.Net.Sink(); sink.Causal() {
 				name := fmt.Sprintf("lbfgs-it%d", it)
 				bar.Observe(func(w *des.Proc, gen int, arrive, release float64) {
 					sink.CausalBarrier(name, gen, w.Ident(), arrive, release)
@@ -361,7 +360,7 @@ func trainAllReduce(ctx *engine.Context, parts []data.View, dim int, cfg DistCon
 			}
 			res.CommSteps = it
 			res.Updates++
-			obs.Active().Updates(it, "", 1, p.Now())
+			ctx.Cluster.Net.Sink().Updates(it, "", 1, p.Now())
 			if ev.Record(it, p.Now(), w) {
 				break
 			}

@@ -20,7 +20,6 @@ import (
 	"mllibstar/internal/obs"
 	"mllibstar/internal/opt"
 	"mllibstar/internal/sparse"
-	"mllibstar/internal/trace"
 	"mllibstar/internal/train"
 	"mllibstar/internal/vec"
 )
@@ -62,7 +61,7 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 	sim.Spawn("driver:mavg", func(p *des.Proc) {
 		ev.Record(0, p.Now(), w)
 		for t := 1; t <= prm.MaxSteps; t++ {
-			obs.Active().SetStep(t, p.Now())
+			ctx.Cluster.Net.Sink().SetStep(t, p.Now())
 			stepW := w
 			// The task descriptors broadcast stepW; with sparse exchange on,
 			// the broadcast is charged at the model's nonzero-coded size, and
@@ -84,12 +83,12 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 				stepUpdates += int64(prm.LocalPasses * parts[i].NumRows())
 			}
 			res.Updates += stepUpdates
-			obs.Active().Updates(t, "", stepUpdates, p.Now())
+			ctx.Cluster.Net.Sink().Updates(t, "", stepUpdates, p.Now())
 			// Model averaging at the driver: w ← (1/k)·Σ local models.
 			copy(w, sum)
 			vec.Scale(w, 1/float64(k))
 			ctx.PutVec(sum)
-			driver.ComputeKind(p, float64(dim), trace.Update, "model averaging")
+			driver.ComputeKind(p, float64(dim), obs.PhaseUpdate, "model averaging")
 
 			res.CommSteps = t
 			if ev.Record(t, p.Now(), w) {

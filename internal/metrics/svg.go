@@ -5,8 +5,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"mllibstar/internal/trace"
 )
 
 // SVG rendering of convergence curves — the literal figures of the paper
@@ -32,13 +30,14 @@ var seriesColors = map[string]string{
 	"LBFGS":    "#eb6834", // slot 8, orange
 }
 
+// The figure palette, shared with the gantt charts (obs.Gantt.SVG).
 const (
-	svgSurface   = "#fcfcfb"
-	svgInk       = "#0b0b0b"
-	svgInkSoft   = "#52514e"
-	svgGrid      = "#e4e3df"
+	SVGSurface   = "#fcfcfb"
+	SVGInk       = "#0b0b0b"
+	SVGInkSoft   = "#52514e"
+	SVGGrid      = "#e4e3df"
 	svgNeutral   = "#52514e"
-	svgFontStack = "system-ui, -apple-system, sans-serif"
+	SVGFontStack = "system-ui, -apple-system, sans-serif"
 )
 
 // SVGOptions configures RenderSVG.
@@ -105,15 +104,15 @@ func RenderSVG(curves []*Curve, opts SVGOptions) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d" font-family="%s">`,
-		w, h, w, h, svgFontStack)
-	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="%s"/>`, w, h, svgSurface)
+		w, h, w, h, SVGFontStack)
+	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="%s"/>`, w, h, SVGSurface)
 	if opts.Title != "" {
 		fmt.Fprintf(&b, `<text x="%d" y="26" font-size="15" font-weight="600" fill="%s">%s</text>`,
-			marginL, svgInk, escape(opts.Title))
+			marginL, SVGInk, EscapeSVG(opts.Title))
 	}
 	if len(drawn) == 0 {
 		fmt.Fprintf(&b, `<text x="%d" y="%d" font-size="13" fill="%s">no drawable series</text></svg>`,
-			marginL, h/2, svgInkSoft)
+			marginL, h/2, SVGInkSoft)
 		return b.String()
 	}
 	//mlstar:nolint floateq -- exact compare intentional: guards the fully degenerate range before dividing
@@ -137,9 +136,9 @@ func RenderSVG(curves []*Curve, opts SVGOptions) string {
 	for i := 0; i <= 4; i++ {
 		y := minY + (maxY-minY)*float64(i)/4
 		fmt.Fprintf(&b, `<line x1="%d" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="1"/>`,
-			marginL, py(y), marginL+plotW, py(y), svgGrid)
+			marginL, py(y), marginL+plotW, py(y), SVGGrid)
 		fmt.Fprintf(&b, `<text x="%d" y="%.1f" font-size="11" fill="%s" text-anchor="end">%.3g</text>`,
-			marginL-8, py(y)+4, svgInkSoft, y)
+			marginL-8, py(y)+4, SVGInkSoft, y)
 	}
 	if opts.LogX {
 		for d := math.Floor(minX); d <= math.Ceil(maxX); d++ {
@@ -147,22 +146,22 @@ func RenderSVG(curves []*Curve, opts SVGOptions) string {
 				continue
 			}
 			fmt.Fprintf(&b, `<line x1="%.1f" y1="%d" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="1"/>`,
-				px(d), marginT, px(d), marginT+plotH, svgGrid)
+				px(d), marginT, px(d), marginT+plotH, SVGGrid)
 			fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="11" fill="%s" text-anchor="middle">%s</text>`,
-				px(d), marginT+plotH+18, svgInkSoft, logTickLabel(d))
+				px(d), marginT+plotH+18, SVGInkSoft, logTickLabel(d))
 		}
 	} else {
 		for i := 0; i <= 4; i++ {
 			x := minX + (maxX-minX)*float64(i)/4
 			fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="11" fill="%s" text-anchor="middle">%.3g</text>`,
-				px(x), marginT+plotH+18, svgInkSoft, x)
+				px(x), marginT+plotH+18, SVGInkSoft, x)
 		}
 	}
 	// Axis titles in text ink.
 	fmt.Fprintf(&b, `<text x="%.1f" y="%d" font-size="12" fill="%s" text-anchor="middle">simulated time (s)</text>`,
-		marginL+plotW/2, h-10, svgInkSoft)
+		marginL+plotW/2, h-10, SVGInkSoft)
 	fmt.Fprintf(&b, `<text x="16" y="%.1f" font-size="12" fill="%s" text-anchor="middle" transform="rotate(-90 16 %.1f)">objective</text>`,
-		marginT+plotH/2, svgInkSoft, marginT+plotH/2)
+		marginT+plotH/2, SVGInkSoft, marginT+plotH/2)
 
 	// Series: 2px lines, per-point <title> tooltips via invisible hit
 	// circles, direct end labels (the relief for low-contrast hues).
@@ -196,7 +195,7 @@ func RenderSVG(curves []*Curve, opts SVGOptions) string {
 				x = math.Log10(p.Time)
 			}
 			fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="7" fill="transparent"><title>%s — step %d, t=%.4gs, f=%.4f</title></circle>`,
-				px(x), py(p.Objective), escape(s.name), p.Step, p.Time, p.Objective)
+				px(x), py(p.Objective), EscapeSVG(s.name), p.Step, p.Time, p.Objective)
 		}
 		last := s.points[len(s.points)-1]
 		lx := last.Time
@@ -216,7 +215,7 @@ func RenderSVG(curves []*Curve, opts SVGOptions) string {
 	for _, l := range labels {
 		fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="4" fill="%s"/>`, marginL+plotW+10, l.y-4, l.color)
 		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="12" fill="%s">%s</text>`,
-			marginL+plotW+18, l.y, svgInk, escape(l.text))
+			marginL+plotW+18, l.y, SVGInk, EscapeSVG(l.text))
 	}
 	b.WriteString(`</svg>`)
 	return b.String()
@@ -231,135 +230,8 @@ func logTickLabel(d float64) string {
 	return fmt.Sprintf("1e%d", int(d))
 }
 
-func escape(s string) string {
+// EscapeSVG escapes s for SVG text and attribute values.
+func EscapeSVG(s string) string {
 	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 	return r.Replace(s)
-}
-
-// Gantt rendering of activity traces — the paper's Figure 3 view of where
-// each node spends its time. The color scheme groups the trace kinds into
-// two visually distinct families so computation and communication can be
-// told apart at a glance, and the legend labels the families explicitly:
-//
-//	computation    compute #2a78d6 (blue) · aggregate #4a3aa7 (violet) ·
-//	               update #1baf7a (aqua) · encode #2aa0c8 (cyan) ·
-//	               featblock #6fb5e8 (sky — overlapped gradient blocks)
-//	communication  send #e34948 (red) · recv #eda100 (yellow) ·
-//	               ps-pull #c23b78 (pink) · ps-push #eb6834 (orange)
-//	other          barrier-wait #e4e3df (faint gray) · stage-scheduling
-//	               #b9b7b1 (gray) · markers as thin vertical ink lines
-//
-// Cool hues always mean "the node is working", warm hues always mean "bytes
-// are moving" — the distinction the B1/B2 bottleneck discussion rests on.
-// The same grouping appears in the ASCII legend (trace.RenderASCII).
-
-// ganttColors maps each trace kind to its fill, following the family
-// grouping documented above.
-var ganttColors = [trace.KindCount]string{
-	trace.Compute:   "#2a78d6",
-	trace.Send:      "#e34948",
-	trace.Recv:      "#eda100",
-	trace.Aggregate: "#4a3aa7",
-	trace.Update:    "#1baf7a",
-	trace.Barrier:   "#e4e3df",
-	trace.Stage:     "#b9b7b1",
-	trace.Pull:      "#c23b78",
-	trace.Push:      "#eb6834",
-	trace.Encode:    "#2aa0c8",
-	trace.Pipeline:  "#f2d8a7",
-	trace.FeatBlock: "#6fb5e8",
-}
-
-// ganttLegend is the legend layout: two labeled families, then the rest.
-var ganttLegend = []struct {
-	Label string
-	Kinds []trace.Kind
-}{
-	{"computation:", []trace.Kind{trace.Compute, trace.Aggregate, trace.Update, trace.Encode, trace.FeatBlock}},
-	{"communication:", []trace.Kind{trace.Send, trace.Recv, trace.Pull, trace.Push}},
-	{"other:", []trace.Kind{trace.Barrier, trace.Pipeline, trace.Stage}},
-}
-
-// RenderGanttSVG renders a recorded trace as an SVG gantt chart: one row
-// per node, spans colored by the documented kind palette, markers as
-// vertical lines, and a legend separating computation from communication.
-func RenderGanttSVG(rec *trace.Recorder, title string, width int) string {
-	spans := rec.Spans()
-	horizon := rec.Horizon()
-	if len(spans) == 0 || horizon == 0 {
-		return `<svg xmlns="http://www.w3.org/2000/svg" width="300" height="40"><text x="10" y="25" font-size="12">no activity recorded</text></svg>`
-	}
-	if width <= 0 {
-		width = 900
-	}
-	nodes := rec.Nodes()
-	const rowH, rowGap, marginT, legendH, marginB = 18, 6, 34, 44, 26
-	marginL := 60
-	for _, n := range nodes {
-		if w := 14 + 7*len(n); w > marginL {
-			marginL = w
-		}
-	}
-	plotW := float64(width - marginL - 20)
-	height := marginT + len(nodes)*(rowH+rowGap) + legendH + marginB
-	px := func(t float64) float64 { return float64(marginL) + t/horizon*plotW }
-	rowY := func(i int) int { return marginT + i*(rowH+rowGap) }
-	rowOf := map[string]int{}
-	for i, n := range nodes {
-		rowOf[n] = i
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d" font-family="%s">`,
-		width, height, width, height, svgFontStack)
-	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="%s"/>`, width, height, svgSurface)
-	if title != "" {
-		fmt.Fprintf(&b, `<text x="%d" y="20" font-size="14" font-weight="600" fill="%s">%s</text>`,
-			marginL, svgInk, escape(title))
-	}
-	for i, n := range nodes {
-		y := rowY(i)
-		fmt.Fprintf(&b, `<text x="%d" y="%d" font-size="11" fill="%s">%s</text>`,
-			8, y+rowH-5, svgInkSoft, escape(n))
-		fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%.1f" height="%d" fill="%s"/>`,
-			marginL, y, plotW, rowH, svgGrid)
-	}
-	for _, s := range spans {
-		x0, x1 := px(s.Start), px(s.End)
-		if x1-x0 < 0.5 {
-			x1 = x0 + 0.5 // keep point-like spans visible
-		}
-		fmt.Fprintf(&b, `<rect x="%.1f" y="%d" width="%.1f" height="%d" fill="%s"><title>%s %s [%.4f, %.4f]</title></rect>`,
-			x0, rowY(rowOf[s.Node]), x1-x0, rowH, ganttColors[s.Kind],
-			escape(s.Node), s.Kind, s.Start, s.End)
-	}
-	chartBottom := rowY(len(nodes)-1) + rowH
-	for _, m := range rec.Markers() {
-		x := px(m.At)
-		fmt.Fprintf(&b, `<line x1="%.1f" y1="%d" x2="%.1f" y2="%d" stroke="%s" stroke-width="0.6" opacity="0.5"/>`,
-			x, marginT-4, x, chartBottom+4, svgInk)
-	}
-	// Time axis: start and horizon.
-	fmt.Fprintf(&b, `<text x="%d" y="%d" font-size="10" fill="%s">0</text>`,
-		marginL, chartBottom+14, svgInkSoft)
-	fmt.Fprintf(&b, `<text x="%.1f" y="%d" font-size="10" fill="%s" text-anchor="end">%.3fs</text>`,
-		float64(marginL)+plotW, chartBottom+14, svgInkSoft, horizon)
-	// Legend: family label, then a swatch + kind name per member.
-	lx, ly := float64(marginL), float64(chartBottom+34)
-	for _, group := range ganttLegend {
-		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="11" font-weight="600" fill="%s">%s</text>`,
-			lx, ly, svgInk, group.Label)
-		lx += float64(8 * len(group.Label))
-		for _, k := range group.Kinds {
-			fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="10" height="10" fill="%s"/>`,
-				lx, ly-9, ganttColors[k])
-			name := k.String()
-			fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="11" fill="%s">%s</text>`,
-				lx+13, ly, svgInkSoft, name)
-			lx += float64(13 + 7*len(name) + 10)
-		}
-		lx += 14
-	}
-	b.WriteString(`</svg>`)
-	return b.String()
 }

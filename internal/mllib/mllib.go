@@ -22,7 +22,6 @@ import (
 	"mllibstar/internal/glm"
 	"mllibstar/internal/obs"
 	"mllibstar/internal/sparse"
-	"mllibstar/internal/trace"
 	"mllibstar/internal/train"
 	"mllibstar/internal/vec"
 )
@@ -89,7 +88,7 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 	sim.Spawn("driver:mllib", func(p *des.Proc) {
 		ev.Record(0, p.Now(), w)
 		for t := 1; t <= prm.MaxSteps; t++ {
-			obs.Active().SetStep(t, p.Now())
+			ctx.Cluster.Net.Sink().SetStep(t, p.Now())
 			stepW := w // tasks read, never write, the current model
 			// With sparse exchange on, the model broadcast is charged at its
 			// nonzero-coded size and the gradient partials (whose support is
@@ -128,9 +127,9 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 				for j := 0; j < dim; j++ {
 					w[j] -= inv*sum[j] + eta*prm.Objective.Reg.DerivAt(w[j])
 				}
-				driver.ComputeKind(p, float64(dim), trace.Update, "model update")
+				driver.ComputeKind(p, float64(dim), obs.PhaseUpdate, "model update")
 				res.Updates++
-				obs.Active().Updates(t, ctx.Cluster.Driver, 1, p.Now())
+				ctx.Cluster.Net.Sink().Updates(t, ctx.Cluster.Driver, 1, p.Now())
 			}
 			ctx.PutVec(sum)
 			res.CommSteps = t

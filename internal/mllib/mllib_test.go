@@ -7,7 +7,7 @@ import (
 	"mllibstar/internal/data"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/mllib"
-	"mllibstar/internal/trace"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/train"
 )
 
@@ -77,8 +77,8 @@ func TestDriverIsBottleneck(t *testing.T) {
 	// the run on a communication-bound workload.
 	d := data.Generate(data.Spec{Name: "wide", Rows: 400, Cols: 50000, NNZPerRow: 5, Seed: 2})
 	parts := d.Partition(8, 3)
-	rec := trace.New()
-	_, _, ctx := clusters.Test(8).Build(rec)
+	sink := obs.NewSink()
+	_, _, ctx := clusters.Test(8).Build(sink)
 	prm := params()
 	prm.MaxSteps = 3
 	prm.Aggregators = 8 // flat: all gradients to the driver
@@ -86,8 +86,8 @@ func TestDriverIsBottleneck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt := rec.BusyTime()
-	driverComm := bt["driver"][trace.Send] + bt["driver"][trace.Recv]
+	bt := obs.GanttFromEvents(sink.Events()).BusyTime()
+	driverComm := bt["driver"]["send"] + bt["driver"]["recv"]
 	if share := driverComm / res.SimTime; share < 0.5 {
 		t.Errorf("driver comm share = %.2f of the run; expected the driver to dominate", share)
 	}

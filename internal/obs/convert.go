@@ -1,65 +1,6 @@
 package obs
 
-import (
-	"mllibstar/internal/metrics"
-	"mllibstar/internal/trace"
-)
-
-// Converters from a decoded event log back to the repo's existing render
-// inputs, so cmd/mlstar-obs and the live dashboard reuse the figure
-// machinery (metrics.RenderSVG, metrics.RenderGanttSVG) instead of growing
-// a second renderer.
-
-// kindForSpan inverts PhaseForKind for span (Dir-empty) events.
-func kindForSpan(ph Phase) trace.Kind {
-	switch ph {
-	case PhaseAgg:
-		return trace.Aggregate
-	case PhaseUpdate:
-		return trace.Update
-	case PhaseEncode:
-		return trace.Encode
-	case PhaseBarrier:
-		return trace.Barrier
-	case PhasePipeline:
-		return trace.Pipeline
-	case PhaseFeatBlock:
-		return trace.FeatBlock
-	case PhaseSchedule:
-		return trace.Stage
-	case PhasePSPull:
-		return trace.Pull
-	case PhasePSPush:
-		return trace.Push
-	}
-	return trace.Compute
-}
-
-// RecorderFromEvents rebuilds a trace recorder from an event log: span and
-// message events become gantt spans, stage events become the start/end
-// markers of the Figure-3 charts, and the bookkeeping phases (step, eval,
-// updates, meta) are skipped.
-func RecorderFromEvents(events []Event) *trace.Recorder {
-	rec := trace.New()
-	for _, e := range events {
-		switch e.Phase {
-		case PhaseStep, PhaseEval, PhaseUpdates, PhaseMeta,
-			PhaseServeRequest, PhaseServeBatch, PhaseServeSwap,
-			PhaseCausalFork, PhaseCausalBarrier, PhaseCausalSpec:
-			continue
-		case PhaseStage:
-			rec.Mark(e.Start, e.Note+" start")
-			rec.Mark(e.End, e.Note+" end")
-			continue
-		}
-		kind := kindForSpan(e.Phase)
-		if e.Dir != "" {
-			kind = KindForSend(e.Phase, e.Dir)
-		}
-		rec.Add(e.Node, kind, e.Start, e.End, string(e.Phase))
-	}
-	return rec
-}
+import "mllibstar/internal/metrics"
 
 // CurveFromEvents rebuilds the convergence curve from the eval events of an
 // event log, naming it from the log's meta events when present.

@@ -17,10 +17,15 @@
 //
 // # Wiring
 //
-// The sink is a process-wide switch like par.Configure and sparse.Configure:
-// Enable installs a fresh Sink that the instrumentation hooks in simnet,
-// engine, ps, and the trainers feed; Disable uninstalls it. All Sink methods
-// are nil-safe, so call sites write obs.Active().Event(...) unconditionally.
+// The sink is chosen once per run and carried by the run's network: an
+// entry point picks it — normally Active, the sink Enable installed — and
+// hands it to simnet.New (through engine.NewCluster and clusters.Spec.Build),
+// and every instrumentation hook in simnet, engine, ps, serve and the
+// trainers reads it from the network it runs on. All Sink methods are
+// nil-safe, so a run built with a nil sink records nothing and the hooks
+// call the sink's methods unconditionally. The event log is the run's one
+// telemetry record: the Figure-3 gantt (GanttFromEvents), the bottleneck
+// attribution and the metrics registry are all functions of it.
 //
 // # Write path and read path
 //
@@ -49,8 +54,6 @@ package obs
 import (
 	"strconv"
 	"sync/atomic"
-
-	"mllibstar/internal/trace"
 )
 
 // Phase classifies what an event's virtual-time span was spent on. Message
@@ -193,49 +196,6 @@ func hasPrefix(s, prefix string) bool {
 	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
 }
 
-// PhaseForKind maps a trace span kind to the phase an obs span event
-// records, so Gantt traces and the event log agree on vocabulary.
-func PhaseForKind(k trace.Kind) Phase {
-	switch k {
-	case trace.Aggregate:
-		return PhaseAgg
-	case trace.Update:
-		return PhaseUpdate
-	case trace.Barrier:
-		return PhaseBarrier
-	case trace.Stage:
-		return PhaseSchedule
-	case trace.Pull:
-		return PhasePSPull
-	case trace.Push:
-		return PhasePSPush
-	case trace.Encode:
-		return PhaseEncode
-	case trace.Pipeline:
-		return PhasePipeline
-	case trace.FeatBlock:
-		return PhaseFeatBlock
-	}
-	return PhaseCompute
-}
-
-// KindForSend maps a message phase to the trace kind of its NIC spans: PS
-// pulls and pushes get their own kinds (so the Gantt distinguishes them —
-// both request kinds share one mailbox tag, which used to fold them into
-// generic send/recv), everything else is plain Send/Recv.
-func KindForSend(ph Phase, dir Dir) trace.Kind {
-	switch ph {
-	case PhasePSPull:
-		return trace.Pull
-	case PhasePSPush:
-		return trace.Push
-	}
-	if dir == DirRecv {
-		return trace.Recv
-	}
-	return trace.Send
-}
-
 // active is the installed sink; nil means telemetry is off (the default).
 var active atomic.Pointer[Sink]
 
@@ -257,10 +217,26 @@ func Enable() *Sink {
 // never charges: simulated times, bytes, and every training numeric are
 // bit-identical with causal tracing on, off, or disabled entirely.
 func EnableCausal() *Sink {
-	s := NewSink()
-	s.causal = true
+	s := newCausalSink()
 	active.Store(s)
 	return s
+}
+
+func newCausalSink() *Sink {
+	s := NewSink()
+	s.causal = true
+	return s
+}
+
+// CausalSink returns the installed sink when it records causally, and
+// otherwise a fresh causal sink that is not installed. The Figure-3 runs
+// record into it whatever the telemetry flags say: the gantt CSV's note
+// column holds each message's tag, which only a causal event keeps.
+func CausalSink() *Sink {
+	if s := Active(); s.Causal() {
+		return s
+	}
+	return newCausalSink()
 }
 
 // Disable uninstalls the sink; subsequent Active calls return nil (whose

@@ -9,8 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"mllibstar/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -152,21 +150,6 @@ func TestClassifyTag(t *testing.T) {
 	}
 }
 
-func TestKindForSend(t *testing.T) {
-	if k := KindForSend(PhasePSPull, DirSend); k != trace.Pull {
-		t.Errorf("pull send kind = %v", k)
-	}
-	if k := KindForSend(PhasePSPush, DirRecv); k != trace.Push {
-		t.Errorf("push recv kind = %v", k)
-	}
-	if k := KindForSend(PhaseTreeAgg, DirSend); k != trace.Send {
-		t.Errorf("tree-agg send kind = %v", k)
-	}
-	if k := KindForSend(PhaseTreeAgg, DirRecv); k != trace.Recv {
-		t.Errorf("tree-agg recv kind = %v", k)
-	}
-}
-
 func TestNilSinkIsSafe(t *testing.T) {
 	var s *Sink
 	s.SetStep(1, 0)
@@ -216,30 +199,6 @@ func mustPanic(t *testing.T, name string, fn func()) {
 		}
 	}()
 	fn()
-}
-
-func TestRecorderFromEvents(t *testing.T) {
-	events := sampleSink().Events()
-	events = append(events, Event{Step: 1, Node: "driver", Phase: PhaseStage, Start: 0, End: 0.018, Note: "mgd1"})
-	rec := RecorderFromEvents(events)
-	if len(rec.Markers()) != 2 {
-		t.Errorf("stage event should yield 2 markers, got %d", len(rec.Markers()))
-	}
-	busy := rec.BusyTime()
-	if busy["driver"][trace.Stage] == 0 {
-		t.Error("schedule span missing from rebuilt recorder")
-	}
-	if busy["executor0"][trace.Compute] == 0 {
-		t.Error("compute span missing from rebuilt recorder")
-	}
-	if busy["driver"][trace.Recv] == 0 {
-		t.Error("recv span missing from rebuilt recorder")
-	}
-	for _, s := range rec.Spans() {
-		if s.Kind == trace.KindCount {
-			t.Errorf("invalid kind in rebuilt span %+v", s)
-		}
-	}
 }
 
 func TestCurveFromEvents(t *testing.T) {

@@ -81,7 +81,7 @@ func dashboard(s *obs.Sink) string {
 	events := s.Events()
 	report := obs.Attribute(events)
 	curve := obs.CurveFromEvents(events)
-	rec := obs.RecorderFromEvents(events)
+	gantt := obs.GanttFromEvents(events)
 
 	title := "mlstar telemetry"
 	if report.System != "" {
@@ -111,9 +111,9 @@ nav a { margin-right: 14px; font-size: 13px; }
 			Title: "objective vs simulated time", LogX: true,
 		}))
 	}
-	if len(rec.Spans()) > 0 {
+	if len(gantt.Spans) > 0 {
 		b.WriteString("<h2>Activity (Figure-3 view)</h2>")
-		b.WriteString(metrics.RenderGanttSVG(rec, "per-node activity, virtual time", 1100))
+		b.WriteString(gantt.SVG("per-node activity, virtual time", 1100))
 	}
 	if sv := servingSummary(events); sv != "" {
 		b.WriteString("<h2>Serving</h2><pre>")

@@ -30,7 +30,7 @@ const blockEvents = 4096
 // replayed through SinkFromEvents expose identical metrics by construction.
 //
 // Methods are nil-safe (a nil *Sink records nothing) so instrumentation
-// sites can call obs.Active().X(...) unconditionally. The mutex exists for
+// sites call the run's sink unconditionally. The mutex exists for
 // the live HTTP endpoint: the simulation writes from its single DES
 // goroutine while obshttp readers snapshot concurrently. It guards only the
 // block list; readers copy the block headers under it and read the events
@@ -190,7 +190,7 @@ func (s *Sink) Step() int {
 
 // Causal reports whether this sink enriches events with causal identities.
 // Nil-safe like every Sink method, so instrumentation sites can gate the
-// enrichment work on obs.Active().Causal().
+// enrichment work on sink.Causal().
 func (s *Sink) Causal() bool {
 	if s == nil {
 		return false

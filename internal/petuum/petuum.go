@@ -27,7 +27,6 @@ import (
 	"mllibstar/internal/opt"
 	"mllibstar/internal/ps"
 	"mllibstar/internal/simnet"
-	"mllibstar/internal/trace"
 	"mllibstar/internal/train"
 )
 
@@ -99,7 +98,7 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 				if r == 0 {
 					// Step attribution for the event log follows worker 0's
 					// clock; other workers drift within the SSP slack.
-					obs.Active().SetStep(t, p.Now())
+					net.Sink().SetStep(t, p.Now())
 				}
 				deploy.PullInto(p, node.Name(), r, t-1, w)
 				if r == 0 {
@@ -136,7 +135,7 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 				if prm.ComputeJitter > 0 {
 					effort *= 1 + prm.ComputeJitter*jitter.Float64()
 				}
-				node.ComputeAsyncKind(p, effort, trace.Compute, "", func() {
+				node.ComputeAsyncKind(p, effort, obs.PhaseCompute, "", func() {
 					if regIsNone {
 						// Parallel SGD inside the batch: many updates per step.
 						// A wrapping window is two contiguous spans; running
@@ -177,7 +176,7 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 					upd = int64(batchRows)
 				}
 				res.Updates += upd
-				obs.Active().Updates(t, node.Name(), upd, p.Now())
+				net.Sink().Updates(t, node.Name(), upd, p.Now())
 				if regIsNone {
 					deploy.PushTouched(p, node.Name(), r, t, delta, touched)
 				} else {

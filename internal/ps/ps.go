@@ -25,7 +25,6 @@ import (
 	"mllibstar/internal/des"
 	"mllibstar/internal/obs"
 	"mllibstar/internal/simnet"
-	"mllibstar/internal/trace"
 	"mllibstar/internal/vec"
 )
 
@@ -191,7 +190,7 @@ func (s *server) serve(p *des.Proc) {
 		case pushReq:
 			// Applying a delta costs one unit per coordinate in the range,
 			// however few of them a sparse chunk carries.
-			s.node.ComputeKind(p, float64(len(s.model)), trace.Update, "ps push")
+			s.node.ComputeKind(p, float64(len(s.model)), obs.PhaseUpdate, "ps push")
 			scale := s.ps.cfg.CombineScale
 			if c := req.sparse; c != nil {
 				// vec.AddScaled's expression, at the touched coordinates.

@@ -6,8 +6,8 @@ import (
 
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/des"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/ps"
-	"mllibstar/internal/trace"
 )
 
 // pushRun runs two workers for three SSP clocks (staleness 0): each pulls at
@@ -20,8 +20,8 @@ import (
 func pushRun(t *testing.T, dim, servers int, touched []int32, delta func(worker, clock, j int) float64) ([]float64, float64, string) {
 	t.Helper()
 	const workers, clocks = 2, 3
-	rec := trace.New()
-	sim, net, names := clusters.Test(max(workers, servers)).BuildNet(rec)
+	sink := obs.CausalSink() // causal: each send's span carries its tag
+	sim, net, names := clusters.Test(max(workers, servers)).BuildNet(sink)
 	deploy, err := ps.New(sim, net, names, ps.Config{
 		Dim: dim, Servers: servers, Workers: workers, CombineScale: 1 / float64(workers)})
 	if err != nil {
@@ -53,7 +53,7 @@ func pushRun(t *testing.T, dim, servers int, touched []int32, delta func(worker,
 		})
 	}
 	end := sim.Run()
-	return final, end, rec.CSV()
+	return final, end, obs.GanttFromEvents(sink.Events()).CSV()
 }
 
 // TestPushTouchedEqualsDense: a sparse push is the dense push of the same

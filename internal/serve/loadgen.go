@@ -12,7 +12,6 @@ import (
 	"mllibstar/internal/data"
 	"mllibstar/internal/des"
 	"mllibstar/internal/detrand"
-	"mllibstar/internal/obs"
 	"mllibstar/internal/simnet"
 )
 
@@ -104,7 +103,7 @@ func (d *Deployment) client(p *des.Proc, node *simnet.Node, index, clients int, 
 		if rep.seq != seq {
 			panic(fmt.Sprintf("serve: client %d got reply for seq %d, want %d", index, rep.seq, seq))
 		}
-		obs.Active().ServeRequest(node.Name(), sent, p.Now(), rep.epoch)
+		d.net.Sink().ServeRequest(node.Name(), sent, p.Now(), rep.epoch)
 		results = append(results, Result{
 			Client: index, Seq: seq, Epoch: rep.epoch, Margin: rep.margin,
 			Sent: sent, Done: p.Now(), Ind: ind, Val: val,

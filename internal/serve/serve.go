@@ -45,10 +45,10 @@
 // Requests cost 16+12·nnz bytes, shard sub-batches 16+4·rows+12·nnz, shard
 // partial replies 16+12·partials, client replies 24 bytes, installs
 // 16+8·range, control messages 16. The router charges one work unit per
-// routed nonzero (trace.Aggregate, "route") and one per folded partial
-// (trace.Aggregate, "fold"); shards charge one per scored nonzero
-// (trace.Compute, "score") and one per installed coordinate (trace.Update,
-// "install"). Request latency, batch sizes, and swaps are recorded through
+// routed nonzero (obs.PhaseAgg, "route") and one per folded partial
+// (obs.PhaseAgg, "fold"); shards charge one per scored nonzero
+// (obs.PhaseCompute, "score") and one per installed coordinate
+// (obs.PhaseUpdate, "install"). Request latency, batch sizes, and swaps are recorded through
 // obs serve events, which observe and never charge.
 package serve
 
@@ -61,7 +61,6 @@ import (
 	"mllibstar/internal/obs"
 	"mllibstar/internal/ps"
 	"mllibstar/internal/simnet"
-	"mllibstar/internal/trace"
 	"mllibstar/internal/vec"
 )
 
@@ -288,7 +287,7 @@ func (d *Deployment) ScoreSync(p *des.Proc, clientNode string, seq int, ind []in
 	if rep.seq != seq {
 		panic(fmt.Sprintf("serve: ScoreSync got reply for seq %d, want %d", rep.seq, seq))
 	}
-	obs.Active().ServeRequest(clientNode, sent, p.Now(), rep.epoch)
+	d.net.Sink().ServeRequest(clientNode, sent, p.Now(), rep.epoch)
 	return rep.margin, rep.epoch
 }
 
@@ -324,7 +323,7 @@ func (d *Deployment) route(p *des.Proc) {
 			reason = "full"
 		}
 		d.scoreBatch(p, node, batch, epoch)
-		obs.Active().ServeBatch(node.Name(), admitted, p.Now(), len(batch), reason)
+		d.net.Sink().ServeBatch(node.Name(), admitted, p.Now(), len(batch), reason)
 		if pendingSwap != nil {
 			epoch = d.activate(p, node, *pendingSwap, epoch)
 		}
@@ -338,7 +337,7 @@ func (d *Deployment) activate(p *des.Proc, node *simnet.Node, sw swapReq, cur in
 	if sw.epoch != cur+1 {
 		panic(fmt.Sprintf("serve: swap to epoch %d from %d", sw.epoch, cur))
 	}
-	obs.Active().ServeSwap(node.Name(), p.Now(), sw.epoch)
+	d.net.Sink().ServeSwap(node.Name(), p.Now(), sw.epoch)
 	node.Send(p, d.names.Router, swapAckTag, ctlBytes, ackMsg{epoch: sw.epoch})
 	return sw.epoch
 }
@@ -378,7 +377,7 @@ func (d *Deployment) scoreBatch(p *des.Proc, node *simnet.Node, batch []scoreReq
 		}
 	}
 	// Routing charges one unit per nonzero examined, like aggregation does.
-	node.ComputeKind(p, float64(totalNNZ), trace.Aggregate, "route")
+	node.ComputeKind(p, float64(totalNNZ), obs.PhaseAgg, "route")
 	sent := 0
 	for s := range subs {
 		if len(subs[s].rows) == 0 {
@@ -396,7 +395,7 @@ func (d *Deployment) scoreBatch(p *des.Proc, node *simnet.Node, batch []scoreReq
 		perShard[rep.shard] = rep.parts
 		totalParts += len(rep.parts)
 	}
-	node.ComputeKind(p, float64(totalParts), trace.Aggregate, "fold")
+	node.ComputeKind(p, float64(totalParts), obs.PhaseAgg, "fold")
 	// Shard ranges tile the coordinate space in shard order and each shard
 	// emits blocks ascending per row, so visiting shards in index order
 	// reassembles each row's partials in ascending block order — the
@@ -420,13 +419,13 @@ func (sh *shard) run(p *des.Proc) {
 		msg := sh.node.Recv(p, shardTag(sh.index))
 		switch req := msg.Payload.(type) {
 		case installReq:
-			sh.node.ComputeKind(p, float64(len(req.vals)), trace.Update, "install")
+			sh.node.ComputeKind(p, float64(len(req.vals)), obs.PhaseUpdate, "install")
 			copy(sh.slots[req.epoch%2], req.vals)
 			sh.node.Send(p, sh.d.names.Router, installAckTag, ctlBytes, ackMsg{epoch: req.epoch})
 		case shardBatch:
 			v := data.ViewOf(req.rows)
 			w := sh.slots[req.epoch%2]
-			sh.node.ComputeKind(p, float64(v.NNZ()), trace.Compute, "score")
+			sh.node.ComputeKind(p, float64(v.NNZ()), obs.PhaseCompute, "score")
 			parts := data.BlockMargins(v, w, sh.lo, nil)
 			for i := range parts {
 				parts[i].Row = req.rowIDs[parts[i].Row]

@@ -32,7 +32,7 @@ func testLoad() LoadConfig {
 // results, flattened client-major.
 func runServe(t *testing.T, shards, clientCount int, cfg Config, w []float64, lc LoadConfig) []Result {
 	t.Helper()
-	sim, net, names := clusters.Test(1).BuildServe(shards, clientCount, nil)
+	sim, net, names := clusters.Test(1).BuildServe(shards, clientCount, obs.Active())
 	d, err := New(sim, net, Names{Router: names.Router, Shards: names.Shards}, cfg, w)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 
 	sink := obs.Enable()
 	defer obs.Disable()
-	sim, net, names := clusters.Test(1).BuildServe(4, clientCount, nil)
+	sim, net, names := clusters.Test(1).BuildServe(4, clientCount, obs.Active())
 	d, err := New(sim, net, Names{Router: names.Router, Shards: names.Shards}, cfg, w0)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestBatchingFlushReasons(t *testing.T) {
 	w := testWeights(1, testDim)
 	sink := obs.Enable()
 	defer obs.Disable()
-	sim, net, names := clusters.Test(1).BuildServe(2, 6, nil)
+	sim, net, names := clusters.Test(1).BuildServe(2, 6, obs.Active())
 	d, err := New(sim, net, Names{Router: names.Router, Shards: names.Shards},
 		Config{Dim: testDim, BatchMax: 4, BatchBudget: 0.005}, w)
 	if err != nil {
@@ -208,7 +208,7 @@ func TestServeDeterminism(t *testing.T) {
 		defer obs.Disable()
 		w0 := testWeights(1, testDim)
 		w1 := testWeights(2, testDim)
-		sim, net, names := clusters.Test(1).BuildServe(4, 3, nil)
+		sim, net, names := clusters.Test(1).BuildServe(4, 3, obs.Active())
 		d, err := New(sim, net, Names{Router: names.Router, Shards: names.Shards},
 			Config{Dim: testDim, BatchMax: 8, BatchBudget: 0.002}, w0)
 		if err != nil {

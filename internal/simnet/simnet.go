@@ -27,7 +27,6 @@ import (
 	"mllibstar/internal/des"
 	"mllibstar/internal/obs"
 	"mllibstar/internal/par"
-	"mllibstar/internal/trace"
 )
 
 // NodeSpec describes one machine in the cluster.
@@ -72,23 +71,24 @@ type Node struct {
 	bytesRecv float64
 }
 
-// Network is a set of nodes sharing latency/overhead parameters, a trace
-// recorder, and traffic accounting.
+// Network is a set of nodes sharing latency/overhead parameters, the run's
+// telemetry sink, and traffic accounting.
 type Network struct {
 	sim   *des.Sim
 	cfg   Config
 	nodes map[string]*Node
 	order []string
-	rec   *trace.Recorder
+	sink  *obs.Sink
 
 	totalBytes float64
 	totalMsgs  int
 }
 
-// New builds a network over sim from the given node specs. rec may be nil to
-// disable activity tracing.
-func New(sim *des.Sim, cfg Config, specs []NodeSpec, rec *trace.Recorder) *Network {
-	n := &Network{sim: sim, cfg: cfg, nodes: make(map[string]*Node, len(specs)), rec: rec}
+// New builds a network over sim from the given node specs. sink is the run's
+// telemetry sink, which every hook of the run records into; nil records
+// nothing.
+func New(sim *des.Sim, cfg Config, specs []NodeSpec, sink *obs.Sink) *Network {
+	n := &Network{sim: sim, cfg: cfg, nodes: make(map[string]*Node, len(specs)), sink: sink}
 	for _, sp := range specs {
 		if sp.ComputeRate <= 0 || sp.SendBW <= 0 || sp.RecvBW <= 0 {
 			panic(fmt.Sprintf("simnet: invalid spec for node %q: %+v", sp.Name, sp))
@@ -105,7 +105,7 @@ func New(sim *des.Sim, cfg Config, specs []NodeSpec, rec *trace.Recorder) *Netwo
 		}
 		n.order = append(n.order, sp.Name)
 	}
-	if sink := obs.Active(); sink.Causal() {
+	if sink.Causal() {
 		// Make the event log self-describing for the what-if re-timer: it
 		// recomputes message service times from bytes and these rates when
 		// a scenario changes message sizes (chunk splits, shard merges).
@@ -118,8 +118,8 @@ func New(sim *des.Sim, cfg Config, specs []NodeSpec, rec *trace.Recorder) *Netwo
 	return n
 }
 
-// Recorder returns the trace recorder (possibly nil).
-func (n *Network) Recorder() *trace.Recorder { return n.rec }
+// Sink returns the run's telemetry sink (possibly nil).
+func (n *Network) Sink() *obs.Sink { return n.sink }
 
 // Node returns the named node, panicking if it does not exist — an unknown
 // node name is always a wiring bug.
@@ -161,49 +161,47 @@ func (nd *Node) box(tag string) *des.Queue[*Message] {
 // Compute blocks p while the node performs work units of computation and
 // records a Compute span. It returns the elapsed virtual time.
 func (nd *Node) Compute(p *des.Proc, work float64) float64 {
-	return nd.ComputeKind(p, work, trace.Compute, "")
+	return nd.ComputeKind(p, work, obs.PhaseCompute, "")
 }
 
-// ComputeKind is Compute with an explicit trace kind and note, used to
+// ComputeKind is Compute with an explicit phase and note, used to
 // distinguish aggregation and model-update work from gradient computation.
-func (nd *Node) ComputeKind(p *des.Proc, work float64, kind trace.Kind, note string) float64 {
+func (nd *Node) ComputeKind(p *des.Proc, work float64, ph obs.Phase, note string) float64 {
 	if work < 0 {
 		panic(fmt.Sprintf("simnet: negative work %g on %s", work, nd.spec.Name))
 	}
 	d := work / nd.spec.ComputeRate
 	start := p.Now()
 	p.Wait(d)
-	nd.net.rec.Add(nd.spec.Name, kind, start, p.Now(), note)
-	obs.Active().SpanProc(nd.spec.Name, obs.PhaseForKind(kind), start, p.Now(), note, causalProc(p))
+	nd.net.sink.SpanProc(nd.spec.Name, ph, start, p.Now(), note, nd.net.causalProc(p))
 	return d
 }
 
 // causalProc returns p's causal identity, or "" when causal tracing is off —
 // the hot paths call it unconditionally, so a run that does not trace never
 // makes a process build its identity.
-func causalProc(p *des.Proc) string {
-	if !obs.Active().Causal() {
+func (n *Network) causalProc(p *des.Proc) string {
+	if !n.sink.Causal() {
 		return ""
 	}
 	return p.Ident()
 }
 
 // Observe records a span over [start, end] — already-elapsed virtual time —
-// in the trace and telemetry without consuming any: observe-never-charge.
+// in the telemetry without consuming any: observe-never-charge.
 // The pipelined collectives use it to book the time their task process
 // spent blocked on a chunk as a Pipeline span, making the remaining overlap
 // headroom visible to attribution while leaving every charge, byte count,
 // and result untouched. p fixes which process the observation describes;
 // end must not lie in the future.
-func (nd *Node) Observe(p *des.Proc, kind trace.Kind, start, end float64, note string) {
+func (nd *Node) Observe(p *des.Proc, ph obs.Phase, start, end float64, note string) {
 	if end > p.Now() {
 		panic(fmt.Sprintf("simnet: Observe span ending at %g ahead of now %g on %s", end, p.Now(), nd.spec.Name))
 	}
 	if end <= start {
 		return
 	}
-	nd.net.rec.Add(nd.spec.Name, kind, start, end, note)
-	obs.Active().SpanProc(nd.spec.Name, obs.PhaseForKind(kind), start, end, note, causalProc(p))
+	nd.net.sink.SpanProc(nd.spec.Name, ph, start, end, note, nd.net.causalProc(p))
 }
 
 // ComputeAsyncKind overlaps a pure numeric closure with its virtual-time
@@ -221,9 +219,9 @@ func (nd *Node) Observe(p *des.Proc, kind trace.Kind, start, end float64, note s
 // (structural work — e.g. nonzeros in the partition); when it is not, use
 // the engine's Task.Pure prefetch instead, which charges the closure's
 // returned work.
-func (nd *Node) ComputeAsyncKind(p *des.Proc, work float64, kind trace.Kind, note string, fn func()) float64 {
+func (nd *Node) ComputeAsyncKind(p *des.Proc, work float64, ph obs.Phase, note string, fn func()) float64 {
 	h := par.Do(fn)
-	d := nd.ComputeKind(p, work, kind, note)
+	d := nd.ComputeKind(p, work, ph, note)
 	h.Join()
 	return d
 }
@@ -259,9 +257,9 @@ func (nd *Node) sendPhase(p *des.Proc, to, tag string, bytes float64, payload an
 	sentAt := p.Now()
 	_, outEnd := nd.out.Reserve(wire / nd.spec.SendBW)
 	p.WaitUntil(outEnd)
-	mid := obs.Active().NewMID()
-	nd.net.rec.Add(nd.spec.Name, obs.KindForSend(ph, obs.DirSend), sentAt, outEnd, tag)
-	obs.Active().MessageProc(nd.spec.Name, ph, ch, obs.DirSend, enc, bytes, sentAt, outEnd, tag, causalProc(p), mid)
+	sink := nd.net.sink
+	mid := sink.NewMID()
+	sink.MessageProc(nd.spec.Name, ph, ch, obs.DirSend, enc, bytes, sentAt, outEnd, tag, nd.net.causalProc(p), mid)
 
 	arrive := outEnd + nd.net.cfg.Latency
 	rs, re := dst.in.ReserveAt(arrive, wire/dst.spec.RecvBW)
@@ -282,8 +280,7 @@ func (nd *Node) sendPhase(p *des.Proc, to, tag string, bytes float64, payload an
 func (nd *Node) Recv(p *des.Proc, tag string) *Message {
 	msg := nd.box(tag).Get(p)
 	p.WaitUntil(msg.DeliverAt)
-	nd.net.rec.Add(nd.spec.Name, obs.KindForSend(msg.phase, obs.DirRecv), msg.recvStart, msg.DeliverAt, tag)
-	obs.Active().MessageProc(nd.spec.Name, msg.phase, msg.channel, obs.DirRecv, msg.enc, msg.Bytes, msg.recvStart, msg.DeliverAt, tag, causalProc(p), msg.mid)
+	nd.net.sink.MessageProc(nd.spec.Name, msg.phase, msg.channel, obs.DirRecv, msg.enc, msg.Bytes, msg.recvStart, msg.DeliverAt, tag, nd.net.causalProc(p), msg.mid)
 	return msg
 }
 
@@ -300,8 +297,7 @@ func (nd *Node) RecvUntil(p *des.Proc, tag string, deadline float64) *Message {
 		return nil
 	}
 	p.WaitUntil(msg.DeliverAt)
-	nd.net.rec.Add(nd.spec.Name, obs.KindForSend(msg.phase, obs.DirRecv), msg.recvStart, msg.DeliverAt, tag)
-	obs.Active().MessageProc(nd.spec.Name, msg.phase, msg.channel, obs.DirRecv, msg.enc, msg.Bytes, msg.recvStart, msg.DeliverAt, tag, causalProc(p), msg.mid)
+	nd.net.sink.MessageProc(nd.spec.Name, msg.phase, msg.channel, obs.DirRecv, msg.enc, msg.Bytes, msg.recvStart, msg.DeliverAt, tag, nd.net.causalProc(p), msg.mid)
 	return msg
 }
 

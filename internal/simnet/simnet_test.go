@@ -7,24 +7,23 @@ import (
 
 	"mllibstar/internal/des"
 	"mllibstar/internal/obs"
-	"mllibstar/internal/trace"
 )
 
 const eps = 1e-9
 
 func approx(a, b float64) bool { return math.Abs(a-b) <= eps*math.Max(1, math.Abs(b)) }
 
-func twoNodes(lat float64) (*des.Sim, *Network) {
+func twoNodes(lat float64, sink *obs.Sink) (*des.Sim, *Network) {
 	sim := des.New()
 	specs := []NodeSpec{
 		{Name: "a", ComputeRate: 100, SendBW: 10, RecvBW: 10},
 		{Name: "b", ComputeRate: 100, SendBW: 10, RecvBW: 10},
 	}
-	return sim, New(sim, Config{Latency: lat}, specs, trace.New())
+	return sim, New(sim, Config{Latency: lat}, specs, sink)
 }
 
 func TestPointToPointTiming(t *testing.T) {
-	sim, net := twoNodes(0.5)
+	sim, net := twoNodes(0.5, nil)
 	var deliverAt, senderFreeAt float64
 	sim.Spawn("sender", func(p *des.Proc) {
 		net.Node("a").Send(p, "b", "data", 100, "hello")
@@ -123,7 +122,7 @@ func TestComputeChargesByRate(t *testing.T) {
 }
 
 func TestTrafficAccounting(t *testing.T) {
-	sim, net := twoNodes(0)
+	sim, net := twoNodes(0, nil)
 	sim.Spawn("a", func(p *des.Proc) {
 		net.Node("a").Send(p, "b", "x", 100, nil)
 		net.Node("a").Send(p, "b", "x", 50, nil)
@@ -156,7 +155,7 @@ func TestOverheadBytesCharged(t *testing.T) {
 }
 
 func TestTagsAreIndependentMailboxes(t *testing.T) {
-	sim, net := twoNodes(0)
+	sim, net := twoNodes(0, nil)
 	var got []string
 	sim.Spawn("a", func(p *des.Proc) {
 		net.Node("a").Send(p, "b", "first", 1, "1")
@@ -175,15 +174,15 @@ func TestTagsAreIndependentMailboxes(t *testing.T) {
 }
 
 func TestTraceSpansRecorded(t *testing.T) {
-	sim, net := twoNodes(0)
+	sim, net := twoNodes(0, obs.NewSink())
 	sim.Spawn("a", func(p *des.Proc) { net.Node("a").Send(p, "b", "x", 100, nil) })
 	sim.Spawn("b", func(p *des.Proc) { net.Node("b").Recv(p, "x") })
 	sim.Run()
-	bt := net.Recorder().BusyTime()
-	if !approx(bt["a"][trace.Send], 10) {
+	bt := obs.GanttFromEvents(net.Sink().Events()).BusyTime()
+	if !approx(bt["a"]["send"], 10) {
 		t.Errorf("send span = %v", bt["a"])
 	}
-	if !approx(bt["b"][trace.Recv], 10) {
+	if !approx(bt["b"]["recv"], 10) {
 		t.Errorf("recv span = %v", bt["b"])
 	}
 }
@@ -194,7 +193,7 @@ func TestUnknownNodePanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	sim, net := twoNodes(0)
+	sim, net := twoNodes(0, nil)
 	_ = sim
 	net.Node("nope")
 }
@@ -210,9 +209,8 @@ func TestUniformSpecs(t *testing.T) {
 // send and receive hooks stamp their events with the recording process's
 // identity, des.Proc.Ident.
 func TestHooksStampCausalIdentity(t *testing.T) {
-	sink := obs.EnableCausal()
-	defer obs.Disable()
-	sim, net := twoNodes(0.5)
+	sink := obs.CausalSink()
+	sim, net := twoNodes(0.5, sink)
 	sim.Spawn("sender", func(p *des.Proc) {
 		net.Node("a").Compute(p, 100)
 		net.Node("a").Send(p, "b", "data", 100, nil)

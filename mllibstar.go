@@ -35,8 +35,8 @@ import (
 	"mllibstar/internal/mavg"
 	"mllibstar/internal/metrics"
 	"mllibstar/internal/mllib"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/petuum"
-	"mllibstar/internal/trace"
 	"mllibstar/internal/train"
 	"mllibstar/internal/vec"
 )
@@ -137,8 +137,11 @@ type Config struct {
 	// EvalData overrides the evaluation set (default: the training data).
 	EvalData []Example
 
-	// Trace, when non-nil, records per-node activity spans (gantt charts).
-	Trace *trace.Recorder
+	// Trace is the telemetry sink the run records into: every compute span,
+	// message and stage of the simulated cluster, from which RenderGantt
+	// draws the per-node gantt chart. Nil means the installed sink
+	// (obs.Active, itself nil when telemetry is off).
+	Trace *obs.Sink
 
 	Seed int64
 }
@@ -269,6 +272,10 @@ func Train(ds *Dataset, cfg Config) (*Result, error) {
 	if evalData == nil {
 		evalData = ds.Examples
 	}
+	sink := cfg.Trace
+	if sink == nil {
+		sink = obs.Active()
+	}
 	prm := cfg.params(obj)
 	parts := ds.Partition(cluster.Executors, cfg.Seed+3)
 	dim := ds.Features
@@ -276,7 +283,7 @@ func Train(ds *Dataset, cfg Config) (*Result, error) {
 	var res *train.Result
 	switch system {
 	case MLlib, MLlibMA, MLlibStar, MLlibStarSVRG:
-		_, _, ctx := cluster.Build(cfg.Trace)
+		_, _, ctx := cluster.Build(sink)
 		switch system {
 		case MLlib:
 			res, err = mllib.Train(ctx, parts, dim, prm, evalData, ds.Name)
@@ -288,14 +295,14 @@ func Train(ds *Dataset, cfg Config) (*Result, error) {
 			res, err = core.Train(ctx, parts, dim, prm, evalData, ds.Name)
 		}
 	case Petuum, PetuumStar:
-		sim, net, names := cluster.BuildNet(cfg.Trace)
+		sim, net, names := cluster.BuildNet(sink)
 		res, err = petuum.Train(sim, net, names, parts, dim, prm, evalData, ds.Name,
 			petuum.Summation(system == Petuum))
 	case Angel:
-		sim, net, names := cluster.BuildNet(cfg.Trace)
+		sim, net, names := cluster.BuildNet(sink)
 		res, err = angel.Train(sim, net, names, parts, dim, prm, evalData, ds.Name)
 	case LBFGS, LBFGSStar:
-		_, _, ctx := cluster.Build(cfg.Trace)
+		_, _, ctx := cluster.Build(sink)
 		res, err = lbfgs.TrainDistributed(ctx, parts, dim, lbfgs.DistConfig{
 			Objective:       obj,
 			MaxIters:        prm.MaxSteps,
@@ -358,19 +365,23 @@ func WriteLibSVM(w io.Writer, ds *Dataset) error {
 	return data.WriteLibSVM(w, ds)
 }
 
-// NewTrace returns a recorder to pass as Config.Trace; after training,
-// render it with RenderGantt.
-func NewTrace() *trace.Recorder { return trace.New() }
+// NewTrace returns a sink to pass as Config.Trace: the installed sink when it
+// records causally, otherwise a fresh causal sink that is not installed (a
+// causal sink keeps each message's tag, the gantt CSV's note). After
+// training, render it with RenderGantt or RenderGanttSVG.
+func NewTrace() *obs.Sink { return obs.CausalSink() }
 
-// RenderGantt renders a recorded trace as an ASCII gantt chart of the given
-// width, one row per cluster node — the visualization of the paper's
-// Figure 3.
-func RenderGantt(rec *trace.Recorder, width int) string { return rec.RenderASCII(width) }
+// RenderGantt renders the gantt chart of every event in the sink as ASCII of
+// the given width, one row per cluster node — the visualization of the
+// paper's Figure 3.
+func RenderGantt(sink *obs.Sink, width int) string {
+	return obs.GanttFromEvents(sink.Events()).ASCII(width)
+}
 
-// RenderGanttSVG renders a recorded trace as an SVG gantt chart with the
-// documented kind palette: cool hues for computation, warm hues for
+// RenderGanttSVG renders the gantt chart of every event in the sink as SVG,
+// in the documented palette: cool hues for computation, warm hues for
 // communication, and a legend labeling the two families (see
-// internal/metrics for the exact scheme).
-func RenderGanttSVG(rec *trace.Recorder, title string, width int) string {
-	return metrics.RenderGanttSVG(rec, title, width)
+// internal/obs/gantt.go for the exact scheme).
+func RenderGanttSVG(sink *obs.Sink, title string, width int) string {
+	return obs.GanttFromEvents(sink.Events()).SVG(title, width)
 }
