@@ -43,30 +43,33 @@ type CSR struct {
 // PackExamples copies the examples, in order, into a fresh CSR arena.
 func PackExamples(examples []glm.Example) *CSR {
 	nnz := glm.NNZTotal(examples)
-	c := &CSR{
-		rowPtr: make([]int, len(examples)+1),
-		ind:    make([]int32, 0, nnz),
-		val:    make([]float64, 0, nnz),
-		rows:   make([]glm.Example, len(examples)),
-		labels: make([]float64, len(examples)),
-		maxInd: -1,
-	}
+	rowPtr := make([]int, len(examples)+1)
+	ind := make([]int32, 0, nnz)
+	val := make([]float64, 0, nnz)
+	labels := make([]float64, len(examples))
 	for i, e := range examples {
-		c.ind = append(c.ind, e.X.Ind...)
-		c.val = append(c.val, e.X.Val...)
-		c.rowPtr[i+1] = len(c.ind)
-		// Indices are strictly ascending within a row, so the row max is its
-		// last index.
-		if m := e.X.MaxIndex(); m > c.maxInd {
-			c.maxInd = m
-		}
+		ind = append(ind, e.X.Ind...)
+		val = append(val, e.X.Val...)
+		rowPtr[i+1] = len(ind)
+		labels[i] = e.Label
 	}
-	for i, e := range examples {
-		lo, hi := c.rowPtr[i], c.rowPtr[i+1]
+	return newCSR(rowPtr, ind, val, labels)
+}
+
+// newCSR completes an arena whose slabs are filled — rowPtr with one entry
+// per row and one more, each row's indices strictly ascending — with its
+// per-row views and maxInd.
+func newCSR(rowPtr []int, ind []int32, val []float64, labels []float64) *CSR {
+	c := &CSR{rowPtr: rowPtr, ind: ind, val: val, labels: labels, rows: make([]glm.Example, len(labels)), maxInd: -1}
+	for i, y := range labels {
+		lo, hi := rowPtr[i], rowPtr[i+1]
 		// Full three-index views: a kernel appending to a row slice would
 		// allocate rather than clobber its neighbour.
-		c.rows[i] = glm.Example{Label: e.Label, X: vec.Sparse{Ind: c.ind[lo:hi:hi], Val: c.val[lo:hi:hi]}}
-		c.labels[i] = e.Label
+		c.rows[i] = glm.Example{Label: y, X: vec.Sparse{Ind: ind[lo:hi:hi], Val: val[lo:hi:hi]}}
+		// The row max is its last index.
+		if hi > lo && ind[hi-1] > c.maxInd {
+			c.maxInd = ind[hi-1]
+		}
 	}
 	return c
 }

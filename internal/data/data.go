@@ -11,7 +11,6 @@ package data
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 
@@ -102,7 +101,16 @@ func (s Stats) String() string {
 // Gaussian model with NoiseRate label flips. The planted model guarantees
 // the classification task is learnable, so convergence curves are
 // meaningful.
+//
+// Each row draws (index, value) pairs until it holds its row size in
+// distinct indices — a repeated index keeps its latest value — and is stored
+// with its indices ascending and exact-zero values dropped. The rows are
+// written in order straight into one CSR arena.
 func Generate(spec Spec) *Dataset {
+	return &Dataset{Name: spec.Name, Features: spec.Cols, Examples: generate(spec).Rows()}
+}
+
+func generate(spec Spec) *CSR {
 	if spec.Rows <= 0 || spec.Cols <= 0 {
 		panic(fmt.Sprintf("data: invalid spec %+v", spec))
 	}
@@ -118,39 +126,102 @@ func Generate(spec Spec) *Dataset {
 		zs = 1.1
 	}
 	rng := detrand.New(spec.Seed)
-	zipf := rand.NewZipf(rng, zs, 8, uint64(spec.Cols-1))
+	zipf := detrand.NewZipf(rng, zs, 8, uint64(spec.Cols-1))
 
 	truth := make([]float64, spec.Cols)
 	for i := range truth {
 		truth[i] = rng.NormFloat64()
 	}
 
-	examples := make([]glm.Example, spec.Rows)
-	indexSet := make(map[int32]float64, nnz)
-	for r := range examples {
-		clear(indexSet)
-		// Row sizes vary ±50% around the mean for realism.
+	// Rows average nnz nonzeros; the slack keeps the slabs from regrowing
+	// when a small dataset's rows run long.
+	capNNZ := spec.Rows * nnz
+	capNNZ += capNNZ / 4
+	ind := make([]int32, 0, capNNZ)
+	val := make([]float64, 0, capNNZ)
+	rowPtr := make([]int, 1, spec.Rows+1)
+	labels := make([]float64, spec.Rows)
+	row := newRowBuilder(spec.Cols)
+	for r := range labels {
+		// Row sizes vary ±50% around the mean for realism; a row cannot hold
+		// more distinct indices than there are columns.
 		rowNNZ := nnz/2 + rng.Intn(nnz+1)
 		if rowNNZ == 0 {
 			rowNNZ = 1
 		}
-		for len(indexSet) < rowNNZ {
-			indexSet[int32(zipf.Uint64())] = rng.NormFloat64()
+		rowNNZ = min(rowNNZ, spec.Cols)
+		for row.distinct() < rowNNZ {
+			row.set(int32(zipf.Uint64()), rng.NormFloat64())
 		}
-		x := vec.SparseFromMap(indexSet)
+		lo := len(ind)
+		ind, val = row.appendTo(ind, val)
 		y := 1.0
-		if vec.Dot(truth, x) < 0 {
+		if vec.Dot(truth, vec.Sparse{Ind: ind[lo:], Val: val[lo:]}) < 0 {
 			y = -1
 		}
 		if rng.Float64() < spec.NoiseRate {
 			y = -y
 		}
-		examples[r] = glm.Example{Label: y, X: x}
+		labels[r] = y
+		rowPtr = append(rowPtr, len(ind))
 	}
-	// Repack the per-row allocations into one CSR arena: generation order is
-	// row-major already, so the views are bit-identical to the scattered rows
-	// — only their memory layout changes.
-	return &Dataset{Name: spec.Name, Features: spec.Cols, Examples: PackExamples(examples).Rows()}
+	return newCSR(rowPtr, ind, val, labels)
+}
+
+// rowBuilder holds one generated row while it is drawn: its distinct
+// indices in first-drawn order and each one's latest value. slot[ix] is one
+// more than ix's position in ind and val, 0 while ix is not in the row, so a
+// repeated index is found without a search; appendTo sorts the indices alone
+// and reads each value through its slot.
+type rowBuilder struct {
+	slot []int32
+	ind  []int32
+	val  []float64
+}
+
+// newRowBuilder returns a builder for indices up to cols: math/rand's Zipf
+// over [0, imax] can return imax+1, when for a uniform draw within rounding
+// of 0 the computed inverse lands on imax+0.5.
+func newRowBuilder(cols int) *rowBuilder {
+	return &rowBuilder{slot: make([]int32, cols+1)}
+}
+
+// distinct returns how many distinct indices the row holds.
+func (b *rowBuilder) distinct() int { return len(b.ind) }
+
+// set gives index ix the value v, replacing the value it had.
+func (b *rowBuilder) set(ix int32, v float64) {
+	if p := b.slot[ix]; p != 0 {
+		b.val[p-1] = v
+		return
+	}
+	b.ind = append(b.ind, ix)
+	b.val = append(b.val, v)
+	b.slot[ix] = int32(len(b.ind))
+}
+
+// appendTo appends the row's entries to the slabs, indices ascending and
+// exact zeros dropped, and leaves the builder empty.
+func (b *rowBuilder) appendTo(ind []int32, val []float64) ([]int32, []float64) {
+	// Insertion sort: a row holds at most 1.5·NNZPerRow indices (96 for
+	// the widest preset), below where a general sort pays for its set-up.
+	for i := 1; i < len(b.ind); i++ {
+		ix, j := b.ind[i], i
+		for ; j > 0 && b.ind[j-1] > ix; j-- {
+			b.ind[j] = b.ind[j-1]
+		}
+		b.ind[j] = ix
+	}
+	for _, ix := range b.ind {
+		v := b.val[b.slot[ix]-1]
+		b.slot[ix] = 0
+		if v != 0 {
+			ind = append(ind, ix)
+			val = append(val, v)
+		}
+	}
+	b.ind, b.val = b.ind[:0], b.val[:0]
+	return ind, val
 }
 
 // paperSpec records a Table I dataset at paper scale.

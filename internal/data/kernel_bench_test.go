@@ -134,3 +134,17 @@ func BenchmarkAddGradientRowsCold(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())*threads/float64(visited[0]+visited[1]), "ns/nnz")
 }
+
+// BenchmarkGenerate reports data.Generate's ns per generated nonzero at the
+// compute8 benchmark workload's shape (400 000 rows × 10 000 columns,
+// 15 nnz/row, Zipf skew 1.7): the cost its setup_s pays once per round.
+//
+//	go test -run '^$' -bench Generate -benchtime 3x -count 5 ./internal/data
+func BenchmarkGenerate(b *testing.B) {
+	spec := data.Spec{Name: "avazu", Rows: 400_000, Cols: 10_000, NNZPerRow: 15, ZipfS: 1.7, NoiseRate: 0.05, Seed: 1}
+	nnz := 0
+	for i := 0; i < b.N; i++ {
+		nnz += glm.NNZTotal(data.Generate(spec).Examples)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nnz), "ns/nnz")
+}

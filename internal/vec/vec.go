@@ -9,6 +9,7 @@ package vec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -48,7 +49,7 @@ func SparseFromMap(m map[int32]float64) Sparse {
 			ind = append(ind, ix)
 		}
 	}
-	sort.Slice(ind, func(i, j int) bool { return ind[i] < ind[j] })
+	slices.Sort(ind)
 	val := make([]float64, len(ind))
 	for i, ix := range ind {
 		val[i] = m[ix]
