@@ -22,13 +22,14 @@ lint-fix: ## apply SuggestedFixes in place, then assert a second pass finds noth
 	$(GO) run ./cmd/mlstar-lint -fix ./...
 	$(GO) run ./cmd/mlstar-lint -fix ./... | tee /dev/stderr | grep -q '^mlstar-lint: applied 0 fix(es)'
 
-fuzz: ## short fuzz runs: libsvm reader + sparse encoding + telemetry event round-trips + the event encoder against encoding/json + causal graph pipeline + the table-driven Zipf against math/rand
+fuzz: ## short fuzz runs: libsvm reader + sparse encoding + telemetry event round-trips + the event encoder against encoding/json + causal graph pipeline + the table-driven Zipf against math/rand + the collective plan against an executed run
 	$(GO) test -fuzz=FuzzReadLibSVM -fuzztime=10s ./internal/data
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/sparse
 	$(GO) test -fuzz=FuzzEventRoundTrip -fuzztime=10s ./internal/obs
 	$(GO) test -fuzz=FuzzEventEncode -fuzztime=10s ./internal/obs
 	$(GO) test -fuzz=FuzzCausalGraph -fuzztime=10s ./internal/causal
 	$(GO) test -fuzz=FuzzZipfEqualsMathRand -fuzztime=10s ./internal/detrand
+	$(GO) test -fuzz=FuzzPlanMatchesRun -fuzztime=10s ./internal/allreduce
 
 # The test and benchmark lists bench-smoke selects, one per package and
 # flag. smoke-lists holds every alternative to a test that still exists:

@@ -13,15 +13,17 @@
 // 2·k·m aggregate the centralized pattern moves, but with no single link
 // serializing it, which is where MLlib*'s latency win comes from.
 //
-// Every entry point runs one schedule with two parameters. The chunk count
-// C cuts each partition into C messages; with C > 1 (-pipeline) a forked
-// sender drains them while the task process folds, so a superstep costs
-// toward max(compute, comm) instead of their sum, and C = 1 is the plain
-// two-round schedule. An optional Producer fills the vector block by block;
-// with overlap on (-overlap) the chunks leave as soon as their blocks exist.
-// With internal/sparse enabled, partitions ship as index–value overlays
-// relative to a reference every endpoint holds (AverageDelta; zero for the
-// other forms) when that is smaller.
+// The schedule is data: Plan returns one executor's ordered steps (produce,
+// send, fold, gather) and every entry point executes them, while
+// internal/causal lowers the same steps into its what-if re-timer. The
+// chunk count C cuts each partition into C messages; with C > 1 (-pipeline)
+// a forked sender drains them while the task process folds, so a superstep
+// costs toward max(compute, comm) instead of their sum, and C = 1 is the
+// plain two-round schedule. An optional Producer fills the vector block by
+// block; with overlap on (-overlap) the chunks leave as soon as their
+// blocks exist. With internal/sparse enabled, partitions ship as index–value
+// overlays relative to a reference every endpoint holds (AverageDelta; zero
+// for the other forms) when that is smaller.
 //
 // None of the three moves a result bit or a byte, only virtual time: the
 // dense/sparse decision is made on whole partitions and chunks inherit it

@@ -1,18 +1,27 @@
 package allreduce_test
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"mllibstar/internal/allreduce"
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/des"
 	"mllibstar/internal/engine"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/sparse"
 	"mllibstar/internal/vec"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files")
 
 // op is the entry point a case calls.
 type op int
@@ -37,9 +46,10 @@ type switches struct {
 
 // collective runs one stage on spec's cluster in which every executor calls
 // o on a copy of its row of in — AverageProduced fills a zeroed vector from
-// it — under sw. It returns the executors' results and the simulated seconds
-// and payload bytes of the collective alone, read at two barriers around it.
-func collective(t testing.TB, spec clusters.Spec, sw switches, o op, in [][]float64, ref []float64) (out [][]float64, simS, bytes float64) {
+// it — under sw, recording into sink (nil records nothing). It returns the
+// executors' results and the simulated seconds and payload bytes of the
+// collective alone, read at two barriers around it.
+func collective(t testing.TB, spec clusters.Spec, sw switches, o op, in [][]float64, ref []float64, sink *obs.Sink) (out [][]float64, simS, bytes float64) {
 	t.Helper()
 	allreduce.Configure(sw.chunks)
 	sparse.Configure(sw.sparse)
@@ -50,7 +60,7 @@ func collective(t testing.TB, spec clusters.Spec, sw switches, o op, in [][]floa
 		allreduce.ConfigureOverlap(false)
 	}()
 	k := spec.Executors
-	sim, cl, ctx := spec.Build(nil)
+	sim, cl, ctx := spec.Build(sink)
 	enter := des.NewBarrier(sim, "enter", k)
 	leave := des.NewBarrier(sim, "leave", k)
 	out = make([][]float64, k)
@@ -220,7 +230,7 @@ func check(t *testing.T, tc tcase) (simS float64) {
 	t.Helper()
 	in, ref := tc.inputs()
 	spec := clusters.Test(tc.k)
-	got, simS, bytes := collective(t, spec, tc.switches(), tc.op, in, ref)
+	got, simS, bytes := collective(t, spec, tc.switches(), tc.op, in, ref, nil)
 	want := centralized(in, tc.op != opSum)
 	for i := range got {
 		for j := range want {
@@ -239,7 +249,7 @@ func check(t *testing.T, tc tcase) (simS float64) {
 	} else {
 		base := tc
 		base.chunks = 1
-		unchunked, _, baseBytes := collective(t, spec, base.switches(), tc.op, in, ref)
+		unchunked, _, baseBytes := collective(t, spec, base.switches(), tc.op, in, ref, nil)
 		if bytes != baseBytes {
 			t.Errorf("bytes %v, %v at C = 1", bytes, baseBytes)
 		}
@@ -269,6 +279,47 @@ func runTable(t *testing.T, keep func(tcase) bool) {
 	}
 	if n == 0 {
 		t.Fatal("no table row selected")
+	}
+}
+
+// TestScheduleEventLogGolden pins every table row's whole schedule, not
+// just its end time: the FNV-64 of the row's causal JSONL event log — every
+// send, recv, fold, install, pipeline and feat-block span with its tag,
+// bytes and timestamps — for every k, dim and C, sparse and dense, overlap
+// on and off. testdata/eventlog_fnv64.golden; -update rewrites it.
+func TestScheduleEventLogGolden(t *testing.T) {
+	var got strings.Builder
+	for _, tc := range table() {
+		in, ref := tc.inputs()
+		sink := obs.CausalSink()
+		collective(t, clusters.Test(tc.k), tc.switches(), tc.op, in, ref, sink)
+		h := fnv.New64a()
+		if err := sink.WriteJSONL(h); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%s %016x\n", tc, h.Sum64())
+	}
+	path := filepath.Join("testdata", "eventlog_fnv64.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to generate)", err)
+	}
+	if !bytes.Equal([]byte(got.String()), want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < min(len(gl), len(wl)); i++ {
+			if gl[i] != wl[i] {
+				t.Errorf("event log drifted: got %q, want %q", gl[i], wl[i])
+			}
+		}
+		if len(gl) != len(wl) {
+			t.Errorf("%d rows, golden has %d", len(gl), len(wl))
+		}
 	}
 }
 
@@ -353,7 +404,7 @@ func BenchmarkAllReduce8x10k(b *testing.B) {
 		in[i] = make([]float64, 10000)
 	}
 	for n := 0; n < b.N; n++ {
-		collective(b, clusters.Test(8), switches{chunks: 1}, opAverage, in, nil)
+		collective(b, clusters.Test(8), switches{chunks: 1}, opAverage, in, nil, nil)
 	}
 }
 
@@ -367,8 +418,8 @@ func TestPipelineSuperstepBound(t *testing.T) {
 	spec := clusters.CommBound(k)
 	s := dim / k // partition size; dim divides k evenly here
 	in, _ := tcase{k: k, dim: dim}.inputs()
-	_, seqDur, _ := collective(t, spec, switches{chunks: 1}, opAverage, in, nil)
-	_, pipeDur, _ := collective(t, spec, switches{chunks: chunks}, opAverage, in, nil)
+	_, seqDur, _ := collective(t, spec, switches{chunks: 1}, opAverage, in, nil, nil)
+	_, pipeDur, _ := collective(t, spec, switches{chunks: chunks}, opAverage, in, nil, nil)
 
 	// Modeled components, per executor: the fold charges (k−1)·s and the
 	// gather decode another (k−1)·s; each direction of the NIC serializes

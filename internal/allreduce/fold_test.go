@@ -89,15 +89,15 @@ func TestFoldAddsUntouchedCoordinates(t *testing.T) {
 		}
 
 		spec := clusters.Test(k)
-		dense, _, denseBytes := collective(t, spec, switches{chunks: 1}, opAverageDelta, base, ref)
+		dense, _, denseBytes := collective(t, spec, switches{chunks: 1}, opAverageDelta, base, ref, nil)
 		requireFold("dense", dense, 0, denseBytes)
 		for _, chunks := range []int{1, 2, 8} {
-			got, _, bytes := collective(t, spec, switches{chunks: chunks, sparse: true}, opAverageDelta, base, ref)
+			got, _, bytes := collective(t, spec, switches{chunks: chunks, sparse: true}, opAverageDelta, base, ref, nil)
 			requireFold(fmt.Sprintf("C=%d", chunks), got, bytes, denseBytes)
 			if withRef {
 				continue // the producing collective has no reference form
 			}
-			got, _, bytes = collective(t, spec, switches{chunks: chunks, sparse: true, overlap: true}, opProduced, base, nil)
+			got, _, bytes = collective(t, spec, switches{chunks: chunks, sparse: true, overlap: true}, opProduced, base, nil, nil)
 			requireFold(fmt.Sprintf("C=%d overlap", chunks), got, bytes, denseBytes)
 		}
 	}

@@ -15,10 +15,9 @@ import (
 	"mllibstar/internal/vec"
 )
 
-// allReduce is the one schedule behind every entry point: the front half
-// produces (when overlapped), encodes and sends the Reduce-Scatter chunks;
-// the back half folds each chunk as its k−1 copies arrive, then sends and
-// installs the AllGather chunks. At C = 1 the task process sends for itself
+// allReduce executes Plan: the Reduce-Scatter sends (each block produced
+// first when overlapped), the folds as each chunk's k−1 copies arrive, the
+// AllGather sends and installs. At C = 1 the task process sends for itself
 // (a forked sender would let the fold charges overlap its own sends) and no
 // Pipeline span — the observe-never-charge wait for a chunk — is recorded.
 func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name string, local, ref []float64, average bool, prod Producer) {
@@ -27,10 +26,7 @@ func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name 
 		panic(fmt.Sprintf("allreduce: self %d out of %d executors", self, k))
 	}
 	dim := len(local)
-	C := 1 // never more chunks than the smallest partition has coordinates
-	if k > 1 {
-		C = max(1, min(Chunks(), dim/k))
-	}
+	C := EffectiveChunks(Chunks(), dim, k)
 	overlap := prod != nil && C > 1 && OverlapEnabled()
 	if prod != nil && !overlap {
 		ex.ChargeAsync(p, prod.PrepareWork()+prod.Work(0, dim), func() {
@@ -48,8 +44,6 @@ func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name 
 		}
 		return ref[lo:hi]
 	}
-	peers := peersOf(self, k) // ascending: the AllGather fan-out
-	order := peers            // the Reduce-Scatter visit order
 
 	var sender *engine.Sender
 	if C > 1 {
@@ -63,7 +57,7 @@ func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name 
 			sender.Send(execs[j], tag, b.Bytes, b)
 		}
 	}
-	produce := func(c, lo, hi int) {}
+	var order []int // the Reduce-Scatter visit order; nil is ascending
 	if overlap {
 		ex.ChargeAsync(p, prod.PrepareWork(), prod.Prepare)
 		recvBW := make([]float64, k)
@@ -71,61 +65,11 @@ func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name 
 			recvBW[j] = ex.PeerSpec(nm).RecvBW
 		}
 		order = RouteOrder(name, self, k, dim, ex.PeerSpec(execs[self]).SendBW, recvBW)
-		// Each production charge carries an observe-never-charge feat-block
-		// span, so the overlap shows in the gantt without double-booking.
-		produce = func(c, lo, hi int) {
-			start := p.Now()
-			ex.ChargeAsync(p, prod.Work(lo, hi), func() { prod.Produce(lo, hi) })
-			if now := p.Now(); now > start {
-				ex.Node().Observe(p, obs.PhaseFeatBlock, start, now, fmt.Sprintf("fb:%s.c%d", name, c))
-			}
-		}
 	}
-
-	// Front half — Reduce-Scatter sends, chunk-major unless noted: every
-	// peer's chunk c is queued before any peer's chunk c+1.
-	if dense {
-		// Each chunk is encoded — and shipped — the moment its block exists.
-		for c := 0; c < C; c++ {
-			tag := xchTag("rs", name, C, c)
-			for _, j := range order {
-				lo, hi := chunkRange(dim, k, C, j, c)
-				produce(c, lo, hi)
-				send(j, tag, sparse.EncodeCopy(local[lo:hi], nil))
-			}
-		}
-	} else {
-		// The adaptive decision needs whole partitions. Overlapped, a peer's
-		// chunks ship once its partition is produced (partition-major);
-		// otherwise every partition is ready up front.
-		encs := make([]sparse.Enc, k)
-		for _, j := range order {
-			for c := 0; c < C; c++ {
-				lo, hi := chunkRange(dim, k, C, j, c)
-				produce(c, lo, hi)
-			}
-			lo, hi := vec.PartitionRange(dim, k, j)
-			encs[j] = sparse.EncodeCopy(local[lo:hi], refRange(lo, hi))
-			for c := 0; overlap && c < C; c++ {
-				send(j, xchTag("rs", name, C, c), chunkOf(encs[j], C, c))
-			}
-		}
-		for c := 0; !overlap && c < C; c++ {
-			tag := xchTag("rs", name, C, c)
-			for _, j := range order {
-				send(j, tag, chunkOf(encs[j], C, c))
-			}
-		}
-	}
-	// Own partition last: it gates only the local fold, which waits for the peers anyway.
+	tags := make([]string, 2*C) // round-major
 	for c := 0; c < C; c++ {
-		lo, hi := chunkRange(dim, k, C, self, c)
-		produce(c, lo, hi)
+		tags[c], tags[C+c] = xchTag(RS, name, C, c), xchTag(AG, name, C, c)
 	}
-	lo, hi := vec.PartitionRange(dim, k, self)
-	own := append([]float64(nil), local[lo:hi]...)
-	refOwn := refRange(lo, hi)
-
 	recv := func(tag string) []engine.Block {
 		idle := p.Now()
 		blocks := make([]engine.Block, 0, k-1)
@@ -137,81 +81,94 @@ func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name 
 		}
 		return blocks
 	}
-	sendAG := func(c int, e sparse.Enc) {
-		tag := xchTag("ag", name, C, c)
-		for _, j := range peers {
-			send(j, tag, e)
-		}
-	}
 
-	// Back half — receive and fold, chunks in index order. The arithmetic
-	// overlaps on the offload pool while the charges replay the arrival
-	// sequence on the task process (the node has one modeled core; a sender
-	// process only ever occupies the NIC). A sparse copy's charge models its
-	// decode, so it is traced as Encode.
-	for c := 0; c < C; c++ {
-		blocks := recv(xchTag("rs", name, C, c))
-		folded := append([]engine.Block(nil), blocks...)
-		sort.Slice(folded, func(a, b int) bool { return folded[a].From < folded[b].From })
-		colo, cohi := vec.PartitionRange(hi-lo, C, c)
-		ownChunk := own[colo:cohi]
-		refChunk := refRange(lo+colo, lo+cohi)
-		scratch := foldScratch(ex, folded, cohi-colo)
-		h := par.Do(func() { fold(ownChunk, folded, scratch, refChunk, average, k) })
-		for _, b := range blocks {
-			ex.ChargeKind(p, float64(cohi-colo), phaseOf(b, obs.PhaseAgg), name)
-		}
-		h.Join()
-		ex.PutVec(scratch)
-		if dense {
-			sendAG(c, sparse.EncodeShared(ownChunk, refChunk)) // streams out right away
-		}
-	}
+	lo, hi := vec.PartitionRange(dim, k, self)
+	var own []float64     // own partition, folded in place; AllGather payloads share it
+	var encs []sparse.Enc // sparse: each partition's one encoding, which its chunks slice
 	if !dense {
-		// The adaptive decision must see the fully folded partition; its
-		// one encoding is then chunked.
-		ownEnc := sparse.EncodeShared(own, refOwn)
-		for c := 0; c < C; c++ {
-			sendAG(c, chunkOf(ownEnc, C, c))
-		}
+		encs = make([]sparse.Enc, k)
 	}
-	copy(local[lo:hi], own)
-	if sender != nil {
-		sender.Close()
-	}
-
-	// AllGather receive: pieces land in disjoint ranges of local, so decode
-	// order is immaterial; the charges replay arrivals.
-	for c := 0; c < C; c++ {
-		gathered := recv(xchTag("ag", name, C, c))
-		h := par.Do(func() {
-			for _, b := range gathered {
-				clo, chi := chunkRange(dim, k, C, b.From, c)
-				b.Payload.(sparse.Enc).DecodeInto(local[clo:chi], refRange(clo, chi))
+	agChunk, agEnc := -1, sparse.Enc{} // the AllGather chunk every peer is sent
+	for s := range Plan(k, dim, C, self, order, overlap, dense) {
+		tag := tags[int(s.Round)*C+s.Chunk]
+		switch s.Op {
+		case Produce:
+			// Each production charge carries an observe-never-charge
+			// feat-block span, so the overlap shows in the gantt without
+			// double-booking.
+			start := p.Now()
+			ex.ChargeAsync(p, prod.Work(s.Lo, s.Hi), func() { prod.Produce(s.Lo, s.Hi) })
+			if now := p.Now(); now > start {
+				ex.Node().Observe(p, obs.PhaseFeatBlock, start, now, fmt.Sprintf("fb:%s.c%d", name, s.Chunk))
 			}
-		})
-		for _, b := range gathered {
-			clo, chi := chunkRange(dim, k, C, b.From, c)
-			ex.ChargeKind(p, float64(chi-clo), phaseOf(b, obs.PhaseUpdate), name)
+		case Send:
+			switch {
+			case s.Round == AG:
+				if s.Chunk != agChunk {
+					agChunk = s.Chunk
+					if dense {
+						agEnc = sparse.EncodeShared(own[s.Lo-lo:s.Hi-lo], refRange(s.Lo, s.Hi))
+					} else {
+						agEnc = chunkOf(encs[self], C, s.Chunk)
+					}
+				}
+				send(s.Peer, tag, agEnc)
+			case dense: // encoded the moment its block exists
+				send(s.Peer, tag, sparse.EncodeCopy(local[s.Lo:s.Hi], nil))
+			default: // the adaptive decision needs the whole partition
+				if s.Chunk == 0 {
+					plo, phi := vec.PartitionRange(dim, k, s.Peer)
+					encs[s.Peer] = sparse.EncodeCopy(local[plo:phi], refRange(plo, phi))
+				}
+				send(s.Peer, tag, chunkOf(encs[s.Peer], C, s.Chunk))
+			}
+		case Fold:
+			// The arithmetic overlaps on the offload pool while the charges
+			// replay the arrival sequence on the task process (the node has
+			// one modeled core; a sender process only ever occupies the
+			// NIC). A sparse copy's charge models its decode, so it is
+			// traced as Encode.
+			if s.Chunk == 0 {
+				own = append([]float64(nil), local[lo:hi]...)
+			}
+			blocks := recv(tag)
+			folded := append([]engine.Block(nil), blocks...)
+			sort.Slice(folded, func(a, b int) bool { return folded[a].From < folded[b].From })
+			ownChunk, refChunk := own[s.Lo-lo:s.Hi-lo], refRange(s.Lo, s.Hi)
+			scratch := foldScratch(ex, folded, s.Hi-s.Lo)
+			h := par.Do(func() { fold(ownChunk, folded, scratch, refChunk, average, k) })
+			for _, b := range blocks {
+				ex.ChargeKind(p, float64(s.Hi-s.Lo), phaseOf(b, obs.PhaseAgg), name)
+			}
+			h.Join()
+			ex.PutVec(scratch)
+			if !dense && s.Chunk == C-1 {
+				// The adaptive decision must see the fully folded partition.
+				encs[self] = sparse.EncodeShared(own, refRange(lo, hi))
+			}
+		case Gather:
+			if s.Chunk == 0 {
+				copy(local[lo:hi], own)
+				if sender != nil {
+					sender.Close()
+				}
+			}
+			// Pieces land in disjoint ranges of local, so decode order is
+			// immaterial; the charges replay arrivals.
+			gathered := recv(tag)
+			h := par.Do(func() {
+				for _, b := range gathered {
+					clo, chi := chunkRange(dim, k, C, b.From, s.Chunk)
+					b.Payload.(sparse.Enc).DecodeInto(local[clo:chi], refRange(clo, chi))
+				}
+			})
+			for _, b := range gathered {
+				clo, chi := chunkRange(dim, k, C, b.From, s.Chunk)
+				ex.ChargeKind(p, float64(chi-clo), phaseOf(b, obs.PhaseUpdate), name)
+			}
+			h.Join()
 		}
-		h.Join()
 	}
-}
-
-// xchTag names round "rs" or "ag": xch:<round>:<name> unchunked, else with a
-// .c<c> chunk suffix, by which internal/causal tells the schedules apart.
-func xchTag(round, name string, C, c int) string {
-	if C == 1 {
-		return "xch:" + round + ":" + name
-	}
-	return fmt.Sprintf("xch:%s:%s.c%d", round, name, c)
-}
-
-// chunkRange returns the coordinates of chunk c of executor j's partition.
-func chunkRange(dim, k, C, j, c int) (lo, hi int) {
-	plo, phi := vec.PartitionRange(dim, k, j)
-	clo, chi := vec.PartitionRange(phi-plo, C, c)
-	return plo + clo, plo + chi
 }
 
 // chunkOf returns chunk c of a whole-partition encoding, dense/sparse alike.
@@ -254,17 +211,6 @@ func fold(own []float64, chunks []engine.Block, scratch, ref []float64, average 
 	}
 }
 
-// peersOf returns every executor index but self, ascending.
-func peersOf(self, k int) []int {
-	peers := make([]int, 0, k-1)
-	for j := 0; j < k; j++ {
-		if j != self {
-			peers = append(peers, j)
-		}
-	}
-	return peers
-}
-
 // RouteOrder returns the order in which executor self produces and enqueues
 // overlapped Reduce-Scatter traffic to its k−1 peers: slowest partition
 // transfer first — coordinates over the bottleneck of self's send NIC and
@@ -273,7 +219,12 @@ func peersOf(self, k int) []int {
 // and self, so repeated collectives do not favor low-indexed peers. Routing
 // moves message timing only: the fold order stays canonical.
 func RouteOrder(name string, self, k, dim int, sendBW float64, recvBW []float64) []int {
-	peers := peersOf(self, k)
+	peers := make([]int, 0, k-1)
+	for j := 0; j < k; j++ {
+		if j != self {
+			peers = append(peers, j)
+		}
+	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%d", name, self)
 	perm := detrand.Perm(int64(h.Sum64()), k)

@@ -23,7 +23,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"mllibstar/internal/allreduce"
 	"mllibstar/internal/causal"
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/core"
@@ -290,8 +289,43 @@ func TestCritPathDiagnosis(t *testing.T) {
 	}
 }
 
+// requirePredictionGolden holds the chunks=C (or, with overlap, the
+// overlap C=C) predictions on a sweep's sequential log to testdata/file,
+// Float64bits for Float64bits: the sweeps' tolerances catch a re-timer that
+// drifts from the simulator, this catches any change to what it predicts.
+// -update rewrites the file.
+func requirePredictionGolden(t *testing.T, file string, g *causal.Graph, overlap bool) {
+	t.Helper()
+	var got bytes.Buffer
+	for _, C := range []int{2, 3, 4, 8} {
+		sc := causal.Scenario{Name: fmt.Sprintf("chunks=%d", C), Chunks: C, Overlap: overlap}
+		if overlap {
+			sc.Name = fmt.Sprintf("overlap C=%d", C)
+		}
+		pred := causal.Retime(g, sc)
+		if pred.Err != "" {
+			t.Fatalf("%s: %s", sc.Name, pred.Err)
+		}
+		fmt.Fprintf(&got, "%s %016x %v\n", sc.Name, math.Float64bits(pred.Makespan), pred.Makespan)
+	}
+	path := filepath.Join("testdata", file)
+	if *updateObs {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to generate)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("predictions drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, got.Bytes(), want)
+	}
+}
+
 // chunkSweepTol is the pinned relative tolerance for the chunk what-if: the
-// re-timer rebuilds the pipelined schedule the simulator itself would run,
+// re-timer lowers the plan the simulator itself executes (allreduce.Plan),
 // so the prediction is near-exact — the slack covers only encoding-boundary
 // effects the transform cannot see from a dense sequential trace.
 const chunkSweepTol = 0.02
@@ -312,6 +346,7 @@ func TestWhatIfChunkSweep(t *testing.T) {
 	var seq []obs.Event
 	withCollective(colOff, func() { seq = runWithCausal(true, run) })
 	g := requireCausalGraph(t, "MLlib* sequential", seq)
+	requirePredictionGolden(t, "whatif_chunk_sweep.golden", g, false)
 
 	for _, C := range []int{2, 4, 8} {
 		pred := causal.Retime(g, causal.Scenario{Name: fmt.Sprintf("chunks=%d", C), Chunks: C})
@@ -319,9 +354,7 @@ func TestWhatIfChunkSweep(t *testing.T) {
 			t.Fatalf("chunks=%d: %s", C, pred.Err)
 		}
 		var act []obs.Event
-		allreduce.Configure(C)
-		act = runWithCausal(true, run)
-		allreduce.Configure(1)
+		withCollective(collectiveSetting{chunks: C}, func() { act = runWithCausal(true, run) })
 		ag := requireCausalGraph(t, fmt.Sprintf("MLlib* chunks=%d", C), act)
 		actual := ag.Makespan()
 		rel := math.Abs(pred.Makespan-actual) / actual
@@ -349,29 +382,35 @@ const overlapSweepTol = 0.02
 // the comm-bound cluster and predicts the fully overlapped makespan — pass-1
 // split, streamed feature blocks, route-ordered chunk sends — from its trace
 // alone, then actually reruns the simulator under -overlap at each chunk
-// count and requires the prediction to land within the pinned tolerance.
+// count and requires the prediction to land within the pinned tolerance —
+// exactly at one chunk, where overlap cannot engage.
 func TestWhatIfOverlapSweep(t *testing.T) {
 	ds := overlapDataset()
 	run := func() { runOverlapGD(clusters.CommBound(4), ds, 8) }
 	var seq []obs.Event
 	withCollective(colOff, func() { seq = runWithCausal(true, run) })
 	g := requireCausalGraph(t, "GD sequential", seq)
+	requirePredictionGolden(t, "whatif_overlap_sweep.golden", g, true)
 
-	for _, C := range []int{4, 8} {
+	for _, C := range []int{1, 4, 8} {
 		pred := causal.Retime(g, causal.Scenario{Name: fmt.Sprintf("overlap C=%d", C), Overlap: true, Chunks: C})
 		if pred.Err != "" {
 			t.Fatalf("overlap C=%d: %s", C, pred.Err)
 		}
 		var act []obs.Event
-		allreduce.Configure(C)
-		allreduce.ConfigureOverlap(true)
-		act = runWithCausal(true, run)
-		allreduce.ConfigureOverlap(false)
-		allreduce.Configure(1)
+		withCollective(collectiveSetting{chunks: C, overlap: true}, func() { act = runWithCausal(true, run) })
 		ag := requireCausalGraph(t, fmt.Sprintf("GD overlap C=%d", C), act)
 		actual := ag.Makespan()
 		rel := math.Abs(pred.Makespan-actual) / actual
 		t.Logf("overlap C=%d: predicted %.6fs actual %.6fs (rel err %.4f%%)", C, pred.Makespan, actual, 100*rel)
+		if C == 1 {
+			// One chunk is the sequential plan: overlap cannot engage, and
+			// the prediction is the recorded makespan — which the rerun is.
+			if math.Float64bits(pred.Makespan) != math.Float64bits(actual) || math.Float64bits(actual) != math.Float64bits(g.Makespan()) {
+				t.Errorf("overlap C=1: predicted %v, rerun %v, recorded %v — want all three equal", pred.Makespan, actual, g.Makespan())
+			}
+			continue
+		}
 		if rel > overlapSweepTol {
 			t.Errorf("overlap C=%d: predicted makespan %.6fs vs actual %.6fs — rel err %.4f%% exceeds %.1f%%",
 				C, pred.Makespan, actual, 100*rel, 100*overlapSweepTol)

@@ -2,24 +2,24 @@ package causal
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"mllibstar/internal/allreduce"
 	"mllibstar/internal/obs"
-	"mllibstar/internal/vec"
 )
 
-// This file holds the structural what-if transforms: re-chunking unchunked
-// (C = 1) AllReduce collectives into internal/allreduce's schedule at C > 1,
-// streaming gradient production into those chunks (-overlap, the schedule
-// with an overlapped producer), and re-sharding the serving tier. Each rebuilds the
-// affected subgraph the way the simulator itself would have built it — same
-// byte splits, same enqueue orders, same gating — so the re-timed makespan
-// is a genuine prediction of the rerun, which TestWhatIfChunkSweep,
-// TestWhatIfOverlapSweep, and TestWhatIfShardSweep check against actual
-// reruns.
+// This file holds the structural what-if transforms: running unchunked
+// (C = 1) AllReduce collectives at C > 1, with or without gradient
+// production streamed into the chunks (-pipeline, -overlap), and
+// re-sharding the serving tier. The collective transform does not model the
+// schedule itself: it lowers allreduce.Plan, the steps the simulator
+// executes, into re-timer nodes, so the chunk ranges, enqueue orders and
+// gating are the rerun's by construction. The shard transform rebuilds its
+// subgraph by hand. TestWhatIfChunkSweep, TestWhatIfOverlapSweep and
+// TestWhatIfShardSweep check the predictions against actual reruns.
 
 // specFor resolves a host's machine spec; synthesized hosts ("host~2") fall
 // back to the host they were split from.
@@ -56,14 +56,14 @@ func (r *retimer) drop(id int, replacements ...int) {
 }
 
 // ---------------------------------------------------------------------------
-// Chunk transform: sequential AllReduce -> pipelined chunks.
+// Collective transform: a sequential AllReduce -> allreduce.Plan at C chunks.
 
 // xchRun is one executor's slice of one sequential reduce-scatter/gather
 // collective, as recorded in its process chain: k−1 sends and recvs per
 // shuffle round, k−1 fold charges between them, k−1 update charges after.
 // grad is the anonymous compute charge immediately preceding the first send
 // on the same chain — the gradient pass that fed the collective — or −1;
-// the overlap transform streams it (streamedInstance).
+// the overlap what-if streams it into the chunks.
 type xchRun struct {
 	name                                               string
 	host                                               string
@@ -71,16 +71,13 @@ type xchRun struct {
 	rsSends, rsRecvs, folds, agSends, agRecvs, updates []int
 }
 
-const rsPrefix, agPrefix = "xch:rs:", "xch:ag:"
-
 // parseXchRun matches the sequential collective shape starting at position i
 // of a process chain; ok is false when the shape does not match (the
 // exchange is some other shuffle and stays untouched).
 func parseXchRun(g *Graph, ids []int, i int) (run xchRun, next int, ok bool) {
 	first := g.Nodes[ids[i]]
-	run.name = strings.TrimPrefix(first.Note, rsPrefix)
-	run.host = first.Host
-	run.grad = -1
+	t, _ := allreduce.ParseTag(first.Note)
+	run.name, run.host, run.grad = t.Name, first.Host, -1
 	if i > 0 {
 		// Collective charges (folds, updates) carry the collective name as
 		// their note; the gradient pass is an anonymous ChargeAsync, so an
@@ -90,32 +87,31 @@ func parseXchRun(g *Graph, ids []int, i int) (run xchRun, next int, ok bool) {
 			run.grad = ids[i-1]
 		}
 	}
-	rsTag, agTag := rsPrefix+run.name, agPrefix+run.name
-	take := func(kind NodeKind, note string) []int {
+	// take consumes the run of kind's nodes of round rd: unchunked messages
+	// tagged with the collective's name, or charges noted with it.
+	take := func(kind NodeKind, rd allreduce.Round) []int {
 		var out []int
-		for i < len(ids) {
+		for ; i < len(ids); i++ {
 			n := g.Nodes[ids[i]]
-			if n.Kind != kind || n.Note != note {
+			t, ok := allreduce.ParseTag(n.Note)
+			if n.Kind != kind || (kind == KindSpan && n.Note != run.name) ||
+				(kind != KindSpan && (!ok || t != allreduce.Tag{Round: rd, Name: run.name})) {
 				break
 			}
 			out = append(out, ids[i])
-			i++
 		}
 		return out
 	}
-	run.rsSends = take(KindSend, rsTag)
-	run.rsRecvs = take(KindRecv, rsTag)
-	run.folds = take(KindSpan, run.name)
-	run.agSends = take(KindSend, agTag)
-	run.agRecvs = take(KindRecv, agTag)
-	run.updates = take(KindSpan, run.name)
+	run.rsSends = take(KindSend, allreduce.RS)
+	run.rsRecvs = take(KindRecv, allreduce.RS)
+	run.folds = take(KindSpan, allreduce.RS)
+	run.agSends = take(KindSend, allreduce.AG)
+	run.agRecvs = take(KindRecv, allreduce.AG)
+	run.updates = take(KindSpan, allreduce.AG)
 	a := len(run.rsSends)
 	ok = a > 0 && len(run.rsRecvs) == a && len(run.folds) == a &&
 		len(run.agSends) == a && len(run.agRecvs) == a && len(run.updates) == a
-	if !ok {
-		return run, i, false
-	}
-	return run, i, true
+	return run, i, ok
 }
 
 // xchInstance is one collective instance across its k executors (runs in
@@ -138,22 +134,20 @@ func collectCollectives(r *retimer) ([]xchInstance, error) {
 		ids := g.Procs[proc]
 		for i := 0; i < len(ids); {
 			n := g.Nodes[ids[i]]
-			if n.Kind != KindSend || !strings.HasPrefix(n.Note, rsPrefix) {
+			t, ok := allreduce.ParseTag(n.Note)
+			if n.Kind != KindSend || !ok || t.Round != allreduce.RS {
 				i++
 				continue
 			}
-			if strings.Contains(n.Note, ".c") {
+			if t.Chunked {
 				return nil, fmt.Errorf("collectives already pipelined (tag %q)", n.Note)
-			}
-			if n.Enc == obs.EncSparse {
-				return nil, fmt.Errorf("sparse-encoded collective %q: chunk byte split is encoding-dependent", n.Note)
 			}
 			run, next, ok := parseXchRun(g, ids, i)
 			if !ok {
 				i++
 				continue
 			}
-			for _, id := range append(append([]int{}, run.rsRecvs...), run.agRecvs...) {
+			for _, id := range slices.Concat(run.rsSends, run.rsRecvs, run.agSends, run.agRecvs) {
 				if g.Nodes[id].Enc == obs.EncSparse {
 					return nil, fmt.Errorf("sparse-encoded collective %q: chunk byte split is encoding-dependent", run.name)
 				}
@@ -198,231 +192,13 @@ func collectCollectives(r *retimer) ([]xchInstance, error) {
 	return out, nil
 }
 
-// effChunks applies the simulator's chunk cap: never more chunks than the
-// smallest partition has coordinates.
-func effChunks(C, dim, k int) int {
-	if minPart := dim / k; minPart < C {
-		C = minPart
-	}
-	return C
-}
-
-// chunkTransform rewrites every sequential collective instance into the
-// C-chunk pipelined schedule: a forked sender drains all reduce-scatter
-// chunk sends chunk-major, the task folds chunk c as soon as its k−1 pieces
-// arrive, and the allgather chunk streams out right after its fold — the
-// exact structure of internal/allreduce's schedule at C > 1 without a
-// producer, including the dim/k chunk cap.
-func chunkTransform(r *retimer, C int) error {
-	insts, err := collectCollectives(r)
-	if err != nil {
-		return err
-	}
-	for _, inst := range insts {
-		if effC := effChunks(C, inst.dim, len(inst.runs)); effC > 1 {
-			if err := r.chunkInstance(inst.runs, effC); err != nil {
-				return err
-			}
-		}
-		// effC <= 1: too small to cut; the rerun keeps it sequential too.
-	}
-	return nil
-}
-
-// chunkBytes returns the wire bytes of chunk c of the partition an original
-// send carried: the same PartitionRange split the pipelined simulator makes.
-func (r *retimer) chunkBytes(origSend int, C, c int) float64 {
-	ln := int(r.g.src.Nodes[origSend].Bytes / 8)
-	lo, hi := vec.PartitionRange(ln, C, c)
-	return 8 * float64(hi-lo)
-}
-
-// chunkInstance rebuilds one collective instance across its k executors.
-func (r *retimer) chunkInstance(runs []xchRun, C int) error {
-	g := r.g.src
-	k := len(runs)
-	chunkSends := map[int][]int{} // original send id -> per-chunk synthesized sends
-	childPrev := make([]int, k)
-	childSub := make([]int, k)
-
-	// Pass 1: the forked sender on each executor enqueues every
-	// reduce-scatter chunk up front, chunk-major across peers.
-	for e, run := range runs {
-		anchor := g.Nodes[run.rsSends[0]]
-		fork := r.add(&rnode{
-			kind: KindFork, host: run.host,
-			preds: append([]redge(nil), r.nodes[run.rsSends[0]].preds...),
-			keyT:  anchor.Start, keyID: anchor.ID, keySub: 1,
-		})
-		childPrev[e], childSub[e] = fork, 1
-		for c := 0; c < C; c++ {
-			for _, sid := range run.rsSends {
-				bytes := r.chunkBytes(sid, C, c)
-				dur, err := r.sendDur(run.host, bytes)
-				if err != nil {
-					return err
-				}
-				childSub[e]++
-				id := r.add(&rnode{
-					kind: KindSend, host: run.host, res: run.host + "/out", dur: dur,
-					preds: []redge{{from: childPrev[e]}},
-					keyT:  anchor.Start, keyID: anchor.ID, keySub: childSub[e],
-				})
-				childPrev[e] = id
-				chunkSends[sid] = append(chunkSends[sid], id)
-			}
-		}
-	}
-	return r.chunkFoldGather(runs, C, chunkSends, childPrev, childSub, nil)
-}
-
-// chunkFoldGather builds the fold and allgather halves of a chunked
-// collective — shared by the plain chunk rebuild and the streamed (overlap)
-// rebuild. chunkSends maps each original reduce-scatter send to its C
-// synthesized chunk sends; childPrev/childSub continue each executor's
-// out-NIC sender chain. prodTail, when non-nil, roots executor e's fold
-// chain at its last gradient-production block (the streamed schedule, where
-// the task process produces all own-partition blocks before folding) and
-// drops the recorded gradient span alongside the collective's own nodes.
-func (r *retimer) chunkFoldGather(runs []xchRun, C int, chunkSends map[int][]int, childPrev, childSub []int, prodTail []int) error {
-	g := r.g.src
-	k := len(runs)
-	foldLast := make([]int, k)
-	chunkBytes := func(origSend int, c int) float64 { return r.chunkBytes(origSend, C, c) }
-	// Pass 2: each executor receives chunk c from its k−1 peers, folds it,
-	// and streams the matching allgather chunk right after the fold.
-	for e, run := range runs {
-		// Chunk recvs key off the run's FIRST original recv, chunk-major
-		// across peers — the in-NIC FIFO order the pipelined simulator
-		// produces (reservations land in send-completion order, and every
-		// peer finishes its chunk c before any finishes c+1). Anchoring each
-		// chunk on its own original recv would replay the queue peer-major
-		// and serialize the folds behind whole peers' worth of chunks.
-		rsChunkRecvs := make([][]redge, C)
-		anchorR := g.Nodes[run.rsRecvs[0]]
-		for c := 0; c < C; c++ {
-			for pi, rid := range run.rsRecvs {
-				sid, ok := g.SendByMID[g.Nodes[rid].MID]
-				if !ok {
-					return fmt.Errorf("collective %q: unmatched recv", run.name)
-				}
-				dur, err := r.recvDur(run.host, chunkBytes(sid, c))
-				if err != nil {
-					return err
-				}
-				id := r.add(&rnode{
-					kind: KindRecv, host: run.host, res: run.host + "/in", dur: dur,
-					preds: []redge{{from: chunkSends[sid][c], lag: g.Latency}},
-					keyT:  anchorR.Start, keyID: anchorR.ID, keySub: c*len(run.rsRecvs) + pi + 1,
-				})
-				rsChunkRecvs[c] = append(rsChunkRecvs[c], redge{from: id})
-			}
-		}
-		totFold := 0.0
-		for _, fid := range run.folds {
-			totFold += g.Nodes[fid].Dur
-		}
-		lnOwn := int(g.Nodes[run.agSends[0]].Bytes / 8)
-		anchorF := g.Nodes[run.folds[0]]
-		prev := -1
-		if prodTail != nil {
-			prev = prodTail[e]
-		}
-		folds := make([]int, C)
-		for c := 0; c < C; c++ {
-			lo, hi := vec.PartitionRange(lnOwn, C, c)
-			preds := append([]redge(nil), rsChunkRecvs[c]...)
-			if prev >= 0 {
-				preds = append(preds, redge{from: prev})
-			}
-			folds[c] = r.add(&rnode{
-				kind: KindSpan, host: run.host, dur: totFold * float64(hi-lo) / float64(lnOwn),
-				preds: preds, keyT: anchorF.Start, keyID: anchorF.ID, keySub: c + 1,
-			})
-			prev = folds[c]
-		}
-		foldLast[e] = folds[C-1]
-		anchor := g.Nodes[run.rsSends[0]]
-		for c := 0; c < C; c++ {
-			for _, aid := range run.agSends {
-				dur, err := r.sendDur(run.host, chunkBytes(aid, c))
-				if err != nil {
-					return err
-				}
-				childSub[e]++
-				id := r.add(&rnode{
-					kind: KindSend, host: run.host, res: run.host + "/out", dur: dur,
-					preds: []redge{{from: childPrev[e]}, {from: folds[c]}},
-					keyT:  anchor.Start, keyID: anchor.ID, keySub: childSub[e],
-				})
-				childPrev[e] = id
-				chunkSends[aid] = append(chunkSends[aid], id)
-			}
-		}
-	}
-	// Pass 3: allgather chunk recvs and per-chunk update charges; every
-	// original node of the instance redirects to the executor's last update.
-	for e, run := range runs {
-		// Chunk-major keys for the same in-NIC FIFO reason as the
-		// reduce-scatter recvs above.
-		agChunkRecvs := make([][]redge, C)
-		anchorR := g.Nodes[run.agRecvs[0]]
-		for c := 0; c < C; c++ {
-			for pi, rid := range run.agRecvs {
-				sid, ok := g.SendByMID[g.Nodes[rid].MID]
-				if !ok {
-					return fmt.Errorf("collective %q: unmatched recv", run.name)
-				}
-				dur, err := r.recvDur(run.host, chunkBytes(sid, c))
-				if err != nil {
-					return err
-				}
-				id := r.add(&rnode{
-					kind: KindRecv, host: run.host, res: run.host + "/in", dur: dur,
-					preds: []redge{{from: chunkSends[sid][c], lag: g.Latency}},
-					keyT:  anchorR.Start, keyID: anchorR.ID, keySub: c*len(run.agRecvs) + pi + 1,
-				})
-				agChunkRecvs[c] = append(agChunkRecvs[c], redge{from: id})
-			}
-		}
-		anchorU := g.Nodes[run.updates[0]]
-		prev := foldLast[e]
-		for c := 0; c < C; c++ {
-			dur := 0.0
-			for q, uid := range run.updates {
-				ln := int(g.Nodes[run.agRecvs[q]].Bytes / 8)
-				lo, hi := vec.PartitionRange(ln, C, c)
-				dur += g.Nodes[uid].Dur * float64(hi-lo) / float64(ln)
-			}
-			preds := append([]redge(nil), agChunkRecvs[c]...)
-			preds = append(preds, redge{from: prev})
-			prev = r.add(&rnode{
-				kind: KindSpan, host: run.host, dur: dur,
-				preds: preds, keyT: anchorU.Start, keyID: anchorU.ID, keySub: c + 1,
-			})
-		}
-		for _, ids := range [][]int{run.rsSends, run.rsRecvs, run.folds, run.agSends, run.agRecvs, run.updates} {
-			for _, id := range ids {
-				r.drop(id, prev)
-			}
-		}
-		if prodTail != nil && run.grad >= 0 {
-			r.drop(run.grad, prev)
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Overlap transform: stream gradient production into the chunked schedule.
-
 // streamedPrefixes names the collectives whose vectors are produced block by
 // block inside the collective when -overlap is on — the
 // allreduce.AverageProduced call sites: LBFGS*'s lbg%d, SVRG's anchor
 // gradient svrg-mu%d, and the distributed-GD superstep gd%d
 // (internal/bench). A call site that adopts AverageProduced must register
 // its name prefix here for the overlap what-if to stream it; unregistered
-// collectives get the plain chunk rebuild, which is what their rerun does.
+// collectives get the plain chunked plan, which is what their rerun runs.
 var streamedPrefixes = []string{"lbg", "svrg-mu", "gd"}
 
 func streamedCollective(name string) bool {
@@ -434,165 +210,153 @@ func streamedCollective(name string) bool {
 	return false
 }
 
-// overlapTransform re-times the trace under -overlap: every sequential
-// collective becomes C-chunk pipelined, and instances whose name is a
-// registered AverageProduced call site — and whose recorded gradient charge
-// is visible on every executor's chain — are rebuilt with production
-// streamed into the sends (streamedInstance).
-func overlapTransform(r *retimer, C int) error {
+// collectiveTransform re-times the trace as if every sequential collective
+// had run at C chunks (-pipeline) or, with overlap (-overlap), with the
+// gradient of each registered AverageProduced call site streamed into the
+// chunks. Each instance becomes the lowering of its allreduce.Plan; at an
+// effective chunk count of 1 that plan is the recorded schedule.
+func collectiveTransform(r *retimer, C int, overlap bool) error {
 	insts, err := collectCollectives(r)
 	if err != nil {
 		return err
 	}
-	streamed := 0
+	streamed := false
 	for _, inst := range insts {
-		effC := effChunks(C, inst.dim, len(inst.runs))
-		if effC <= 1 {
-			continue // too small to cut; the rerun keeps it sequential too
+		stream := overlap && streamedCollective(inst.name)
+		for _, run := range inst.runs {
+			stream = stream && run.grad >= 0 // the gradient charge is visible
 		}
-		gradOK := streamedCollective(inst.name)
-		for e, run := range inst.runs {
-			// The rerun splits [0, dim) with PartitionRange over executor
-			// INDEX; runs are in recorded proc order, which the engine's
-			// stage spawns keep in index order. If the recorded partition
-			// widths disagree with that split, the positional identification
-			// is wrong — fall back to the plain chunk rebuild rather than
-			// misattribute production widths.
-			lo, hi := vec.PartitionRange(inst.dim, len(inst.runs), e)
-			gradOK = gradOK && run.grad >= 0 &&
-				int(r.g.src.Nodes[run.agSends[0]].Bytes/8) == hi-lo
-		}
-		if gradOK {
-			if err := r.streamedInstance(inst, effC); err != nil {
+		streamed = streamed || stream
+		if allreduce.EffectiveChunks(C, inst.dim, len(inst.runs)) > 1 {
+			if err := r.lowerPlan(inst, C, stream); err != nil {
 				return err
 			}
-			streamed++
-		} else if err := r.chunkInstance(inst.runs, effC); err != nil {
-			return err
 		}
 	}
-	if streamed == 0 {
+	if overlap && !streamed {
 		return fmt.Errorf("no streamable gradient collectives in this trace (want an %v-prefixed collective fed by a visible gradient charge)", streamedPrefixes)
 	}
 	return nil
 }
 
-// streamedInstance rebuilds one gradient-producing collective the way
-// internal/allreduce's schedule runs an overlapped producer: the sender is forked at collective
-// entry; pass 1 of the two-pass kernel (per-row derivatives) runs as half
-// the recorded gradient charge (GradStream's PrepareWork convention); then
-// the remaining half is produced block by block — chunk-major, peers in
-// topology-aware route order, own partition last — with each reduce-scatter
-// chunk send gated on its block closing plus the out-NIC FIFO. The fold and
-// allgather halves are shared with the plain chunk rebuild, the fold chain
-// rooted at the last own-partition block. Block charges are apportioned by
-// coordinate width; the rerun charges them by nonzero count, which the trace
-// cannot see — the residual the overlap sweep's tolerance covers.
-func (r *retimer) streamedInstance(inst xchInstance, C int) error {
-	g := r.g.src
-	runs, dim := inst.runs, inst.dim
+// lowerPlan replaces one recorded collective with every executor's
+// allreduce.Plan at C chunks, dense as recorded: two chains per executor —
+// its forked sender's sends, each also waiting for the task chain's tail,
+// and its task's productions, folds and installs. Message durations come
+// from the specs; the rest split the recorded charges by coordinate width
+// (a streamed gradient half as GradStream's Prepare pass). Keys come from
+// the replaced nodes and step positions; the walk runs in stepPhases.
+func (r *retimer) lowerPlan(inst xchInstance, C int, stream bool) error {
+	g, runs, dim := r.g.src, inst.runs, inst.dim
 	k := len(runs)
-	// Each original reduce-scatter send's destination executor, recovered
-	// through its matched recv; then inverted so sendTo[e][j] is e's send to
-	// peer j — the route order indexes peers, the chain holds send ids.
-	dstOf := map[int]int{}
-	for e2, run2 := range runs {
-		for _, rid := range run2.rsRecvs {
-			sid, ok := g.SendByMID[g.Nodes[rid].MID]
-			if !ok {
-				return fmt.Errorf("collective %q: unmatched recv", inst.name)
-			}
-			dstOf[sid] = e2
-		}
-	}
-	sendTo := make([][]int, k)
-	for e, run := range runs {
-		sendTo[e] = make([]int, k)
-		for j := range sendTo[e] {
-			sendTo[e][j] = -1
-		}
-		for _, sid := range run.rsSends {
-			dst, ok := dstOf[sid]
-			if !ok {
-				return fmt.Errorf("collective %q: send without a matched recv", inst.name)
-			}
-			sendTo[e][dst] = sid
-		}
-	}
+	C = allreduce.EffectiveChunks(C, dim, k)
+	execOf := map[int]int{} // recorded collective send -> its executor
 	recvBW := make([]float64, k)
-	for j, run := range runs {
-		sp, err := r.specFor(run.host)
-		if err != nil {
-			return err
-		}
-		recvBW[j] = sp.RecvBW
-	}
-
-	chunkSends := map[int][]int{}
-	childPrev := make([]int, k)
-	childSub := make([]int, k)
-	prodTail := make([]int, k)
 	for e, run := range runs {
-		sp, err := r.specFor(run.host)
+		for _, id := range slices.Concat(run.rsSends, run.agSends) {
+			execOf[id] = e
+		}
+		sp, err := r.specFor(run.host) // every host's spec: sendDur and recvDur cannot fail below
 		if err != nil {
 			return err
 		}
-		// The exact route the rerun will take: deterministic in (name, e).
-		order := allreduce.RouteOrder(inst.name, e, k, dim, sp.SendBW, recvBW)
-		grad := g.Nodes[run.grad]
-		anchor := g.Nodes[run.rsSends[0]]
-		fork := r.add(&rnode{
-			kind: KindFork, host: run.host,
-			preds: append([]redge(nil), r.nodes[run.grad].preds...),
-			keyT:  anchor.Start, keyID: anchor.ID, keySub: 1,
-		})
-		childPrev[e], childSub[e] = fork, 1
-		taskSub := 1
-		pass1 := r.add(&rnode{
-			kind: KindSpan, host: run.host, dur: grad.Dur / 2,
-			preds: append([]redge(nil), r.nodes[run.grad].preds...),
-			keyT:  grad.Start, keyID: grad.ID, keySub: taskSub,
-		})
-		taskPrev := pass1
-		produce := func(j, c int) {
-			plo, phi := vec.PartitionRange(dim, k, j)
-			clo, chi := vec.PartitionRange(phi-plo, C, c)
-			taskSub++
-			taskPrev = r.add(&rnode{
-				kind: KindSpan, host: run.host,
-				dur:   grad.Dur / 2 * float64(chi-clo) / float64(dim),
-				preds: []redge{{from: taskPrev}},
-				keyT:  grad.Start, keyID: grad.ID, keySub: taskSub,
-			})
-		}
-		for c := 0; c < C; c++ {
-			for _, j := range order {
-				produce(j, c)
-				sid := sendTo[e][j]
-				if sid < 0 {
-					return fmt.Errorf("collective %q: no send from executor %d to peer %d", inst.name, e, j)
+		recvBW[e] = sp.RecvBW
+	}
+	sends := make([]int, 2*C*k*k) // (round, chunk, from, to) -> lowered send
+	at := func(rd allreduce.Round, c, from, to int) *int { return &sends[((int(rd)*C+c)*k+from)*k+to] }
+	agWidth := make([]int, C*k) // (chunk, owner) -> AllGather chunk width
+	node := func(kind NodeKind, host, res string, dur float64, preds []redge, anchor *Node, sub int) int {
+		return r.add(&rnode{kind: kind, host: host, res: res, dur: dur, preds: preds, keyT: anchor.Start, keyID: anchor.ID, keySub: sub})
+	}
+	type lane struct {
+		order                           []int // Reduce-Scatter visit order; nil is ascending
+		out, outSub, task, taskSub, own int   // chain tails (from the fork; streaming, the task's from Prepare), key positions, own width
+	}
+	lanes := make([]lane, k)
+	for phase := 0; phase < 3; phase++ {
+		for e, run := range runs {
+			l := &lanes[e]
+			if phase == 0 {
+				fork := node(KindFork, run.host, "", 0, slices.Clone(r.nodes[run.rsSends[0]].preds), g.Nodes[run.rsSends[0]], 1)
+				*l = lane{out: fork, outSub: 1, task: fork}
+				if stream { // the fork moves up to the gradient pass
+					r.nodes[fork].preds = slices.Clone(r.nodes[run.grad].preds)
+					sp, _ := r.specFor(run.host)
+					grad := g.Nodes[run.grad]
+					l.order = allreduce.RouteOrder(inst.name, e, k, dim, sp.SendBW, recvBW)
+					l.task, l.taskSub = node(KindSpan, run.host, "", grad.Dur/2, slices.Clone(r.nodes[run.grad].preds), grad, 1), 1
 				}
-				dur, err := r.sendDur(run.host, r.chunkBytes(sid, C, c))
-				if err != nil {
-					return err
+			}
+			for s := range allreduce.Plan(k, dim, C, e, l.order, stream, true) {
+				if stepPhase(s) != phase {
+					continue
 				}
-				childSub[e]++
-				id := r.add(&rnode{
-					kind: KindSend, host: run.host, res: run.host + "/out", dur: dur,
-					preds: []redge{{from: childPrev[e]}, {from: taskPrev}},
-					keyT:  anchor.Start, keyID: anchor.ID, keySub: childSub[e],
-				})
-				childPrev[e] = id
-				chunkSends[sid] = append(chunkSends[sid], id)
+				preds := []redge{{from: l.task}}
+				switch s.Op {
+				case allreduce.Produce:
+					grad := g.Nodes[run.grad]
+					l.taskSub++
+					l.task = node(KindSpan, run.host, "", grad.Dur/2*float64(s.Hi-s.Lo)/float64(dim), preds, grad, l.taskSub)
+				case allreduce.Send:
+					dur, _ := r.sendDur(run.host, 8*float64(s.Hi-s.Lo))
+					l.outSub++
+					l.out = node(KindSend, run.host, run.host+"/out", dur, append(preds, redge{from: l.out}), g.Nodes[run.rsSends[0]], l.outSub)
+					*at(s.Round, s.Chunk, e, s.Peer) = l.out
+					if s.Round == allreduce.AG {
+						agWidth[s.Chunk*k+e] = s.Hi - s.Lo
+					}
+				default: // Fold, Gather: the chunk's k−1 recvs, then its charge
+					recorded := [2][]int{run.rsRecvs, run.agRecvs}[s.Round]
+					charges := [2][]int{run.folds, run.updates}[s.Round]
+					dur := 0.0
+					for q, rid := range recorded {
+						sid, sent := g.SendByMID[g.Nodes[rid].MID]
+						j, ok := execOf[sid]
+						if !sent || !ok {
+							return fmt.Errorf("collective %q: unmatched recv", inst.name)
+						}
+						w := s.Hi - s.Lo
+						if s.Op == allreduce.Gather {
+							w = agWidth[s.Chunk*k+j]
+							dur += g.Nodes[charges[q]].Dur * float64(w) / float64(int(g.Nodes[rid].Bytes/8))
+						} else {
+							dur += g.Nodes[charges[q]].Dur
+						}
+						rdur, _ := r.recvDur(run.host, 8*float64(w))
+						preds = append(preds, redge{from: node(KindRecv, run.host, run.host+"/in", rdur,
+							[]redge{{from: *at(s.Round, s.Chunk, j, e), lag: g.Latency}}, g.Nodes[recorded[0]], s.Chunk*len(recorded)+q+1)})
+					}
+					if s.Op == allreduce.Fold {
+						l.own += s.Hi - s.Lo
+						dur = dur * float64(s.Hi-s.Lo) / float64(int(g.Nodes[run.agSends[0]].Bytes/8))
+					}
+					l.task = node(KindSpan, run.host, "", dur, preds, g.Nodes[charges[0]], s.Chunk+1)
+				}
 			}
 		}
-		// Own partition last: it gates only the local fold chain.
-		for c := 0; c < C; c++ {
-			produce(e, c)
-		}
-		prodTail[e] = taskPrev
 	}
-	return r.chunkFoldGather(runs, C, chunkSends, childPrev, childSub, prodTail)
+	// Replaced nodes redirect to the last install, once the partitions agree.
+	for e, run := range runs {
+		if own := int(g.Nodes[run.agSends[0]].Bytes / 8); lanes[e].own != own {
+			return fmt.Errorf("collective %q: executor %d recorded a %d-coordinate partition, its plan %d", inst.name, e, own, lanes[e].own)
+		}
+		ids := slices.Concat(run.rsSends, run.rsRecvs, run.folds, run.agSends, run.agRecvs, run.updates)
+		if stream {
+			ids = append(ids, run.grad)
+		}
+		for _, id := range ids {
+			r.drop(id, lanes[e].task)
+		}
+	}
+	return nil
+}
+
+// stepPhase is a plan step's lowering pass: its round, +1 if it receives.
+func stepPhase(s allreduce.Step) int {
+	if s.Op == allreduce.Fold || s.Op == allreduce.Gather {
+		return int(s.Round) + 1
+	}
+	return int(s.Round)
 }
 
 // ---------------------------------------------------------------------------
@@ -938,28 +702,17 @@ type chainRec struct {
 // ---------------------------------------------------------------------------
 // Standard scenario set.
 
-// hasSequentialCollectives reports whether the trace carries un-chunked
-// reduce-scatter traffic the chunk transform can act on.
-func hasSequentialCollectives(g *Graph) bool {
+// sequentialCollectives reports whether the trace carries un-chunked
+// reduce-scatter traffic the collective transform can act on, and whether
+// any of it belongs to a gradient-producing (AverageProduced) call site the
+// overlap what-if can stream.
+func sequentialCollectives(g *Graph) (seq, streamed bool) {
 	for _, n := range g.Nodes {
-		if n.Kind == KindSend && strings.HasPrefix(n.Note, rsPrefix) && !strings.Contains(n.Note, ".c") {
-			return true
+		if t, ok := allreduce.ParseTag(n.Note); ok && n.Kind == KindSend && t.Round == allreduce.RS && !t.Chunked {
+			seq, streamed = true, streamed || streamedCollective(t.Name)
 		}
 	}
-	return false
-}
-
-// hasStreamedCollectives reports whether any of that traffic belongs to a
-// gradient-producing (AverageProduced) call site the overlap transform can
-// stream.
-func hasStreamedCollectives(g *Graph) bool {
-	for _, n := range g.Nodes {
-		if n.Kind == KindSend && strings.HasPrefix(n.Note, rsPrefix) && !strings.Contains(n.Note, ".c") &&
-			streamedCollective(strings.TrimPrefix(n.Note, rsPrefix)) {
-			return true
-		}
-	}
-	return false
+	return seq, streamed
 }
 
 // StandardScenarios returns the named what-if set for a trace: the uniform
@@ -973,9 +726,9 @@ func StandardScenarios(g *Graph) []Scenario {
 		{Name: "latency x0.5", LatencyScale: 0.5},
 		{Name: "driver=0", DriverZero: true},
 	}
-	if hasSequentialCollectives(g) {
+	if seq, streamed := sequentialCollectives(g); seq {
 		scs = append(scs, Scenario{Name: "chunks=8", Chunks: 8})
-		if hasStreamedCollectives(g) {
+		if streamed {
 			scs = append(scs, Scenario{Name: "overlap", Overlap: true})
 		}
 	}

@@ -24,7 +24,7 @@ type Scenario struct {
 	// collective becomes pipelined (Chunks chunks; allreduce.DefaultChunks
 	// when Chunks is zero), and the gradient-producing collectives
 	// additionally stream feature-major blocks into the chunk sends — the
-	// allreduce.AverageProduced schedule, rebuilt from the recorded
+	// allreduce.AverageProduced plan, its blocks charged from the recorded
 	// gradient charge.
 	Overlap bool
 }
@@ -57,17 +57,12 @@ func Retime(g *Graph, sc Scenario) Prediction {
 	pr := Prediction{Scenario: sc}
 	base := g.Makespan()
 	r := lower(g)
-	if sc.Overlap {
+	if sc.Overlap || sc.Chunks > 0 {
 		C := sc.Chunks
 		if C <= 0 {
 			C = allreduce.DefaultChunks
 		}
-		if err := overlapTransform(r, C); err != nil {
-			pr.Err = err.Error()
-			return pr
-		}
-	} else if sc.Chunks > 0 {
-		if err := chunkTransform(r, sc.Chunks); err != nil {
+		if err := collectiveTransform(r, C, sc.Overlap); err != nil {
 			pr.Err = err.Error()
 			return pr
 		}
