@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-fix fuzz bench-smoke smoke-lists benchmark benchmark-compare repro-check obs critpath serve-demo serve-smoke docs check clean
+.PHONY: build test race lint lint-fix fuzz bench-smoke smoke-lists benchmark benchmark-compare repro-check obs critpath docs check clean
 
 build: ## compile everything
 	$(GO) build ./...
@@ -22,7 +22,7 @@ lint-fix: ## apply SuggestedFixes in place, then assert a second pass finds noth
 	$(GO) run ./cmd/mlstar-lint -fix ./...
 	$(GO) run ./cmd/mlstar-lint -fix ./... | tee /dev/stderr | grep -q '^mlstar-lint: applied 0 fix(es)'
 
-fuzz: ## short fuzz runs: libsvm reader + sparse encoding + telemetry event round-trips + the event encoder against encoding/json + causal graph pipeline + the table-driven Zipf against math/rand + the collective plan against an executed run
+fuzz: ## short fuzz runs: libsvm reader + sparse encoding + telemetry event round-trips + the event encoder against encoding/json + causal graph pipeline + the table-driven Zipf against math/rand + the collective plan against an executed run + the model-checkpoint reader
 	$(GO) test -fuzz=FuzzReadLibSVM -fuzztime=10s ./internal/data
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/sparse
 	$(GO) test -fuzz=FuzzEventRoundTrip -fuzztime=10s ./internal/obs
@@ -30,6 +30,7 @@ fuzz: ## short fuzz runs: libsvm reader + sparse encoding + telemetry event roun
 	$(GO) test -fuzz=FuzzCausalGraph -fuzztime=10s ./internal/causal
 	$(GO) test -fuzz=FuzzZipfEqualsMathRand -fuzztime=10s ./internal/detrand
 	$(GO) test -fuzz=FuzzPlanMatchesRun -fuzztime=10s ./internal/allreduce
+	$(GO) test -fuzz=FuzzLoadModel -fuzztime=10s .
 
 # The test and benchmark lists bench-smoke selects, one per package and
 # flag. smoke-lists holds every alternative to a test that still exists:
@@ -102,22 +103,10 @@ critpath: ## replay the committed causal logs and diff the critical-path + what-
 	@rm -f critpath_mllib.txt critpath_mllibstar.txt whatif_mllib.txt whatif_mllibstar.txt
 	@echo "critpath: replayed reports match the goldens"
 
-serve-demo: ## serve the committed checkpoints with a mid-traffic hot swap; the metrics file must match the golden byte-for-byte
-	$(GO) run ./cmd/mlstar-serve -model testdata/serve/ckpt_a.json -swap-model testdata/serve/ckpt_b.json \
-		-swap-at 0.05 -shards 4 -clients 8 -requests 50 -metrics-out serve_metrics.json
-	diff -u testdata/serve/metrics.golden serve_metrics.json
-	@rm -f serve_metrics.json
-	@echo "serve: metrics match the golden"
-
-serve-smoke: ## serving-tier unit tests (shard invariance, hot swap, checkpoint parity) + the golden-metrics demo
-	$(GO) test ./internal/serve
-	$(GO) test -run 'TestCheckpointServesBitIdentically|TestLazyL2CheckpointServes' .
-	$(MAKE) serve-demo
-
 docs: ## check ARCHITECTURE/README/EXPERIMENTS: intra-repo links + quoted commands
 	$(GO) test -run 'TestDocs' -v ./...
 
-check: build lint race fuzz repro-check serve-demo critpath smoke-lists docs ## everything CI runs
+check: build lint race fuzz repro-check obs critpath bench-smoke smoke-lists docs ## everything CI runs
 
 clean:
 	$(GO) clean ./...

@@ -51,7 +51,7 @@ func run() error {
 		seed      = flag.Int64("seed", 7, "random seed")
 		csvOut    = flag.String("csv", "", "write the convergence curve CSV to this file")
 		gantt     = flag.Bool("gantt", false, "print an ASCII gantt chart of the run")
-		saveModel = flag.String("save-model", "", "write the trained model checkpoint (JSON) to this file; serve it with mlstar-serve -model")
+		saveModel = flag.String("save-model", "", "write the trained model checkpoint (JSON) to this file; mllibstar.LoadModel reads it back")
 	)
 	pc := prof.Register(flag.CommandLine)
 	flag.Parse()

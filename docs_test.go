@@ -32,7 +32,7 @@ import (
 // docFiles are the documents `make docs` guards. They all live at the repo
 // root, so their relative links resolve against the test's working
 // directory.
-var docFiles = []string{"README.md", "ARCHITECTURE.md", "EXPERIMENTS.md", "DESIGN.md", "SERVING.md"}
+var docFiles = []string{"README.md", "ARCHITECTURE.md", "EXPERIMENTS.md", "DESIGN.md"}
 
 var linkRe = regexp.MustCompile(`\[[^\]\n]*\]\(([^)\s]+)\)`)
 

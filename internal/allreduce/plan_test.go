@@ -8,6 +8,7 @@ import (
 
 	"mllibstar/internal/allreduce"
 	"mllibstar/internal/clusters"
+	"mllibstar/internal/des"
 	"mllibstar/internal/engine"
 	"mllibstar/internal/obs"
 )
@@ -137,5 +138,82 @@ func TestSuperstepClosedForm(t *testing.T) {
 		if want := 2 * (kf - 1) * engine.FloatBytes * float64(m); bytes != want {
 			t.Errorf("k=%d m=%d: %v bytes, closed form 2(k−1)·8m = %v", k, m, bytes, want)
 		}
+	}
+}
+
+// TestTreeAggregateClosedForm holds one dense engine.TreeAggregateVec — the
+// treeAggregate MLlib's trainers aggregate through, the alternative to the
+// collective above — on random uniform clusters with k executors and a
+// aggregators to its exact payload bytes:
+//
+//	k task descriptors of T + 8m (the broadcast model), k − a partials of 8m
+//	forwarded to their group's aggregator, a results of R + 8m carrying a
+//	group sum to the driver, and k − a empty results of R
+//
+// where T and R are the configured task and result bytes. With flat
+// aggregation (a = k) no partial is forwarded, and the stage is a closed
+// form. With s_t = (T + 8m + 64)/B and s_r = (R + 8m + 64)/B the NIC times
+// of a task and a result message (64 is the per-message wire overhead):
+// the driver's outbound NIC sends task j by (j+1)·s_t, executor j receives it
+// by (j+2)·s_t + L, charges the task's work W at rate r and sends its result,
+// which reaches the driver's inbound NIC at (j+2)·s_t + 2L + W/r + s_r. That
+// NIC serves the k arrivals, spaced s_t apart, in order, in s_r each, so the
+// last is delivered s_r + (k−1)·max(s_r, s_t) after the first arrives.
+// The driver then folds the other k − 1 partials into the first, m work units
+// each at rate r. The stage takes
+//
+//	2·s_t + 2L + W/r + 2·s_r + (k−1)·max(s_r, s_t) + (k−1)·m/r
+//
+// simulated seconds.
+func TestTreeAggregateClosedForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	logUniform := func(lo, hi float64) float64 { return lo * math.Pow(hi/lo, rng.Float64()) }
+	flat := 0
+	for n := 0; n < 200; n++ {
+		k := 2 + rng.Intn(15)
+		a := 1 + rng.Intn(k)
+		m := 1 + rng.Intn(3000)
+		spec := clusters.Spec{
+			Name: "uniform", Executors: k,
+			ComputeRate: logUniform(1e5, 1e9),
+			Bandwidth:   logUniform(1e5, 1e8),
+			Latency:     logUniform(1e-6, 1e-3),
+			Engine:      engine.Config{TaskBytes: float64(rng.Intn(2048)), ResultBytes: float64(rng.Intn(2048))},
+		}
+		work := logUniform(1, 1e6)
+		sim, cl, ctx := spec.Build(nil)
+		var simS float64
+		sim.Spawn("driver", func(p *des.Proc) {
+			ctx.TreeAggregateVec(p, "agg", m, a, engine.FloatBytes*float64(m), func(task int) ([]float64, float64) {
+				partial := make([]float64, m)
+				for j := range partial {
+					partial[j] = float64(task + j + 1)
+				}
+				return partial, work
+			})
+			simS = p.Now()
+		})
+		sim.Run()
+
+		kf, af, mf := float64(k), float64(a), float64(m)
+		T, R := spec.Engine.TaskBytes, spec.Engine.ResultBytes
+		dense := engine.FloatBytes * mf
+		if want := kf*(T+dense) + (kf-af)*dense + af*(R+dense) + (kf-af)*R; cl.Net.TotalBytes() != want {
+			t.Errorf("k=%d a=%d m=%d T=%g R=%g: %v bytes, closed form %v", k, a, m, T, R, cl.Net.TotalBytes(), want)
+		}
+		if a != k {
+			continue
+		}
+		flat++
+		st, sr := (T+dense+64)/spec.Bandwidth, (R+dense+64)/spec.Bandwidth
+		r, L := spec.ComputeRate, spec.Latency
+		form := 2*st + 2*L + work/r + 2*sr + (kf-1)*math.Max(sr, st) + (kf-1)*mf/r
+		if math.Abs(simS-form) > 1e-9*form {
+			t.Errorf("k=%d m=%d B=%g latency=%g rate=%g T=%g R=%g work=%g: treeAggregate took %v simulated s, closed form %v",
+				k, m, spec.Bandwidth, L, r, T, R, work, simS, form)
+		}
+	}
+	if flat < 20 {
+		t.Fatalf("only %d of 200 clusters drew flat aggregation", flat)
 	}
 }

@@ -56,7 +56,6 @@ var Analyzer = &analysis.Analyzer{
 		"mllibstar/internal/opt",
 		"mllibstar/internal/petuum",
 		"mllibstar/internal/ps",
-		"mllibstar/internal/serve",
 		"mllibstar/internal/train",
 		"mllibstar/internal/vec",
 	},

@@ -63,7 +63,6 @@ var Analyzer = &analysis.Analyzer{
 		"mllibstar/internal/opt",
 		"mllibstar/internal/petuum",
 		"mllibstar/internal/ps",
-		"mllibstar/internal/serve",
 		"mllibstar/internal/simnet",
 		"mllibstar/internal/train",
 	},

@@ -49,7 +49,6 @@ func FuzzCausalGraph(f *testing.F) {
 		for _, sc := range append(StandardScenarios(g),
 			Scenario{Name: "chunks=3", Chunks: 3},
 			Scenario{Name: "overlap", Overlap: true, Chunks: 3},
-			Scenario{Name: "shards=2", Shards: 2},
 			Scenario{Name: "everything", CommScale: 0.25, ComputeScale: 4, LatencyScale: 0, DriverZero: true},
 		) {
 			pr := Retime(g, sc)

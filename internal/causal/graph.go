@@ -9,10 +9,10 @@
 //     the makespan, message by message, to phases, channels, hosts, and
 //     idle gaps (propagation latency vs true wait);
 //   - Retime replays the DAG under hypothetical scalings (comm ×½,
-//     driver → 0, chunks → 2C, shard merges, ...) to predict end-to-end
-//     virtual time without rerunning the simulation. Replaying with the
-//     identity scenario reproduces every original timestamp bit-for-bit,
-//     the property the validation tests pin.
+//     driver → 0, chunks → 2C, ...) to predict end-to-end virtual time
+//     without rerunning the simulation. Replaying with the identity
+//     scenario reproduces every original timestamp bit-for-bit, the
+//     property the validation tests pin.
 //
 // The package only reads event logs; it records nothing and is never on a
 // simulation code path, so the observe-never-charge contract holds
@@ -130,7 +130,6 @@ type Graph struct {
 func skip(ph obs.Phase) bool {
 	switch ph {
 	case obs.PhaseStep, obs.PhaseEval, obs.PhaseUpdates, obs.PhaseMeta,
-		obs.PhaseServeRequest, obs.PhaseServeBatch, obs.PhaseServeSwap,
 		obs.PhaseStage, obs.PhasePipeline, obs.PhaseFeatBlock:
 		return true
 	}

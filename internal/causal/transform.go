@@ -3,8 +3,6 @@ package causal
 import (
 	"fmt"
 	"slices"
-	"sort"
-	"strconv"
 	"strings"
 
 	"mllibstar/internal/allreduce"
@@ -13,20 +11,14 @@ import (
 
 // This file holds the structural what-if transforms: running unchunked
 // (C = 1) AllReduce collectives at C > 1, with or without gradient
-// production streamed into the chunks (-pipeline, -overlap), and
-// re-sharding the serving tier. The collective transform does not model the
-// schedule itself: it lowers allreduce.Plan, the steps the simulator
-// executes, into re-timer nodes, so the chunk ranges, enqueue orders and
-// gating are the rerun's by construction. The shard transform rebuilds its
-// subgraph by hand. TestWhatIfChunkSweep, TestWhatIfOverlapSweep and
-// TestWhatIfShardSweep check the predictions against actual reruns.
+// production streamed into the chunks (-pipeline, -overlap). The transform
+// does not model the schedule itself: it lowers allreduce.Plan, the steps
+// the simulator executes, into re-timer nodes, so the chunk ranges, enqueue
+// orders and gating are the rerun's by construction. TestWhatIfChunkSweep
+// and TestWhatIfOverlapSweep check the predictions against actual reruns.
 
-// specFor resolves a host's machine spec; synthesized hosts ("host~2") fall
-// back to the host they were split from.
+// specFor resolves a host's machine spec.
 func (r *retimer) specFor(host string) (Spec, error) {
-	if i := strings.IndexByte(host, '~'); i >= 0 {
-		host = host[:i]
-	}
 	sp, ok := r.g.src.Specs[host]
 	if !ok || sp.SendBW <= 0 || sp.RecvBW <= 0 {
 		return sp, fmt.Errorf("causal: no machine spec for %q (re-record the log under -causal)", host)
@@ -360,346 +352,6 @@ func stepPhase(s allreduce.Step) int {
 }
 
 // ---------------------------------------------------------------------------
-// Shard transform: re-shard the serving tier.
-
-const shardNotePrefix = "serve.shard"
-
-// triplet is one shard interaction: a fan-out send, its recv at the shard,
-// the shard's work span, the shard's reply send, and the reply's recv back
-// at the sender.
-type triplet struct {
-	send, recv, span, rep, repRecv int
-	shard                          int
-}
-
-func shardIndex(note string) (int, bool) {
-	if !strings.HasPrefix(note, shardNotePrefix) {
-		return 0, false
-	}
-	i, err := strconv.Atoi(note[len(shardNotePrefix):])
-	return i, err == nil
-}
-
-// serveShardCount returns the number of shard hosts the trace talks to.
-func serveShardCount(g *Graph) int {
-	seen := map[int]bool{}
-	for _, n := range g.Nodes {
-		if i, ok := shardIndex(n.Note); ok && n.Kind == KindRecv {
-			seen[i] = true
-		}
-	}
-	return len(seen)
-}
-
-// shardTransform re-shards the serving tier to s shards: merging (s below
-// the recorded count) rebuilds each fan-out as fewer, larger shard
-// interactions with the work serialized on the surviving hosts — near-exact,
-// since every nonzero is owned by exactly one shard either way; splitting
-// (s above) divides each interaction across synthesized hosts, a heuristic
-// that assumes the nonzeros split evenly.
-func shardTransform(r *retimer, s int) error {
-	g := r.g.src
-	hostOf := map[int]string{}
-	for _, n := range g.Nodes {
-		if i, ok := shardIndex(n.Note); ok && n.Kind == KindRecv {
-			hostOf[i] = n.Host
-		}
-	}
-	k := len(hostOf)
-	if k == 0 {
-		return fmt.Errorf("no serving-tier traffic in this trace")
-	}
-	for i := 0; i < k; i++ {
-		if hostOf[i] == "" {
-			return fmt.Errorf("shard indices not contiguous (missing %d)", i)
-		}
-	}
-	if s == k {
-		return nil
-	}
-	pos := map[int]int{} // node id -> index within its proc chain
-	for _, proc := range g.ProcOrder {
-		for i, id := range g.Procs[proc] {
-			pos[id] = i
-		}
-	}
-	chase := func(sid int) (triplet, error) {
-		t := triplet{send: sid}
-		t.shard, _ = shardIndex(g.Nodes[sid].Note)
-		rid, ok := r.g.recvOfMID[g.Nodes[sid].MID]
-		if !ok {
-			return t, fmt.Errorf("shard send without a recv")
-		}
-		t.recv = rid
-		chain := g.Procs[g.Nodes[rid].Proc]
-		p := pos[rid]
-		if p+2 >= len(chain) {
-			return t, fmt.Errorf("truncated shard interaction")
-		}
-		t.span, t.rep = chain[p+1], chain[p+2]
-		if g.Nodes[t.span].Kind != KindSpan || g.Nodes[t.rep].Kind != KindSend {
-			return t, fmt.Errorf("unrecognized shard interaction shape")
-		}
-		t.repRecv, ok = r.g.recvOfMID[g.Nodes[t.rep].MID]
-		if !ok {
-			return t, fmt.Errorf("shard reply without a recv")
-		}
-		return t, nil
-	}
-	var groups [][]triplet
-	for _, proc := range g.ProcOrder {
-		ids := g.Procs[proc]
-		for i := 0; i < len(ids); {
-			n := g.Nodes[ids[i]]
-			if _, ok := shardIndex(n.Note); !ok || n.Kind != KindSend {
-				i++
-				continue
-			}
-			var grp []triplet
-			for i < len(ids) {
-				m := g.Nodes[ids[i]]
-				if _, ok := shardIndex(m.Note); !ok || m.Kind != KindSend {
-					break
-				}
-				t, err := chase(ids[i])
-				if err != nil {
-					return err
-				}
-				grp = append(grp, t)
-				i++
-			}
-			groups = append(groups, grp)
-		}
-	}
-	chains := map[string][]chainRec{}
-	const header = 16.0 // serve headerBytes: one per message, so merging n messages saves 16·(n−1)
-	if s < k {
-		mergedIdx := func(i int) int { return i * s / k }
-		mergedHost := make([]string, s)
-		for i := k - 1; i >= 0; i-- {
-			mergedHost[mergedIdx(i)] = hostOf[i]
-		}
-		for _, grp := range groups {
-			buckets := map[int][]triplet{}
-			var order []int
-			for _, t := range grp {
-				m := mergedIdx(t.shard)
-				if _, ok := buckets[m]; !ok {
-					order = append(order, m)
-				}
-				buckets[m] = append(buckets[m], t)
-			}
-			sort.Ints(order)
-			for _, m := range order {
-				if err := r.mergeBucket(buckets[m], mergedHost[m], header, chains); err != nil {
-					return err
-				}
-			}
-		}
-	} else {
-		if s%k != 0 {
-			return fmt.Errorf("shard split wants a multiple of the recorded %d shards, got %d", k, s)
-		}
-		f := s / k
-		for _, grp := range groups {
-			for _, t := range grp {
-				if err := r.splitTriplet(t, f, header, chains); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	for host, recs := range chains { //mlstar:nolint determinism -- each host's chain is independent; iteration order does not affect the result
-		_ = host
-		sort.Slice(recs, func(a, b int) bool {
-			//mlstar:nolint floateq -- exact compare intentional: equal keys fall through to the id tie-break
-			if recs[a].keyT != recs[b].keyT {
-				return recs[a].keyT < recs[b].keyT
-			}
-			return recs[a].keyID < recs[b].keyID
-		})
-		for i := 1; i < len(recs); i++ {
-			rn := r.nodes[recs[i].span]
-			rn.preds = append(rn.preds, redge{from: recs[i-1].last})
-		}
-	}
-	return nil
-}
-
-// mergeBucket folds n shard interactions of one fan-out into a single
-// interaction on the surviving host.
-func (r *retimer) mergeBucket(ts []triplet, host string, header float64, chains map[string][]chainRec) error {
-	g := r.g.src
-	n := float64(len(ts))
-	sendBytes, repBytes, spanDur := 0.0, 0.0, 0.0
-	mergedSpec, err := r.specFor(host)
-	if err != nil {
-		return err
-	}
-	for _, t := range ts {
-		sendBytes += g.Nodes[t.send].Bytes
-		repBytes += g.Nodes[t.rep].Bytes
-		d := g.Nodes[t.span].Dur
-		if sp, err := r.specFor(hostOfNode(g, t.span)); err == nil && sp.Rate > 0 && mergedSpec.Rate > 0 {
-			d *= sp.Rate / mergedSpec.Rate
-		}
-		spanDur += d
-	}
-	sendBytes -= header * (n - 1)
-	repBytes -= header * (n - 1)
-	t0 := ts[0]
-	srcHost := g.Nodes[t0.send].Host
-	dstHost := g.Nodes[t0.repRecv].Host
-	sDur, err := r.sendDur(srcHost, sendBytes)
-	if err != nil {
-		return err
-	}
-	anchor := g.Nodes[t0.send]
-	send := r.add(&rnode{
-		kind: KindSend, host: srcHost, res: srcHost + "/out", dur: sDur,
-		preds: append([]redge(nil), r.nodes[t0.send].preds...),
-		keyT:  anchor.Start, keyID: anchor.ID, keySub: 1,
-	})
-	rDur, err := r.recvDur(host, sendBytes)
-	if err != nil {
-		return err
-	}
-	aR := g.Nodes[t0.recv]
-	recv := r.add(&rnode{
-		kind: KindRecv, host: host, res: host + "/in", dur: rDur,
-		preds: []redge{{from: send, lag: g.Latency}},
-		keyT:  aR.Start, keyID: aR.ID, keySub: 1,
-	})
-	aS := g.Nodes[t0.span]
-	span := r.add(&rnode{
-		kind: KindSpan, host: host, dur: spanDur,
-		preds: []redge{{from: recv}},
-		keyT:  aS.Start, keyID: aS.ID, keySub: 1,
-	})
-	pDur, err := r.sendDur(host, repBytes)
-	if err != nil {
-		return err
-	}
-	aP := g.Nodes[t0.rep]
-	rep := r.add(&rnode{
-		kind: KindSend, host: host, res: host + "/out", dur: pDur,
-		preds: []redge{{from: span}},
-		keyT:  aP.Start, keyID: aP.ID, keySub: 1,
-	})
-	qDur, err := r.recvDur(dstHost, repBytes)
-	if err != nil {
-		return err
-	}
-	aQ := g.Nodes[t0.repRecv]
-	repRecv := r.add(&rnode{
-		kind: KindRecv, host: dstHost, res: dstHost + "/in", dur: qDur,
-		preds: []redge{{from: rep, lag: g.Latency}},
-		keyT:  aQ.Start, keyID: aQ.ID, keySub: 1,
-	})
-	for _, t := range ts {
-		r.drop(t.send, send)
-		r.drop(t.recv, recv)
-		r.drop(t.span, span)
-		r.drop(t.rep, rep)
-		r.drop(t.repRecv, repRecv)
-	}
-	chains[host] = append(chains[host], chainRec{keyT: aS.Start, keyID: aS.ID, span: span, last: rep})
-	return nil
-}
-
-// splitTriplet divides one shard interaction across f sub-shards, the
-// synthesized ones named host~1..host~f−1 and inheriting the host's spec.
-func (r *retimer) splitTriplet(t triplet, f int, header float64, chains map[string][]chainRec) error {
-	g := r.g.src
-	srcHost := g.Nodes[t.send].Host
-	baseHost := g.Nodes[t.recv].Host
-	dstHost := g.Nodes[t.repRecv].Host
-	sendBytes := (g.Nodes[t.send].Bytes-header)/float64(f) + header
-	repBytes := (g.Nodes[t.rep].Bytes-header)/float64(f) + header
-	spanDur := g.Nodes[t.span].Dur / float64(f)
-	var sends, recvs, spans, reps, repRecvs []int
-	prevSend := -1
-	for i := 0; i < f; i++ {
-		sub := baseHost
-		if i > 0 {
-			sub = baseHost + "~" + strconv.Itoa(i)
-		}
-		sDur, err := r.sendDur(srcHost, sendBytes)
-		if err != nil {
-			return err
-		}
-		var sPreds []redge
-		if prevSend < 0 {
-			sPreds = append([]redge(nil), r.nodes[t.send].preds...)
-		} else {
-			sPreds = []redge{{from: prevSend}}
-		}
-		a := g.Nodes[t.send]
-		send := r.add(&rnode{
-			kind: KindSend, host: srcHost, res: srcHost + "/out", dur: sDur,
-			preds: sPreds, keyT: a.Start, keyID: a.ID, keySub: i + 1,
-		})
-		prevSend = send
-		rDur, err := r.recvDur(sub, sendBytes)
-		if err != nil {
-			return err
-		}
-		aR := g.Nodes[t.recv]
-		recv := r.add(&rnode{
-			kind: KindRecv, host: sub, res: sub + "/in", dur: rDur,
-			preds: []redge{{from: send, lag: g.Latency}},
-			keyT:  aR.Start, keyID: aR.ID, keySub: i + 1,
-		})
-		aS := g.Nodes[t.span]
-		span := r.add(&rnode{
-			kind: KindSpan, host: sub, dur: spanDur,
-			preds: []redge{{from: recv}},
-			keyT:  aS.Start, keyID: aS.ID, keySub: i + 1,
-		})
-		pDur, err := r.sendDur(sub, repBytes)
-		if err != nil {
-			return err
-		}
-		aP := g.Nodes[t.rep]
-		rep := r.add(&rnode{
-			kind: KindSend, host: sub, res: sub + "/out", dur: pDur,
-			preds: []redge{{from: span}},
-			keyT:  aP.Start, keyID: aP.ID, keySub: i + 1,
-		})
-		qDur, err := r.recvDur(dstHost, repBytes)
-		if err != nil {
-			return err
-		}
-		aQ := g.Nodes[t.repRecv]
-		repRecv := r.add(&rnode{
-			kind: KindRecv, host: dstHost, res: dstHost + "/in", dur: qDur,
-			preds: []redge{{from: rep, lag: g.Latency}},
-			keyT:  aQ.Start, keyID: aQ.ID, keySub: i + 1,
-		})
-		sends, recvs, spans = append(sends, send), append(recvs, recv), append(spans, span)
-		reps, repRecvs = append(reps, rep), append(repRecvs, repRecv)
-		chains[sub] = append(chains[sub], chainRec{keyT: aS.Start, keyID: aS.ID, span: span, last: rep})
-	}
-	r.drop(t.send, sends...)
-	r.drop(t.recv, recvs...)
-	r.drop(t.span, spans...)
-	r.drop(t.rep, reps...)
-	r.drop(t.repRecv, repRecvs...)
-	return nil
-}
-
-func hostOfNode(g *Graph, id int) string { return g.Nodes[id].Host }
-
-// chainRec orders a surviving shard host's synthesized work spans so
-// consecutive interactions serialize the way one shard process would: each
-// span is additionally gated by the previous interaction's reply send.
-type chainRec struct {
-	keyT       float64
-	keyID      int
-	span, last int
-}
-
-// ---------------------------------------------------------------------------
 // Standard scenario set.
 
 // sequentialCollectives reports whether the trace carries un-chunked
@@ -717,7 +369,7 @@ func sequentialCollectives(g *Graph) (seq, streamed bool) {
 
 // StandardScenarios returns the named what-if set for a trace: the uniform
 // scalings always, the chunk re-pipelining when sequential collectives are
-// present, and the shard re-counts when the trace has a serving tier.
+// present.
 func StandardScenarios(g *Graph) []Scenario {
 	scs := []Scenario{
 		{Name: "baseline"},
@@ -730,12 +382,6 @@ func StandardScenarios(g *Graph) []Scenario {
 		scs = append(scs, Scenario{Name: "chunks=8", Chunks: 8})
 		if streamed {
 			scs = append(scs, Scenario{Name: "overlap", Overlap: true})
-		}
-	}
-	if k := serveShardCount(g); k > 0 {
-		scs = append(scs, Scenario{Name: fmt.Sprintf("shards=%d", 2*k), Shards: 2 * k})
-		if k > 1 {
-			scs = append(scs, Scenario{Name: "shards=1", Shards: 1})
 		}
 	}
 	return scs

@@ -9,8 +9,8 @@ import (
 )
 
 // Scenario is a hypothetical re-timing of a recorded run. Zero-valued
-// scale fields mean 1 (unchanged); Chunks/Shards of zero leave the
-// corresponding structure alone.
+// scale fields mean 1 (unchanged); Chunks of zero leaves the collectives
+// alone.
 type Scenario struct {
 	Name         string
 	CommScale    float64 // scales every message service duration
@@ -18,7 +18,6 @@ type Scenario struct {
 	LatencyScale float64 // scales every propagation lag
 	DriverZero   bool    // zero all busy time on driver-prefixed hosts (spans and NIC services)
 	Chunks       int     // re-chunk every sequential AllReduce into this many pipelined chunks
-	Shards       int     // re-shard the serving tier to this many shards
 
 	// Overlap re-times the trace as if -overlap were on: every sequential
 	// collective becomes pipelined (Chunks chunks; allreduce.DefaultChunks
@@ -48,11 +47,10 @@ func scale(f float64) float64 {
 // original (start, id) order, each starting at the latest of its
 // predecessors' completions, its NIC's free time, and its exogenous floor —
 // the original start time, kept only where the original schedule shows a
-// gap no predecessor explains (request pacing, batching deadlines, startup
-// staggers). The identity scenario reproduces every original timestamp
-// bit-for-bit, which TestRetimeIdentity pins; structural scenarios
-// (Chunks, Shards, Overlap) rebuild the affected subgraphs the way the
-// simulator itself would have built them.
+// gap no predecessor explains (startup staggers). The identity scenario
+// reproduces every original timestamp bit-for-bit, which TestRetimeIdentity
+// pins; structural scenarios (Chunks, Overlap) rebuild the affected
+// subgraphs the way the simulator itself would have built them.
 func Retime(g *Graph, sc Scenario) Prediction {
 	pr := Prediction{Scenario: sc}
 	base := g.Makespan()
@@ -63,12 +61,6 @@ func Retime(g *Graph, sc Scenario) Prediction {
 			C = allreduce.DefaultChunks
 		}
 		if err := collectiveTransform(r, C, sc.Overlap); err != nil {
-			pr.Err = err.Error()
-			return pr
-		}
-	}
-	if sc.Shards > 0 {
-		if err := shardTransform(r, sc.Shards); err != nil {
 			pr.Err = err.Error()
 			return pr
 		}
@@ -89,9 +81,9 @@ type redge struct {
 }
 
 // rnode is a lowered node: original nodes keep their recorded span for the
-// identity shortcut and exogenous floor; synthesized nodes (chunk/shard
-// rebuilds) carry key material from the original node they replace so the
-// replay order stays deterministic.
+// identity shortcut and exogenous floor; synthesized nodes (chunk rebuilds)
+// carry key material from the original node they replace so the replay
+// order stays deterministic.
 type rnode struct {
 	kind               NodeKind
 	host               string

@@ -128,45 +128,6 @@ func (s Spec) BuildNet(sink *obs.Sink) (*des.Sim, *simnet.Network, []string) {
 	return sim, net, names
 }
 
-// ServeNames names the nodes of a serving testbed built by BuildServe.
-type ServeNames struct {
-	Router  string
-	Shards  []string
-	Clients []string
-}
-
-// BuildServe materializes the spec as the serving-tier testbed: one router
-// node (running at DriverRate when set — the router is the serving
-// deployment's fan-out point, like the driver is training's), shards scoring
-// nodes, and clients load-generator nodes, all on the spec's network.
-func (s Spec) BuildServe(shards, clients int, sink *obs.Sink) (*des.Sim, *simnet.Network, ServeNames) {
-	if shards <= 0 || clients <= 0 {
-		panic(fmt.Sprintf("clusters: BuildServe(shards=%d, clients=%d)", shards, clients))
-	}
-	sim := des.New()
-	routerRate := s.DriverRate
-	if routerRate <= 0 {
-		routerRate = s.ComputeRate
-	}
-	specs := make([]simnet.NodeSpec, 0, 1+shards+clients)
-	specs = append(specs, simnet.NodeSpec{
-		Name: "router", ComputeRate: routerRate, SendBW: s.Bandwidth, RecvBW: s.Bandwidth,
-	})
-	shardSpecs := simnet.Uniform("shard", shards, s.ComputeRate, s.Bandwidth)
-	s.applySpread(shardSpecs)
-	specs = append(specs, shardSpecs...)
-	specs = append(specs, simnet.Uniform("client", clients, s.ComputeRate, s.Bandwidth)...)
-	net := simnet.New(sim, simnet.Config{Latency: s.Latency, OverheadBytes: 64}, specs, sink)
-	names := ServeNames{Router: "router"}
-	for i := 0; i < shards; i++ {
-		names.Shards = append(names.Shards, shardSpecs[i].Name)
-	}
-	for i := 0; i < clients; i++ {
-		names.Clients = append(names.Clients, fmt.Sprintf("client%d", i))
-	}
-	return sim, net, names
-}
-
 // Build materializes the spec: a fresh simulation, a cluster whose first
 // node is the driver, and a Context configured with the spec's engine
 // overheads. sink is the run's telemetry sink; nil records nothing.

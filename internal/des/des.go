@@ -60,17 +60,12 @@ func New() *Sim {
 // Now returns the current virtual time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 
-// event is a scheduled wake-up for a process. wake pins the process's
-// wake generation at scheduling time: a blocked process may have several
-// wake-ups scheduled (a queue item and a GetUntil deadline racing each
-// other), only the first of which may resume it — the kernel bumps the
-// generation on every delivery, turning the losers into stale events that
-// Run discards.
+// event is a scheduled wake-up for a process. A blocked process has exactly
+// one: every primitive blocks on a single wake-up source.
 type event struct {
 	at   float64
 	seq  uint64
 	proc *Proc
-	wake uint64
 }
 
 // before orders events by time, then by scheduling order.
@@ -87,8 +82,7 @@ func (s *Sim) schedule(at float64, p *Proc) {
 		panic(fmt.Sprintf("des: scheduling event in the past: %g < %g", at, s.now))
 	}
 	s.seq++
-	e := event{at: at, seq: s.seq, proc: p, wake: p.wake}
-	p.pending++
+	e := event{at: at, seq: s.seq, proc: p}
 	// Sift up from a new last slot.
 	h := append(s.events, e)
 	i := len(h) - 1
@@ -143,7 +137,6 @@ const (
 	notBlocked blockKind = iota
 	blockedWait
 	blockedRecv
-	blockedRecvUntil
 	blockedBarrier
 	blockedSignal
 )
@@ -154,7 +147,7 @@ const (
 type blockReason struct {
 	kind            blockKind
 	name            string  // queue, barrier or signal
-	t               float64 // wake-up time or deadline
+	t               float64 // wake-up time
 	gen, arrived, n int     // barrier generation and head count
 }
 
@@ -164,8 +157,6 @@ func (r blockReason) String() string {
 		return fmt.Sprintf("wait until t=%.6f", r.t)
 	case blockedRecv:
 		return fmt.Sprintf("recv on queue %q", r.name)
-	case blockedRecvUntil:
-		return fmt.Sprintf("recv on queue %q until t=%.6f", r.name, r.t)
 	case blockedBarrier:
 		return fmt.Sprintf("barrier %q gen %d (%d/%d arrived)", r.name, r.gen, r.arrived, r.n)
 	case blockedSignal:
@@ -193,10 +184,8 @@ type Proc struct {
 
 	done    bool
 	blocked blockReason // what the process is blocked on; zero while it runs
-	pending int         // number of scheduled wake-ups not yet delivered
-	wake    uint64      // wake generation: bumped on every delivered resume
 
-	// Receive slot of the Queue.Get or GetUntil the process is blocked in:
+	// Receive slot of the Queue.Get the process is blocked in:
 	// Put fills it when it hands a value straight to this waiter.
 	recv     any
 	recvFull bool
@@ -301,18 +290,10 @@ func (s *Sim) Run() float64 {
 	}
 	for len(s.events) > 0 {
 		ev := s.popEvent()
-		ev.proc.pending--
-		if ev.proc.done || ev.wake != ev.proc.wake {
-			// Finished process, or a wake-up that lost its race (the
-			// process was already resumed by a newer event and has moved
-			// on — e.g. a GetUntil deadline overtaken by a queue item).
-			continue
-		}
 		if ev.at < s.now {
 			panic("des: clock moved backwards")
 		}
 		s.now = ev.at
-		ev.proc.wake++
 		s.switchTo(ev.proc)
 	}
 	s.shutdown()

@@ -13,10 +13,13 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // kernelOrderTrace runs one scenario that mixes every primitive — waits,
-// equal-time ties, Queue FIFO across waiters, both outcomes of the GetUntil
-// value-vs-deadline race, a stale deadline, Barrier, Signal, Fork/Join (one
-// child never joined), Resource and processes still blocked at shutdown —
-// and returns one "time process what" line per resume, in resume order.
+// equal-time ties, Queue FIFO across waiters, a poll that runs before and
+// after an equal-time Put, a Get that a later Put serves, Barrier, Signal,
+// Fork/Join (one child never joined), Resource and processes still blocked
+// at shutdown — and returns one "time process what" line per resume, in
+// resume order. The "until" and "stale deadline" marks keep the golden's
+// wording, captured when the kernel had a deadline receive that early and
+// late raced.
 func kernelOrderTrace() []string {
 	s := New()
 	var trace []string
@@ -30,14 +33,15 @@ func kernelOrderTrace() []string {
 	sig := NewSignal(s, "go")
 	never := NewQueue[int](s, "never")
 
-	// early's deadline event (t=3) is scheduled before the producer's t=3
-	// wake-up, so the deadline fires first and the value put at the same
-	// instant stays queued for the poll early makes once the producer has run.
+	// early's t=3 wake-up is scheduled before the producer's, so its first
+	// poll finds the queue empty and the value put at the same instant stays
+	// queued for the poll early makes once the producer has run.
 	s.Spawn("early", func(p *Proc) {
-		v, ok := race.GetUntil(p, 3)
+		p.Wait(3)
+		v, ok := race.TryGet()
 		mark(p, "until -> %q %v", v, ok)
 		p.Yield()
-		v, ok = race.GetUntil(p, 3)
+		v, ok = race.TryGet()
 		mark(p, "poll -> %q %v", v, ok)
 	})
 	// Three getters reach q in reverse spawn order (get2 at t=0, get1 at
@@ -74,13 +78,12 @@ func kernelOrderTrace() []string {
 		mark(p, "fire")
 		sig.Fire()
 	})
-	// late's GetUntil is issued at t=3.5 for t=4; the producer's t=4 wake-up
-	// was scheduled earlier, so the value wins and the deadline event goes
-	// stale while late sits in Wait.
+	// late blocks on the empty queue at t=3.5; the producer's t=4 Put hands
+	// it the value directly.
 	s.Spawn("late", func(p *Proc) {
 		p.Wait(3.5)
-		v, ok := race.GetUntil(p, 4)
-		mark(p, "until -> %q %v", v, ok)
+		v := race.Get(p)
+		mark(p, "until -> %q %v", v, true)
 		p.Wait(2)
 		mark(p, "after stale deadline")
 		if v, ok := q.TryGet(); ok {
@@ -191,8 +194,7 @@ func TestShutdownUnwindsAndFreesProcesses(t *testing.T) {
 	})
 	s.Spawn("waiter", func(p *Proc) {
 		defer func() { unwound = append(unwound, p.Name()) }()
-		p.Wait(0.5)
-		never.GetUntil(p, 0.75)
+		p.Wait(0.75)
 		sig.Await(p)
 	})
 	if end := s.Run(); end != 1 {
@@ -228,7 +230,6 @@ func TestBlockedStrings(t *testing.T) {
 	sig := NewSignal(s, "go")
 	s.Spawn("a-wait", func(p *Proc) { p.Wait(2.5) })
 	s.Spawn("b-recv", func(p *Proc) { q.Get(p) })
-	s.Spawn("c-until", func(p *Proc) { q.GetUntil(p, 7.25) })
 	s.Spawn("d-bar", func(p *Proc) { bar.Arrive(p) })
 	s.Spawn("e-bar", func(p *Proc) { bar.Arrive(p) })
 	s.Spawn("f-sig", func(p *Proc) { sig.Await(p) })
@@ -243,7 +244,6 @@ func TestBlockedStrings(t *testing.T) {
 	want := []string{
 		`a-wait: wait until t=2.500000`,
 		`b-recv: recv on queue "inbox"`,
-		`c-until: recv on queue "inbox" until t=7.250000`,
 		`d-bar: barrier "bsp" gen 0 (1/3 arrived)`,
 		`e-bar: barrier "bsp" gen 0 (2/3 arrived)`,
 		`f-sig: signal "go"`,

@@ -1,9 +1,6 @@
 package des
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Queue is an unbounded FIFO mailbox for values of type T. Put never blocks;
 // Get blocks the calling process until a value is available. When several
@@ -51,14 +48,6 @@ func (f *fifo[E]) pop() E {
 	return e
 }
 
-// removeFirst deletes the first element equal to e, keeping the order of the
-// rest.
-func removeFirst[E comparable](f *fifo[E], e E) {
-	if i := slices.Index(f.buf[f.head:], e); i >= 0 {
-		f.buf = slices.Delete(f.buf, f.head+i, f.head+i+1) // zeroes the freed last slot
-	}
-}
-
 // NewQueue returns an empty mailbox bound to sim. The name appears in
 // deadlock reports.
 func NewQueue[T any](sim *Sim, name string) *Queue[T] {
@@ -81,59 +70,20 @@ func (q *Queue[T]) Put(v T) {
 	q.items.push(v)
 }
 
-// await registers p as a getter and blocks it; it reports whether p was woken
-// with a value in its receive slot, and returns that value.
-func (q *Queue[T]) await(p *Proc, reason blockReason) (T, bool) {
-	q.waiters.push(p)
-	p.block(reason)
-	if !p.recvFull {
-		var zero T
-		return zero, false
-	}
-	v, _ := p.recv.(T) // a nil interface value of T comes back as the zero T
-	p.recv, p.recvFull = nil, false
-	return v, true
-}
-
 // Get removes and returns the oldest value in the queue, blocking p until
 // one is available. Retrieval itself consumes no virtual time.
 func (q *Queue[T]) Get(p *Proc) T {
 	if v, ok := q.TryGet(); ok {
 		return v
 	}
-	v, ok := q.await(p, blockReason{kind: blockedRecv, name: q.name})
-	if !ok {
+	q.waiters.push(p)
+	p.block(blockReason{kind: blockedRecv, name: q.name})
+	if !p.recvFull {
 		panic(fmt.Sprintf("des: process %s woken on queue %q without a value", p.name, q.name))
 	}
+	v, _ := p.recv.(T) // a nil interface value of T comes back as the zero T
+	p.recv, p.recvFull = nil, false
 	return v
-}
-
-// GetUntil is Get with a virtual-time deadline: it removes and returns the
-// oldest value if one is buffered or arrives strictly before deadline, and
-// otherwise returns the zero value with ok=false once the deadline passes.
-// When a Put and the deadline land at the same instant, the deadline wins
-// (the kernel fires it first — it was scheduled earlier) and the value stays
-// queued for the next getter, so no value is ever lost to a timeout.
-//
-// It is the primitive under request batching with a latency budget
-// (internal/serve): a router drains its mailbox until either the batch
-// fills or the budget deadline passes, whichever comes first.
-func (q *Queue[T]) GetUntil(p *Proc, deadline float64) (T, bool) {
-	if v, ok := q.TryGet(); ok {
-		return v, true
-	}
-	if deadline <= q.sim.now {
-		var zero T
-		return zero, false
-	}
-	q.sim.schedule(deadline, p)
-	v, ok := q.await(p, blockReason{kind: blockedRecvUntil, name: q.name, t: deadline})
-	if !ok {
-		// Woken by the deadline: withdraw the registration so a later Put
-		// does not assign a value to a getter that has given up.
-		removeFirst(&q.waiters, p)
-	}
-	return v, ok
 }
 
 // TryGet removes and returns the oldest value without blocking. The second

@@ -175,11 +175,6 @@ func Attribute(events []Event) *Report {
 			get(e.Step).stat.Updates += e.Count
 			totalUpdates += e.Count
 			continue
-		case PhaseServeRequest, PhaseServeBatch, PhaseServeSwap:
-			// serving bookkeeping spans (request latency, batch windows) are
-			// not node activity; letting them into the extents would stretch
-			// step spans and misattribute the slack as wait time
-			continue
 		case PhaseCausalFork, PhaseCausalBarrier, PhaseCausalSpec:
 			// causal-graph bookkeeping: a barrier event's span is the
 			// participant's wait, which the residual already measures —

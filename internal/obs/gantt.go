@@ -38,14 +38,13 @@ type GanttMarker struct {
 
 // GanttFromEvents builds the gantt of an event log. Span and message events
 // of positive length become bars; stage events become a start and an end
-// marker; the bookkeeping phases (step, eval, updates, meta, serve, causal)
+// marker; the bookkeeping phases (step, eval, updates, meta, causal)
 // describe the run rather than node activity and are skipped.
 func GanttFromEvents(events []Event) Gantt {
 	var g Gantt
 	for _, e := range events {
 		switch e.Phase {
 		case PhaseStep, PhaseEval, PhaseUpdates, PhaseMeta,
-			PhaseServeRequest, PhaseServeBatch, PhaseServeSwap,
 			PhaseCausalFork, PhaseCausalBarrier, PhaseCausalSpec:
 			continue
 		case PhaseStage:

@@ -20,7 +20,7 @@
 // The sink is chosen once per run and carried by the run's network: an
 // entry point picks it — normally Active, the sink Enable installed — and
 // hands it to simnet.New (through engine.NewCluster and clusters.Spec.Build),
-// and every instrumentation hook in simnet, engine, ps, serve and the
+// and every instrumentation hook in simnet, engine, ps and the
 // trainers reads it from the network it runs on. All Sink methods are
 // nil-safe, so a run built with a nil sink records nothing and the hooks
 // call the sink's methods unconditionally. The event log is the run's one
@@ -87,16 +87,8 @@ const (
 	PhaseUpdates Phase = "updates" // model-update counter event (carries Count)
 	PhaseMeta    Phase = "meta"    // run metadata (Note holds key=value)
 
-	// Serving-tier bookkeeping phases (internal/serve). Like step/eval/
-	// updates these are observations about the run, not node activity: they
-	// carry no charge, book no compute or network seconds, and are excluded
-	// from gantt reconstruction and bottleneck attribution.
-	PhaseServeRequest Phase = "serve-request" // one scored request: span = client-observed latency, Count = scoring epoch
-	PhaseServeBatch   Phase = "serve-batch"   // one flushed batch: Count = batch size, Note = flush reason (full|deadline|swap)
-	PhaseServeSwap    Phase = "serve-swap"    // hot model swap activation: Count = the new epoch
-
 	// Causal-trace bookkeeping phases, emitted only under EnableCausal.
-	// Like the serve phases they describe the run rather than node activity:
+	// Like step/eval/updates they describe the run rather than node activity:
 	// they book no phase seconds, no bytes, and are excluded from bottleneck
 	// attribution and gantt reconstruction. internal/causal consumes them to
 	// close the happens-before graph where message edges alone cannot:
@@ -121,7 +113,6 @@ const (
 	ChanShuffle   Channel = "shuffle"
 	ChanBroadcast Channel = "broadcast"
 	ChanPS        Channel = "ps"
-	ChanServe     Channel = "serve"
 	ChanOther     Channel = "other"
 )
 
@@ -164,8 +155,7 @@ func EncodingOf(payload any) Encoding {
 // rounds, "xch:bc<step>" the torrent-broadcast chunks, other "xch:" tags the
 // generic ByKey shuffles, "ps." the parameter-server mailboxes (whose
 // pull/push split is supplied explicitly by internal/ps, since both request
-// kinds share one server mailbox tag), and "serve." the scoring-tier
-// mailboxes of internal/serve.
+// kinds share one server mailbox tag).
 func ClassifyTag(tag string) (Phase, Channel) {
 	switch {
 	case tag == "task":
@@ -184,8 +174,6 @@ func ClassifyTag(tag string) (Phase, Channel) {
 		return PhaseShuffle, ChanShuffle
 	case hasPrefix(tag, "ps."):
 		return PhaseComm, ChanPS
-	case hasPrefix(tag, "serve."):
-		return PhaseComm, ChanServe
 	}
 	return PhaseComm, ChanOther
 }

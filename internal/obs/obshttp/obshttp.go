@@ -17,7 +17,6 @@ import (
 	"html"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
 
 	"mllibstar/internal/causal"
@@ -115,11 +114,6 @@ nav a { margin-right: 14px; font-size: 13px; }
 		b.WriteString("<h2>Activity (Figure-3 view)</h2>")
 		b.WriteString(gantt.SVG("per-node activity, virtual time", 1100))
 	}
-	if sv := servingSummary(events); sv != "" {
-		b.WriteString("<h2>Serving</h2><pre>")
-		b.WriteString(html.EscapeString(sv))
-		b.WriteString("</pre>")
-	}
 	b.WriteString("<h2>Bottleneck attribution</h2><pre>")
 	b.WriteString(html.EscapeString(report.Text()))
 	b.WriteString("</pre>")
@@ -132,63 +126,6 @@ nav a { margin-right: 14px; font-size: 13px; }
 		b.WriteString("</pre>")
 	}
 	b.WriteString("</body></html>")
-	return b.String()
-}
-
-// servingSummary condenses the serving-tier bookkeeping events into the
-// operator's four questions: how many requests, how slow, how well batched,
-// and which model epoch answered. Empty when the run served no traffic.
-func servingSummary(events []obs.Event) string {
-	var lat []float64
-	byEpoch := map[int64]int{}
-	batches := 0
-	batched := int64(0)
-	reasons := map[string]int{}
-	var swaps []obs.Event
-	for _, e := range events {
-		switch e.Phase {
-		case obs.PhaseServeRequest:
-			lat = append(lat, e.End-e.Start)
-			byEpoch[e.Count]++
-		case obs.PhaseServeBatch:
-			batches++
-			batched += e.Count
-			reasons[e.Note]++
-		case obs.PhaseServeSwap:
-			swaps = append(swaps, e)
-		}
-	}
-	if len(lat) == 0 {
-		return ""
-	}
-	sort.Float64s(lat)
-	q := func(p float64) float64 {
-		i := int(p * float64(len(lat)-1))
-		return lat[i]
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "requests   %d   latency p50 %.6fs  p99 %.6fs  max %.6fs\n",
-		len(lat), q(0.50), q(0.99), lat[len(lat)-1])
-	if batches > 0 {
-		fmt.Fprintf(&b, "batches    %d   mean size %.1f   flushes:", batches, float64(batched)/float64(batches))
-		for _, r := range []string{"full", "deadline", "swap"} {
-			if reasons[r] > 0 {
-				fmt.Fprintf(&b, " %s=%d", r, reasons[r])
-			}
-		}
-		b.WriteString("\n")
-	}
-	epochs := make([]int64, 0, len(byEpoch))
-	for e := range byEpoch { //mlstar:nolint determinism -- keys sorted before use
-		epochs = append(epochs, e)
-	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	for _, e := range epochs {
-		fmt.Fprintf(&b, "epoch %-4d %d requests\n", e, byEpoch[e])
-	}
-	for _, s := range swaps {
-		fmt.Fprintf(&b, "swap       epoch %d active at t=%.6fs on %s\n", s.Count, s.End, s.Node)
-	}
 	return b.String()
 }
 

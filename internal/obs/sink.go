@@ -15,10 +15,6 @@ var superstepBuckets = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// batchBuckets are the histogram bounds for requests per flushed scoring
-// batch, spanning singleton deadline flushes through large batch-full ones.
-var batchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
-
 // blockEvents is the capacity of one storage block of the event log.
 const blockEvents = 4096
 
@@ -60,12 +56,6 @@ type Sink struct {
 	mUpdates   *Family // counter: model updates applied
 	mVirtual   *Family // gauge: virtual clock at the last event
 
-	mServeReqs    *Family // counter: scored requests
-	mServeLatency *Family // histogram: client-observed request latency
-	mServeBatch   *Family // histogram: requests per flushed batch
-	mServeEpoch   *Family // gauge: scoring epoch of the last event
-	mServeSwaps   *Family // counter: hot model swaps activated
-	mServeFlushes *Family // counter: batch flushes by reason
 }
 
 // NewSink returns an empty sink with its registry families declared. Most
@@ -89,18 +79,6 @@ func NewSink() *Sink {
 		mUpdates: reg.Counter("mlstar_updates_total",
 			"model updates applied, summed over nodes"),
 		mVirtual: reg.Gauge("mlstar_virtual_seconds", "virtual clock at the last recorded event"),
-		mServeReqs: reg.Counter("mlstar_serve_requests_total",
-			"scoring requests completed by the serving tier"),
-		mServeLatency: reg.Histogram("mlstar_serve_latency_seconds",
-			"client-observed virtual-time scoring latency (send to reply delivery)", superstepBuckets),
-		mServeBatch: reg.Histogram("mlstar_serve_batch_requests",
-			"requests per flushed scoring batch", batchBuckets),
-		mServeEpoch: reg.Gauge("mlstar_serve_epoch",
-			"model epoch the serving tier last scored or activated"),
-		mServeSwaps: reg.Counter("mlstar_serve_swaps_total",
-			"hot model swaps activated by the serving tier"),
-		mServeFlushes: reg.Counter("mlstar_serve_flushes_total",
-			"scoring batch flushes, by what closed the batch", "reason"),
 	}
 }
 
@@ -254,16 +232,6 @@ func (s *Sink) fold(e *Event) {
 		s.mUpdates.add(float64(e.Count))
 	case e.Phase == PhaseMeta:
 		// metadata carries no metric
-	case e.Phase == PhaseServeRequest:
-		s.mServeReqs.add(1)
-		s.mServeLatency.observe(e.End - e.Start)
-		s.mServeEpoch.set(float64(e.Count))
-	case e.Phase == PhaseServeBatch:
-		s.mServeBatch.observe(float64(e.Count))
-		s.mServeFlushes.add(1, e.Note)
-	case e.Phase == PhaseServeSwap:
-		s.mServeSwaps.add(1)
-		s.mServeEpoch.set(float64(e.Count))
 	case e.Phase == PhaseStage:
 		// the stage span aggregates its inner phases; counting it too would
 		// double-book the driver's seconds
@@ -398,36 +366,6 @@ func (s *Sink) Meta(key, value string) {
 		return
 	}
 	s.record(Event{Step: s.Step(), Phase: PhaseMeta, Note: key + "=" + value})
-}
-
-// ServeRequest records one completed scoring request: the span is the
-// client-observed latency (request send to reply delivery), epoch the model
-// version that scored it.
-func (s *Sink) ServeRequest(node string, sent, delivered float64, epoch int64) {
-	if s == nil {
-		return
-	}
-	s.record(Event{Step: s.Step(), Node: node, Phase: PhaseServeRequest,
-		Start: sent, End: delivered, Count: epoch})
-}
-
-// ServeBatch records one flushed scoring batch of size n; reason says what
-// closed it ("full", "deadline", or "swap").
-func (s *Sink) ServeBatch(node string, start, end float64, n int, reason string) {
-	if s == nil {
-		return
-	}
-	s.record(Event{Step: s.Step(), Node: node, Phase: PhaseServeBatch,
-		Start: start, End: end, Count: int64(n), Note: reason})
-}
-
-// ServeSwap records a hot model swap activating the given epoch.
-func (s *Sink) ServeSwap(node string, now float64, epoch int64) {
-	if s == nil {
-		return
-	}
-	s.record(Event{Step: s.Step(), Node: node, Phase: PhaseServeSwap,
-		Start: now, End: now, Count: epoch})
 }
 
 // SinkFromEvents replays a decoded event log through a fresh sink, yielding

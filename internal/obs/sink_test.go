@@ -125,7 +125,7 @@ func syntheticLog(n int) *Sink {
 		case 8:
 			s.Updates(s.Step(), node, int64(i%5+1), now)
 		case 9:
-			s.ServeRequest("router", now, now+0.0001*float64(i%9), int64(i%2))
+			s.MessageProc(node, PhasePSPush, ChanPS, DirSend, EncDense, float64(800+i%5), now, now+0.0001*float64(i%9), "ps.req", "worker#3", s.NewMID())
 		}
 	}
 	return s
@@ -151,7 +151,7 @@ func TestRegistryCatchUp(t *testing.T) {
 		t.Fatalf("synthetic log has %d events, want %d", len(events), n)
 	}
 	want := expositionOf(t, SinkFromEvents(events))
-	for _, must := range []string{"mlstar_superstep_seconds_count", "mlstar_comm_bytes_total{", "mlstar_serve_latency_seconds_sum", "mlstar_updates_total"} {
+	for _, must := range []string{"mlstar_superstep_seconds_count", "mlstar_comm_bytes_total{", `mlstar_comm_bytes_total{channel="ps"`, "mlstar_updates_total"} {
 		if !strings.Contains(want, must) {
 			t.Fatalf("synthetic log leaves %s unexercised:\n%s", must, want)
 		}

@@ -91,7 +91,7 @@ func Register(fs *flag.FlagSet) *Config {
 	c.obsOut = fs.String("obs", "", "record the structured superstep event log and write it to this file as JSONL on exit (replay with mlstar-obs)")
 	fs.Var(&c.causal, "causal", "enrich the recorded event log with causal trace fields (process identity, message ids, barrier groups) for mlstar-obs -critpath/-whatif: on or off (observe-only; results stay bit-identical)")
 	c.obsHTTP = fs.String("obs-http", "", "serve live telemetry (/metrics, /events, dashboard) on this address, e.g. :8080; implies event recording")
-	c.metricsOut = fs.String("metrics-out", "", "write the final metrics registry as canonical JSON to this file on exit; implies event recording (deterministic runs produce byte-identical files — the serve-demo golden relies on this)")
+	c.metricsOut = fs.String("metrics-out", "", "write the final metrics registry as canonical JSON to this file on exit; implies event recording (deterministic runs produce byte-identical files; internal/obs/testdata/metrics.golden pins the registry they render)")
 	return c
 }
 

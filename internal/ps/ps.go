@@ -157,30 +157,8 @@ func New(sim *des.Sim, net *simnet.Network, nodeNames []string, cfg Config) (*PS
 
 // Range returns the contiguous model coordinate range [lo, hi) owned by
 // server i of k over a dim-coordinate model — the canonical range
-// partitioning of this package, exported so other range-sharded tiers
-// (internal/serve) agree with the parameter server about ownership.
+// partitioning of this package.
 func Range(dim, k, i int) (lo, hi int) { return vec.PartitionRange(dim, k, i) }
-
-// BlockAlignedRange is Range with both endpoints rounded to multiples of
-// block (the final shard absorbs the tail): the blocks are partitioned with
-// Range and converted back to coordinates. The serving tier partitions on
-// data.ScoreBlock boundaries this way so every fold block of the canonical
-// scoring order is owned by exactly one shard.
-func BlockAlignedRange(dim, k, i, block int) (lo, hi int) {
-	if block <= 0 {
-		panic(fmt.Sprintf("ps: BlockAlignedRange block=%d", block))
-	}
-	nb := (dim + block - 1) / block
-	bLo, bHi := vec.PartitionRange(nb, k, i)
-	lo, hi = bLo*block, bHi*block
-	if lo > dim {
-		lo = dim
-	}
-	if hi > dim {
-		hi = dim
-	}
-	return lo, hi
-}
 
 // serve is the server loop: apply pushes immediately, gate pulls on SSP.
 func (s *server) serve(p *des.Proc) {

@@ -284,23 +284,6 @@ func (nd *Node) Recv(p *des.Proc, tag string) *Message {
 	return msg
 }
 
-// RecvUntil is Recv with a virtual-time deadline: it returns nil if no
-// message with the tag has been queued by the node's inbound NIC before the
-// deadline passes. A message whose inbound serialization is still in flight
-// at the deadline counts as arrived — the receiver then blocks through its
-// DeliverAt as Recv would — so the deadline bounds *admission*, not the last
-// byte. The serving router's batch budget is the intended caller: it drains
-// requests until batch-full or deadline, whichever comes first.
-func (nd *Node) RecvUntil(p *des.Proc, tag string, deadline float64) *Message {
-	msg, ok := nd.box(tag).GetUntil(p, deadline)
-	if !ok {
-		return nil
-	}
-	p.WaitUntil(msg.DeliverAt)
-	nd.net.sink.MessageProc(nd.spec.Name, msg.phase, msg.channel, obs.DirRecv, msg.enc, msg.Bytes, msg.recvStart, msg.DeliverAt, tag, nd.net.causalProc(p), msg.mid)
-	return msg
-}
-
 // RecvN receives n messages with the given tag and returns them in delivery
 // order.
 func (nd *Node) RecvN(p *des.Proc, tag string, count int) []*Message {
