@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"mllibstar/internal/bench"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/prof"
 )
 
@@ -58,7 +59,7 @@ func run() error {
 		return nil
 	}
 
-	cfg := bench.RunConfig{Scale: *scale, Grid: *grid, EvalCap: *evalCap}
+	cfg := bench.RunConfig{Scale: *scale, Grid: *grid, EvalCap: *evalCap, Sink: obs.Active()}
 	var exps []bench.Experiment
 	if *exp == "all" {
 		exps = bench.All()

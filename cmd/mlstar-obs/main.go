@@ -10,9 +10,9 @@
 //     Prometheus text exposition (-metrics);
 //   - the repo's standard SVG views regenerated from the log alone:
 //     convergence curve (-curve) and Figure-3 gantt chart (-gantt);
-//   - on causally-enriched logs (recorded with -causal), the message-level
-//     critical-path report (-critpath) and the what-if re-timing table
-//     (-whatif), both computed by internal/causal.
+//   - the message-level critical-path report (-critpath) and the what-if
+//     re-timing table (-whatif), both computed by internal/causal from the
+//     causal fields every live sink records.
 //
 // Usage:
 //
@@ -49,8 +49,8 @@ func main() {
 		metText = flag.Bool("metrics", false, "emit the rebuilt metrics registry in Prometheus text format")
 		gantt   = flag.String("gantt", "", "write a Figure-3 gantt SVG regenerated from the log to this path")
 		curve   = flag.String("curve", "", "write a convergence-curve SVG regenerated from the log to this path")
-		crit    = flag.Bool("critpath", false, "emit the critical-path report (needs a log recorded with -causal)")
-		whatif  = flag.Bool("whatif", false, "emit the what-if re-timing table (needs a log recorded with -causal)")
+		crit    = flag.Bool("critpath", false, "emit the critical-path report (from the log's causal fields; a log recorded by an older build or another tool may lack them)")
+		whatif  = flag.Bool("whatif", false, "emit the what-if re-timing table (from the log's causal fields; a log recorded by an older build or another tool may lack them)")
 		topN    = flag.Int("top", 20, "number of path segments in the -critpath report")
 		serve   = flag.String("serve", "", "serve the log's dashboard on this address (e.g. :8080) instead of exiting")
 	)
@@ -104,7 +104,7 @@ func main() {
 	case *crit || *whatif:
 		g, err := causal.Analyze(events)
 		if err != nil {
-			fatal(fmt.Errorf("building causal graph: %v (record the log with -causal)", err))
+			fatal(fmt.Errorf("building causal graph: %v (a log recorded by an older build or another tool lacks the causal fields; record it again with -obs)", err))
 		}
 		if *crit {
 			fmt.Print(causal.CriticalPath(g).Text(*topN))

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"mllibstar/internal/bench"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/prof"
 )
 
@@ -51,7 +52,7 @@ func run() error {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
 	}
-	cfg := bench.RunConfig{Scale: *scale}
+	cfg := bench.RunConfig{Scale: *scale, Sink: obs.Active()}
 
 	var transcript strings.Builder
 	type entry struct {

@@ -15,7 +15,6 @@ import (
 
 	"mllibstar"
 	"mllibstar/internal/allreduce"
-	"mllibstar/internal/obs"
 	"mllibstar/internal/prof"
 )
 
@@ -98,13 +97,10 @@ func run() error {
 		Seed:             *seed,
 	}
 	if *gantt {
-		// The gantt is drawn from the run's event log: the installed sink
-		// when -obs and friends set one (so the log still gets this run),
-		// otherwise a private one.
-		cfg.Trace = obs.Active()
-		if cfg.Trace == nil {
-			cfg.Trace = obs.NewSink()
-		}
+		// The gantt is drawn from the run's event log: the sink -obs and
+		// friends installed (so that log still gets this run), otherwise a
+		// private one.
+		cfg.Trace = mllibstar.NewTrace()
 	}
 	res, err := mllibstar.Train(ds, cfg)
 	if err != nil {

@@ -291,7 +291,7 @@ func TestScheduleEventLogGolden(t *testing.T) {
 	var got strings.Builder
 	for _, tc := range table() {
 		in, ref := tc.inputs()
-		sink := obs.CausalSink()
+		sink := obs.NewSink()
 		collective(t, clusters.Test(tc.k), tc.switches(), tc.op, in, ref, sink)
 		h := fnv.New64a()
 		if err := sink.WriteJSONL(h); err != nil {

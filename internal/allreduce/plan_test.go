@@ -13,7 +13,7 @@ import (
 	"mllibstar/internal/obs"
 )
 
-// FuzzPlanMatchesRun runs one collective under a causal sink and holds each
+// FuzzPlanMatchesRun runs one collective into a sink and holds each
 // executor's recorded sends to its plan's Send steps, in order: tag for tag,
 // destination for destination, and byte for byte when dense — the schedule
 // the simulator executes is the one internal/causal lowers.
@@ -42,7 +42,7 @@ func FuzzPlanMatchesRun(f *testing.F) {
 		tc.overlap = ov && tc.op == opProduced
 		in, ref := tc.inputs()
 		spec := clusters.Test(tc.k)
-		sink := obs.CausalSink()
+		sink := obs.NewSink()
 		collective(t, spec, tc.switches(), tc.op, in, ref, sink)
 
 		dst := map[int64]string{} // message id -> receiving node

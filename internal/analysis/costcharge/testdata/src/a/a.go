@@ -29,7 +29,7 @@ func WaitUntil(t float64)
 // logSpan is a helper whose telemetry the old syntactic check only sees
 // when the obs call is written textually inside the closure.
 func logSpan() {
-	obs.Active().Span("n", obs.PhaseCompute, 0, 1, "")
+	obs.Active().Stage("n", "s", 0, 1)
 }
 
 // helperChain adds a second hop so the witness chain in the diagnostic
@@ -51,7 +51,7 @@ func pureWork() float64 {
 }
 
 // The closure reaches obs only transitively (closure → helperChain →
-// logSpan → obs.Span): obspure sees no obs call in the body and stays
+// logSpan → obs.Stage): obspure sees no obs call in the body and stays
 // silent; costcharge follows the call graph.
 func offloadedObsViaHelper() {
 	ComputeAsyncKind(1, "agg", func() { // want `ComputeAsyncKind closure reaches obs telemetry \(helperChain → logSpan`

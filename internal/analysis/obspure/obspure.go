@@ -188,7 +188,7 @@ func offloadCallee(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 }
 
 // checkOffloaded reports every outermost obs call in the offloaded body.
-// Chained calls like obs.Active().Span(...) yield one diagnostic, on the
+// Chained calls like obs.Active().Meta(...) yield one diagnostic, on the
 // outer call; nested closures inside the body are offloaded transitively
 // and are walked too.
 func checkOffloaded(pass *analysis.Pass, body *ast.BlockStmt, where string) {

@@ -30,7 +30,7 @@ func ChargeAsync(work float64, fn func()) { fn() }
 func inTaskLiteral() task {
 	return task{
 		Pure: func() float64 {
-			obs.Active().Span("n", obs.PhaseCompute, 0, 1, "") // want `obs\.Span called inside Task\.Pure closure`
+			obs.Active().Stage("n", "s", 0, 1) // want `obs\.Stage called inside Task\.Pure closure`
 			return 1
 		},
 	}
@@ -84,7 +84,7 @@ func inNamedParDo() {
 
 func inNamedVarDecl() {
 	var decode = func() {
-		obs.Active().Span("n", obs.PhaseCompute, 0, 1, "") // want `obs\.Span called inside ComputeAsyncKind closure decode`
+		obs.Active().Stage("n", "s", 0, 1) // want `obs\.Stage called inside ComputeAsyncKind closure decode`
 	}
 	ComputeAsyncKind(10, "dec", decode)
 }
@@ -168,7 +168,7 @@ func namedOnSimThread() {
 // Clean: telemetry from the simulation thread is exactly what obs is for.
 func onSimThread() {
 	obs.Active().SetStep(1, 0)
-	obs.Active().Span("driver", obs.PhaseCompute, 0, 1, "")
+	obs.Active().Stage("driver", "s", 0, 1)
 }
 
 // Clean: offloaded closures that stay numeric.

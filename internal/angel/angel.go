@@ -57,7 +57,7 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 		return nil, err
 	}
 
-	ev := train.NewEvaluator(System, dataset, prm.Objective, evalData, prm.EvalEvery)
+	ev := train.NewEvaluatorInto(net.Sink(), System, dataset, prm.Objective, evalData, prm.EvalEvery)
 	ev.Staleness = prm.Staleness
 	ev.StopAt(prm.TargetObjective)
 	res := &train.Result{System: System, Curve: ev.Curve}

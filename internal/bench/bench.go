@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"mllibstar/internal/metrics"
+	"mllibstar/internal/obs"
 )
 
 // RunConfig controls the fidelity/cost tradeoff of an experiment run.
@@ -24,6 +25,9 @@ type RunConfig struct {
 	Grid bool
 	// EvalCap bounds the evaluation subsample size (0 = default 4000).
 	EvalCap int
+	// Sink is the telemetry sink every run of the experiment records into;
+	// nil records nothing. A CLI passes the sink its -obs flags installed.
+	Sink *obs.Sink
 }
 
 // DefaultScale keeps every experiment comfortably runnable in CI.

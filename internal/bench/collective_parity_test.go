@@ -73,19 +73,21 @@ func requirePipelineParity(t *testing.T, system string, off, on *train.Result) {
 	}
 }
 
-// trainerRow is one row: a trainer on the avazu test workload.
+// trainerRow is one row: a trainer on the avazu test workload, recording
+// into sink (nil records nothing). The telemetry parity table
+// (telemetry_parity_test.go) runs the same rows.
 type trainerRow struct {
 	name string
-	run  func(t *testing.T, w *workload) *train.Result
+	run  func(t *testing.T, w *workload, sink *obs.Sink) *train.Result
 }
 
 // systemRow runs a system at the given L2; at l2 = 0 the systems take their
 // plain (non-lazy) SGD kernels.
 func systemRow(system string, l2 float64) trainerRow {
-	return trainerRow{name: fmt.Sprintf("%s@l2=%g", system, l2), run: func(t *testing.T, w *workload) *train.Result {
+	return trainerRow{name: fmt.Sprintf("%s@l2=%g", system, l2), run: func(t *testing.T, w *workload, sink *obs.Sink) *train.Result {
 		prm := tuned(system, "avazu", l2)
 		prm.MaxSteps = 8
-		res, err := runSystem(system, clusters.Test(4), w, prm, obs.Active())
+		res, err := runSystem(system, clusters.Test(4), w, prm, sink)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,8 +98,8 @@ func systemRow(system string, l2 float64) trainerRow {
 // lbfgsRow runs distributed L-BFGS aggregating through the AllReduce
 // (LBFGS*) or through the driver's tree aggregate (LBFGS).
 func lbfgsRow(name string, allReduce bool) trainerRow {
-	return trainerRow{name: name, run: func(t *testing.T, w *workload) *train.Result {
-		_, _, ctx := clusters.Test(4).Build(obs.Active())
+	return trainerRow{name: name, run: func(t *testing.T, w *workload, sink *obs.Sink) *train.Result {
+		_, _, ctx := clusters.Test(4).Build(sink)
 		res, err := lbfgs.TrainDistributed(ctx, w.ds.Partition(4, 3), w.ds.Features, lbfgs.DistConfig{
 			Objective: glm.LogReg(0.01),
 			MaxIters:  6,
@@ -113,8 +115,9 @@ func lbfgsRow(name string, allReduce bool) trainerRow {
 var (
 	rowsMLlibStar = []trainerRow{systemRow(sysMLlibStar, 0.1), systemRow(sysMLlibStar, 0)}
 	rowLBFGSStar  = lbfgsRow("LBFGS*", true)
-	rowSVRG       = trainerRow{name: "MLlib*-SVRG", run: func(t *testing.T, w *workload) *train.Result {
-		_, _, ctx := clusters.Test(4).Build(obs.Active())
+	rowLBFGSTree  = lbfgsRow("LBFGS-tree", false)
+	rowSVRG       = trainerRow{name: "MLlib*-SVRG", run: func(t *testing.T, w *workload, sink *obs.Sink) *train.Result {
+		_, _, ctx := clusters.Test(4).Build(sink)
 		prm := train.Params{Objective: glm.LogReg(0.01), Eta: 0.1, MaxSteps: 5, EvalEvery: 1, Seed: 7}
 		res, err := core.TrainSVRG(ctx, w.ds.Partition(4, 3), w.ds.Features, prm, w.eval, w.ds.Name)
 		if err != nil {
@@ -122,13 +125,15 @@ var (
 		}
 		return res
 	}}
-	// The rows without a collective: the driver-aggregating and the
-	// parameter-server systems, and L-BFGS on the tree aggregate.
-	rowsTrivial = []trainerRow{
+	// The systems without a collective: the driver-aggregating and the
+	// parameter-server ones.
+	rowsNoCollective = []trainerRow{
 		systemRow(sysMLlib, 0.1), systemRow(sysMLlib, 0), systemRow(sysMAvg, 0.1),
 		systemRow(sysPetuumStar, 0.1), systemRow(sysPetuumStar, 0), systemRow(sysAngel, 0.1),
-		lbfgsRow("LBFGS-tree", false),
 	}
+	// The rows without a collective: those systems and L-BFGS on the tree
+	// aggregate.
+	rowsTrivial = append(slices.Clone(rowsNoCollective), rowLBFGSTree)
 	// rowsNoProducer are the rows whose collectives (if any) take no
 	// producer; overlap there is plain chunking.
 	rowsNoProducer = append(slices.Clone(rowsMLlibStar), rowsTrivial...)
@@ -147,15 +152,15 @@ func runCollectiveTable(t *testing.T, rows []trainerRow, cols []collectiveSettin
 			t.Run(row.name+"/"+col.name, func(t *testing.T) {
 				var seq, con *train.Result
 				withCollective(col, func() {
-					runWithPar(false, func() { seq = row.run(t, w) })
-					runWithPar(true, func() { con = row.run(t, w) })
+					runWithPar(false, func() { seq = row.run(t, w, nil) })
+					runWithPar(true, func() { con = row.run(t, w, nil) })
 				})
 				requireSameResult(t, row.name+" "+col.name, seq, con)
 				if col.chunks == 1 {
 					return // a baseline
 				}
 				var base *train.Result
-				withCollective(collectiveSetting{chunks: 1, sparse: col.sparse}, func() { base = row.run(t, w) })
+				withCollective(collectiveSetting{chunks: 1, sparse: col.sparse}, func() { base = row.run(t, w, nil) })
 				requirePipelineParity(t, row.name+" "+col.name, base, con)
 			})
 		}
@@ -211,7 +216,7 @@ func TestPipelineNoSlowdown(t *testing.T) {
 	prm := tuned(sysMLlibStar, "avazu", 0.1)
 	prm.MaxSteps = 4
 	run := func() *train.Result {
-		res, err := runSystem(sysMLlibStar, clusters.CommBound(4), w, prm, obs.Active())
+		res, err := runSystem(sysMLlibStar, clusters.CommBound(4), w, prm, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

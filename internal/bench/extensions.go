@@ -7,7 +7,6 @@ import (
 	"mllibstar/internal/core"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/lbfgs"
-	"mllibstar/internal/obs"
 	"mllibstar/internal/opt"
 	"mllibstar/internal/train"
 )
@@ -53,7 +52,7 @@ func runExtLBFGS(cfg RunConfig) (*Report, error) {
 	obj := glm.LogReg(0.01)
 	csv := "variant,iterations,sim_time_s,time_per_iter_s,final_objective,driver_bytes\n"
 	for _, allReduce := range []bool{false, true} {
-		_, cl, ctx := clusters.Cluster1(8).Build(obs.Active())
+		_, cl, ctx := clusters.Cluster1(8).Build(cfg.Sink)
 		parts := w.ds.Partition(8, 3)
 		res, err := lbfgs.TrainDistributed(ctx, parts, w.ds.Features, lbfgs.DistConfig{
 			Objective: obj,
@@ -99,7 +98,7 @@ func runExtStaleness(cfg RunConfig) (*Report, error) {
 		// staleness window.
 		prm.ComputeJitter = 100
 		prm.BatchFraction = 0.25
-		res, err := runSystem(sysPetuumStar, spec, w, prm, obs.Active())
+		res, err := runSystem(sysPetuumStar, spec, w, prm, cfg.Sink)
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +143,7 @@ func runExtReweight(cfg RunConfig) (*Report, error) {
 			prm.Reweight = reweight
 			prm.MaxSteps = 100
 			prm.TargetObjective = target
-			res, err := runSystem(sysMLlibStar, clusters.Cluster1(8), w, prm, obs.Active())
+			res, err := runSystem(sysMLlibStar, clusters.Cluster1(8), w, prm, cfg.Sink)
 			if err != nil {
 				return nil, err
 			}
@@ -213,7 +212,7 @@ func runExtAdaGrad(cfg RunConfig) (*Report, error) {
 			prm.AdaGrad = adaGrad
 			prm.MaxSteps = 200
 			prm.TargetObjective = target
-			res, err := runSystem(sysMLlibStar, clusters.Cluster1(8), w, prm, obs.Active())
+			res, err := runSystem(sysMLlibStar, clusters.Cluster1(8), w, prm, cfg.Sink)
 			if err != nil {
 				return nil, err
 			}
@@ -257,7 +256,7 @@ func runExtSVRG(cfg RunConfig) (*Report, error) {
 		if svrg {
 			name = "SVRG"
 		}
-		_, _, ctx := clusters.Cluster1(8).Build(obs.Active())
+		_, _, ctx := clusters.Cluster1(8).Build(cfg.Sink)
 		prm := tuned(sysMLlibStar, w.ds.Name, 0)
 		prm.Objective = obj
 		prm.Eta = 0.2

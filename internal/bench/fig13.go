@@ -89,9 +89,9 @@ func runTable1(cfg RunConfig) (*Report, error) {
 }
 
 // fig3Trace runs a few steps of the given system on the kdd12 preset and
-// returns the run's gantt plus the result. The run records into a causal
-// sink (obs.CausalSink) whatever the telemetry flags say, so the gantt CSV
-// always carries each message's tag.
+// returns the run's gantt plus the result. The gantt is drawn from the
+// run's own events: those it records into the experiment's sink, or into a
+// private one when the experiment has none.
 func fig3Trace(system string, cfg RunConfig) (obs.Gantt, *train.Result, error) {
 	w, err := loadWorkload("kdd12", cfg)
 	if err != nil {
@@ -99,7 +99,10 @@ func fig3Trace(system string, cfg RunConfig) (obs.Gantt, *train.Result, error) {
 	}
 	prm := tuned(system, w.ds.Name, 0)
 	prm.MaxSteps = 4
-	sink := obs.CausalSink()
+	sink := cfg.Sink
+	if sink == nil {
+		sink = obs.NewSink()
+	}
 	from := sink.Len()
 	res, err := runSystem(system, clusters.Cluster1(8), w, prm, sink)
 	return obs.GanttFromEvents(sink.Events()[from:]), res, err

@@ -5,7 +5,6 @@ import (
 
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/metrics"
-	"mllibstar/internal/obs"
 	"mllibstar/internal/train"
 )
 
@@ -80,7 +79,7 @@ func runTuned6(system string, spec clusters.Spec, w *workload, cfg RunConfig) (*
 	default:
 		prm.MaxSteps = 100
 	}
-	return runSystem(system, spec, w, prm, obs.Active())
+	return runSystem(system, spec, w, prm, cfg.Sink)
 }
 
 // runFig6Panel runs the WX workload on Cluster 2 with the given machine

@@ -8,7 +8,6 @@ import (
 	"mllibstar/internal/dfs"
 	"mllibstar/internal/engine"
 	"mllibstar/internal/glm"
-	"mllibstar/internal/obs"
 	"mllibstar/internal/opt"
 )
 
@@ -67,7 +66,7 @@ func runExtLoading(cfg RunConfig) (*Report, error) {
 	dim := w.ds.Features
 
 	spec := clusters.Cluster1(8)
-	_, cl, ctx := spec.Build(obs.Active())
+	_, cl, ctx := spec.Build(cfg.Sink)
 	fs, err := dfs.New(cl.Sim, cl.Net, dfs.Config{
 		Nodes:       cl.Execs,
 		BlockBytes:  dataBytes / 32, // ~32 blocks over 8 datanodes

@@ -55,7 +55,7 @@ func overlapDataset() *data.Dataset {
 // collective-based trainer in the repo runs — without LBFGS's replicated
 // two-loop recursion or SVRG's inner epoch, whose dense optimizer math is
 // identical in both schedules and would only dilute the measured ratio.
-func runOverlapGD(spec clusters.Spec, ds *data.Dataset, iters int) (final []float64, simTime, bytes float64) {
+func runOverlapGD(spec clusters.Spec, ds *data.Dataset, iters int, sink *obs.Sink) (final []float64, simTime, bytes float64) {
 	k := spec.Executors
 	parts := ds.Partition(k, 3)
 	dim := ds.Features
@@ -78,7 +78,7 @@ func runOverlapGD(spec clusters.Spec, ds *data.Dataset, iters int) (final []floa
 		}
 	}
 
-	sim, cl, ctx := spec.Build(obs.Active())
+	sim, cl, ctx := spec.Build(sink)
 	locals := make([][]float64, k)
 	for i := range locals {
 		locals[i] = make([]float64, dim)
@@ -126,8 +126,8 @@ func TestPipelineOverlapSpeedupTarget(t *testing.T) {
 	ds := overlapDataset()
 	var offW, onW []float64
 	var offTime, onTime, offBytes, onBytes float64
-	withCollective(colOff, func() { offW, offTime, offBytes = runOverlapGD(clusters.CommBound(4), ds, 8) })
-	withCollective(colOverlap, func() { onW, onTime, onBytes = runOverlapGD(clusters.CommBound(4), ds, 8) })
+	withCollective(colOff, func() { offW, offTime, offBytes = runOverlapGD(clusters.CommBound(4), ds, 8, nil) })
+	withCollective(colOverlap, func() { onW, onTime, onBytes = runOverlapGD(clusters.CommBound(4), ds, 8, nil) })
 	for j := range offW {
 		if math.Float64bits(offW[j]) != math.Float64bits(onW[j]) {
 			t.Fatalf("coord %d: overlap-on model %x != overlap-off %x", j,

@@ -16,7 +16,6 @@ import (
 	"mllibstar/internal/core"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/lbfgs"
-	"mllibstar/internal/obs"
 	"mllibstar/internal/par"
 	"mllibstar/internal/train"
 )
@@ -80,7 +79,7 @@ func TestParallelOffloadBitIdentityTrainers(t *testing.T) {
 		prm := tuned(tc.system, "avazu", tc.l2)
 		prm.MaxSteps = 8
 		run := func() *train.Result {
-			res, err := runSystem(tc.system, clusters.Test(4), w, prm, obs.Active())
+			res, err := runSystem(tc.system, clusters.Test(4), w, prm, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +100,7 @@ func TestParallelOffloadBitIdentityLBFGS(t *testing.T) {
 	}
 	for _, allReduce := range []bool{false, true} {
 		run := func() *train.Result {
-			_, _, ctx := clusters.Test(4).Build(obs.Active())
+			_, _, ctx := clusters.Test(4).Build(nil)
 			parts := w.ds.Partition(4, 3)
 			res, err := lbfgs.TrainDistributed(ctx, parts, w.ds.Features, lbfgs.DistConfig{
 				Objective: glm.LogReg(0.01),
@@ -132,7 +131,7 @@ func TestParallelOffloadBitIdentitySVRG(t *testing.T) {
 	}
 	prm := train.Params{Objective: glm.LogReg(0.01), Eta: 0.1, MaxSteps: 5, EvalEvery: 1, Seed: 7}
 	run := func() *train.Result {
-		_, _, ctx := clusters.Test(4).Build(obs.Active())
+		_, _, ctx := clusters.Test(4).Build(nil)
 		parts := w.ds.Partition(4, 3)
 		res, err := core.TrainSVRG(ctx, parts, w.ds.Features, prm, w.eval, w.ds.Name)
 		if err != nil {

@@ -91,7 +91,7 @@ func runTuned(system string, spec clusters.Spec, w *workload, l2 float64,
 			p.Eta = eta
 			p.MaxSteps = searchSteps
 			p.TargetObjective = 0
-			res, err := runSystem(system, spec, w, p, obs.Active())
+			res, err := runSystem(system, spec, w, p, cfg.Sink)
 			if err != nil {
 				return 0, err
 			}
@@ -102,7 +102,7 @@ func runTuned(system string, spec clusters.Spec, w *workload, l2 float64,
 		}
 		prm.Eta = eta
 	}
-	return runSystem(system, spec, w, prm, obs.Active())
+	return runSystem(system, spec, w, prm, cfg.Sink)
 }
 
 // stepBudget returns the communication-step budget for a system: the

@@ -14,7 +14,6 @@ import (
 
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/data"
-	"mllibstar/internal/obs"
 	"mllibstar/internal/train"
 )
 
@@ -57,7 +56,7 @@ func TestSparseTrafficReduction(t *testing.T) {
 		prm := tuned(system, w.ds.Name, 0.1)
 		prm.MaxSteps = 6
 		run := func() *train.Result {
-			res, err := runSystem(system, clusters.Test(4), w, prm, obs.Active())
+			res, err := runSystem(system, clusters.Test(4), w, prm, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

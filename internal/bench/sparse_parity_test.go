@@ -24,7 +24,6 @@ import (
 	"mllibstar/internal/core"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/lbfgs"
-	"mllibstar/internal/obs"
 	"mllibstar/internal/sparse"
 	"mllibstar/internal/train"
 )
@@ -104,7 +103,7 @@ func TestSparseExchangeBitIdentityTrainers(t *testing.T) {
 		prm := tuned(tc.system, "avazu", tc.l2)
 		prm.MaxSteps = 8
 		run := func() *train.Result {
-			res, err := runSystem(tc.system, clusters.Test(4), w, prm, obs.Active())
+			res, err := runSystem(tc.system, clusters.Test(4), w, prm, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +124,7 @@ func TestSparseExchangeBitIdentityLBFGS(t *testing.T) {
 	}
 	for _, allReduce := range []bool{false, true} {
 		run := func() *train.Result {
-			_, _, ctx := clusters.Test(4).Build(obs.Active())
+			_, _, ctx := clusters.Test(4).Build(nil)
 			parts := w.ds.Partition(4, 3)
 			res, err := lbfgs.TrainDistributed(ctx, parts, w.ds.Features, lbfgs.DistConfig{
 				Objective: glm.LogReg(0.01),
@@ -156,7 +155,7 @@ func TestSparseExchangeBitIdentitySVRG(t *testing.T) {
 	}
 	prm := train.Params{Objective: glm.LogReg(0.01), Eta: 0.1, MaxSteps: 5, EvalEvery: 1, Seed: 7}
 	run := func() *train.Result {
-		_, _, ctx := clusters.Test(4).Build(obs.Active())
+		_, _, ctx := clusters.Test(4).Build(nil)
 		parts := w.ds.Partition(4, 3)
 		res, err := core.TrainSVRG(ctx, parts, w.ds.Features, prm, w.eval, w.ds.Name)
 		if err != nil {
@@ -182,7 +181,7 @@ func TestSparseExchangeBothPoolModes(t *testing.T) {
 	prm := tuned(sysMLlibStar, "avazu", 0.1)
 	prm.MaxSteps = 8
 	run := func() *train.Result {
-		res, err := runSystem(sysMLlibStar, clusters.Test(4), w, prm, obs.Active())
+		res, err := runSystem(sysMLlibStar, clusters.Test(4), w, prm, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,48 +1,275 @@
 package bench
 
-// Causal trace graph validation: recording the causally-enriched event log
-// (obs.EnableCausal, the -causal flag) must not move a single bit of any
-// result — the enrichment rides the same observe-never-charge path as plain
-// telemetry — and the graph built from a live log must be well-formed, its
-// critical-path decomposition must telescope to the makespan, and the
-// what-if re-timer must reproduce the recorded schedule bit-for-bit under
-// the identity scenario. The what-if sweeps close the loop against reality:
-// the chunk predictions from a sequential trace are checked against actual
-// pipelined reruns, within a pinned tolerance.
+// Telemetry parity: the structured event log (internal/obs) observes the
+// simulation but never charges it, so recording it must not move a single
+// bit of any result — final model, counters, convergence curve, simulated
+// time, or wire bytes. Every row of one table of training configurations
+// (the collective parity table's trainer rows, plus a sparse-exchange row)
+// trains twice, with no sink and into a private one, and must agree bit for
+// bit (unlike sparse parity, SimTime and TotalBytes are part of the contract
+// here: observation must not shift the virtual clock by one ulp). The graph
+// built from the recorded log must be well-formed, its critical-path
+// decomposition must telescope to the makespan, and the what-if re-timer
+// must reproduce the recorded schedule bit for bit under the identity
+// scenario.
 //
-// The golden critical-path and what-if reports ride the committed Fig.4
-// sample logs (testdata/obs_events_*.jsonl); regenerate everything with
+// The attribution tests pin the paper's diagnosis end to end: replaying an
+// MLlib run's event log must attribute the step to the driver (the B1/B2
+// single-update, driver-centric bottlenecks), and an MLlib* run must not be
+// driver-bound. The what-if sweeps close the loop against reality: the chunk
+// predictions from a sequential trace are checked against actual pipelined
+// reruns, within a pinned tolerance. Committed sample logs
+// (testdata/obs_events_*.jsonl) and golden attribution, critical-path and
+// what-if reports keep the output byte-stable; regenerate them with
 //
 //	go test ./internal/bench -run 'TestObsGoldenAttribution|TestCritPathGolden' -update
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"mllibstar/internal/causal"
 	"mllibstar/internal/clusters"
-	"mllibstar/internal/core"
-	"mllibstar/internal/glm"
-	"mllibstar/internal/lbfgs"
 	"mllibstar/internal/obs"
 	"mllibstar/internal/train"
 )
 
-// runWithCausal is runWithObs with the causal enrichment switched on: same
-// sink, same restore, plus the per-event process/message stamps.
-func runWithCausal(on bool, fn func()) []obs.Event {
-	if !on {
-		fn()
-		return nil
+var updateObs = flag.Bool("update", false, "regenerate the committed obs sample logs and golden reports")
+
+// requireObsIdentical is requireSameResult plus the byte counter: telemetry
+// must not change what the network charged either.
+func requireObsIdentical(t *testing.T, system string, off, on *train.Result) {
+	t.Helper()
+	requireSameResult(t, system, off, on)
+	if math.Float64bits(off.TotalBytes) != math.Float64bits(on.TotalBytes) {
+		t.Errorf("%s: TotalBytes %v (no sink) != %v (sink)", system, off.TotalBytes, on.TotalBytes)
 	}
-	s := obs.EnableCausal()
-	defer obs.Disable()
-	fn()
-	return s.Events()
+}
+
+// runSinkTable trains each row twice — with no sink and into a private one —
+// and requires bitwise-equal results and charged bytes, a non-empty log and
+// a causal graph that passes requireCausalGraph. It returns the recorded
+// logs by row name.
+func runSinkTable(t *testing.T, w *workload, rows []trainerRow) map[string][]obs.Event {
+	logs := map[string][]obs.Event{}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			off := row.run(t, w, nil)
+			sink := obs.NewSink()
+			on := row.run(t, w, sink)
+			requireObsIdentical(t, row.name, off, on)
+			events := sink.Events()
+			if len(events) == 0 {
+				t.Fatalf("%s: the run recorded no events", row.name)
+			}
+			requireCausalGraph(t, row.name, events)
+			logs[row.name] = events
+		})
+	}
+	return logs
+}
+
+// sinkTableWorkload is the avazu test workload every row but the sparse one
+// trains on.
+func sinkTableWorkload(t *testing.T) *workload {
+	t.Helper()
+	w, err := loadWorkload("avazu", RunConfig{Scale: 20000, EvalCap: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// The tests below are views of the table.
+
+func TestObsBitIdentityTrainers(t *testing.T) {
+	runSinkTable(t, sinkTableWorkload(t), append(slices.Clone(rowsMLlibStar), rowsNoCollective...))
+}
+
+func TestObsBitIdentityLBFGS(t *testing.T) {
+	runSinkTable(t, sinkTableWorkload(t), []trainerRow{rowLBFGSTree, rowLBFGSStar})
+}
+
+func TestObsBitIdentitySVRG(t *testing.T) {
+	runSinkTable(t, sinkTableWorkload(t), []trainerRow{rowSVRG})
+}
+
+// TestObsBitIdentitySparse crosses the switches: telemetry must stay
+// invisible when the sparse exchange (which re-kinds some spans and tags
+// encodings on the wire) is active too. The high-dimensional workload is the
+// one where the encoder actually picks the sparse form (the preset workloads
+// are model-dense, so their deltas stay dense-coded).
+func TestObsBitIdentitySparse(t *testing.T) {
+	row := trainerRow{name: "MLlib* sparse", run: func(t *testing.T, w *workload, sink *obs.Sink) (res *train.Result) {
+		prm := tuned(sysMLlibStar, w.ds.Name, 0.1)
+		prm.MaxSteps = 6
+		runWithSparse(true, func() {
+			var err error
+			if res, err = runSystem(sysMLlibStar, clusters.Test(4), w, prm, sink); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return res
+	}}
+	events := runSinkTable(t, highDimWorkload(), []trainerRow{row})[row.name]
+	if !slices.ContainsFunc(events, func(e obs.Event) bool { return e.Enc == obs.EncSparse }) {
+		t.Error("sparse run logged no sparse-encoded messages")
+	}
+}
+
+// TestCritPathBitIdentity is the view of every avazu row.
+func TestCritPathBitIdentity(t *testing.T) {
+	runSinkTable(t, sinkTableWorkload(t), rowsAll)
+}
+
+// sampleLog runs the fixed attribution workload for one system and returns
+// the sink that recorded it: avazu at small scale, l2=0.1, 8 steps, 4
+// workers — the same shape as Figure 4's regularized comparison. The
+// committed logs also feed the critical-path and what-if goldens;
+// attribution ignores the causal fields.
+func sampleLog(t *testing.T, system string) *obs.Sink {
+	t.Helper()
+	w, err := loadWorkload("avazu", RunConfig{Scale: 20000, EvalCap: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prm := tuned(system, "avazu", 0.1)
+	prm.MaxSteps = 8
+	s := obs.NewSink()
+	if _, err := runSystem(system, clusters.Test(4), w, prm, s); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// sampleEvents is sampleLog's event log as a slice.
+func sampleEvents(t *testing.T, system string) []obs.Event {
+	t.Helper()
+	return sampleLog(t, system).Events()
+}
+
+// TestSampleLogsRegenerate holds the committed sample logs to a fresh run
+// without -update: the two sample configurations, written through
+// Sink.WriteJSONL, must equal testdata/obs_events_*.jsonl byte for byte. The
+// golden tests below only replay the committed files, so without this a
+// change to what is recorded or how it is encoded would stay invisible until
+// somebody ran -update and read the diff.
+func TestSampleLogsRegenerate(t *testing.T) {
+	for _, tc := range []struct {
+		system string
+		slug   string
+	}{
+		{sysMLlib, "mllib"},
+		{sysMLlibStar, "mllibstar"},
+	} {
+		var got bytes.Buffer
+		if err := sampleLog(t, tc.system).WriteJSONL(&got); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", "obs_events_"+tc.slug+".jsonl")
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to generate)", err)
+		}
+		if bytes.Equal(got.Bytes(), want) {
+			continue
+		}
+		gotLines, wantLines := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+			if !bytes.Equal(gotLines[i], wantLines[i]) {
+				t.Fatalf("%s: fresh log differs from %s at line %d:\n got %s\nwant %s",
+					tc.system, path, i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("%s: fresh log has %d lines, %s has %d", tc.system, len(gotLines), path, len(wantLines))
+	}
+}
+
+// TestObsAttributionClassification pins the paper's diagnosis on fresh
+// runs: MLlib's per-step critical path is dominated by the driver (B1/B2),
+// MLlib*'s is not — its driver share collapses and the step goes to the
+// workers' compute and the shuffle exchange.
+func TestObsAttributionClassification(t *testing.T) {
+	mllib := obs.Attribute(sampleEvents(t, sysMLlib))
+	if mllib.DominantCost != "driver" {
+		t.Errorf("MLlib: dominant cost %q, want driver\n%s", mllib.DominantCost, mllib.Text())
+	}
+	if !strings.Contains(mllib.Classification, "B1+B2") {
+		t.Errorf("MLlib: classification %q, want a B1+B2 diagnosis", mllib.Classification)
+	}
+
+	star := obs.Attribute(sampleEvents(t, sysMLlibStar))
+	if star.DominantCost == "driver" {
+		t.Errorf("MLlib*: still driver-dominant\n%s", star.Text())
+	}
+	if star.DriverShare >= mllib.DriverShare {
+		t.Errorf("MLlib*: driver share %.3f did not drop below MLlib's %.3f",
+			star.DriverShare, mllib.DriverShare)
+	}
+	// The paradigm shift in update granularity is what the attribution's
+	// update-pattern field keys the B1 diagnosis on.
+	if mllib.UpdatePattern != "single-update" {
+		t.Errorf("MLlib: update pattern %q, want single-update", mllib.UpdatePattern)
+	}
+	if star.UpdatePattern != "many-local-updates" {
+		t.Errorf("MLlib*: update pattern %q, want many-local-updates", star.UpdatePattern)
+	}
+}
+
+// TestObsGoldenAttribution replays the committed sample logs and requires
+// the attribution reports to match their goldens byte for byte. -update
+// regenerates both from a fresh deterministic run, so a legitimate engine
+// change shows up as a reviewable diff in the committed artifacts.
+func TestObsGoldenAttribution(t *testing.T) {
+	for _, tc := range []struct {
+		system string
+		slug   string
+	}{
+		{sysMLlib, "mllib"},
+		{sysMLlibStar, "mllibstar"},
+	} {
+		eventsPath := filepath.Join("testdata", "obs_events_"+tc.slug+".jsonl")
+		goldenPath := filepath.Join("testdata", "obs_report_"+tc.slug+".golden")
+		if *updateObs {
+			events := sampleEvents(t, tc.system)
+			var buf bytes.Buffer
+			if err := obs.WriteJSONL(&buf, events); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(eventsPath, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			report := obs.Attribute(events).Text()
+			if err := os.WriteFile(goldenPath, []byte(report), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		raw, err := os.Open(eventsPath)
+		if err != nil {
+			t.Fatalf("%v (run with -update to generate)", err)
+		}
+		events, err := obs.ReadJSONL(raw)
+		raw.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := obs.Attribute(events).Text()
+		want, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatalf("%v (run with -update to generate)", err)
+		}
+		if got != string(want) {
+			t.Errorf("%s: attribution report drifted from %s:\n--- got ---\n%s--- want ---\n%s",
+				tc.system, goldenPath, got, want)
+		}
+	}
 }
 
 // requireCausalGraph builds and validates the graph from a live log and pins
@@ -72,116 +299,6 @@ func requireCausalGraph(t *testing.T, system string, events []obs.Event) *causal
 		t.Errorf("%s: identity retime makespan %v != recorded %v", system, id.Makespan, mk)
 	}
 	return g
-}
-
-// timeline is the gantt CSV of an event log with the message tags blanked:
-// a causal sink keeps each message's tag in the note column, a plain sink
-// does not, and everything else must agree.
-func timeline(events []obs.Event) string {
-	g := obs.GanttFromEvents(events)
-	for i := range g.Spans {
-		if g.Spans[i].Dir != "" {
-			g.Spans[i].Note = ""
-		}
-	}
-	return g.CSV()
-}
-
-// TestCritPathBitIdentity runs every trainer config of the parity matrix
-// twice — into a private plain sink, and into an installed causal one — and
-// requires full bitwise equality of the results, the charged bytes, and the
-// gantt timeline; then validates the graph built from the causal run's log.
-// Tracing is observation only: it must not shift the virtual clock by one
-// ulp.
-func TestCritPathBitIdentity(t *testing.T) {
-	cfg := RunConfig{Scale: 20000, EvalCap: 200}
-	w, err := loadWorkload("avazu", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type runner struct {
-		name string
-		run  func(sink *obs.Sink) *train.Result
-	}
-	var cases []runner
-	for _, tc := range []struct {
-		system string
-		l2     float64
-	}{
-		{sysMLlib, 0.1},
-		{sysMLlib, 0},
-		{sysMAvg, 0.1},
-		{sysMLlibStar, 0.1},
-		{sysMLlibStar, 0},
-		{sysPetuumStar, 0.1},
-		{sysPetuumStar, 0},
-		{sysAngel, 0.1},
-	} {
-		system, l2 := tc.system, tc.l2
-		prm := tuned(system, "avazu", l2)
-		prm.MaxSteps = 8
-		cases = append(cases, runner{
-			name: fmt.Sprintf("%s/l2=%g", system, l2),
-			run: func(sink *obs.Sink) *train.Result {
-				res, err := runSystem(system, clusters.Test(4), w, prm, sink)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			},
-		})
-	}
-	for _, allReduce := range []bool{false, true} {
-		allReduce := allReduce
-		name := "LBFGS-tree"
-		if allReduce {
-			name = "LBFGS-allreduce"
-		}
-		cases = append(cases, runner{
-			name: name,
-			run: func(sink *obs.Sink) *train.Result {
-				_, _, ctx := clusters.Test(4).Build(sink)
-				parts := w.ds.Partition(4, 3)
-				res, err := lbfgs.TrainDistributed(ctx, parts, w.ds.Features, lbfgs.DistConfig{
-					Objective: glm.LogReg(0.01),
-					MaxIters:  6,
-					AllReduce: allReduce,
-				}, w.eval, w.ds.Name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			},
-		})
-	}
-	cases = append(cases, runner{
-		name: "MLlib*-SVRG",
-		run: func(sink *obs.Sink) *train.Result {
-			_, _, ctx := clusters.Test(4).Build(sink)
-			parts := w.ds.Partition(4, 3)
-			prm := train.Params{Objective: glm.LogReg(0.01), Eta: 0.1, MaxSteps: 5, EvalEvery: 1, Seed: 7}
-			res, err := core.TrainSVRG(ctx, parts, w.ds.Features, prm, w.eval, w.ds.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		},
-	})
-
-	for _, c := range cases {
-		var off, on *train.Result
-		plain := obs.NewSink()
-		runWithCausal(false, func() { off = c.run(plain) })
-		events := runWithCausal(true, func() { on = c.run(obs.Active()) })
-		requireObsIdentical(t, c.name, off, on)
-		if timeline(plain.Events()) != timeline(events) {
-			t.Errorf("%s: gantt timeline differs between plain and causal runs", c.name)
-		}
-		if len(events) == 0 {
-			t.Fatalf("%s: causal run recorded no events", c.name)
-		}
-		requireCausalGraph(t, c.name, events)
-	}
 }
 
 // TestCritPathGolden replays the committed Fig.4 sample logs through the
@@ -338,13 +455,15 @@ func TestWhatIfChunkSweep(t *testing.T) {
 	w := highDimWorkload()
 	prm := tuned(sysMLlibStar, "avazu", 0.1)
 	prm.MaxSteps = 4
-	run := func() {
-		if _, err := runSystem(sysMLlibStar, clusters.CommBound(4), w, prm, obs.Active()); err != nil {
+	run := func() []obs.Event {
+		sink := obs.NewSink()
+		if _, err := runSystem(sysMLlibStar, clusters.CommBound(4), w, prm, sink); err != nil {
 			t.Fatal(err)
 		}
+		return sink.Events()
 	}
 	var seq []obs.Event
-	withCollective(colOff, func() { seq = runWithCausal(true, run) })
+	withCollective(colOff, func() { seq = run() })
 	g := requireCausalGraph(t, "MLlib* sequential", seq)
 	requirePredictionGolden(t, "whatif_chunk_sweep.golden", g, false)
 
@@ -354,7 +473,7 @@ func TestWhatIfChunkSweep(t *testing.T) {
 			t.Fatalf("chunks=%d: %s", C, pred.Err)
 		}
 		var act []obs.Event
-		withCollective(collectiveSetting{chunks: C}, func() { act = runWithCausal(true, run) })
+		withCollective(collectiveSetting{chunks: C}, func() { act = run() })
 		ag := requireCausalGraph(t, fmt.Sprintf("MLlib* chunks=%d", C), act)
 		actual := ag.Makespan()
 		rel := math.Abs(pred.Makespan-actual) / actual
@@ -386,9 +505,13 @@ const overlapSweepTol = 0.02
 // exactly at one chunk, where overlap cannot engage.
 func TestWhatIfOverlapSweep(t *testing.T) {
 	ds := overlapDataset()
-	run := func() { runOverlapGD(clusters.CommBound(4), ds, 8) }
+	run := func() []obs.Event {
+		sink := obs.NewSink()
+		runOverlapGD(clusters.CommBound(4), ds, 8, sink)
+		return sink.Events()
+	}
 	var seq []obs.Event
-	withCollective(colOff, func() { seq = runWithCausal(true, run) })
+	withCollective(colOff, func() { seq = run() })
 	g := requireCausalGraph(t, "GD sequential", seq)
 	requirePredictionGolden(t, "whatif_overlap_sweep.golden", g, true)
 
@@ -398,7 +521,7 @@ func TestWhatIfOverlapSweep(t *testing.T) {
 			t.Fatalf("overlap C=%d: %s", C, pred.Err)
 		}
 		var act []obs.Event
-		withCollective(collectiveSetting{chunks: C, overlap: true}, func() { act = runWithCausal(true, run) })
+		withCollective(collectiveSetting{chunks: C, overlap: true}, func() { act = run() })
 		ag := requireCausalGraph(t, fmt.Sprintf("GD overlap C=%d", C), act)
 		actual := ag.Makespan()
 		rel := math.Abs(pred.Makespan-actual) / actual

@@ -30,7 +30,6 @@ import (
 	"mllibstar/internal/core"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/lbfgs"
-	"mllibstar/internal/obs"
 	"mllibstar/internal/train"
 )
 
@@ -109,7 +108,7 @@ func TestCSRKernelBitIdentityTrainers(t *testing.T) {
 		prm := tuned(tc.system, "avazu", tc.l2)
 		prm.MaxSteps = 8
 		bothPools(func() {
-			res, err := runSystem(tc.system, clusters.Test(4), w, prm, obs.Active())
+			res, err := runSystem(tc.system, clusters.Test(4), w, prm, nil)
 			requireGolden(t, fmt.Sprintf("%s l2=%g", tc.system, tc.l2), res, err)
 		})
 	}
@@ -134,7 +133,7 @@ func TestEarlyStopGolden(t *testing.T) {
 		prm.MaxSteps = 8
 		prm.TargetObjective = tc.target
 		bothPools(func() {
-			res, err := runSystem(tc.system, clusters.Test(4), w, prm, obs.Active())
+			res, err := runSystem(tc.system, clusters.Test(4), w, prm, nil)
 			requireGolden(t, fmt.Sprintf("%s l2=0 target=%g", tc.system, tc.target), res, err)
 			if err == nil && (res.CommSteps >= prm.MaxSteps || res.Curve.Final().Objective > tc.target) {
 				t.Errorf("%s: ran %d steps to objective %g: the target %g did not stop it",
@@ -153,7 +152,7 @@ func TestCSRKernelBitIdentitySquaredLoss(t *testing.T) {
 		prm.MaxSteps = 8
 		prm.Objective.Loss = glm.Squared{}
 		bothPools(func() {
-			res, err := runSystem(sysMLlibStar, clusters.Test(4), w, prm, obs.Active())
+			res, err := runSystem(sysMLlibStar, clusters.Test(4), w, prm, nil)
 			requireGolden(t, fmt.Sprintf("%s squared l2=%g", sysMLlibStar, l2), res, err)
 		})
 	}
@@ -167,7 +166,7 @@ func TestCSRKernelBitIdentityLBFGS(t *testing.T) {
 			name = "LBFGS-allreduce"
 		}
 		bothPools(func() {
-			_, _, ctx := clusters.Test(4).Build(obs.Active())
+			_, _, ctx := clusters.Test(4).Build(nil)
 			res, err := lbfgs.TrainDistributed(ctx, w.ds.Partition(4, 3), w.ds.Features, lbfgs.DistConfig{
 				Objective: glm.LogReg(0.01),
 				MaxIters:  6,
@@ -182,7 +181,7 @@ func TestCSRKernelBitIdentitySVRG(t *testing.T) {
 	w := goldenWorkload(t)
 	prm := train.Params{Objective: glm.LogReg(0.01), Eta: 0.1, MaxSteps: 5, EvalEvery: 1, Seed: 7}
 	bothPools(func() {
-		_, _, ctx := clusters.Test(4).Build(obs.Active())
+		_, _, ctx := clusters.Test(4).Build(nil)
 		res, err := core.TrainSVRG(ctx, w.ds.Partition(4, 3), w.ds.Features, prm, w.eval, w.ds.Name)
 		requireGolden(t, "MLlib*-SVRG", res, err)
 	})

@@ -1,7 +1,7 @@
-// Package causal turns a causally-enriched obs event log (recorded under
-// obs.EnableCausal, e.g. via the -causal flag) into a happens-before graph
-// over every des/simnet occurrence: compute spans, message send and recv
-// halves, fork points, and barrier releases. The graph is exact — node
+// Package causal turns an obs event log (every live sink records its causal
+// fields: process identities, message ids, forks and barriers) into a
+// happens-before graph over every des/simnet occurrence: compute spans,
+// message send and recv halves, fork points, and barrier releases. The graph is exact — node
 // durations and edge lags reproduce the simulator's cost arithmetic — which
 // is what makes the two consumers trustworthy:
 //
@@ -137,7 +137,8 @@ func skip(ph obs.Phase) bool {
 }
 
 // Build constructs the graph from an event log. It errors when the log
-// carries no causal enrichment at all (record with -causal); individually
+// carries no causal enrichment at all (an older build or another tool
+// recorded it); individually
 // malformed events are tolerated here and flagged by Validate.
 func Build(events []obs.Event) (*Graph, error) {
 	g := &Graph{
@@ -182,7 +183,7 @@ func Build(events []obs.Event) (*Graph, error) {
 		g.Nodes = append(g.Nodes, n)
 	}
 	if !enriched {
-		return nil, fmt.Errorf("causal: log carries no causal enrichment (record it under -causal / obs.EnableCausal)")
+		return nil, fmt.Errorf("causal: log carries no causal enrichment (no event names its process): it was recorded by an older build or another tool")
 	}
 	for _, n := range g.Nodes {
 		n.Dur = g.serviceDur(n)

@@ -21,7 +21,7 @@ import (
 func (r *retimer) specFor(host string) (Spec, error) {
 	sp, ok := r.g.src.Specs[host]
 	if !ok || sp.SendBW <= 0 || sp.RecvBW <= 0 {
-		return sp, fmt.Errorf("causal: no machine spec for %q (re-record the log under -causal)", host)
+		return sp, fmt.Errorf("causal: no machine spec for %q (the log lacks its cp-spec event: re-record it with this build)", host)
 	}
 	return sp, nil
 }

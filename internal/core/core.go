@@ -45,7 +45,7 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 
 	sim := ctx.Cluster.Sim
 	net := ctx.Cluster.Net
-	ev := train.NewEvaluator(System, dataset, prm.Objective, evalData, prm.EvalEvery)
+	ev := train.NewEvaluatorInto(net.Sink(), System, dataset, prm.Objective, evalData, prm.EvalEvery)
 	ev.StopAt(prm.TargetObjective)
 	sched := prm.Schedule()
 

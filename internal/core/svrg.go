@@ -49,7 +49,7 @@ func TrainSVRG(ctx *engine.Context, parts []data.View, dim int, prm train.Params
 	}
 
 	sim := ctx.Cluster.Sim
-	ev := train.NewEvaluator(SystemSVRG, dataset, prm.Objective, evalData, prm.EvalEvery)
+	ev := train.NewEvaluatorInto(ctx.Cluster.Net.Sink(), SystemSVRG, dataset, prm.Objective, evalData, prm.EvalEvery)
 	ev.StopAt(prm.TargetObjective)
 	res := &train.Result{System: SystemSVRG, Curve: ev.Curve}
 

@@ -270,8 +270,8 @@ func Preset(name string, scale float64) (Spec, error) {
 	if !ok {
 		return Spec{}, fmt.Errorf("data: unknown preset %q (have %v)", name, PresetNames())
 	}
-	if scale < 1 {
-		return Spec{}, fmt.Errorf("data: scale %g < 1", scale)
+	if !(scale >= 1) { // NaN fails every comparison: reject it too
+		return Spec{}, fmt.Errorf("data: scale %g, want a number ≥ 1", scale)
 	}
 	rows := int(float64(p.rows) / scale)
 	cols := int(float64(p.cols) / scale)

@@ -95,6 +95,9 @@ func TestPresets(t *testing.T) {
 	if _, err := Preset("avazu", 0.5); err == nil {
 		t.Error("want error for scale < 1")
 	}
+	if _, err := Preset("avazu", math.NaN()); err == nil {
+		t.Error("want error for scale NaN")
+	}
 	if _, err := PaperStats("nope"); err == nil {
 		t.Error("want error for unknown paper stats")
 	}

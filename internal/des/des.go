@@ -203,7 +203,7 @@ func (p *Proc) ID() int { return p.id }
 // Ident returns that canonical identity, "name#id". It is built on the first
 // call and kept, so a telemetry hook that stamps every event of a process
 // with it pays for one string per process, not one per event; a run without
-// causal tracing never builds it.
+// a telemetry sink never builds it.
 func (p *Proc) Ident() string {
 	if p.ident == "" {
 		p.ident = p.name + "#" + strconv.Itoa(p.id)

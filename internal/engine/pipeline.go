@@ -41,9 +41,7 @@ func (ex *Executor) StartSender(p *des.Proc, name string) *Sender {
 			ex.Send(child, j.to, j.tag, j.bytes, j.payload)
 		}
 	})
-	if sink := ex.cluster.Net.Sink(); sink.Causal() {
-		sink.CausalFork(ex.name, p.Ident(), s.join.Proc().Ident(), p.Now())
-	}
+	ex.cluster.Net.Sink().CausalFork(ex.name, p, s.join.Proc(), p.Now())
 	return s
 }
 

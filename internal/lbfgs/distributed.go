@@ -77,7 +77,7 @@ func TrainDistributed(ctx *engine.Context, parts []data.View, dim int, cfg DistC
 	if cfg.AllReduce {
 		system = SystemStar
 	}
-	ev := train.NewEvaluator(system, dataset, cfg.Objective, evalData, cfg.EvalEvery)
+	ev := train.NewEvaluatorInto(ctx.Cluster.Net.Sink(), system, dataset, cfg.Objective, evalData, cfg.EvalEvery)
 	ev.StopAt(cfg.TargetObjective)
 	res := &train.Result{System: system, Curve: ev.Curve}
 
@@ -335,14 +335,13 @@ func trainAllReduce(ctx *engine.Context, parts []data.View, dim int, cfg DistCon
 	ctx.Cluster.Sim.Spawn("driver:lbfgsstar", func(p *des.Proc) {
 		ev.Record(0, p.Now(), w)
 		for it := 1; it <= cfg.MaxIters && !done; it++ {
-			ctx.Cluster.Net.Sink().SetStep(it, p.Now())
-			bar := des.NewBarrier(ctx.Cluster.Sim, fmt.Sprintf("lbfgs-it%d", it), k)
-			if sink := ctx.Cluster.Net.Sink(); sink.Causal() {
-				name := fmt.Sprintf("lbfgs-it%d", it)
-				bar.Observe(func(w *des.Proc, gen int, arrive, release float64) {
-					sink.CausalBarrier(name, gen, w.Ident(), arrive, release)
-				})
-			}
+			sink := ctx.Cluster.Net.Sink()
+			sink.SetStep(it, p.Now())
+			name := fmt.Sprintf("lbfgs-it%d", it)
+			bar := des.NewBarrier(ctx.Cluster.Sim, name, k)
+			bar.Observe(func(w *des.Proc, gen int, arrive, release float64) {
+				sink.CausalBarrier(name, gen, w, arrive, release)
+			})
 			tasks := make([]engine.Task, k)
 			for i := 0; i < k; i++ {
 				i := i

@@ -62,7 +62,7 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 	sim := ctx.Cluster.Sim
 	net := ctx.Cluster.Net
 	driver := net.Node(ctx.Cluster.Driver)
-	ev := train.NewEvaluator(System, dataset, prm.Objective, evalData, prm.EvalEvery)
+	ev := train.NewEvaluatorInto(net.Sink(), System, dataset, prm.Objective, evalData, prm.EvalEvery)
 	ev.StopAt(prm.TargetObjective)
 	aggs := Aggregators(prm, k)
 	sched := prm.Schedule()

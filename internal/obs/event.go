@@ -21,9 +21,9 @@ import (
 // key=value pair in Note. Float fields deliberately avoid omitempty so the
 // encoding round-trips bit-exactly (omitting -0 or re-adding it would not).
 //
-// The causal fields (Proc, MID, Grp) are populated only under EnableCausal;
-// all three carry omitempty so a causal-off log encodes byte-identically to
-// a pre-causal one.
+// The causal fields (Proc, MID, Grp) are recorded by every live sink; all
+// three carry omitempty, so a log recorded before they existed, or by a tool
+// that does not set them, still decodes and re-encodes byte for byte.
 type Event struct {
 	Step  int      `json:"step"`
 	Node  string   `json:"node,omitempty"`

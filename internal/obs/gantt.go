@@ -26,7 +26,7 @@ type GanttSpan struct {
 	Phase      Phase
 	Dir        Dir
 	Start, End float64
-	Note       string // the span's note, or the message's tag (kept by causal sinks only)
+	Note       string // the span's note, or the message's tag
 }
 
 // GanttMarker is a vertical line annotation (the paper marks stage starts

@@ -87,9 +87,8 @@ const (
 	PhaseUpdates Phase = "updates" // model-update counter event (carries Count)
 	PhaseMeta    Phase = "meta"    // run metadata (Note holds key=value)
 
-	// Causal-trace bookkeeping phases, emitted only under EnableCausal.
-	// Like step/eval/updates they describe the run rather than node activity:
-	// they book no phase seconds, no bytes, and are excluded from bottleneck
+	// Causal-trace bookkeeping phases. Like step/eval/updates they describe
+	// the run rather than node activity: they book no phase seconds, no bytes, and are excluded from bottleneck
 	// attribution and gantt reconstruction. internal/causal consumes them to
 	// close the happens-before graph where message edges alone cannot:
 	// fork events tie a child process's chain to its parent's, barrier
@@ -189,43 +188,18 @@ var active atomic.Pointer[Sink]
 
 // Enable installs a fresh sink and returns it. Like par.Configure and
 // sparse.Configure this is a process-wide switch intended to be flipped
-// between runs, not during one.
+// between runs, not during one. Only the entry points read it (Active):
+// a CLI's main once after prof.Start, mllibstar.Train for a run without its
+// own sink. Everything below them receives the run's sink by value.
 func Enable() *Sink {
 	s := NewSink()
 	active.Store(s)
 	return s
 }
 
-// EnableCausal installs a fresh sink with causal tracing on and returns it.
-// A causal sink records the same events Enable's would, enriched with the
-// des process identity of each span and message half, a message id pairing
-// every send with its recv, and the causal-only bookkeeping records
-// (cp-fork, cp-barrier, cp-spec) that internal/causal turns into a
-// happens-before graph. Like recording itself, the enrichment observes and
-// never charges: simulated times, bytes, and every training numeric are
-// bit-identical with causal tracing on, off, or disabled entirely.
-func EnableCausal() *Sink {
-	s := newCausalSink()
-	active.Store(s)
-	return s
-}
-
-func newCausalSink() *Sink {
-	s := NewSink()
-	s.causal = true
-	return s
-}
-
-// CausalSink returns the installed sink when it records causally, and
-// otherwise a fresh causal sink that is not installed. The Figure-3 runs
-// record into it whatever the telemetry flags say: the gantt CSV's note
-// column holds each message's tag, which only a causal event keeps.
-func CausalSink() *Sink {
-	if s := Active(); s.Causal() {
-		return s
-	}
-	return newCausalSink()
-}
+// EnableCausal is Enable: every sink records the causal fields. The
+// repository benchmark (benchmark/seam.go) calls it by this name.
+func EnableCausal() *Sink { return Enable() }
 
 // Disable uninstalls the sink; subsequent Active calls return nil (whose
 // methods are all no-ops).

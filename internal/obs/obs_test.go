@@ -21,19 +21,19 @@ func sampleSink() *Sink {
 	s.Meta("system", "MLlib")
 	s.Meta("dataset", "synth")
 	s.SetStep(1, 0)
-	s.Span("driver", PhaseSchedule, 0, 0.001, "schedule mgd1")
-	s.Message("driver", PhaseBroadcast, ChanDriver, DirSend, EncDense, 8000, 0.001, 0.003)
-	s.Message("executor0", PhaseBroadcast, ChanDriver, DirRecv, EncDense, 8000, 0.003, 0.005)
-	s.Span("executor0", PhaseCompute, 0.005, 0.015, "")
-	s.Message("executor0", PhaseTreeAgg, ChanDriver, DirSend, EncSparse, 1200, 0.015, 0.016)
-	s.Message("driver", PhaseTreeAgg, ChanDriver, DirRecv, EncSparse, 1200, 0.016, 0.017)
-	s.Span("driver", PhaseUpdate, 0.017, 0.018, "model update")
+	s.SpanProc("driver", PhaseSchedule, 0, 0.001, "schedule mgd1", procID(""))
+	s.MessageProc("driver", PhaseBroadcast, ChanDriver, DirSend, EncDense, 8000, 0.001, 0.003, "", procID(""), 0)
+	s.MessageProc("executor0", PhaseBroadcast, ChanDriver, DirRecv, EncDense, 8000, 0.003, 0.005, "", procID(""), 0)
+	s.SpanProc("executor0", PhaseCompute, 0.005, 0.015, "", procID(""))
+	s.MessageProc("executor0", PhaseTreeAgg, ChanDriver, DirSend, EncSparse, 1200, 0.015, 0.016, "", procID(""), 0)
+	s.MessageProc("driver", PhaseTreeAgg, ChanDriver, DirRecv, EncSparse, 1200, 0.016, 0.017, "", procID(""), 0)
+	s.SpanProc("driver", PhaseUpdate, 0.017, 0.018, "model update", procID(""))
 	s.Updates(1, "driver", 1, 0.018)
 	s.Eval(1, "", 0.018, 0.5, 0)
 	s.SetStep(2, 0.018)
-	s.Span("executor0", PhaseCompute, 0.019, 0.029, "")
-	s.Message("executor0", PhaseReduceScatter, ChanShuffle, DirSend, EncDense, 4000, 0.029, 0.030)
-	s.Message("executor1", PhaseReduceScatter, ChanShuffle, DirRecv, EncDense, 4000, 0.030, 0.031)
+	s.SpanProc("executor0", PhaseCompute, 0.019, 0.029, "", procID(""))
+	s.MessageProc("executor0", PhaseReduceScatter, ChanShuffle, DirSend, EncDense, 4000, 0.029, 0.030, "", procID(""), 0)
+	s.MessageProc("executor1", PhaseReduceScatter, ChanShuffle, DirRecv, EncDense, 4000, 0.030, 0.031, "", procID(""), 0)
 	s.Eval(2, "", 0.031, 0.25, 2)
 	return s
 }
@@ -153,8 +153,11 @@ func TestClassifyTag(t *testing.T) {
 func TestNilSinkIsSafe(t *testing.T) {
 	var s *Sink
 	s.SetStep(1, 0)
-	s.Span("n", PhaseCompute, 0, 1, "")
-	s.Message("n", PhaseComm, ChanOther, DirSend, EncDense, 1, 0, 1)
+	s.SpanProc("n", PhaseCompute, 0, 1, "", nil)
+	s.MessageProc("n", PhaseComm, ChanOther, DirSend, EncDense, 1, 0, 1, "t", nil, s.NewMID())
+	s.CausalFork("n", nil, nil, 0)
+	s.CausalBarrier("b", 0, nil, 0, 1)
+	s.CausalSpec("n", "rate=1")
 	s.Stage("n", "s", 0, 1)
 	s.Eval(1, "n", 1, 0.5, 0)
 	s.Updates(1, "n", 1, 1)

@@ -117,8 +117,9 @@ nav a { margin-right: 14px; font-size: 13px; }
 	b.WriteString("<h2>Bottleneck attribution</h2><pre>")
 	b.WriteString(html.EscapeString(report.Text()))
 	b.WriteString("</pre>")
-	// Causally-enriched logs (recorded with -causal) additionally get the
-	// message-level critical path; plain logs fail Analyze and skip it.
+	// The message-level critical path, from the log's causal fields; a log
+	// recorded by an older build or another tool may lack them, fails
+	// Analyze and skips it.
 	if g, err := causal.Analyze(events); err == nil {
 		b.WriteString("<h2>Critical path</h2><pre>")
 		//mlstar:nolint detflow -- render-only path: the report is HTML output, nothing flows back into the simulation

@@ -11,16 +11,21 @@ import (
 	"mllibstar/internal/obs"
 )
 
+// procID is a recording process's identity; a live run passes des.Proc.
+type procID string
+
+func (p procID) Ident() string { return string(p) }
+
 func testSink() *obs.Sink {
 	s := obs.NewSink()
 	s.Meta("system", "MLlib")
 	s.Meta("dataset", "synth")
 	s.SetStep(1, 0)
-	s.Span("driver", obs.PhaseSchedule, 0, 0.001, "schedule")
-	s.Message("driver", obs.PhaseBroadcast, obs.ChanDriver, obs.DirSend, obs.EncDense, 8000, 0.001, 0.003)
+	s.SpanProc("driver", obs.PhaseSchedule, 0, 0.001, "schedule", procID(""))
+	s.MessageProc("driver", obs.PhaseBroadcast, obs.ChanDriver, obs.DirSend, obs.EncDense, 8000, 0.001, 0.003, "", procID(""), 0)
 	s.Eval(1, "", 0.003, 0.5, 0)
 	s.SetStep(2, 0.003)
-	s.Span("executor0", obs.PhaseCompute, 0.004, 0.014, "")
+	s.SpanProc("executor0", obs.PhaseCompute, 0.004, 0.014, "", procID(""))
 	s.Eval(2, "", 0.014, 0.25, 0)
 	return s
 }
@@ -86,7 +91,7 @@ func TestEndpoints(t *testing.T) {
 		}
 	}
 	if strings.Contains(body, "Critical path") {
-		t.Error("dashboard rendered a critical-path section for a non-causal log")
+		t.Error("dashboard rendered a critical-path section for a log without causal fields")
 	}
 
 	resp, err := http.Get(srv.URL + "/nope")
@@ -99,9 +104,9 @@ func TestEndpoints(t *testing.T) {
 	}
 }
 
-// TestDashboardCriticalPath pins the conditional section: a causally-enriched
-// log gets the message-level critical path on the dashboard, a plain log
-// (checked in TestEndpoints) does not.
+// TestDashboardCriticalPath pins the conditional section: a log with the
+// causal fields gets the message-level critical path on the dashboard, a log
+// without them (testSink, checked in TestEndpoints) does not.
 func TestDashboardCriticalPath(t *testing.T) {
 	s := obs.SinkFromEvents([]obs.Event{
 		{Phase: obs.PhaseCausalSpec, Note: "latency=0.0001;overhead=0"},
@@ -158,11 +163,11 @@ func TestScrapeWhileRecording(t *testing.T) {
 			case 0:
 				s.SetStep(i/5, now)
 			case 1:
-				s.Message("executor0", obs.PhaseReduceScatter, obs.ChanShuffle, obs.DirSend, obs.EncSparse, 1200, now, now+5e-5)
+				s.MessageProc("executor0", obs.PhaseReduceScatter, obs.ChanShuffle, obs.DirSend, obs.EncSparse, 1200, now, now+5e-5, "", procID(""), 0)
 			case 2:
-				s.Message("executor1", obs.PhaseReduceScatter, obs.ChanShuffle, obs.DirRecv, obs.EncSparse, 1200, now, now+5e-5)
+				s.MessageProc("executor1", obs.PhaseReduceScatter, obs.ChanShuffle, obs.DirRecv, obs.EncSparse, 1200, now, now+5e-5, "", procID(""), 0)
 			case 3:
-				s.Span("executor1", obs.PhaseCompute, now, now+9e-5, "")
+				s.SpanProc("executor1", obs.PhaseCompute, now, now+9e-5, "", procID(""))
 			case 4:
 				s.Eval(s.Step(), "", now, 1/float64(i), 0)
 			}

@@ -43,8 +43,7 @@ type Sink struct {
 	stepStart float64 // fold state: start of the superstep in progress at event folded-1
 	haveStep  bool
 
-	causal bool         // enrich events with causal identities (EnableCausal)
-	mid    atomic.Int64 // message-id allocator; ids start at 1 so 0 means "no causal pairing"
+	mid atomic.Int64 // message-id allocator; ids start at 1 so 0 means "no causal pairing"
 
 	mSuperstep *Family // gauge: current superstep
 	mStepDur   *Family // histogram: superstep virtual duration
@@ -166,21 +165,11 @@ func (s *Sink) Step() int {
 	return int(s.step.Load())
 }
 
-// Causal reports whether this sink enriches events with causal identities.
-// Nil-safe like every Sink method, so instrumentation sites can gate the
-// enrichment work on sink.Causal().
-func (s *Sink) Causal() bool {
-	if s == nil {
-		return false
-	}
-	return s.causal
-}
-
-// NewMID allocates the next message id, or returns 0 when causal tracing is
-// off — send sites call it unconditionally and a zero id simply leaves the
-// event's MID field absent.
+// NewMID allocates the next message id, or returns 0 on a nil sink — send
+// sites call it unconditionally and a zero id simply leaves the event's MID
+// field absent.
 func (s *Sink) NewMID() int64 {
-	if s == nil || !s.causal {
+	if s == nil {
 		return 0
 	}
 	return s.mid.Add(1)
@@ -255,81 +244,58 @@ func (s *Sink) SetStep(step int, now float64) {
 	s.record(Event{Step: step, Phase: PhaseStep, Start: now, End: now})
 }
 
-// Span records a compute-side span event (Dir empty) on the current step.
-func (s *Sink) Span(node string, ph Phase, start, end float64, note string) {
+// Proc is the process an event is recorded for: des.Proc satisfies it. A
+// sink asks for the identity only when it records, so a run without a sink
+// never makes a process build one.
+type Proc interface{ Ident() string }
+
+// SpanProc records a compute-side span event (Dir empty) on the current
+// step, carrying the recording process's causal identity.
+func (s *Sink) SpanProc(node string, ph Phase, start, end float64, note string, p Proc) {
 	if s == nil {
 		return
 	}
-	s.record(Event{Step: s.Step(), Node: node, Phase: ph, Start: start, End: end, Note: note})
+	s.record(Event{Step: s.Step(), Node: node, Phase: ph, Start: start, End: end, Note: note, Proc: p.Ident()})
 }
 
-// Message records one half of a message: its serialization through the
-// sender's outbound NIC (DirSend, which also books the bytes) or through
-// the receiver's inbound NIC (DirRecv).
-func (s *Sink) Message(node string, ph Phase, ch Channel, dir Dir, enc Encoding, bytes, start, end float64) {
+// MessageProc records one half of a message: its serialization through the
+// sender's outbound NIC (DirSend, which also books the bytes) or through the
+// receiver's inbound NIC (DirRecv). The event carries the causal trace's
+// process identity and message id, plus the mailbox tag in Note (the
+// chunk-level identity the what-if re-timer needs).
+func (s *Sink) MessageProc(node string, ph Phase, ch Channel, dir Dir, enc Encoding, bytes, start, end float64, tag string, p Proc, mid int64) {
 	if s == nil {
 		return
 	}
 	s.record(Event{Step: s.Step(), Node: node, Phase: ph, Dir: dir, Chan: ch, Enc: enc,
-		Bytes: bytes, Start: start, End: end})
-}
-
-// SpanProc is Span carrying the recording process's causal identity. When
-// causal tracing is off the identity is dropped, so the recorded event is
-// exactly what Span would have produced.
-func (s *Sink) SpanProc(node string, ph Phase, start, end float64, note, proc string) {
-	if s == nil {
-		return
-	}
-	if !s.causal {
-		proc = ""
-	}
-	s.record(Event{Step: s.Step(), Node: node, Phase: ph, Start: start, End: end, Note: note, Proc: proc})
-}
-
-// MessageProc is Message carrying the process identity and message id of the
-// causal trace, plus the mailbox tag in Note (the chunk-level identity the
-// what-if re-timer needs). All three enrichments are dropped when causal
-// tracing is off, reducing to exactly Message's event.
-func (s *Sink) MessageProc(node string, ph Phase, ch Channel, dir Dir, enc Encoding, bytes, start, end float64, tag, proc string, mid int64) {
-	if s == nil {
-		return
-	}
-	note := tag
-	if !s.causal {
-		note, proc, mid = "", "", 0
-	}
-	s.record(Event{Step: s.Step(), Node: node, Phase: ph, Dir: dir, Chan: ch, Enc: enc,
-		Bytes: bytes, Start: start, End: end, Note: note, Proc: proc, MID: mid})
+		Bytes: bytes, Start: start, End: end, Note: tag, Proc: p.Ident(), MID: mid})
 }
 
 // CausalFork records that parent forked child at now (a cp-fork event); the
-// causal graph uses it to gate the child chain's first node. No-op unless
-// causal tracing is on.
-func (s *Sink) CausalFork(node, parent, child string, now float64) {
-	if s == nil || !s.causal {
+// causal graph uses it to gate the child chain's first node.
+func (s *Sink) CausalFork(node string, parent, child Proc, now float64) {
+	if s == nil {
 		return
 	}
 	s.record(Event{Step: s.Step(), Node: node, Phase: PhaseCausalFork,
-		Start: now, End: now, Proc: parent, Grp: child})
+		Start: now, End: now, Proc: parent.Ident(), Grp: child.Ident()})
 }
 
 // CausalBarrier records one participant of a completed barrier generation: a
-// cp-barrier event spanning [arrival, release] for proc, grouped by the
-// barrier's name and generation. No-op unless causal tracing is on.
-func (s *Sink) CausalBarrier(name string, gen int, proc string, arrive, release float64) {
-	if s == nil || !s.causal {
+// cp-barrier event spanning [arrival, release] for p, grouped by the
+// barrier's name and generation.
+func (s *Sink) CausalBarrier(name string, gen int, p Proc, arrive, release float64) {
+	if s == nil {
 		return
 	}
 	s.record(Event{Step: s.Step(), Phase: PhaseCausalBarrier,
-		Start: arrive, End: release, Proc: proc, Grp: fmt.Sprintf("%s@%d", name, gen)})
+		Start: arrive, End: release, Proc: p.Ident(), Grp: fmt.Sprintf("%s@%d", name, gen)})
 }
 
 // CausalSpec records a cluster-spec note (node rates, network latency and
 // framing) so an event log is self-describing for the what-if re-timer.
-// No-op unless causal tracing is on.
 func (s *Sink) CausalSpec(node, note string) {
-	if s == nil || !s.causal {
+	if s == nil {
 		return
 	}
 	s.record(Event{Step: s.Step(), Node: node, Phase: PhaseCausalSpec, Note: note})

@@ -96,11 +96,15 @@ func TestCausalProcIDMatchesDesIdent(t *testing.T) {
 	}
 }
 
+// procID is a recording process's identity; a live run passes des.Proc.
+type procID string
+
+func (p procID) Ident() string { return string(p) }
+
 // syntheticLog builds n events through the live hooks, cycling through every
 // kind of event the registry books and a step transition every 50 events.
 func syntheticLog(n int) *Sink {
 	s := NewSink()
-	s.causal = true
 	s.Meta("system", "synthetic")
 	for i := 1; s.Len() < n; i++ {
 		now := float64(i) * 0.001
@@ -113,19 +117,19 @@ func syntheticLog(n int) *Sink {
 				s.Stage("driver", "stage", now-0.001, now)
 			}
 		case 1, 2:
-			s.MessageProc(node, PhaseReduceScatter, ChanShuffle, DirSend, EncSparse, float64(100+i%7), now, now+0.0003, "xch:rs:s1", "task#1", s.NewMID())
+			s.MessageProc(node, PhaseReduceScatter, ChanShuffle, DirSend, EncSparse, float64(100+i%7), now, now+0.0003, "xch:rs:s1", procID("task#1"), s.NewMID())
 		case 3, 4:
-			s.MessageProc(node, PhaseReduceScatter, ChanShuffle, DirRecv, EncSparse, float64(100+i%7), now, now+0.0002, "xch:rs:s1", "task#2", int64(i))
+			s.MessageProc(node, PhaseReduceScatter, ChanShuffle, DirRecv, EncSparse, float64(100+i%7), now, now+0.0002, "xch:rs:s1", procID("task#2"), int64(i))
 		case 5:
-			s.Message("driver", PhaseTreeAgg, ChanDriver, DirSend, EncDense, 8000, now, now+0.0007)
+			s.MessageProc("driver", PhaseTreeAgg, ChanDriver, DirSend, EncDense, 8000, now, now+0.0007, "", procID(""), 0)
 		case 6:
-			s.SpanProc(node, PhaseCompute, now, now+0.0009, "", "task#1")
+			s.SpanProc(node, PhaseCompute, now, now+0.0009, "", procID("task#1"))
 		case 7:
 			s.Eval(s.Step(), "", now, 1/float64(i), i%3)
 		case 8:
 			s.Updates(s.Step(), node, int64(i%5+1), now)
 		case 9:
-			s.MessageProc(node, PhasePSPush, ChanPS, DirSend, EncDense, float64(800+i%5), now, now+0.0001*float64(i%9), "ps.req", "worker#3", s.NewMID())
+			s.MessageProc(node, PhasePSPush, ChanPS, DirSend, EncDense, float64(800+i%5), now, now+0.0001*float64(i%9), "ps.req", procID("worker#3"), s.NewMID())
 		}
 	}
 	return s
@@ -226,7 +230,6 @@ func TestSinkRecordAllocs(t *testing.T) {
 	var s *Sink
 	record := func() {
 		s = NewSink()
-		s.causal = true
 		for i := 0; i < n; i++ {
 			now := float64(i) * 1e-4
 			dir := DirSend
@@ -234,7 +237,7 @@ func TestSinkRecordAllocs(t *testing.T) {
 				dir = DirRecv
 			}
 			s.MessageProc("executor3", PhaseReduceScatter, ChanShuffle, dir, EncSparse, 1200, now, now+5e-5,
-				"xch:rs:s1", "task:mgd3#17", s.NewMID())
+				"xch:rs:s1", procID("task:mgd3#17"), s.NewMID())
 		}
 	}
 	// NewSink declares 15 registry families (a few objects each); that set-up

@@ -67,7 +67,7 @@ func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.V
 		return nil, err
 	}
 
-	ev := train.NewEvaluator(system, dataset, prm.Objective, evalData, prm.EvalEvery)
+	ev := train.NewEvaluatorInto(net.Sink(), system, dataset, prm.Objective, evalData, prm.EvalEvery)
 	ev.Staleness = prm.Staleness
 	ev.StopAt(prm.TargetObjective)
 	res := &train.Result{System: system, Curve: ev.Curve}

@@ -7,10 +7,11 @@
 // every training numeric and byte count bit-identical, but shrink simulated
 // time (that is their point), so compare simulated timings only within one
 // -sparse/-pipeline setting. -obs observes without charging: enabling it
-// changes no numerics, bytes, or virtual times, only records them. -causal
-// enriches the recorded log with process identities, message ids, and
-// barrier groups so mlstar-obs can rebuild the happens-before graph
-// (-critpath, -whatif); the enrichment is observe-only too.
+// changes no numerics, bytes, or virtual times, only records them. The
+// recorded log carries the process identities, message ids and barrier
+// groups mlstar-obs needs to rebuild the happens-before graph (-critpath,
+// -whatif). Start installs the sink (obs.Enable); a CLI's main reads it once
+// with obs.Active and hands it to the runs it starts.
 //
 // The local compute has no switch: trainers always run the slab kernels
 // (internal/data), and the offload pool (internal/par) turns itself on when
@@ -44,7 +45,6 @@ type Config struct {
 	cpu        *string
 	mem        *string
 	trace      *string
-	causal     onOff
 	obsOut     *string
 	obsHTTP    *string
 	metricsOut *string
@@ -89,7 +89,6 @@ func Register(fs *flag.FlagSet) *Config {
 	c.mem = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	c.trace = fs.String("trace", "", "write a runtime execution trace to this file")
 	c.obsOut = fs.String("obs", "", "record the structured superstep event log and write it to this file as JSONL on exit (replay with mlstar-obs)")
-	fs.Var(&c.causal, "causal", "enrich the recorded event log with causal trace fields (process identity, message ids, barrier groups) for mlstar-obs -critpath/-whatif: on or off (observe-only; results stay bit-identical)")
 	c.obsHTTP = fs.String("obs-http", "", "serve live telemetry (/metrics, /events, dashboard) on this address, e.g. :8080; implies event recording")
 	c.metricsOut = fs.String("metrics-out", "", "write the final metrics registry as canonical JSON to this file on exit; implies event recording (deterministic runs produce byte-identical files; internal/obs/testdata/metrics.golden pins the registry they render)")
 	return c
@@ -155,11 +154,7 @@ func (c *Config) Start() (stop func(), err error) {
 	var sink *obs.Sink
 	var stopHTTP func()
 	if *c.obsOut != "" || *c.obsHTTP != "" || *c.metricsOut != "" {
-		if c.causal {
-			sink = obs.EnableCausal()
-		} else {
-			sink = obs.Enable()
-		}
+		sink = obs.Enable()
 	}
 	if *c.obsHTTP != "" {
 		addr, stopFn, serveErr := obshttp.Serve(*c.obsHTTP, sink)

@@ -20,7 +20,7 @@ import (
 func pushRun(t *testing.T, dim, servers int, touched []int32, delta func(worker, clock, j int) float64) ([]float64, float64, string) {
 	t.Helper()
 	const workers, clocks = 2, 3
-	sink := obs.CausalSink() // causal: each send's span carries its tag
+	sink := obs.NewSink() // each send's event carries its tag
 	sim, net, names := clusters.Test(max(workers, servers)).BuildNet(sink)
 	deploy, err := ps.New(sim, net, names, ps.Config{
 		Dim: dim, Servers: servers, Workers: workers, CombineScale: 1 / float64(workers)})

@@ -56,7 +56,7 @@ type Message struct {
 	phase     obs.Phase    // collective phase, from the tag or SendPhase
 	channel   obs.Channel  // logical link class, from the tag
 	enc       obs.Encoding // wire encoding, from the payload
-	mid       int64        // causal message id pairing send and recv events; 0 when causal tracing is off
+	mid       int64        // causal message id pairing send and recv events; 0 without a sink
 }
 
 // Node is one simulated machine.
@@ -105,7 +105,7 @@ func New(sim *des.Sim, cfg Config, specs []NodeSpec, sink *obs.Sink) *Network {
 		}
 		n.order = append(n.order, sp.Name)
 	}
-	if sink.Causal() {
+	if sink != nil {
 		// Make the event log self-describing for the what-if re-timer: it
 		// recomputes message service times from bytes and these rates when
 		// a scenario changes message sizes (chunk splits, shard merges).
@@ -173,18 +173,8 @@ func (nd *Node) ComputeKind(p *des.Proc, work float64, ph obs.Phase, note string
 	d := work / nd.spec.ComputeRate
 	start := p.Now()
 	p.Wait(d)
-	nd.net.sink.SpanProc(nd.spec.Name, ph, start, p.Now(), note, nd.net.causalProc(p))
+	nd.net.sink.SpanProc(nd.spec.Name, ph, start, p.Now(), note, p)
 	return d
-}
-
-// causalProc returns p's causal identity, or "" when causal tracing is off —
-// the hot paths call it unconditionally, so a run that does not trace never
-// makes a process build its identity.
-func (n *Network) causalProc(p *des.Proc) string {
-	if !n.sink.Causal() {
-		return ""
-	}
-	return p.Ident()
 }
 
 // Observe records a span over [start, end] — already-elapsed virtual time —
@@ -201,7 +191,7 @@ func (nd *Node) Observe(p *des.Proc, ph obs.Phase, start, end float64, note stri
 	if end <= start {
 		return
 	}
-	nd.net.sink.SpanProc(nd.spec.Name, ph, start, end, note, nd.net.causalProc(p))
+	nd.net.sink.SpanProc(nd.spec.Name, ph, start, end, note, p)
 }
 
 // ComputeAsyncKind overlaps a pure numeric closure with its virtual-time
@@ -259,7 +249,7 @@ func (nd *Node) sendPhase(p *des.Proc, to, tag string, bytes float64, payload an
 	p.WaitUntil(outEnd)
 	sink := nd.net.sink
 	mid := sink.NewMID()
-	sink.MessageProc(nd.spec.Name, ph, ch, obs.DirSend, enc, bytes, sentAt, outEnd, tag, nd.net.causalProc(p), mid)
+	sink.MessageProc(nd.spec.Name, ph, ch, obs.DirSend, enc, bytes, sentAt, outEnd, tag, p, mid)
 
 	arrive := outEnd + nd.net.cfg.Latency
 	rs, re := dst.in.ReserveAt(arrive, wire/dst.spec.RecvBW)
@@ -280,7 +270,7 @@ func (nd *Node) sendPhase(p *des.Proc, to, tag string, bytes float64, payload an
 func (nd *Node) Recv(p *des.Proc, tag string) *Message {
 	msg := nd.box(tag).Get(p)
 	p.WaitUntil(msg.DeliverAt)
-	nd.net.sink.MessageProc(nd.spec.Name, msg.phase, msg.channel, obs.DirRecv, msg.enc, msg.Bytes, msg.recvStart, msg.DeliverAt, tag, nd.net.causalProc(p), msg.mid)
+	nd.net.sink.MessageProc(nd.spec.Name, msg.phase, msg.channel, obs.DirRecv, msg.enc, msg.Bytes, msg.recvStart, msg.DeliverAt, tag, p, msg.mid)
 	return msg
 }
 

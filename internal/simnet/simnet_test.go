@@ -205,11 +205,11 @@ func TestUniformSpecs(t *testing.T) {
 	}
 }
 
-// TestHooksStampCausalIdentity checks that under a causal sink the compute,
-// send and receive hooks stamp their events with the recording process's
-// identity, des.Proc.Ident.
+// TestHooksStampCausalIdentity checks that the compute, send and receive
+// hooks stamp their events with the recording process's identity,
+// des.Proc.Ident.
 func TestHooksStampCausalIdentity(t *testing.T) {
-	sink := obs.CausalSink()
+	sink := obs.NewSink()
 	sim, net := twoNodes(0.5, sink)
 	sim.Spawn("sender", func(p *des.Proc) {
 		net.Node("a").Compute(p, 100)

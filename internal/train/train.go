@@ -164,10 +164,11 @@ type Result struct {
 //
 // Nothing reads a value at the step that produced it unless the run has a
 // stop target or a telemetry sink (whose event order is pinned); Record sees
-// both and then joins the evaluation it just submitted, so such runs
-// evaluate inline, exactly where they always did. Everybody else — the
-// trainer after sim.Run(), any reader of Curve or Reached — calls Wait
-// first: until then the last point's Objective is a NaN placeholder.
+// both (the sink is the run's, handed to NewEvaluatorInto) and then joins
+// the evaluation it just submitted, so such runs evaluate inline, exactly
+// where they always did. Everybody else — the trainer after sim.Run(), any
+// reader of Curve or Reached — calls Wait first: until then the last
+// point's Objective is a NaN placeholder.
 type Evaluator struct {
 	Objective glm.Objective
 	Data      []glm.Example
@@ -179,26 +180,35 @@ type Evaluator struct {
 	// events; the parameter-server trainers set it from their params.
 	Staleness int
 
+	sink    *obs.Sink   // the run's sink, receiving the meta and eval events; nil records nothing
 	target  float64     // StopAt; 0 = no early stop
 	reached bool        // the last committed objective met the target
 	snap    []float64   // the model a deferred evaluation reads; written only between Wait and par.Go
 	pending *par.Handle // the evaluation in flight, nil when none
 }
 
-// NewEvaluator builds an evaluator recording to a fresh curve. When
-// telemetry is enabled the run's system and dataset names are logged as
-// meta events, which is how cmd/mlstar-obs labels its reports.
+// NewEvaluator builds an evaluator recording to a fresh curve and to no
+// telemetry sink.
 func NewEvaluator(system, dataset string, obj glm.Objective, evalData []glm.Example, every int) *Evaluator {
+	return NewEvaluatorInto(nil, system, dataset, obj, evalData, every)
+}
+
+// NewEvaluatorInto is NewEvaluator recording into the run's sink: the run's
+// system and dataset names are logged as meta events, which is how
+// cmd/mlstar-obs labels its reports, and every committed objective as an
+// eval event. A trainer passes its network's sink (simnet.Network.Sink).
+func NewEvaluatorInto(sink *obs.Sink, system, dataset string, obj glm.Objective, evalData []glm.Example, every int) *Evaluator {
 	if every <= 0 {
 		every = 1
 	}
-	obs.Active().Meta("system", system)
-	obs.Active().Meta("dataset", dataset)
+	sink.Meta("system", system)
+	sink.Meta("dataset", dataset)
 	return &Evaluator{
 		Objective: obj,
 		Data:      evalData,
 		Curve:     metrics.NewCurve(system, dataset),
 		every:     every,
+		sink:      sink,
 	}
 }
 
@@ -226,7 +236,7 @@ func (ev *Evaluator) Record(step int, simTime float64, w []float64) (reached boo
 	// sink (whose event order is pinned); then the evaluation is joined
 	// before Record returns and can read w itself. Otherwise the trainer
 	// moves on, so the evaluation gets the evaluator's own copy.
-	inline := ev.target > 0 || obs.Active() != nil
+	inline := ev.target > 0 || ev.sink != nil
 	model := w
 	if !inline {
 		ev.snap = append(ev.snap[:0], w...)
@@ -256,7 +266,7 @@ func (ev *Evaluator) Wait() {
 	pt := &ev.Curve.Points[len(ev.Curve.Points)-1]
 	pt.Objective = obj
 	ev.reached = ev.target > 0 && obj <= ev.target
-	obs.Active().Eval(pt.Step, "", pt.Time, obj, ev.Staleness)
+	ev.sink.Eval(pt.Step, "", pt.Time, obj, ev.Staleness)
 }
 
 // Reached joins the evaluation in flight and reports whether the last

@@ -246,10 +246,9 @@ func TestEvaluatorInlineWhenRead(t *testing.T) {
 			loss := newGateLoss()
 			var sink *obs.Sink
 			if mode == "sink" {
-				sink = obs.Enable()
-				defer obs.Disable()
+				sink = obs.NewSink()
 			}
-			ev := NewEvaluator("s", "d", glm.Objective{Loss: loss, Reg: glm.None{}}, oneRow(), 1)
+			ev := NewEvaluatorInto(sink, "s", "d", glm.Objective{Loss: loss, Reg: glm.None{}}, oneRow(), 1)
 			if mode == "target" {
 				ev.StopAt(0.9)
 			}
@@ -362,15 +361,15 @@ func evalEvents(s *obs.Sink) []obs.Event {
 func TestEvaluatorCommitOrder(t *testing.T) {
 	bothPools(t, func(t *testing.T) {
 		const steps = 40
-		run := func() *Evaluator {
-			ev := NewEvaluator("s", "d", glm.SVM(0), oneRow(), 2)
+		run := func(sink *obs.Sink) *Evaluator {
+			ev := NewEvaluatorInto(sink, "s", "d", glm.SVM(0), oneRow(), 2)
 			ev.Staleness = 3
 			w := []float64{0}
 			for step := 0; step <= steps; step++ {
-				obs.Active().SetStep(step, float64(step))
+				sink.SetStep(step, float64(step))
 				w[0] = float64(step) / steps
 				ev.Record(step, float64(step), w)
-				obs.Active().Updates(step, "n", 1, float64(step))
+				sink.Updates(step, "n", 1, float64(step))
 			}
 			ev.Wait()
 			return ev
@@ -386,11 +385,10 @@ func TestEvaluatorCommitOrder(t *testing.T) {
 				}
 			}
 		}
-		check(run())
+		check(run(nil))
 
-		sink := obs.Enable()
-		defer obs.Disable()
-		ev := run()
+		sink := obs.NewSink()
+		ev := run(sink)
 		check(ev)
 		evals := 0
 		events := sink.Events()

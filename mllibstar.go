@@ -138,9 +138,11 @@ type Config struct {
 	EvalData []Example
 
 	// Trace is the telemetry sink the run records into: every compute span,
-	// message and stage of the simulated cluster, from which RenderGantt
-	// draws the per-node gantt chart. Nil means the installed sink
-	// (obs.Active, itself nil when telemetry is off).
+	// message and stage of the simulated cluster, the run's meta and eval
+	// events, and the causal fields cmd/mlstar-obs -critpath reads. The gantt
+	// chart (RenderGantt) is drawn from it. Nil means the installed sink
+	// (obs.Active, itself nil when telemetry is off); a run records into
+	// exactly one sink.
 	Trace *obs.Sink
 
 	Seed int64
@@ -365,11 +367,16 @@ func WriteLibSVM(w io.Writer, ds *Dataset) error {
 	return data.WriteLibSVM(w, ds)
 }
 
-// NewTrace returns a sink to pass as Config.Trace: the installed sink when it
-// records causally, otherwise a fresh causal sink that is not installed (a
-// causal sink keeps each message's tag, the gantt CSV's note). After
-// training, render it with RenderGantt or RenderGanttSVG.
-func NewTrace() *obs.Sink { return obs.CausalSink() }
+// NewTrace returns a sink to pass as Config.Trace: the installed sink when
+// there is one (so its log still gets the run), otherwise a fresh sink that
+// is not installed. After training, render it with RenderGantt or
+// RenderGanttSVG.
+func NewTrace() *obs.Sink {
+	if s := obs.Active(); s != nil {
+		return s
+	}
+	return obs.NewSink()
+}
 
 // RenderGantt renders the gantt chart of every event in the sink as ASCII of
 // the given width, one row per cluster node — the visualization of the
