@@ -59,6 +59,9 @@ func run() error {
 		return err
 	}
 	defer stop()
+	if *execs < 1 {
+		return fmt.Errorf("-executors %d must be at least 1", *execs)
+	}
 
 	ds, err := loadDataset(*preset, *scale, *dataPath)
 	if err != nil {

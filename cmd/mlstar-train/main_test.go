@@ -79,6 +79,28 @@ func TestBuiltBinary(t *testing.T) {
 		}
 	})
 
+	// A cluster needs an executor: -executors below 1 is an error, not a
+	// silent Cluster1(8) (0 with -cluster2) or a panic (negative).
+	t.Run("executors must be positive", func(t *testing.T) {
+		for _, args := range [][]string{
+			{"-executors", "0"},
+			{"-executors", "0", "-cluster2"},
+			{"-executors", "-3"},
+		} {
+			var stderr bytes.Buffer
+			cmd := exec.Command(bin, append(args, "-scale", "20000", "-steps", "2")...)
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("%q: exit = %v, want status 1; stderr:\n%s", args, err, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), "-executors "+args[1]) {
+				t.Errorf("%q: stderr %q does not name the flag", args, stderr.String())
+			}
+		}
+	})
+
 	// -gantt draws from the run's sink, which is the installed one under
 	// -obs: the chart is printed and the log still records the run.
 	t.Run("gantt with obs writes both", func(t *testing.T) {

@@ -4,8 +4,8 @@
 //
 //   - Offloaded closures (Task.Pure bodies, the fn argument of
 //     ComputeAsyncKind/ChargeAsync, thunks handed to
-//     par.Go/par.Do — whether written inline, bound to a local first, or
-//     named functions) must not REACH the obs telemetry layer or a
+//     par.Go/par.Do/par.GoParts — whether written inline, bound to a local
+//     first, or named functions) must not REACH the obs telemetry layer or a
 //     simulation charge operation through any chain of calls. The old
 //     obspure analyzer only saw obs calls written textually inside the
 //     closure body; costcharge follows the call graph, so a closure that
@@ -432,7 +432,7 @@ func offloadCallee(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	if offloadFuncs[fn.Name()] {
 		return fn.Name(), true
 	}
-	if fn.Pkg() != nil && fn.Pkg().Path() == parPath && (fn.Name() == "Go" || fn.Name() == "Do") {
+	if fn.Pkg() != nil && fn.Pkg().Path() == parPath && (fn.Name() == "Go" || fn.Name() == "Do" || fn.Name() == "GoParts") {
 		return "par." + fn.Name(), true
 	}
 	return "", false

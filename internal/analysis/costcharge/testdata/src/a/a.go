@@ -7,7 +7,10 @@
 // this whole file).
 package a
 
-import "mllibstar/internal/obs"
+import (
+	"mllibstar/internal/obs"
+	"mllibstar/internal/par"
+)
 
 // task mirrors engine.Task's offload contract; the analyzer matches the
 // Pure field by name, not by the defining package.
@@ -83,6 +86,17 @@ func namedFunctionOffload() {
 func boundOffload() {
 	fold := func() { doSend() }
 	ComputeAsyncKind(2, "fold", fold) // want `ComputeAsyncKind closure fold reaches a simulation charge \(doSend → SendPhase\)`
+}
+
+// A part of an evaluation split with par.GoParts reaches a charge and obs
+// through helpers.
+func partsOffload() {
+	par.GoParts(4, func(i int) { // want `par\.GoParts closure reaches a simulation charge \(doSend → SendPhase\)`
+		doSend()
+	}).Join()
+	par.GoParts(2, func(i int) { // want `par\.GoParts closure reaches obs telemetry \(helperChain → logSpan`
+		helperChain()
+	}).Join()
 }
 
 // Observe* functions must never transitively consume simulated time.

@@ -25,9 +25,9 @@
 //   - raw `go` statements are flagged: concurrency in simulated code must be
 //     expressed as simulation processes (des.Spawn, des.Fork — what the
 //     pipelined AllReduce scheduler uses for its sender and fold/decode
-//     stages) or handed to the deterministic compute pool (par.Go/par.Do),
-//     because a bare goroutine runs in wall-clock order outside the virtual
-//     clock. The des kernel's own Spawn implementation is the one audited
+//     stages) or handed to the deterministic compute pool
+//     (par.Go/par.Do/par.GoParts), because a bare goroutine runs in
+//     wall-clock order outside the virtual clock. The des kernel's own Spawn implementation is the one audited
 //     exception, suppressed in place.
 package determinism
 
@@ -105,7 +105,7 @@ func run(pass *analysis.Pass) error {
 			checkRange(pass, n)
 		case *ast.GoStmt:
 			pass.Reportf(n.Pos(),
-				"raw goroutine in simulated code runs in wall-clock order outside the virtual clock; use a simulation process (des.Spawn/des.Fork) or the deterministic pool (par.Go/par.Do)")
+				"raw goroutine in simulated code runs in wall-clock order outside the virtual clock; use a simulation process (des.Spawn/des.Fork) or the deterministic pool (par.Go/par.Do/par.GoParts)")
 		}
 		return true
 	})

@@ -3,8 +3,8 @@
 //
 // Offloaded closures — Task.Pure bodies, the fn argument of
 // ComputeAsyncKind/ChargeAsync, and thunks handed to
-// par.Go/par.Do — run on worker goroutines whose interleaving is
-// scheduler-dependent. The obs sink is mutex-protected, so an obs call from
+// par.Go/par.Do/par.GoParts — run on worker goroutines whose interleaving
+// is scheduler-dependent. The obs sink is mutex-protected, so an obs call from
 // such a closure would not race, but it would append events in wall-clock
 // completion order and break the event log's determinism (and with it the
 // replay, golden-file, and parity guarantees). Telemetry must be emitted
@@ -33,13 +33,14 @@ import (
 // obsPath is the package whose calls are forbidden in offloaded closures.
 const obsPath = "mllibstar/internal/obs"
 
-// parPath is the compute pool package whose Go/Do accept offloaded thunks.
+// parPath is the compute pool package whose Go/Do/GoParts accept offloaded
+// thunks.
 const parPath = "mllibstar/internal/par"
 
 // offloadFuncs are the method/function names whose func-literal arguments
 // execute on pool goroutines. The names are unique to the offload API, so
-// matching by name (plus package for par.Go/par.Do, whose names are
-// generic) keeps the check robust across the engine and simnet layers.
+// matching by name (plus package for par.Go/par.Do/par.GoParts, whose names
+// are generic) keeps the check robust across the engine and simnet layers.
 var offloadFuncs = map[string]bool{
 	"ComputeAsyncKind": true,
 	"ChargeAsync":      true,
@@ -48,7 +49,7 @@ var offloadFuncs = map[string]bool{
 // Analyzer is the telemetry-purity check.
 var Analyzer = &analysis.Analyzer{
 	Name: "obspure",
-	Doc:  "forbid obs telemetry calls inside offloaded closures (Task.Pure, ComputeAsyncKind, par.Go/Do)",
+	Doc:  "forbid obs telemetry calls inside offloaded closures (Task.Pure, ComputeAsyncKind, par.Go/Do/GoParts)",
 	Run:  run,
 }
 
@@ -181,7 +182,7 @@ func offloadCallee(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	if offloadFuncs[fn.Name()] {
 		return fn.Name(), true
 	}
-	if fn.Pkg() != nil && fn.Pkg().Path() == parPath && (fn.Name() == "Go" || fn.Name() == "Do") {
+	if fn.Pkg() != nil && fn.Pkg().Path() == parPath && (fn.Name() == "Go" || fn.Name() == "Do" || fn.Name() == "GoParts") {
 		return "par." + fn.Name(), true
 	}
 	return "", false

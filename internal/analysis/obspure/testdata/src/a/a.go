@@ -1,7 +1,8 @@
 // Corpus for the obspure analyzer: telemetry calls inside offloaded
 // closures (Task.Pure fields and assignments, ComputeAsyncKind/ChargeAsync
-// arguments, par.Go/par.Do thunks) are flagged, including transitively
-// through nested literals and through the obs.Active() chain, and including
+// arguments, par.Go/par.Do thunks and par.GoParts parts) are flagged,
+// including transitively through nested literals and through the
+// obs.Active() chain, and including
 // closures bound to a local name before being handed to the offload call
 // (the pipeline scheduler's fold/decode style) and thunks reached through a
 // selector — a struct field holding the literal, a method value, a named
@@ -72,6 +73,12 @@ func inParDoNested() {
 		}
 		inner()
 	})
+}
+
+func inParGoParts() {
+	par.GoParts(4, func(i int) {
+		obs.Active().Updates(i, "n", 1, 0) // want `obs\.Updates called inside par\.GoParts closure`
+	}).Join()
 }
 
 // Named closures handed over by identifier are resolved to their literals.

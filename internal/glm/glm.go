@@ -249,23 +249,39 @@ func (o Objective) Value(w []float64, data []Example) float64 {
 // without the regularization term. Distributed evaluators aggregate LossSum
 // across partitions and divide by the global count.
 //
-// The sum is the row-at-a-time loop's, bit for bit: each margin is vec.Dot's
-// sum in vec.Dot's order and the losses fold in row order. The margins of
-// two consecutive rows are computed together, as independent chains, so each
-// hides the other's add latency.
+// It is the in-order fold of LossRows over a small stack chunk, so the sum is
+// the row-at-a-time loop's, bit for bit: each margin is vec.Dot's sum in
+// vec.Dot's order and the losses fold in row order.
 func (o Objective) LossSum(w []float64, data []Example) float64 {
+	var chunk [64]float64
 	sum := 0.0
+	for len(data) > 0 {
+		rows := chunk[:min(len(data), len(chunk))]
+		o.LossRows(w, data[:len(rows)], rows)
+		for _, l := range rows {
+			sum += l
+		}
+		data = data[len(rows):]
+	}
+	return sum
+}
+
+// LossRows writes out[i] = l(<w,x_i>, y_i) for every example; out must hold
+// len(data) values. The margins of two consecutive rows are computed
+// together, as independent chains, so each hides the other's add latency;
+// each is vec.Dot's sum bit for bit.
+func (o Objective) LossRows(w []float64, data []Example, out []float64) {
+	out = out[:len(data)]
 	i := 0
 	for ; i+1 < len(data); i += 2 {
 		a, b := &data[i], &data[i+1]
 		ma, mb := dot2(w, a.X, b.X)
-		sum += o.Loss.Value(ma, a.Label)
-		sum += o.Loss.Value(mb, b.Label)
+		out[i] = o.Loss.Value(ma, a.Label)
+		out[i+1] = o.Loss.Value(mb, b.Label)
 	}
 	if i < len(data) {
-		sum += o.Loss.Value(vec.Dot(w, data[i].X), data[i].Label)
+		out[i] = o.Loss.Value(vec.Dot(w, data[i].X), data[i].Label)
 	}
-	return sum
 }
 
 // dot2 returns (vec.Dot(w, x), vec.Dot(w, y)) bit for bit. Indices ascend,

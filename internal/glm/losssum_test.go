@@ -59,16 +59,20 @@ func randomRows(rng *rand.Rand, n, maxLen, span int, nan bool) []Example {
 	return rows
 }
 
-// TestLossSumInterleavedBitIdentical holds LossSum and Value, whose margins
-// are computed two rows at a time, to the row-at-a-time loop bit for bit:
-// odd and even row counts, empty rows, unequal row lengths, rows truncated
-// at len(w), and ±0 and NaN among the values and the weights.
+// TestLossSumInterleavedBitIdentical holds LossRows, whose margins are
+// computed two rows at a time, and LossSum and Value, its fold over a stack
+// chunk, to the row-at-a-time loop bit for bit: odd and even row counts,
+// counts on both sides of a chunk, empty rows, unequal row lengths, rows
+// truncated at len(w), and ±0 and NaN among the values and the weights.
 func TestLossSumInterleavedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	objs := []Objective{SVM(0), LogReg(0.1), {Loss: Squared{}, Reg: None{}}}
 	const span = 40
 	for trial := 0; trial < 300; trial++ {
 		n := rng.Intn(9) // 0…8 rows: odd, even and empty datasets
+		if trial%10 == 0 {
+			n = 60 + rng.Intn(80) // across LossSum's 64-row chunks
+		}
 		nan := trial%3 == 0
 		data := randomRows(rng, n, 1+rng.Intn(12), span, nan)
 		dim := span
@@ -83,6 +87,14 @@ func TestLossSumInterleavedBitIdentical(t *testing.T) {
 			}
 		}
 		for _, o := range objs {
+			rows := make([]float64, n)
+			o.LossRows(w, data, rows)
+			for i, e := range data {
+				if want := o.Loss.Value(vec.Dot(w, e.X), e.Label); math.Float64bits(rows[i]) != math.Float64bits(want) {
+					t.Fatalf("trial %d %s: LossRows row %d %x, row at a time %x", trial, o.Loss.Name(), i,
+						math.Float64bits(rows[i]), math.Float64bits(want))
+				}
+			}
 			got, want := o.LossSum(w, data), refLossSum(o, w, data)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("trial %d %s: LossSum %x, row at a time %x", trial, o.Loss.Name(),

@@ -18,22 +18,31 @@
 //     the joining process (via channel close), so offloaded runs stay clean
 //     under the race detector.
 //
-// Three kinds of closure are submitted today. A task's numeric body
+// Three kinds of closure are submitted with Go or Do. A task's numeric body
 // (engine Task.Pure, Node.ComputeAsyncKind, Executor.ChargeAsync) reads the
 // step's model and its partition and writes the task's own buffers. A
 // collective's fold or decode (allreduce) writes a disjoint range of a
-// vector its executor owns. The objective evaluation of train.Evaluator
-// reads only the evaluator's own snapshot of the model (the caller's model
+// vector its executor owns.
+//
+// A fourth kind is split into parts with GoParts: the objective evaluation
+// of train.Evaluator, one part per contiguous block of evaluation rows. Each
+// part reads the evaluator's own snapshot of the model (the caller's model
 // itself when it is joined before the caller gets control back) and the
-// immutable evaluation set, and writes one float — its result. It has no virtual-time
-// charge (evaluation is instrumentation), so no clock pins its join: the
-// evaluator joins it at the next evaluation or at the end of the run, and at
-// once when a stop target or a telemetry sink reads the value at that step.
+// immutable evaluation set, and writes its rows' losses into a buffer the
+// evaluator owns, at the rows' own indices. One pool goroutine claims parts
+// from an atomic counter; the thread that joins claims the rest instead of
+// blocking, and waits only for the parts already in flight. The evaluation
+// has no virtual-time charge (it is instrumentation), so no clock pins its
+// join: the evaluator joins it at the next evaluation or at the end of the
+// run, and at once when a stop target or a telemetry sink reads the value at
+// that step. The last part to finish closes the handle's channel, which is
+// the happens-before edge from every part's writes to the joiner's fold.
 //
 // When the pool is disabled — explicitly via Configure(false, 0), or
-// implicitly because GOMAXPROCS == 1 — Go returns a lazy handle and the
-// closure runs inline on the first Join, on the same goroutine and at the
-// same program point where the pre-offload sequential code ran it. A
+// implicitly because GOMAXPROCS == 1 — Go and GoParts return a lazy handle
+// and the closure (every part, in index order) runs inline on the first
+// Join, on the same goroutine and at the same program point where the
+// pre-offload sequential code ran it. A
 // single-threaded run is therefore not merely bit-identical but takes the
 // very same execution path as the old engine.
 package par
@@ -87,12 +96,22 @@ func publish(on bool, workers int) {
 // than once (speculative task copies join the same computation); every Join
 // returns the same work value.
 type Handle struct {
-	done chan struct{} // closed when the closure has finished (nil for lazy handles)
-	fn   func() float64
-	ran  bool // lazy handle: fn already executed
-	work float64
-	pan  any
-	bad  bool // closure panicked; re-raise on Join
+	done  chan struct{} // closed when the closure has finished (nil for lazy Go handles)
+	fn    func() float64
+	ran   bool // lazy handle: fn already executed
+	work  float64
+	pan   any
+	bad   bool   // closure panicked; re-raise on Join
+	parts *parts // GoParts handle: the claimable parts; nil for Go and Do
+}
+
+// parts is the claimable state of a GoParts handle.
+type parts struct {
+	n      int
+	part   func(i int)
+	next   atomic.Int64 // the next unclaimed part index
+	left   atomic.Int64 // parts not yet finished; the one that brings it to 0 closes done
+	failed atomic.Bool  // a part panicked; the first one sets the handle's pan
 }
 
 // Go submits a pure closure returning its virtual-time work. With the pool
@@ -121,6 +140,61 @@ func Do(fn func()) *Handle {
 	return Go(func() float64 { fn(); return 0 })
 }
 
+// GoParts submits a pure closure split into n parts, part(0) … part(n−1),
+// which must write disjoint memory. With the pool enabled one pool goroutine
+// starts claiming parts at once, in index order; Join claims the ones still
+// unclaimed on the joining thread and waits only for the parts already in
+// flight. Otherwise the returned handle runs every part inline, in index
+// order, on the first Join. The handle's work value is 0: like Do's, the
+// closure's charge, if any, is the caller's to compute.
+func GoParts(n int, part func(i int)) *Handle {
+	h := &Handle{done: make(chan struct{}), parts: &parts{n: n, part: part}}
+	h.parts.left.Store(int64(n))
+	if n <= 0 {
+		close(h.done)
+		return h
+	}
+	st := cur.Load()
+	if !st.enabled {
+		return h
+	}
+	go func() {
+		st.sem <- struct{}{}
+		defer func() { <-st.sem }()
+		h.claim()
+	}()
+	return h
+}
+
+// claim runs unclaimed parts on the calling thread until none is left.
+// Whoever finishes the last part closes done.
+func (h *Handle) claim() {
+	p := h.parts
+	for {
+		i := p.next.Add(1) - 1
+		if i >= int64(p.n) {
+			return
+		}
+		h.runPart(int(i))
+		if p.left.Add(-1) == 0 {
+			close(h.done)
+		}
+	}
+}
+
+// runPart executes part i, keeping the first panic of any part for Join to
+// re-raise. The write to pan happens before this part's decrement of left,
+// and so before done is closed.
+func (h *Handle) runPart(i int) {
+	defer func() {
+		if r := recover(); r != nil && h.parts.failed.CompareAndSwap(false, true) {
+			h.pan = r
+			h.bad = true
+		}
+	}()
+	h.parts.part(i)
+}
+
 // run executes fn, capturing a panic for re-raising at Join — the des
 // kernel's panic-propagation contract must hold whether or not the closure
 // ran on a worker thread.
@@ -135,10 +209,14 @@ func (h *Handle) run(fn func() float64) {
 }
 
 // Join blocks until the closure has finished and returns its work value,
-// re-raising the closure's panic if it had one. Joining an already-joined
-// handle is a no-op returning the same value; DES serialization makes the
-// lazy (disabled-pool) path safe without locks.
+// re-raising the closure's panic if it had one. On a GoParts handle the
+// joining thread first runs every part nobody has claimed yet. Joining an
+// already-joined handle is a no-op returning the same value; DES
+// serialization makes the lazy (disabled-pool) path safe without locks.
 func (h *Handle) Join() float64 {
+	if h.parts != nil {
+		h.claim()
+	}
 	if h.done != nil {
 		<-h.done
 	} else if !h.ran {

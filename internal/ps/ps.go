@@ -56,13 +56,17 @@ const requestBytes = 64
 
 // PS is a running parameter-server deployment.
 //
-// Every vector on a message path comes from one of the deployment's pools
-// and changes owner with the message: reply snapshots a server's range into
-// a pooled buffer that PullInto recycles once it has copied it out; Push
-// copies each range of the delta into a pooled buffer, and PushTouched the
-// touched coordinates into a pooled sparse chunk, that the owning server
-// recycles once it has applied it. Nothing a caller passes in or gets back
-// is ever shared with a server.
+// Every vector on a push path comes from one of the deployment's pools and
+// changes owner with the message: Push copies each range of the delta into a
+// pooled buffer, and PushTouched the touched coordinates into a pooled sparse
+// chunk, that the owning server recycles once it has applied it. A pull
+// copies once: the request carries the caller's dst, and each server copies
+// its range straight into it when it serves the request — the program point
+// of the snapshot the reply used to carry — while the reply carries only the
+// server's index. The caller is blocked in PullInto until the last reply
+// arrives, so nobody observes dst half-filled. Nothing a caller passes in or
+// gets back is ever kept by a server: dst is written only while its PullInto
+// runs, and a pushed delta is copied before it is sent.
 type PS struct {
 	cfg        Config
 	net        *simnet.Network
@@ -77,10 +81,13 @@ type PS struct {
 	chunks []*chunk
 }
 
+// pullReq asks a server for its range; the server copies the range into
+// dst[lo:hi] when it serves the request.
 type pullReq struct {
 	worker  int
 	clock   int
 	replyTo string
+	dst     []float64 // the pulling worker's whole model buffer
 }
 
 // pushReq carries one server's part of a delta, which the server owns on
@@ -101,11 +108,10 @@ type chunk struct {
 	vals []float64
 }
 
-// rangeReply carries a snapshot of one server's range in a pooled buffer the
-// pulling worker owns on receipt.
+// rangeReply tells the pulling worker that a server has written its range
+// into the worker's dst; the wire charge is the range's bytes all the same.
 type rangeReply struct {
 	server int
-	vals   []float64
 }
 
 // server owns one contiguous model range.
@@ -220,17 +226,21 @@ func (s *server) release(p *des.Proc) {
 	s.pending = kept
 }
 
+// reply copies the server's range into the puller's dst, as of now, and
+// sends the reply that charges those bytes.
 func (s *server) reply(p *des.Proc, req pullReq) {
-	snapshot := s.ps.pool.Copy(s.model)
+	lo, _ := Range(s.ps.cfg.Dim, s.ps.cfg.Servers, s.index)
+	copy(req.dst[lo:], s.model)
 	s.node.SendPhase(p, req.replyTo, s.ps.replyTags[req.worker],
-		float64(len(snapshot))*8, rangeReply{server: s.index, vals: snapshot}, obs.PhasePSPull)
+		float64(len(s.model))*8, rangeReply{server: s.index}, obs.PhasePSPull)
 }
 
 // PullInto fetches the full model into dst (length Dim) for the given worker
 // at the given clock, blocking (per SSP) until every server's gate admits the
-// request. The calling process must run on the named node. dst stays the
-// caller's: a worker that keeps one pull buffer for the whole run pulls
-// without allocating.
+// request. The calling process must run on the named node. The servers
+// write their ranges into dst as they serve the request, and dst stays the
+// caller's once PullInto returns: a worker that keeps one pull buffer for
+// the whole run pulls without allocating.
 func (p *PS) PullInto(proc *des.Proc, nodeName string, worker, clock int, dst []float64) {
 	if len(dst) != p.cfg.Dim {
 		panic(fmt.Sprintf("ps: pull into dim %d != %d", len(dst), p.cfg.Dim))
@@ -239,15 +249,10 @@ func (p *PS) PullInto(proc *des.Proc, nodeName string, worker, clock int, dst []
 	replyTag := p.replyTags[worker]
 	for s := 0; s < p.cfg.Servers; s++ {
 		node.SendPhase(proc, p.hosts[s], p.serverTags[s],
-			requestBytes, pullReq{worker: worker, clock: clock, replyTo: nodeName}, obs.PhasePSPull)
+			requestBytes, pullReq{worker: worker, clock: clock, replyTo: nodeName, dst: dst}, obs.PhasePSPull)
 	}
 	for i := 0; i < p.cfg.Servers; i++ {
-		msg := node.Recv(proc, replyTag)
-		r := msg.Payload.(rangeReply)
-		vals := r.vals
-		lo, _ := Range(p.cfg.Dim, p.cfg.Servers, r.server)
-		copy(dst[lo:], vals)
-		p.pool.Put(vals)
+		node.Recv(proc, replyTag)
 	}
 }
 

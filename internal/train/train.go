@@ -156,19 +156,30 @@ type Result struct {
 	Updates    int64   // total model updates applied (local or global)
 }
 
+// evalBlock is the number of evaluation rows in one part of an evaluation:
+// small enough that the joining thread finds blocks left to claim, large
+// enough that claiming one costs nothing next to its margins.
+const evalBlock = 256
+
 // Evaluator records convergence points against a fixed evaluation set, off
 // the simulation thread: Record snapshots the model and submits the
-// objective evaluation to the offload pool (par.Go), and the next Record —
-// or Wait — joins it and commits the value. At most one evaluation is in
-// flight, so points and telemetry Eval events are committed in step order.
+// objective evaluation to the offload pool as parts of evalBlock contiguous
+// rows (par.GoParts), each writing its rows' losses into the evaluator's
+// loss buffer; the next Record — or Wait — joins it, claiming the blocks no
+// pool thread has started, folds the buffer in row order and commits the
+// value. Every margin, every loss and the order of the sum are those of
+// Objective.Value, so the committed objective is its value bit for bit. At
+// most one evaluation is in flight, so points and telemetry Eval events are
+// committed in step order.
 //
 // Nothing reads a value at the step that produced it unless the run has a
 // stop target or a telemetry sink (whose event order is pinned); Record sees
 // both (the sink is the run's, handed to NewEvaluatorInto) and then joins
-// the evaluation it just submitted, so such runs evaluate inline, exactly
-// where they always did. Everybody else — the trainer after sim.Run(), any
-// reader of Curve or Reached — calls Wait first: until then the last
-// point's Objective is a NaN placeholder.
+// the evaluation it just submitted, so such runs evaluate at once, the
+// simulation thread working through the blocks alongside the pool.
+// Everybody else — the trainer after sim.Run(), any reader of Curve or
+// Reached — calls Wait first: until then the last point's Objective is a
+// NaN placeholder.
 type Evaluator struct {
 	Objective glm.Objective
 	Data      []glm.Example
@@ -183,7 +194,9 @@ type Evaluator struct {
 	sink    *obs.Sink   // the run's sink, receiving the meta and eval events; nil records nothing
 	target  float64     // StopAt; 0 = no early stop
 	reached bool        // the last committed objective met the target
-	snap    []float64   // the model a deferred evaluation reads; written only between Wait and par.Go
+	snap    []float64   // the model a deferred evaluation reads; written only between Wait and par.GoParts
+	model   []float64   // the model the evaluation in flight reads: snap, or the caller's w when inline
+	loss    []float64   // loss[i] of evaluation row i, written by the parts in flight
 	pending *par.Handle // the evaluation in flight, nil when none
 }
 
@@ -243,26 +256,44 @@ func (ev *Evaluator) Record(step int, simTime float64, w []float64) (reached boo
 		model = ev.snap
 	}
 	ev.Curve.Add(step, simTime, math.NaN())
-	obj, data := ev.Objective, ev.Data
-	ev.pending = par.Go(func() float64 { return obj.Value(model, data) })
+	n := len(ev.Data)
+	if len(ev.loss) != n {
+		ev.loss = make([]float64, n)
+	}
+	obj, data, loss := ev.Objective, ev.Data, ev.loss
+	ev.model = model
+	ev.pending = par.GoParts((n+evalBlock-1)/evalBlock, func(b int) {
+		lo := b * evalBlock
+		hi := min(lo+evalBlock, n)
+		obj.LossRows(model, data[lo:hi], loss[lo:hi])
+	})
 	if inline {
 		ev.Wait()
 	}
 	return ev.reached
 }
 
-// Wait joins the evaluation in flight, if any, and commits it: the
-// objective goes into its point and the telemetry Eval event is emitted —
-// here, on the simulation thread, not from the pool. A panic of the loss is
-// re-raised. Wait is idempotent; every trainer calls it once after
-// sim.Run().
+// Wait joins the evaluation in flight, if any — running the blocks nobody
+// has claimed on the calling thread — and commits it: the losses are folded
+// in row order into Objective.Value's sum, the objective goes into its point
+// and the telemetry Eval event is emitted, here, on the simulation thread,
+// not from the pool. A panic of the loss is re-raised. Wait is idempotent;
+// every trainer calls it once after sim.Run().
 func (ev *Evaluator) Wait() {
 	h := ev.pending
 	if h == nil {
 		return
 	}
 	ev.pending = nil
-	obj := h.Join()
+	h.Join()
+	obj := ev.Objective.Reg.Value(ev.model)
+	if n := len(ev.loss); n > 0 {
+		sum := 0.0
+		for _, l := range ev.loss {
+			sum += l
+		}
+		obj = sum/float64(n) + obj
+	}
 	pt := &ev.Curve.Points[len(ev.Curve.Points)-1]
 	pt.Objective = obj
 	ev.reached = ev.target > 0 && obj <= ev.target

@@ -2,6 +2,7 @@ package train
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -437,6 +438,64 @@ func TestEvaluatorPanicPropagates(t *testing.T) {
 				t.Errorf("%s swallowed the panic", join)
 			}()
 			ev.Wait() // the failed evaluation is gone; nothing to re-raise twice
+		}
+	})
+}
+
+// randomEvalSet draws n rows of ascending indices below span, some of them
+// empty, with ±1 labels.
+func randomEvalSet(rng *rand.Rand, n, span int) []glm.Example {
+	rows := make([]glm.Example, n)
+	for i := range rows {
+		var x vec.Sparse
+		for j := 0; j < span; j++ {
+			if rng.Intn(4) == 0 {
+				x.Ind = append(x.Ind, int32(j))
+				x.Val = append(x.Val, rng.NormFloat64())
+			}
+		}
+		rows[i] = glm.Example{Label: float64(1 - 2*rng.Intn(2)), X: x}
+	}
+	return rows
+}
+
+// TestEvaluatorBlockedBitIdentical holds the committed objective of the
+// evaluation split into row blocks to Objective.Value bit for bit: row
+// counts on both sides of one block, rows reaching past len(w), L2 and no
+// regulariser, deferred and inline evaluations, both pool modes.
+func TestEvaluatorBlockedBitIdentical(t *testing.T) {
+	const span = 48
+	objs := []glm.Objective{glm.SVM(0), glm.SVM(0.05), glm.LogReg(0), glm.LogReg(0.3),
+		{Loss: glm.Squared{}, Reg: glm.L2{Strength: 0.01}}}
+	bothPools(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		for _, n := range []int{0, 1, 37, evalBlock, evalBlock + 1, 3*evalBlock + 5} {
+			data := randomEvalSet(rng, n, span)
+			for _, dim := range []int{span, span / 3} { // span/3 truncates most rows
+				w := make([]float64, dim)
+				for j := range w {
+					w[j] = rng.NormFloat64()
+				}
+				for _, obj := range objs {
+					for _, inline := range []bool{false, true} {
+						want := obj.Value(w, data)
+						ev := NewEvaluator("s", "d", obj, data, 1)
+						if inline {
+							ev.StopAt(math.SmallestNonzeroFloat64)
+						}
+						model := append([]float64(nil), w...)
+						ev.Record(0, 0, model)
+						for j := range model {
+							model[j] = math.NaN() // the trainer's next step
+						}
+						ev.Wait()
+						if got := ev.Curve.Points[0].Objective; math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("n=%d dim=%d %s/%s inline=%v: objective %x, Objective.Value %x",
+								n, dim, obj.Loss.Name(), obj.Reg.Name(), inline, math.Float64bits(got), math.Float64bits(want))
+						}
+					}
+				}
+			}
 		}
 	})
 }

@@ -23,6 +23,7 @@ package mllibstar
 import (
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"mllibstar/internal/allreduce"
@@ -97,12 +98,14 @@ func Cluster2(executors int) Cluster { return clusters.Cluster2(executors) }
 type Config struct {
 	// System selects the trainer (default MLlibStar).
 	System System
-	// Cluster is the simulated cluster (default Cluster1(8)).
+	// Cluster is the simulated cluster: Cluster1(8) when left at its zero
+	// value, otherwise it needs at least one executor.
 	Cluster Cluster
 
 	// Loss is "hinge" (default), "logistic", or "squared".
 	Loss string
-	// L2 and L1 are the regularization strengths (at most one nonzero).
+	// L2 and L1 are the regularization strengths, finite and >= 0 (both
+	// nonzero is an elastic net).
 	L2, L1 float64
 
 	// Eta is the base learning rate (default 0.1); Decay applies 1/sqrt(t).
@@ -198,8 +201,15 @@ func (c Config) objective() (glm.Objective, error) {
 	if err != nil {
 		return glm.Objective{}, err
 	}
-	if c.L1 < 0 || c.L2 < 0 {
-		return glm.Objective{}, fmt.Errorf("mllibstar: negative regularization strength")
+	// A NaN fails every ordered comparison, so it would pass a plain
+	// negativity test and train with no regulariser at all.
+	for _, f := range []struct {
+		field string
+		v     float64
+	}{{"L1", c.L1}, {"L2", c.L2}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 0) {
+			return glm.Objective{}, fmt.Errorf("mllibstar: %s %g must be finite and >= 0", f.field, f.v)
+		}
 	}
 	var reg glm.Regularizer = glm.None{}
 	switch {
@@ -267,8 +277,10 @@ func Train(ds *Dataset, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("mllibstar: -pipeline, -chunks and -overlap configure the AllReduce collective, which %s does not use", system)
 	}
 	cluster := cfg.Cluster
-	if cluster.Executors == 0 {
+	if cluster == (Cluster{}) {
 		cluster = Cluster1(8)
+	} else if cluster.Executors < 1 {
+		return nil, fmt.Errorf("mllibstar: Cluster.Executors %d must be positive", cluster.Executors)
 	}
 	evalData := cfg.EvalData
 	if evalData == nil {

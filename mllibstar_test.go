@@ -112,6 +112,10 @@ func TestConfigErrors(t *testing.T) {
 		{Loss: "nope"},
 		{L2: -1},
 		{L1: -0.5},
+		{L2: math.NaN()},
+		{L1: math.NaN()},
+		{L2: math.Inf(1)},
+		{L1: math.Inf(-1)},
 		{System: "NotASystem"},
 		{Eta: math.NaN()},
 		{BatchFraction: math.NaN()},
@@ -134,9 +138,52 @@ func TestConfigErrors(t *testing.T) {
 	}
 }
 
+// TestRegularizationStrengthErrorsNameTheField: NaN and ±Inf are rejected
+// like a negative strength, naming the field.
+func TestRegularizationStrengthErrorsNameTheField(t *testing.T) {
+	for _, tc := range []struct {
+		cfg   Config
+		field string
+	}{
+		{Config{L2: math.NaN()}, "L2"},
+		{Config{L1: math.NaN()}, "L1"},
+		{Config{L2: math.Inf(1)}, "L2"},
+		{Config{L1: math.Inf(-1)}, "L1"},
+		{Config{L2: -1}, "L2"},
+	} {
+		_, err := Train(toyDataset(), tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.field+" ") {
+			t.Errorf("L1=%g L2=%g: err = %v, want one naming %s", tc.cfg.L1, tc.cfg.L2, err, tc.field)
+		}
+	}
+}
+
+// TestClusterExecutors: only the zero-value Cluster means Cluster1(8); any
+// other cluster needs at least one executor, and a bad count is an error,
+// not a panic inside Partition or a silent substitute.
+func TestClusterExecutors(t *testing.T) {
+	ds := toyDataset()
+	for _, cl := range []Cluster{Cluster1(0), Cluster2(0), Cluster1(-3), Cluster2(-3), {Executors: -3}} {
+		if _, err := Train(ds, Config{Cluster: cl, MaxSteps: 2}); err == nil || !strings.Contains(err.Error(), "Executors") {
+			t.Errorf("%q with %d executors: err = %v, want an Executors error", cl.Name, cl.Executors, err)
+		}
+	}
+	res, err := Train(ds, Config{MaxSteps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Train(ds, Config{Cluster: Cluster1(8), MaxSteps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SimTime != want.SimTime || res.TotalBytes != want.TotalBytes {
+		t.Errorf("zero-value Cluster ran %g s / %g B, Cluster1(8) %g s / %g B", res.SimTime, res.TotalBytes, want.SimTime, want.TotalBytes)
+	}
+}
+
 // TestUnknownSystemNamesTheValidOnes: the error lists every Systems() entry,
-// and the system is resolved before the dataset is partitioned — Partition
-// panics on a negative executor count, so getting the error proves the order.
+// and the system is resolved before the cluster is checked — a negative
+// executor count is an error too, so getting this one proves the order.
 func TestUnknownSystemNamesTheValidOnes(t *testing.T) {
 	_, err := Train(toyDataset(), Config{System: "NotASystem", Cluster: Cluster{Executors: -1}})
 	if err == nil || !strings.Contains(err.Error(), `unknown system "NotASystem"`) {
