@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -47,6 +48,14 @@ func run() error {
 		return err
 	}
 	defer stopProf()
+
+	// RunConfig would read a bad -scale or -evalcap as its default.
+	if !(*scale >= 1) || math.IsInf(*scale, 1) {
+		return fmt.Errorf("-scale %g must be a finite number ≥ 1", *scale)
+	}
+	if *evalCap < 0 {
+		return fmt.Errorf("-evalcap %d must be >= 0 (0 = default)", *evalCap)
+	}
 
 	if *list || *exp == "" {
 		fmt.Println("available experiments:")

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"html"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -48,6 +49,11 @@ func run() error {
 		return err
 	}
 	defer stopProf()
+
+	// RunConfig would read a bad -scale as DefaultScale.
+	if !(*scale >= 1) || math.IsInf(*scale, 1) {
+		return fmt.Errorf("-scale %g must be a finite number ≥ 1", *scale)
+	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"mllibstar"
@@ -59,8 +60,18 @@ func run() error {
 		return err
 	}
 	defer stop()
+	// Config would read a zero -steps or -eta as its default.
 	if *execs < 1 {
 		return fmt.Errorf("-executors %d must be at least 1", *execs)
+	}
+	if *steps < 1 {
+		return fmt.Errorf("-steps %d must be at least 1", *steps)
+	}
+	if !(*eta > 0) || math.IsInf(*eta, 1) {
+		return fmt.Errorf("-eta %g must be finite and positive", *eta)
+	}
+	if !(*scale >= 1) || math.IsInf(*scale, 1) {
+		return fmt.Errorf("-scale %g must be a finite number ≥ 1", *scale)
 	}
 
 	ds, err := loadDataset(*preset, *scale, *dataPath)

@@ -101,6 +101,45 @@ func TestBuiltBinary(t *testing.T) {
 		}
 	})
 
+	// Config reads a zero -steps or -eta as its default and the preset a
+	// scale below 1 as an error without the flag's name: each bad value
+	// fails naming the flag. An option the chosen system does not read
+	// fails naming the option and the system, instead of training without
+	// it.
+	t.Run("bad values and unused options fail", func(t *testing.T) {
+		for _, tc := range []struct {
+			args []string
+			want []string
+		}{
+			{[]string{"-steps", "0"}, []string{"-steps 0"}},
+			{[]string{"-steps", "-4"}, []string{"-steps -4"}},
+			{[]string{"-eta", "0"}, []string{"-eta 0"}},
+			{[]string{"-eta", "NaN"}, []string{"-eta NaN"}},
+			{[]string{"-eta", "-0.5"}, []string{"-eta -0.5"}},
+			{[]string{"-scale", "0.5"}, []string{"-scale 0.5"}},
+			{[]string{"-scale", "+Inf"}, []string{"-scale +Inf"}},
+			{[]string{"-system", "MLlib", "-adagrad"}, []string{"AdaGrad", "MLlib"}},
+			{[]string{"-system", "Petuum", "-reweight"}, []string{"Reweight", "Petuum"}},
+			{[]string{"-system", "MLlib*", "-torrent"}, []string{"TorrentBroadcast", "MLlib*"}},
+			{[]string{"-system", "MLlib*", "-staleness", "3"}, []string{"Staleness", "MLlib*"}},
+		} {
+			var stderr bytes.Buffer
+			args := append([]string{"-preset", "avazu", "-scale", "20000", "-steps", "2"}, tc.args...)
+			cmd := exec.Command(bin, args...)
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("%q: exit = %v, want status 1; stderr:\n%s", tc.args, err, stderr.String())
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(stderr.String(), w) {
+					t.Errorf("%q: stderr %q does not name %q", tc.args, stderr.String(), w)
+				}
+			}
+		}
+	})
+
 	// -gantt draws from the run's sink, which is the installed one under
 	// -obs: the chart is printed and the log still records the run.
 	t.Run("gantt with obs writes both", func(t *testing.T) {

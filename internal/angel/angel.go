@@ -38,7 +38,7 @@ const AllocWorkPerDim = 2.0
 // Train runs the Angel-like trainer over the given worker nodes. parts must
 // have one partition per node, in node order.
 func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.View,
-	dim int, prm train.Params, evalData []glm.Example, dataset string) (*train.Result, error) {
+	dim int, prm train.Params, evalData data.View, dataset string) (*train.Result, error) {
 
 	if err := prm.Validate(); err != nil {
 		return nil, err

@@ -33,7 +33,7 @@ func run(t *testing.T, prm train.Params, k int) *train.Result {
 	t.Helper()
 	d, parts := workload(k)
 	sim, net, names := clusters.Test(k).BuildNet(nil)
-	res, err := angel.Train(sim, net, names, parts, d.Features, prm, d.Examples, d.Name)
+	res, err := angel.Train(sim, net, names, parts, d.Features, prm, d.View(), d.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +87,12 @@ func TestDeterministic(t *testing.T) {
 func TestValidation(t *testing.T) {
 	sim, net, names := clusters.Test(2).BuildNet(nil)
 	prm := params(5)
-	if _, err := angel.Train(sim, net, names, make([]data.View, 3), 10, prm, nil, "d"); err == nil {
+	if _, err := angel.Train(sim, net, names, make([]data.View, 3), 10, prm, data.View{}, "d"); err == nil {
 		t.Error("want partition mismatch error")
 	}
 	sim2, net2, names2 := clusters.Test(2).BuildNet(nil)
 	bad := params(0)
-	if _, err := angel.Train(sim2, net2, names2, make([]data.View, 2), 10, bad, nil, "d"); err == nil {
+	if _, err := angel.Train(sim2, net2, names2, make([]data.View, 2), 10, bad, data.View{}, "d"); err == nil {
 		t.Error("want validation error")
 	}
 }

@@ -36,11 +36,7 @@ func highDimWorkload() *workload {
 			ZipfS:     1.7,
 			Seed:      11,
 		})
-		sparseWorkload = &workload{
-			ds:      ds,
-			eval:    ds.Subsample(200, 17).Examples,
-			refOpts: map[float64]float64{},
-		}
+		sparseWorkload = newWorkload(ds, 200)
 	})
 	return sparseWorkload
 }

@@ -15,7 +15,8 @@ import (
 // reference optimum per objective.
 type workload struct {
 	ds      *data.Dataset
-	eval    []glm.Example
+	evalSet *data.Dataset       // the evaluation subsample
+	eval    data.View           // evalSet's arena, which the trainers evaluate on
 	refOpts map[float64]float64 // l2 -> reference optimum on the eval set
 }
 
@@ -39,14 +40,16 @@ func loadWorkload(name string, cfg RunConfig) (*workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds := data.Generate(spec)
-	w := &workload{
-		ds:      ds,
-		eval:    ds.Subsample(cfg.evalCap(), 17).Examples,
-		refOpts: map[float64]float64{},
-	}
+	w := newWorkload(data.Generate(spec), cfg.evalCap())
 	workloadCache[key] = w
 	return w, nil
+}
+
+// newWorkload prepares ds with an evaluation subsample of at most evalCap
+// rows.
+func newWorkload(ds *data.Dataset, evalCap int) *workload {
+	evalSet := ds.Subsample(evalCap, 17)
+	return &workload{ds: ds, evalSet: evalSet, eval: evalSet.View(), refOpts: map[float64]float64{}}
 }
 
 // reference returns (caching) the reference optimum for SVM with the given
@@ -55,7 +58,7 @@ func (w *workload) reference(l2 float64) float64 {
 	if v, ok := w.refOpts[l2]; ok {
 		return v
 	}
-	v := opt.ReferenceOptimumOn(glm.SVM(l2), w.ds.Examples, w.eval, w.ds.Features, 40)
+	v := opt.ReferenceOptimumOn(glm.SVM(l2), w.ds.Examples, w.evalSet.Examples, w.ds.Features, 40)
 	w.refOpts[l2] = v
 	return v
 }

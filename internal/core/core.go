@@ -20,7 +20,6 @@ import (
 	"mllibstar/internal/data"
 	"mllibstar/internal/des"
 	"mllibstar/internal/engine"
-	"mllibstar/internal/glm"
 	"mllibstar/internal/opt"
 	"mllibstar/internal/train"
 	"mllibstar/internal/vec"
@@ -33,7 +32,7 @@ const System = "MLlib*"
 // partition per executor, in executor order. evalData is the out-of-band
 // evaluation set; dataset labels the returned curve.
 func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
-	evalData []glm.Example, dataset string) (*train.Result, error) {
+	evalData data.View, dataset string) (*train.Result, error) {
 
 	if err := prm.Validate(); err != nil {
 		return nil, err
@@ -101,7 +100,7 @@ func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 						work := 0
 						if prm.AdaGrad {
 							for pass := 0; pass < prm.LocalPasses; pass++ {
-								work += adagrads[i].Pass(prm.Objective, local, parts[i].Examples())
+								work += adagrads[i].Pass(prm.Objective, local, parts[i])
 							}
 						} else {
 							eta := sched(t - 1)

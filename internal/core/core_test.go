@@ -17,7 +17,7 @@ import (
 
 // trainFn is the common signature of the three Spark-side trainers.
 type trainFn func(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
-	evalData []glm.Example, dataset string) (*train.Result, error)
+	evalData data.View, dataset string) (*train.Result, error)
 
 // smallWorkload builds a deterministic toy dataset with k partitions.
 func smallWorkload(k int) (*data.Dataset, []data.View) {
@@ -31,7 +31,7 @@ func runSystem(t *testing.T, fn trainFn, k int, prm train.Params) *train.Result 
 	t.Helper()
 	d, parts := smallWorkload(k)
 	_, _, ctx := clusters.Test(k).Build(nil)
-	res, err := fn(ctx, parts, d.Features, prm, d.Examples, d.Name)
+	res, err := fn(ctx, parts, d.Features, prm, d.View(), d.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestMLlibStarFasterPerStepThanMAVGOnLargeModels(t *testing.T) {
 
 	perStep := func(fn trainFn) float64 {
 		_, _, ctx := clusters.Test(8).Build(nil)
-		res, err := fn(ctx, parts, d.Features, prm, d.Examples, d.Name)
+		res, err := fn(ctx, parts, d.Features, prm, d.View(), d.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestTrafficPerStepMatches2km(t *testing.T) {
 
 	bytesPerStep := func(fn trainFn) float64 {
 		_, _, ctx := clusters.Test(k).Build(nil)
-		res, err := fn(ctx, parts, d.Features, prm, d.Examples, d.Name)
+		res, err := fn(ctx, parts, d.Features, prm, d.View(), d.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 	_, _, ctx := clusters.Test(2).Build(nil)
 	prm := baseParams()
 	prm.Eta = 0
-	if _, err := core.Train(ctx, make([]data.View, 2), 4, prm, nil, "d"); err == nil {
+	if _, err := core.Train(ctx, make([]data.View, 2), 4, prm, data.View{}, "d"); err == nil {
 		t.Error("want error for eta=0")
 	}
 }
@@ -217,7 +217,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 func TestPartitionCountMismatch(t *testing.T) {
 	_, _, ctx := clusters.Test(3).Build(nil)
 	prm := baseParams()
-	if _, err := core.Train(ctx, make([]data.View, 2), 4, prm, nil, "d"); err == nil {
+	if _, err := core.Train(ctx, make([]data.View, 2), 4, prm, data.View{}, "d"); err == nil {
 		t.Error("want error for wrong partition count")
 	}
 }
@@ -253,7 +253,7 @@ func TestLazyL2PathUsedWhenRegularized(t *testing.T) {
 		prm := baseParams()
 		prm.Objective = glm.SVM(l2)
 		prm.MaxSteps = 3
-		res, err := core.Train(ctx, parts, d.Features, prm, d.Examples, d.Name)
+		res, err := core.Train(ctx, parts, d.Features, prm, d.View(), d.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +306,7 @@ func TestReweightScalesLocalSteps(t *testing.T) {
 func TestSVRGRejectsHinge(t *testing.T) {
 	_, _, ctx := clusters.Test(2).Build(nil)
 	prm := baseParams() // hinge
-	if _, err := core.TrainSVRG(ctx, make([]data.View, 2), 4, prm, nil, "d"); err == nil {
+	if _, err := core.TrainSVRG(ctx, make([]data.View, 2), 4, prm, data.View{}, "d"); err == nil {
 		t.Error("want error for hinge")
 	}
 }
@@ -327,9 +327,9 @@ func TestSVRGMatchesOrBeatsSGDPerStep(t *testing.T) {
 		var res *train.Result
 		var err error
 		if svrg {
-			res, err = core.TrainSVRG(ctx, parts, d.Features, prm, d.Examples, d.Name)
+			res, err = core.TrainSVRG(ctx, parts, d.Features, prm, d.View(), d.Name)
 		} else {
-			res, err = core.Train(ctx, parts, d.Features, prm, d.Examples, d.Name)
+			res, err = core.Train(ctx, parts, d.Features, prm, d.View(), d.Name)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -355,9 +355,9 @@ func TestSVRGDoublesTrafficPerStep(t *testing.T) {
 		var res *train.Result
 		var err error
 		if svrg {
-			res, err = core.TrainSVRG(ctx, parts, d.Features, prm, d.Examples, d.Name)
+			res, err = core.TrainSVRG(ctx, parts, d.Features, prm, d.View(), d.Name)
 		} else {
-			res, err = core.Train(ctx, parts, d.Features, prm, d.Examples, d.Name)
+			res, err = core.Train(ctx, parts, d.Features, prm, d.View(), d.Name)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -28,7 +28,7 @@ const SystemSVRG = "MLlib*-SVRG"
 //
 // SVRG needs a differentiable loss; hinge is rejected.
 func TrainSVRG(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
-	evalData []glm.Example, dataset string) (*train.Result, error) {
+	evalData data.View, dataset string) (*train.Result, error) {
 
 	if err := prm.Validate(); err != nil {
 		return nil, err
@@ -105,7 +105,7 @@ func TrainSVRG(ctx *engine.Context, parts []data.View, dim int, prm train.Params
 						ex.ChargeAsync(p, float64(inner), func() {
 							vec.Scale(partial, float64(k)/float64(total)) // mean over all examples
 							states[i].SetSnapshot(local, partial)
-							states[i].Pass(prm.Objective, local, parts[i].Examples())
+							states[i].Pass(prm.Objective, local, parts[i])
 						})
 						ctx.PutVec(partial)
 

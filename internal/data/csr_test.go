@@ -13,10 +13,10 @@ func TestPackExamplesPreservesRowsBitForBit(t *testing.T) {
 	if c.NumRows() != len(d.Examples) {
 		t.Fatalf("rows = %d, want %d", c.NumRows(), len(d.Examples))
 	}
-	if c.NNZ() != glm.NNZTotal(d.Examples) {
-		t.Fatalf("nnz = %d, want %d", c.NNZ(), glm.NNZTotal(d.Examples))
+	if len(c.ind) != glm.NNZTotal(d.Examples) {
+		t.Fatalf("nnz = %d, want %d", len(c.ind), glm.NNZTotal(d.Examples))
 	}
-	for i, got := range c.Rows() {
+	for i, got := range RowsOf(c.View()) {
 		want := d.Examples[i]
 		if got.Label != want.Label ||
 			!reflect.DeepEqual(got.X.Ind, want.X.Ind) ||
@@ -32,7 +32,7 @@ func TestPackExamplesPreservesRowsBitForBit(t *testing.T) {
 func TestPackExamplesRowsAreSlabContiguous(t *testing.T) {
 	d := Generate(Spec{Name: "t", Rows: 50, Cols: 100, NNZPerRow: 5, Seed: 9})
 	c := PackExamples(d.Examples)
-	rows := c.Rows()
+	rows := RowsOf(c.View())
 	first, last := rows[0].X, rows[len(rows)-1].X
 	if len(first.Val) == 0 || len(last.Val) == 0 {
 		t.Fatal("generator produced empty boundary rows; pick another seed")
@@ -40,7 +40,7 @@ func TestPackExamplesRowsAreSlabContiguous(t *testing.T) {
 	if &first.Val[0] != &c.val[0] || &first.Ind[0] != &c.ind[0] {
 		t.Error("first row's slices are not the head of the shared slabs")
 	}
-	if &last.Val[len(last.Val)-1] != &c.val[c.NNZ()-1] || &last.Ind[len(last.Ind)-1] != &c.ind[c.NNZ()-1] {
+	if &last.Val[len(last.Val)-1] != &c.val[len(c.ind)-1] || &last.Ind[len(last.Ind)-1] != &c.ind[len(c.ind)-1] {
 		t.Error("last row's slices are not the tail of the shared slabs")
 	}
 	// A row view must not be able to append over its neighbour.

@@ -30,28 +30,74 @@ type Spec struct {
 	Seed      int64
 }
 
-// Dataset is an in-memory labelled dataset. It holds a lock (Partition's
-// memo): pass it by pointer.
+// Dataset is an in-memory labelled dataset. Examples is its public row
+// list; the trainers read a CSR arena of the same rows instead (View). It
+// holds a lock (the memos of View and Partition): pass it by pointer.
 type Dataset struct {
 	Name     string
 	Features int
 	Examples []glm.Example
 
+	// Both memos are keyed by Examples as it was when they were built: its
+	// length and first element's address. A reassigned or re-sliced Examples
+	// no longer matches and rebuilds them.
+	mu sync.Mutex
+	// arena holds Examples' rows: the arena Generate, Subsample and
+	// ReadLibSVM built them in, or View's pack of a reassigned Examples.
+	arena struct {
+		key examplesKey
+		c   *CSR
+	}
 	// parted is Partition's last result, so that the trainers of one
 	// comparison, which all ask for the same (k, seed), shuffle and repack
 	// the data once. One entry: another (k, seed) replaces it, never a
 	// second copy of the data.
-	partedMu sync.Mutex
-	parted   struct {
-		k    int
-		seed int64
-		// Examples as it was when parts was built: its length and first
-		// element's address. A reassigned or re-sliced Examples no longer
-		// matches and repartitions.
-		n     int
-		first *glm.Example
+	parted struct {
+		k     int
+		seed  int64
+		key   examplesKey
 		parts []View
 	}
+}
+
+// examplesKey identifies an Examples slice by its length and first element.
+type examplesKey struct {
+	n     int
+	first *glm.Example
+}
+
+func (d *Dataset) examplesKey() examplesKey {
+	if len(d.Examples) == 0 {
+		return examplesKey{}
+	}
+	return examplesKey{len(d.Examples), &d.Examples[0]}
+}
+
+// inArena returns a dataset whose Examples are the rows of c, backed by its
+// slabs, and which keeps c as the arena View returns.
+func inArena(name string, features int, c *CSR) *Dataset {
+	d := &Dataset{Name: name, Features: features, Examples: make([]glm.Example, c.NumRows())}
+	v := c.View()
+	for i := range d.Examples {
+		d.Examples[i] = v.Example(i)
+	}
+	d.arena.key, d.arena.c = d.examplesKey(), c
+	return d
+}
+
+// View returns the dataset's rows as one arena View: the arena the dataset
+// was built in while Examples is still the slice built with it (same
+// length, same first element, as Partition decides), else a pack of
+// Examples, made once and kept. An Example edited in place is not seen;
+// assign a new Examples slice instead.
+func (d *Dataset) View() View {
+	key := d.examplesKey()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.arena.c == nil || d.arena.key != key {
+		d.arena.key, d.arena.c = key, PackExamples(d.Examples)
+	}
+	return d.arena.c.View()
 }
 
 // Stats summarizes a dataset the way Table I does.
@@ -107,7 +153,7 @@ func (s Stats) String() string {
 // with its indices ascending and exact-zero values dropped. The rows are
 // written in order straight into one CSR arena.
 func Generate(spec Spec) *Dataset {
-	return &Dataset{Name: spec.Name, Features: spec.Cols, Examples: generate(spec).Rows()}
+	return inArena(spec.Name, spec.Cols, generate(spec))
 }
 
 func generate(spec Spec) *CSR {
@@ -320,15 +366,12 @@ func (d *Dataset) Partition(k int, seed int64) []View {
 	if k <= 0 {
 		panic(fmt.Sprintf("data: Partition(%d)", k))
 	}
-	var first *glm.Example
-	if len(d.Examples) > 0 {
-		first = &d.Examples[0]
-	}
-	d.partedMu.Lock()
-	defer d.partedMu.Unlock()
+	key := d.examplesKey()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	m := &d.parted
-	if m.parts == nil || m.k != k || m.seed != seed || m.n != len(d.Examples) || m.first != first {
-		m.k, m.seed, m.n, m.first = k, seed, len(d.Examples), first
+	if m.parts == nil || m.k != k || m.seed != seed || m.key != key {
+		m.k, m.seed, m.key = k, seed, key
 		m.parts = nil // the old arenas may go before the new ones are built
 		m.parts = partition(d.Examples, k, seed)
 	}
@@ -364,5 +407,5 @@ func (d *Dataset) Subsample(n int, seed int64) *Dataset {
 	for i, j := range perm {
 		out[i] = d.Examples[j]
 	}
-	return &Dataset{Name: d.Name + "-sample", Features: d.Features, Examples: PackExamples(out).Rows()}
+	return inArena(d.Name+"-sample", d.Features, PackExamples(out))
 }

@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"mllibstar/internal/detrand"
+	"mllibstar/internal/glm"
 )
 
 func TestGenerateShape(t *testing.T) {
@@ -135,7 +136,7 @@ func TestPartitionCoversAll(t *testing.T) {
 	// Deterministic given the seed (a second Partition call would only
 	// return the kept result).
 	parts2 := partition(d.Examples, 8, 99)
-	if !reflect.DeepEqual(parts[0].Examples(), parts2[0].Examples()) {
+	if !reflect.DeepEqual(RowsOf(parts[0]), RowsOf(parts2[0])) {
 		t.Error("partitioning not deterministic")
 	}
 }
@@ -146,7 +147,7 @@ func sameArenas(a, b []View) bool {
 		return false
 	}
 	for i := range a {
-		if &a[i].Examples()[0] != &b[i].Examples()[0] {
+		if a[i].c != b[i].c {
 			return false
 		}
 	}
@@ -162,7 +163,7 @@ func requireFreshPartition(t *testing.T, what string, parts []View, d *Dataset, 
 		t.Fatalf("%s: %d partitions, want %d", what, len(parts), len(want))
 	}
 	for i := range want {
-		if !reflect.DeepEqual(parts[i].Examples(), want[i].Examples()) {
+		if !reflect.DeepEqual(RowsOf(parts[i]), RowsOf(want[i])) {
 			t.Fatalf("%s: partition %d differs from a freshly packed one", what, i)
 		}
 	}
@@ -203,7 +204,7 @@ func TestPartitionKeepsItsLastResult(t *testing.T) {
 	d.Examples = d.Examples[1:]
 	resliced := d.Partition(8, 99)
 	requireFreshPartition(t, "re-sliced Examples", resliced, d, 8, 99)
-	d.Examples = append([]glmExample(nil), d.Examples...)
+	d.Examples = append([]glm.Example(nil), d.Examples...)
 	d.Examples[0].Label = -d.Examples[0].Label
 	reassigned := d.Partition(8, 99)
 	if sameArenas(resliced, reassigned) {
@@ -372,6 +373,80 @@ func TestReadLibSVMRejectsDuplicateAndDescending(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("input %q: error %q, want it to mention %q", tc.in, err, tc.want)
 		}
+	}
+}
+
+// TestReadLibSVMRejectsNonFinite: strconv.ParseFloat accepts "nan" and
+// "inf", and a NaN margin has a hinge loss of 0, so a non-finite label or
+// value would train silently to nothing. Each is a line-numbered error.
+func TestReadLibSVMRejectsNonFinite(t *testing.T) {
+	cases := []struct {
+		in, want string
+	}{
+		{"1 1:0.5 3:nan\n", `line 1: bad value "nan"`},
+		{"1 1:1\nnan 1:0.5\n", `line 2: bad label "nan"`},
+		{"1 1:1\n-1 2:1\n1 3:inf\n", `line 3: bad value "inf"`},
+		{"1 1:-Inf\n", `line 1: bad value "-Inf"`},
+		{"+Inf 1:1\n", `line 1: bad label "+Inf"`},
+		{"1 2:NaN 3:1\n", `line 1: bad value "NaN"`},
+	}
+	for _, tc := range cases {
+		_, err := ReadLibSVM(strings.NewReader(tc.in), "x")
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("input %q: error %v, want one mentioning %q", tc.in, err, tc.want)
+		}
+	}
+}
+
+// TestDatasetViewSharesTheArena: a generated, subsampled or libsvm-read
+// dataset evaluates in the arena its Examples view — View allocates nothing
+// and returns the same rows — and a reassigned Examples is packed once, on
+// the first View after it.
+func TestDatasetViewSharesTheArena(t *testing.T) {
+	gen := Generate(Spec{Name: "t", Rows: 300, Cols: 50, NNZPerRow: 4, Seed: 2})
+	var buf bytes.Buffer
+	if err := WriteLibSVM(&buf, gen); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadLibSVM(&buf, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		d    *Dataset
+	}{
+		{"generated", gen},
+		{"subsampled", gen.Subsample(40, 3)},
+		{"libsvm", read},
+	} {
+		if allocs := testing.AllocsPerRun(20, func() { tc.d.View() }); allocs != 0 {
+			t.Errorf("%s: View allocates %g times, want 0", tc.name, allocs)
+		}
+		v := tc.d.View()
+		if v.NumRows() != len(tc.d.Examples) {
+			t.Fatalf("%s: %d view rows, %d examples", tc.name, v.NumRows(), len(tc.d.Examples))
+		}
+		for i, e := range tc.d.Examples {
+			r := v.Example(i)
+			if &r.X.Ind[:1][0] != &e.X.Ind[:1][0] || &r.X.Val[:1][0] != &e.X.Val[:1][0] || r.Label != e.Label {
+				t.Fatalf("%s: row %d is not Examples[%d]'s slab", tc.name, i, i)
+			}
+		}
+	}
+
+	d := Generate(Spec{Name: "t", Rows: 100, Cols: 30, NNZPerRow: 3, Seed: 4})
+	before := d.View()
+	d.Examples = d.Examples[10:]
+	after := d.View()
+	if after.c == before.c || after.NumRows() != 90 {
+		t.Fatalf("a re-sliced Examples kept the old arena (%d rows)", after.NumRows())
+	}
+	if !reflect.DeepEqual(RowsOf(after), d.Examples) {
+		t.Error("the repacked view does not hold Examples")
+	}
+	if again := d.View(); again.c != after.c {
+		t.Error("a second View repacked the same Examples")
 	}
 }
 

@@ -136,11 +136,7 @@ func (gs *GradStream) Prepare() {
 	if gs.f == nil {
 		return
 	}
-	if !gs.withLoss {
-		DerivsInto(gs.obj.Loss, gs.w, gs.v, gs.derivs)
-		return
-	}
-	gs.lossSum = derivLoss(gs.obj.Loss, gs.v.c, gs.v.lo, gs.v.hi, gs.w, gs.derivs)
+	gs.lossSum = derivRows(gs.obj.Loss, gs.withLoss, gs.v.c, gs.v.lo, gs.v.hi, gs.w, gs.derivs)
 }
 
 // PrepareWork is the virtual charge of pass 1: half the stream's totalWork.
@@ -185,29 +181,4 @@ func (gs *GradStream) Work(lo, hi int) float64 {
 	}
 	clo, chi := min(lo, gs.f.cols), min(hi, gs.f.cols)
 	return gs.half * float64(gs.f.colPtr[chi]-gs.f.colPtr[clo]) / gs.nnz
-}
-
-// derivLoss is pass 1 with the loss: out[r-lo] = l'(<w,x_r>, y_r) and the
-// returned Σ l(<w,x_r>, y_r). It is the derivs body with the loss value
-// folded in: one margin per row feeds loss.ValueDeriv, exactly like the
-// fused gradLoss body, so the derivative and loss bits match the single-pass
-// kernels.
-func derivLoss(loss glm.Loss, c *CSR, lo, hi int, w, out []float64) (sum float64) {
-	rp, ind, val, lbl := c.rowPtr, c.ind, c.val, c.labels
-	n := int32(len(w))
-	trunc := c.maxInd >= n
-	for r := lo; r < hi; r++ {
-		rs, re := rp[r], rp[r+1]
-		end := rowPrefix(ind, rs, re, n, trunc)
-		rIx, rVal := ind[rs:end], val[rs:end]
-		rVal = rVal[:len(rIx)] // same length by construction; lets the compiler drop the rVal[p] bounds checks
-		m := 0.0
-		for p, ix := range rIx {
-			m += w[ix] * rVal[p]
-		}
-		v, d := loss.ValueDeriv(m, lbl[r])
-		sum += v
-		out[r-lo] = d
-	}
-	return sum
 }

@@ -44,8 +44,8 @@ func TestGradStreamMatchesGradAndLoss(t *testing.T) {
 		for _, n := range []int{dim, dim / 3} {
 			w := testModel(n)
 			want := make([]float64, n+1)
-			tc.obj.AddGradient(w, v.Examples(), want[:n])
-			want[n] = tc.obj.LossSum(w, v.Examples())
+			tc.obj.AddGradient(w, data.RowsOf(v), want[:n])
+			want[n] = refLossSum(tc.obj, w, data.RowsOf(v))
 			for _, blk := range []int{1, 7, n/2 + 1, n + 1} {
 				for _, reverse := range []bool{false, true} {
 					got := make([]float64, n+1)
@@ -64,7 +64,7 @@ func TestGradStreamMatchesAddGradient(t *testing.T) {
 	for _, tc := range kernelObjectives() {
 		w := testModel(dim)
 		want := make([]float64, dim)
-		tc.obj.AddGradient(w, v.Examples(), want)
+		tc.obj.AddGradient(w, data.RowsOf(v), want)
 		got := make([]float64, dim)
 		gs := data.NewGradStream(tc.obj, w, v, got, false, float64(v.NNZ()))
 		gs.Prepare()

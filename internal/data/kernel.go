@@ -20,16 +20,19 @@
 // same bodies with the loss inlined (BenchmarkSlabKernels compiled against
 // both, alternating runs), the call costs 1.5–3.5 ns a row: visible at 2
 // nonzeros per row on the kernels that compute little more than the margin
-// of a branch-only loss (LossSum, DerivsInto, GradStream.Prepare: +15–30 %),
-// inside run-to-run spread at 15 and 64 — Table I's datasets have 11–115.
-// Every exported entry point is a zero-row guard — the zero View has a nil
-// arena — and one call over the view's arena rows [lo, hi).
+// of a branch-only loss (the loss sum, DerivsInto, GradStream.Prepare:
+// +15–30 %), inside run-to-run spread at 15 and 64 — Table I's datasets have
+// 11–115. The loss sum has one body, LossRows: the evaluator calls it per
+// block and LossSum folds it in row order; it shares its two-row margin
+// helper (dot2) with GradAndLoss and DerivsInto. Every exported entry point
+// is a zero-row guard — the zero View has a nil arena — and one call over
+// the view's arena rows [lo, hi), LossSum's chunked fold aside.
 package data
 
 import "mllibstar/internal/glm"
 
 // AddGradient accumulates the loss gradient over the view's rows into g,
-// exactly like glm.Objective.AddGradient over Examples(): g += Σ l'(<w,x>,
+// exactly like glm.Objective.AddGradient over its rows: g += Σ l'(<w,x>,
 // y)·x, returning nonzeros touched, in one fused margin→deriv→axpy slab pass.
 func AddGradient(obj glm.Objective, w []float64, v View, g []float64) (nnz int) {
 	if v.NumRows() == 0 {
@@ -48,13 +51,30 @@ func AddGradientRows(obj glm.Objective, w []float64, v View, rows []int32, g []f
 	return addGradRows(obj.Loss, v.c, v.lo, rows, w, g)
 }
 
-// LossSum returns Σ l(<w,x>, y) over the view's rows, bit-identical to
-// glm.Objective.LossSum over Examples(): one running sum in row order.
-func LossSum(obj glm.Objective, w []float64, v View) float64 {
+// LossRows writes out[i] = l(<w,x_i>, y_i) for every row i of the view; out
+// must hold NumRows values. Each margin is vec.Dot's sum in vec.Dot's order,
+// so out[i] is exactly glm.Objective.Value's i-th loss.
+func LossRows(loss glm.Loss, w []float64, v View, out []float64) {
 	if v.NumRows() == 0 {
-		return 0
+		return
 	}
-	return lossSum(obj.Loss, v.c, v.lo, v.hi, w)
+	lossRows(loss, v.c, v.lo, v.hi, w, out)
+}
+
+// LossSum returns Σ l(<w,x>, y) over the view's rows: the in-order fold of
+// LossRows over a small stack chunk, so the sum is the row-at-a-time loop's,
+// bit for bit — one running sum in row order.
+func LossSum(obj glm.Objective, w []float64, v View) float64 {
+	var chunk [64]float64
+	sum := 0.0
+	for lo, n := 0, v.NumRows(); lo < n; lo += len(chunk) {
+		rows := chunk[:min(n-lo, len(chunk))]
+		LossRows(obj.Loss, w, v.Sub(lo, lo+len(rows)), rows)
+		for _, l := range rows {
+			sum += l
+		}
+	}
+	return sum
 }
 
 // GradAndLoss computes AddGradient and LossSum in one fused slab pass:
@@ -72,15 +92,6 @@ func GradAndLoss(obj glm.Objective, w []float64, v View, g []float64) (lossSum f
 	return gradLoss(obj.Loss, v.c, v.lo, v.hi, w, g)
 }
 
-// Value returns the full objective f(w) = (1/n)·Σ l + Ω(w) over the view,
-// mirroring glm.Objective.Value (same division, same regularizer term).
-func Value(obj glm.Objective, w []float64, v View) float64 {
-	if v.NumRows() == 0 {
-		return obj.Reg.Value(w)
-	}
-	return LossSum(obj, w, v)/float64(v.NumRows()) + obj.Reg.Value(w)
-}
-
 // DerivsInto computes the per-row loss derivatives l'(<w,x_i>, y_i) of the
 // view into out (length ≥ NumRows) — pass 1 of the two-pass GradStream: w is
 // constant during accumulation, so derivatives computed up front are
@@ -89,7 +100,7 @@ func DerivsInto(loss glm.Loss, w []float64, v View, out []float64) {
 	if v.NumRows() == 0 {
 		return
 	}
-	derivs(loss, v.c, v.lo, v.hi, w, out)
+	derivRows(loss, false, v.c, v.lo, v.hi, w, out)
 }
 
 // SGDPassPlain runs one epoch of unregularized per-example SGD over the

@@ -150,93 +150,122 @@ func touchRows(c *CSR, base int, rows []int32) (kept uint64) {
 	return kept
 }
 
-// lossSum is LossSum: Σ l(<w,x>, y), added in row order.
-func lossSum(loss glm.Loss, c *CSR, lo, hi int, w []float64) (sum float64) {
-	rp, ind, val, lbl := c.rowPtr, c.ind, c.val, c.labels
-	n := int32(len(w))
-	trunc := c.maxInd >= n
-	for r := lo; r < hi; r++ {
-		rs, re := rp[r], rp[r+1]
-		end := rowPrefix(ind, rs, re, n, trunc)
-		rIx, rVal := ind[rs:end], val[rs:end]
-		rVal = rVal[:len(rIx)] // same length by construction; lets the compiler drop the rVal[p] bounds checks
-		m := 0.0
-		for p, ix := range rIx {
-			m += w[ix] * rVal[p]
-		}
-		sum += loss.Value(m, lbl[r])
+// dot2 returns the margins of two rows given by their in-range slab
+// prefixes (rowPrefix), each the sum vec.Dot computes in vec.Dot's order.
+// The two sums are independent FP-add chains, so they advance in lockstep
+// over the prefixes' common length — each hides the other's add latency —
+// and then the longer one finishes alone. An empty second row makes it the
+// one-row margin.
+func dot2(w []float64, ix1 []int32, v1 []float64, ix2 []int32, v2 []float64) (m1, m2 float64) {
+	v1, v2 = v1[:len(ix1)], v2[:len(ix2)] // same lengths by construction; drops the v[p] bounds checks
+	k := min(len(ix1), len(ix2))
+	for p := 0; p < k; p++ {
+		m1 += w[ix1[p]] * v1[p]
+		m2 += w[ix2[p]] * v2[p]
 	}
-	return sum
+	for p := k; p < len(ix1); p++ {
+		m1 += w[ix1[p]] * v1[p]
+	}
+	for p := k; p < len(ix2); p++ {
+		m2 += w[ix2[p]] * v2[p]
+	}
+	return m1, m2
 }
 
-// derivs is DerivsInto: out[r-lo] = l'(<w,x_r>, y_r).
-func derivs(loss glm.Loss, c *CSR, lo, hi int, w, out []float64) {
-	rp, ind, val, lbl := c.rowPtr, c.ind, c.val, c.labels
+// lossRows is LossRows: out[r-lo] = l(<w,x_r>, y_r), two rows' margins at a
+// time through dot2 — the last row of an odd range paired with an empty one.
+// rowPtr and labels are re-sliced to the range, so the loop indexes them
+// from 0.
+func lossRows(loss glm.Loss, c *CSR, lo, hi int, w, out []float64) {
+	rp, lbl := c.rowPtr[lo:hi+1], c.labels[lo:hi]
+	ind, val := c.ind, c.val
+	out = out[:len(lbl)]
 	n := int32(len(w))
 	trunc := c.maxInd >= n
-	for r := lo; r < hi; r++ {
-		rs, re := rp[r], rp[r+1]
-		end := rowPrefix(ind, rs, re, n, trunc)
-		rIx, rVal := ind[rs:end], val[rs:end]
-		rVal = rVal[:len(rIx)] // same length by construction; lets the compiler drop the rVal[p] bounds checks
-		m := 0.0
-		for p, ix := range rIx {
-			m += w[ix] * rVal[p]
+	for i := 0; i < len(lbl); i += 2 {
+		rs, mid, re := rp[i], rp[i+1], rp[i+1]
+		if i+1 < len(lbl) {
+			re = rp[i+2]
 		}
-		out[r-lo] = loss.Deriv(m, lbl[r])
+		end1 := rowPrefix(ind, rs, mid, n, trunc)
+		end2 := rowPrefix(ind, mid, re, n, trunc)
+		m1, m2 := dot2(w, ind[rs:end1], val[rs:end1], ind[mid:end2], val[mid:end2])
+		out[i] = loss.Value(m1, lbl[i])
+		if i+1 < len(lbl) {
+			out[i+1] = loss.Value(m2, lbl[i+1])
+		}
 	}
+}
+
+// derivRows is DerivsInto and the gradient stream's pass 1: out[r-lo] =
+// l'(<w,x_r>, y_r) and, when withLoss is set, the returned Σ l(<w,x_r>, y_r)
+// (0 otherwise: the bare derivative skips the logistic loss's logarithm).
+// The margins come from dot2 as lossRows's do and feed loss.ValueDeriv as
+// gradLoss's do (loss.Deriv without the loss), so the derivative and loss
+// bits are the single-pass kernels'.
+func derivRows(loss glm.Loss, withLoss bool, c *CSR, lo, hi int, w, out []float64) (sum float64) {
+	rp, lbl := c.rowPtr[lo:hi+1], c.labels[lo:hi]
+	ind, val := c.ind, c.val
+	out = out[:len(lbl)]
+	n := int32(len(w))
+	trunc := c.maxInd >= n
+	for i := 0; i < len(lbl); i += 2 {
+		rs, mid, re := rp[i], rp[i+1], rp[i+1]
+		if i+1 < len(lbl) {
+			re = rp[i+2]
+		}
+		end1 := rowPrefix(ind, rs, mid, n, trunc)
+		end2 := rowPrefix(ind, mid, re, n, trunc)
+		m := [2]float64{}
+		m[0], m[1] = dot2(w, ind[rs:end1], val[rs:end1], ind[mid:end2], val[mid:end2])
+		for j := i; j < min(i+2, len(lbl)); j++ {
+			if !withLoss {
+				out[j] = loss.Deriv(m[j-i], lbl[j])
+				continue
+			}
+			v, d := loss.ValueDeriv(m[j-i], lbl[j])
+			sum += v
+			out[j] = d
+		}
+	}
+	return sum
 }
 
 // gradLoss is GradAndLoss: g += l'·x and sum += l, one margin per row.
 //
 // glm.Objective computes the gradient and the loss sum in two separate
-// passes (AddGradient then LossSum), evaluating every row's margin twice.
+// passes (AddGradient then Value), evaluating every row's margin twice.
 // The model is constant across both passes, so computing the margin once and
 // feeding it to loss.ValueDeriv is bit-identical — the fused pass halves the
 // dot-product work, which is the serial-latency floor of the whole kernel,
 // and lets the loss share what its value and derivative have in common (the
 // logistic exponential).
 //
-// The body additionally software-pipelines the margins of two consecutive
-// rows. A single row's dot product is one serial FP-add dependency chain —
-// the latency floor of the whole pass — but the two rows' chains are
-// independent: w is constant during the pass and g (which must NOT alias w;
-// every caller passes a distinct gradient buffer) is only written after both
-// margins are complete. Interleaving the two chains overlaps the add
-// latency. Each margin still accumulates in its own scalar in per-nonzero
-// order, and the value/derivative/axpy updates run strictly in row order, so
+// The margins of two consecutive rows come from dot2, as lossRows's do: w is
+// constant during the pass and g (which must NOT alias w; every caller
+// passes a distinct gradient buffer) is only written after both margins are
+// complete. The value/derivative/axpy updates run strictly in row order, so
 // the result is bit-identical to the one-row loop.
 func gradLoss(loss glm.Loss, c *CSR, lo, hi int, w, g []float64) (sum float64, nnz int) {
 	rp, ind, val, lbl := c.rowPtr, c.ind, c.val, c.labels
 	n := int32(len(w))
 	trunc := c.maxInd >= n
 	// Consecutive rows share a boundary, so one rowPtr load per row pair
-	// suffices; the range's structural work is rp[hi]-rp[lo] up front.
+	// suffices; the range's structural work is rp[hi]-rp[lo] up front. The
+	// last row of an odd range is paired with an empty one.
 	rs := rp[lo]
-	r := lo
-	for ; r+1 < hi; r += 2 {
-		mid, re := rp[r+1], rp[r+2]
+	for r := lo; r < hi; r += 2 {
+		mid, re := rp[r+1], rp[r+1]
+		if r+1 < hi {
+			re = rp[r+2]
+		}
 		end1 := rowPrefix(ind, rs, mid, n, trunc)
 		end2 := rowPrefix(ind, mid, re, n, trunc)
 		rIx1, rVal1 := ind[rs:end1], val[rs:end1]
 		rVal1 = rVal1[:len(rIx1)] // same length by construction; lets the compiler drop the rVal[p] bounds checks
 		rIx2, rVal2 := ind[mid:end2], val[mid:end2]
 		rVal2 = rVal2[:len(rIx2)]
-		m1, m2 := 0.0, 0.0
-		k := len(rIx1)
-		if len(rIx2) < k {
-			k = len(rIx2)
-		}
-		for p := 0; p < k; p++ {
-			m1 += w[rIx1[p]] * rVal1[p]
-			m2 += w[rIx2[p]] * rVal2[p]
-		}
-		for p := k; p < len(rIx1); p++ {
-			m1 += w[rIx1[p]] * rVal1[p]
-		}
-		for p := k; p < len(rIx2); p++ {
-			m2 += w[rIx2[p]] * rVal2[p]
-		}
+		m1, m2 := dot2(w, rIx1, rVal1, rIx2, rVal2)
 		v1, d1 := loss.ValueDeriv(m1, lbl[r])
 		sum += v1
 		if d1 != 0 {
@@ -244,31 +273,16 @@ func gradLoss(loss glm.Loss, c *CSR, lo, hi int, w, g []float64) (sum float64, n
 				g[ix] += d1 * rVal1[p]
 			}
 		}
-		v2, d2 := loss.ValueDeriv(m2, lbl[r+1])
-		sum += v2
-		if d2 != 0 {
-			for p, ix := range rIx2 {
-				g[ix] += d2 * rVal2[p]
+		if r+1 < hi {
+			v2, d2 := loss.ValueDeriv(m2, lbl[r+1])
+			sum += v2
+			if d2 != 0 {
+				for p, ix := range rIx2 {
+					g[ix] += d2 * rVal2[p]
+				}
 			}
 		}
 		rs = re
-	}
-	if r < hi {
-		re := rp[r+1]
-		end := rowPrefix(ind, rs, re, n, trunc)
-		rIx, rVal := ind[rs:end], val[rs:end]
-		rVal = rVal[:len(rIx)]
-		m := 0.0
-		for p, ix := range rIx {
-			m += w[ix] * rVal[p]
-		}
-		v, d := loss.ValueDeriv(m, lbl[r])
-		sum += v
-		if d != 0 {
-			for p, ix := range rIx {
-				g[ix] += d * rVal[p]
-			}
-		}
 	}
 	return sum, rp[hi] - rp[lo]
 }

@@ -74,6 +74,16 @@ func kernelView(t *testing.T) (data.View, int) {
 	return data.ViewOf(d.Examples), d.Features
 }
 
+// refLossSum is the per-Example loss sum: the sum glm.Objective.Value divides,
+// one vec.Dot margin at a time, folded in row order.
+func refLossSum(obj glm.Objective, w []float64, rows []glm.Example) float64 {
+	sum := 0.0
+	for _, e := range rows {
+		sum += obj.Loss.Value(vec.Dot(w, e.X), e.Label)
+	}
+	return sum
+}
+
 // testModel returns a deterministic non-trivial model of length n.
 func testModel(n int) []float64 {
 	w := make([]float64, n)
@@ -105,7 +115,7 @@ func TestKernelAddGradientMatchesInterface(t *testing.T) {
 			w := testModel(n)
 			gk, gi := make([]float64, n), make([]float64, n)
 			nnzK := data.AddGradient(tc.obj, w, v, gk)
-			nnzI := tc.obj.AddGradient(w, v.Examples(), gi)
+			nnzI := tc.obj.AddGradient(w, data.RowsOf(v), gi)
 			if nnzK != nnzI {
 				t.Errorf("%s dim=%d: work %d (kernel) != %d (interface)", tc.name, n, nnzK, nnzI)
 			}
@@ -134,7 +144,7 @@ func TestKernelAddGradientRowsMatchesInterface(t *testing.T) {
 		rows := all[:count]
 		gathered := make([]glm.Example, count)
 		for j, ri := range rows {
-			gathered[j] = sub.Examples()[ri]
+			gathered[j] = data.RowsOf(sub)[ri]
 		}
 		for _, tc := range kernelObjectives() {
 			for _, n := range []int{d.Features, d.Features / 2} {
@@ -189,10 +199,11 @@ func TestKernelLossSumAndValueMatchInterface(t *testing.T) {
 	for _, tc := range kernelObjectives() {
 		for _, n := range []int{dim, dim / 3} {
 			w := testModel(n)
-			if k, i := data.LossSum(tc.obj, w, v), tc.obj.LossSum(w, v.Examples()); math.Float64bits(k) != math.Float64bits(i) {
+			if k, i := data.LossSum(tc.obj, w, v), refLossSum(tc.obj, w, data.RowsOf(v)); math.Float64bits(k) != math.Float64bits(i) {
 				t.Errorf("%s dim=%d: LossSum %x != %x", tc.name, n, math.Float64bits(k), math.Float64bits(i))
 			}
-			if k, i := data.Value(tc.obj, w, v), tc.obj.Value(w, v.Examples()); math.Float64bits(k) != math.Float64bits(i) {
+			value := data.LossSum(tc.obj, w, v)/float64(v.NumRows()) + tc.obj.Reg.Value(w)
+			if k, i := value, tc.obj.Value(w, data.RowsOf(v)); math.Float64bits(k) != math.Float64bits(i) {
 				t.Errorf("%s dim=%d: Value %x != %x", tc.name, n, math.Float64bits(k), math.Float64bits(i))
 			}
 		}
@@ -210,8 +221,8 @@ func TestKernelGradAndLossMatchesTwoPasses(t *testing.T) {
 			w := testModel(n)
 			gk, gi := make([]float64, n), make([]float64, n)
 			loss, nnzK := data.GradAndLoss(tc.obj, w, v, gk)
-			nnzI := tc.obj.AddGradient(w, v.Examples(), gi)
-			wantLoss := tc.obj.LossSum(w, v.Examples())
+			nnzI := tc.obj.AddGradient(w, data.RowsOf(v), gi)
+			wantLoss := refLossSum(tc.obj, w, data.RowsOf(v))
 			if nnzK != nnzI {
 				t.Errorf("%s dim=%d: work %d (fused) != %d (two-pass)", tc.name, n, nnzK, nnzI)
 			}
@@ -231,7 +242,7 @@ func TestKernelDerivsIntoMatchesLoop(t *testing.T) {
 	for _, tc := range kernelObjectives() {
 		w := testModel(dim / 2)
 		data.DerivsInto(tc.obj.Loss, w, sub, out)
-		for i, e := range sub.Examples() {
+		for i, e := range data.RowsOf(sub) {
 			want := tc.obj.Loss.Deriv(vec.Dot(w, e.X), e.Label)
 			if math.Float64bits(out[i]) != math.Float64bits(want) {
 				t.Fatalf("%s: deriv[%d] = %x != %x", tc.name, i,
@@ -253,7 +264,7 @@ func TestKernelSGDPassPlainMatchesLocalPass(t *testing.T) {
 		wk := testModel(dim)
 		work := data.SGDPassPlain(tc.obj.Loss, wk, sub, sched, stepBase)
 		wi := testModel(dim)
-		wantWork := opt.LocalPass(tc.obj, wi, sub.Examples(), sched, stepBase)
+		wantWork := opt.LocalPass(tc.obj, wi, data.RowsOf(sub), sched, stepBase)
 		if work != wantWork {
 			t.Errorf("%s: work %d (kernel) != %d (interface)", tc.name, work, wantWork)
 		}
@@ -291,7 +302,7 @@ func TestSGDPassLazyL2MatchesStep(t *testing.T) {
 
 		lazy := opt.NewLazyL2SGD(w0, lambda)
 		wantWork := 0
-		for i, e := range sub.Examples() {
+		for i, e := range data.RowsOf(sub) {
 			wantWork += lazy.Step(tc.obj.Loss, e, sched(stepBase+i))
 		}
 		wi := make([]float64, dim)
@@ -305,8 +316,8 @@ func TestSGDPassLazyL2MatchesStep(t *testing.T) {
 }
 
 // TestKernelFusedBodiesSmallRanges drives the two bodies that fuse value and
-// derivative — gradLoss (two-row software pipelining: pair loop plus odd
-// tail) and derivLoss (GradStream pass 1) — over every short range shape: 0
+// derivative — gradLoss and derivRows (GradStream pass 1), each two rows'
+// margins at a time with an odd last row — over every short range shape: 0
 // to 3 rows, starting at even and odd arena rows, across an empty row, with
 // a full model and one short enough to truncate rows (one of them to
 // nothing).
@@ -330,8 +341,8 @@ func TestKernelFusedBodiesSmallRanges(t *testing.T) {
 				for rows := 0; rows <= 3; rows++ {
 					sub := v.Sub(start, start+rows)
 					want := make([]float64, n+1)
-					wantWork := tc.obj.AddGradient(w, sub.Examples(), want[:n])
-					want[n] = tc.obj.LossSum(w, sub.Examples())
+					wantWork := tc.obj.AddGradient(w, data.RowsOf(sub), want[:n])
+					want[n] = refLossSum(tc.obj, w, data.RowsOf(sub))
 
 					got := make([]float64, n+1)
 					loss, work := data.GradAndLoss(tc.obj, w, sub, got[:n])
@@ -372,9 +383,7 @@ func TestKernelEmptyView(t *testing.T) {
 		t.Errorf("empty GradAndLoss = %v, work %d", sum, nnz)
 	}
 	data.DerivsInto(obj.Loss, w, empty, nil)
-	if got, want := data.Value(obj, w, empty), obj.Reg.Value(w); math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("empty Value = %v, want Reg-only %v", got, want)
-	}
+	data.LossRows(obj.Loss, w, empty, nil)
 	if work := data.SGDPassPlain(obj.Loss, w, empty, opt.Const(0.1), 0); work != 0 {
 		t.Errorf("empty SGDPassPlain work = %d", work)
 	}
@@ -419,6 +428,7 @@ func TestKernelEntryPointsZeroAlloc(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"AddGradient":     func() { data.AddGradient(obj, w, v, g) },
 		"AddGradientRows": func() { data.AddGradientRows(obj, w, v, rows, g) },
+		"LossRows":        func() { data.LossRows(obj.Loss, w, v, derivs) },
 		"LossSum":         func() { data.LossSum(obj, w, v) },
 		"DerivsInto":      func() { data.DerivsInto(obj.Loss, w, v, derivs) },
 		"SGDPassPlain":    func() { data.SGDPassPlain(obj.Loss, w, v, sched, 0) },

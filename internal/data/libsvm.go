@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
-
-	"mllibstar/internal/glm"
-	"mllibstar/internal/vec"
 )
 
 // WriteLibSVM writes the dataset in libsvm text format: one example per
@@ -39,18 +37,19 @@ func WriteLibSVM(w io.Writer, d *Dataset) error {
 // the reader distinguishes the two malformations — a duplicate index and a
 // descending index — in its errors, since they have different causes
 // (double-emitted feature vs. unsorted writer) and both would corrupt the
-// dot-product kernels if let through. Blank lines and lines starting with
-// '#' are skipped.
+// dot-product kernels if let through. A label or value that is NaN or
+// infinite is an error too: strconv.ParseFloat accepts "nan" and "inf", and a
+// NaN margin has a hinge loss of 0, so such a row would train silently to
+// nothing. Blank lines and lines starting with '#' are skipped.
 //
 // Rows are parsed straight into one CSR arena (see CSR): feature indices
-// and values append to two shared slabs and the per-row examples are views
-// carved out at the end, so loading allocates per slab growth, not per row,
-// and the loaded dataset iterates with the same locality Generate's packed
-// output has.
+// and values append to two shared slabs, so loading allocates per slab
+// growth, not per row, and the dataset keeps the arena as its View, as
+// Generate's does; its Examples are views carved out of the slabs at the end.
 func ReadLibSVM(r io.Reader, name string) (*Dataset, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	d := &Dataset{Name: name}
+	features := 0
 	var (
 		ind    []int32
 		val    []float64
@@ -87,27 +86,20 @@ func ReadLibSVM(r io.Reader, name string) (*Dataset, error) {
 			}
 			prev = ix
 			v, err := strconv.ParseFloat(f[colon+1:], 64)
-			if err != nil {
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("data: line %d: bad value %q", lineNo, f[colon+1:])
 			}
 			ind = append(ind, int32(ix-1))
 			val = append(val, v)
 		}
-		if prev > d.Features {
-			d.Features = prev
-		}
+		features = max(features, prev)
 		labels = append(labels, label)
 		rowPtr = append(rowPtr, len(ind))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("data: reading libsvm: %w", err)
 	}
-	d.Examples = make([]glm.Example, len(labels))
-	for i, label := range labels {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		d.Examples[i] = glm.Example{Label: label, X: vec.Sparse{Ind: ind[lo:hi:hi], Val: val[lo:hi:hi]}}
-	}
-	return d, nil
+	return inArena(name, features, newCSR(rowPtr, ind, val, labels)), nil
 }
 
 func parseLabel(s string) (float64, error) {
@@ -118,7 +110,7 @@ func parseLabel(s string) (float64, error) {
 		return -1, nil
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("bad label %q", s)
 	}
 	if v > 0 {

@@ -2,13 +2,14 @@ package data
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
 
-// FuzzReadLibSVM asserts the parser never panics on arbitrary input, and
-// that anything it accepts round-trips through the writer to an equivalent
-// dataset.
+// FuzzReadLibSVM asserts the parser never panics on arbitrary input, that
+// every label and value it accepts is finite, and that anything it accepts
+// round-trips through the writer to an equivalent dataset.
 func FuzzReadLibSVM(f *testing.F) {
 	seeds := []string{
 		"",
@@ -23,7 +24,9 @@ func FuzzReadLibSVM(f *testing.F) {
 		"x 1:1\n",         // invalid label
 		"1 1:\n",          // empty value
 		"1 :\n",           // empty both
-		"1 1:nan\n",       // NaN parses as float; must round-trip or error
+		"1 1:nan\n",       // invalid: NaN value (ParseFloat accepts it)
+		"nan 1:0.5\n",     // invalid: NaN label
+		"1 3:inf\n",       // invalid: infinite value
 		strings.Repeat("1 1:1 2:2 3:3\n", 5),
 	}
 	for _, s := range seeds {
@@ -33,6 +36,15 @@ func FuzzReadLibSVM(f *testing.F) {
 		ds, err := ReadLibSVM(strings.NewReader(input), "fuzz")
 		if err != nil {
 			return // rejected input is fine; panics are not
+		}
+		for i, e := range ds.Examples {
+			finite := !math.IsNaN(e.Label) && !math.IsInf(e.Label, 0)
+			for _, v := range e.X.Val {
+				finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+			}
+			if !finite {
+				t.Fatalf("example %d accepted with a non-finite label or value: %+v", i, e)
+			}
 		}
 		var buf bytes.Buffer
 		if err := WriteLibSVM(&buf, ds); err != nil {

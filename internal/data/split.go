@@ -7,9 +7,6 @@ import (
 	"mllibstar/internal/glm"
 )
 
-// glmExample aliases the stored example type for readability here.
-type glmExample = glm.Example
-
 // Split partitions the dataset into a training and a test set, with
 // testFraction of the examples (rounded down, at least one of each when
 // possible) going to the test set. The split is a deterministic shuffle by
@@ -30,8 +27,8 @@ func (d *Dataset) Split(testFraction float64, seed int64) (train, test *Dataset,
 		nTest = n - 1
 	}
 	perm := detrand.Perm(seed, n)
-	testEx := make([]glmExample, 0, nTest)
-	trainEx := make([]glmExample, 0, n-nTest)
+	testEx := make([]glm.Example, 0, nTest)
+	trainEx := make([]glm.Example, 0, n-nTest)
 	for i, j := range perm {
 		if i < nTest {
 			testEx = append(testEx, d.Examples[j])
@@ -59,7 +56,7 @@ func (d *Dataset) KFold(k int, seed int64) ([]Fold, error) {
 		return nil, fmt.Errorf("data: k=%d folds over %d examples", k, n)
 	}
 	perm := detrand.Perm(seed, n)
-	shuffled := make([]glmExample, n)
+	shuffled := make([]glm.Example, n)
 	for i, j := range perm {
 		shuffled[i] = d.Examples[j]
 	}
@@ -68,7 +65,7 @@ func (d *Dataset) KFold(k int, seed int64) ([]Fold, error) {
 		lo := i * n / k
 		hi := (i + 1) * n / k
 		test := shuffled[lo:hi]
-		train := make([]glmExample, 0, n-len(test))
+		train := make([]glm.Example, 0, n-len(test))
 		train = append(train, shuffled[:lo]...)
 		train = append(train, shuffled[hi:]...)
 		folds[i] = Fold{

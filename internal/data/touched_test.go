@@ -60,7 +60,7 @@ func TestAppendTouched(t *testing.T) {
 		cut, rem := rng.Intn(n+1), rng.Intn(n+1)
 		a, b := v.Sub(cut, n), v.Sub(0, rem)
 		got := b.AppendTouched(a.AppendTouched(nil, mark), mark)
-		want := touchedRef(append(append([]glm.Example(nil), a.Examples()...), b.Examples()...), dim)
+		want := touchedRef(append(RowsOf(a), RowsOf(b)...), dim)
 		sorted := slices.Clone(got)
 		slices.Sort(sorted)
 		if !slices.Equal(sorted, want) {

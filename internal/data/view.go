@@ -5,27 +5,27 @@ import (
 	"slices"
 
 	"mllibstar/internal/glm"
+	"mllibstar/internal/vec"
 )
 
-// View is a contiguous row range of a CSR arena — the unit the trainers now
-// hold instead of []glm.Example. A partition is a View over its own arena;
-// mini-batch windows are sub-Views sharing the same slabs, so re-batching
-// per superstep is pointer arithmetic on rowPtr, never a slice copy. The
-// zero View is an empty dataset.
+// View is a contiguous row range of a CSR arena — the one dataset type the
+// trainers, the optimizers and the evaluator hold. A partition is a View
+// over its own arena; mini-batch windows and evaluation blocks are sub-Views
+// sharing the same slabs, so re-batching per superstep is pointer arithmetic
+// on rowPtr, never a slice copy. The zero View is an empty dataset.
 //
-// Views are the entry point to the slab kernels (AddGradient, LossSum,
+// Views are the entry point to the slab kernels (AddGradient, LossRows,
 // SGDPassPlain, ...): a kernel streams the ind/val slabs of the underlying
-// arena across [lo, hi) directly. Code that needs per-row glm.Example
-// values (evaluation, the L1/ElasticNet eager pass, the reference
-// implementations in tests) uses Examples, which is a subslice of the
-// arena's precomputed row views.
+// arena across [lo, hi) directly. Code that needs one row as a glm.Example
+// (AdaGrad, SVRG, the L1/ElasticNet eager pass) asks for it with Example,
+// which builds it from the slabs without allocating.
 type View struct {
 	c      *CSR
 	lo, hi int
 }
 
 // View returns the whole arena as a View.
-func (c *CSR) View() View { return View{c: c, lo: 0, hi: len(c.rows)} }
+func (c *CSR) View() View { return View{c: c, lo: 0, hi: c.NumRows()} }
 
 // ViewOf packs the examples into a fresh arena and returns its full View.
 func ViewOf(examples []glm.Example) View { return PackExamples(examples).View() }
@@ -34,7 +34,7 @@ func ViewOf(examples []glm.Example) View { return PackExamples(examples).View() 
 func (v View) NumRows() int { return v.hi - v.lo }
 
 // NNZ returns the total stored nonzeros of the view's rows in O(1), via the
-// arena row pointers. It equals glm.NNZTotal over Examples() exactly, so
+// arena row pointers. It equals glm.NNZTotal over the rows exactly, so
 // virtual-charge work formulas can use it without changing any cost.
 func (v View) NNZ() int {
 	if v.c == nil {
@@ -43,13 +43,16 @@ func (v View) NNZ() int {
 	return v.c.rowPtr[v.hi] - v.c.rowPtr[v.lo]
 }
 
-// Examples returns the view's rows as glm.Example values backed by the
-// shared slabs (nil for an empty view).
-func (v View) Examples() []glm.Example {
-	if v.c == nil {
-		return nil
+// Example returns row i (relative to the view) as a glm.Example backed by
+// the arena's slabs. The slices are full three-index views: a caller
+// appending to a row would allocate rather than clobber its neighbour.
+func (v View) Example(i int) glm.Example {
+	if i < 0 || i >= v.NumRows() {
+		panic(fmt.Sprintf("data: View.Example(%d) of %d rows", i, v.NumRows()))
 	}
-	return v.c.rows[v.lo:v.hi]
+	c, r := v.c, v.lo+i
+	lo, hi := c.rowPtr[r], c.rowPtr[r+1]
+	return glm.Example{Label: c.labels[r], X: vec.Sparse{Ind: c.ind[lo:hi:hi], Val: c.val[lo:hi:hi]}}
 }
 
 // Sub returns the sub-view of rows [lo, hi) relative to this view — the
@@ -59,13 +62,6 @@ func (v View) Sub(lo, hi int) View {
 		panic(fmt.Sprintf("data: View.Sub(%d, %d) of %d rows", lo, hi, v.NumRows()))
 	}
 	return View{c: v.c, lo: v.lo + lo, hi: v.lo + hi}
-}
-
-// Row returns row i (relative to the view) as its label and slab slices.
-func (v View) Row(i int) (label float64, ind []int32, val []float64) {
-	r := v.lo + i
-	lo, hi := v.c.rowPtr[r], v.c.rowPtr[r+1]
-	return v.c.rows[r].Label, v.c.ind[lo:hi:hi], v.c.val[lo:hi:hi]
 }
 
 // AppendTouched appends to dst the distinct column indices below len(mark)

@@ -237,87 +237,19 @@ func LogReg(l2 float64) Objective {
 }
 
 // Value returns f(w, X) = (1/n)·Σ l(<w,x_i>, y_i) + Ω(w) over the examples.
-// It is the metric every experiment in the paper plots on its y-axis.
+// It is the metric every experiment in the paper plots on its y-axis, and
+// the per-Example reference that the slab kernels' loss sum (data.LossRows
+// and its fold data.LossSum) reproduces bit for bit: each margin is vec.Dot's
+// and the losses fold in row order.
 func (o Objective) Value(w []float64, data []Example) float64 {
 	if len(data) == 0 {
 		return o.Reg.Value(w)
 	}
-	return o.LossSum(w, data)/float64(len(data)) + o.Reg.Value(w)
-}
-
-// LossSum returns Σ l(<w,x_i>, y_i) over the examples, without dividing and
-// without the regularization term. Distributed evaluators aggregate LossSum
-// across partitions and divide by the global count.
-//
-// It is the in-order fold of LossRows over a small stack chunk, so the sum is
-// the row-at-a-time loop's, bit for bit: each margin is vec.Dot's sum in
-// vec.Dot's order and the losses fold in row order.
-func (o Objective) LossSum(w []float64, data []Example) float64 {
-	var chunk [64]float64
 	sum := 0.0
-	for len(data) > 0 {
-		rows := chunk[:min(len(data), len(chunk))]
-		o.LossRows(w, data[:len(rows)], rows)
-		for _, l := range rows {
-			sum += l
-		}
-		data = data[len(rows):]
+	for _, e := range data {
+		sum += o.Loss.Value(vec.Dot(w, e.X), e.Label)
 	}
-	return sum
-}
-
-// LossRows writes out[i] = l(<w,x_i>, y_i) for every example; out must hold
-// len(data) values. The margins of two consecutive rows are computed
-// together, as independent chains, so each hides the other's add latency;
-// each is vec.Dot's sum bit for bit.
-func (o Objective) LossRows(w []float64, data []Example, out []float64) {
-	out = out[:len(data)]
-	i := 0
-	for ; i+1 < len(data); i += 2 {
-		a, b := &data[i], &data[i+1]
-		ma, mb := dot2(w, a.X, b.X)
-		out[i] = o.Loss.Value(ma, a.Label)
-		out[i+1] = o.Loss.Value(mb, b.Label)
-	}
-	if i < len(data) {
-		out[i] = o.Loss.Value(vec.Dot(w, data[i].X), data[i].Label)
-	}
-}
-
-// dot2 returns (vec.Dot(w, x), vec.Dot(w, y)) bit for bit. Indices ascend,
-// so vec.Dot's stop at the first index beyond len(w) keeps a prefix of each
-// row; the two sums advance in lockstep over the prefixes' common length,
-// then the longer one finishes alone.
-func dot2(w []float64, x, y vec.Sparse) (sx, sy float64) {
-	n := int32(len(w))
-	xi, yi := x.Ind[:inRange(x.Ind, n)], y.Ind[:inRange(y.Ind, n)]
-	xv, yv := x.Val[:len(xi)], y.Val[:len(yi)]
-	k := min(len(xi), len(yi))
-	for p := 0; p < k; p++ {
-		sx += w[xi[p]] * xv[p]
-		sy += w[yi[p]] * yv[p]
-	}
-	for p := k; p < len(xi); p++ {
-		sx += w[xi[p]] * xv[p]
-	}
-	for p := k; p < len(yi); p++ {
-		sy += w[yi[p]] * yv[p]
-	}
-	return sx, sy
-}
-
-// inRange returns how many of the ascending indices ind are below n: all of
-// them unless the last one is not.
-func inRange(ind []int32, n int32) int {
-	k := len(ind)
-	if k == 0 || ind[k-1] < n {
-		return k
-	}
-	p := 0
-	for p < k && ind[p] < n {
-		p++
-	}
-	return p
+	return sum/float64(len(data)) + o.Reg.Value(w)
 }
 
 // AddGradient accumulates the gradient of the *loss term only*, summed (not

@@ -156,9 +156,19 @@ func TestObjectiveValue(t *testing.T) {
 	}
 }
 
+// lossSum is Σ l(<w,x_i>, y_i), the loss sum a distributed evaluator
+// aggregates across partitions before dividing by the global count.
+func lossSum(o Objective, w []float64, data []Example) float64 {
+	sum := 0.0
+	for _, e := range data {
+		sum += o.Loss.Value(vec.Dot(w, e.X), e.Label)
+	}
+	return sum
+}
+
 func TestLossSumDistributedConsistency(t *testing.T) {
-	// Property: averaging LossSum over partitions equals Value on the union
-	// (minus the regularizer handled globally).
+	// Property: averaging partial loss sums over partitions equals Value on
+	// the union (minus the regularizer handled globally).
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		var data []Example
@@ -179,7 +189,7 @@ func TestLossSumDistributedConsistency(t *testing.T) {
 		}
 		o := SVM(0.1)
 		cut := r.Intn(len(data))
-		sum := o.LossSum(w, data[:cut]) + o.LossSum(w, data[cut:])
+		sum := lossSum(o, w, data[:cut]) + lossSum(o, w, data[cut:])
 		global := sum/float64(len(data)) + o.Reg.Value(w)
 		return math.Abs(global-o.Value(w, data)) < 1e-9
 	}
@@ -219,7 +229,7 @@ func TestAddGradientMatchesFiniteDifference(t *testing.T) {
 		wm := vec.Copy(w)
 		wp[j] += h
 		wm[j] -= h
-		fd := (o.LossSum(wp, data) - o.LossSum(wm, data)) / (2 * h)
+		fd := (lossSum(o, wp, data) - lossSum(o, wm, data)) / (2 * h)
 		if math.Abs(g[j]-fd) > 1e-4*(1+math.Abs(fd)) {
 			t.Errorf("g[%d] = %g, finite-diff %g", j, g[j], fd)
 		}

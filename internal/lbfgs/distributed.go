@@ -50,7 +50,7 @@ const twoLoopWorkFactor = 4
 // the line search evaluates trial objectives with additional distributed
 // passes, exactly as spark.ml does.
 func TrainDistributed(ctx *engine.Context, parts []data.View, dim int, cfg DistConfig,
-	evalData []glm.Example, dataset string) (*train.Result, error) {
+	evalData data.View, dataset string) (*train.Result, error) {
 
 	if _, nonSmooth := cfg.Objective.Loss.(glm.Hinge); nonSmooth {
 		return nil, fmt.Errorf("lbfgs: hinge loss is not differentiable; use logistic or squared")

@@ -34,7 +34,7 @@ func TestBothVariantsMatchSequentialOptimum(t *testing.T) {
 	}
 	for _, allReduce := range []bool{false, true} {
 		_, _, ctx := clusters.Test(4).Build(nil)
-		res, err := lbfgs.TrainDistributed(ctx, parts, d.Features, distCfg(allReduce), d.Examples, d.Name)
+		res, err := lbfgs.TrainDistributed(ctx, parts, d.Features, distCfg(allReduce), d.View(), d.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestVariantsComputeSameIterates(t *testing.T) {
 		_, _, ctx := clusters.Test(4).Build(nil)
 		cfg := distCfg(allReduce)
 		cfg.MaxIters = 15
-		res, err := lbfgs.TrainDistributed(ctx, parts, d.Features, cfg, d.Examples, d.Name)
+		res, err := lbfgs.TrainDistributed(ctx, parts, d.Features, cfg, d.View(), d.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestAllReduceVariantMovesLessDriverTraffic(t *testing.T) {
 		_, cl, ctx := clusters.Test(8).Build(nil)
 		cfg := distCfg(allReduce)
 		cfg.MaxIters = 5
-		if _, err := lbfgs.TrainDistributed(ctx, parts, d.Features, cfg, d.Examples, d.Name); err != nil {
+		if _, err := lbfgs.TrainDistributed(ctx, parts, d.Features, cfg, d.View(), d.Name); err != nil {
 			t.Fatal(err)
 		}
 		return cl.Net.Node("driver").BytesSent() + cl.Net.Node("driver").BytesRecv()
@@ -90,21 +90,21 @@ func TestValidation(t *testing.T) {
 	_, _, ctx := clusters.Test(2).Build(nil)
 	cfg := distCfg(false)
 	cfg.Objective = glm.SVM(0)
-	if _, err := lbfgs.TrainDistributed(ctx, make([]data.View, 2), 10, cfg, nil, "d"); err == nil {
+	if _, err := lbfgs.TrainDistributed(ctx, make([]data.View, 2), 10, cfg, data.View{}, "d"); err == nil {
 		t.Error("want error for hinge")
 	}
 	_, _, ctx2 := clusters.Test(2).Build(nil)
 	cfg2 := distCfg(false)
 	cfg2.MaxIters = 0
-	if _, err := lbfgs.TrainDistributed(ctx2, make([]data.View, 2), 10, cfg2, nil, "d"); err == nil {
+	if _, err := lbfgs.TrainDistributed(ctx2, make([]data.View, 2), 10, cfg2, data.View{}, "d"); err == nil {
 		t.Error("want error for zero iters")
 	}
 	_, _, ctx3 := clusters.Test(3).Build(nil)
-	if _, err := lbfgs.TrainDistributed(ctx3, make([]data.View, 2), 10, distCfg(false), nil, "d"); err == nil {
+	if _, err := lbfgs.TrainDistributed(ctx3, make([]data.View, 2), 10, distCfg(false), data.View{}, "d"); err == nil {
 		t.Error("want error for partition mismatch")
 	}
 	_, _, ctx4 := clusters.Test(2).Build(nil)
-	if _, err := lbfgs.TrainDistributed(ctx4, make([]data.View, 2), 10, distCfg(false), nil, "d"); err == nil {
+	if _, err := lbfgs.TrainDistributed(ctx4, make([]data.View, 2), 10, distCfg(false), data.View{}, "d"); err == nil {
 		t.Error("want error for empty dataset")
 	}
 	// Stop criteria and cadence: non-finite or negative is an error naming
@@ -122,7 +122,7 @@ func TestValidation(t *testing.T) {
 		_, _, ctx := clusters.Test(2).Build(nil)
 		cfg := distCfg(false)
 		c.mutate(&cfg)
-		_, err := lbfgs.TrainDistributed(ctx, make([]data.View, 2), 10, cfg, nil, "d")
+		_, err := lbfgs.TrainDistributed(ctx, make([]data.View, 2), 10, cfg, data.View{}, "d")
 		if err == nil || !strings.Contains(err.Error(), c.field) {
 			t.Errorf("want error naming %s, got %v", c.field, err)
 		}
@@ -135,7 +135,7 @@ func TestDeterministic(t *testing.T) {
 		_, _, ctx := clusters.Test(3).Build(nil)
 		cfg := distCfg(true)
 		cfg.MaxIters = 8
-		res, err := lbfgs.TrainDistributed(ctx, parts, d.Features, cfg, d.Examples, d.Name)
+		res, err := lbfgs.TrainDistributed(ctx, parts, d.Features, cfg, d.View(), d.Name)
 		if err != nil {
 			t.Fatal(err)
 		}

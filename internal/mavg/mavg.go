@@ -15,7 +15,6 @@ import (
 	"mllibstar/internal/data"
 	"mllibstar/internal/des"
 	"mllibstar/internal/engine"
-	"mllibstar/internal/glm"
 	"mllibstar/internal/mllib"
 	"mllibstar/internal/obs"
 	"mllibstar/internal/opt"
@@ -30,7 +29,7 @@ const System = "MLlib+MA"
 // Train runs SendModel with model averaging over treeAggregate. parts must
 // have one partition per executor, in executor order.
 func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
-	evalData []glm.Example, dataset string) (*train.Result, error) {
+	evalData data.View, dataset string) (*train.Result, error) {
 
 	if err := prm.Validate(); err != nil {
 		return nil, err

@@ -31,7 +31,7 @@ func params() train.Params {
 func TestManyUpdatesPerStep(t *testing.T) {
 	d, parts := workload(4)
 	_, _, ctx := clusters.Test(4).Build(nil)
-	res, err := mavg.Train(ctx, parts, d.Features, params(), d.Examples, d.Name)
+	res, err := mavg.Train(ctx, parts, d.Features, params(), d.View(), d.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +55,14 @@ func TestConvergesFasterPerStepThanMLlib(t *testing.T) {
 	prm := params()
 	prm.MaxSteps = 15
 	maBest := steps(func() (*train.Result, error) {
-		return mavg.Train(ctxA, parts, d.Features, prm, d.Examples, d.Name)
+		return mavg.Train(ctxA, parts, d.Features, prm, d.View(), d.Name)
 	})
 	_, _, ctxB := clusters.Test(4).Build(nil)
 	prmML := prm
 	prmML.Eta = 0.5
 	prmML.BatchFraction = 0.2
 	mlBest := steps(func() (*train.Result, error) {
-		return mllib.Train(ctxB, parts, d.Features, prmML, d.Examples, d.Name)
+		return mllib.Train(ctxB, parts, d.Features, prmML, d.View(), d.Name)
 	})
 	if maBest >= mlBest {
 		t.Errorf("after 15 steps: MLlib+MA best %g not below MLlib best %g", maBest, mlBest)
@@ -76,7 +76,7 @@ func TestLocalPassesMultiplier(t *testing.T) {
 		prm := params()
 		prm.MaxSteps = 3
 		prm.LocalPasses = passes
-		res, err := mavg.Train(ctx, parts, d.Features, prm, d.Examples, d.Name)
+		res, err := mavg.Train(ctx, parts, d.Features, prm, d.View(), d.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,11 +102,11 @@ func TestSameCommunicationPatternAsMLlib(t *testing.T) {
 	prm.BatchFraction = 0.5
 
 	_, clA, ctxA := clusters.Test(4).Build(nil)
-	if _, err := mavg.Train(ctxA, parts, d.Features, prm, d.Examples, d.Name); err != nil {
+	if _, err := mavg.Train(ctxA, parts, d.Features, prm, d.View(), d.Name); err != nil {
 		t.Fatal(err)
 	}
 	_, clB, ctxB := clusters.Test(4).Build(nil)
-	if _, err := mllib.Train(ctxB, parts, d.Features, prm, d.Examples, d.Name); err != nil {
+	if _, err := mllib.Train(ctxB, parts, d.Features, prm, d.View(), d.Name); err != nil {
 		t.Fatal(err)
 	}
 	ma := clA.Net.Node("driver").BytesSent() + clA.Net.Node("driver").BytesRecv()
@@ -119,7 +119,7 @@ func TestSameCommunicationPatternAsMLlib(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	_, _, ctx := clusters.Test(2).Build(nil)
-	if _, err := mavg.Train(ctx, make([]data.View, 3), 10, params(), nil, "d"); err == nil {
+	if _, err := mavg.Train(ctx, make([]data.View, 3), 10, params(), data.View{}, "d"); err == nil {
 		t.Error("want partition mismatch error")
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"mllibstar/internal/des"
 	"mllibstar/internal/detrand"
 	"mllibstar/internal/engine"
-	"mllibstar/internal/glm"
 	"mllibstar/internal/obs"
 	"mllibstar/internal/sparse"
 	"mllibstar/internal/train"
@@ -46,7 +45,7 @@ func Aggregators(prm train.Params, k int) int {
 // ctx. parts must have one partition per executor, in executor order.
 // evalData is the out-of-band evaluation set; dataset labels the curve.
 func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
-	evalData []glm.Example, dataset string) (*train.Result, error) {
+	evalData data.View, dataset string) (*train.Result, error) {
 
 	if err := prm.Validate(); err != nil {
 		return nil, err

@@ -44,7 +44,7 @@ func TestAggregatorsDefaultIsSqrt(t *testing.T) {
 func TestOneUpdatePerStep(t *testing.T) {
 	d, parts := workload(4)
 	_, _, ctx := clusters.Test(4).Build(nil)
-	res, err := mllib.Train(ctx, parts, d.Features, params(), d.Examples, d.Name)
+	res, err := mllib.Train(ctx, parts, d.Features, params(), d.View(), d.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestObjectiveDecreases(t *testing.T) {
 	_, _, ctx := clusters.Test(4).Build(nil)
 	prm := params()
 	prm.MaxSteps = 100
-	res, err := mllib.Train(ctx, parts, d.Features, prm, d.Examples, d.Name)
+	res, err := mllib.Train(ctx, parts, d.Features, prm, d.View(), d.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestDriverIsBottleneck(t *testing.T) {
 	prm := params()
 	prm.MaxSteps = 3
 	prm.Aggregators = 8 // flat: all gradients to the driver
-	res, err := mllib.Train(ctx, parts, d.Features, prm, d.Examples, d.Name)
+	res, err := mllib.Train(ctx, parts, d.Features, prm, d.View(), d.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestTreeAggregationShiftsLoadFromDriver(t *testing.T) {
 		prm := params()
 		prm.MaxSteps = 2
 		prm.Aggregators = aggs
-		if _, err := mllib.Train(ctx, parts, d.Features, prm, d.Examples, d.Name); err != nil {
+		if _, err := mllib.Train(ctx, parts, d.Features, prm, d.View(), d.Name); err != nil {
 			t.Fatal(err)
 		}
 		return cl.Net.Node("driver").BytesRecv()
@@ -119,7 +119,7 @@ func TestBatchFractionOne(t *testing.T) {
 	prm := params()
 	prm.BatchFraction = 0
 	prm.MaxSteps = 5
-	res, err := mllib.Train(ctx, parts, d.Features, prm, d.Examples, d.Name)
+	res, err := mllib.Train(ctx, parts, d.Features, prm, d.View(), d.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,13 +130,13 @@ func TestBatchFractionOne(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	_, _, ctx := clusters.Test(2).Build(nil)
-	if _, err := mllib.Train(ctx, make([]data.View, 3), 10, params(), nil, "d"); err == nil {
+	if _, err := mllib.Train(ctx, make([]data.View, 3), 10, params(), data.View{}, "d"); err == nil {
 		t.Error("want partition mismatch error")
 	}
 	_, _, ctx2 := clusters.Test(2).Build(nil)
 	bad := params()
 	bad.MaxSteps = 0
-	if _, err := mllib.Train(ctx2, make([]data.View, 2), 10, bad, nil, "d"); err == nil {
+	if _, err := mllib.Train(ctx2, make([]data.View, 2), 10, bad, data.View{}, "d"); err == nil {
 		t.Error("want validation error")
 	}
 }

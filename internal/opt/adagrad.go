@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mllibstar/internal/data"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/vec"
 )
@@ -51,11 +52,11 @@ func (a *AdaGrad) Step(obj glm.Objective, w []float64, e glm.Example) (work int)
 	return e.X.NNZ()
 }
 
-// Pass runs one epoch of per-example AdaGrad over data, in order, and
-// returns the work in nonzeros touched.
-func (a *AdaGrad) Pass(obj glm.Objective, w []float64, data []glm.Example) (work int) {
-	for _, e := range data {
-		work += a.Step(obj, w, e)
+// Pass runs one epoch of per-example AdaGrad over the view's rows, in order,
+// and returns the work in nonzeros touched.
+func (a *AdaGrad) Pass(obj glm.Objective, w []float64, v data.View) (work int) {
+	for i := 0; i < v.NumRows(); i++ {
+		work += a.Step(obj, w, v.Example(i))
 	}
 	return work
 }

@@ -6,9 +6,14 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mllibstar/internal/data"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/vec"
 )
+
+// viewOf packs rows for the View-taking passes (AdaGrad, SVRG); the tests
+// below name their example slices data.
+func viewOf(rows []glm.Example) data.View { return data.ViewOf(rows) }
 
 // toyData generates a linearly separable-ish classification problem with a
 // planted model, for convergence tests.
@@ -295,7 +300,7 @@ func TestAdaGradConverges(t *testing.T) {
 	w := make([]float64, 40)
 	before := obj.Value(w, data)
 	for ep := 0; ep < 5; ep++ {
-		ada.Pass(obj, w, data)
+		ada.Pass(obj, w, viewOf(data))
 	}
 	after := obj.Value(w, data)
 	if after >= before*0.5 {
@@ -327,7 +332,7 @@ func TestAdaGradWorkIsSparse(t *testing.T) {
 	data, _ := toyData(rng, 50, dim, 5)
 	ada := NewAdaGrad(dim, 0.1)
 	w := make([]float64, dim)
-	work := ada.Pass(glm.SVM(0.1), w, data)
+	work := ada.Pass(glm.SVM(0.1), w, viewOf(data))
 	if work > 50*10 {
 		t.Errorf("work = %d, want ~nnz-scale (<=500)", work)
 	}
@@ -354,7 +359,7 @@ func TestSVRGConvergesWithConstantStep(t *testing.T) {
 	w := make([]float64, dim)
 	for outer := 0; outer < 8; outer++ {
 		svrg.Snapshot(obj, w, data)
-		svrg.Pass(obj, w, data)
+		svrg.Pass(obj, w, viewOf(data))
 	}
 	svrgObj := obj.Value(w, data)
 

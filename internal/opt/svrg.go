@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"mllibstar/internal/data"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/vec"
 )
@@ -74,10 +75,11 @@ func (s *SVRG) Step(obj glm.Objective, w []float64, e glm.Example) (work int) {
 	return 2*e.X.NNZ() + len(w)
 }
 
-// Pass runs one inner epoch of corrected steps over data in order.
-func (s *SVRG) Pass(obj glm.Objective, w []float64, data []glm.Example) (work int) {
-	for _, e := range data {
-		work += s.Step(obj, w, e)
+// Pass runs one inner epoch of corrected steps over the view's rows in
+// order.
+func (s *SVRG) Pass(obj glm.Objective, w []float64, v data.View) (work int) {
+	for i := 0; i < v.NumRows(); i++ {
+		work += s.Step(obj, w, v.Example(i))
 	}
 	return work
 }

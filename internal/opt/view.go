@@ -2,10 +2,12 @@ package opt
 
 // View-based forms of the sequential kernels — what the trainers call. Same
 // algorithms, same floating-point operation order, same work accounting as
-// their []glm.Example counterparts in opt.go, but consuming data.View so the
-// hot loops run on the slab kernels (internal/data). The []glm.Example forms
-// remain for example-slice consumers (ReferenceOptimum) and as the
-// references the unit tests compare these against, bit for bit.
+// their []glm.Example counterparts in opt.go, but consuming data.View, the
+// one dataset type the trainers hold, so the hot loops run on the slab
+// kernels (internal/data). The []glm.Example forms remain for example-slice
+// consumers (ReferenceOptimum) and as the references the unit tests compare
+// these against, bit for bit. AdaGrad and SVRG take a View too; they visit
+// it a row at a time through data.View.Example.
 
 import (
 	"mllibstar/internal/data"
@@ -13,10 +15,10 @@ import (
 )
 
 // LocalPassView is LocalPassWith over a view. The model it produces is
-// bit-identical to LocalPassWith(obj, w, v.Examples(), ...): the plain and
-// lazy-L2 slab passes replicate the per-example update sequence exactly.
-// L1 and ElasticNet have no lazy form and no slab body: they run
-// LocalPassWith's eager per-example loop over the view's rows.
+// bit-identical to LocalPassWith over the view's rows: the plain and lazy-L2
+// slab passes replicate the per-example update sequence exactly. L1 and
+// ElasticNet have no lazy form and no slab body: they run LocalPassWith's
+// eager per-example step over the view's rows, one View.Example at a time.
 func LocalPassView(obj glm.Objective, w []float64, v data.View, sched Schedule, stepBase int, sc *PassScratch) (work int) {
 	switch reg := obj.Reg.(type) {
 	case glm.None:
@@ -27,7 +29,10 @@ func LocalPassView(obj glm.Objective, w []float64, v data.View, sched Schedule, 
 		lazy.WeightsInto(w)
 		return work + len(w) // final materialization
 	default:
-		return LocalPassWith(obj, w, v.Examples(), sched, stepBase, sc)
+		for i := 0; i < v.NumRows(); i++ {
+			work += EagerSGDStep(obj, w, v.Example(i), sched(stepBase+i))
+		}
+		return work
 	}
 }
 

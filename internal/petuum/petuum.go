@@ -42,7 +42,7 @@ type Summation bool
 // Train runs the Petuum-like trainer over the given worker nodes. parts
 // must have one partition per node, in node order.
 func Train(sim *des.Sim, net *simnet.Network, nodeNames []string, parts []data.View,
-	dim int, prm train.Params, evalData []glm.Example, dataset string, summation Summation) (*train.Result, error) {
+	dim int, prm train.Params, evalData data.View, dataset string, summation Summation) (*train.Result, error) {
 
 	if err := prm.Validate(); err != nil {
 		return nil, err

@@ -35,7 +35,7 @@ func runPetuum(t *testing.T, obj glm.Objective, steps int, summation petuum.Summ
 	t.Helper()
 	d, parts := workload(4)
 	sim, net, names := clusters.Test(4).BuildNet(nil)
-	res, err := petuum.Train(sim, net, names, parts, d.Features, params(obj, steps), d.Examples, d.Name, summation)
+	res, err := petuum.Train(sim, net, names, parts, d.Features, params(obj, steps), d.View(), d.Name, summation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestPetuumStarConvergesWithL2(t *testing.T) {
 	sim, net, names := clusters.Test(4).BuildNet(nil)
 	prm := params(obj, 800)
 	prm.Eta = 1.0
-	res, err := petuum.Train(sim, net, names, parts, d.Features, prm, d.Examples, d.Name, false)
+	res, err := petuum.Train(sim, net, names, parts, d.Features, prm, d.View(), d.Name, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSummationDivergesWhereAveragingIsStable(t *testing.T) {
 		prm := params(glm.SVM(0), 40)
 		prm.Eta = 1.5
 		prm.Decay = false
-		res, err := petuum.Train(sim, net, names, parts, d.Features, prm, d.Examples, d.Name, sum)
+		res, err := petuum.Train(sim, net, names, parts, d.Features, prm, d.View(), d.Name, sum)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestTargetObjectiveStops(t *testing.T) {
 	prm := params(glm.SVM(0), 500)
 	prm.EvalEvery = 1
 	prm.TargetObjective = 0.9
-	res, err := petuum.Train(sim, net, names, parts, d.Features, prm, d.Examples, d.Name, false)
+	res, err := petuum.Train(sim, net, names, parts, d.Features, prm, d.View(), d.Name, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestValidationErrors(t *testing.T) {
 	sim, net, names := clusters.Test(2).BuildNet(nil)
 	prm := params(glm.SVM(0), 10)
 	prm.Eta = -1
-	if _, err := petuum.Train(sim, net, names, make([]data.View, 2), 10, prm, nil, "d", false); err == nil {
+	if _, err := petuum.Train(sim, net, names, make([]data.View, 2), 10, prm, data.View{}, "d", false); err == nil {
 		t.Error("want error for bad eta")
 	}
 	sim2, net2, names2 := clusters.Test(2).BuildNet(nil)
-	if _, err := petuum.Train(sim2, net2, names2, make([]data.View, 3), 10, params(glm.SVM(0), 10), nil, "d", false); err == nil {
+	if _, err := petuum.Train(sim2, net2, names2, make([]data.View, 3), 10, params(glm.SVM(0), 10), data.View{}, "d", false); err == nil {
 		t.Error("want error for partition mismatch")
 	}
 }
@@ -147,7 +147,7 @@ func TestAngelConverges(t *testing.T) {
 	sim, net, names := clusters.Test(4).BuildNet(nil)
 	prm := params(glm.SVM(0.01), 60)
 	prm.Eta = 0.5
-	res, err := angel.Train(sim, net, names, parts, d.Features, prm, d.Examples, d.Name)
+	res, err := angel.Train(sim, net, names, parts, d.Features, prm, d.View(), d.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestAngelSmallBatchOverhead(t *testing.T) {
 		sim, net, names := clusters.Test(4).BuildNet(nil)
 		prm := params(glm.SVM(0), 10)
 		prm.BatchFraction = frac
-		res, err := angel.Train(sim, net, names, parts, d.Features, prm, d.Examples, d.Name)
+		res, err := angel.Train(sim, net, names, parts, d.Features, prm, d.View(), d.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestAngelCommunicatesPerEpochNotPerBatch(t *testing.T) {
 		sim, net, names := clusters.Test(4).BuildNet(nil)
 		prm := params(glm.SVM(0), 10)
 		prm.BatchFraction = frac
-		res, err := angel.Train(sim, net, names, parts, d.Features, prm, d.Examples, d.Name)
+		res, err := angel.Train(sim, net, names, parts, d.Features, prm, d.View(), d.Name)
 		if err != nil {
 			t.Fatal(err)
 		}

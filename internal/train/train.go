@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"mllibstar/internal/data"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/metrics"
 	"mllibstar/internal/obs"
@@ -161,13 +162,13 @@ type Result struct {
 // enough that claiming one costs nothing next to its margins.
 const evalBlock = 256
 
-// Evaluator records convergence points against a fixed evaluation set, off
-// the simulation thread: Record snapshots the model and submits the
-// objective evaluation to the offload pool as parts of evalBlock contiguous
-// rows (par.GoParts), each writing its rows' losses into the evaluator's
-// loss buffer; the next Record — or Wait — joins it, claiming the blocks no
-// pool thread has started, folds the buffer in row order and commits the
-// value. Every margin, every loss and the order of the sum are those of
+// Evaluator records convergence points against a fixed evaluation set (a
+// View of its arena), off the simulation thread: Record snapshots the model
+// and submits the objective evaluation to the offload pool as parts of
+// evalBlock contiguous rows (par.GoParts), each writing its rows' losses
+// into the evaluator's loss buffer with data.LossRows over its sub-View; the
+// next Record — or Wait — joins it, claiming the blocks no pool thread has
+// started, folds the buffer in row order and commits the value. Every margin, every loss and the order of the sum are those of
 // Objective.Value, so the committed objective is its value bit for bit. At
 // most one evaluation is in flight, so points and telemetry Eval events are
 // committed in step order.
@@ -182,7 +183,7 @@ const evalBlock = 256
 // NaN placeholder.
 type Evaluator struct {
 	Objective glm.Objective
-	Data      []glm.Example
+	Data      data.View
 	// Curve holds one point per recorded step as soon as Record returns;
 	// the last point's Objective is final only after Wait.
 	Curve *metrics.Curve
@@ -200,17 +201,17 @@ type Evaluator struct {
 	pending *par.Handle // the evaluation in flight, nil when none
 }
 
-// NewEvaluator builds an evaluator recording to a fresh curve and to no
-// telemetry sink.
+// NewEvaluator builds an evaluator over the examples, packed once into an
+// arena of their own, recording to a fresh curve and to no telemetry sink.
 func NewEvaluator(system, dataset string, obj glm.Objective, evalData []glm.Example, every int) *Evaluator {
-	return NewEvaluatorInto(nil, system, dataset, obj, evalData, every)
+	return NewEvaluatorInto(nil, system, dataset, obj, data.ViewOf(evalData), every)
 }
 
 // NewEvaluatorInto is NewEvaluator recording into the run's sink: the run's
 // system and dataset names are logged as meta events, which is how
 // cmd/mlstar-obs labels its reports, and every committed objective as an
 // eval event. A trainer passes its network's sink (simnet.Network.Sink).
-func NewEvaluatorInto(sink *obs.Sink, system, dataset string, obj glm.Objective, evalData []glm.Example, every int) *Evaluator {
+func NewEvaluatorInto(sink *obs.Sink, system, dataset string, obj glm.Objective, evalData data.View, every int) *Evaluator {
 	if every <= 0 {
 		every = 1
 	}
@@ -256,16 +257,16 @@ func (ev *Evaluator) Record(step int, simTime float64, w []float64) (reached boo
 		model = ev.snap
 	}
 	ev.Curve.Add(step, simTime, math.NaN())
-	n := len(ev.Data)
+	n := ev.Data.NumRows()
 	if len(ev.loss) != n {
 		ev.loss = make([]float64, n)
 	}
-	obj, data, loss := ev.Objective, ev.Data, ev.loss
+	loss, rows, out := ev.Objective.Loss, ev.Data, ev.loss
 	ev.model = model
 	ev.pending = par.GoParts((n+evalBlock-1)/evalBlock, func(b int) {
 		lo := b * evalBlock
 		hi := min(lo+evalBlock, n)
-		obj.LossRows(model, data[lo:hi], loss[lo:hi])
+		data.LossRows(loss, model, rows.Sub(lo, hi), out[lo:hi])
 	})
 	if inline {
 		ev.Wait()

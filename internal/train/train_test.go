@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mllibstar/internal/data"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/obs"
 	"mllibstar/internal/par"
@@ -249,7 +250,7 @@ func TestEvaluatorInlineWhenRead(t *testing.T) {
 			if mode == "sink" {
 				sink = obs.NewSink()
 			}
-			ev := NewEvaluatorInto(sink, "s", "d", glm.Objective{Loss: loss, Reg: glm.None{}}, oneRow(), 1)
+			ev := NewEvaluatorInto(sink, "s", "d", glm.Objective{Loss: loss, Reg: glm.None{}}, data.ViewOf(oneRow()), 1)
 			if mode == "target" {
 				ev.StopAt(0.9)
 			}
@@ -363,7 +364,7 @@ func TestEvaluatorCommitOrder(t *testing.T) {
 	bothPools(t, func(t *testing.T) {
 		const steps = 40
 		run := func(sink *obs.Sink) *Evaluator {
-			ev := NewEvaluatorInto(sink, "s", "d", glm.SVM(0), oneRow(), 2)
+			ev := NewEvaluatorInto(sink, "s", "d", glm.SVM(0), data.ViewOf(oneRow()), 2)
 			ev.Staleness = 3
 			w := []float64{0}
 			for step := 0; step <= steps; step++ {

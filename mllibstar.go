@@ -117,10 +117,13 @@ type Config struct {
 	// LocalPasses is how many local passes SendModel systems run per
 	// communication step (default 1).
 	LocalPasses int
-	// Staleness is the SSP slack for parameter-server systems (0 = BSP).
+	// Staleness is the SSP slack for parameter-server systems (0 = BSP); a
+	// positive slack on any other system is an error.
 	Staleness int
 	// Reweight enables Splash-style reweighted model averaging in MLlib*
-	// (local steps scaled by the worker count before averaging).
+	// (local steps scaled by the worker count before averaging). It is an
+	// error on any other system, as are AdaGrad and TorrentBroadcast off
+	// theirs.
 	Reweight bool
 	// AdaGrad switches MLlib*'s local optimizer to AdaGrad (per-coordinate
 	// adaptive steps — usually better on heavy-tailed sparse features).
@@ -138,6 +141,7 @@ type Config struct {
 	// EvalEvery sets the curve-recording cadence in communication steps.
 	EvalEvery int
 	// EvalData overrides the evaluation set (default: the training data).
+	// Train packs it into an arena of its own once per call.
 	EvalData []Example
 
 	// Trace is the telemetry sink the run records into: every compute span,
@@ -271,10 +275,21 @@ func Train(ds *Dataset, cfg Config) (*Result, error) {
 	if !slices.Contains(Systems(), system) {
 		return nil, unknownSystem(system)
 	}
-	// The collective switches shape the AllReduce and nothing else; a system
-	// aggregating through the driver or a parameter server would ignore them.
-	if (allreduce.Enabled() || allreduce.OverlapEnabled()) && !usesAllReduce(system) {
-		return nil, fmt.Errorf("mllibstar: -pipeline, -chunks and -overlap configure the AllReduce collective, which %s does not use", system)
+	// Each of these shapes one family of systems and nothing else; any
+	// other system would train as if it were unset.
+	for _, o := range []struct {
+		set, used bool
+		what      string
+	}{
+		{allreduce.Enabled() || allreduce.OverlapEnabled(), usesAllReduce(system), "-pipeline, -chunks and -overlap configure the AllReduce collective"},
+		{cfg.AdaGrad, system == MLlibStar, "AdaGrad configures MLlib*'s local optimizer"},
+		{cfg.Reweight, system == MLlibStar, "Reweight configures MLlib*'s model averaging"},
+		{cfg.TorrentBroadcast, system == MLlib, "TorrentBroadcast configures MLlib's broadcast"},
+		{cfg.Staleness > 0, system == Petuum || system == PetuumStar || system == Angel, "Staleness configures the parameter server's SSP slack"},
+	} {
+		if o.set && !o.used {
+			return nil, fmt.Errorf("mllibstar: %s, which %s does not use", o.what, system)
+		}
 	}
 	cluster := cfg.Cluster
 	if cluster == (Cluster{}) {
@@ -282,9 +297,10 @@ func Train(ds *Dataset, cfg Config) (*Result, error) {
 	} else if cluster.Executors < 1 {
 		return nil, fmt.Errorf("mllibstar: Cluster.Executors %d must be positive", cluster.Executors)
 	}
-	evalData := cfg.EvalData
-	if evalData == nil {
-		evalData = ds.Examples
+	// A separate evaluation set is packed into an arena once per call.
+	evalData := ds.View()
+	if cfg.EvalData != nil {
+		evalData = data.ViewOf(cfg.EvalData)
 	}
 	sink := cfg.Trace
 	if sink == nil {

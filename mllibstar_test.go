@@ -124,6 +124,15 @@ func TestConfigErrors(t *testing.T) {
 		{MaxSimTime: math.Inf(1)},
 		{EvalEvery: -1},
 		{System: LBFGS, Loss: "logistic", TargetObjective: math.NaN()},
+		// An option the chosen system does not read is an error.
+		{System: MLlib, AdaGrad: true},
+		{System: MLlibStarSVRG, Loss: "logistic", AdaGrad: true},
+		{System: MLlibMA, Reweight: true},
+		{System: Petuum, Reweight: true},
+		{System: MLlibStar, TorrentBroadcast: true},
+		{System: MLlibMA, TorrentBroadcast: true},
+		{System: MLlibStar, Staleness: 3},
+		{System: LBFGS, Loss: "logistic", Staleness: 1},
 	}
 	for i, cfg := range cases {
 		if _, err := Train(ds, cfg); err == nil {
