@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-fix fuzz bench-smoke smoke-lists benchmark benchmark-compare repro-check obs critpath docs check clean
+.PHONY: build test race lint fuzz bench-smoke smoke-lists benchmark benchmark-compare repro-check obs critpath docs check clean
 
 build: ## compile everything
 	$(GO) build ./...
@@ -14,13 +14,9 @@ test: ## unit tests
 race: ## unit tests under the race detector
 	$(GO) test -race ./...
 
-lint: ## gofmt -l must list nothing; then go vet + the repo's own analyzers, memoized in .mlstar-lint-cache.json
+lint: ## gofmt -l must list nothing; then go vet + the repo's own analyzers, cold every run (3-4 s on 2 vCPUs after go build ./...)
 	@unformatted=$$(gofmt -l .) && if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
-	$(GO) run ./cmd/mlstar-lint -stats ./...
-
-lint-fix: ## apply SuggestedFixes in place, then assert a second pass finds nothing left (idempotency)
-	$(GO) run ./cmd/mlstar-lint -fix ./...
-	$(GO) run ./cmd/mlstar-lint -fix ./... | tee /dev/stderr | grep -q '^mlstar-lint: applied 0 fix(es)'
+	$(GO) run ./cmd/mlstar-lint ./...
 
 fuzz: ## short fuzz runs: libsvm reader + the one loss body against glm's reference + sparse encoding + telemetry event round-trips + the event encoder against encoding/json + causal graph pipeline + the table-driven Zipf against math/rand + the collective plan against an executed run + the model-checkpoint reader
 	$(GO) test -fuzz=FuzzReadLibSVM -fuzztime=10s ./internal/data
@@ -114,4 +110,3 @@ check: build lint race fuzz repro-check obs critpath bench-smoke smoke-lists doc
 
 clean:
 	$(GO) clean ./...
-	rm -f .mlstar-lint-cache.json

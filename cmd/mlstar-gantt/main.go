@@ -22,6 +22,14 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command, returning its error instead of exiting.
+func run() error {
 	var (
 		system = flag.String("system", "", "only this system (default: all three)")
 		preset = flag.String("preset", "kdd12", "dataset preset")
@@ -33,11 +41,18 @@ func main() {
 		svgDir = flag.String("svg", "", "directory to write SVG gantt charts into")
 	)
 	flag.Parse()
+	// Config would read -steps 0 as its default of 100 steps, and the chart
+	// would widen a narrower -width to 10 columns.
+	if *steps < 1 {
+		return fmt.Errorf("-steps %d must be at least 1", *steps)
+	}
+	if *width < 10 {
+		return fmt.Errorf("-width %d must be at least 10", *width)
+	}
 
 	ds, err := mllibstar.PresetDataset(*preset, *scale)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 
 	systems := []mllibstar.System{mllibstar.MLlib, mllibstar.MLlibMA, mllibstar.MLlibStar}
@@ -56,8 +71,7 @@ func main() {
 			MaxSteps: *steps, Trace: sink, Seed: 7,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Printf("--- %s: %d steps in %.4f simulated s ---\n", sys, res.CommSteps, res.SimTime)
 		gantt := obs.GanttFromEvents(sink.Events())
@@ -65,28 +79,25 @@ func main() {
 		name := strings.NewReplacer("*", "star", "+", "_").Replace(string(sys))
 		if *csvDir != "" {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			path := filepath.Join(*csvDir, fmt.Sprintf("gantt_%s.csv", name))
 			if err := os.WriteFile(path, []byte(gantt.CSV()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			fmt.Printf("wrote %s\n", path)
 		}
 		if *svgDir != "" {
 			if err := os.MkdirAll(*svgDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			path := filepath.Join(*svgDir, fmt.Sprintf("gantt_%s.svg", name))
 			svg := gantt.SVG(fmt.Sprintf("%s · cluster activity", sys), 900)
 			if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			fmt.Printf("wrote %s\n", path)
 		}
 	}
+	return nil
 }

@@ -3,24 +3,20 @@
 // non-zero on any finding.
 //
 // The suite has two layers. The syntactic analyzers (determinism, vecalias,
-// floateq, errdiscard, gocapture, obspure, pkgdoc) check one construct at a
-// time. The flow-sensitive analyzers (costcharge, buflife, detflow) run the
-// dataflow engine in internal/analysis — CFGs, an intra-module call graph,
-// and cross-package function summaries ("facts") — so they follow values
-// and effects across statements and function boundaries.
+// floateq, errdiscard, pkgdoc) check one construct at a time. The
+// flow-sensitive analyzers (costcharge, buflife, detflow) run the dataflow
+// engine in internal/analysis — CFGs, an intra-module call graph, and
+// cross-package function summaries ("facts") — so they follow values and
+// effects across statements and function boundaries.
 //
 // Usage:
 //
 //	mlstar-lint ./...                # the CI gate
-//	mlstar-lint -fix ./...           # apply suggested fixes in place
-//	mlstar-lint -vet=false ./...     # custom analyzers only
-//	mlstar-lint -cache=false ./...   # ignore and do not write the result cache
 //	mlstar-lint -list                # describe the analyzers and their scopes
 //
-// Results are memoized in .mlstar-lint-cache.json at the module root, keyed
-// by the analyzer binary's own hash plus each package's file contents and
-// dependency keys (see cache.go); a warm run re-checks nothing. -stats
-// prints the hit/miss split and the suite's wall time.
+// Every run is cold: the loader type-checks the module's packages from
+// source and reads the standard library from the compiler's export data,
+// so after `go build ./...` the whole tree takes a couple of seconds.
 //
 // Findings are suppressed per statement with `//mlstar:nolint <analyzer> --
 // reason`; a malformed or unattached directive is itself reported as a
@@ -33,12 +29,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"go/token"
 	"os"
 	"os/exec"
 	"sort"
 	"strings"
-	"time"
 
 	"mllibstar/internal/analysis"
 	"mllibstar/internal/analysis/buflife"
@@ -47,9 +41,7 @@ import (
 	"mllibstar/internal/analysis/detflow"
 	"mllibstar/internal/analysis/errdiscard"
 	"mllibstar/internal/analysis/floateq"
-	"mllibstar/internal/analysis/gocapture"
 	"mllibstar/internal/analysis/loader"
-	"mllibstar/internal/analysis/obspure"
 	"mllibstar/internal/analysis/pkgdoc"
 	"mllibstar/internal/analysis/vecalias"
 )
@@ -66,19 +58,11 @@ var analyzers = []*analysis.Analyzer{
 	costcharge.Analyzer,
 	floateq.Analyzer,
 	errdiscard.Analyzer,
-	gocapture.Analyzer,
-	obspure.Analyzer,
 	pkgdoc.Analyzer,
 }
 
 func main() {
-	var (
-		vet   = flag.Bool("vet", true, "also run go vet on the same patterns")
-		list  = flag.Bool("list", false, "describe the analyzers and exit")
-		fix   = flag.Bool("fix", false, "apply suggested fixes to the source files and exit")
-		cache = flag.Bool("cache", true, "memoize results in "+cacheFileName+" at the module root")
-		stats = flag.Bool("stats", false, "print cache hit/miss statistics")
-	)
+	list := flag.Bool("list", false, "describe the analyzers and exit")
 	flag.Parse()
 
 	if *list {
@@ -102,52 +86,21 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	failed := false
-	if *vet && !*fix {
-		cmd := exec.Command("go", append([]string{"vet"}, patterns...)...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
-			failed = true
-		}
-	}
+	vet := exec.Command("go", append([]string{"vet"}, patterns...)...)
+	vet.Stdout = os.Stdout
+	vet.Stderr = os.Stderr
+	failed := vet.Run() != nil
 
-	start := time.Now()
-	res, err := runSuite(patterns, *cache && !*fix, *fix)
+	findings, err := runSuite("", patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mlstar-lint: %v\n", err)
 		os.Exit(2)
 	}
-	elapsed := time.Since(start)
-
-	if *stats {
-		fmt.Fprintf(os.Stderr, "mlstar-lint: %d package(s): %d cached, %d analyzed in %s\n",
-			res.hits+res.misses, res.hits, res.misses, elapsed.Round(time.Millisecond))
-	}
-
-	if *fix {
-		applyFixes(res)
-		return
-	}
-
-	sort.Slice(res.findings, func(i, j int) bool {
-		a, b := res.findings[i], res.findings[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Analyzer < b.Analyzer
-	})
-	for _, f := range res.findings {
+	for _, f := range findings {
 		fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 	}
-	if len(res.findings) > 0 {
-		fmt.Printf("mlstar-lint: %d finding(s)\n", len(res.findings))
+	if len(findings) > 0 {
+		fmt.Printf("mlstar-lint: %d finding(s)\n", len(findings))
 		failed = true
 	}
 	if failed {
@@ -155,75 +108,42 @@ func main() {
 	}
 }
 
-// result is one suite run's output.
-type result struct {
-	findings     []finding
-	fixables     []analysis.Diagnostic // diagnostics carrying fixes (fix mode only)
-	fset         *token.FileSet
-	hits, misses int
+// finding is one reported diagnostic.
+type finding struct {
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
-// runSuite lists the packages, answers warm ones from the cache, and runs
-// the analyzers over the rest in dependency order, threading the shared
-// fact store through so interprocedural summaries cross package boundaries.
-func runSuite(patterns []string, useCache, collectFixes bool) (*result, error) {
-	mod, err := loader.List("", patterns)
+// runSuite lists the packages matched by patterns in dir ("" = the working
+// directory) and runs the analyzers over them in dependency order,
+// threading one fact store through so interprocedural summaries cross
+// package boundaries. The findings come back sorted by position.
+func runSuite(dir string, patterns []string) ([]finding, error) {
+	mod, err := loader.List(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
 
-	seed, err := binarySeed()
-	if err != nil {
-		return nil, err
-	}
-	cPath := cachePath()
-	var persisted *cacheFile
-	if useCache {
-		persisted = loadCache(cPath, seed)
-	}
-	fresh := &cacheFile{Seed: seed, Packages: map[string]cacheEntry{}}
-
-	res := &result{}
+	var findings []finding
 	facts := analysis.NewFacts()
 	sup := analysis.NewSuppressor()
-	keys := map[string]string{}
-
 	for _, e := range mod.Entries {
-		key, err := packageKey(seed, e, keys)
-		if err != nil {
-			return nil, err
-		}
-		keys[e.ImportPath] = key
-
-		if persisted != nil {
-			if ce, ok := persisted.Packages[e.ImportPath]; ok && ce.Key == key {
-				// Warm: replay the package's exported facts so colder
-				// dependents can still import them, and reuse its findings.
-				facts.Replay(ce.Facts)
-				res.findings = append(res.findings, ce.Findings...)
-				fresh.Packages[e.ImportPath] = ce
-				res.hits++
-				continue
-			}
-		}
-		res.misses++
-
 		pkg, err := mod.LoadPackage(e)
 		if err != nil {
 			return nil, err
 		}
-		res.fset = pkg.Fset
 
-		var pkgFindings []finding
 		for _, mis := range sup.AddPackage(pkg.Fset, pkg.Files) {
 			pos := pkg.Fset.Position(mis.Pos)
-			pkgFindings = append(pkgFindings, finding{
+			findings = append(findings, finding{
 				File: pos.Filename, Line: pos.Line, Col: pos.Column,
 				Analyzer: "nolint", Message: mis.Message,
 			})
 		}
 
-		before := facts.Len()
 		for _, a := range analyzers {
 			inScope := a.InScope(pkg.PkgPath)
 			if !inScope && !a.FactsAll {
@@ -246,56 +166,29 @@ func runSuite(patterns []string, useCache, collectFixes bool) (*result, error) {
 				if sup.Suppressed(pos.Filename, pos.Line, name) {
 					return
 				}
-				pkgFindings = append(pkgFindings, finding{
+				findings = append(findings, finding{
 					File: pos.Filename, Line: pos.Line, Col: pos.Column,
 					Analyzer: name, Message: d.Message,
 				})
-				if collectFixes && len(d.Fixes) > 0 {
-					res.fixables = append(res.fixables, d)
-				}
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %v", a.Name, pkg.PkgPath, err)
 			}
 		}
+	}
 
-		res.findings = append(res.findings, pkgFindings...)
-		fresh.Packages[e.ImportPath] = cacheEntry{
-			Key:      key,
-			Findings: pkgFindings,
-			Facts:    facts.Since(before),
+	sort.Slice(findings, func(i, j int) bool {
+		a, b := findings[i], findings[j]
+		if a.File != b.File {
+			return a.File < b.File
 		}
-	}
-
-	if useCache {
-		saveCache(cPath, fresh)
-	}
-	return res, nil
-}
-
-// applyFixes rewrites the source files with the suggested fixes collected
-// during the run and reports the tally. Running lint-fix until it applies 0
-// fixes converges: ApplyFixes defers overlapping edits to the next round.
-func applyFixes(res *result) {
-	if len(res.fixables) == 0 {
-		fmt.Println("mlstar-lint: applied 0 fix(es)")
-		return
-	}
-	changed, applied, skipped, err := analysis.ApplyFixes(res.fset, res.fixables, os.ReadFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mlstar-lint: %v\n", err)
-		os.Exit(2)
-	}
-	files := make([]string, 0, len(changed))
-	for f := range changed { //mlstar:nolint determinism -- keys sorted before use
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	for _, f := range files {
-		if err := os.WriteFile(f, changed[f], 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "mlstar-lint: writing %s: %v\n", f, err)
-			os.Exit(2)
+		if a.Line != b.Line {
+			return a.Line < b.Line
 		}
-	}
-	fmt.Printf("mlstar-lint: applied %d fix(es) in %d file(s), skipped %d\n", applied, len(files), skipped)
+		if a.Col != b.Col {
+			return a.Col < b.Col
+		}
+		return a.Analyzer < b.Analyzer
+	})
+	return findings, nil
 }

@@ -1,0 +1,36 @@
+package main
+
+import (
+	"path/filepath"
+	"testing"
+)
+
+// TestCrossPackageFacts runs the suite over a two-package module in which
+// every finding of package a depends on a summary of package b: a helper
+// that reaches obs, one that Puts its argument, and one that returns
+// map-order data. Without the facts crossing the package boundary, a would
+// be clean.
+func TestCrossPackageFacts(t *testing.T) {
+	findings, err := runSuite("testdata/twopkg", []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		analyzer string
+		line     int
+	}{
+		{"costcharge", 11},
+		{"buflife", 17},
+		{"detflow", 24},
+	}
+	if len(findings) != len(want) {
+		t.Fatalf("got %d findings, want %d: %+v", len(findings), len(want), findings)
+	}
+	for i, w := range want {
+		f := findings[i]
+		if f.Analyzer != w.analyzer || f.Line != w.line || filepath.Base(f.File) != "a.go" {
+			t.Errorf("finding %d = %s:%d [%s] %s, want a.go:%d [%s]",
+				i, filepath.Base(f.File), f.Line, f.Analyzer, f.Message, w.line, w.analyzer)
+		}
+	}
+}

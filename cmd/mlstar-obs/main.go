@@ -43,6 +43,14 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "mlstar-obs:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command, returning its error instead of exiting.
+func run() error {
 	var (
 		in      = flag.String("in", "", "input event log (JSONL); required")
 		asJSON  = flag.Bool("json", false, "emit the attribution report as JSON instead of text")
@@ -56,28 +64,30 @@ func main() {
 	)
 	flag.Parse()
 	if *in == "" {
-		fmt.Fprintln(os.Stderr, "mlstar-obs: -in events.jsonl is required")
 		flag.Usage()
-		os.Exit(2)
+		return fmt.Errorf("-in events.jsonl is required")
+	}
+	if *topN < 0 {
+		return fmt.Errorf("-top %d must be >= 0", *topN)
 	}
 
 	f, err := os.Open(*in)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	events, err := obs.ReadJSONL(f)
 	_ = f.Close()
 	if err != nil {
-		fatal(fmt.Errorf("reading %s: %v", *in, err))
+		return fmt.Errorf("reading %s: %v", *in, err)
 	}
 	if len(events) == 0 {
-		fatal(fmt.Errorf("%s: no events", *in))
+		return fmt.Errorf("%s: no events", *in)
 	}
 
 	if *gantt != "" {
 		svg := obs.GanttFromEvents(events).SVG("per-node activity, virtual time", 1100)
 		if err := os.WriteFile(*gantt, []byte(svg), 0o644); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *curve != "" {
@@ -86,7 +96,7 @@ func main() {
 			Title: "objective vs simulated time", LogX: true,
 		})
 		if err := os.WriteFile(*curve, []byte(svg), 0o644); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
@@ -94,7 +104,7 @@ func main() {
 		s := obs.SinkFromEvents(events)
 		addr, _, err := obshttp.Serve(*serve, s)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "mlstar-obs: dashboard on http://%s/ (ctrl-C to stop)\n", addr)
 		select {} // serve until interrupted
@@ -104,7 +114,7 @@ func main() {
 	case *crit || *whatif:
 		g, err := causal.Analyze(events)
 		if err != nil {
-			fatal(fmt.Errorf("building causal graph: %v (a log recorded by an older build or another tool lacks the causal fields; record it again with -obs)", err))
+			return fmt.Errorf("building causal graph: %v (a log recorded by an older build or another tool lacks the causal fields; record it again with -obs)", err)
 		}
 		if *crit {
 			fmt.Print(causal.CriticalPath(g).Text(*topN))
@@ -113,21 +123,13 @@ func main() {
 			fmt.Print(causal.WhatIfText(g, causal.WhatIf(g, causal.StandardScenarios(g))))
 		}
 	case *metText:
-		if err := obs.SinkFromEvents(events).Registry().WriteText(os.Stdout); err != nil {
-			fatal(err)
-		}
+		return obs.SinkFromEvents(events).Registry().WriteText(os.Stdout)
 	case *asJSON:
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(obs.Attribute(events)); err != nil {
-			fatal(err)
-		}
+		return enc.Encode(obs.Attribute(events))
 	default:
 		fmt.Print(obs.Attribute(events).Text())
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mlstar-obs:", err)
-	os.Exit(1)
+	return nil
 }

@@ -22,8 +22,6 @@ import (
 	"mllibstar/internal/analysis/detflow"
 	"mllibstar/internal/analysis/errdiscard"
 	"mllibstar/internal/analysis/floateq"
-	"mllibstar/internal/analysis/gocapture"
-	"mllibstar/internal/analysis/obspure"
 	"mllibstar/internal/analysis/pkgdoc"
 	"mllibstar/internal/analysis/vecalias"
 	"mllibstar/internal/bench"
@@ -117,8 +115,7 @@ func TestDocsAnalyzers(t *testing.T) {
 	suite := []*analysis.Analyzer{
 		determinism.Analyzer, detflow.Analyzer,
 		vecalias.Analyzer, buflife.Analyzer, costcharge.Analyzer,
-		floateq.Analyzer, errdiscard.Analyzer, gocapture.Analyzer,
-		obspure.Analyzer, pkgdoc.Analyzer,
+		floateq.Analyzer, errdiscard.Analyzer, pkgdoc.Analyzer,
 	}
 	for _, doc := range []string{"README.md", "ARCHITECTURE.md"} {
 		text, err := os.ReadFile(doc)

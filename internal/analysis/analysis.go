@@ -1,9 +1,10 @@
 // Package analysis is a self-contained reimplementation of the core of
 // golang.org/x/tools/go/analysis, built only on the standard library so the
 // repository keeps its zero-dependency policy. It provides the Analyzer and
-// Pass types that the mlstar lint suite (cmd/mlstar-lint) drives, and the
-// sibling packages determinism, vecalias, floateq, errdiscard, and gocapture
-// implement the project-specific invariants on top of it.
+// Pass types that the mlstar lint suite (cmd/mlstar-lint) drives, the
+// cross-package fact store and the //mlstar:nolint suppressor; the sibling
+// packages (determinism, detflow, vecalias, buflife, costcharge, floateq,
+// errdiscard, pkgdoc) implement the project-specific invariants on top of it.
 //
 // The framework deliberately mirrors the upstream API shape — an Analyzer
 // with a Run function over a Pass carrying the package's syntax and type
@@ -92,33 +93,11 @@ func (p *Pass) FactStore() *Facts {
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
-	// Fixes are mechanical rewrites that resolve the finding, applied by
-	// `mlstar-lint -fix`. Optional; the first applicable fix wins.
-	Fixes []SuggestedFix
-}
-
-// SuggestedFix is one self-contained mechanical rewrite.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
-// TextEdit replaces the source range [Pos, End) with NewText. A pure
-// insertion has Pos == End; a pure deletion has empty NewText.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
 }
 
 // Reportf reports a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// ReportFix reports a diagnostic carrying one suggested fix.
-func (p *Pass) ReportFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Fixes: []SuggestedFix{fix}})
 }
 
 // Inspect walks every file of the pass in depth-first order, calling f for

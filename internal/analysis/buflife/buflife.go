@@ -9,8 +9,7 @@
 //     it back — including reads after a Put inside a nested branch, which
 //     the older statement-list-scoped vecalias check could not see;
 //   - double-Put: a second Put of the same buffer, including one performed
-//     by a deferred call at function exit (with a fix deleting a duplicate
-//     Put statement);
+//     by a deferred call at function exit;
 //   - escape of a live pooled buffer into longer-lived state (a struct
 //     field or package variable): after the eventual PutVec that state
 //     would alias recycled memory. Storing into a local slice or map is NOT
@@ -487,42 +486,10 @@ func (a *analyzer) checkPuts(n ast.Node, st taint.State) {
 			return true
 		}
 		if obj := a.putArg(call); obj != nil && st.Get(obj)&dead != 0 {
-			a.reportDoublePut(call, obj)
+			a.pass.Reportf(call.Pos(), "double Put of pooled buffer %s on some path; the pool already owns it", obj.Name())
 		}
 		return true
 	})
-}
-
-// reportDoublePut flags a second Put, with a fix deleting the whole
-// statement when the Put is a statement of its own.
-func (a *analyzer) reportDoublePut(call *ast.CallExpr, obj types.Object) {
-	msg := "double Put of pooled buffer %s on some path; the pool already owns it"
-	if stmt := a.enclosingExprStmt(call); stmt != nil {
-		a.pass.ReportFix(call.Pos(), analysis.SuggestedFix{
-			Message: "delete the redundant Put",
-			Edits:   []analysis.TextEdit{{Pos: stmt.Pos(), End: stmt.End()}},
-		}, msg, obj.Name())
-		return
-	}
-	a.pass.Reportf(call.Pos(), msg, obj.Name())
-}
-
-// enclosingExprStmt finds the expression statement whose expression is
-// exactly this call, if any.
-func (a *analyzer) enclosingExprStmt(call *ast.CallExpr) *ast.ExprStmt {
-	var found *ast.ExprStmt
-	for _, f := range a.pass.Files {
-		if f.Pos() <= call.Pos() && call.End() <= f.End() {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if es, ok := n.(*ast.ExprStmt); ok && ast.Unparen(es.X) == call {
-					found = es
-					return false
-				}
-				return true
-			})
-		}
-	}
-	return found
 }
 
 // checkCapture flags closures created while a captured buffer is already

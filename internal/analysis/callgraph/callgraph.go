@@ -293,10 +293,8 @@ func origin(fn *types.Func) *types.Func {
 }
 
 // FuncID is a stable, package-qualified identifier for a declared function
-// or method, usable as a fact key across separately type-checked packages
-// (the loader gives every directly checked package its own type universe,
-// so object identity does not survive package boundaries but FullName
-// does).
+// or method, the key of its facts in the store. A name rather than the
+// object keeps the store independent of how the packages were loaded.
 func FuncID(fn *types.Func) string {
 	return origin(fn).FullName()
 }

@@ -1,18 +1,19 @@
 // Package costcharge enforces the simnet cost-model contracts
-// interprocedurally, replacing the syntactic obspure check with a
-// callgraph-based one:
+// interprocedurally, over the call graph:
 //
 //   - Offloaded closures (Task.Pure bodies, the fn argument of
 //     ComputeAsyncKind/ChargeAsync, thunks handed to
-//     par.Go/par.Do/par.GoParts — whether written inline, bound to a local
-//     first, or named functions) must not REACH the obs telemetry layer or a
-//     simulation charge operation through any chain of calls. The old
-//     obspure analyzer only saw obs calls written textually inside the
-//     closure body; costcharge follows the call graph, so a closure that
-//     delegates to a helper which logs a span is caught too. Telemetry from
-//     pool goroutines lands in wall-clock completion order and breaks event
-//     -log determinism; charges from pool goroutines mutate virtual time
-//     off the simulation thread and corrupt the cost model.
+//     par.Go/par.Do/par.GoParts) must not REACH the obs telemetry layer or a
+//     simulation charge operation through any chain of calls. A thunk may
+//     be written inline, bound to a local first (fold := func() { ... };
+//     par.Do(fold)), held in a struct field (ev.thunk = func() { ... };
+//     par.Go(ev.thunk)), or named as a function or method value; every func
+//     literal assigned to the local or field is checked where it is handed
+//     over. A closure that delegates to a helper which logs a span is caught
+//     as surely as one that logs it itself. Telemetry from pool goroutines
+//     lands in wall-clock completion order and breaks event-log
+//     determinism; charges from pool goroutines mutate virtual time off the
+//     simulation thread and corrupt the cost model.
 //
 //   - Observe-path functions — everything in internal/obs, plus any
 //     function or method named Observe* — must
@@ -22,10 +23,10 @@
 //
 //   - Within one basic block, two textually identical charge statements
 //     (the same Send/Compute call with the same arguments) account the same
-//     bytes or work twice — the copy-paste class of accounting bug. The
-//     duplicate carries a suggested fix deleting it. Loops are not false
-//     positives: a broadcast loop charges once per iteration through a
-//     single statement, which is exactly once per message.
+//     bytes or work twice — the copy-paste class of accounting bug; delete
+//     the duplicate. Loops are not false positives: a broadcast loop
+//     charges once per iteration through a single statement, which is
+//     exactly once per message.
 //
 // Function summaries ("reaches obs", "reaches a charge") are computed
 // callee-first over each package's call graph and exported as facts keyed
@@ -288,7 +289,11 @@ func reportOffloadRoots(pass *analysis.Pass, g *callgraph.Graph, sums map[*callg
 						roots = append(roots, offloadRoot{pos: arg, fn: fn, where: name + " function " + arg.Name})
 					}
 				case *ast.SelectorExpr:
-					if fn, ok := pass.TypesInfo.Uses[arg.Sel].(*types.Func); ok {
+					if lits := bound[pass.TypesInfo.ObjectOf(arg.Sel)]; len(lits) > 0 {
+						for _, lit := range lits {
+							addLit(arg, lit, name+" closure "+arg.Sel.Name)
+						}
+					} else if fn, ok := pass.TypesInfo.Uses[arg.Sel].(*types.Func); ok {
 						if _, isSig := pass.TypesInfo.Types[arg].Type.(*types.Signature); isSig {
 							roots = append(roots, offloadRoot{pos: arg, fn: fn, where: name + " function " + arg.Sel.Name})
 						}
@@ -308,8 +313,8 @@ func reportOffloadRoots(pass *analysis.Pass, g *callgraph.Graph, sums map[*callg
 		case r.fn != nil:
 			if node, ok := g.ByFunc[r.fn]; ok {
 				s = *sums[node]
-			} else if bit, name := classify(r.fn); bit != 0 {
-				s.add(bit, name)
+			} else if bit, via := classify(r.fn); bit != 0 {
+				s.add(bit, via)
 			} else {
 				facts.Import(name, callgraph.FuncID(r.fn), &s)
 			}
@@ -343,7 +348,7 @@ func reportObservePaths(pass *analysis.Pass, g *callgraph.Graph, sums map[*callg
 }
 
 // reportDuplicateCharges flags two identical charge statements in one basic
-// block, with a fix deleting the duplicate.
+// block.
 func reportDuplicateCharges(pass *analysis.Pass, g *callgraph.Graph) {
 	for _, n := range g.Nodes {
 		body := n.Body()
@@ -364,10 +369,7 @@ func reportDuplicateCharges(pass *analysis.Pass, g *callgraph.Graph) {
 				}
 				key := types.ExprString(es.X)
 				if seen[key] {
-					pass.ReportFix(es.Pos(), analysis.SuggestedFix{
-						Message: "delete the duplicated charge statement",
-						Edits:   []analysis.TextEdit{{Pos: es.Pos(), End: es.End()}},
-					}, "duplicate charge %s in the same block accounts the same bytes/work twice", key)
+					pass.Reportf(es.Pos(), "duplicate charge %s in the same block accounts the same bytes/work twice", key)
 					continue
 				}
 				seen[key] = true
@@ -385,13 +387,21 @@ func isChargeCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	return bit == reachesCharge
 }
 
-// boundLiterals maps local variables to the function literals assigned to
-// them, for the named-closure offload style (fold := func(){…}; par.Do(fold)).
+// boundLiterals maps variables and struct fields to the function literals
+// assigned to them, for the named-closure offload styles: fold :=
+// func(){…}; par.Do(fold), ev.thunk = func(){…}; par.Go(ev.thunk), and
+// &probe{run: func(){…}}. A variable assigned any other expression
+// contributes nothing, so only thunks whose body is visible are resolved.
 func boundLiterals(pass *analysis.Pass) map[types.Object][]*ast.FuncLit {
 	bound := map[types.Object][]*ast.FuncLit{}
 	record := func(lhs, rhs ast.Expr) {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok {
+		var id *ast.Ident
+		switch lhs := ast.Unparen(lhs).(type) {
+		case *ast.Ident:
+			id = lhs
+		case *ast.SelectorExpr:
+			id = lhs.Sel
+		default:
 			return
 		}
 		lit, ok := ast.Unparen(rhs).(*ast.FuncLit)
@@ -414,6 +424,12 @@ func boundLiterals(pass *analysis.Pass) map[types.Object][]*ast.FuncLit {
 			for i := range n.Names {
 				if i < len(n.Values) {
 					record(n.Names[i], n.Values[i])
+				}
+			}
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					record(kv.Key, kv.Value)
 				}
 			}
 		}

@@ -5,16 +5,8 @@ import (
 
 	"mllibstar/internal/analysis/analysistest"
 	"mllibstar/internal/analysis/costcharge"
-	"mllibstar/internal/analysis/obspure"
 )
 
 func TestCostcharge(t *testing.T) {
 	analysistest.Run(t, "testdata/src/a", costcharge.Analyzer)
-}
-
-// The corpus reaches every telemetry and charge operation through helper
-// calls; the syntactic obspure analyzer only sees obs calls written
-// textually inside an offloaded closure, so it must report nothing here.
-func TestObspureMissesInterproceduralReach(t *testing.T) {
-	analysistest.RunSilent(t, "testdata/src/a", obspure.Analyzer)
 }

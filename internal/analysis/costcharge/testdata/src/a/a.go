@@ -1,10 +1,8 @@
 // Corpus for the costcharge analyzer: interprocedural reachability from
 // offloaded closures to obs telemetry and to simulation charges, the
 // observe-never-charge contract on Observe* functions, and duplicate charge
-// statements. Every telemetry and charge operation here is reached THROUGH
-// at least one helper call, which is exactly what the syntactic obspure
-// analyzer cannot see (obspure_regression_test asserts it stays silent on
-// this whole file).
+// statements. Most telemetry and charge operations here are reached THROUGH
+// at least one helper call; the struct-field thunks call obs directly.
 package a
 
 import (
@@ -54,8 +52,8 @@ func pureWork() float64 {
 }
 
 // The closure reaches obs only transitively (closure → helperChain →
-// logSpan → obs.Stage): obspure sees no obs call in the body and stays
-// silent; costcharge follows the call graph.
+// logSpan → obs.Stage): no obs call is written in its body, and costcharge
+// follows the call graph.
 func offloadedObsViaHelper() {
 	ComputeAsyncKind(1, "agg", func() { // want `ComputeAsyncKind closure reaches obs telemetry \(helperChain → logSpan`
 		helperChain()
@@ -97,6 +95,32 @@ func partsOffload() {
 	par.GoParts(2, func(i int) { // want `par\.GoParts closure reaches obs telemetry \(helperChain → logSpan`
 		helperChain()
 	}).Join()
+}
+
+// evaluator mirrors a component that builds its thunk once and submits it
+// once per step.
+type evaluator struct {
+	thunk func() float64
+}
+
+// Struct-field thunks are resolved to the literals assigned to the field.
+func inFieldThunk(ev *evaluator) {
+	ev.thunk = func() float64 {
+		obs.Active().Eval(1, "", 0, 0.5, 0)
+		return 0
+	}
+	_ = par.Go(ev.thunk).Join() // want `par\.Go closure thunk reaches obs telemetry \(obs\.`
+}
+
+// probe holds its thunk from construction on.
+type probe struct{ run func() float64 }
+
+func inFieldThunkLiteral() {
+	pr := &probe{run: func() float64 {
+		obs.Active().Meta("k", "v")
+		return 0
+	}}
+	_ = par.Go(pr.run).Join() // want `par\.Go closure run reaches obs telemetry \(obs\.`
 }
 
 // Observe* functions must never transitively consume simulated time.

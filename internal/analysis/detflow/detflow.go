@@ -7,9 +7,7 @@
 //
 //   - a float accumulation (s += v) folding values in map-iteration or
 //     wall-clock order: float addition is not associative, so the result
-//     differs run to run even when the value *set* is identical. When the
-//     fold sits directly in a map range with a sortable key, the diagnostic
-//     carries a fix rewriting it to collect-sort-iterate;
+//     differs run to run even when the value *set* is identical;
 //   - a tainted value flowing into a simulation charge (simnet sends and
 //     computes, des waits) or into seed derivation (internal/detrand): the
 //     virtual-time outcome would depend on map order or the wall clock;
@@ -28,7 +26,6 @@
 package detflow
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -333,8 +330,7 @@ func (a *analyzer) transfer(n ast.Node, st taint.State) {
 
 // sanitize clears order taint from the argument of an in-place sort: the
 // canonical collect-sort-iterate repair restores a deterministic order, so
-// downstream folds of the sorted slice are clean (this is exactly the code
-// the sort-before-fold suggested fix generates).
+// downstream folds of the sorted slice are clean.
 func (a *analyzer) sanitize(e ast.Expr, st taint.State) {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok || len(call.Args) == 0 {
@@ -408,7 +404,7 @@ func (a *analyzer) assignSinks(as *ast.AssignStmt, st taint.State, emit sink) {
 		}
 		if m := a.marks(as.Rhs[0], st); m != 0 {
 			emit(as.Pos(), m,
-				"float accumulation folds %s values: addition is not associative, so the result changes run to run; fold in a canonical order", describe(m))
+				"float accumulation folds %s values: addition is not associative, so the result changes run to run; fold in a canonical order (collect, sort, then fold)", describe(m))
 		}
 	case token.ASSIGN:
 		for i, lhs := range as.Lhs {
@@ -606,129 +602,14 @@ func (a *analyzer) reportNode(n *callgraph.Node) {
 		Transfer: func(nd ast.Node, st taint.State) { a.transfer(nd, st) },
 	}
 	in := pr.Solve()
-	mapRanges := a.mapRanges(n)
 	seen := map[token.Pos]bool{}
 	pr.Replay(in, func(nd ast.Node, st taint.State) {
-		a.visitSinks(nd, st, func(pos token.Pos, m taint.Marks, format string, args ...any) {
+		a.visitSinks(nd, st, func(pos token.Pos, _ taint.Marks, format string, args ...any) {
 			if seen[pos] {
 				return
 			}
 			seen[pos] = true
-			msg := fmt.Sprintf(format, args...)
-			if as, ok := nd.(*ast.AssignStmt); ok && m&orderT != 0 && strings.Contains(msg, "float accumulation") {
-				if fix, ok := a.sortBeforeFold(as, mapRanges); ok {
-					a.pass.ReportFix(pos, fix, "%s", msg)
-					return
-				}
-			}
-			a.pass.Reportf(pos, "%s", msg)
+			a.pass.Reportf(pos, format, args...)
 		})
 	})
-}
-
-// mapRanges collects the node's range-over-map statements for fix synthesis.
-func (a *analyzer) mapRanges(n *callgraph.Node) []*ast.RangeStmt {
-	var out []*ast.RangeStmt
-	ast.Inspect(n.Body(), func(c ast.Node) bool {
-		if _, ok := c.(*ast.FuncLit); ok {
-			return false
-		}
-		if r, ok := c.(*ast.RangeStmt); ok {
-			if tv, ok := a.pass.TypesInfo.Types[r.X]; ok {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					out = append(out, r)
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// sortBeforeFold synthesizes the canonical collect-sort-iterate rewrite for
-// a fold sitting directly inside a map range with a sortable key and a pure
-// (identifier or selector) map expression.
-func (a *analyzer) sortBeforeFold(at *ast.AssignStmt, mapRanges []*ast.RangeStmt) (analysis.SuggestedFix, bool) {
-	// Innermost enclosing map range.
-	var rng *ast.RangeStmt
-	for _, r := range mapRanges {
-		if r.Body.Pos() <= at.Pos() && at.End() <= r.Body.End() {
-			if rng == nil || r.Pos() > rng.Pos() {
-				rng = r
-			}
-		}
-	}
-	if rng == nil {
-		return analysis.SuggestedFix{}, false
-	}
-	switch ast.Unparen(rng.X).(type) {
-	case *ast.Ident, *ast.SelectorExpr:
-	default:
-		return analysis.SuggestedFix{}, false
-	}
-	mt, ok := a.pass.TypesInfo.Types[rng.X].Type.Underlying().(*types.Map)
-	if !ok {
-		return analysis.SuggestedFix{}, false
-	}
-	keyBasic, ok := mt.Key().Underlying().(*types.Basic)
-	if !ok {
-		return analysis.SuggestedFix{}, false
-	}
-	var sortFn string
-	switch keyBasic.Kind() {
-	case types.String:
-		sortFn = "sort.Strings"
-	case types.Int:
-		sortFn = "sort.Ints"
-	case types.Float64:
-		sortFn = "sort.Float64s"
-	default:
-		return analysis.SuggestedFix{}, false
-	}
-
-	key := "k"
-	if id, ok := rng.Key.(*ast.Ident); ok && id.Name != "_" {
-		key = id.Name
-	}
-	mapText := types.ExprString(rng.X)
-	header := fmt.Sprintf(
-		"sortedKeys := make([]%s, 0, len(%s))\nfor %s := range %s { //mlstar:nolint detflow,determinism -- collect loop, sorted before the fold below\nsortedKeys = append(sortedKeys, %s)\n}\n%s(sortedKeys)\nfor _, %s := range sortedKeys {",
-		keyBasic.String(), mapText, key, mapText, key, sortFn, key)
-
-	edits := []analysis.TextEdit{{Pos: rng.Pos(), End: rng.Body.Lbrace + 1, NewText: header}}
-	if v, ok := rng.Value.(*ast.Ident); ok && v.Name != "_" {
-		edits = append(edits, analysis.TextEdit{
-			Pos: rng.Body.Lbrace + 1, End: rng.Body.Lbrace + 1,
-			NewText: fmt.Sprintf("\n%s := %s[%s]", v.Name, mapText, key),
-		})
-	}
-	if imp, ok := a.sortImportEdit(rng.Pos()); ok {
-		edits = append(edits, imp)
-	}
-	return analysis.SuggestedFix{
-		Message: "iterate the map in sorted key order before folding",
-		Edits:   edits,
-	}, true
-}
-
-// sortImportEdit inserts the "sort" import into the file containing pos,
-// when missing.
-func (a *analyzer) sortImportEdit(pos token.Pos) (analysis.TextEdit, bool) {
-	for _, f := range a.pass.Files {
-		if pos < f.Pos() || pos > f.End() {
-			continue
-		}
-		var lastSpec *ast.ImportSpec
-		for _, imp := range f.Imports {
-			if strings.Trim(imp.Path.Value, `"`) == "sort" {
-				return analysis.TextEdit{}, false
-			}
-			lastSpec = imp
-		}
-		if lastSpec != nil {
-			return analysis.TextEdit{Pos: lastSpec.End(), End: lastSpec.End(), NewText: "\n\"sort\""}, true
-		}
-		return analysis.TextEdit{Pos: f.Name.End(), End: f.Name.End(), NewText: "\n\nimport \"sort\""}, true
-	}
-	return analysis.TextEdit{}, false
 }

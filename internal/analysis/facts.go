@@ -3,7 +3,6 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // Facts is the cross-package fact store of one lint run.
@@ -11,31 +10,21 @@ import (
 // Interprocedural analyzers summarize each declared function of a package
 // (does it transitively call obs? does it Put its buffer parameter? is its
 // result map-iteration-order dependent?) and export the summary as a fact
-// keyed by the analyzer's name and the function's stable identifier
-// (callgraph.FuncID — the loader gives every directly checked package its
-// own type universe, so *types.Func identity does not survive package
-// boundaries but the package-qualified name does). When a later package
-// calls into an already-analyzed one, the analyzer imports the callee's
-// fact instead of guessing.
+// keyed by the analyzer's name and the function's package-qualified name
+// (callgraph.FuncID). When a later package calls into an already-analyzed
+// one, the analyzer imports the callee's fact instead of guessing. The
+// loader imports each module package as the very *types.Package it
+// checked, so the whole run shares one type universe; the string key keeps
+// the store independent of that.
 //
-// Facts are stored JSON-encoded so the driver's content-hash result cache
-// can persist a package's exports and replay them on a warm run without
-// re-analyzing the package.
+// Values are stored JSON-encoded, so Import hands each caller its own copy.
 type Facts struct {
-	index   map[factKey]json.RawMessage
-	records []FactRecord
+	index map[factKey]json.RawMessage
 }
 
 type factKey struct {
 	analyzer string
 	id       string
-}
-
-// FactRecord is one exported fact in persistable form.
-type FactRecord struct {
-	Analyzer string          `json:"analyzer"`
-	ID       string          `json:"id"`
-	Value    json.RawMessage `json:"value"`
 }
 
 // NewFacts returns an empty store.
@@ -51,17 +40,7 @@ func (f *Facts) Export(analyzer, id string, v any) {
 	if err != nil {
 		panic(fmt.Sprintf("analysis: exporting fact %s/%s: %v", analyzer, id, err))
 	}
-	k := factKey{analyzer, id}
-	if _, exists := f.index[k]; !exists {
-		f.records = append(f.records, FactRecord{Analyzer: analyzer, ID: id, Value: data})
-	} else {
-		for i := range f.records {
-			if f.records[i].Analyzer == analyzer && f.records[i].ID == id {
-				f.records[i].Value = data
-			}
-		}
-	}
-	f.index[k] = data
+	f.index[factKey{analyzer, id}] = data
 }
 
 // Import decodes the fact for (analyzer, id) into out, reporting whether
@@ -75,33 +54,4 @@ func (f *Facts) Import(analyzer, id string, out any) bool {
 		panic(fmt.Sprintf("analysis: importing fact %s/%s: %v", analyzer, id, err))
 	}
 	return true
-}
-
-// Len returns the number of stored facts.
-func (f *Facts) Len() int { return len(f.records) }
-
-// Since returns the records appended after an earlier Len() snapshot — the
-// facts one package's analysis exported, in export order. The driver uses
-// it to attribute facts to packages for the result cache.
-func (f *Facts) Since(n int) []FactRecord {
-	out := make([]FactRecord, len(f.records)-n)
-	copy(out, f.records[n:])
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Analyzer != out[j].Analyzer {
-			return out[i].Analyzer < out[j].Analyzer
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-// Replay re-adds cached records (a warm package's exports) to the store.
-func (f *Facts) Replay(records []FactRecord) {
-	for _, r := range records {
-		k := factKey{r.Analyzer, r.ID}
-		if _, exists := f.index[k]; !exists {
-			f.records = append(f.records, r)
-		}
-		f.index[k] = r.Value
-	}
 }

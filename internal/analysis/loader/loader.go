@@ -1,14 +1,13 @@
 // Package loader parses and type-checks Go packages for the lint suite
 // using only the standard library: package enumeration shells out to
-// `go list -json`, syntax comes from go/parser, and types come from
-// go/types with the source-based importer (which resolves both standard
-// library and module-internal imports by type-checking them from source).
+// `go list -export -deps`, syntax comes from go/parser, and types come
+// from go/types.
 //
-// Listing and loading are separate steps so the driver can skip the
-// expensive one: List returns the matched packages in dependency order with
-// their file lists and imports (enough to compute content-hash cache keys),
-// and Module.LoadPackage type-checks one package on demand. A fully warm
-// lint run lists the tree and loads nothing.
+// One importer serves every load. A package of the module (anything outside
+// the standard library) is type-checked from source once and imported by
+// its dependents as that very *types.Package, so the whole run shares one
+// type universe; everything else is read from the compiler's export data,
+// which `go list -export` builds or finds in the build cache.
 package loader
 
 import (
@@ -20,62 +19,71 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
+	"strconv"
 	"strings"
 )
 
 // Package is one loaded, type-checked package.
 type Package struct {
 	PkgPath   string
-	Dir       string
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
 }
 
-// Entry is one matched package before type-checking: everything `go list`
-// knows that the driver needs for cache keys and scheduling.
+// Entry is one matched package before type-checking.
 type Entry struct {
 	ImportPath string
-	Dir        string
 	// GoFiles are the package's non-test Go files, as absolute paths.
 	GoFiles []string
-	// Imports are the package's direct imports (all of them; the driver
-	// intersects with the matched set for dependency ordering).
-	Imports []string
 }
 
 // Module is one `go list` result: the matched packages in dependency order
-// plus the shared file set and importer used to load them on demand.
+// plus the file set and importer shared by every package loaded from it.
 type Module struct {
-	// Dir is the directory the patterns were resolved in ("" = cwd).
-	Dir string
 	// Entries are the matched packages, dependencies before dependents.
 	Entries []Entry
 
-	fset *token.FileSet
-	imp  types.Importer
+	fset    *token.FileSet
+	source  map[string]Entry          // listed packages checked from source
+	checked map[string]*types.Package // source packages checked so far
+	export  map[string]string         // export data file per listed package
+	gc      types.Importer            // reads export data through export
 }
 
 // listEntry is the subset of `go list -json` output the loader consumes.
 type listEntry struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
-	Imports    []string
+	Export     string
+	Standard   bool
+	DepOnly    bool
 }
 
-// List expands the package patterns (e.g. "./...") relative to dir and
-// returns the matched packages in dependency order, without type-checking
-// anything. Test files are not listed: the lint suite checks shipped code,
-// and external test packages would need a second type-checking universe.
+// List expands the package patterns (e.g. "./...") relative to dir ("" =
+// the working directory) and returns the matched packages in dependency
+// order, without type-checking anything. Test files are not listed: the
+// lint suite checks shipped code, and external test packages would need a
+// second type-checking universe. A package that does not compile fails the
+// listing, with the compiler's message naming it.
 func List(dir string, patterns []string) (*Module, error) {
-	args := append([]string{"list", "-json"}, patterns...)
+	m := &Module{
+		fset:    token.NewFileSet(),
+		source:  map[string]Entry{},
+		checked: map[string]*types.Package{},
+		export:  map[string]string{},
+	}
+	m.gc = importer.ForCompiler(m.fset, "gc", m.lookup)
+	if len(patterns) == 0 {
+		return m, nil // `go list` would read no patterns as "."
+	}
+	args := append([]string{"list", "-json", "-export", "-deps"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var out, errBuf bytes.Buffer
@@ -85,127 +93,106 @@ func List(dir string, patterns []string) (*Module, error) {
 		return nil, fmt.Errorf("loader: go list %s: %v\n%s", strings.Join(patterns, " "), err, errBuf.String())
 	}
 
-	var entries []Entry
+	// -deps lists every package after all of its dependencies.
 	dec := json.NewDecoder(&out)
 	for dec.More() {
-		var e listEntry
-		if err := dec.Decode(&e); err != nil {
+		var le listEntry
+		if err := dec.Decode(&le); err != nil {
 			return nil, fmt.Errorf("loader: decoding go list output: %v", err)
 		}
-		files := make([]string, 0, len(e.GoFiles))
-		for _, f := range e.GoFiles {
-			files = append(files, filepath.Join(e.Dir, f))
+		m.export[le.ImportPath] = le.Export
+		e := Entry{ImportPath: le.ImportPath}
+		for _, f := range le.GoFiles {
+			e.GoFiles = append(e.GoFiles, filepath.Join(le.Dir, f))
 		}
-		entries = append(entries, Entry{
-			ImportPath: e.ImportPath,
-			Dir:        e.Dir,
-			GoFiles:    files,
-			Imports:    e.Imports,
-		})
+		if !le.Standard {
+			m.source[e.ImportPath] = e
+		}
+		if !le.DepOnly {
+			m.Entries = append(m.Entries, e)
+		}
 	}
-
-	fset := token.NewFileSet()
-	return &Module{
-		Dir:     dir,
-		Entries: topoOrder(entries),
-		fset:    fset,
-		imp:     importer.ForCompiler(fset, "source", nil),
-	}, nil
+	return m, nil
 }
 
-// topoOrder sorts entries dependencies-first (Kahn's algorithm over the
-// imports restricted to the matched set), breaking ties by import path so
-// the order is deterministic. Cycles cannot occur in valid Go packages;
-// leftover entries (only possible on invalid input) are appended sorted.
-func topoOrder(entries []Entry) []Entry {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ImportPath < entries[j].ImportPath })
-	inSet := make(map[string]int, len(entries))
-	for i, e := range entries {
-		inSet[e.ImportPath] = i
+// Import resolves an import for the type checker: a module package from
+// its source check (running it now if the package lies outside the
+// patterns), anything else from export data.
+func (m *Module) Import(path string) (*types.Package, error) {
+	if p, ok := m.checked[path]; ok {
+		return p, nil
 	}
-	indeg := make([]int, len(entries))
-	dependents := make([][]int, len(entries))
-	for i, e := range entries {
-		for _, imp := range e.Imports {
-			if j, ok := inSet[imp]; ok {
-				indeg[i]++
-				dependents[j] = append(dependents[j], i)
-			}
+	if e, ok := m.source[path]; ok {
+		pkg, err := m.LoadPackage(e)
+		if err != nil {
+			return nil, err
 		}
+		return pkg.Types, nil
 	}
-	var ready []int
-	for i := range entries {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	out := make([]Entry, 0, len(entries))
-	done := make([]bool, len(entries))
-	for len(ready) > 0 {
-		sort.Ints(ready)
-		i := ready[0]
-		ready = ready[1:]
-		out = append(out, entries[i])
-		done[i] = true
-		for _, d := range dependents[i] {
-			if indeg[d]--; indeg[d] == 0 {
-				ready = append(ready, d)
-			}
-		}
-	}
-	for i := range entries {
-		if !done[i] {
-			out = append(out, entries[i])
-		}
-	}
-	return out
+	return m.gc.Import(path)
 }
 
-// LoadPackage parses and type-checks one listed package. Packages loaded
-// from the same Module share a file set and importer, so a dependency
-// already type-checked (directly or as an import) is reused.
+// lookup opens the export data `go list -export` reported for path.
+func (m *Module) lookup(path string) (io.ReadCloser, error) {
+	file := m.export[path]
+	if file == "" {
+		return nil, fmt.Errorf("loader: no export data for %s", path)
+	}
+	return os.Open(file)
+}
+
+// LoadPackage parses and type-checks one listed package. A package of the
+// module is checked once; its dependents import the result.
 func (m *Module) LoadPackage(e Entry) (*Package, error) {
-	// The source importer resolves module-internal import paths through
-	// go/build, which needs the process working directory to sit inside the
-	// module. Pin it for the duration of the load.
-	restore, err := pushd(m.Dir)
+	pkg, err := m.check(e.ImportPath, e.GoFiles)
 	if err != nil {
 		return nil, err
 	}
-	defer restore()
-	names := make([]string, 0, len(e.GoFiles))
-	for _, f := range e.GoFiles {
-		names = append(names, filepath.Base(f))
+	if _, ok := m.source[e.ImportPath]; ok {
+		m.checked[e.ImportPath] = pkg.Types
 	}
-	return check(m.fset, m.imp, e.ImportPath, e.Dir, names)
+	return pkg, nil
 }
 
 // LoadDir type-checks the single package rooted at dir under the given
-// import path. Used by the analysistest harness over testdata corpora.
+// import path, listing its imports from dir. Used by the analysistest
+// harness over testdata corpora, which `go list ./...` never matches.
 func LoadDir(dir, importPath string) (*Package, error) {
-	files, err := os.ReadDir(dir)
+	names, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("loader: %v", err)
 	}
-	var goFiles []string
-	for _, f := range files {
-		if !f.IsDir() && strings.HasSuffix(f.Name(), ".go") {
-			goFiles = append(goFiles, f.Name())
+	var files, imports []string
+	for _, n := range names {
+		if n.IsDir() || !strings.HasSuffix(n.Name(), ".go") {
+			continue
+		}
+		file := filepath.Join(dir, n.Name())
+		files = append(files, file)
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+		if err != nil {
+			return nil, fmt.Errorf("loader: %v", err)
+		}
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value) // the parser accepted the literal
+			imports = append(imports, path)
 		}
 	}
-	if len(goFiles) == 0 {
+	if len(files) == 0 {
 		return nil, fmt.Errorf("loader: no Go files in %s", dir)
 	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	return check(fset, imp, importPath, dir, goFiles)
+	m, err := List(dir, imports)
+	if err != nil {
+		return nil, err
+	}
+	return m.check(importPath, files)
 }
 
-// check parses the named files of one package and type-checks them.
-func check(fset *token.FileSet, imp types.Importer, importPath, dir string, goFiles []string) (*Package, error) {
+// check parses the given files of one package and type-checks them.
+func (m *Module) check(importPath string, goFiles []string) (*Package, error) {
 	astFiles := make([]*ast.File, 0, len(goFiles))
-	for _, name := range goFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+	for _, file := range goFiles {
+		f, err := parser.ParseFile(m.fset, file, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("loader: %v", err)
 		}
@@ -219,33 +206,16 @@ func check(fset *token.FileSet, imp types.Importer, importPath, dir string, goFi
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(importPath, fset, astFiles, info)
+	conf := types.Config{Importer: m}
+	tpkg, err := conf.Check(importPath, m.fset, astFiles, info)
 	if err != nil {
 		return nil, fmt.Errorf("loader: type-checking %s: %v", importPath, err)
 	}
 	return &Package{
 		PkgPath:   importPath,
-		Dir:       dir,
-		Fset:      fset,
+		Fset:      m.fset,
 		Files:     astFiles,
 		Types:     tpkg,
 		TypesInfo: info,
 	}, nil
-}
-
-// pushd chdirs to dir and returns a function restoring the previous working
-// directory. A no-op when dir is empty.
-func pushd(dir string) (func(), error) {
-	if dir == "" {
-		return func() {}, nil
-	}
-	prev, err := os.Getwd()
-	if err != nil {
-		return nil, fmt.Errorf("loader: %v", err)
-	}
-	if err := os.Chdir(dir); err != nil {
-		return nil, fmt.Errorf("loader: %v", err)
-	}
-	return func() { _ = os.Chdir(prev) }, nil
 }

@@ -10,7 +10,7 @@
 // des virtual-time spans, histograms observe virtual durations, and no code
 // path consults the wall clock (the determinism analyzer enforces this).
 // Recording happens exclusively from DES process code — never from offloaded
-// pure closures (the obspure analyzer enforces that) — so the event sequence
+// pure closures (the costcharge analyzer enforces that) — so the event sequence
 // is a pure function of the simulated execution and is byte-identical across
 // runs. Turning the sink on or off changes no training numeric, no simulated
 // byte, and no virtual timestamp: hooks only observe, they never charge.
