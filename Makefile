@@ -18,7 +18,7 @@ lint: ## gofmt -l must list nothing; then go vet + the repo's own analyzers, col
 	@unformatted=$$(gofmt -l .) && if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/mlstar-lint ./...
 
-fuzz: ## short fuzz runs: libsvm reader + the one loss body against glm's reference + sparse encoding + telemetry event round-trips + the event encoder against encoding/json + causal graph pipeline + the table-driven Zipf against math/rand + the collective plan against an executed run + the model-checkpoint reader
+fuzz: ## short fuzz runs: libsvm reader + the one loss body against the oracle's reference + sparse encoding + telemetry event round-trips + the event encoder against encoding/json + causal graph pipeline + the table-driven Zipf against math/rand + the collective plan against an executed run + the model-checkpoint reader + Train over any Config
 	$(GO) test -fuzz=FuzzReadLibSVM -fuzztime=10s ./internal/data
 	$(GO) test -fuzz=FuzzLossRowsMatchesReference -fuzztime=10s ./internal/data
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/sparse
@@ -28,6 +28,7 @@ fuzz: ## short fuzz runs: libsvm reader + the one loss body against glm's refere
 	$(GO) test -fuzz=FuzzZipfEqualsMathRand -fuzztime=10s ./internal/detrand
 	$(GO) test -fuzz=FuzzPlanMatchesRun -fuzztime=10s ./internal/allreduce
 	$(GO) test -fuzz=FuzzLoadModel -fuzztime=10s .
+	$(GO) test -fuzz=FuzzTrainConfig -fuzztime=10s .
 
 # The test and benchmark lists bench-smoke selects, one per package and
 # flag. smoke-lists holds every alternative to a test that still exists:

@@ -30,6 +30,9 @@ func TestBadNumericFlags(t *testing.T) {
 		{[]string{"-exp", "table1", "-scale", "NaN"}, "-scale NaN"},
 		{[]string{"-exp", "table1", "-scale", "+Inf"}, "-scale +Inf"},
 		{[]string{"-exp", "table1", "-evalcap", "-5"}, "-evalcap -5"},
+		// flag.Parse stops at the first positional argument: every flag
+		// after it would be dropped silently.
+		{[]string{"stray", "-exp", "table1"}, `unexpected arguments ["stray" "-exp" "table1"]`},
 	} {
 		if err := runWith(t, tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%q: err = %v, want one naming %q", tc.args, err, tc.want)

@@ -41,6 +41,9 @@ func run() error {
 		svgDir = flag.String("svg", "", "directory to write SVG gantt charts into")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q: every option is a flag", flag.Args())
+	}
 	// Config would read -steps 0 as its default of 100 steps, and the chart
 	// would widen a narrower -width to 10 columns.
 	if *steps < 1 {

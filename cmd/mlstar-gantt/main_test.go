@@ -31,6 +31,7 @@ func TestBadFlags(t *testing.T) {
 		{[]string{"-width", "0"}, "-width 0"},
 		{[]string{"-width", "-5"}, "-width -5"},
 		{[]string{"-width", "9"}, "-width 9"},
+		{[]string{"stray", "-steps", "0"}, `unexpected arguments ["stray" "-steps" "0"]`},
 	} {
 		if err := runWith(t, tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%q: err = %v, want one naming %q", tc.args, err, tc.want)

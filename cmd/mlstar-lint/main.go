@@ -27,6 +27,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -86,12 +87,17 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
+	// go vet runs beside the suite; its output is buffered and printed,
+	// before the findings, once both are done.
+	var vetOut, vetErr bytes.Buffer
 	vet := exec.Command("go", append([]string{"vet"}, patterns...)...)
-	vet.Stdout = os.Stdout
-	vet.Stderr = os.Stderr
-	failed := vet.Run() != nil
+	vet.Stdout, vet.Stderr = &vetOut, &vetErr
+	started := vet.Start()
 
 	findings, err := runSuite("", patterns)
+	failed := started != nil || vet.Wait() != nil
+	_, _ = os.Stdout.Write(vetOut.Bytes()) // nowhere left to report a failed write
+	_, _ = os.Stderr.Write(vetErr.Bytes())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mlstar-lint: %v\n", err)
 		os.Exit(2)

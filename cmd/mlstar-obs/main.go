@@ -63,6 +63,9 @@ func run() error {
 		serve   = flag.String("serve", "", "serve the log's dashboard on this address (e.g. :8080) instead of exiting")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q: every option is a flag", flag.Args())
+	}
 	if *in == "" {
 		flag.Usage()
 		return fmt.Errorf("-in events.jsonl is required")

@@ -30,6 +30,7 @@ func TestBadFlags(t *testing.T) {
 	}{
 		{[]string{"-in", sampleLog, "-critpath", "-top", "-2"}, "-top -2"},
 		{[]string{"-critpath"}, "-in"},
+		{[]string{"-in", sampleLog, "stray", "-top", "-2"}, `unexpected arguments ["stray" "-top" "-2"]`},
 	} {
 		if err := runWith(t, tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%q: err = %v, want one naming %q", tc.args, err, tc.want)

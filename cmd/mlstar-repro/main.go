@@ -44,6 +44,9 @@ func run() error {
 		profCfg = prof.Register(flag.CommandLine)
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q: every option is a flag", flag.Args())
+	}
 	stopProf, err := profCfg.Start()
 	if err != nil {
 		return err

@@ -28,6 +28,7 @@ func TestBadNumericFlags(t *testing.T) {
 		{[]string{"-quick", "-out", "", "-scale", "0.5"}, "-scale 0.5"},
 		{[]string{"-quick", "-out", "", "-scale", "NaN"}, "-scale NaN"},
 		{[]string{"-quick", "-out", "", "-scale", "-1"}, "-scale -1"},
+		{[]string{"-quick", "stray", "-scale", "0.5"}, `unexpected arguments ["stray" "-scale" "0.5"]`},
 	} {
 		if err := runWith(t, tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%q: err = %v, want one naming %q", tc.args, err, tc.want)

@@ -55,6 +55,9 @@ func run() error {
 	)
 	pc := prof.Register(flag.CommandLine)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q: every option is a flag", flag.Args())
+	}
 	stop, err := pc.Start()
 	if err != nil {
 		return err

@@ -122,6 +122,9 @@ func TestBuiltBinary(t *testing.T) {
 			{[]string{"-system", "Petuum", "-reweight"}, []string{"Reweight", "Petuum"}},
 			{[]string{"-system", "MLlib*", "-torrent"}, []string{"TorrentBroadcast", "MLlib*"}},
 			{[]string{"-system", "MLlib*", "-staleness", "3"}, []string{"Staleness", "MLlib*"}},
+			// flag.Parse stops at the first positional argument, which
+			// used to drop every flag after it and train with defaults.
+			{[]string{"stray", "-steps", "0"}, []string{`unexpected arguments ["stray" "-steps" "0"]`}},
 		} {
 			var stderr bytes.Buffer
 			args := append([]string{"-preset", "avazu", "-scale", "20000", "-steps", "2"}, tc.args...)

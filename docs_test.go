@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -249,6 +250,98 @@ func TestDocsCommands(t *testing.T) {
 						t.Errorf("%s: `-exp %s`: no such experiment id", doc, id)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestDocsExperimentsNumbers holds every measured cell of EXPERIMENTS.md's
+// Figure 4 and Figure 6 tables to the committed artifact it was read from:
+// a Figure 4 panel's "S× / T×" to the speedup line of its section in
+// results/transcript.txt (a panel MLlib misses, to the step budget it ran
+// out of there), and a Figure 6 cell "X s (Y×)" to its row of
+// results/fig6d_scalability.csv, at the precision the cell prints.
+func TestDocsExperimentsNumbers(t *testing.T) {
+	read := func(name string) string {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	// section returns the text from the line starting with head to the next
+	// line starting with next.
+	section := func(text, head, next string) string {
+		i := strings.Index(text, "\n"+head)
+		if i < 0 {
+			t.Fatalf("no section %q", head)
+		}
+		text = text[i+1:]
+		if j := strings.Index(text[len(head):], "\n"+next); j >= 0 {
+			text = text[:len(head)+j]
+		}
+		return text
+	}
+	doc, transcript := read("EXPERIMENTS.md"), read("results/transcript.txt")
+
+	fig4 := regexp.MustCompile(`(?m)^\| (4[a-h]) \|[^|\n]*\|[^|\n]*\| \**([^|\n]*?)\** \|`)
+	speedup := regexp.MustCompile(`^(\d+)× / (\d+)×$`)
+	missed := regexp.MustCompile(`^MLlib misses target after (\d+) steps$`)
+	rows := fig4.FindAllStringSubmatch(section(doc, "## Figure 4", "## "), -1)
+	if len(rows) != 8 {
+		t.Fatalf("Figure 4 table: %d panel rows, want 8", len(rows))
+	}
+	for _, r := range rows {
+		run := section(transcript, "== fig"+r[1]+":", "== ")
+		var want string
+		if m := speedup.FindStringSubmatch(r[2]); m != nil {
+			want = "speedup of MLlib* over MLlib: " + m[1] + "x in comm steps, " + m[2] + "x in time"
+		} else if m := missed.FindStringSubmatch(r[2]); m != nil {
+			want = "MLlib    DID NOT reach target within " + m[1] + " steps"
+		} else {
+			t.Errorf("Figure 4 panel %s: unrecognised measured cell %q", r[1], r[2])
+			continue
+		}
+		if !strings.Contains(run, want) {
+			t.Errorf("Figure 4 panel %s reads %q; results/transcript.txt has no %q", r[1], r[2], want)
+		}
+	}
+
+	measured := map[string][2]string{} // "system,machines" -> time, speedup
+	for _, line := range strings.Split(read("results/fig6d_scalability.csv"), "\n")[1:] {
+		if f := strings.Split(line, ","); len(f) == 4 {
+			measured[f[0]+","+f[1]] = [2]string{f[2], f[3]}
+		}
+	}
+	fig6 := regexp.MustCompile(`(?m)^\| (MLlib\*?|Angel) \| ([^|\n]*) \| ([^|\n]*) \| ([^|\n]*) \|`)
+	cell := regexp.MustCompile(`^([\d.]+) s \(\**([\d.]+)×\**\)$`)
+	// printed formats a CSV value to the decimals of the doc's number.
+	printed := func(csv, doc string) string {
+		v, err := strconv.ParseFloat(csv, 64)
+		if err != nil {
+			t.Fatalf("fig6d_scalability.csv: %v", err)
+		}
+		decimals := 0
+		if i := strings.IndexByte(doc, '.'); i >= 0 {
+			decimals = len(doc) - i - 1
+		}
+		return strconv.FormatFloat(v, 'f', decimals, 64)
+	}
+	rows = fig6.FindAllStringSubmatch(section(doc, "## Figure 6", "## "), -1)
+	if len(rows) != 3 {
+		t.Fatalf("Figure 6 table: %d system rows, want 3", len(rows))
+	}
+	for _, r := range rows {
+		for i, machines := range []string{"32", "64", "128"} {
+			m := cell.FindStringSubmatch(r[2+i])
+			got, ok := measured[r[1]+","+machines]
+			if m == nil || !ok {
+				t.Errorf("Figure 6 %s at %s: cell %q, csv row found %v", r[1], machines, r[2+i], ok)
+				continue
+			}
+			if printed(got[0], m[1]) != m[1] || printed(got[1], m[2]) != m[2] {
+				t.Errorf("Figure 6 %s at %s reads %s s (%s×); fig6d_scalability.csv has %s s (%s×)",
+					r[1], machines, m[1], m[2], got[0], got[1])
 			}
 		}
 	}

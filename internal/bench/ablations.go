@@ -79,16 +79,15 @@ func runAblationLazyL2(cfg RunConfig) (*Report, error) {
 	r := &Report{ID: "ablation-lazyl2", Title: "Lazy vs eager L2 update cost"}
 	obj := glm.SVM(0.1)
 	dim := w.ds.Features
-	sample := w.ds.Subsample(2000, 5).Examples
+	sample := w.ds.Subsample(2000, 5).View()
 
-	lazyWork := 0
 	wLazy := make([]float64, dim)
-	lazyWork += opt.LocalPass(obj, wLazy, sample, opt.Const(0.1), 0)
+	lazyWork := opt.LocalPassView(obj, wLazy, sample, opt.Const(0.1), 0, nil)
 
 	eagerWork := 0
 	wEager := make([]float64, dim)
-	for _, e := range sample {
-		eagerWork += opt.EagerSGDStep(obj, wEager, e, 0.1)
+	for i := 0; i < sample.NumRows(); i++ {
+		eagerWork += opt.EagerSGDStep(obj, wEager, sample.Example(i), 0.1)
 	}
 
 	// Both paths compute the same model, at very different cost.
@@ -101,7 +100,7 @@ func runAblationLazyL2(cfg RunConfig) (*Report, error) {
 			}
 		}
 	}
-	r.addLine("model dim %d, %d examples", dim, len(sample))
+	r.addLine("model dim %d, %d examples", dim, sample.NumRows())
 	r.addLine("lazy  work: %12d units", lazyWork)
 	r.addLine("eager work: %12d units (%.0fx the lazy cost)", eagerWork, float64(eagerWork)/float64(lazyWork))
 	r.addLine("max |w_lazy - w_eager| = %.2e (same semantics)", maxDiff)

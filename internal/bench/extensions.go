@@ -246,7 +246,7 @@ func runExtSVRG(cfg RunConfig) (*Report, error) {
 	}
 	r := &Report{ID: "ext-svrg", Title: "MLlib* local optimizer: SGD vs SVRG (logistic, avazu)"}
 	obj := glm.LogReg(0.01)
-	ref := opt.ReferenceOptimumOn(obj, w.ds.Examples, w.evalSet.Examples, w.ds.Features, 40)
+	ref := opt.ReferenceOptimumOn(obj, w.ds.View(), w.eval, w.ds.Features, 40)
 	target := ref + 0.005
 	r.addLine("target objective (optimum + 0.005): %.4f", target)
 	csv := "variant,steps_to_target,time_to_target_s,best_objective\n"

@@ -15,8 +15,7 @@ import (
 // reference optimum per objective.
 type workload struct {
 	ds      *data.Dataset
-	evalSet *data.Dataset       // the evaluation subsample
-	eval    data.View           // evalSet's arena, which the trainers evaluate on
+	eval    data.View           // the evaluation subsample's arena
 	refOpts map[float64]float64 // l2 -> reference optimum on the eval set
 }
 
@@ -48,8 +47,7 @@ func loadWorkload(name string, cfg RunConfig) (*workload, error) {
 // newWorkload prepares ds with an evaluation subsample of at most evalCap
 // rows.
 func newWorkload(ds *data.Dataset, evalCap int) *workload {
-	evalSet := ds.Subsample(evalCap, 17)
-	return &workload{ds: ds, evalSet: evalSet, eval: evalSet.View(), refOpts: map[float64]float64{}}
+	return &workload{ds: ds, eval: ds.Subsample(evalCap, 17).View(), refOpts: map[float64]float64{}}
 }
 
 // reference returns (caching) the reference optimum for SVM with the given
@@ -58,7 +56,7 @@ func (w *workload) reference(l2 float64) float64 {
 	if v, ok := w.refOpts[l2]; ok {
 		return v
 	}
-	v := opt.ReferenceOptimumOn(glm.SVM(l2), w.ds.Examples, w.evalSet.Examples, w.ds.Features, 40)
+	v := opt.ReferenceOptimumOn(glm.SVM(l2), w.ds.View(), w.eval, w.ds.Features, 40)
 	w.refOpts[l2] = v
 	return v
 }

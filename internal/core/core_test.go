@@ -52,7 +52,7 @@ func baseParams() train.Params {
 func TestAllSystemsApproachSequentialOptimum(t *testing.T) {
 	d, _ := smallWorkload(4)
 	obj := glm.SVM(0.01)
-	ref := opt.ReferenceOptimum(obj, d.Examples, d.Features, 30)
+	ref := opt.ReferenceOptimumOn(obj, d.View(), d.View(), d.Features, 30)
 
 	for _, tc := range []struct {
 		name  string

@@ -6,7 +6,7 @@
 // than a single-machine reproduction can iterate on (7–434 GB), so each
 // preset preserves the properties the evaluation actually probes —
 // determined vs underdetermined (rows vs columns), nonzeros per row, skewed
-// feature popularity, and label noise — at ~1/1000 scale by default.
+// feature popularity, and label noise — at 1/5000 scale by default.
 package data
 
 import (
@@ -91,13 +91,17 @@ func inArena(name string, features int, c *CSR) *Dataset {
 // Examples, made once and kept. An Example edited in place is not seen;
 // assign a new Examples slice instead.
 func (d *Dataset) View() View {
-	key := d.examplesKey()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.arena.c == nil || d.arena.key != key {
+	return d.arenaLocked().View()
+}
+
+// arenaLocked returns the arena View returns; d.mu must be held.
+func (d *Dataset) arenaLocked() *CSR {
+	if key := d.examplesKey(); d.arena.c == nil || d.arena.key != key {
 		d.arena.key, d.arena.c = key, PackExamples(d.Examples)
 	}
-	return d.arena.c.View()
+	return d.arena.c
 }
 
 // Stats summarizes a dataset the way Table I does.
@@ -111,23 +115,24 @@ type Stats struct {
 	Determined bool  // more instances than features
 }
 
-// Stats computes summary statistics.
+// Stats computes summary statistics of the dataset's View.
 func (d *Dataset) Stats() Stats {
-	nnz := glm.NNZTotal(d.Examples)
+	v := d.View()
+	n, nnz := v.NumRows(), v.NNZ()
 	avg := 0.0
-	if len(d.Examples) > 0 {
-		avg = float64(nnz) / float64(len(d.Examples))
+	if n > 0 {
+		avg = float64(nnz) / float64(n)
 	}
 	// ~13 bytes per "index:value" text token plus label/newline per row.
-	size := int64(nnz)*13 + int64(len(d.Examples))*4
+	size := int64(nnz)*13 + int64(n)*4
 	return Stats{
 		Name:       d.Name,
-		Instances:  len(d.Examples),
+		Instances:  n,
 		Features:   d.Features,
 		NNZ:        nnz,
 		AvgNNZ:     avg,
 		SizeBytes:  size,
-		Determined: len(d.Examples) >= d.Features,
+		Determined: n >= d.Features,
 	}
 }
 
@@ -345,17 +350,17 @@ func Preset(name string, scale float64) (Spec, error) {
 	}, nil
 }
 
-// Partition splits the dataset's examples into k contiguous, near-equal
+// Partition splits the dataset's rows into k contiguous, near-equal
 // partitions, the way Spark partitions an input file across executors. The
-// examples are first shuffled deterministically so partitions are
+// rows are first shuffled deterministically (detrand.Perm) so partitions are
 // statistically alike — the paper's setting, where data is randomly
-// distributed across workers. Each partition is repacked into its own CSR
-// arena (PackExamples) and returned as that arena's View: after the shuffle
-// scatters rows, the repack restores slab locality in exactly the order the
-// owning executor will stream them, with values bit-copied so training
-// numerics cannot depend on the layout — and the trainers keep the packed
-// form end-to-end (batch windows are Sub views, slab kernels consume the
-// arena directly).
+// distributed across workers. Each partition gathers its rows from the
+// dataset's arena (the one View returns) into an arena of its own and is
+// returned as that arena's View: the gather restores slab locality in
+// exactly the order the owning executor will stream them, with values
+// bit-copied so training numerics cannot depend on the layout — and the
+// trainers keep the packed form end-to-end (batch windows are Sub views,
+// slab kernels consume the arena directly).
 //
 // The last result is kept: a call with the same (k, seed) on the same
 // Examples slice (same length, same first element) returns a fresh []View
@@ -366,36 +371,27 @@ func (d *Dataset) Partition(k int, seed int64) []View {
 	if k <= 0 {
 		panic(fmt.Sprintf("data: Partition(%d)", k))
 	}
-	key := d.examplesKey()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	c := d.arenaLocked() // sets d.arena.key, the key of the Examples it holds
 	m := &d.parted
-	if m.parts == nil || m.k != k || m.seed != seed || m.key != key {
-		m.k, m.seed, m.key = k, seed, key
+	if m.parts == nil || m.k != k || m.seed != seed || m.key != d.arena.key {
+		m.k, m.seed, m.key = k, seed, d.arena.key
 		m.parts = nil // the old arenas may go before the new ones are built
-		m.parts = partition(d.Examples, k, seed)
+		perm := detrand.Perm(seed, c.NumRows())
+		m.parts = make([]View, k)
+		for i := range m.parts {
+			lo, hi := vec.PartitionRange(len(perm), k, i)
+			m.parts[i] = gather(c, perm[lo:hi]).View()
+		}
 	}
 	return append([]View(nil), m.parts...)
 }
 
-func partition(examples []glm.Example, k int, seed int64) []View {
-	perm := detrand.Perm(seed, len(examples))
-	shuffled := make([]glm.Example, len(examples))
-	for i, j := range perm {
-		shuffled[i] = examples[j]
-	}
-	parts := make([]View, k)
-	for i := 0; i < k; i++ {
-		lo, hi := vec.PartitionRange(len(shuffled), k, i)
-		parts[i] = PackExamples(shuffled[lo:hi]).View()
-	}
-	return parts
-}
-
-// Subsample returns a dataset with at most n examples drawn without
-// replacement (deterministically), used for objective evaluation on very
-// large datasets: d itself when it has no more than n, else bit-copies of the
-// drawn rows, in dataset order, packed into one arena of their own — an
+// Subsample returns a dataset with at most n rows drawn without replacement
+// (deterministically), used for objective evaluation on very large
+// datasets: d itself when it has no more than n, else bit-copies of the
+// drawn rows, in dataset order, gathered into one arena of their own — an
 // evaluation sweeps them as one slab instead of hopping across d's.
 func (d *Dataset) Subsample(n int, seed int64) *Dataset {
 	if n >= len(d.Examples) {
@@ -403,9 +399,26 @@ func (d *Dataset) Subsample(n int, seed int64) *Dataset {
 	}
 	perm := detrand.Perm(seed, len(d.Examples))[:n]
 	sort.Ints(perm)
-	out := make([]glm.Example, n)
-	for i, j := range perm {
-		out[i] = d.Examples[j]
+	return inArena(d.Name+"-sample", d.Features, gather(d.View().c, perm))
+}
+
+// gather copies rows of c, in the given order, into a fresh arena whose
+// slabs hold exactly their nonzeros.
+func gather(c *CSR, rows []int) *CSR {
+	nnz := 0
+	for _, r := range rows {
+		nnz += c.rowPtr[r+1] - c.rowPtr[r]
 	}
-	return inArena(d.Name+"-sample", d.Features, PackExamples(out))
+	rowPtr := make([]int, len(rows)+1)
+	ind := make([]int32, 0, nnz)
+	val := make([]float64, 0, nnz)
+	labels := make([]float64, len(rows))
+	for i, r := range rows {
+		lo, hi := c.rowPtr[r], c.rowPtr[r+1]
+		ind = append(ind, c.ind[lo:hi]...)
+		val = append(val, c.val[lo:hi]...)
+		rowPtr[i+1] = len(ind)
+		labels[i] = c.labels[r]
+	}
+	return newCSR(rowPtr, ind, val, labels)
 }

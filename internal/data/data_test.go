@@ -12,6 +12,7 @@ import (
 
 	"mllibstar/internal/detrand"
 	"mllibstar/internal/glm"
+	"mllibstar/internal/vec"
 )
 
 func TestGenerateShape(t *testing.T) {
@@ -135,10 +136,27 @@ func TestPartitionCoversAll(t *testing.T) {
 	}
 	// Deterministic given the seed (a second Partition call would only
 	// return the kept result).
-	parts2 := partition(d.Examples, 8, 99)
+	parts2 := packedPartition(d.Examples, 8, 99)
 	if !reflect.DeepEqual(RowsOf(parts[0]), RowsOf(parts2[0])) {
 		t.Error("partitioning not deterministic")
 	}
+}
+
+// packedPartition is the partition of a row list by shuffling its headers
+// and packing each part: the reference Partition's gather from the arena
+// must equal, row for row and slab for slab.
+func packedPartition(examples []glm.Example, k int, seed int64) []View {
+	perm := detrand.Perm(seed, len(examples))
+	shuffled := make([]glm.Example, len(examples))
+	for i, j := range perm {
+		shuffled[i] = examples[j]
+	}
+	parts := make([]View, k)
+	for i := range parts {
+		lo, hi := vec.PartitionRange(len(shuffled), k, i)
+		parts[i] = PackExamples(shuffled[lo:hi]).View()
+	}
+	return parts
 }
 
 // sameArenas reports whether two partitionings are views of the same memory.
@@ -154,16 +172,18 @@ func sameArenas(a, b []View) bool {
 	return true
 }
 
-// requireFreshPartition holds parts to a partition built from scratch, value
-// for value.
+// requireFreshPartition holds parts to a partition packed from scratch,
+// value for value, with slabs of the same length and capacity.
 func requireFreshPartition(t *testing.T, what string, parts []View, d *Dataset, k int, seed int64) {
 	t.Helper()
-	want := partition(d.Examples, k, seed)
+	want := packedPartition(d.Examples, k, seed)
 	if len(parts) != len(want) {
 		t.Fatalf("%s: %d partitions, want %d", what, len(parts), len(want))
 	}
 	for i := range want {
-		if !reflect.DeepEqual(RowsOf(parts[i]), RowsOf(want[i])) {
+		g, w := parts[i].c, want[i].c
+		if !reflect.DeepEqual(RowsOf(parts[i]), RowsOf(want[i])) || g.maxInd != w.maxInd ||
+			cap(g.ind) != cap(w.ind) || cap(g.val) != cap(w.val) || !reflect.DeepEqual(g.rowPtr, w.rowPtr) {
 			t.Fatalf("%s: partition %d differs from a freshly packed one", what, i)
 		}
 	}
@@ -398,10 +418,10 @@ func TestReadLibSVMRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestDatasetViewSharesTheArena: a generated, subsampled or libsvm-read
-// dataset evaluates in the arena its Examples view — View allocates nothing
-// and returns the same rows — and a reassigned Examples is packed once, on
-// the first View after it.
+// TestDatasetViewSharesTheArena: a generated, subsampled, split, folded or
+// libsvm-read dataset evaluates in the arena its Examples view — View
+// allocates nothing and returns the same rows — and a reassigned Examples is
+// packed once, on the first View after it.
 func TestDatasetViewSharesTheArena(t *testing.T) {
 	gen := Generate(Spec{Name: "t", Rows: 300, Cols: 50, NNZPerRow: 4, Seed: 2})
 	var buf bytes.Buffer
@@ -412,6 +432,14 @@ func TestDatasetViewSharesTheArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	train, test, err := gen.Split(0.3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	folds, err := gen.KFold(3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		d    *Dataset
@@ -419,6 +447,10 @@ func TestDatasetViewSharesTheArena(t *testing.T) {
 		{"generated", gen},
 		{"subsampled", gen.Subsample(40, 3)},
 		{"libsvm", read},
+		{"split train", train},
+		{"split test", test},
+		{"fold train", folds[1].Train},
+		{"fold test", folds[1].Test},
 	} {
 		if allocs := testing.AllocsPerRun(20, func() { tc.d.View() }); allocs != 0 {
 			t.Errorf("%s: View allocates %g times, want 0", tc.name, allocs)
@@ -469,6 +501,17 @@ func TestSplit(t *testing.T) {
 	}
 	if train.Features != 20 || test.Features != 20 {
 		t.Error("features not propagated")
+	}
+	// The shuffled rows, bit for bit: the first 20 are the test set.
+	perm := detrand.Perm(7, 100)
+	for i, j := range perm {
+		got := test.Examples
+		if i >= 20 {
+			got, i = train.Examples, i-20
+		}
+		if !reflect.DeepEqual(got[i], d.Examples[j]) {
+			t.Fatalf("split row %d is not dataset row %d", i, j)
+		}
 	}
 	// Deterministic.
 	tr2, _, _ := d.Split(0.2, 7)

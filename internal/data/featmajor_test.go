@@ -1,7 +1,7 @@
 package data_test
 
 // Gradient-stream bit-identity: the two-pass feature-major producer must
-// reproduce the per-Example reference (glm.Objective.AddGradient / LossSum)
+// reproduce the per-Example reference (oracle.AddGradient / LossSum)
 // Float64bits-exactly — for every loss of kernelObjectives, under model
 // truncation, on sub-views, and for any block partitioning of the
 // coordinate range — and the block pass (Produce) must not allocate.
@@ -12,6 +12,7 @@ import (
 
 	"mllibstar/internal/data"
 	"mllibstar/internal/glm"
+	"mllibstar/internal/oracle"
 )
 
 // produceAll drives the stream over [0, len(g)) in blocks of width blk,
@@ -44,7 +45,7 @@ func TestGradStreamMatchesGradAndLoss(t *testing.T) {
 		for _, n := range []int{dim, dim / 3} {
 			w := testModel(n)
 			want := make([]float64, n+1)
-			tc.obj.AddGradient(w, data.RowsOf(v), want[:n])
+			oracle.AddGradient(tc.obj, w, data.RowsOf(v), want[:n])
 			want[n] = refLossSum(tc.obj, w, data.RowsOf(v))
 			for _, blk := range []int{1, 7, n/2 + 1, n + 1} {
 				for _, reverse := range []bool{false, true} {
@@ -64,7 +65,7 @@ func TestGradStreamMatchesAddGradient(t *testing.T) {
 	for _, tc := range kernelObjectives() {
 		w := testModel(dim)
 		want := make([]float64, dim)
-		tc.obj.AddGradient(w, data.RowsOf(v), want)
+		oracle.AddGradient(tc.obj, w, data.RowsOf(v), want)
 		got := make([]float64, dim)
 		gs := data.NewGradStream(tc.obj, w, v, got, false, float64(v.NNZ()))
 		gs.Prepare()

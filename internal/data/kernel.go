@@ -4,15 +4,15 @@
 // Contract (every kernel, every loss):
 //
 //   - Bit identity with the reference. A kernel performs exactly the
-//     floating-point operations of the per-Example reference in glm / opt
-//     (glm.Objective.AddGradient, opt.LocalPassWith, ...) — same per-row
-//     order, same per-nonzero order, same vec.Dot/vec.Axpy truncation at the
-//     first index ≥ len(model), same `d != 0` update guard. The unit tests of
+//     floating-point operations of the per-Example reference in
+//     internal/oracle (oracle.AddGradient, oracle.LocalPass, ...) — same
+//     per-row order, same per-nonzero order, same vec.Dot/vec.Axpy
+//     truncation at the first index ≥ len(model), same `d != 0` update guard. The unit tests of
 //     this package and of opt compare the two bit for bit.
 //   - Zero allocations. Kernels write only into caller-owned buffers.
 //   - Work accounting. Returned work is the structural nonzeros-touched
 //     measure (full row NNZ, counting truncated entries, exactly like
-//     glm.Objective.AddGradient).
+//     oracle.AddGradient).
 //
 // Each kernel has one body (kernel_losses.go) that takes the loss as a
 // glm.Loss value and calls it once per row, so any glm.Loss works and this
@@ -32,7 +32,7 @@ package data
 import "mllibstar/internal/glm"
 
 // AddGradient accumulates the loss gradient over the view's rows into g,
-// exactly like glm.Objective.AddGradient over its rows: g += Σ l'(<w,x>,
+// exactly like oracle.AddGradient over its rows: g += Σ l'(<w,x>,
 // y)·x, returning nonzeros touched, in one fused margin→deriv→axpy slab pass.
 func AddGradient(obj glm.Objective, w []float64, v View, g []float64) (nnz int) {
 	if v.NumRows() == 0 {
@@ -53,7 +53,7 @@ func AddGradientRows(obj glm.Objective, w []float64, v View, rows []int32, g []f
 
 // LossRows writes out[i] = l(<w,x_i>, y_i) for every row i of the view; out
 // must hold NumRows values. Each margin is vec.Dot's sum in vec.Dot's order,
-// so out[i] is exactly glm.Objective.Value's i-th loss.
+// so out[i] is exactly oracle.Value's i-th loss.
 func LossRows(loss glm.Loss, w []float64, v View, out []float64) {
 	if v.NumRows() == 0 {
 		return
@@ -105,7 +105,7 @@ func DerivsInto(loss glm.Loss, w []float64, v View, out []float64) {
 
 // SGDPassPlain runs one epoch of unregularized per-example SGD over the
 // view — margin, derivative, and the w ← w − η·l'·x update fused into one
-// slab pass. sched is indexed exactly like opt.LocalPass: stepBase plus the
+// slab pass. sched is indexed exactly like opt.LocalPassView: stepBase plus the
 // view-relative row number.
 func SGDPassPlain(loss glm.Loss, w []float64, v View, sched func(int) float64, stepBase int) (work int) {
 	if v.NumRows() == 0 {
@@ -117,18 +117,18 @@ func SGDPassPlain(loss glm.Loss, w []float64, v View, sched func(int) float64, s
 
 // LazyRescaleThreshold is the scale below which the lazily scaled
 // representation w = s·vm is renormalized (s folded into vm, s = 1) — one
-// constant for SGDPassLazyL2 and opt.LazyL2SGD.Step, which must agree bit for
+// constant for SGDPassLazyL2 and oracle.LazyL2SGD.Step, which must agree bit for
 // bit.
 const LazyRescaleThreshold = 1e-9
 
 // SGDPassLazyL2 runs one epoch of L2-regularized per-example SGD over the
 // view in Bottou's scaled representation w = s·vm, replicating
-// opt.LazyL2SGD.Step exactly: per example it computes the margin s·<vm,x>,
+// oracle.LazyL2SGD.Step exactly: per example it computes the margin s·<vm,x>,
 // folds the shrinkage (1−ηλ) into s (materializing when the factor is
 // non-positive), applies the sparse −η·l'/s update to vm, and renormalizes
 // when s falls below LazyRescaleThreshold. It returns the updated scale
 // and the accumulated work; the caller owns the final materialization (and
-// its +len(w) work), exactly as opt.LocalPassWith does.
+// its +len(w) work), exactly as opt.LocalPassView does.
 func SGDPassLazyL2(loss glm.Loss, vm []float64, s, lambda float64, v View, sched func(int) float64, stepBase int) (sOut float64, work int) {
 	if v.NumRows() == 0 {
 		return s, 0

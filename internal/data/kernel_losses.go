@@ -313,7 +313,7 @@ func sgdPlain(loss glm.Loss, c *CSR, lo, hi int, w []float64, sched func(int) fl
 	return work
 }
 
-// sgdLazy is SGDPassLazyL2: opt.LazyL2SGD.Step, slab form.
+// sgdLazy is SGDPassLazyL2: oracle.LazyL2SGD.Step, slab form.
 //
 // Each iteration is the exact operation sequence of LazyL2SGD.Step: margin
 // s·<vm,x>, derivative, shrinkage fold (materialize + clamp when the factor

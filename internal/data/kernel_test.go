@@ -16,6 +16,7 @@ import (
 	"mllibstar/internal/data"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/opt"
+	"mllibstar/internal/oracle"
 	"mllibstar/internal/vec"
 )
 
@@ -74,7 +75,7 @@ func kernelView(t *testing.T) (data.View, int) {
 	return data.ViewOf(d.Examples), d.Features
 }
 
-// refLossSum is the per-Example loss sum: the sum glm.Objective.Value divides,
+// refLossSum is the per-Example loss sum: the sum oracle.Value divides,
 // one vec.Dot margin at a time, folded in row order.
 func refLossSum(obj glm.Objective, w []float64, rows []glm.Example) float64 {
 	sum := 0.0
@@ -115,7 +116,7 @@ func TestKernelAddGradientMatchesInterface(t *testing.T) {
 			w := testModel(n)
 			gk, gi := make([]float64, n), make([]float64, n)
 			nnzK := data.AddGradient(tc.obj, w, v, gk)
-			nnzI := tc.obj.AddGradient(w, data.RowsOf(v), gi)
+			nnzI := oracle.AddGradient(tc.obj, w, data.RowsOf(v), gi)
 			if nnzK != nnzI {
 				t.Errorf("%s dim=%d: work %d (kernel) != %d (interface)", tc.name, n, nnzK, nnzI)
 			}
@@ -125,7 +126,7 @@ func TestKernelAddGradientMatchesInterface(t *testing.T) {
 }
 
 // TestKernelAddGradientRowsMatchesInterface holds the sampled-row gradient to
-// glm.Objective.AddGradient over the gathered rows, bit for bit and in work,
+// oracle.AddGradient over the gathered rows, bit for bit and in work,
 // for sample sizes on both sides of the kernel's warm-ahead chunk (none, one
 // row, one chunk less and more a row, a last chunk of one row, thousands),
 // through a sub-view at an odd arena offset, with an empty row in the
@@ -151,7 +152,7 @@ func TestKernelAddGradientRowsMatchesInterface(t *testing.T) {
 				w := testModel(n)
 				gk, gi := make([]float64, n), make([]float64, n)
 				nnzK := data.AddGradientRows(tc.obj, w, sub, rows, gk)
-				nnzI := tc.obj.AddGradient(w, gathered, gi)
+				nnzI := oracle.AddGradient(tc.obj, w, gathered, gi)
 				label := fmt.Sprintf("%s, %d rows, dim=%d", tc.name, count, n)
 				if nnzK != nnzI {
 					t.Errorf("%s: work %d (kernel) != %d (interface)", label, nnzK, nnzI)
@@ -203,7 +204,7 @@ func TestKernelLossSumAndValueMatchInterface(t *testing.T) {
 				t.Errorf("%s dim=%d: LossSum %x != %x", tc.name, n, math.Float64bits(k), math.Float64bits(i))
 			}
 			value := data.LossSum(tc.obj, w, v)/float64(v.NumRows()) + tc.obj.Reg.Value(w)
-			if k, i := value, tc.obj.Value(w, data.RowsOf(v)); math.Float64bits(k) != math.Float64bits(i) {
+			if k, i := value, oracle.Value(tc.obj, w, data.RowsOf(v)); math.Float64bits(k) != math.Float64bits(i) {
 				t.Errorf("%s dim=%d: Value %x != %x", tc.name, n, math.Float64bits(k), math.Float64bits(i))
 			}
 		}
@@ -221,7 +222,7 @@ func TestKernelGradAndLossMatchesTwoPasses(t *testing.T) {
 			w := testModel(n)
 			gk, gi := make([]float64, n), make([]float64, n)
 			loss, nnzK := data.GradAndLoss(tc.obj, w, v, gk)
-			nnzI := tc.obj.AddGradient(w, data.RowsOf(v), gi)
+			nnzI := oracle.AddGradient(tc.obj, w, data.RowsOf(v), gi)
 			wantLoss := refLossSum(tc.obj, w, data.RowsOf(v))
 			if nnzK != nnzI {
 				t.Errorf("%s dim=%d: work %d (fused) != %d (two-pass)", tc.name, n, nnzK, nnzI)
@@ -264,7 +265,7 @@ func TestKernelSGDPassPlainMatchesLocalPass(t *testing.T) {
 		wk := testModel(dim)
 		work := data.SGDPassPlain(tc.obj.Loss, wk, sub, sched, stepBase)
 		wi := testModel(dim)
-		wantWork := opt.LocalPass(tc.obj, wi, data.RowsOf(sub), sched, stepBase)
+		wantWork := oracle.LocalPass(tc.obj, wi, data.RowsOf(sub), sched, stepBase)
 		if work != wantWork {
 			t.Errorf("%s: work %d (kernel) != %d (interface)", tc.name, work, wantWork)
 		}
@@ -272,7 +273,7 @@ func TestKernelSGDPassPlainMatchesLocalPass(t *testing.T) {
 	}
 }
 
-// TestSGDPassLazyL2MatchesStep pins the lazy-L2 kernel to opt.LazyL2SGD.Step
+// TestSGDPassLazyL2MatchesStep pins the lazy-L2 kernel to oracle.LazyL2SGD.Step
 // example by example, including the scaled-representation bookkeeping (the
 // shrink fold, the post-shrink −η·l'/s update, and the renormalization below
 // data.LazyRescaleThreshold).
@@ -300,13 +301,12 @@ func TestSGDPassLazyL2MatchesStep(t *testing.T) {
 		wk := make([]float64, dim)
 		vec.ScaleTo(wk, sOut, vm)
 
-		lazy := opt.NewLazyL2SGD(w0, lambda)
+		lazy := oracle.NewLazyL2SGD(w0, lambda)
 		wantWork := 0
 		for i, e := range data.RowsOf(sub) {
 			wantWork += lazy.Step(tc.obj.Loss, e, sched(stepBase+i))
 		}
-		wi := make([]float64, dim)
-		lazy.WeightsInto(wi)
+		wi := lazy.Weights()
 
 		if work != wantWork {
 			t.Errorf("%s: work %d (kernel) != %d (interface)", tc.name, work, wantWork)
@@ -341,7 +341,7 @@ func TestKernelFusedBodiesSmallRanges(t *testing.T) {
 				for rows := 0; rows <= 3; rows++ {
 					sub := v.Sub(start, start+rows)
 					want := make([]float64, n+1)
-					wantWork := tc.obj.AddGradient(w, data.RowsOf(sub), want[:n])
+					wantWork := oracle.AddGradient(tc.obj, w, data.RowsOf(sub), want[:n])
 					want[n] = refLossSum(tc.obj, w, data.RowsOf(sub))
 
 					got := make([]float64, n+1)

@@ -18,7 +18,7 @@ func TestGenerateIsLearnable(t *testing.T) {
 	w := make([]float64, d.Features)
 	step := 0
 	for ep := 0; ep < 5; ep++ {
-		opt.LocalPass(obj, w, d.Examples, opt.InvSqrt(0.5), step)
+		opt.LocalPassView(obj, w, d.View(), opt.InvSqrt(0.5), step, nil)
 		step += len(d.Examples)
 	}
 	if acc := glm.Accuracy(w, d.Examples); acc < 0.8 {

@@ -11,15 +11,18 @@ import (
 
 // WriteLibSVM writes the dataset in libsvm text format: one example per
 // line, "label index:value ...", with 1-based feature indices as the format
-// prescribes (in-memory indices are 0-based).
+// prescribes (in-memory indices are 0-based). It writes the rows of the
+// dataset's View.
 func WriteLibSVM(w io.Writer, d *Dataset) error {
 	bw := bufio.NewWriter(w)
-	for _, e := range d.Examples {
+	v := d.View()
+	for i := 0; i < v.NumRows(); i++ {
+		e := v.Example(i)
 		if _, err := fmt.Fprintf(bw, "%g", e.Label); err != nil {
 			return err
 		}
-		for i, ix := range e.X.Ind {
-			if _, err := fmt.Fprintf(bw, " %d:%g", ix+1, e.X.Val[i]); err != nil {
+		for j, ix := range e.X.Ind {
+			if _, err := fmt.Fprintf(bw, " %d:%g", ix+1, e.X.Val[j]); err != nil {
 				return err
 			}
 		}

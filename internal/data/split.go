@@ -2,15 +2,15 @@ package data
 
 import (
 	"fmt"
+	"slices"
 
 	"mllibstar/internal/detrand"
-	"mllibstar/internal/glm"
 )
 
 // Split partitions the dataset into a training and a test set, with
 // testFraction of the examples (rounded down, at least one of each when
 // possible) going to the test set. The split is a deterministic shuffle by
-// seed; examples are shared, not copied.
+// seed; each side is gathered from the dataset's arena into its own.
 func (d *Dataset) Split(testFraction float64, seed int64) (train, test *Dataset, err error) {
 	if testFraction <= 0 || testFraction >= 1 {
 		return nil, nil, fmt.Errorf("data: test fraction %g out of (0,1)", testFraction)
@@ -26,18 +26,9 @@ func (d *Dataset) Split(testFraction float64, seed int64) (train, test *Dataset,
 	if nTest == n {
 		nTest = n - 1
 	}
-	perm := detrand.Perm(seed, n)
-	testEx := make([]glm.Example, 0, nTest)
-	trainEx := make([]glm.Example, 0, n-nTest)
-	for i, j := range perm {
-		if i < nTest {
-			testEx = append(testEx, d.Examples[j])
-		} else {
-			trainEx = append(trainEx, d.Examples[j])
-		}
-	}
-	train = &Dataset{Name: d.Name + "-train", Features: d.Features, Examples: trainEx}
-	test = &Dataset{Name: d.Name + "-test", Features: d.Features, Examples: testEx}
+	perm, c := detrand.Perm(seed, n), d.View().c
+	train = inArena(d.Name+"-train", d.Features, gather(c, perm[nTest:]))
+	test = inArena(d.Name+"-test", d.Features, gather(c, perm[:nTest]))
 	return train, test, nil
 }
 
@@ -48,29 +39,22 @@ type Fold struct {
 }
 
 // KFold returns k cross-validation folds over a deterministic shuffle:
-// fold i's test set is the i-th contiguous slice of the shuffled examples
-// and its training set is everything else.
+// fold i's test set is the i-th contiguous slice of the shuffled rows and
+// its training set is everything else, each gathered into its own arena.
 func (d *Dataset) KFold(k int, seed int64) ([]Fold, error) {
 	n := len(d.Examples)
 	if k < 2 || k > n {
 		return nil, fmt.Errorf("data: k=%d folds over %d examples", k, n)
 	}
-	perm := detrand.Perm(seed, n)
-	shuffled := make([]glm.Example, n)
-	for i, j := range perm {
-		shuffled[i] = d.Examples[j]
-	}
+	perm, c := detrand.Perm(seed, n), d.View().c
 	folds := make([]Fold, k)
 	for i := 0; i < k; i++ {
 		lo := i * n / k
 		hi := (i + 1) * n / k
-		test := shuffled[lo:hi]
-		train := make([]glm.Example, 0, n-len(test))
-		train = append(train, shuffled[:lo]...)
-		train = append(train, shuffled[hi:]...)
+		train := append(slices.Clip(perm[:lo]), perm[hi:]...)
 		folds[i] = Fold{
-			Train: &Dataset{Name: fmt.Sprintf("%s-fold%d-train", d.Name, i), Features: d.Features, Examples: train},
-			Test:  &Dataset{Name: fmt.Sprintf("%s-fold%d-test", d.Name, i), Features: d.Features, Examples: test},
+			Train: inArena(fmt.Sprintf("%s-fold%d-train", d.Name, i), d.Features, gather(c, train)),
+			Test:  inArena(fmt.Sprintf("%s-fold%d-test", d.Name, i), d.Features, gather(c, perm[lo:hi])),
 		}
 	}
 	return folds, nil

@@ -236,39 +236,6 @@ func LogReg(l2 float64) Objective {
 	return Objective{Loss: Logistic{}, Reg: L2{Strength: l2}}
 }
 
-// Value returns f(w, X) = (1/n)·Σ l(<w,x_i>, y_i) + Ω(w) over the examples.
-// It is the metric every experiment in the paper plots on its y-axis, and
-// the per-Example reference that the slab kernels' loss sum (data.LossRows
-// and its fold data.LossSum) reproduces bit for bit: each margin is vec.Dot's
-// and the losses fold in row order.
-func (o Objective) Value(w []float64, data []Example) float64 {
-	if len(data) == 0 {
-		return o.Reg.Value(w)
-	}
-	sum := 0.0
-	for _, e := range data {
-		sum += o.Loss.Value(vec.Dot(w, e.X), e.Label)
-	}
-	return sum/float64(len(data)) + o.Reg.Value(w)
-}
-
-// AddGradient accumulates the gradient of the *loss term only*, summed (not
-// averaged) over the examples, into g: g += Σ l'(<w,x_i>, y_i)·x_i.
-// Regularization gradients are applied separately by the optimizers because
-// the efficient treatment of L2 (lazy scaling) differs per algorithm.
-// It returns the number of nonzeros touched, the unit of the simulation's
-// compute cost model.
-func (o Objective) AddGradient(w []float64, data []Example, g []float64) (nnz int) {
-	for _, e := range data {
-		d := o.Loss.Deriv(vec.Dot(w, e.X), e.Label)
-		if d != 0 {
-			vec.Axpy(d, e.X, g)
-		}
-		nnz += e.X.NNZ()
-	}
-	return nnz
-}
-
 // Accuracy returns the fraction of examples whose label sign the model
 // predicts correctly (classification losses only).
 func Accuracy(w []float64, data []Example) float64 {

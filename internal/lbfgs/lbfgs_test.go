@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 
 	"mllibstar/internal/glm"
-	"mllibstar/internal/opt"
+	"mllibstar/internal/oracle"
 	"mllibstar/internal/vec"
 )
 
@@ -45,7 +45,7 @@ func TestMinimizeLogisticConverges(t *testing.T) {
 	}
 	// Gradient at the solution must be ~zero.
 	g := make([]float64, 30)
-	obj.AddGradient(res.W, data, g)
+	oracle.AddGradient(obj, res.W, data, g)
 	vec.Scale(g, 1/400.0)
 	for j := range g {
 		g[j] += obj.Reg.DerivAt(res.W[j])
@@ -68,9 +68,9 @@ func TestLBFGSBeatsGradientDescentInIterations(t *testing.T) {
 	w := make([]float64, 40)
 	scratch := make([]float64, 40)
 	for it := 0; it < 60; it++ {
-		opt.MGDStep(obj, w, data, 0.5, scratch)
+		oracle.MGDStep(obj, w, data, 0.5, scratch)
 	}
-	gdObj := obj.Value(w, data)
+	gdObj := oracle.Value(obj, w, data)
 	if res.Objective >= gdObj {
 		t.Errorf("L-BFGS %g not below GD %g after equal iterations", res.Objective, gdObj)
 	}

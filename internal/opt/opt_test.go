@@ -8,11 +8,12 @@ import (
 
 	"mllibstar/internal/data"
 	"mllibstar/internal/glm"
+	"mllibstar/internal/oracle"
 	"mllibstar/internal/vec"
 )
 
-// viewOf packs rows for the View-taking passes (AdaGrad, SVRG); the tests
-// below name their example slices data.
+// viewOf packs rows for the View-taking kernels; the tests below name their
+// example slices data.
 func viewOf(rows []glm.Example) data.View { return data.ViewOf(rows) }
 
 // toyData generates a linearly separable-ish classification problem with a
@@ -64,12 +65,12 @@ func TestMGDStepDecreasesObjectiveFullBatch(t *testing.T) {
 	data, _ := toyData(rng, 200, 20, 5)
 	for _, obj := range []glm.Objective{glm.SVM(0), glm.SVM(0.1), glm.LogReg(0.01)} {
 		w := make([]float64, 20)
-		scratch := make([]float64, 20)
-		before := obj.Value(w, data)
+		scratch := &MGDScratch{}
+		before := oracle.Value(obj, w, data)
 		for i := 0; i < 50; i++ {
-			MGDStep(obj, w, data, 0.05, scratch)
+			MGDStepView(obj, w, viewOf(data), 0.05, scratch)
 		}
-		after := obj.Value(w, data)
+		after := oracle.Value(obj, w, data)
 		if after >= before {
 			t.Errorf("%s+%s: objective %g -> %g did not decrease", obj.Loss.Name(), obj.Reg.Name(), before, after)
 		}
@@ -78,7 +79,7 @@ func TestMGDStepDecreasesObjectiveFullBatch(t *testing.T) {
 
 func TestMGDStepEmptyBatchIsNoop(t *testing.T) {
 	w := []float64{1, 2}
-	if work := MGDStep(glm.SVM(0.1), w, nil, 0.1, nil); work != 0 || w[0] != 1 {
+	if work := MGDStepView(glm.SVM(0.1), w, data.View{}, 0.1, nil); work != 0 || w[0] != 1 {
 		t.Error("empty batch changed the model")
 	}
 }
@@ -89,17 +90,17 @@ func TestMGDStepWorkAccounting(t *testing.T) {
 		{Label: -1, X: vec.SparseFromMap(map[int32]float64{2: 1})},
 	}
 	w := make([]float64, 4)
-	if work := MGDStep(glm.SVM(0), w, data, 0.1, nil); work != 3 {
+	if work := MGDStepView(glm.SVM(0), w, viewOf(data), 0.1, nil); work != 3 {
 		t.Errorf("work = %d, want 3 (nnz only)", work)
 	}
 	vec.Zero(w)
-	if work := MGDStep(glm.SVM(0.5), w, data, 0.1, nil); work != 3+4 {
+	if work := MGDStepView(glm.SVM(0.5), w, viewOf(data), 0.1, nil); work != 3+4 {
 		t.Errorf("work = %d, want 7 (nnz + dense reg sweep)", work)
 	}
 }
 
 func TestLazyL2MatchesEager(t *testing.T) {
-	// Property: the lazily-scaled L2 SGD produces the same weights as the
+	// Property: the lazily scaled L2 pass produces the same weights as the
 	// eager per-example update, for random data, any lambda/eta in range.
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -113,12 +114,11 @@ func TestLazyL2MatchesEager(t *testing.T) {
 		for i := range eager {
 			eager[i] = rng.NormFloat64() * 0.1
 		}
-		lazy := NewLazyL2SGD(eager, lambda)
+		got := vec.Copy(eager)
+		LocalPassView(obj, got, viewOf(data), Const(eta), 0, nil)
 		for _, e := range data {
-			EagerSGDStep(obj, eager, e, eta)
-			lazy.Step(obj.Loss, e, eta)
+			oracle.EagerSGDStep(obj, eager, e, eta)
 		}
-		got := lazy.Weights()
 		for i := range eager {
 			if math.Abs(got[i]-eager[i]) > 1e-9*(1+math.Abs(eager[i])) {
 				return false
@@ -134,16 +134,16 @@ func TestLazyL2MatchesEager(t *testing.T) {
 func TestLazyL2RescaleKeepsSemantics(t *testing.T) {
 	// Drive s below the rescale threshold and confirm the weights survive.
 	lambda, eta := 0.5, 0.9 // shrink = 0.55 per step: s decays fast
-	w0 := []float64{1, 1}
-	lazy := NewLazyL2SGD(w0, lambda)
-	eager := vec.Copy(w0)
+	got := []float64{1, 1}
+	eager := vec.Copy(got)
 	obj := glm.SVM(lambda)
 	e := glm.Example{Label: 1, X: vec.SparseFromMap(map[int32]float64{0: 0.5})}
-	for i := 0; i < 100; i++ {
-		lazy.Step(obj.Loss, e, eta)
-		EagerSGDStep(obj, eager, e, eta)
+	rows := make([]glm.Example, 100)
+	for i := range rows {
+		rows[i] = e
+		oracle.EagerSGDStep(obj, eager, e, eta)
 	}
-	got := lazy.Weights()
+	LocalPassView(obj, got, viewOf(rows), Const(eta), 0, nil)
 	for i := range eager {
 		if math.Abs(got[i]-eager[i]) > 1e-9 {
 			t.Fatalf("weights diverged: lazy %v vs eager %v", got, eager)
@@ -152,12 +152,12 @@ func TestLazyL2RescaleKeepsSemantics(t *testing.T) {
 }
 
 func TestLazyL2ShrinkOverflow(t *testing.T) {
-	// eta*lambda >= 1 makes the shrink factor non-positive; the updater must
+	// eta*lambda >= 1 makes the shrink factor non-positive; the pass must
 	// clamp rather than flip the model's sign.
-	lazy := NewLazyL2SGD([]float64{2, 2}, 2)
+	w := []float64{2, 2}
 	// Margin is +2 but the label is -1, so the hinge deriv is +1.
-	lazy.Step(glm.Hinge{}, glm.Example{Label: -1, X: vec.SparseFromMap(map[int32]float64{0: 1})}, 1)
-	w := lazy.Weights()
+	row := glm.Example{Label: -1, X: vec.SparseFromMap(map[int32]float64{0: 1})}
+	LocalPassView(glm.SVM(2), w, viewOf([]glm.Example{row}), Const(1), 0, nil)
 	// shrink = 1-2 = -1 clamps to 0: model zeroed, then the gradient step
 	// w[0] = 0 - η·d·x = -1 applied on top.
 	if w[1] != 0 {
@@ -169,12 +169,25 @@ func TestLazyL2ShrinkOverflow(t *testing.T) {
 }
 
 func TestLazyL2Reset(t *testing.T) {
-	lazy := NewLazyL2SGD([]float64{1, 2}, 0.1)
-	lazy.Step(glm.Hinge{}, glm.Example{Label: 1, X: vec.SparseFromMap(map[int32]float64{0: 1})}, 0.5)
-	lazy.Reset([]float64{5, 6})
-	got := lazy.Weights()
-	if got[0] != 5 || got[1] != 6 {
-		t.Errorf("after Reset = %v", got)
+	// A scratch recycled across models of another width and another λ
+	// starts each pass from the model it is given: every pass equals the
+	// same pass on a fresh scratch.
+	rng := rand.New(rand.NewSource(5))
+	sc := NewPassScratch()
+	for _, tc := range []struct {
+		dim    int
+		lambda float64
+	}{{10, 0.5}, {10, 0.01}, {25, 0.2}, {10, 0.3}} {
+		rows, _ := toyData(rng, 30, tc.dim, 3)
+		obj := glm.SVM(tc.lambda)
+		w0 := make([]float64, tc.dim)
+		for j := range w0 {
+			w0[j] = rng.NormFloat64()
+		}
+		got, want := vec.Copy(w0), vec.Copy(w0)
+		LocalPassView(obj, got, viewOf(rows), Const(0.3), 0, sc)
+		LocalPassView(obj, want, viewOf(rows), Const(0.3), 0, NewPassScratch())
+		requireSameModel(t, "recycled scratch", got, want)
 	}
 }
 
@@ -184,7 +197,7 @@ func TestNegativeLambdaPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	NewLazyL2SGD([]float64{1}, -0.1)
+	LocalPassView(glm.SVM(-0.1), []float64{1}, data.View{}, Const(0.1), 0, nil)
 }
 
 func TestLocalPassConvergesAllRegularizers(t *testing.T) {
@@ -192,15 +205,15 @@ func TestLocalPassConvergesAllRegularizers(t *testing.T) {
 	data, _ := toyData(rng, 300, 25, 5)
 	for _, obj := range []glm.Objective{glm.SVM(0), glm.SVM(0.1), {Loss: glm.Hinge{}, Reg: glm.L1{Strength: 0.001}}} {
 		w := make([]float64, 25)
-		before := obj.Value(w, data)
+		before := oracle.Value(obj, w, data)
 		step := 0
 		for ep := 0; ep < 5; ep++ {
-			LocalPass(obj, w, data, InvSqrt(0.5), step)
+			LocalPassView(obj, w, viewOf(data), InvSqrt(0.5), step, nil)
 			step += len(data)
 		}
-		after := obj.Value(w, data)
+		after := oracle.Value(obj, w, data)
 		if after >= before*0.9 {
-			t.Errorf("%s: LocalPass did not reduce objective: %g -> %g", obj.Reg.Name(), before, after)
+			t.Errorf("%s: LocalPassView did not reduce objective: %g -> %g", obj.Reg.Name(), before, after)
 		}
 	}
 }
@@ -213,35 +226,32 @@ func TestLocalPassL2UsesLazyPath(t *testing.T) {
 	data, _ := toyData(rng, 50, dim, 5)
 	obj := glm.SVM(0.1)
 	w := make([]float64, dim)
-	work := LocalPass(obj, w, data, Const(0.1), 0)
+	work := LocalPassView(obj, w, viewOf(data), Const(0.1), 0, nil)
 	eagerWork := 50 * (dim + 5)
 	if work > eagerWork/10 {
 		t.Errorf("lazy work = %d, close to eager %d — lazy path not taken?", work, eagerWork)
 	}
 }
 
-// TestLocalPassWithScratchBitIdentical asserts the scratch-reusing pass
-// matches the allocating one across repeated passes (the scratch carries
-// state between calls and must be fully reset).
+// TestLocalPassWithScratchBitIdentical asserts the scratch-reusing view
+// pass matches the per-example reference bit for bit across repeated passes
+// (the scratch carries state between calls and must be fully reset).
 func TestLocalPassWithScratchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	obj := glm.Objective{Loss: glm.Logistic{}, Reg: glm.L2{Strength: 0.03}}
 	dim := 20
 	data := synthBatch(rng, 40, dim)
-	wPlain := make([]float64, dim)
+	v := viewOf(data)
+	wRef := make([]float64, dim)
 	wScratch := make([]float64, dim)
 	sc := NewPassScratch()
 	for pass := 0; pass < 5; pass++ {
-		workP := LocalPass(obj, wPlain, data, Const(0.1), 0)
-		workS := LocalPassWith(obj, wScratch, data, Const(0.1), 0, sc)
-		if workP != workS {
-			t.Fatalf("pass %d: work %d != %d", pass, workS, workP)
+		workR := oracle.LocalPass(obj, wRef, data, Const(0.1), 0)
+		workS := LocalPassView(obj, wScratch, v, Const(0.1), 0, sc)
+		if workR != workS {
+			t.Fatalf("pass %d: work %d != %d", pass, workS, workR)
 		}
-		for j := range wPlain {
-			if math.Float64bits(wPlain[j]) != math.Float64bits(wScratch[j]) {
-				t.Fatalf("pass %d: w[%d] differs", pass, j)
-			}
-		}
+		requireSameModel(t, "pass", wScratch, wRef)
 	}
 }
 
@@ -249,11 +259,11 @@ func TestLocalMGDEpochStepCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	data, _ := toyData(rng, 10, 5, 2)
 	w := make([]float64, 5)
-	_, steps := LocalMGDEpoch(glm.SVM(0), w, data, 3, Const(0.1), 0, nil)
+	_, steps := LocalMGDEpochView(glm.SVM(0), w, viewOf(data), 3, Const(0.1), 0, nil)
 	if steps != 4 { // 3+3+3+1
 		t.Errorf("steps = %d, want 4", steps)
 	}
-	_, steps = LocalMGDEpoch(glm.SVM(0), w, data, 0, Const(0.1), 0, nil)
+	_, steps = LocalMGDEpochView(glm.SVM(0), w, viewOf(data), 0, Const(0.1), 0, nil)
 	if steps != 1 {
 		t.Errorf("full-batch steps = %d, want 1", steps)
 	}
@@ -263,8 +273,8 @@ func TestReferenceOptimumBelowInitialLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	data, _ := toyData(rng, 200, 10, 3)
 	obj := glm.SVM(0.1)
-	init := obj.Value(make([]float64, 10), data)
-	ref := ReferenceOptimum(obj, data, 10, 20)
+	init := oracle.Value(obj, make([]float64, 10), data)
+	ref := ReferenceOptimumOn(obj, viewOf(data), viewOf(data), 10, 20)
 	if ref >= init {
 		t.Errorf("reference optimum %g not below initial %g", ref, init)
 	}
@@ -284,11 +294,13 @@ func TestSchedules(t *testing.T) {
 func BenchmarkLocalPassSparse(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	data, _ := toyData(rng, 1000, 10000, 20)
+	v := viewOf(data)
 	obj := glm.SVM(0.1)
 	w := make([]float64, 10000)
+	sc := NewPassScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		LocalPass(obj, w, data, Const(0.01), 0)
+		LocalPassView(obj, w, v, Const(0.01), 0, sc)
 	}
 }
 
@@ -298,11 +310,11 @@ func TestAdaGradConverges(t *testing.T) {
 	obj := glm.SVM(0)
 	ada := NewAdaGrad(40, 0.5)
 	w := make([]float64, 40)
-	before := obj.Value(w, data)
+	before := oracle.Value(obj, w, data)
 	for ep := 0; ep < 5; ep++ {
 		ada.Pass(obj, w, viewOf(data))
 	}
-	after := obj.Value(w, data)
+	after := oracle.Value(obj, w, data)
 	if after >= before*0.5 {
 		t.Errorf("AdaGrad made little progress: %g -> %g", before, after)
 	}
@@ -358,13 +370,14 @@ func TestSVRGConvergesWithConstantStep(t *testing.T) {
 	svrg := NewSVRG(dim, 0.2)
 	w := make([]float64, dim)
 	for outer := 0; outer < 8; outer++ {
-		svrg.Snapshot(obj, w, data)
+		mu := oracle.Snapshot(obj, w, data)
+		svrg.SetSnapshot(w, mu)
 		svrg.Pass(obj, w, viewOf(data))
 	}
-	svrgObj := obj.Value(w, data)
+	svrgObj := oracle.Value(obj, w, data)
 
 	// Long sequential reference.
-	ref := ReferenceOptimum(obj, data, dim, 40)
+	ref := ReferenceOptimumOn(obj, viewOf(data), viewOf(data), dim, 40)
 	if svrgObj > ref+0.005 {
 		t.Errorf("SVRG objective %g, reference %g", svrgObj, ref)
 	}
@@ -381,7 +394,8 @@ func TestSVRGCorrectionIsUnbiased(t *testing.T) {
 		w[i] = rng.NormFloat64() * 0.1
 	}
 	svrg := NewSVRG(10, 0.1)
-	svrg.Snapshot(obj, w, data)
+	mu := oracle.Snapshot(obj, w, data)
+	svrg.SetSnapshot(w, mu)
 	before := vec.Copy(w)
 	svrg.Step(obj, w, data[0])
 	// Expected: w -= eta*(mu + regGrad(before)).
@@ -398,7 +412,8 @@ func TestSVRGWorkAccounting(t *testing.T) {
 		{Label: 1, X: vec.SparseFromMap(map[int32]float64{0: 1, 2: 1})},
 	}
 	svrg := NewSVRG(5, 0.1)
-	svrg.Snapshot(glm.SVM(0), make([]float64, 5), data)
+	mu := oracle.Snapshot(glm.SVM(0), make([]float64, 5), data)
+	svrg.SetSnapshot(make([]float64, 5), mu)
 	w := make([]float64, 5)
 	if work := svrg.Step(glm.SVM(0), w, data[0]); work != 2*2+5 {
 		t.Errorf("work = %d, want 9", work)

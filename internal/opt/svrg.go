@@ -29,23 +29,10 @@ func NewSVRG(dim int, eta float64) *SVRG {
 	return &SVRG{Eta: eta, mu: make([]float64, dim), ws: make([]float64, dim)}
 }
 
-// Snapshot pins w̃ := w and recomputes μ, the mean LOSS gradient over data
-// (the regularization gradient cancels in the correction and is applied at
-// the current iterate inside Step). It returns the work performed in
-// nonzeros touched. In a distributed setting μ comes from an AllReduce of
-// partial gradients; SetSnapshot accepts it directly.
-func (s *SVRG) Snapshot(obj glm.Objective, w []float64, data []glm.Example) (work int) {
-	copy(s.ws, w)
-	vec.Zero(s.mu)
-	work = obj.AddGradient(w, data, s.mu)
-	if len(data) > 0 {
-		vec.Scale(s.mu, 1/float64(len(data)))
-	}
-	return work
-}
-
-// SetSnapshot installs an externally computed snapshot: w̃ := w and μ :=
-// fullGrad (the mean loss gradient at w, without regularization).
+// SetSnapshot pins the snapshot: w̃ := w and μ := fullGrad, the mean LOSS
+// gradient at w over the data (the regularization gradient cancels in the
+// correction and is applied at the current iterate inside Step). In a
+// distributed setting μ comes from an AllReduce of partial gradients.
 func (s *SVRG) SetSnapshot(w, fullGrad []float64) {
 	copy(s.ws, w)
 	copy(s.mu, fullGrad)

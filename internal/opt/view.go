@@ -1,32 +1,46 @@
 package opt
 
-// View-based forms of the sequential kernels — what the trainers call. Same
-// algorithms, same floating-point operation order, same work accounting as
-// their []glm.Example counterparts in opt.go, but consuming data.View, the
-// one dataset type the trainers hold, so the hot loops run on the slab
-// kernels (internal/data). The []glm.Example forms remain for example-slice
-// consumers (ReferenceOptimum) and as the references the unit tests compare
-// these against, bit for bit. AdaGrad and SVRG take a View too; they visit
-// it a row at a time through data.View.Example.
+// View-based forms of the sequential kernels — what the trainers call. The
+// hot loops run on the slab kernels (internal/data) over data.View, the one
+// dataset type the trainers hold. Each form performs the floating-point
+// operations, in order, and the work accounting of its per-example
+// reference in internal/oracle, and the tests compare the two bit for bit.
+// AdaGrad and SVRG take a View too; they visit it a row at a time through
+// data.View.Example.
 
 import (
+	"fmt"
+
 	"mllibstar/internal/data"
 	"mllibstar/internal/glm"
+	"mllibstar/internal/vec"
 )
 
-// LocalPassView is LocalPassWith over a view. The model it produces is
-// bit-identical to LocalPassWith over the view's rows: the plain and lazy-L2
-// slab passes replicate the per-example update sequence exactly. L1 and
-// ElasticNet have no lazy form and no slab body: they run LocalPassWith's
-// eager per-example step over the view's rows, one View.Example at a time.
+// LocalPassView runs one epoch of per-example SGD over the view's rows, in
+// order, updating w in place: plain sparse updates without regularization,
+// and with an L2 term Bottou's lazily scaled representation ([14] in the
+// paper): the pass holds w = s·v, so the per-example update
+//
+//	w ← (1−ηλ)·w − η·l'·x
+//
+// costs O(nnz(x)) — the shrinkage folds into the scalar s and only the
+// touched coordinates of v change — and materializes w once at the end. The
+// shadow v is sc's buffer (nil allocates per call); a negative λ panics. It
+// is the worker-local computation of the SendModel paradigm, and the
+// returned work drives the compute cost model. L1 and ElasticNet have no
+// lazy form and no slab body: they run EagerSGDStep over the view's rows,
+// one View.Example at a time.
 func LocalPassView(obj glm.Objective, w []float64, v data.View, sched Schedule, stepBase int, sc *PassScratch) (work int) {
 	switch reg := obj.Reg.(type) {
 	case glm.None:
 		return data.SGDPassPlain(obj.Loss, w, v, sched, stepBase)
 	case glm.L2:
-		lazy := sc.lazyFor(w, reg.Strength)
-		lazy.s, work = data.SGDPassLazyL2(obj.Loss, lazy.v, lazy.s, lazy.Lambda, v, sched, stepBase)
-		lazy.WeightsInto(w)
+		if reg.Strength < 0 {
+			panic(fmt.Sprintf("opt: negative lambda %g", reg.Strength))
+		}
+		shadow := sc.shadow(w)
+		s, work := data.SGDPassLazyL2(obj.Loss, shadow, 1, reg.Strength, v, sched, stepBase)
+		vec.ScaleTo(w, s, shadow)
 		return work + len(w) // final materialization
 	default:
 		for i := 0; i < v.NumRows(); i++ {
@@ -58,12 +72,18 @@ func (sc *MGDScratch) forDim(n int) *MGDScratch {
 	return sc
 }
 
-// MGDStepView is MGDStep over a view: the batch gradient comes from the
-// fused slab pass (data.AddGradient) into the scratch's all-zero gradient.
+// MGDStepView performs one mini-batch gradient-descent update in place
+// (Algorithm 1 of the paper):
+//
+//	w ← w − η·(1/|B|)·Σ∇l − η·∇Ω(w)
+//
+// and returns the work in nonzeros touched, the dense regularization sweep
+// included when Ω ≠ 0. The batch gradient comes from the fused slab pass
+// (data.AddGradient) into the scratch's all-zero gradient.
 // Without regularisation only the batch's touched coordinates can hold a
 // nonzero gradient, and elsewhere w[j] -= inv·(+0) leaves every w[j] as it
 // is (inv ≥ 0: eta is non-negative), so the update and the re-zeroing visit
-// the touched set alone — O(nnz) per step, bit-equal to MGDStep's dense
+// the touched set alone — O(nnz) per step, bit-equal to oracle.MGDStep's dense
 // sweep. With a regulariser the update is dense.
 func MGDStepView(obj glm.Objective, w []float64, batch data.View, eta float64, sc *MGDScratch) (work int) {
 	if batch.NumRows() == 0 {
@@ -89,8 +109,11 @@ func MGDStepView(obj glm.Objective, w []float64, batch data.View, eta float64, s
 	return work
 }
 
-// LocalMGDEpochView is LocalMGDEpoch over a view: consecutive batches are
-// rowPtr sub-views of the partition's arena, never slice copies.
+// LocalMGDEpochView runs mini-batch GD over the view split into consecutive
+// batches of the given size (the last may be smaller) — the per-batch local
+// computation Angel performs within one epoch — and returns the work in
+// nonzeros and the steps taken. The batches are rowPtr sub-views of the
+// partition's arena, never slice copies.
 func LocalMGDEpochView(obj glm.Objective, w []float64, v data.View, batchSize int, sched Schedule, stepBase int, sc *MGDScratch) (work, steps int) {
 	n := v.NumRows()
 	if batchSize <= 0 {

@@ -1,7 +1,8 @@
 package opt
 
 // The view forms the trainers run (slab kernels) against the []glm.Example
-// references in opt.go: bitwise-equal model, equal work, equal step count.
+// references in internal/oracle: bitwise-equal model, equal work, equal step
+// count.
 
 import (
 	"math"
@@ -10,6 +11,7 @@ import (
 
 	"mllibstar/internal/data"
 	"mllibstar/internal/glm"
+	"mllibstar/internal/oracle"
 )
 
 // viewObjectives is every slab-kernel loss with and without a regularizer
@@ -50,7 +52,7 @@ func TestMGDStepViewBitIdentical(t *testing.T) {
 			for step := 0; step < 50; step++ {
 				batch := synthBatch(rng, 1+rng.Intn(8), dim)
 				eta := 0.1 / math.Sqrt(1+float64(step))
-				workRef := MGDStep(obj, wRef, batch, eta, scratchRef)
+				workRef := oracle.MGDStep(obj, wRef, batch, eta, scratchRef)
 				workView := MGDStepView(obj, wView, data.ViewOf(batch), eta, scratchView)
 				if workRef != workView {
 					t.Fatalf("obj %d n=%d step %d: work %d (view) != %d (reference)", oi, n, step, workView, workRef)
@@ -71,13 +73,34 @@ func TestLocalMGDEpochViewMatchesDense(t *testing.T) {
 	for oi, obj := range viewObjectives {
 		for _, n := range []int{dim, dim / 3} {
 			wRef, wView := make([]float64, n), make([]float64, n)
-			workRef, stepsRef := LocalMGDEpoch(obj, wRef, examples, 10, InvSqrt(0.05), 3, make([]float64, n))
+			workRef, stepsRef := oracle.LocalMGDEpoch(obj, wRef, examples, 10, InvSqrt(0.05), 3, make([]float64, n))
 			workView, stepsView := LocalMGDEpochView(obj, wView, v, 10, InvSqrt(0.05), 3, nil)
 			if workRef != workView || stepsRef != stepsView {
 				t.Fatalf("obj %d n=%d: view (work=%d steps=%d) != reference (work=%d steps=%d)",
 					oi, n, workView, stepsView, workRef, stepsRef)
 			}
 			requireSameModel(t, obj.Loss.Name(), wView, wRef)
+		}
+	}
+}
+
+// TestReferenceOptimumOnMatchesOracle holds the target every experiment
+// reads to the per-example reference bit for bit: both regulariser paths of
+// the pass (plain, lazy L2, eager L1), the loss-sum objective on a separate
+// evaluation set, and an empty one (Ω(w) alone).
+func TestReferenceOptimumOnMatchesOracle(t *testing.T) {
+	const dim = 30
+	rng := rand.New(rand.NewSource(14))
+	train, eval := synthBatch(rng, 80, dim), synthBatch(rng, 25, dim)
+	objs := append([]glm.Objective{{Loss: glm.Hinge{}, Reg: glm.L1{Strength: 0.01}}}, viewObjectives...)
+	for _, obj := range objs {
+		for _, ev := range [][]glm.Example{eval, nil} {
+			got := ReferenceOptimumOn(obj, data.ViewOf(train), data.ViewOf(ev), dim, 6)
+			want := oracle.ReferenceOptimumOn(obj, train, ev, dim, 6)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s+%s, %d eval rows: %x (view) != %x (oracle)", obj.Loss.Name(), obj.Reg.Name(), len(ev),
+					math.Float64bits(got), math.Float64bits(want))
+			}
 		}
 	}
 }

@@ -44,7 +44,7 @@ func runPetuum(t *testing.T, obj glm.Objective, steps int, summation petuum.Summ
 
 func TestPetuumStarConvergesNoReg(t *testing.T) {
 	d, _ := workload(4)
-	ref := opt.ReferenceOptimum(glm.SVM(0), d.Examples, d.Features, 30)
+	ref := opt.ReferenceOptimumOn(glm.SVM(0), d.View(), d.View(), d.Features, 30)
 	res := runPetuum(t, glm.SVM(0), 120, false)
 	if best := res.Curve.Best(); best > ref+0.15 {
 		t.Errorf("Petuum* best %g, reference %g", best, ref)
@@ -60,7 +60,7 @@ func TestPetuumStarConvergesWithL2(t *testing.T) {
 	// Figures 5(e)–(h). With enough steps it still reaches the optimum.
 	d, parts := workload(4)
 	obj := glm.SVM(0.01)
-	ref := opt.ReferenceOptimum(obj, d.Examples, d.Features, 30)
+	ref := opt.ReferenceOptimumOn(obj, d.View(), d.View(), d.Features, 30)
 	sim, net, names := clusters.Test(4).BuildNet(nil)
 	prm := params(obj, 800)
 	prm.Eta = 1.0
@@ -143,7 +143,7 @@ func TestValidationErrors(t *testing.T) {
 
 func TestAngelConverges(t *testing.T) {
 	d, parts := workload(4)
-	ref := opt.ReferenceOptimum(glm.SVM(0.01), d.Examples, d.Features, 30)
+	ref := opt.ReferenceOptimumOn(glm.SVM(0.01), d.View(), d.View(), d.Features, 30)
 	sim, net, names := clusters.Test(4).BuildNet(nil)
 	prm := params(glm.SVM(0.01), 60)
 	prm.Eta = 0.5

@@ -21,6 +21,7 @@ package ps
 
 import (
 	"fmt"
+	"slices"
 
 	"mllibstar/internal/des"
 	"mllibstar/internal/obs"
@@ -191,7 +192,8 @@ func (s *server) serve(p *des.Proc) {
 			}
 			s.release(p)
 		case pullReq:
-			if s.admissible(req.clock) {
+			// The SSP gate: the slowest worker is at most Staleness behind.
+			if slices.Min(s.clocks) >= req.clock-s.ps.cfg.Staleness {
 				s.reply(p, req)
 			} else {
 				s.pending = append(s.pending, req)
@@ -202,22 +204,13 @@ func (s *server) serve(p *des.Proc) {
 	}
 }
 
-// admissible implements the SSP gate.
-func (s *server) admissible(clock int) bool {
-	min := s.clocks[0]
-	for _, c := range s.clocks[1:] {
-		if c < min {
-			min = c
-		}
-	}
-	return min >= clock-s.ps.cfg.Staleness
-}
-
-// release answers every pending pull that the SSP gate now admits.
+// release answers every pending pull that the SSP gate now admits. Only
+// this server's process moves s.clocks, so the gate's minimum is taken once.
 func (s *server) release(p *des.Proc) {
+	slowest := slices.Min(s.clocks)
 	kept := s.pending[:0]
 	for _, req := range s.pending {
-		if s.admissible(req.clock) {
+		if slowest >= req.clock-s.ps.cfg.Staleness {
 			s.reply(p, req)
 		} else {
 			kept = append(kept, req)

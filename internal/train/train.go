@@ -169,7 +169,7 @@ const evalBlock = 256
 // into the evaluator's loss buffer with data.LossRows over its sub-View; the
 // next Record — or Wait — joins it, claiming the blocks no pool thread has
 // started, folds the buffer in row order and commits the value. Every margin, every loss and the order of the sum are those of
-// Objective.Value, so the committed objective is its value bit for bit. At
+// oracle.Value, so the committed objective is its value bit for bit. At
 // most one evaluation is in flight, so points and telemetry Eval events are
 // committed in step order.
 //
@@ -276,7 +276,7 @@ func (ev *Evaluator) Record(step int, simTime float64, w []float64) (reached boo
 
 // Wait joins the evaluation in flight, if any — running the blocks nobody
 // has claimed on the calling thread — and commits it: the losses are folded
-// in row order into Objective.Value's sum, the objective goes into its point
+// in row order into oracle.Value's sum, the objective goes into its point
 // and the telemetry Eval event is emitted, here, on the simulation thread,
 // not from the pool. A panic of the loss is re-raised. Wait is idempotent;
 // every trainer calls it once after sim.Run().

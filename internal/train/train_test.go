@@ -11,6 +11,7 @@ import (
 	"mllibstar/internal/data"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/obs"
+	"mllibstar/internal/oracle"
 	"mllibstar/internal/par"
 	"mllibstar/internal/vec"
 )
@@ -461,7 +462,7 @@ func randomEvalSet(rng *rand.Rand, n, span int) []glm.Example {
 }
 
 // TestEvaluatorBlockedBitIdentical holds the committed objective of the
-// evaluation split into row blocks to Objective.Value bit for bit: row
+// evaluation split into row blocks to oracle.Value bit for bit: row
 // counts on both sides of one block, rows reaching past len(w), L2 and no
 // regulariser, deferred and inline evaluations, both pool modes.
 func TestEvaluatorBlockedBitIdentical(t *testing.T) {
@@ -479,7 +480,7 @@ func TestEvaluatorBlockedBitIdentical(t *testing.T) {
 				}
 				for _, obj := range objs {
 					for _, inline := range []bool{false, true} {
-						want := obj.Value(w, data)
+						want := oracle.Value(obj, w, data)
 						ev := NewEvaluator("s", "d", obj, data, 1)
 						if inline {
 							ev.StopAt(math.SmallestNonzeroFloat64)
@@ -491,7 +492,7 @@ func TestEvaluatorBlockedBitIdentical(t *testing.T) {
 						}
 						ev.Wait()
 						if got := ev.Curve.Points[0].Objective; math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("n=%d dim=%d %s/%s inline=%v: objective %x, Objective.Value %x",
+							t.Fatalf("n=%d dim=%d %s/%s inline=%v: objective %x, oracle.Value %x",
 								n, dim, obj.Loss.Name(), obj.Reg.Name(), inline, math.Float64bits(got), math.Float64bits(want))
 						}
 					}

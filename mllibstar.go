@@ -348,6 +348,10 @@ func Train(ds *Dataset, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A step too large for the data and regularizer overflows the model.
+	if f := res.Curve.Final().Objective; math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil, fmt.Errorf("mllibstar: training diverged to objective %g: Eta %g is too large", f, prm.Eta)
+	}
 	return &Result{
 		Model:      &Model{Weights: res.FinalW, loss: obj.Loss},
 		Curve:      res.Curve,

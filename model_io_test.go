@@ -7,14 +7,14 @@ import (
 	"testing"
 
 	"mllibstar/internal/glm"
-	"mllibstar/internal/opt"
+	"mllibstar/internal/oracle"
 )
 
 // TestModelSaveLoadRoundTrip: a checkpoint written with Save loads back
 // with every weight bit (−0 and +0 count as different) and every prediction
 // bit intact — for a finished model, a mid-training snapshot whose trainer
 // held it in the L2 scaled representation w = s·v, and weights
-// materialized straight out of opt.LazyL2SGD.
+// materialized straight out of the lazily scaled updater (oracle.LazyL2SGD).
 func TestModelSaveLoadRoundTrip(t *testing.T) {
 	trained := func(ds *Dataset, cfg Config) *Model {
 		t.Helper()
@@ -27,7 +27,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	toy := toyDataset()
 	ckpt := GenerateDataset("serve-ckpt", 2000, 600, 8, 11)
 	lazyData := GenerateDataset("serve-lazy", 500, 600, 8, 13)
-	lazy := opt.NewLazyL2SGD(make([]float64, lazyData.Features), 0.01)
+	lazy := oracle.NewLazyL2SGD(make([]float64, lazyData.Features), 0.01)
 	for _, e := range lazyData.Examples {
 		lazy.Step(glm.Logistic{}, e, 0.1)
 	}
