@@ -14,17 +14,18 @@ test: ## unit tests
 race: ## unit tests under the race detector
 	$(GO) test -race ./...
 
-lint: ## gofmt -l must list nothing; then go vet + the repo's own analyzers, cold every run (3-4 s on 2 vCPUs after go build ./...)
+lint: ## gofmt -l must list nothing; then go vet beside the repo's seven analyzers, one pass over the whole module, cold every run (2-3 s on 2 vCPUs after go build ./...)
 	@unformatted=$$(gofmt -l .) && if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/mlstar-lint ./...
 
-fuzz: ## short fuzz runs: libsvm reader + the one loss body against the oracle's reference + sparse encoding + telemetry event round-trips + the event encoder against encoding/json + causal graph pipeline + the table-driven Zipf against math/rand + the collective plan against an executed run + the model-checkpoint reader + Train over any Config
+fuzz: ## short fuzz runs: libsvm reader + the one loss body against the oracle's reference + sparse encoding + telemetry event round-trips + the event encoder against encoding/json + causal graph pipeline + every mlstar-obs report over an accepted log + the table-driven Zipf against math/rand + the collective plan against an executed run + the model-checkpoint reader + Train over any Config
 	$(GO) test -fuzz=FuzzReadLibSVM -fuzztime=10s ./internal/data
 	$(GO) test -fuzz=FuzzLossRowsMatchesReference -fuzztime=10s ./internal/data
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/sparse
 	$(GO) test -fuzz=FuzzEventRoundTrip -fuzztime=10s ./internal/obs
 	$(GO) test -fuzz=FuzzEventEncode -fuzztime=10s ./internal/obs
 	$(GO) test -fuzz=FuzzCausalGraph -fuzztime=10s ./internal/causal
+	$(GO) test -fuzz=FuzzObsReports -fuzztime=10s -fuzzminimizetime=20x ./internal/obs
 	$(GO) test -fuzz=FuzzZipfEqualsMathRand -fuzztime=10s ./internal/detrand
 	$(GO) test -fuzz=FuzzPlanMatchesRun -fuzztime=10s ./internal/allreduce
 	$(GO) test -fuzz=FuzzLoadModel -fuzztime=10s .

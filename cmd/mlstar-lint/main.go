@@ -2,12 +2,12 @@
 // the project-specific analyzers over the given package patterns and exits
 // non-zero on any finding.
 //
-// The suite has two layers. The syntactic analyzers (determinism, vecalias,
-// floateq, errdiscard, pkgdoc) check one construct at a time. The
-// flow-sensitive analyzers (costcharge, buflife, detflow) run the dataflow
-// engine in internal/analysis — CFGs, an intra-module call graph, and
-// cross-package function summaries ("facts") — so they follow values and
-// effects across statements and function boundaries.
+// Each invariant has one analyzer. The syntactic ones (vecalias, floateq,
+// errdiscard, pkgdoc) check one construct at a time. The flow-sensitive
+// ones (determinism, buflife, costcharge) run the dataflow engine in
+// internal/analysis — CFGs, a call graph over the whole module, and
+// function summaries solved over it — so they follow values and effects
+// across statements, functions and packages.
 //
 // Usage:
 //
@@ -15,15 +15,16 @@
 //	mlstar-lint -list                # describe the analyzers and their scopes
 //
 // Every run is cold: the loader type-checks the module's packages from
-// source and reads the standard library from the compiler's export data,
-// so after `go build ./...` the whole tree takes a couple of seconds.
+// source into one type universe and reads the standard library from the
+// compiler's export data, so after `go build ./...` the whole tree takes a
+// couple of seconds. Each analyzer then runs once, over every package.
 //
 // Findings are suppressed per statement with `//mlstar:nolint <analyzer> --
-// reason`; a malformed or unattached directive is itself reported as a
-// finding of the analyzer "nolint". Each analyzer applies to a fixed set of
-// package-path prefixes (its scope); -list prints them. Analyzers marked
-// [facts] also run outside their scope with reporting disabled, so their
-// cross-package summaries cover helper packages too.
+// reason`; a malformed or unattached directive, or one naming no analyzer
+// of the suite, is itself reported as a finding of the analyzer "nolint".
+// Each analyzer reports in a fixed set of package-path prefixes (its
+// scope); -list prints them. Its summaries cover every package, so a helper
+// outside the scope still carries its effects to callers inside it.
 package main
 
 import (
@@ -39,7 +40,6 @@ import (
 	"mllibstar/internal/analysis/buflife"
 	"mllibstar/internal/analysis/costcharge"
 	"mllibstar/internal/analysis/determinism"
-	"mllibstar/internal/analysis/detflow"
 	"mllibstar/internal/analysis/errdiscard"
 	"mllibstar/internal/analysis/floateq"
 	"mllibstar/internal/analysis/loader"
@@ -47,13 +47,9 @@ import (
 	"mllibstar/internal/analysis/vecalias"
 )
 
-// analyzers is the suite, in reporting order. The flow-sensitive analyzers
-// subsume parts of their syntactic predecessors but both layers run: the
-// syntactic ones are cheap and catch constructs the dataflow layer
-// deliberately leaves to them.
+// analyzers is the suite, in reporting order.
 var analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
-	detflow.Analyzer,
 	vecalias.Analyzer,
 	buflife.Analyzer,
 	costcharge.Analyzer,
@@ -68,11 +64,7 @@ func main() {
 
 	if *list {
 		for _, a := range analyzers {
-			tag := ""
-			if a.FactsAll {
-				tag = " [facts]"
-			}
-			fmt.Printf("%-12s %s%s\n", a.Name, a.Doc, tag)
+			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 			if len(a.DefaultScope) > 0 {
 				fmt.Printf("%-12s scope: %s\n", "", strings.Join(a.DefaultScope, ", "))
 			} else {
@@ -123,25 +115,27 @@ type finding struct {
 	Message  string
 }
 
-// runSuite lists the packages matched by patterns in dir ("" = the working
-// directory) and runs the analyzers over them in dependency order,
-// threading one fact store through so interprocedural summaries cross
-// package boundaries. The findings come back sorted by position.
+// runSuite lists and loads the packages matched by patterns in dir ("" =
+// the working directory) and runs each analyzer once over all of them,
+// keeping the findings inside its scope. The findings come back sorted by
+// position.
 func runSuite(dir string, patterns []string) ([]finding, error) {
 	mod, err := loader.List(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
+	pkgs, err := mod.Load()
+	if err != nil {
+		return nil, err
+	}
 
 	var findings []finding
-	facts := analysis.NewFacts()
-	sup := analysis.NewSuppressor()
-	for _, e := range mod.Entries {
-		pkg, err := mod.LoadPackage(e)
-		if err != nil {
-			return nil, err
-		}
-
+	names := make([]string, len(analyzers))
+	for i, a := range analyzers {
+		names[i] = a.Name
+	}
+	sup := analysis.NewSuppressor(names...)
+	for _, pkg := range pkgs {
 		for _, mis := range sup.AddPackage(pkg.Fset, pkg.Files) {
 			pos := pkg.Fset.Position(mis.Pos)
 			findings = append(findings, finding{
@@ -149,37 +143,22 @@ func runSuite(dir string, patterns []string) ([]finding, error) {
 				Analyzer: "nolint", Message: mis.Message,
 			})
 		}
+	}
 
-		for _, a := range analyzers {
-			inScope := a.InScope(pkg.PkgPath)
-			if !inScope && !a.FactsAll {
-				continue
+	base := analysis.NewPass(pkgs)
+	for _, a := range analyzers {
+		pass := base.For(a, func(d analysis.Diagnostic) {
+			pos := base.Fset.Position(d.Pos)
+			if !a.InScope(base.PkgOf(d.Pos).PkgPath) || sup.Suppressed(pos.Filename, pos.Line, a.Name) {
+				return
 			}
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.TypesInfo,
-				Facts:     facts,
-			}
-			name := a.Name
-			pass.Report = func(d analysis.Diagnostic) {
-				if !inScope {
-					return // facts-only visit of an out-of-scope package
-				}
-				pos := pkg.Fset.Position(d.Pos)
-				if sup.Suppressed(pos.Filename, pos.Line, name) {
-					return
-				}
-				findings = append(findings, finding{
-					File: pos.Filename, Line: pos.Line, Col: pos.Column,
-					Analyzer: name, Message: d.Message,
-				})
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s on %s: %v", a.Name, pkg.PkgPath, err)
-			}
+			findings = append(findings, finding{
+				File: pos.Filename, Line: pos.Line, Col: pos.Column,
+				Analyzer: a.Name, Message: d.Message,
+			})
+		})
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s: %v", a.Name, err)
 		}
 	}
 
@@ -194,7 +173,10 @@ func runSuite(dir string, patterns []string) ([]finding, error) {
 		if a.Col != b.Col {
 			return a.Col < b.Col
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 	return findings, nil
 }

@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// TestCrossPackageFacts runs the suite over a two-package module in which
-// every finding of package a depends on a summary of package b: a helper
-// that reaches obs, one that Puts its argument, and one that returns
-// map-order data. Without the facts crossing the package boundary, a would
-// be clean.
+// TestCrossPackageFacts runs the suite over a fixture module in which every
+// finding of package a depends on a summary of package b: a helper that
+// reaches obs, one that Puts its argument, and one that returns map-order
+// data. The last three findings rest on b's helpers that get the same
+// effects from package c, two package hops from a. Without the summaries
+// crossing package boundaries, a would be clean.
 func TestCrossPackageFacts(t *testing.T) {
 	findings, err := runSuite("testdata/twopkg", []string{"./..."})
 	if err != nil {
@@ -21,7 +22,10 @@ func TestCrossPackageFacts(t *testing.T) {
 	}{
 		{"costcharge", 11},
 		{"buflife", 17},
-		{"detflow", 24},
+		{"determinism", 24},
+		{"costcharge", 31},
+		{"buflife", 37},
+		{"determinism", 44},
 	}
 	if len(findings) != len(want) {
 		t.Fatalf("got %d findings, want %d: %+v", len(findings), len(want), findings)

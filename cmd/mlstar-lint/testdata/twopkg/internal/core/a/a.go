@@ -1,5 +1,5 @@
-// Package a calls b's helpers: each of its three findings rests on a fact
-// the driver carried over from package b.
+// Package a calls b's helpers: each of its findings rests on a summary of
+// package b, and the last three on one of package c reached through b.
 package a
 
 import (
@@ -17,10 +17,30 @@ func UseAfterRetire(p *b.Pool) float64 {
 	return v[0]
 }
 
-// Sum folds floats in map-iteration order (detflow).
+// Sum folds floats in map-iteration order (determinism).
 func Sum(m map[string]float64) float64 {
 	s := 0.0
 	for _, v := range b.Values(m) {
+		s += v
+	}
+	return s
+}
+
+// OffloadVia hands the pool a helper that reaches telemetry through c
+// (costcharge).
+func OffloadVia() { par.Do(b.LogVia) }
+
+// UseAfterRetireVia reads a buffer c gave back to the pool for b (buflife).
+func UseAfterRetireVia(p *b.Pool) float64 {
+	v := p.GetVec(4)
+	b.RetireVia(p, v)
+	return v[0]
+}
+
+// SumVia folds floats in the order c listed their keys (determinism).
+func SumVia(m map[string]float64) float64 {
+	s := 0.0
+	for _, v := range b.ValuesVia(m) {
 		s += v
 	}
 	return s

@@ -86,6 +86,9 @@ func run() error {
 	if len(events) == 0 {
 		return fmt.Errorf("%s: no events", *in)
 	}
+	if err := obs.CheckLog(events); err != nil {
+		return fmt.Errorf("%s: %v", *in, err)
+	}
 
 	if *gantt != "" {
 		svg := obs.GanttFromEvents(events).SVG("per-node activity, virtual time", 1100)

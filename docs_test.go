@@ -20,7 +20,6 @@ import (
 	"mllibstar/internal/analysis/buflife"
 	"mllibstar/internal/analysis/costcharge"
 	"mllibstar/internal/analysis/determinism"
-	"mllibstar/internal/analysis/detflow"
 	"mllibstar/internal/analysis/errdiscard"
 	"mllibstar/internal/analysis/floateq"
 	"mllibstar/internal/analysis/pkgdoc"
@@ -114,7 +113,7 @@ func makeTargets(t *testing.T) map[string]bool {
 // without telling readers what gate their code now has to pass fails here.
 func TestDocsAnalyzers(t *testing.T) {
 	suite := []*analysis.Analyzer{
-		determinism.Analyzer, detflow.Analyzer,
+		determinism.Analyzer,
 		vecalias.Analyzer, buflife.Analyzer, costcharge.Analyzer,
 		floateq.Analyzer, errdiscard.Analyzer, pkgdoc.Analyzer,
 	}

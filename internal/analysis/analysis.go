@@ -1,15 +1,17 @@
 // Package analysis is a self-contained reimplementation of the core of
 // golang.org/x/tools/go/analysis, built only on the standard library so the
 // repository keeps its zero-dependency policy. It provides the Analyzer and
-// Pass types that the mlstar lint suite (cmd/mlstar-lint) drives, the
-// cross-package fact store and the //mlstar:nolint suppressor; the sibling
-// packages (determinism, detflow, vecalias, buflife, costcharge, floateq,
-// errdiscard, pkgdoc) implement the project-specific invariants on top of it.
+// Pass types that the mlstar lint suite (cmd/mlstar-lint) drives and the
+// //mlstar:nolint suppressor; the sibling packages (determinism, vecalias,
+// buflife, costcharge, floateq, errdiscard, pkgdoc) implement the
+// project-specific invariants on top of it.
 //
-// The framework deliberately mirrors the upstream API shape — an Analyzer
-// with a Run function over a Pass carrying the package's syntax and type
-// information — so the analyzers could be ported to the real go/analysis
-// multichecker verbatim if the dependency policy ever changes.
+// The framework mirrors the upstream API shape — an Analyzer with a Run
+// function over a Pass carrying syntax and type information — with one
+// difference: a Pass holds every package of the run at once, in one type
+// universe. An interprocedural analyzer then builds one call graph over the
+// whole module and solves its function summaries in one fixpoint, where
+// upstream would export per-package facts and import them downstream.
 package analysis
 
 import (
@@ -17,6 +19,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"mllibstar/internal/analysis/callgraph"
+	"mllibstar/internal/analysis/loader"
 )
 
 // Analyzer describes one static check.
@@ -28,22 +33,16 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of what the analyzer checks.
 	Doc string
 
-	// DefaultScope lists package-path prefixes the analyzer applies to when
-	// the driver runs it over the whole repository. Empty means every
-	// package. Test harnesses ignore the scope and run the analyzer on
-	// whatever package they load.
+	// DefaultScope lists package-path prefixes whose findings the driver
+	// keeps when it runs the suite over the whole repository. Empty means
+	// every package. The analyzer still sees every package, so summaries of
+	// helpers outside the scope (internal/vec, say) feed findings inside
+	// it. Test harnesses ignore the scope.
 	DefaultScope []string
 
-	// FactsAll asks the driver to run the analyzer on every package — with
-	// reporting disabled outside DefaultScope — so cross-package facts are
-	// computed even for helper packages the analyzer does not diagnose
-	// (e.g. detflow needs taint summaries for internal/vec although its
-	// findings are scoped to simulated code).
-	FactsAll bool
-
-	// Run applies the check to one package and reports findings through
-	// pass.Report. The returned error aborts the whole lint run (reserved
-	// for internal failures, not findings).
+	// Run applies the check to every package of the pass and reports
+	// findings through pass.Report. The returned error aborts the whole
+	// lint run (reserved for internal failures, not findings).
 	Run func(pass *Pass) error
 }
 
@@ -61,32 +60,49 @@ func (a *Analyzer) InScope(pkgPath string) bool {
 	return false
 }
 
-// Pass carries one package's parsed and type-checked form to an analyzer.
+// Pass carries the parsed and type-checked packages of one run to an
+// analyzer.
 type Pass struct {
-	Analyzer  *Analyzer
+	Analyzer *Analyzer
+	// Pkgs are the packages under analysis, dependencies first. They share
+	// Fset and TypesInfo.
+	Pkgs      []*loader.Package
 	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
+	Files     []*ast.File // every file of Pkgs
 	TypesInfo *types.Info
-
-	// Facts is the cross-package fact store, shared across the whole lint
-	// run. The driver processes packages in dependency order, so facts
-	// exported while analyzing a package's dependencies are importable
-	// here. Nil in harnesses that run a single package; use FactStore to
-	// get a non-nil view.
-	Facts *Facts
 
 	// Report delivers one diagnostic. The driver installs it.
 	Report func(Diagnostic)
+
+	program **callgraph.Program // built on first use, shared by For's copies
 }
 
-// FactStore returns the pass's fact store, creating an empty local one when
-// the driver did not install any (single-package test harnesses).
-func (p *Pass) FactStore() *Facts {
-	if p.Facts == nil {
-		p.Facts = NewFacts()
+// NewPass builds a pass over pkgs, which must come from one loader.Module
+// (or be one corpus package). For hands it to each analyzer.
+func NewPass(pkgs []*loader.Package) *Pass {
+	p := &Pass{Pkgs: pkgs, program: new(*callgraph.Program)}
+	for _, pkg := range pkgs {
+		p.Fset, p.TypesInfo = pkg.Fset, pkg.TypesInfo
+		p.Files = append(p.Files, pkg.Files...)
 	}
-	return p.Facts
+	return p
+}
+
+// For returns a copy of the pass for one analyzer, reporting through
+// report. The copies share one Program.
+func (p *Pass) For(a *Analyzer, report func(Diagnostic)) *Pass {
+	q := *p
+	q.Analyzer, q.Report = a, report
+	return &q
+}
+
+// Program returns the call graph of the pass's packages with every
+// function's CFG, built once and shared by the interprocedural analyzers.
+func (p *Pass) Program() *callgraph.Program {
+	if *p.program == nil {
+		*p.program = callgraph.NewProgram(p.TypesInfo, p.Files)
+	}
+	return *p.program
 }
 
 // Diagnostic is one finding at a source position.
@@ -119,6 +135,47 @@ func IsFloat(t types.Type) bool {
 func IsFloatSlice(t types.Type) bool {
 	s, ok := t.Underlying().(*types.Slice)
 	return ok && IsFloat(s.Elem())
+}
+
+// PkgOf returns the package of the pass whose files hold pos, or nil.
+func (p *Pass) PkgOf(pos token.Pos) *loader.Package {
+	for _, pkg := range p.Pkgs {
+		for _, f := range pkg.Files {
+			if f.FileStart <= pos && pos <= f.FileEnd {
+				return pkg
+			}
+		}
+	}
+	return nil
+}
+
+// IsPackageVar reports whether obj is a package-level variable: state that
+// outlives every call.
+func IsPackageVar(obj types.Object) bool {
+	_, isVar := obj.(*types.Var)
+	return isVar && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()
+}
+
+// IsCharge reports whether fn is a simulation charge: an operation that
+// consumes virtual time or bytes. ComputeKind, ComputeAsyncKind,
+// ChargeAsync, SendPhase, RecvN and WaitUntil exist nowhere else in the
+// module, so they match by name alone and corpora can mirror them; the
+// generic names Send, Compute and Recv match only in simnet, Wait only in
+// des.
+func IsCharge(fn *types.Func) bool {
+	pkg := ""
+	if fn.Pkg() != nil {
+		pkg = fn.Pkg().Path()
+	}
+	switch fn.Name() {
+	case "ComputeKind", "ComputeAsyncKind", "ChargeAsync", "SendPhase", "RecvN", "WaitUntil":
+		return true
+	case "Send", "Compute", "Recv":
+		return pkg == "mllibstar/internal/simnet"
+	case "Wait":
+		return pkg == "mllibstar/internal/des"
+	}
+	return false
 }
 
 // FuncOf resolves the called function object of a call expression, looking

@@ -35,19 +35,28 @@ import (
 // directive for the analyzer and no want comment).
 func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
-	pkg, diags := analyze(t, dir, a)
-
+	pkg, err := loader.LoadDir(dir, filepath.Base(dir))
+	if err != nil {
+		t.Fatalf("loading %s: %v", dir, err)
+	}
 	wants, err := collectWants(pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Group diagnostics by file:line and match against expectations.
+	// Group the diagnostics that survive suppression by file:line.
+	supp := analysis.NewSuppressor()
+	supp.AddPackage(pkg.Fset, pkg.Files)
 	got := map[lineKey][]string{}
-	for _, d := range diags {
+	pass := analysis.NewPass([]*loader.Package{pkg}).For(a, func(d analysis.Diagnostic) {
 		pos := pkg.Fset.Position(d.Pos)
-		k := lineKey{file: filepath.Base(pos.Filename), line: pos.Line}
-		got[k] = append(got[k], d.Message)
+		if !supp.Suppressed(pos.Filename, pos.Line, a.Name) {
+			k := lineKey{file: filepath.Base(pos.Filename), line: pos.Line}
+			got[k] = append(got[k], d.Message)
+		}
+	})
+	if err := a.Run(pass); err != nil {
+		t.Fatalf("analyzer %s: %v", a.Name, err)
 	}
 
 	for k, exps := range wants {
@@ -81,58 +90,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 			t.Errorf("%s:%d: unexpected diagnostic: %s", k.file, k.line, m)
 		}
 	}
-}
-
-// RunSilent loads the package under dir, applies the analyzer, and asserts
-// it reports nothing at all, ignoring the corpus's want comments (which
-// belong to a different analyzer). It is the regression harness for
-// interprocedural corpora: the flow-sensitive analyzer matches the corpus's
-// want comments via Run while its syntactic predecessor must stay silent on
-// the same code via RunSilent — proving the finding class is genuinely out
-// of the old analyzer's reach.
-func RunSilent(t *testing.T, dir string, a *analysis.Analyzer) {
-	t.Helper()
-	pkg, diags := analyze(t, dir, a)
-	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
-		t.Errorf("%s:%d: analyzer %s must stay silent on this corpus, reported: %s",
-			filepath.Base(pos.Filename), pos.Line, a.Name, d.Message)
-	}
-}
-
-// analyze loads the corpus package, runs the analyzer with an empty fact
-// store, and returns the diagnostics that survive nolint suppression.
-func analyze(t *testing.T, dir string, a *analysis.Analyzer) (*loader.Package, []analysis.Diagnostic) {
-	t.Helper()
-	pkg, err := loader.LoadDir(dir, filepath.Base(dir))
-	if err != nil {
-		t.Fatalf("loading %s: %v", dir, err)
-	}
-
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.TypesInfo,
-		Facts:     analysis.NewFacts(),
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("analyzer %s: %v", a.Name, err)
-	}
-
-	supp := analysis.NewSuppressor()
-	supp.AddPackage(pkg.Fset, pkg.Files)
-	kept := diags[:0]
-	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
-		if !supp.Suppressed(pos.Filename, pos.Line, a.Name) {
-			kept = append(kept, d)
-		}
-	}
-	return pkg, kept
 }
 
 type lineKey struct {

@@ -6,8 +6,8 @@
 // PutVec/Put, and reports:
 //
 //   - use-after-Put: any read of a buffer on some path after the pool took
-//     it back — including reads after a Put inside a nested branch, which
-//     the older statement-list-scoped vecalias check could not see;
+//     it back — including reads after a Put inside a nested branch, behind
+//     defer, or inside a callee;
 //   - double-Put: a second Put of the same buffer, including one performed
 //     by a deferred call at function exit;
 //   - escape of a live pooled buffer into longer-lived state (a struct
@@ -20,10 +20,10 @@
 //
 // Returning a pooled buffer is legal — the pool contract (engine/agg.go)
 // makes a return an ownership transfer — so instead of flagging returns the
-// analyzer exports a ReturnsPooled fact and marks the caller's binding as
-// pooled. Callees that retire their arguments export a PutsParams fact, so
-// a helper that Puts a buffer kills the caller's binding too; both facts
-// cross package boundaries via the driver's dependency-ordered fact store.
+// analyzer records it in the function's summary and marks the caller's
+// binding as pooled. A function that retires a parameter records that too,
+// so a helper that Puts a buffer kills the caller's binding; the summaries
+// are solved over the whole module's call graph, so both cross packages.
 package buflife
 
 import (
@@ -32,17 +32,13 @@ import (
 
 	"mllibstar/internal/analysis"
 	"mllibstar/internal/analysis/callgraph"
-	"mllibstar/internal/analysis/cfg"
 	"mllibstar/internal/analysis/taint"
 )
 
-const name = "buflife"
-
 // Analyzer is the flow-sensitive pooled-buffer lifetime check.
 var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      "flow-sensitive GetVec/PutVec lifetimes: use-after-Put, double-Put, escapes of pooled buffers into long-lived state",
-	FactsAll: true,
+	Name: "buflife",
+	Doc:  "flow-sensitive GetVec/PutVec lifetimes: use-after-Put, double-Put, escapes of pooled buffers into long-lived state",
 	DefaultScope: []string{
 		"mllibstar/internal/allreduce",
 		"mllibstar/internal/angel",
@@ -66,85 +62,34 @@ const (
 	dead                           // retired by Put: the pool owns it again
 )
 
-// summary is one function's exported lifetime contract.
+// summary is one function's lifetime contract.
 type summary struct {
-	// PutsParams lists the indices of float-slice parameters the function
-	// may retire (pass to Put on some path).
-	PutsParams []int `json:"putsParams,omitempty"`
-	// ReturnsPooled reports that some result may be a pooled buffer, whose
+	// puts marks the parameters the function may retire (pass to Put on
+	// some path).
+	puts []bool
+	// returnsPooled reports that some result may be a pooled buffer, whose
 	// ownership transfers to the caller.
-	ReturnsPooled bool `json:"returnsPooled,omitempty"`
+	returnsPooled bool
 }
 
 func run(pass *analysis.Pass) error {
-	g := callgraph.Build(pass.TypesInfo, pass.Files)
-	a := &analyzer{
-		pass:   pass,
-		graph:  g,
-		sums:   map[*callgraph.Node]*summary{},
-		remote: map[*types.Func]*summary{},
-		bySite: map[*ast.CallExpr][]callgraph.Call{},
-		cfgs:   map[*callgraph.Node]*cfg.Graph{},
-	}
-	for _, n := range g.Nodes {
-		a.sums[n] = &summary{}
-		for _, c := range n.Calls {
-			a.bySite[c.Site] = append(a.bySite[c.Site], c)
-		}
-		if body := n.Body(); body != nil {
-			a.cfgs[n] = cfg.New(body)
-		}
-	}
-
-	callgraph.BottomUp(g, func(n *callgraph.Node) bool { return a.summarize(n) })
-
-	facts := pass.FactStore()
-	for _, n := range g.Nodes {
-		if n.Fn != nil {
-			facts.Export(name, callgraph.FuncID(n.Fn), a.sums[n])
-		}
-	}
-
-	for _, n := range g.Nodes {
+	a := &analyzer{pass: pass, prog: callgraph.NewSummaries[summary](pass.Program())}
+	a.prog.Solve(a.summarize)
+	for _, n := range a.prog.Nodes {
 		a.report(n)
 	}
 	return nil
 }
 
 type analyzer struct {
-	pass   *analysis.Pass
-	graph  *callgraph.Graph
-	sums   map[*callgraph.Node]*summary
-	remote map[*types.Func]*summary
-	bySite map[*ast.CallExpr][]callgraph.Call
-	cfgs   map[*callgraph.Node]*cfg.Graph
-}
-
-// calleeSummaries resolves a call site to the lifetime summaries of its
-// possible targets (in-package nodes live, remote ones via facts).
-func (a *analyzer) calleeSummaries(call *ast.CallExpr) []*summary {
-	var out []*summary
-	for _, c := range a.bySite[call] {
-		switch {
-		case c.Callee != nil:
-			out = append(out, a.sums[c.Callee])
-		case c.Remote != nil:
-			s, ok := a.remote[c.Remote]
-			if !ok {
-				s = &summary{}
-				a.pass.FactStore().Import(name, callgraph.FuncID(c.Remote), s)
-				a.remote[c.Remote] = s
-			}
-			out = append(out, s)
-		}
-	}
-	return out
+	pass *analysis.Pass
+	prog *callgraph.Summaries[summary]
 }
 
 // problem builds the dataflow instance for one function node.
 func (a *analyzer) problem(n *callgraph.Node) *taint.Problem {
 	return &taint.Problem{
-		Graph:    a.cfgs[n],
+		Graph:    a.prog.CFG[n],
 		Transfer: func(nd ast.Node, st taint.State) { a.transfer(nd, st) },
 	}
 }
@@ -157,59 +102,15 @@ func (a *analyzer) transfer(n ast.Node, st taint.State) {
 	switch n := n.(type) {
 	case *ast.DeferStmt:
 		// Registration has no effect; the call runs at exit.
-	case *ast.AssignStmt:
-		for _, rhs := range n.Rhs {
-			a.applyCalls(rhs, st)
-		}
-		if len(n.Lhs) == len(n.Rhs) {
-			for i := range n.Lhs {
-				a.bind(n.Lhs[i], a.markOf(n.Rhs[i], st), st)
-			}
-		} else if len(n.Rhs) == 1 {
-			m := a.markOf(n.Rhs[0], st)
-			for _, lhs := range n.Lhs {
-				a.bind(lhs, m, st)
-			}
-		}
-	case *ast.DeclStmt:
-		if gd, ok := n.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if i < len(vs.Values) {
-						a.applyCalls(vs.Values[i], st)
-						a.bind(name, a.markOf(vs.Values[i], st), st)
-					}
-				}
-			}
-		}
 	case *ast.RangeStmt:
 		a.applyCalls(n.X, st)
-		a.bind(n.Key, 0, st)
-		a.bind(n.Value, 0, st)
+		st.Bind(a.pass.TypesInfo, n.Key, 0)
+		st.Bind(a.pass.TypesInfo, n.Value, 0)
 	default:
 		a.applyCalls(n, st)
-	}
-}
-
-// bind rebinds one assignment target: an identifier takes the new marks (a
-// strong update — rebinding revives a retired name); other targets are left
-// to the escape check in the report pass.
-func (a *analyzer) bind(lhs ast.Expr, m taint.Marks, st taint.State) {
-	if lhs == nil {
-		return
-	}
-	id, ok := ast.Unparen(lhs).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return
-	}
-	if obj := a.pass.TypesInfo.ObjectOf(id); obj != nil {
-		// Only ownership (pooled) propagates through binding; a variable
-		// can never be born dead.
-		st.Set(obj, m&pooled)
+		// Only ownership propagates through binding (a variable is never
+		// born dead), and rebinding revives a retired name.
+		taint.Assigns(n, func(lhs, rhs ast.Expr) { st.Bind(a.pass.TypesInfo, lhs, a.markOf(rhs, st)&pooled) })
 	}
 }
 
@@ -226,8 +127,9 @@ func (a *analyzer) markOf(e ast.Expr, st taint.State) taint.Marks {
 		if a.isGetCall(e) {
 			return pooled
 		}
-		for _, s := range a.calleeSummaries(e) {
-			if s.ReturnsPooled {
+		sums, _ := a.prog.Callees(e)
+		for _, s := range sums {
+			if s.returnsPooled {
 				return pooled
 			}
 		}
@@ -254,17 +156,8 @@ func (a *analyzer) applyCalls(n ast.Node, st taint.State) {
 			st.Add(obj, dead)
 			return true
 		}
-		for _, s := range a.calleeSummaries(call) {
-			for _, idx := range s.PutsParams {
-				if idx >= len(call.Args) {
-					continue
-				}
-				if id, ok := ast.Unparen(call.Args[idx]).(*ast.Ident); ok {
-					if obj := a.pass.TypesInfo.Uses[id]; obj != nil {
-						st.Add(obj, dead)
-					}
-				}
-			}
+		for _, obj := range a.retiredArgs(call) {
+			st.Add(obj, dead)
 		}
 		return true
 	})
@@ -311,98 +204,70 @@ func (a *analyzer) isGetCall(call *ast.CallExpr) bool {
 	return ok && analysis.IsFloatSlice(tv.Type)
 }
 
-// summarize recomputes one node's exported contract, reporting change (the
-// BottomUp fixpoint driver).
-func (a *analyzer) summarize(n *callgraph.Node) bool {
-	body := n.Body()
-	if body == nil {
-		return false
-	}
-	s := a.sums[n]
-
-	params := map[types.Object]int{}
-	if n.Decl != nil && n.Decl.Type.Params != nil {
-		i := 0
-		for _, f := range n.Decl.Type.Params.List {
-			for _, name := range f.Names {
-				if obj := a.pass.TypesInfo.Defs[name]; obj != nil {
-					params[obj] = i
+// retiredArgs returns the identifiers a call's callees retire.
+func (a *analyzer) retiredArgs(call *ast.CallExpr) []types.Object {
+	var out []types.Object
+	sums, _ := a.prog.Callees(call)
+	for _, s := range sums {
+		for i, put := range s.puts {
+			if !put || i >= len(call.Args) {
+				continue
+			}
+			if id, ok := ast.Unparen(call.Args[i]).(*ast.Ident); ok {
+				if obj := a.pass.TypesInfo.Uses[id]; obj != nil {
+					out = append(out, obj)
 				}
-				i++
 			}
 		}
 	}
+	return out
+}
 
+// summarize recomputes one node's contract for the fixpoint, reporting
+// change.
+func (a *analyzer) summarize(n *callgraph.Node, s *summary) bool {
+	params := n.Params(a.pass.TypesInfo)
+	if s.puts == nil {
+		s.puts = make([]bool, len(params))
+	}
 	changed := false
-	puts := map[int]bool{}
-	for _, idx := range s.PutsParams {
-		puts[idx] = true
+	retire := func(obj types.Object) {
+		for i, p := range params {
+			if p == obj && !s.puts[i] {
+				s.puts[i] = true
+				changed = true
+			}
+		}
 	}
 	// Which parameters may this function retire, directly or via a callee?
 	for _, c := range n.Calls {
 		if obj := a.putArg(c.Site); obj != nil {
-			if idx, ok := params[obj]; ok && !puts[idx] {
-				puts[idx] = true
-				changed = true
-			}
+			retire(obj)
 			continue
 		}
-		for _, cs := range a.calleeSummaries(c.Site) {
-			for _, argIdx := range cs.PutsParams {
-				if argIdx >= len(c.Site.Args) {
-					continue
-				}
-				id, ok := ast.Unparen(c.Site.Args[argIdx]).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if idx, ok := params[a.pass.TypesInfo.Uses[id]]; ok && !puts[idx] {
-					puts[idx] = true
-					changed = true
-				}
-			}
+		for _, obj := range a.retiredArgs(c.Site) {
+			retire(obj)
 		}
-	}
-	if changed {
-		s.PutsParams = s.PutsParams[:0]
-		for idx := range puts { //mlstar:nolint determinism -- small index set, sorted below
-			s.PutsParams = append(s.PutsParams, idx)
-		}
-		sortInts(s.PutsParams)
 	}
 
-	if !s.ReturnsPooled {
+	if !s.returnsPooled {
 		pr := a.problem(n)
-		in := pr.Solve()
-		pr.Replay(in, func(nd ast.Node, st taint.State) {
+		pr.Replay(pr.Solve(), func(nd ast.Node, st taint.State) {
 			if ret, ok := nd.(*ast.ReturnStmt); ok {
 				for _, res := range ret.Results {
 					if a.markOf(res, st)&pooled != 0 {
-						s.ReturnsPooled = true
+						s.returnsPooled = true
 					}
 				}
 			}
 		})
-		if s.ReturnsPooled {
-			changed = true
-		}
+		changed = changed || s.returnsPooled
 	}
 	return changed
 }
 
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
 // report replays one function's dataflow with diagnostics enabled.
 func (a *analyzer) report(n *callgraph.Node) {
-	if n.Body() == nil {
-		return
-	}
 	pr := a.problem(n)
 	in := pr.Solve()
 	pr.Replay(in, func(nd ast.Node, st taint.State) {
@@ -519,8 +384,7 @@ func (a *analyzer) checkEscape(lhs, rhs ast.Expr, st taint.State) {
 		a.pass.Reportf(rhs.Pos(),
 			"pooled buffer stored into field %s outlives its PutVec; copy it (vec.Copy) or keep it function-local", l.Sel.Name)
 	case *ast.Ident:
-		obj := a.pass.TypesInfo.ObjectOf(l)
-		if obj != nil && obj.Parent() == a.pass.Pkg.Scope() {
+		if obj := a.pass.TypesInfo.ObjectOf(l); obj != nil && analysis.IsPackageVar(obj) {
 			a.pass.Reportf(rhs.Pos(),
 				"pooled buffer stored into package variable %s outlives its PutVec; copy it (vec.Copy) or keep it function-local", l.Name)
 		}

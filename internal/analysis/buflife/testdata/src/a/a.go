@@ -1,9 +1,7 @@
 // Corpus for the buflife analyzer: flow-sensitive pooled-buffer lifetimes.
-// Every finding here is out of reach of the syntactic vecalias check, which
-// only scopes a statement-level Put to its own statement list and never
-// crosses a call (vecalias_regression_test asserts it stays silent on this
-// whole file): the Puts below hide inside nested branches, behind defer, or
-// inside callees, and the escapes involve locals rather than parameters.
+// No finding here lies in the same statement list as its Put: the Puts
+// below hide inside nested branches, behind defer, or inside callees, and
+// the escapes involve locals rather than parameters.
 package a
 
 // Ctx mirrors engine.Context's pool surface; the analyzer recognizes
@@ -18,14 +16,14 @@ type holder struct{ buf []float64 }
 func work(xs []float64)  {}
 func scale(xs []float64) { xs[0] *= 2 }
 
-// release retires its parameter: callers learn this through the exported
-// PutsParams fact, not from any syntax at the call site.
+// release retires its parameter: callers learn this from its summary, not
+// from any syntax at the call site.
 func release(ctx *Ctx, b []float64) {
 	ctx.PutVec(b)
 }
 
 // acquire returns a pooled buffer: ownership transfers to the caller (the
-// agg.go contract), recorded as the ReturnsPooled fact.
+// agg.go contract), recorded in its summary.
 func acquire(ctx *Ctx, n int) []float64 {
 	return ctx.GetVec(n)
 }
@@ -49,8 +47,8 @@ func deferredDoublePut(ctx *Ctx) {
 	ctx.PutVec(b)
 }
 
-// The Put happens inside release: only the interprocedural PutsParams fact
-// reveals that b is dead at the scale call.
+// The Put happens inside release: only its summary reveals that b is dead
+// at the scale call.
 func useAfterHelperPut(ctx *Ctx) {
 	b := ctx.GetVec(4)
 	release(ctx, b)
@@ -67,14 +65,13 @@ func captureAfterConditionalPut(ctx *Ctx, cond bool) func() float64 {
 }
 
 // Storing a live pooled local into a field outlives the eventual Put.
-// vecalias only tracks parameters, so it cannot see this local escape.
 func escapeToField(ctx *Ctx, h *holder) {
 	b := ctx.GetVec(8)
 	h.buf = b // want `pooled buffer stored into field buf outlives its PutVec`
 	ctx.PutVec(b)
 }
 
-// The buffer is pooled only via acquire's ReturnsPooled fact.
+// The buffer is pooled only via acquire's summary.
 func escapeReturned(ctx *Ctx, h *holder) {
 	b := acquire(ctx, 4)
 	h.buf = b // want `pooled buffer stored into field buf outlives its PutVec`

@@ -1,22 +1,25 @@
-// Package callgraph builds a conservative call graph of one package for the
-// interprocedural analyzers in the mlstar lint suite. Nodes are the
-// package's declared functions and methods plus every function literal;
-// edges are the statically resolvable calls between them:
+// Package callgraph builds a conservative call graph over every package of
+// a lint pass, for the interprocedural analyzers in the mlstar lint suite.
+// Nodes are the declared functions and methods plus every function
+// literal; edges are the statically resolvable calls between them:
 //
-//   - direct calls to package-level functions and methods,
+//   - direct calls to functions and methods, in any package of the pass,
 //   - immediately invoked literals (func(){...}()),
 //   - calls through a local identifier bound to a function literal
 //     (fold := func(){...}; fold()) or to a method value (f := x.M; f()),
 //     resolved through every binding the identifier ever receives,
 //
-// Calls the graph cannot resolve inside the package are reported either as
-// Remote (a *types.Func from another package — the hook for cross-package
-// facts) or Dynamic (interface methods, function-typed parameters), which
-// analyzers must treat according to their own conservatism policy.
+// A call to a function whose body is not in the pass (the standard
+// library, a bodyless declaration) has no Callee but names its Func; a call
+// through an interface method or a function-typed value with no visible
+// binding is Dynamic. Analyzers treat both according to their own
+// conservatism policy.
 //
 // SCCs and BottomUp give analyzers a callee-first traversal with fixpoint
-// iteration inside recursive components, the order function summaries (and
-// the exported facts built from them) must be computed in.
+// iteration inside recursive components, the order function summaries must
+// be computed in; Program bundles the graph with each node's CFG, the
+// scaffold every interprocedural analyzer shares, and Summaries gives one
+// analyzer its own summary per node.
 package callgraph
 
 import (
@@ -25,6 +28,8 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+
+	"mllibstar/internal/analysis/cfg"
 )
 
 // Node is one function in the graph: a declared function/method (Fn and
@@ -64,31 +69,53 @@ func (n *Node) Pos() token.Pos {
 	return token.NoPos
 }
 
+// Params returns the node's parameter objects, in order.
+func (n *Node) Params(info *types.Info) []types.Object {
+	var ftype *ast.FuncType
+	if n.Decl != nil {
+		ftype = n.Decl.Type
+	} else {
+		ftype = n.Lit.Type
+	}
+	var out []types.Object
+	for _, f := range ftype.Params.List {
+		for _, name := range f.Names {
+			out = append(out, info.Defs[name])
+		}
+	}
+	return out
+}
+
 // Call is one call site inside a node.
 type Call struct {
 	Site *ast.CallExpr
-	// Callee is the in-package target (declared function or literal) when
-	// the call resolves statically; nil otherwise.
+	// Callee is the target in the graph (declared function or literal)
+	// when the call resolves statically to a body of the pass; nil
+	// otherwise.
 	Callee *Node
-	// Remote is the callee object when it resolves to a function defined in
-	// another package (or an in-package declaration without a body).
-	Remote *types.Func
+	// Func is the declared function or method the call names, when it
+	// names one (the origin of a generic instantiation), whether or not
+	// its body is in the graph.
+	Func *types.Func
 	// Dynamic marks calls through interface methods or function-typed
 	// values with no visible binding: the target is unknown.
 	Dynamic bool
 }
 
-// Graph is the package's call graph.
+// Graph is the call graph of a pass.
 type Graph struct {
-	// Nodes in deterministic order: declared functions in file/position
-	// order, then literals in position order.
+	// Nodes in deterministic order: by source position, which follows the
+	// order the pass's files were added to the file set.
 	Nodes  []*Node
 	ByFunc map[*types.Func]*Node
 	ByLit  map[*ast.FuncLit]*Node
+	// Bindings maps each variable or struct field to the function values
+	// assigned to it anywhere in the pass.
+	Bindings map[types.Object]*Binding
 }
 
-// Build constructs the call graph of the package given its syntax and type
-// information.
+// Build constructs the call graph of the given files, which may span many
+// packages of one type universe.
 func Build(info *types.Info, files []*ast.File) *Graph {
 	g := &Graph{ByFunc: map[*types.Func]*Node{}, ByLit: map[*ast.FuncLit]*Node{}}
 
@@ -114,7 +141,7 @@ func Build(info *types.Info, files []*ast.File) *Graph {
 	}
 	sort.SliceStable(g.Nodes, func(i, j int) bool { return g.Nodes[i].Pos() < g.Nodes[j].Pos() })
 
-	bindings := collectBindings(info, files)
+	g.Bindings = collectBindings(info, files)
 
 	// Pass 2: resolve call sites. Each call belongs to the innermost
 	// enclosing function node, so nested literal subtrees are skipped — they
@@ -130,7 +157,7 @@ func Build(info *types.Info, files []*ast.File) *Graph {
 				return false
 			}
 			if call, ok := n.(*ast.CallExpr); ok {
-				from.Calls = append(from.Calls, resolve(g, info, bindings, call)...)
+				from.Calls = append(from.Calls, resolve(g, info, call)...)
 			}
 			return true
 		})
@@ -157,69 +184,83 @@ func declName(d *ast.FuncDecl) string {
 	return d.Name.Name
 }
 
-// binding is everything a local identifier was ever assigned that the graph
-// can see: function literals and method/function values.
-type binding struct {
-	lits []*ast.FuncLit
-	fns  []*types.Func
+// Binding is everything a variable or field was ever assigned that the
+// graph can see: function literals and function or method values.
+type Binding struct {
+	Lits  []*ast.FuncLit
+	Funcs []*types.Func
 }
 
 // collectBindings maps each object to the function values bound to it
-// anywhere in the package: f := func(){...}, f = x.M, var f = g. A variable
-// that also receives opaque values keeps its visible bindings — the graph
-// over-approximates the callee set, never prunes it.
-func collectBindings(info *types.Info, files []*ast.File) map[types.Object]*binding {
-	out := map[types.Object]*binding{}
-	record := func(lhs, rhs ast.Expr) {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok {
-			return
-		}
+// anywhere in the pass: f := func(){...}, f = x.M, var f = g, ev.thunk =
+// func(){...} and &probe{run: func(){...}}. A variable that also receives
+// opaque values keeps its visible bindings — the graph over-approximates
+// the callee set, never prunes it.
+func collectBindings(info *types.Info, files []*ast.File) map[types.Object]*Binding {
+	out := map[types.Object]*Binding{}
+	record := func(id *ast.Ident, rhs ast.Expr) {
 		obj := info.ObjectOf(id)
 		if obj == nil {
 			return
 		}
+		b := out[obj]
+		if b == nil {
+			b = &Binding{}
+		}
 		switch rhs := ast.Unparen(rhs).(type) {
 		case *ast.FuncLit:
-			b := out[obj]
-			if b == nil {
-				b = &binding{}
-				out[obj] = b
-			}
-			b.lits = append(b.lits, rhs)
+			b.Lits = append(b.Lits, rhs)
 		case *ast.Ident: // f := g (a declared function used as a value)
-			if fn, ok := info.Uses[rhs].(*types.Func); ok {
-				b := out[obj]
-				if b == nil {
-					b = &binding{}
-					out[obj] = b
-				}
-				b.fns = append(b.fns, fn)
+			fn, ok := info.Uses[rhs].(*types.Func)
+			if !ok {
+				return
 			}
+			b.Funcs = append(b.Funcs, fn)
 		case *ast.SelectorExpr: // f := x.M (method value) or f := pkg.G
-			if fn, ok := info.Uses[rhs.Sel].(*types.Func); ok {
-				b := out[obj]
-				if b == nil {
-					b = &binding{}
-					out[obj] = b
-				}
-				b.fns = append(b.fns, fn)
+			fn, ok := info.Uses[rhs.Sel].(*types.Func)
+			if !ok {
+				return
 			}
+			b.Funcs = append(b.Funcs, fn)
+		default:
+			return
 		}
+		out[obj] = b
+	}
+	target := func(lhs ast.Expr) *ast.Ident {
+		switch lhs := ast.Unparen(lhs).(type) {
+		case *ast.Ident:
+			return lhs
+		case *ast.SelectorExpr:
+			return lhs.Sel
+		}
+		return nil
 	}
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for i := range n.Lhs {
-					if i < len(n.Rhs) {
-						record(n.Lhs[i], n.Rhs[i])
+					if id := target(n.Lhs[i]); id != nil && i < len(n.Rhs) {
+						record(id, n.Rhs[i])
 					}
 				}
 			case *ast.ValueSpec:
 				for i := range n.Names {
 					if i < len(n.Values) {
 						record(n.Names[i], n.Values[i])
+					}
+				}
+			case *ast.CompositeLit:
+				for _, elt := range n.Elts {
+					kv, ok := elt.(*ast.KeyValueExpr)
+					if !ok {
+						continue
+					}
+					if key, ok := kv.Key.(*ast.Ident); ok {
+						if v, ok := info.ObjectOf(key).(*types.Var); ok && v.IsField() {
+							record(key, kv.Value)
+						}
 					}
 				}
 			}
@@ -231,7 +272,7 @@ func collectBindings(info *types.Info, files []*ast.File) map[types.Object]*bind
 
 // resolve classifies one call site into zero or more Call records. A call
 // through a bound identifier yields one record per visible binding.
-func resolve(g *Graph, info *types.Info, bindings map[types.Object]*binding, call *ast.CallExpr) []Call {
+func resolve(g *Graph, info *types.Info, call *ast.CallExpr) []Call {
 	// Conversions (T(x)) and built-ins are not calls for our purposes.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		return nil
@@ -244,12 +285,12 @@ func resolve(g *Graph, info *types.Info, bindings map[types.Object]*binding, cal
 		case *types.Func:
 			return toFunc(g, call, obj)
 		case *types.Var:
-			if b := bindings[obj]; b != nil {
+			if b := g.Bindings[obj]; b != nil {
 				var out []Call
-				for _, lit := range b.lits {
+				for _, lit := range b.Lits {
 					out = append(out, Call{Site: call, Callee: g.ByLit[lit]})
 				}
-				for _, fn := range b.fns {
+				for _, fn := range b.Funcs {
 					out = append(out, toFunc(g, call, fn)...)
 				}
 				return out
@@ -264,7 +305,7 @@ func resolve(g *Graph, info *types.Info, bindings map[types.Object]*binding, cal
 			// Interface method calls have no body anywhere: mark dynamic.
 			if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
 				if types.IsInterface(sel.Recv()) {
-					return []Call{{Site: call, Remote: origin(fn), Dynamic: true}}
+					return []Call{{Site: call, Func: origin(fn), Dynamic: true}}
 				}
 			}
 			return toFunc(g, call, fn)
@@ -274,29 +315,19 @@ func resolve(g *Graph, info *types.Info, bindings map[types.Object]*binding, cal
 	return []Call{{Site: call, Dynamic: true}}
 }
 
-// toFunc resolves a *types.Func to an in-package node or a Remote record.
+// toFunc resolves a *types.Func to its node, when its body is in the graph.
 func toFunc(g *Graph, call *ast.CallExpr, fn *types.Func) []Call {
 	fn = origin(fn)
-	if node, ok := g.ByFunc[fn]; ok {
-		return []Call{{Site: call, Callee: node}}
-	}
-	return []Call{{Site: call, Remote: fn}}
+	return []Call{{Site: call, Callee: g.ByFunc[fn], Func: fn}}
 }
 
 // origin maps a generic instantiation back to its declared function so
-// node lookup and fact keys are stable.
+// node lookup is stable.
 func origin(fn *types.Func) *types.Func {
 	if o := fn.Origin(); o != nil {
 		return o
 	}
 	return fn
-}
-
-// FuncID is a stable, package-qualified identifier for a declared function
-// or method, the key of its facts in the store. A name rather than the
-// object keeps the store independent of how the packages were loaded.
-func FuncID(fn *types.Func) string {
-	return origin(fn).FullName()
 }
 
 // SCCs returns the strongly connected components of the graph in
@@ -381,4 +412,62 @@ func hasSelfLoop(n *Node) bool {
 		}
 	}
 	return false
+}
+
+// Program is the scaffold the interprocedural analyzers share: the call
+// graph of a pass, each node's CFG, and the call records of each site.
+type Program struct {
+	*Graph
+	CFG   map[*Node]*cfg.Graph
+	sites map[*ast.CallExpr][]Call
+}
+
+// NewProgram builds the graph of the given files and every node's CFG.
+func NewProgram(info *types.Info, files []*ast.File) *Program {
+	g := Build(info, files)
+	p := &Program{Graph: g, CFG: make(map[*Node]*cfg.Graph, len(g.Nodes)), sites: map[*ast.CallExpr][]Call{}}
+	for _, n := range g.Nodes {
+		p.CFG[n] = cfg.New(n.Body())
+		for _, c := range n.Calls {
+			p.sites[c.Site] = append(p.sites[c.Site], c)
+		}
+	}
+	return p
+}
+
+// Summaries is one analyzer's view of a program: a summary of type S per
+// node, solved callee-first by Solve.
+type Summaries[S any] struct {
+	*Program
+	Sums map[*Node]*S
+}
+
+// NewSummaries gives every node of p a zero summary.
+func NewSummaries[S any](p *Program) *Summaries[S] {
+	s := &Summaries[S]{Program: p, Sums: make(map[*Node]*S, len(p.Nodes))}
+	for _, n := range p.Nodes {
+		s.Sums[n] = new(S)
+	}
+	return s
+}
+
+// Solve computes the summaries callee-first: update recomputes one node's
+// summary from its callees' and reports whether it changed.
+func (s *Summaries[S]) Solve(update func(n *Node, sum *S) bool) {
+	BottomUp(s.Graph, func(n *Node) bool { return update(n, s.Sums[n]) })
+}
+
+// Callees returns the summaries of a call's possible targets in the graph,
+// and reports whether the graph holds every target: false for a dynamic
+// call or a callee whose body is not in the pass.
+func (s *Summaries[S]) Callees(call *ast.CallExpr) (sums []*S, known bool) {
+	known = true
+	for _, c := range s.sites[call] {
+		if c.Callee == nil {
+			known = false
+			continue
+		}
+		sums = append(sums, s.Sums[c.Callee])
+	}
+	return sums, known
 }

@@ -179,10 +179,10 @@ func f(cb func()) {
 		if c.Dynamic {
 			dynamic = true
 		}
-		if c.Remote != nil {
+		if c.Func != nil {
 			remote = true
-			if got := FuncID(c.Remote); got != "p.external" {
-				t.Errorf("FuncID(external) = %q, want p.external", got)
+			if c.Callee != nil || c.Func.FullName() != "p.external" {
+				t.Errorf("call to external = %+v, want no Callee and Func p.external", c)
 			}
 		}
 	}
@@ -190,7 +190,7 @@ func f(cb func()) {
 		t.Errorf("call through a function parameter must be Dynamic; calls = %+v", f.Calls)
 	}
 	if !remote {
-		t.Errorf("call to a bodyless declaration must be Remote; calls = %+v", f.Calls)
+		t.Errorf("call to a bodyless declaration must name its Func; calls = %+v", f.Calls)
 	}
 }
 
@@ -208,8 +208,8 @@ func f(i I) {
 		t.Fatalf("f has %d calls, want 1", len(f.Calls))
 	}
 	c := f.Calls[0]
-	if !c.Dynamic || c.Remote == nil || c.Remote.Name() != "M" {
-		t.Errorf("interface call must be Dynamic with the method as Remote; got %+v", c)
+	if !c.Dynamic || c.Callee != nil || c.Func == nil || c.Func.Name() != "M" {
+		t.Errorf("interface call must be Dynamic with the method as Func; got %+v", c)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package cfg builds per-function control-flow graphs over the standard
 // library's AST, for the flow-sensitive analyzers in the mlstar lint suite
-// (buflife, detflow, costcharge). Like the rest of internal/analysis it is a
+// (buflife, determinism, costcharge). Like the rest of internal/analysis it is a
 // deliberately small, stdlib-only sibling of golang.org/x/tools/go/cfg: a
 // Graph is a list of basic blocks of ast.Nodes connected by successor
 // edges, with one synthetic entry and one synthetic exit block.

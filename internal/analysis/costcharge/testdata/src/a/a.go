@@ -1,8 +1,8 @@
 // Corpus for the costcharge analyzer: interprocedural reachability from
-// offloaded closures to obs telemetry and to simulation charges, the
-// observe-never-charge contract on Observe* functions, and duplicate charge
-// statements. Most telemetry and charge operations here are reached THROUGH
-// at least one helper call; the struct-field thunks call obs directly.
+// offloaded closures to obs telemetry and to simulation charges, and
+// duplicate charge statements. Most telemetry and charge operations here
+// are reached THROUGH at least one helper call; the struct-field thunks
+// call obs directly.
 package a
 
 import (
@@ -21,11 +21,9 @@ type task struct {
 func ComputeAsyncKind(work float64, note string, fn func()) { fn() }
 func ChargeAsync(work float64, fn func())                   { fn() }
 
-// SendPhase and WaitUntil are charge primitives declared elsewhere
-// (bodyless, so the call graph resolves them as remote and classifies them
-// by their unique names).
+// SendPhase is a charge primitive declared elsewhere (bodyless, so the call
+// graph holds no node for it, and it is classified by its unique name).
 func SendPhase(dst int, bytes float64)
-func WaitUntil(t float64)
 
 // logSpan is a helper whose telemetry the old syntactic check only sees
 // when the obs call is written textually inside the closure.
@@ -41,10 +39,6 @@ func helperChain() {
 
 func doSend() {
 	SendPhase(1, 2048)
-}
-
-func waitHelper() {
-	WaitUntil(10)
 }
 
 func pureWork() float64 {
@@ -121,18 +115,6 @@ func inFieldThunkLiteral() {
 		return 0
 	}}
 	_ = par.Go(pr.run).Join() // want `par\.Go closure run reaches obs telemetry \(obs\.`
-}
-
-// Observe* functions must never transitively consume simulated time.
-func ObserveRound(n int) { // want `observe-path function ObserveRound transitively consumes simulated time or bytes \(waitHelper → WaitUntil\)`
-	_ = n
-	waitHelper()
-}
-
-// ObserveClean only records: no charge reachable, no finding.
-func ObserveClean(n int) {
-	logSpan()
-	_ = n
 }
 
 // Two textually identical charge statements in one basic block account the

@@ -1,11 +1,13 @@
 // Package determinism implements the lint check that keeps every figure in
 // results/ bit-reproducible: simulated code must not consult global RNG
-// state, wall-clock time, or Go's randomized map iteration order.
+// state, wall-clock time, or Go's randomized map iteration order, and no
+// value derived from the wall clock or from map order may reach what the
+// simulation computes.
 //
 // The engine is a single-threaded discrete-event simulation, so the only
-// sources of run-to-run variation are exactly these three; the analyzer
-// turns the determinism contract (documented in internal/engine/README.md)
-// into a machine-checked invariant:
+// sources of run-to-run variation are exactly these; the analyzer turns the
+// determinism contract (documented in internal/engine/README.md) into a
+// machine-checked invariant in two halves. The first flags the sources:
 //
 //   - calls to package-level math/rand functions (rand.Float64, rand.Intn,
 //     rand.Perm, ...) draw from the process-global, racy source and are
@@ -29,6 +31,12 @@
 //     (par.Go/par.Do/par.GoParts), because a bare goroutine runs in
 //     wall-clock order outside the virtual clock. The des kernel's own Spawn implementation is the one audited
 //     exception, suppressed in place.
+//
+// The second half (flow.go) follows the values the sources produce as a
+// taint, through assignments and calls, to the sinks where they change
+// results. A directive on a source suppresses that source's finding only:
+// its taint still flows, so a fold of the values a suppressed map range
+// collected is still reported.
 package determinism
 
 import (
@@ -36,12 +44,13 @@ import (
 	"go/types"
 
 	"mllibstar/internal/analysis"
+	"mllibstar/internal/analysis/callgraph"
 )
 
 // Analyzer is the determinism check.
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc:  "forbid global rand state, wall-clock time, raw goroutines, and map-order dependence in simulated code",
+	Doc:  "forbid global rand state, wall-clock time, raw goroutines, and map-order dependence in simulated code, and track map-order and wall-clock taint into float folds, simulation charges, seeds and shared state",
 	DefaultScope: []string{
 		"mllibstar/internal/allreduce",
 		"mllibstar/internal/angel",
@@ -85,7 +94,7 @@ var randAllowed = map[string]bool{
 }
 
 // wallClockFuncs are the time package entry points that leak the wall clock
-// or real sleeping into simulated code.
+// or real sleeping into simulated code. Their results carry clock taint.
 var wallClockFuncs = map[string]bool{
 	"Now":       true,
 	"Since":     true,
@@ -109,16 +118,36 @@ func run(pass *analysis.Pass) error {
 		}
 		return true
 	})
+
+	a := &analyzer{pass: pass, prog: callgraph.NewSummaries[summary](pass.Program())}
+	a.prog.Solve(a.summarize)
+	for _, n := range a.prog.Nodes {
+		a.reportNode(n)
+	}
 	return nil
 }
 
-func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
-	fn := analysis.FuncOf(pass.TypesInfo, call)
-	if fn == nil || fn.Pkg() == nil {
-		return
+// packageFunc returns the package-level function a call names, or nil for
+// methods (e.g. (*rand.Rand).Float64, exactly what the check pushes code
+// toward) and calls it cannot resolve.
+func packageFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	fn := analysis.FuncOf(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return nil
 	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return // methods (e.g. (*rand.Rand).Float64) are exactly what we want
+	return fn
+}
+
+// isWallClock reports whether fn is one of the time package's wall-clock
+// entry points.
+func isWallClock(fn *types.Func) bool {
+	return fn != nil && fn.Pkg().Path() == "time" && wallClockFuncs[fn.Name()]
+}
+
+func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
+	fn := packageFunc(pass.TypesInfo, call)
+	if fn == nil {
+		return
 	}
 	switch fn.Pkg().Path() {
 	case "math/rand", "math/rand/v2":

@@ -1,9 +1,8 @@
-// Package detflow tracks nondeterminism as a taint through the dataflow of
-// simulated code, complementing the syntactic determinism analyzer. Where
-// determinism flags the *sources* (a map range, a time.Now call, a raw
-// goroutine), detflow follows the tainted *values* — through assignments,
-// arithmetic, helper calls, and across package boundaries via function
-// summaries — and reports where they matter:
+package determinism
+
+// The taint half of the analyzer follows the values the sources produce —
+// through assignments, arithmetic and helper calls, across packages through
+// function summaries — and reports where they matter:
 //
 //   - a float accumulation (s += v) folding values in map-iteration or
 //     wall-clock order: float addition is not associative, so the result
@@ -14,16 +13,14 @@
 //   - a tainted value stored into longer-lived state (a struct field or
 //     package variable), from where it reaches simulated results.
 //
-// The taint crosses function boundaries in both directions. Each function
-// exports a summary fact: the taint its return value carries (a helper that
-// collects map values in iteration order returns order-tainted data, even
-// when its own map range is suppressed with a scoped //mlstar:nolint
-// determinism), which parameters flow to the return, and which parameters
-// reach a sink inside the function (a helper that charges its argument
-// makes every call site with a tainted argument a finding). This is what
-// the syntactic analyzer fundamentally cannot see: the source and the sink
-// may live in different functions, different files, or different packages.
-package detflow
+// The taint crosses function boundaries in both directions. Each function's
+// summary holds the taint its return value carries (a helper that collects
+// map values in iteration order returns order-tainted data, even when its
+// own map range is suppressed), which parameters flow to the return, and
+// which parameters reach a sink inside the function (a helper that charges
+// its argument makes every call site with a tainted argument a finding).
+// The source and the sink may live in different functions, files or
+// packages.
 
 import (
 	"go/ast"
@@ -33,49 +30,10 @@ import (
 
 	"mllibstar/internal/analysis"
 	"mllibstar/internal/analysis/callgraph"
-	"mllibstar/internal/analysis/cfg"
 	"mllibstar/internal/analysis/taint"
 )
 
-const name = "detflow"
-
-const (
-	detrandPath = "mllibstar/internal/detrand"
-	simnetPath  = "mllibstar/internal/simnet"
-	desPath     = "mllibstar/internal/des"
-)
-
-// Analyzer is the determinism-taint check.
-var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      "track map-order and wall-clock taint through assignments and calls into float accumulations, simulation charges, and shared state",
-	FactsAll: true,
-	DefaultScope: []string{
-		"mllibstar/internal/allreduce",
-		"mllibstar/internal/angel",
-		"mllibstar/internal/bench",
-		"mllibstar/internal/causal",
-		"mllibstar/internal/clusters",
-		"mllibstar/internal/core",
-		"mllibstar/internal/data",
-		"mllibstar/internal/des",
-		"mllibstar/internal/dfs",
-		"mllibstar/internal/engine",
-		"mllibstar/internal/feats",
-		"mllibstar/internal/glm",
-		"mllibstar/internal/lbfgs",
-		"mllibstar/internal/mavg",
-		"mllibstar/internal/metrics",
-		"mllibstar/internal/mllib",
-		"mllibstar/internal/obs",
-		"mllibstar/internal/opt",
-		"mllibstar/internal/petuum",
-		"mllibstar/internal/ps",
-		"mllibstar/internal/simnet",
-		"mllibstar/internal/train",
-	},
-	Run: run,
-}
+const detrandPath = "mllibstar/internal/detrand"
 
 const (
 	orderT taint.Marks = 1 << iota // derived from map-iteration order
@@ -86,88 +44,19 @@ const (
 // maxParams bounds the per-parameter summary runs per function.
 const maxParams = 8
 
-// wallClockFuncs mirror the determinism analyzer's wall-clock surface.
-var wallClockFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true,
-}
-
-// summary is one function's exported taint contract.
+// summary is one function's taint contract.
 type summary struct {
-	// Ret is the taint the return values carry regardless of arguments.
-	Ret uint8 `json:"ret,omitempty"`
-	// ParamToRet marks parameters whose taint flows into a return value.
-	ParamToRet []bool `json:"paramToRet,omitempty"`
-	// ParamSink marks parameters that reach a sink inside the function.
-	ParamSink []bool `json:"paramSink,omitempty"`
-}
-
-func run(pass *analysis.Pass) error {
-	g := callgraph.Build(pass.TypesInfo, pass.Files)
-	a := &analyzer{
-		pass:   pass,
-		sums:   map[*callgraph.Node]*summary{},
-		remote: map[*types.Func]*summary{},
-		bySite: map[*ast.CallExpr][]callgraph.Call{},
-		cfgs:   map[*callgraph.Node]*cfg.Graph{},
-	}
-	for _, n := range g.Nodes {
-		a.sums[n] = &summary{}
-		for _, c := range n.Calls {
-			a.bySite[c.Site] = append(a.bySite[c.Site], c)
-		}
-		if body := n.Body(); body != nil {
-			a.cfgs[n] = cfg.New(body)
-		}
-	}
-
-	callgraph.BottomUp(g, func(n *callgraph.Node) bool { return a.summarize(n) })
-
-	facts := pass.FactStore()
-	for _, n := range g.Nodes {
-		if n.Fn != nil {
-			facts.Export(name, callgraph.FuncID(n.Fn), a.sums[n])
-		}
-	}
-
-	for _, n := range g.Nodes {
-		a.reportNode(n)
-	}
-	return nil
+	// ret is the taint the return values carry regardless of arguments.
+	ret taint.Marks
+	// paramToRet marks parameters whose taint flows into a return value.
+	paramToRet []bool
+	// paramSink marks parameters that reach a sink inside the function.
+	paramSink []bool
 }
 
 type analyzer struct {
-	pass   *analysis.Pass
-	sums   map[*callgraph.Node]*summary
-	remote map[*types.Func]*summary
-	bySite map[*ast.CallExpr][]callgraph.Call
-	cfgs   map[*callgraph.Node]*cfg.Graph
-}
-
-func (a *analyzer) calleeSummaries(call *ast.CallExpr) (sums []*summary, known bool) {
-	known = true
-	for _, c := range a.bySite[call] {
-		switch {
-		case c.Callee != nil:
-			sums = append(sums, a.sums[c.Callee])
-		case c.Remote != nil:
-			s, ok := a.remote[c.Remote]
-			if !ok {
-				s = &summary{}
-				if !a.pass.FactStore().Import(name, callgraph.FuncID(c.Remote), s) {
-					s.Ret = 0xff // sentinel: no fact, contract unknown
-				}
-				a.remote[c.Remote] = s
-			}
-			if s.Ret == 0xff {
-				known = false
-			} else {
-				sums = append(sums, s)
-			}
-		default:
-			known = false // dynamic call: no contract to consult
-		}
-	}
-	return sums, known
+	pass *analysis.Pass
+	prog *callgraph.Summaries[summary]
 }
 
 // marks computes the taint of one expression under the current state.
@@ -239,8 +128,7 @@ func (a *analyzer) callMarks(call *ast.CallExpr, st taint.State) taint.Marks {
 		}
 		return m
 	}
-	fn := analysis.FuncOf(a.pass.TypesInfo, call)
-	if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "time" && wallClockFuncs[fn.Name()] {
+	if isWallClock(packageFunc(a.pass.TypesInfo, call)) {
 		return clockT
 	}
 	// A method's result conservatively carries its receiver's taint
@@ -250,7 +138,7 @@ func (a *analyzer) callMarks(call *ast.CallExpr, st taint.State) taint.Marks {
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		m |= a.marks(sel.X, st)
 	}
-	sums, known := a.calleeSummaries(call)
+	sums, known := a.prog.Callees(call)
 	if !known || len(sums) == 0 {
 		// No contract for some possible callee: assume argument taint flows
 		// through (math.Abs of a tainted value is tainted).
@@ -260,9 +148,9 @@ func (a *analyzer) callMarks(call *ast.CallExpr, st taint.State) taint.Marks {
 		return m
 	}
 	for _, s := range sums {
-		m |= taint.Marks(s.Ret) &^ paramT
+		m |= s.ret &^ paramT
 		for i, arg := range call.Args {
-			if i < len(s.ParamToRet) && s.ParamToRet[i] {
+			if i < len(s.paramToRet) && s.paramToRet[i] {
 				m |= a.marks(arg, st)
 			}
 		}
@@ -274,39 +162,15 @@ func (a *analyzer) transfer(n ast.Node, st taint.State) {
 	if _, ok := taint.IsDeferredExec(n); ok {
 		return
 	}
+	taint.Assigns(n, func(lhs, rhs ast.Expr) { st.Bind(a.pass.TypesInfo, lhs, a.marks(rhs, st)) })
 	switch n := n.(type) {
 	case *ast.AssignStmt:
-		if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
-			if len(n.Lhs) == len(n.Rhs) {
-				for i := range n.Lhs {
-					a.bind(n.Lhs[i], a.marks(n.Rhs[i], st), st)
-				}
-			} else if len(n.Rhs) == 1 {
-				m := a.marks(n.Rhs[0], st)
-				for _, lhs := range n.Lhs {
-					a.bind(lhs, m, st)
-				}
-			}
-			return
-		}
-		// Compound assignment accumulates: the target keeps its taint and
+		// An op-assignment accumulates: the target keeps its taint and
 		// gains the operand's.
-		if len(n.Lhs) == 1 && len(n.Rhs) == 1 {
+		if n.Tok != token.ASSIGN && n.Tok != token.DEFINE && len(n.Lhs) == 1 && len(n.Rhs) == 1 {
 			if id, ok := ast.Unparen(n.Lhs[0]).(*ast.Ident); ok {
 				if obj := a.pass.TypesInfo.ObjectOf(id); obj != nil {
 					st.Add(obj, a.marks(n.Rhs[0], st))
-				}
-			}
-		}
-	case *ast.DeclStmt:
-		if gd, ok := n.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for i, nm := range vs.Names {
-						if i < len(vs.Values) {
-							a.bind(nm, a.marks(vs.Values[i], st), st)
-						}
-					}
 				}
 			}
 		}
@@ -319,10 +183,8 @@ func (a *analyzer) transfer(n ast.Node, st taint.State) {
 		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
 			base |= orderT
 		}
-		a.bind(n.Key, base, st)
-		a.bind(n.Value, base, st)
-	case *ast.IncDecStmt:
-		// x++ keeps x's taint.
+		st.Bind(a.pass.TypesInfo, n.Key, base)
+		st.Bind(a.pass.TypesInfo, n.Value, base)
 	case *ast.ExprStmt:
 		a.sanitize(n.X, st)
 	}
@@ -347,17 +209,6 @@ func (a *analyzer) sanitize(e ast.Expr, st taint.State) {
 	if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok {
 		if obj := a.pass.TypesInfo.Uses[id]; obj != nil {
 			st.Set(obj, st.Get(obj)&^orderT)
-		}
-	}
-}
-
-func (a *analyzer) bind(lhs ast.Expr, m taint.Marks, st taint.State) {
-	if lhs == nil {
-		return
-	}
-	if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
-		if obj := a.pass.TypesInfo.ObjectOf(id); obj != nil {
-			st.Set(obj, m)
 		}
 	}
 }
@@ -421,7 +272,7 @@ func (a *analyzer) assignSinks(as *ast.AssignStmt, st taint.State, emit sink) {
 				emit(rhs.Pos(), m,
 					"%s value stored into field %s: shared simulated state must not depend on iteration order or the wall clock", describe(m), l.Sel.Name)
 			case *ast.Ident:
-				if obj := a.pass.TypesInfo.ObjectOf(l); obj != nil && obj.Parent() == a.pass.Pkg.Scope() {
+				if obj := a.pass.TypesInfo.ObjectOf(l); obj != nil && analysis.IsPackageVar(obj) {
 					emit(rhs.Pos(), m,
 						"%s value stored into package variable %s: shared simulated state must not depend on iteration order or the wall clock", describe(m), l.Name)
 				}
@@ -433,7 +284,7 @@ func (a *analyzer) assignSinks(as *ast.AssignStmt, st taint.State, emit sink) {
 func (a *analyzer) callSinks(call *ast.CallExpr, st taint.State, emit sink) {
 	fn := analysis.FuncOf(a.pass.TypesInfo, call)
 	if fn != nil {
-		if isChargePrimitive(fn) {
+		if analysis.IsCharge(fn) {
 			for _, arg := range call.Args {
 				if m := a.marks(arg, st); m != 0 {
 					emit(arg.Pos(), m,
@@ -452,10 +303,10 @@ func (a *analyzer) callSinks(call *ast.CallExpr, st taint.State, emit sink) {
 			return
 		}
 	}
-	sums, _ := a.calleeSummaries(call)
+	sums, _ := a.prog.Callees(call)
 	for _, s := range sums {
 		for i, arg := range call.Args {
-			if i < len(s.ParamSink) && s.ParamSink[i] {
+			if i < len(s.paramSink) && s.paramSink[i] {
 				if m := a.marks(arg, st); m != 0 {
 					calleeName := "the callee"
 					if fn != nil {
@@ -467,26 +318,6 @@ func (a *analyzer) callSinks(call *ast.CallExpr, st taint.State, emit sink) {
 			}
 		}
 	}
-}
-
-// isChargePrimitive matches the simnet/des charge surface (shared with the
-// costcharge analyzer's classification).
-func isChargePrimitive(fn *types.Func) bool {
-	switch fn.Name() {
-	case "ComputeKind", "ComputeAsyncKind", "ChargeAsync", "SendPhase", "RecvN", "WaitUntil":
-		return true
-	}
-	pkg := ""
-	if fn.Pkg() != nil {
-		pkg = fn.Pkg().Path()
-	}
-	switch fn.Name() {
-	case "Send", "Compute", "Recv":
-		return pkg == simnetPath
-	case "Wait":
-		return pkg == desPath
-	}
-	return false
 }
 
 func describe(m taint.Marks) string {
@@ -503,43 +334,37 @@ func describe(m taint.Marks) string {
 	return strings.Join(parts, ", ")
 }
 
-// summarize recomputes one node's exported contract for the BottomUp
-// fixpoint: the return taint, then one traced run per parameter.
-func (a *analyzer) summarize(n *callgraph.Node) bool {
-	body := n.Body()
-	if body == nil {
-		return false
-	}
-	s := a.sums[n]
+// summarize recomputes one node's contract for the fixpoint: the return
+// taint, then one traced run per parameter.
+func (a *analyzer) summarize(n *callgraph.Node, s *summary) bool {
 	changed := false
-
 	ret, _ := a.solveOnce(n, nil)
-	if uint8(ret)&^s.Ret != 0 {
-		s.Ret |= uint8(ret)
+	if ret&^s.ret != 0 {
+		s.ret |= ret
 		changed = true
 	}
 
-	params := a.paramObjs(n)
+	params := n.Params(a.pass.TypesInfo)
 	if len(params) > maxParams {
 		params = params[:maxParams]
 	}
-	if len(s.ParamToRet) < len(params) {
-		s.ParamToRet = append(s.ParamToRet, make([]bool, len(params)-len(s.ParamToRet))...)
-		s.ParamSink = append(s.ParamSink, make([]bool, len(params)-len(s.ParamSink))...)
+	if len(s.paramToRet) < len(params) {
+		s.paramToRet = make([]bool, len(params))
+		s.paramSink = make([]bool, len(params))
 	}
 	for i, p := range params {
-		if s.ParamToRet[i] && s.ParamSink[i] {
+		if s.paramToRet[i] && s.paramSink[i] {
 			continue
 		}
 		entry := taint.State{}
 		entry.Set(p, paramT)
 		ret, sank := a.solveOnce(n, entry)
-		if ret&paramT != 0 && !s.ParamToRet[i] {
-			s.ParamToRet[i] = true
+		if ret&paramT != 0 && !s.paramToRet[i] {
+			s.paramToRet[i] = true
 			changed = true
 		}
-		if sank && !s.ParamSink[i] {
-			s.ParamSink[i] = true
+		if sank && !s.paramSink[i] {
+			s.paramSink[i] = true
 			changed = true
 		}
 	}
@@ -550,7 +375,7 @@ func (a *analyzer) summarize(n *callgraph.Node) bool {
 // return-value taints plus whether the traced parameter reached a sink.
 func (a *analyzer) solveOnce(n *callgraph.Node, entry taint.State) (ret taint.Marks, sank bool) {
 	pr := &taint.Problem{
-		Graph:    a.cfgs[n],
+		Graph:    a.prog.CFG[n],
 		Entry:    entry,
 		Transfer: func(nd ast.Node, st taint.State) { a.transfer(nd, st) },
 	}
@@ -571,34 +396,11 @@ func (a *analyzer) solveOnce(n *callgraph.Node, entry taint.State) (ret taint.Ma
 	return ret, sank
 }
 
-func (a *analyzer) paramObjs(n *callgraph.Node) []types.Object {
-	var ftype *ast.FuncType
-	switch {
-	case n.Decl != nil:
-		ftype = n.Decl.Type
-	case n.Lit != nil:
-		ftype = n.Lit.Type
-	}
-	if ftype == nil || ftype.Params == nil {
-		return nil
-	}
-	var out []types.Object
-	for _, f := range ftype.Params.List {
-		for _, nm := range f.Names {
-			out = append(out, a.pass.TypesInfo.Defs[nm])
-		}
-	}
-	return out
-}
-
 // reportNode replays one function with diagnostics enabled (no parameter
 // taint: call sites report tainted arguments via the callee's summary).
 func (a *analyzer) reportNode(n *callgraph.Node) {
-	if n.Body() == nil {
-		return
-	}
 	pr := &taint.Problem{
-		Graph:    a.cfgs[n],
+		Graph:    a.prog.CFG[n],
 		Transfer: func(nd ast.Node, st taint.State) { a.transfer(nd, st) },
 	}
 	in := pr.Solve()

@@ -1,11 +1,10 @@
-// Corpus for the detflow analyzer: determinism taint flowing from map
-// iteration order and the wall clock into float accumulations, simulation
-// charges, and shared state. The sources are suppressed for the syntactic
-// determinism analyzer with scoped //mlstar:nolint directives (so
-// determinism_regression_test proves it stays silent on this whole file)
-// while detflow — not named in those directives — still follows the tainted
-// VALUES to their sinks, including across function boundaries.
-package a
+// Corpus for the determinism analyzer's taint half: values derived from map
+// iteration order and the wall clock flowing into float accumulations,
+// simulation charges, and shared state. Every source carries a scoped
+// //mlstar:nolint directive, which silences the source alone: the analyzer
+// still follows the tainted VALUES to their sinks, including the fold in a
+// suppressed range's body and across function boundaries.
+package flow
 
 import (
 	"sort"
@@ -13,7 +12,7 @@ import (
 )
 
 // ComputeKind is a charge primitive declared elsewhere (bodyless, resolved
-// as remote and classified by its unique name).
+// outside the graph and classified by its unique name).
 func ComputeKind(kind string, work float64)
 
 type state struct{ work float64 }
@@ -30,8 +29,8 @@ func foldInMapRange(m map[string]float64) float64 {
 }
 
 // values collects map values in iteration order. Its own range is
-// suppressed for determinism, but the returned slice is order-tainted —
-// recorded in the exported Ret fact.
+// suppressed, but the returned slice is order-tainted — recorded in its
+// summary's return taint.
 func values(m map[string]float64) []float64 {
 	out := make([]float64, 0, len(m))
 	for _, v := range m { //mlstar:nolint determinism -- collection helper; callers must fold in canonical order
@@ -52,14 +51,14 @@ func foldCollected(m map[string]float64) float64 {
 }
 
 // wallClockWork returns a wall-clock-derived quantity (clock taint in its
-// Ret fact).
+// summary's return taint).
 func wallClockWork() float64 {
 	start := time.Now()                //mlstar:nolint determinism -- host-side profiling only
 	return time.Since(start).Seconds() //mlstar:nolint determinism -- host-side profiling only
 }
 
-// chargeScaled charges its parameter: the ParamSink fact makes every call
-// site with a tainted argument a finding.
+// chargeScaled charges its parameter: its summary's parameter sink makes
+// every call site with a tainted argument a finding.
 func chargeScaled(work float64) {
 	ComputeKind("grad", work*1.5)
 }
@@ -105,13 +104,12 @@ func foldSorted(m map[string]float64) float64 {
 	return s
 }
 
-// One directive can name both analyzers: the fold below is accepted as
-// order-insensitive by an audit, so detflow is suppressed alongside
-// determinism.
+// A fold accepted as order-insensitive by an audit takes a directive of its
+// own: the one on the range silences the range alone.
 func acceptedFold(m map[string]float64) float64 {
 	var s float64
-	for _, v := range m { //mlstar:nolint determinism,detflow -- audited: values are all equal by construction
-		s += v
+	for _, v := range m { //mlstar:nolint determinism -- audited: values are all equal by construction
+		s += v //mlstar:nolint determinism -- audited: values are all equal by construction
 	}
 	return s
 }

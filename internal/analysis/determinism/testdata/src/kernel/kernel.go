@@ -4,11 +4,11 @@
 // Every float fold here ranges over slices in index order and every charged
 // quantity is a structural count — there is no map-iteration or wall-clock
 // source anywhere — so the interprocedural taint analysis must stay silent
-// on this whole file even though it is dense with the sink shapes detflow
+// on this whole file even though it is dense with the sink shapes it
 // watches (float accumulations, charge-helper call sites).
 package kernel
 
-// ComputeKind is the charge primitive (bodyless, resolved as remote).
+// ComputeKind is the charge primitive (bodyless: no node in the graph).
 func ComputeKind(kind string, work float64)
 
 type arena struct {

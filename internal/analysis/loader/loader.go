@@ -6,8 +6,9 @@
 // One importer serves every load. A package of the module (anything outside
 // the standard library) is type-checked from source once and imported by
 // its dependents as that very *types.Package, so the whole run shares one
-// type universe; everything else is read from the compiler's export data,
-// which `go list -export` builds or finds in the build cache.
+// type universe, recorded in one types.Info; everything else is read from
+// the compiler's export data, which `go list -export` builds or finds in
+// the build cache.
 package loader
 
 import (
@@ -27,7 +28,8 @@ import (
 	"strings"
 )
 
-// Package is one loaded, type-checked package.
+// Package is one loaded, type-checked package. Every package loaded from
+// one Module shares its Fset and TypesInfo.
 type Package struct {
 	PkgPath   string
 	Fset      *token.FileSet
@@ -44,12 +46,14 @@ type Entry struct {
 }
 
 // Module is one `go list` result: the matched packages in dependency order
-// plus the file set and importer shared by every package loaded from it.
+// plus the file set, type information and importer shared by every package
+// loaded from it.
 type Module struct {
 	// Entries are the matched packages, dependencies before dependents.
 	Entries []Entry
 
 	fset    *token.FileSet
+	info    *types.Info
 	source  map[string]Entry          // listed packages checked from source
 	checked map[string]*types.Package // source packages checked so far
 	export  map[string]string         // export data file per listed package
@@ -74,7 +78,15 @@ type listEntry struct {
 // listing, with the compiler's message naming it.
 func List(dir string, patterns []string) (*Module, error) {
 	m := &Module{
-		fset:    token.NewFileSet(),
+		fset: token.NewFileSet(),
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Implicits:  map[ast.Node]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Scopes:     map[ast.Node]*types.Scope{},
+		},
 		source:  map[string]Entry{},
 		checked: map[string]*types.Package{},
 		export:  map[string]string{},
@@ -141,6 +153,19 @@ func (m *Module) lookup(path string) (io.ReadCloser, error) {
 	return os.Open(file)
 }
 
+// Load type-checks every matched package, in dependency order.
+func (m *Module) Load() ([]*Package, error) {
+	pkgs := make([]*Package, 0, len(m.Entries))
+	for _, e := range m.Entries {
+		pkg, err := m.LoadPackage(e)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
+}
+
 // LoadPackage parses and type-checks one listed package. A package of the
 // module is checked once; its dependents import the result.
 func (m *Module) LoadPackage(e Entry) (*Package, error) {
@@ -198,16 +223,8 @@ func (m *Module) check(importPath string, goFiles []string) (*Package, error) {
 		}
 		astFiles = append(astFiles, f)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
 	conf := types.Config{Importer: m}
-	tpkg, err := conf.Check(importPath, m.fset, astFiles, info)
+	tpkg, err := conf.Check(importPath, m.fset, astFiles, m.info)
 	if err != nil {
 		return nil, fmt.Errorf("loader: type-checking %s: %v", importPath, err)
 	}
@@ -216,6 +233,6 @@ func (m *Module) check(importPath string, goFiles []string) (*Package, error) {
 		Fset:      m.fset,
 		Files:     astFiles,
 		Types:     tpkg,
-		TypesInfo: info,
+		TypesInfo: m.info,
 	}, nil
 }

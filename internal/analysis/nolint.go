@@ -18,14 +18,18 @@ import (
 // where the statement starts, or on a line of its own directly above it. It
 // then suppresses only the named analyzers, and only within the source span
 // of that one statement or declaration — a directive can never silence a
-// different analyzer, or reach code it is not attached to. Everything after
-// " -- " is a justification for human readers (and reviewers: a directive
-// without one reads as unexplained).
+// different analyzer, or reach code it is not attached to. The span of a
+// statement with a body (for, range, if, switch, select) ends at the body's
+// opening brace: the statements inside take their own directives, so a
+// directive on a map range silences the range, not a float fold in its
+// body. Everything after " -- " is a justification for human readers (and
+// reviewers: a directive without one reads as unexplained).
 //
-// Malformed directives — a bare marker naming no analyzer, or a marker with
-// no statement to attach to — are themselves reported as findings (analyzer
-// name "nolint"), so a directive that silently stopped matching fails the
-// lint gate instead of rotting.
+// Malformed directives — a bare marker naming no analyzer, a name that is
+// no analyzer of the suite, or a marker with no statement to attach to —
+// are themselves reported as findings (analyzer name "nolint"), so a
+// directive that silently stopped matching fails the lint gate instead of
+// rotting.
 const NolintMarker = "//mlstar:nolint"
 
 // Directive is one parsed, attached nolint comment.
@@ -47,11 +51,20 @@ type Misuse struct {
 // directive naming its analyzer. Build it per package with AddPackage.
 type Suppressor struct {
 	byFile map[string][]Directive
+	known  map[string]bool // the suite's analyzer names; nil accepts any
 }
 
-// NewSuppressor returns an empty Suppressor.
-func NewSuppressor() *Suppressor {
-	return &Suppressor{byFile: map[string][]Directive{}}
+// NewSuppressor returns an empty Suppressor. Given the suite's analyzer
+// names, it reports a directive naming any other as a misuse.
+func NewSuppressor(known ...string) *Suppressor {
+	s := &Suppressor{byFile: map[string][]Directive{}}
+	if len(known) > 0 {
+		s.known = map[string]bool{}
+		for _, name := range known {
+			s.known[name] = true
+		}
+	}
+	return s
 }
 
 // AddPackage parses and attaches every nolint directive in the package's
@@ -59,7 +72,7 @@ func NewSuppressor() *Suppressor {
 func (s *Suppressor) AddPackage(fset *token.FileSet, files []*ast.File) []Misuse {
 	var misuses []Misuse
 	for _, f := range files {
-		dirs, mis := collectFile(fset, f)
+		dirs, mis := collectFile(fset, f, s.known)
 		for _, d := range dirs {
 			s.byFile[d.Path] = append(s.byFile[d.Path], d)
 		}
@@ -99,6 +112,26 @@ func attachable(n ast.Node) bool {
 	return false
 }
 
+// stmtBody returns the body of a statement whose header a directive covers
+// (for, range, if, switch, select), or nil.
+func stmtBody(n ast.Node) *ast.BlockStmt {
+	switch n := n.(type) {
+	case *ast.ForStmt:
+		return n.Body
+	case *ast.RangeStmt:
+		return n.Body
+	case *ast.IfStmt:
+		return n.Body
+	case *ast.SwitchStmt:
+		return n.Body
+	case *ast.TypeSwitchStmt:
+		return n.Body
+	case *ast.SelectStmt:
+		return n.Body
+	}
+	return nil
+}
+
 // candidate is one attachable node's line extent.
 type candidate struct {
 	from, to int
@@ -106,7 +139,7 @@ type candidate struct {
 }
 
 // collectFile parses the file's directives and attaches each to a node.
-func collectFile(fset *token.FileSet, f *ast.File) ([]Directive, []Misuse) {
+func collectFile(fset *token.FileSet, f *ast.File, known map[string]bool) ([]Directive, []Misuse) {
 	var cands []candidate
 	ast.Inspect(f, func(n ast.Node) bool {
 		if n == nil || !attachable(n) {
@@ -114,9 +147,13 @@ func collectFile(fset *token.FileSet, f *ast.File) ([]Directive, []Misuse) {
 		}
 		_, isFunc := n.(*ast.FuncDecl)
 		_, isGen := n.(*ast.GenDecl)
+		end := n.End()
+		if body := stmtBody(n); body != nil {
+			end = body.Lbrace
+		}
 		cands = append(cands, candidate{
 			from:   fset.Position(n.Pos()).Line,
-			to:     fset.Position(n.End()).Line,
+			to:     fset.Position(end).Line,
 			isDecl: isFunc || isGen,
 		})
 		return true
@@ -138,9 +175,15 @@ func collectFile(fset *token.FileSet, f *ast.File) ([]Directive, []Misuse) {
 			}
 			var list []string
 			for _, n := range strings.Split(names, ",") {
-				if n = strings.TrimSpace(n); n != "" {
-					list = append(list, n)
+				if n = strings.TrimSpace(n); n == "" {
+					continue
 				}
+				if known != nil && !known[n] {
+					misuses = append(misuses, Misuse{Pos: c.Pos(),
+						Message: "nolint directive names " + n + ", which is no analyzer of the suite (mlstar-lint -list names them)"})
+					continue
+				}
+				list = append(list, n)
 			}
 			from, to, ok := attach(cands, pos.Line)
 			if !ok {

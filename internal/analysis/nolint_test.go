@@ -16,7 +16,7 @@ func parse(t *testing.T, src string) (*Suppressor, []Misuse, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSuppressor()
+	s := NewSuppressor("determinism", "floateq", "vecalias")
 	mis := s.AddPackage(fset, []*ast.File{f})
 	return s, mis, "p.go"
 }
@@ -43,6 +43,13 @@ func g() {
 	y := 0
 	_ = y
 }
+
+func h(m map[int]float64) (s float64) {
+	for _, v := range m { //mlstar:nolint determinism -- the range only
+		s += v
+	}
+	return s
+}
 `
 	s, mis, file := parse(t, src)
 	if len(mis) != 0 {
@@ -53,19 +60,21 @@ func g() {
 		analyzer string
 		want     bool
 	}{
-		{3, "floateq", true},      // trailing marker, named analyzer
-		{3, "determinism", false}, // trailing marker names a different analyzer
-		{4, "floateq", true},      // comma-separated list, first name
-		{4, "determinism", true},  // comma-separated list, second name
-		{4, "vecalias", false},    // not in the list
-		{6, "determinism", true},  // marker-only line covers the statement below
-		{6, "floateq", false},     // ...for the named analyzer only
-		{7, "determinism", false}, // the next statement is not covered
-		{10, "vecalias", true},    // trailing marker on a multi-line statement...
-		{12, "vecalias", true},    // ...covers the whole statement
-		{12, "floateq", false},    // ...but only the named analyzer
-		{20, "determinism", true}, // declaration-attached directive covers the body
-		{100, "floateq", false},   // out-of-range line
+		{3, "floateq", true},       // trailing marker, named analyzer
+		{3, "determinism", false},  // trailing marker names a different analyzer
+		{4, "floateq", true},       // comma-separated list, first name
+		{4, "determinism", true},   // comma-separated list, second name
+		{4, "vecalias", false},     // not in the list
+		{6, "determinism", true},   // marker-only line covers the statement below
+		{6, "floateq", false},      // ...for the named analyzer only
+		{7, "determinism", false},  // the next statement is not covered
+		{10, "vecalias", true},     // trailing marker on a multi-line statement...
+		{12, "vecalias", true},     // ...covers the whole statement
+		{12, "floateq", false},     // ...but only the named analyzer
+		{20, "determinism", true},  // declaration-attached directive covers the body
+		{24, "determinism", true},  // a directive on a range covers its header...
+		{25, "determinism", false}, // ...not the statements of its body
+		{100, "floateq", false},    // out-of-range line
 	}
 	for _, c := range cases {
 		if got := s.Suppressed(file, c.line, c.analyzer); got != c.want {
@@ -85,10 +94,12 @@ var a = 1 //mlstar:nolint
 //mlstar:nolint floateq -- floating in space, nothing on the next line
 
 var b = 2
+
+var c = 3 //mlstar:nolint detflow -- an analyzer that is not in the suite
 `
 	_, mis, _ := parse(t, src)
-	if len(mis) != 2 {
-		t.Fatalf("got %d misuses, want 2: %v", len(mis), mis)
+	if len(mis) != 3 {
+		t.Fatalf("got %d misuses, want 3: %v", len(mis), mis)
 	}
 	if !strings.Contains(mis[0].Message, "bare nolint") {
 		t.Errorf("misuse[0] = %q, want bare-directive message", mis[0].Message)
@@ -96,9 +107,12 @@ var b = 2
 	if !strings.Contains(mis[1].Message, "unattached nolint") {
 		t.Errorf("misuse[1] = %q, want unattached-directive message", mis[1].Message)
 	}
-	// Neither malformed directive suppresses anything.
+	if !strings.Contains(mis[2].Message, "names detflow, which is no analyzer of the suite") {
+		t.Errorf("misuse[2] = %q, want unknown-analyzer message", mis[2].Message)
+	}
+	// No malformed directive suppresses anything.
 	s, _, file := parse(t, src)
-	if s.Suppressed(file, 3, "floateq") || s.Suppressed(file, 7, "floateq") {
+	if s.Suppressed(file, 3, "floateq") || s.Suppressed(file, 7, "floateq") || s.Suppressed(file, 9, "detflow") {
 		t.Error("malformed directive suppressed a finding")
 	}
 }

@@ -29,15 +29,23 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	if len(pass.Files) == 0 {
-		return nil
+	for _, pkg := range pass.Pkgs {
+		check(pass, pkg.Types.Name(), pkg.Files)
 	}
-	want := "Package " + pass.Pkg.Name() + " "
-	if pass.Pkg.Name() == "main" {
+	return nil
+}
+
+// check holds one package's files to the convention.
+func check(pass *analysis.Pass, name string, pkgFiles []*ast.File) {
+	if len(pkgFiles) == 0 {
+		return
+	}
+	want := "Package " + name + " "
+	if name == "main" {
 		want = "" // any doc comment: "Command <name>" in cmd/, prose in examples/
 	}
 	var documented, malformed []*ast.File
-	for _, f := range pass.Files {
+	for _, f := range pkgFiles {
 		if f.Doc == nil {
 			continue
 		}
@@ -48,18 +56,17 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	if len(documented) > 0 {
-		return nil
+		return
 	}
 	if len(malformed) > 0 {
 		f := malformed[0]
 		pass.Reportf(f.Package, "package doc comment must start with %q", strings.TrimRight(want, " "))
-		return nil
+		return
 	}
-	files := append([]*ast.File(nil), pass.Files...)
+	files := append([]*ast.File(nil), pkgFiles...)
 	sort.Slice(files, func(i, j int) bool {
 		return pass.Fset.Position(files[i].Package).Filename <
 			pass.Fset.Position(files[j].Package).Filename
 	})
-	pass.Reportf(files[0].Package, "package %s has no package doc comment", pass.Pkg.Name())
-	return nil
+	pass.Reportf(files[0].Package, "package %s has no package doc comment", name)
 }

@@ -1,5 +1,5 @@
 // Package taint is the forward dataflow framework the flow-sensitive
-// analyzers (buflife, detflow) run over the CFGs built by package cfg.
+// analyzers (buflife, determinism) run over the CFGs built by package cfg.
 //
 // The framework is a classic iterative worklist solver for a "may"
 // analysis: the abstract state maps variables (types.Object) to a small
@@ -18,6 +18,7 @@ package taint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"mllibstar/internal/analysis/cfg"
@@ -47,6 +48,48 @@ func (s State) Set(o types.Object, m Marks) {
 		return
 	}
 	s[o] = m
+}
+
+// Bind is the strong update of an assignment target: an identifier other
+// than _ takes marks m (rebinding clears what it held); any other target
+// (a field, an element) is left to the analyzer's own checks.
+func (s State) Bind(info *types.Info, lhs ast.Expr, m Marks) {
+	if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
+		if obj := info.ObjectOf(id); obj != nil {
+			s.Set(obj, m)
+		}
+	}
+}
+
+// Assigns calls f with each target a statement binds and the expression
+// bound to it: x = e and x := e pairwise, a multi-value right side
+// (x, y := f()) to every target, and var x = e. An op-assignment (x += e)
+// binds nothing.
+func Assigns(n ast.Node, f func(lhs, rhs ast.Expr)) {
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
+			return
+		}
+		for i, lhs := range n.Lhs {
+			if len(n.Rhs) == len(n.Lhs) {
+				f(lhs, n.Rhs[i])
+			} else if len(n.Rhs) == 1 {
+				f(lhs, n.Rhs[0])
+			}
+		}
+	case *ast.DeclStmt:
+		gd, _ := n.Decl.(*ast.GenDecl)
+		for _, spec := range gd.Specs {
+			if vs, ok := spec.(*ast.ValueSpec); ok {
+				for i, name := range vs.Names {
+					if i < len(vs.Values) {
+						f(name, vs.Values[i])
+					}
+				}
+			}
+		}
+	}
 }
 
 // Clone returns an independent copy.

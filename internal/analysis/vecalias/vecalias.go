@@ -24,15 +24,9 @@
 // one call (two "machines" receiving one buffer). Copy with vec.Copy (or
 // append([]float64(nil), p...), or a pool's acquire-and-fill Pool.Copy when
 // the copy rides a message) to transfer ownership; genuinely shared
-// read-only buffers can be annotated //mlstar:nolint vecalias.
-//
-// The analyzer also enforces the buffer-pool ownership contract of vec.Pool
-// and engine.Context.GetVec/PutVec: after a statement-level Put(b)/PutVec(b)
-// the buffer is the pool's again, so within the same statement list any
-// later use of b — including a second Put — is flagged, until b is rebound
-// by an assignment (from Get, GetVec, Pool.Copy or anything else). That
-// holds for a buffer the function acquired and for one it received in a
-// message payload alike.
+// read-only buffers can be annotated //mlstar:nolint vecalias. The
+// buffer-pool lifetimes (use after Put, double Put) are the buflife
+// analyzer's.
 package vecalias
 
 import (
@@ -73,12 +67,6 @@ func run(pass *analysis.Pass) error {
 			checkFunc(pass, n.Type, n.Body)
 		case *ast.CallExpr:
 			checkDuplicateArgs(pass, n)
-		case *ast.BlockStmt:
-			checkPooledBuffers(pass, n.List)
-		case *ast.CaseClause:
-			checkPooledBuffers(pass, n.Body)
-		case *ast.CommClause:
-			checkPooledBuffers(pass, n.Body)
 		}
 		return true
 	})
@@ -172,99 +160,11 @@ func escapes(pass *analysis.Pass, lhs ast.Expr) bool {
 	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
 		return true
 	case *ast.Ident:
-		if o := pass.TypesInfo.Defs[lhs]; o != nil {
-			return o.Parent() == pass.Pkg.Scope()
-		}
-		if o := pass.TypesInfo.Uses[lhs]; o != nil {
-			return o.Parent() == pass.Pkg.Scope()
+		if o := pass.TypesInfo.ObjectOf(lhs); o != nil {
+			return analysis.IsPackageVar(o)
 		}
 	}
 	return false
-}
-
-// checkPooledBuffers walks one statement list enforcing the pool ownership
-// contract: a float-slice identifier handed to a statement-level Put/PutVec
-// call is dead from the next statement on — any later read is a
-// use-after-Put, a later Put of the same identifier is a double-Put — until
-// an assignment rebinds it. Only statement-level Put calls retire a buffer
-// (a Put inside a nested if/for is conditional and is scoped to that inner
-// block's own walk).
-func checkPooledBuffers(pass *analysis.Pass, stmts []ast.Stmt) {
-	retired := map[types.Object]bool{}
-	for _, stmt := range stmts {
-		if obj := pooledPutArg(pass, stmt); obj != nil {
-			if retired[obj] {
-				pass.Reportf(stmt.Pos(),
-					"double Put of pooled buffer %s; the pool already owns it", obj.Name())
-			}
-			retired[obj] = true
-			continue
-		}
-		if len(retired) == 0 {
-			continue
-		}
-		switch s := stmt.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range s.Rhs {
-				reportRetiredUses(pass, retired, rhs)
-			}
-			for _, lhs := range s.Lhs {
-				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-					if obj := pass.TypesInfo.Uses[id]; obj != nil {
-						delete(retired, obj) // rebound: a live value again
-					}
-					if obj := pass.TypesInfo.Defs[id]; obj != nil {
-						delete(retired, obj)
-					}
-				} else {
-					reportRetiredUses(pass, retired, lhs)
-				}
-			}
-		default:
-			reportRetiredUses(pass, retired, stmt)
-		}
-	}
-}
-
-// pooledPutArg recognizes a statement of the exact shape x.Put(b) or
-// x.PutVec(b) with b a float-slice identifier, returning b's object.
-func pooledPutArg(pass *analysis.Pass, stmt ast.Stmt) types.Object {
-	es, ok := stmt.(*ast.ExprStmt)
-	if !ok {
-		return nil
-	}
-	call, ok := ast.Unparen(es.X).(*ast.CallExpr)
-	if !ok || len(call.Args) != 1 {
-		return nil
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Put" && sel.Sel.Name != "PutVec") {
-		return nil
-	}
-	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	obj := pass.TypesInfo.Uses[id]
-	if obj == nil || !analysis.IsFloatSlice(obj.Type()) {
-		return nil
-	}
-	return obj
-}
-
-// reportRetiredUses flags every read of a retired pooled buffer inside n.
-func reportRetiredUses(pass *analysis.Pass, retired map[types.Object]bool, n ast.Node) {
-	ast.Inspect(n, func(child ast.Node) bool {
-		id, ok := child.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if obj := pass.TypesInfo.Uses[id]; obj != nil && retired[obj] {
-			pass.Reportf(id.Pos(),
-				"use of pooled buffer %s after Put; the pool owns it and may hand it to another task", obj.Name())
-		}
-		return true
-	})
 }
 
 // checkDuplicateArgs flags one float-slice expression passed twice to the

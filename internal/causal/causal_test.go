@@ -174,3 +174,28 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateReportsTheFirstBadBarrier: with several malformed barrier
+// groups, Validate names the first in record order on every call.
+func TestValidateReportsTheFirstBadBarrier(t *testing.T) {
+	var events []obs.Event
+	for i, grp := range []string{"g3@0", "g1@0", "g4@0", "g2@0"} {
+		a, b := string(rune('a'+2*i)), string(rune('b'+2*i))
+		events = append(events,
+			obs.Event{Phase: obs.PhaseCausalBarrier, Node: a, Proc: a + "#1", Grp: grp, Start: 0.001, End: 0.003},
+			obs.Event{Phase: obs.PhaseCausalBarrier, Node: b, Proc: b + "#1", Grp: grp, Start: 0.002, End: 0.002})
+	}
+	g, err := Build(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := Validate(g)
+	if first == nil || !strings.Contains(first.Error(), "barrier g3@0") {
+		t.Fatalf("Validate = %v, want an error naming barrier g3@0", first)
+	}
+	for i := 0; i < 20; i++ {
+		if err := Validate(g); err == nil || err.Error() != first.Error() {
+			t.Fatalf("call %d: Validate = %v, want %v", i, err, first)
+		}
+	}
+}

@@ -115,10 +115,11 @@ type Graph struct {
 	Latency  float64
 	Overhead float64
 
-	Groups    map[string][]int // barrier group key -> member node ids
-	Procs     map[string][]int // process identity -> node ids in record order
-	ProcOrder []string         // first-appearance order of Procs keys
-	SendByMID map[int64]int    // message id -> send node id
+	Groups     map[string][]int // barrier group key -> member node ids
+	GroupOrder []string         // first-appearance order of Groups keys
+	Procs      map[string][]int // process identity -> node ids in record order
+	ProcOrder  []string         // first-appearance order of Procs keys
+	SendByMID  map[int64]int    // message id -> send node id
 }
 
 // skip lists the event phases that are bookkeeping, not occurrences. The
@@ -259,6 +260,9 @@ func (g *Graph) link() {
 			g.SendByMID[n.MID] = n.ID
 		}
 		if n.Kind == KindBarrier && n.Grp != "" {
+			if _, seen := g.Groups[n.Grp]; !seen {
+				g.GroupOrder = append(g.GroupOrder, n.Grp)
+			}
 			g.Groups[n.Grp] = append(g.Groups[n.Grp], n.ID)
 		}
 		if n.Proc != "" {
@@ -379,7 +383,8 @@ func Validate(g *Graph) error {
 			}
 		}
 	}
-	for grp, ids := range g.Groups { //mlstar:nolint determinism -- validation only reports the first error; any iteration order finds it
+	for _, grp := range g.GroupOrder {
+		ids := g.Groups[grp]
 		release, slowest := math.Inf(-1), math.Inf(-1)
 		for _, id := range ids {
 			m := g.Nodes[id]

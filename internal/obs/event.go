@@ -187,6 +187,31 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
+// CheckLog reports the first record of a decoded log that the reports built
+// from it cannot take, naming it by its 1-based position: a span that ends
+// before it starts, negative bytes or update count (the registry's counters
+// only grow), or an eval record earlier in step or virtual time than the
+// eval before it (a convergence curve only moves forward). A live sink
+// never records such an event; a hand-edited or foreign log can hold one.
+func CheckLog(events []Event) error {
+	var last *Event
+	for i := range events {
+		e := &events[i]
+		switch {
+		case e.End < e.Start:
+			return fmt.Errorf("obs: record %d (%s on %q): ends at %g, before it starts at %g", i+1, e.Phase, e.Node, e.End, e.Start)
+		case e.Bytes < 0 || e.Count < 0:
+			return fmt.Errorf("obs: record %d (%s on %q): negative bytes %g or count %d", i+1, e.Phase, e.Node, e.Bytes, e.Count)
+		case e.Phase != PhaseEval:
+			continue
+		case last != nil && (e.Step < last.Step || e.Start < last.Start):
+			return fmt.Errorf("obs: record %d: eval at step %d, time %g comes after one at step %d, time %g", i+1, e.Step, e.Start, last.Step, last.Start)
+		}
+		last = e
+	}
+	return nil
+}
+
 // ReadJSONL parses an event log written by WriteJSONL, skipping blank lines.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)

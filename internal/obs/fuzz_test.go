@@ -3,9 +3,16 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"mllibstar/internal/metrics"
 )
 
 // FuzzEventRoundTrip checks the canonical-encoding property of the JSONL
@@ -120,5 +127,59 @@ func FuzzEventEncode(f *testing.F) {
 			Loss:  math.Float64frombits(lossBits),
 			Count: count, Note: note, Proc: proc, MID: mid, Grp: grp,
 		})
+	})
+}
+
+// FuzzObsReports drives any log that ReadJSONL and CheckLog accept through
+// every report mlstar-obs prints: the attribution text and JSON, the gantt
+// SVG, the convergence curve SVG and the metrics exposition. None may
+// panic. The seeds are the two committed sample logs and the two logs that
+// made -curve and -metrics panic before CheckLog: the MLlib log with two
+// eval records swapped, and with one span ending at -1.
+func FuzzObsReports(f *testing.F) {
+	for _, name := range []string{"obs_events_mllib.jsonl", "obs_events_mllibstar.jsonl"} {
+		raw, err := os.ReadFile(filepath.Join("..", "bench", "testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	raw, err := os.ReadFile(filepath.Join("..", "bench", "testdata", "obs_events_mllib.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	var evals []int
+	for i, l := range lines {
+		if strings.Contains(l, `"phase":"eval"`) {
+			evals = append(evals, i)
+		}
+	}
+	swapped := append([]string(nil), lines...)
+	swapped[evals[0]], swapped[evals[1]] = swapped[evals[1]], swapped[evals[0]]
+	f.Add([]byte(strings.Join(swapped, "\n")))
+	for i, l := range lines {
+		if strings.Contains(l, `"phase":"compute"`) {
+			lines[i] = regexp.MustCompile(`"end":[^,]*`).ReplaceAllString(l, `"end":-1`)
+			break
+		}
+	}
+	f.Add([]byte(strings.Join(lines, "\n")))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil || CheckLog(events) != nil {
+			return
+		}
+		rep := Attribute(events)
+		_ = rep.Text()
+		if _, err := json.Marshal(rep); err != nil {
+			t.Fatal(err)
+		}
+		_ = GanttFromEvents(events).SVG("per-node activity, virtual time", 1100)
+		_ = metrics.RenderSVG([]*metrics.Curve{CurveFromEvents(events)}, metrics.SVGOptions{Title: "objective vs simulated time", LogX: true})
+		if err := SinkFromEvents(events).Registry().WriteText(io.Discard); err != nil {
+			t.Fatal(err)
+		}
 	})
 }

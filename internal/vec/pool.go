@@ -6,7 +6,7 @@ import "sync"
 // length. Get and Copy transfer ownership of a buffer to the caller; Put
 // transfers it back. A buffer that rides a message changes owner with it:
 // the sender acquires, the receiver Puts. The ownership rules are enforced
-// by the buflife and vecalias analyzers: a buffer must not be used after
+// by the buflife analyzer: a buffer must not be used after
 // Put, and must not be Put twice.
 //
 // The mutex (rather than sync.Pool) is deliberate: buffers are requested
