@@ -82,9 +82,19 @@ func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name 
 		return blocks
 	}
 
+	// own is the own partition, folded in place; encs (sparse only) holds
+	// each partition's one encoding, which its chunks slice. Sparse, both
+	// rounds ship without a defensive copy, by the order of events: peer j
+	// folds the block it received from us, and joins that fold, before it
+	// sends its AllGather chunk for that range; we decode into that range
+	// only after that chunk arrives; and we return only after every chunk
+	// has arrived. So the Reduce-Scatter encodes local in place, and own
+	// comes from the pool. It goes back after the loop only when our
+	// AllGather payload is a compressed copy: the dense form aliases own,
+	// which peers may still be reading. Dense, both stay copies.
 	lo, hi := vec.PartitionRange(dim, k, self)
-	var own []float64     // own partition, folded in place; AllGather payloads share it
-	var encs []sparse.Enc // sparse: each partition's one encoding, which its chunks slice
+	var own []float64
+	var encs []sparse.Enc
 	if !dense {
 		encs = make([]sparse.Enc, k)
 	}
@@ -118,7 +128,7 @@ func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name 
 			default: // the adaptive decision needs the whole partition
 				if s.Chunk == 0 {
 					plo, phi := vec.PartitionRange(dim, k, s.Peer)
-					encs[s.Peer] = sparse.EncodeCopy(local[plo:phi], refRange(plo, phi))
+					encs[s.Peer] = sparse.EncodeShared(local[plo:phi], refRange(plo, phi))
 				}
 				send(s.Peer, tag, chunkOf(encs[s.Peer], C, s.Chunk))
 			}
@@ -129,7 +139,12 @@ func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name 
 			// NIC). A sparse copy's charge models its decode, so it is
 			// traced as Encode.
 			if s.Chunk == 0 {
-				own = append([]float64(nil), local[lo:hi]...)
+				if dense {
+					own = append([]float64(nil), local[lo:hi]...)
+				} else {
+					own = ex.GetVec(hi - lo)
+					copy(own, local[lo:hi])
+				}
 			}
 			blocks := recv(tag)
 			folded := append([]engine.Block(nil), blocks...)
@@ -168,6 +183,9 @@ func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name 
 			}
 			h.Join()
 		}
+	}
+	if !dense && encs[self].IsSparse() {
+		ex.PutVec(own)
 	}
 }
 

@@ -130,7 +130,7 @@ func TestBarrierRouting(t *testing.T) {
 	// The path must route a.compute(2) <- barrier <- b.compute, not a.compute(1).
 	var hosts []string
 	for _, s := range p.Steps {
-		hosts = append(hosts, p.G.Nodes[s.Node].Host+":"+p.G.Nodes[s.Node].Kind.String())
+		hosts = append(hosts, p.G.Nodes[s.Node].Host()+":"+p.G.Nodes[s.Node].Kind.String())
 	}
 	got := strings.Join(hosts, " ")
 	if !strings.Contains(got, "b:span") || !strings.Contains(got, "barrier") {

@@ -45,9 +45,9 @@ func CriticalPath(g *Graph) *Path {
 	if len(g.Nodes) == 0 {
 		return p
 	}
-	end := g.Nodes[0]
-	for _, n := range g.Nodes[1:] {
-		if n.End > end.End {
+	end := &g.Nodes[0]
+	for i := range g.Nodes {
+		if n := &g.Nodes[i]; n.End > end.End {
 			end = n
 		}
 	}
@@ -64,7 +64,7 @@ func CriticalPath(g *Graph) *Path {
 			// member's own gating (its arrival is a plain chain-gated start).
 			m := n
 			for _, id := range g.Groups[n.Grp] {
-				c := g.Nodes[id]
+				c := &g.Nodes[id]
 				//mlstar:nolint floateq -- exact compare intentional: equal arrivals fall through to the id tie-break
 				if c.Start > m.Start || (c.Start == m.Start && c.ID < m.ID) {
 					m = c
@@ -85,7 +85,7 @@ func CriticalPath(g *Graph) *Path {
 			ready := g.Nodes[e.From].End + e.Lag
 			//mlstar:nolint floateq -- exact compare intentional: equal readiness falls through to the id tie-break
 			if ready > gate || (ready == gate && next != nil && e.From < next.ID) {
-				gate, next = ready, g.Nodes[e.From]
+				gate, next = ready, &g.Nodes[e.From]
 				if e.Lag > 0 {
 					step.Via, step.Latency = "msg", e.Lag
 				} else {
@@ -95,7 +95,7 @@ func CriticalPath(g *Graph) *Path {
 		}
 		if n.ResPred >= 0 {
 			if ready := g.Nodes[n.ResPred].End; ready > gate {
-				gate, next = ready, g.Nodes[n.ResPred]
+				gate, next = ready, &g.Nodes[n.ResPred]
 				step.Via, step.Latency = "nic", 0
 			}
 		}
@@ -166,19 +166,19 @@ func (p *Path) label(n *Node) string {
 		if i := strings.IndexByte(note, '.'); i >= 0 && strings.HasPrefix(note[i:], ".c") {
 			note = note[:i] + ".c*" // collapse per-chunk tags into one segment label
 		}
-		return fmt.Sprintf("%-7s %s %s [%s]", n.Host, n.Kind, note, n.Chan)
+		return fmt.Sprintf("%-7s %s %s [%s]", n.Host(), n.Kind, note, n.Chan)
 	case KindBarrier:
 		grp := n.Grp
 		if i := strings.IndexByte(grp, '@'); i >= 0 {
 			grp = grp[:i]
 		}
-		return fmt.Sprintf("%-7s barrier %s", n.Host, grp)
+		return fmt.Sprintf("%-7s barrier %s", n.Host(), grp)
 	default:
 		note := n.Note
 		if note != "" {
 			note = " " + note
 		}
-		return fmt.Sprintf("%-7s %s%s", n.Host, n.Phase, note)
+		return fmt.Sprintf("%-7s %s%s", n.Host(), n.Phase, note)
 	}
 }
 
@@ -186,7 +186,7 @@ func (p *Path) label(n *Node) string {
 func (p *Path) Runs() []run {
 	var runs []run
 	for _, s := range p.Steps {
-		n := p.G.Nodes[s.Node]
+		n := &p.G.Nodes[s.Node]
 		lab := p.label(n)
 		sec := s.Busy + s.Latency + s.Wait
 		if len(runs) > 0 && runs[len(runs)-1].Label == lab {
@@ -224,10 +224,10 @@ func (p *Path) Text(topN int) string {
 		if s.Busy == 0 && s.Latency == 0 && s.Wait == 0 {
 			continue
 		}
-		n := p.G.Nodes[s.Node]
+		n := &p.G.Nodes[s.Node]
 		sec := s.Busy + s.Latency + s.Wait
 		bump(phases, string(n.Phase), sec)
-		bump(hosts, n.Host, sec)
+		bump(hosts, n.Host(), sec)
 		if n.Kind == KindSend || n.Kind == KindRecv {
 			bump(chans, string(n.Chan), sec)
 		}
@@ -282,10 +282,10 @@ func (p *Path) Dominant() (phase obs.Phase, driverShare float64) {
 	phases := map[string]*share{}
 	var driver float64
 	for _, s := range p.Steps {
-		n := p.G.Nodes[s.Node]
+		n := &p.G.Nodes[s.Node]
 		sec := s.Busy + s.Latency + s.Wait
 		bump(phases, string(n.Phase), sec)
-		if strings.HasPrefix(n.Host, "driver") {
+		if strings.HasPrefix(n.Host(), "driver") {
 			driver += sec
 		}
 	}

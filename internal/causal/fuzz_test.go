@@ -2,6 +2,8 @@ package causal
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,9 +13,11 @@ import (
 )
 
 // FuzzCausalGraph drives arbitrary JSONL through the whole pipeline — build,
-// validate, critical path, re-time under every scenario family — and pins
-// that nothing panics and the invariants that survive validation hold: the
-// path decomposition telescopes and every successful prediction is finite.
+// validate, critical path, re-time under every scenario family, and the
+// -critpath and -whatif reports of mlstar-obs — and pins that nothing
+// panics, that the invariants that survive validation hold (the path
+// decomposition telescopes and every successful prediction is finite), and
+// that the analysis never writes the log its nodes read in place.
 func FuzzCausalGraph(f *testing.F) {
 	var buf bytes.Buffer
 	if err := obs.WriteJSONL(&buf, synthEvents()); err != nil {
@@ -33,11 +37,14 @@ func FuzzCausalGraph(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		g, err := Build(events)
+		before := hashEvents(events)
+		defer func() {
+			if after := hashEvents(events); after != before {
+				t.Errorf("the analysis wrote the event log: hash %x before, %x after", before, after)
+			}
+		}()
+		g, err := Analyze(events)
 		if err != nil {
-			return
-		}
-		if err := Validate(g); err != nil {
 			return
 		}
 		mk := g.Makespan()
@@ -46,6 +53,7 @@ func FuzzCausalGraph(f *testing.F) {
 			t.Errorf("decomposition %g does not telescope to makespan %g", sum, p.Makespan)
 		}
 		_ = p.Text(5)
+		_ = WhatIfText(g, WhatIf(g, StandardScenarios(g)))
 		for _, sc := range append(StandardScenarios(g),
 			Scenario{Name: "chunks=3", Chunks: 3},
 			Scenario{Name: "overlap", Overlap: true, Chunks: 3},
@@ -60,4 +68,14 @@ func FuzzCausalGraph(f *testing.F) {
 			}
 		}
 	})
+}
+
+// hashEvents is an FNV-64 of every field of every event (%#v prints floats
+// in their shortest exact form).
+func hashEvents(events []obs.Event) uint64 {
+	h := fnv.New64a()
+	for i := range events {
+		fmt.Fprintf(h, "%#v\n", events[i])
+	}
+	return h.Sum64()
 }

@@ -16,7 +16,10 @@
 //
 // The package only reads event logs; it records nothing and is never on a
 // simulation code path, so the observe-never-charge contract holds
-// trivially — the analyzers check it transitively anyway.
+// trivially — the analyzers check it transitively anyway. A Graph reads
+// the event log in place: each Node points at its event in the slice given
+// to Build, so the caller keeps that slice alive, and does not modify it,
+// for as long as it uses the graph.
 package causal
 
 import (
@@ -65,31 +68,48 @@ type Edge struct {
 	Lag  float64
 }
 
-// Node is one occurrence. Start/End are the recorded span; Dur is the busy
+// Node is one occurrence. It reads its event in place: the embedded
+// *obs.Event points into the slice Build was given, so the recorded span
+// (Start, End), the message fields and the notes are the event's own — and
+// the event's Node field is the host, read through Host. Dur is the busy
 // (service) duration, which for send nodes excludes out-NIC queueing — the
 // recorded send span starts at the request, the busy period is its last Dur
 // seconds. ResPred is the previous occupant of the node's FIFO resource
 // (out-NIC or in-NIC), -1 when first or not a message.
 type Node struct {
-	ID    int
-	Kind  NodeKind
-	Proc  string // des process identity ("name#id"); "" when the log predates causal enrichment
-	Host  string
-	Phase obs.Phase
-	Chan  obs.Channel
-	Enc   obs.Encoding
-	Bytes float64
-	Start float64
-	End   float64
-	Dur   float64
-	Step  int
-	Note  string // mailbox tag for messages, charge note for spans
-	MID   int64
-	Grp   string // barrier group key ("name@gen")
-	Res   string // FIFO resource occupied ("host/out", "host/in"), "" otherwise
+	*obs.Event
+	ID   int
+	Kind NodeKind
+	Dur  float64
 
 	Preds   []Edge
 	ResPred int
+}
+
+// Host returns the machine the node ran on.
+func (n *Node) Host() string { return n.Event.Node }
+
+// resource is a FIFO resource a message node occupies: its host's out-NIC
+// (kind KindSend) or in-NIC (kind KindRecv).
+type resource struct {
+	host string
+	kind NodeKind
+}
+
+// resourceOf returns the FIFO resource of a node of the given kind on host;
+// ok is false for kinds that occupy none.
+func resourceOf(kind NodeKind, host string) (res resource, ok bool) {
+	if kind != KindSend && kind != KindRecv {
+		return res, false
+	}
+	return resource{host: host, kind: kind}, true
+}
+
+func (r resource) String() string {
+	if r.kind == KindSend {
+		return r.host + "/out"
+	}
+	return r.host + "/in"
 }
 
 // BusyStart returns when the node's busy period begins: for send nodes the
@@ -108,9 +128,11 @@ type Spec struct {
 	RecvBW float64 // in-NIC bytes/s
 }
 
-// Graph is the happens-before graph of one run.
+// Graph is the happens-before graph of one run. Its nodes read the event
+// log in place: the caller keeps the slice given to Build alive, and
+// unmodified, for as long as it uses the graph.
 type Graph struct {
-	Nodes    []*Node
+	Nodes    []Node // indexed by ID
 	Specs    map[string]Spec
 	Latency  float64
 	Overhead float64
@@ -137,9 +159,9 @@ func skip(ph obs.Phase) bool {
 	return false
 }
 
-// Build constructs the graph from an event log. It errors when the log
-// carries no causal enrichment at all (an older build or another tool
-// recorded it); individually
+// Build constructs the graph from an event log, which its nodes then read
+// in place (see Graph). It errors when the log carries no causal enrichment
+// at all (an older build or another tool recorded it); individually
 // malformed events are tolerated here and flagged by Validate.
 func Build(events []obs.Event) (*Graph, error) {
 	g := &Graph{
@@ -148,22 +170,27 @@ func Build(events []obs.Event) (*Graph, error) {
 		Procs:     map[string][]int{},
 		SendByMID: map[int64]int{},
 	}
-	enriched := false
+	enriched, count := false, 0
 	for i := range events {
-		e := &events[i]
-		if e.Phase == obs.PhaseCausalSpec {
+		switch e := &events[i]; {
+		case e.Phase == obs.PhaseCausalSpec:
 			enriched = true
 			g.parseSpec(e.Node, e.Note)
+		case !skip(e.Phase):
+			enriched = enriched || e.Proc != ""
+			count++
+		}
+	}
+	if !enriched {
+		return nil, fmt.Errorf("causal: log carries no causal enrichment (no event names its process): it was recorded by an older build or another tool")
+	}
+	g.Nodes = make([]Node, 0, count)
+	for i := range events {
+		e := &events[i]
+		if e.Phase == obs.PhaseCausalSpec || skip(e.Phase) {
 			continue
 		}
-		if skip(e.Phase) {
-			continue
-		}
-		n := &Node{
-			ID: len(g.Nodes), Proc: e.Proc, Host: e.Node, Phase: e.Phase,
-			Chan: e.Chan, Enc: e.Enc, Bytes: e.Bytes, Start: e.Start, End: e.End,
-			Step: e.Step, Note: e.Note, MID: e.MID, Grp: e.Grp, ResPred: -1,
-		}
+		n := Node{Event: e, ID: len(g.Nodes), Kind: KindSpan, ResPred: -1}
 		switch {
 		case e.Phase == obs.PhaseCausalFork:
 			n.Kind = KindFork
@@ -171,23 +198,11 @@ func Build(events []obs.Event) (*Graph, error) {
 			n.Kind = KindBarrier
 		case e.Dir == obs.DirSend:
 			n.Kind = KindSend
-			n.Res = e.Node + "/out"
 		case e.Dir == obs.DirRecv:
 			n.Kind = KindRecv
-			n.Res = e.Node + "/in"
-		default:
-			n.Kind = KindSpan
 		}
-		if e.Proc != "" {
-			enriched = true
-		}
+		n.Dur = g.serviceDur(&n)
 		g.Nodes = append(g.Nodes, n)
-	}
-	if !enriched {
-		return nil, fmt.Errorf("causal: log carries no causal enrichment (no event names its process): it was recorded by an older build or another tool")
-	}
-	for _, n := range g.Nodes {
-		n.Dur = g.serviceDur(n)
 	}
 	g.link()
 	return g, nil
@@ -233,7 +248,7 @@ func (g *Graph) parseSpec(node, note string) {
 func (g *Graph) serviceDur(n *Node) float64 {
 	switch n.Kind {
 	case KindSend:
-		if sp, ok := g.Specs[n.Host]; ok && sp.SendBW > 0 {
+		if sp, ok := g.Specs[n.Host()]; ok && sp.SendBW > 0 {
 			return (n.Bytes + g.Overhead) / sp.SendBW
 		}
 		return n.End - n.Start
@@ -249,74 +264,98 @@ func (g *Graph) serviceDur(n *Node) float64 {
 // gated by the delivery), message edges send→recv lagged by the propagation
 // latency, and FIFO resource chains through each NIC. Barrier groups get no
 // explicit cross edges; CriticalPath and Retime resolve a member's release
-// as the slowest member's arrival.
+// as the slowest member's arrival. A recv's one edge is its message's, every
+// other node's come from its process chain, so the edges are counted first
+// and every node's Preds is a window of one slab.
 func (g *Graph) link() {
 	forkOf := map[string]int{} // child proc identity -> fork node id
-	for _, n := range g.Nodes {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		if n.Kind == KindFork && n.Grp != "" {
-			forkOf[n.Grp] = n.ID
+			forkOf[n.Grp] = i
 		}
 		if n.Kind == KindSend && n.MID != 0 {
-			g.SendByMID[n.MID] = n.ID
+			g.SendByMID[n.MID] = i
 		}
 		if n.Kind == KindBarrier && n.Grp != "" {
 			if _, seen := g.Groups[n.Grp]; !seen {
 				g.GroupOrder = append(g.GroupOrder, n.Grp)
 			}
-			g.Groups[n.Grp] = append(g.Groups[n.Grp], n.ID)
+			g.Groups[n.Grp] = append(g.Groups[n.Grp], i)
 		}
 		if n.Proc != "" {
 			if _, seen := g.Procs[n.Proc]; !seen {
 				g.ProcOrder = append(g.ProcOrder, n.Proc)
 			}
-			g.Procs[n.Proc] = append(g.Procs[n.Proc], n.ID)
+			g.Procs[n.Proc] = append(g.Procs[n.Proc], i)
 		}
 	}
-	for _, n := range g.Nodes {
-		if n.Kind == KindRecv && n.MID != 0 {
-			if s, ok := g.SendByMID[n.MID]; ok {
-				n.Preds = append(n.Preds, Edge{From: s, Lag: g.Latency})
-			}
+	sendOf := func(n *Node) (int, bool) {
+		if n.Kind != KindRecv || n.MID == 0 {
+			return 0, false
 		}
+		s, ok := g.SendByMID[n.MID]
+		return s, ok
 	}
-	for _, proc := range g.ProcOrder {
+	// chains walks every process chain, handing each non-recv node the
+	// edges it carries: the fork (first), then the previous non-recv node
+	// and every recv since.
+	chains := func(visit func(id int, carry []Edge)) {
 		var carry []Edge
-		if f, ok := forkOf[proc]; ok {
-			carry = append(carry, Edge{From: f})
-		}
-		for _, id := range g.Procs[proc] {
-			n := g.Nodes[id]
-			if n.Kind == KindRecv {
-				// The process's next action waits on this delivery, but the
-				// delivery itself is not gated by the process.
-				carry = append(carry, Edge{From: id})
-				continue
+		for _, proc := range g.ProcOrder {
+			carry = carry[:0]
+			if f, ok := forkOf[proc]; ok {
+				carry = append(carry, Edge{From: f})
 			}
-			n.Preds = append(n.Preds, carry...)
-			carry = append(carry[:0], Edge{From: id})
+			for _, id := range g.Procs[proc] {
+				if g.Nodes[id].Kind == KindRecv {
+					// The process's next action waits on this delivery, but
+					// the delivery itself is not gated by the process.
+					carry = append(carry, Edge{From: id})
+					continue
+				}
+				visit(id, carry)
+				carry = append(carry[:0], Edge{From: id})
+			}
 		}
 	}
-	byRes := map[string][]int{}
-	var resOrder []string
-	for _, n := range g.Nodes {
-		if n.Res == "" {
+	total := 0
+	for i := range g.Nodes {
+		if _, ok := sendOf(&g.Nodes[i]); ok {
+			total++
+		}
+	}
+	chains(func(_ int, carry []Edge) { total += len(carry) })
+	slab := make([]Edge, 0, total)
+	for i := range g.Nodes {
+		if s, ok := sendOf(&g.Nodes[i]); ok {
+			slab = append(slab, Edge{From: s, Lag: g.Latency})
+			g.Nodes[i].Preds = slab[len(slab)-1 : len(slab) : len(slab)]
+		}
+	}
+	chains(func(id int, carry []Edge) {
+		if len(carry) > 0 {
+			at := len(slab)
+			slab = append(slab, carry...)
+			g.Nodes[id].Preds = slab[at:len(slab):len(slab)]
+		}
+	})
+
+	byRes := map[resource][]int{}
+	var resOrder []resource
+	for i := range g.Nodes {
+		res, ok := resourceOf(g.Nodes[i].Kind, g.Nodes[i].Host())
+		if !ok {
 			continue
 		}
-		if _, seen := byRes[n.Res]; !seen {
-			resOrder = append(resOrder, n.Res)
+		if _, seen := byRes[res]; !seen {
+			resOrder = append(resOrder, res)
 		}
-		byRes[n.Res] = append(byRes[n.Res], n.ID)
+		byRes[res] = append(byRes[res], i)
 	}
 	for _, res := range resOrder {
 		ids := byRes[res]
-		sort.SliceStable(ids, func(a, b int) bool {
-			na, nb := g.Nodes[ids[a]], g.Nodes[ids[b]]
-			//mlstar:nolint floateq -- exact compare intentional: equal starts fall through to the id tie-break
-			if na.Start != nb.Start {
-				return na.Start < nb.Start
-			}
-			return na.ID < nb.ID
-		})
+		sort.SliceStable(ids, func(a, b int) bool { return before(&g.Nodes[ids[a]], &g.Nodes[ids[b]]) })
 		for i := 1; i < len(ids); i++ {
 			g.Nodes[ids[i]].ResPred = ids[i-1]
 		}
@@ -334,23 +373,24 @@ const eps = 1e-9
 // replays — and barrier groups releasing together at their slowest arrival.
 func Validate(g *Graph) error {
 	recvOfMID := map[int64]int{}
-	for _, n := range g.Nodes {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		if math.IsNaN(n.Start) || math.IsNaN(n.End) || math.IsInf(n.Start, 0) || math.IsInf(n.End, 0) {
-			return fmt.Errorf("causal: node %d (%s on %s): non-finite span [%g, %g]", n.ID, n.Kind, n.Host, n.Start, n.End)
+			return fmt.Errorf("causal: node %d (%s on %s): non-finite span [%g, %g]", n.ID, n.Kind, n.Host(), n.Start, n.End)
 		}
 		if n.End < n.Start {
-			return fmt.Errorf("causal: node %d (%s on %s): end %g before start %g", n.ID, n.Kind, n.Host, n.End, n.Start)
+			return fmt.Errorf("causal: node %d (%s on %s): end %g before start %g", n.ID, n.Kind, n.Host(), n.End, n.Start)
 		}
 		if n.Dur < 0 || n.Dur > n.End-n.Start+eps {
-			return fmt.Errorf("causal: node %d (%s on %s): service %g outside span [%g, %g]", n.ID, n.Kind, n.Host, n.Dur, n.Start, n.End)
+			return fmt.Errorf("causal: node %d (%s on %s): service %g outside span [%g, %g]", n.ID, n.Kind, n.Host(), n.Dur, n.Start, n.End)
 		}
 		if n.Kind == KindRecv {
 			if n.MID == 0 {
-				return fmt.Errorf("causal: node %d: recv on %s without a message id", n.ID, n.Host)
+				return fmt.Errorf("causal: node %d: recv on %s without a message id", n.ID, n.Host())
 			}
 			s, ok := g.SendByMID[n.MID]
 			if !ok {
-				return fmt.Errorf("causal: node %d: recv on %s has no matching send (mid %d)", n.ID, n.Host, n.MID)
+				return fmt.Errorf("causal: node %d: recv on %s has no matching send (mid %d)", n.ID, n.Host(), n.MID)
 			}
 			if prev, dup := recvOfMID[n.MID]; dup {
 				return fmt.Errorf("causal: mid %d received twice (nodes %d and %d)", n.MID, prev, n.ID)
@@ -364,7 +404,7 @@ func Validate(g *Graph) error {
 			if e.From < 0 || e.From >= len(g.Nodes) {
 				return fmt.Errorf("causal: node %d: edge from unknown node %d", n.ID, e.From)
 			}
-			p := g.Nodes[e.From]
+			p := &g.Nodes[e.From]
 			if p.End+e.Lag > n.Start+eps && p.Grp == "" {
 				return fmt.Errorf("causal: node %d (%s) starts at %g before predecessor %d ends at %g (+%g lag)",
 					n.ID, n.Kind, n.Start, e.From, p.End, e.Lag)
@@ -374,9 +414,10 @@ func Validate(g *Graph) error {
 			}
 		}
 		if n.ResPred >= 0 {
-			p := g.Nodes[n.ResPred]
+			p := &g.Nodes[n.ResPred]
 			if p.End > n.BusyStart()+eps {
-				return fmt.Errorf("causal: node %d overlaps previous occupant %d of %s", n.ID, n.ResPred, n.Res)
+				res, _ := resourceOf(n.Kind, n.Host())
+				return fmt.Errorf("causal: node %d overlaps previous occupant %d of %s", n.ID, n.ResPred, res)
 			}
 			if !before(p, n) {
 				return fmt.Errorf("causal: resource edge %d -> %d runs forward in schedule order", n.ResPred, n.ID)
@@ -387,7 +428,7 @@ func Validate(g *Graph) error {
 		ids := g.Groups[grp]
 		release, slowest := math.Inf(-1), math.Inf(-1)
 		for _, id := range ids {
-			m := g.Nodes[id]
+			m := &g.Nodes[id]
 			release = math.Max(release, m.End)
 			slowest = math.Max(slowest, m.Start)
 			if math.Abs(m.End-release) > eps {
@@ -403,7 +444,7 @@ func Validate(g *Graph) error {
 	for _, proc := range g.ProcOrder {
 		last := -1
 		for _, id := range g.Procs[proc] {
-			n := g.Nodes[id]
+			n := &g.Nodes[id]
 			if n.Kind == KindRecv {
 				continue
 			}
@@ -442,9 +483,9 @@ func Analyze(events []obs.Event) (*Graph, error) {
 // Makespan returns the latest end time in the graph (zero when empty).
 func (g *Graph) Makespan() float64 {
 	m := 0.0
-	for _, n := range g.Nodes {
-		if n.End > m {
-			m = n.End
+	for i := range g.Nodes {
+		if e := g.Nodes[i].End; e > m {
+			m = e
 		}
 	}
 	return m

@@ -19,7 +19,7 @@ import (
 
 // specFor resolves a host's machine spec.
 func (r *retimer) specFor(host string) (Spec, error) {
-	sp, ok := r.g.src.Specs[host]
+	sp, ok := r.src.Specs[host]
 	if !ok || sp.SendBW <= 0 || sp.RecvBW <= 0 {
 		return sp, fmt.Errorf("causal: no machine spec for %q (the log lacks its cp-spec event: re-record it with this build)", host)
 	}
@@ -31,7 +31,7 @@ func (r *retimer) sendDur(host string, bytes float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return (bytes + r.g.src.Overhead) / sp.SendBW, nil
+	return (bytes + r.src.Overhead) / sp.SendBW, nil
 }
 
 func (r *retimer) recvDur(host string, bytes float64) (float64, error) {
@@ -39,7 +39,7 @@ func (r *retimer) recvDur(host string, bytes float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return (bytes + r.g.src.Overhead) / sp.RecvBW, nil
+	return (bytes + r.src.Overhead) / sp.RecvBW, nil
 }
 
 func (r *retimer) drop(id int, replacements ...int) {
@@ -67,15 +67,15 @@ type xchRun struct {
 // of a process chain; ok is false when the shape does not match (the
 // exchange is some other shuffle and stays untouched).
 func parseXchRun(g *Graph, ids []int, i int) (run xchRun, next int, ok bool) {
-	first := g.Nodes[ids[i]]
+	first := &g.Nodes[ids[i]]
 	t, _ := allreduce.ParseTag(first.Note)
-	run.name, run.host, run.grad = t.Name, first.Host, -1
+	run.name, run.host, run.grad = t.Name, first.Host(), -1
 	if i > 0 {
 		// Collective charges (folds, updates) carry the collective name as
 		// their note; the gradient pass is an anonymous ChargeAsync, so an
 		// un-noted span right before the first send can only be the compute
 		// that produced the vector being reduced.
-		if prev := g.Nodes[ids[i-1]]; prev.Kind == KindSpan && prev.Note == "" {
+		if prev := &g.Nodes[ids[i-1]]; prev.Kind == KindSpan && prev.Note == "" {
 			run.grad = ids[i-1]
 		}
 	}
@@ -84,7 +84,7 @@ func parseXchRun(g *Graph, ids []int, i int) (run xchRun, next int, ok bool) {
 	take := func(kind NodeKind, rd allreduce.Round) []int {
 		var out []int
 		for ; i < len(ids); i++ {
-			n := g.Nodes[ids[i]]
+			n := &g.Nodes[ids[i]]
 			t, ok := allreduce.ParseTag(n.Note)
 			if n.Kind != kind || (kind == KindSpan && n.Note != run.name) ||
 				(kind != KindSpan && (!ok || t != allreduce.Tag{Round: rd, Name: run.name})) {
@@ -119,13 +119,13 @@ type xchInstance struct {
 // trace, preserving per-proc order so the q-th run of a name on every
 // executor is the q-th instance of that collective.
 func collectCollectives(r *retimer) ([]xchInstance, error) {
-	g := r.g.src
+	g := r.src
 	runsByName := map[string]map[string][]xchRun{}
 	var nameOrder []string
 	for _, proc := range g.ProcOrder {
 		ids := g.Procs[proc]
 		for i := 0; i < len(ids); {
-			n := g.Nodes[ids[i]]
+			n := &g.Nodes[ids[i]]
 			t, ok := allreduce.ParseTag(n.Note)
 			if n.Kind != KindSend || !ok || t.Round != allreduce.RS {
 				i++
@@ -239,7 +239,7 @@ func collectiveTransform(r *retimer, C int, overlap bool) error {
 // (a streamed gradient half as GradStream's Prepare pass). Keys come from
 // the replaced nodes and step positions; the walk runs in stepPhases.
 func (r *retimer) lowerPlan(inst xchInstance, C int, stream bool) error {
-	g, runs, dim := r.g.src, inst.runs, inst.dim
+	g, runs, dim := r.src, inst.runs, inst.dim
 	k := len(runs)
 	C = allreduce.EffectiveChunks(C, dim, k)
 	execOf := map[int]int{} // recorded collective send -> its executor
@@ -257,8 +257,9 @@ func (r *retimer) lowerPlan(inst xchInstance, C int, stream bool) error {
 	sends := make([]int, 2*C*k*k) // (round, chunk, from, to) -> lowered send
 	at := func(rd allreduce.Round, c, from, to int) *int { return &sends[((int(rd)*C+c)*k+from)*k+to] }
 	agWidth := make([]int, C*k) // (chunk, owner) -> AllGather chunk width
-	node := func(kind NodeKind, host, res string, dur float64, preds []redge, anchor *Node, sub int) int {
-		return r.add(&rnode{kind: kind, host: host, res: res, dur: dur, preds: preds, keyT: anchor.Start, keyID: anchor.ID, keySub: sub})
+	// node adds a lowered node standing in for anchor: on its host, with its key.
+	node := func(kind NodeKind, dur float64, preds []redge, anchor, sub int) int {
+		return r.add(&rnode{kind: kind, orig: anchor, dur: dur, preds: preds, keySub: sub})
 	}
 	type lane struct {
 		order                           []int // Reduce-Scatter visit order; nil is ascending
@@ -269,14 +270,14 @@ func (r *retimer) lowerPlan(inst xchInstance, C int, stream bool) error {
 		for e, run := range runs {
 			l := &lanes[e]
 			if phase == 0 {
-				fork := node(KindFork, run.host, "", 0, slices.Clone(r.nodes[run.rsSends[0]].preds), g.Nodes[run.rsSends[0]], 1)
+				fork := node(KindFork, 0, slices.Clone(r.nodes[run.rsSends[0]].preds), run.rsSends[0], 1)
 				*l = lane{out: fork, outSub: 1, task: fork}
 				if stream { // the fork moves up to the gradient pass
 					r.nodes[fork].preds = slices.Clone(r.nodes[run.grad].preds)
 					sp, _ := r.specFor(run.host)
-					grad := g.Nodes[run.grad]
+					grad := &g.Nodes[run.grad]
 					l.order = allreduce.RouteOrder(inst.name, e, k, dim, sp.SendBW, recvBW)
-					l.task, l.taskSub = node(KindSpan, run.host, "", grad.Dur/2, slices.Clone(r.nodes[run.grad].preds), grad, 1), 1
+					l.task, l.taskSub = node(KindSpan, grad.Dur/2, slices.Clone(r.nodes[run.grad].preds), run.grad, 1), 1
 				}
 			}
 			for s := range allreduce.Plan(k, dim, C, e, l.order, stream, true) {
@@ -286,13 +287,12 @@ func (r *retimer) lowerPlan(inst xchInstance, C int, stream bool) error {
 				preds := []redge{{from: l.task}}
 				switch s.Op {
 				case allreduce.Produce:
-					grad := g.Nodes[run.grad]
 					l.taskSub++
-					l.task = node(KindSpan, run.host, "", grad.Dur/2*float64(s.Hi-s.Lo)/float64(dim), preds, grad, l.taskSub)
+					l.task = node(KindSpan, g.Nodes[run.grad].Dur/2*float64(s.Hi-s.Lo)/float64(dim), preds, run.grad, l.taskSub)
 				case allreduce.Send:
 					dur, _ := r.sendDur(run.host, 8*float64(s.Hi-s.Lo))
 					l.outSub++
-					l.out = node(KindSend, run.host, run.host+"/out", dur, append(preds, redge{from: l.out}), g.Nodes[run.rsSends[0]], l.outSub)
+					l.out = node(KindSend, dur, append(preds, redge{from: l.out}), run.rsSends[0], l.outSub)
 					*at(s.Round, s.Chunk, e, s.Peer) = l.out
 					if s.Round == allreduce.AG {
 						agWidth[s.Chunk*k+e] = s.Hi - s.Lo
@@ -315,14 +315,14 @@ func (r *retimer) lowerPlan(inst xchInstance, C int, stream bool) error {
 							dur += g.Nodes[charges[q]].Dur
 						}
 						rdur, _ := r.recvDur(run.host, 8*float64(w))
-						preds = append(preds, redge{from: node(KindRecv, run.host, run.host+"/in", rdur,
-							[]redge{{from: *at(s.Round, s.Chunk, j, e), lag: g.Latency}}, g.Nodes[recorded[0]], s.Chunk*len(recorded)+q+1)})
+						preds = append(preds, redge{from: node(KindRecv, rdur,
+							[]redge{{from: *at(s.Round, s.Chunk, j, e), lag: g.Latency}}, recorded[0], s.Chunk*len(recorded)+q+1)})
 					}
 					if s.Op == allreduce.Fold {
 						l.own += s.Hi - s.Lo
 						dur = dur * float64(s.Hi-s.Lo) / float64(int(g.Nodes[run.agSends[0]].Bytes/8))
 					}
-					l.task = node(KindSpan, run.host, "", dur, preds, g.Nodes[charges[0]], s.Chunk+1)
+					l.task = node(KindSpan, dur, preds, charges[0], s.Chunk+1)
 				}
 			}
 		}

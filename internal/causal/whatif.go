@@ -2,6 +2,7 @@ package causal
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -80,72 +81,58 @@ type redge struct {
 	lag  float64
 }
 
-// rnode is a lowered node: original nodes keep their recorded span for the
-// identity shortcut and exogenous floor; synthesized nodes (chunk rebuilds)
-// carry key material from the original node they replace so the replay
-// order stays deterministic.
+// rnode is a lowered node. orig is the original node it stands for: an
+// original node's own ID, or for a node a structural transform synthesizes
+// the original it replaces, whose host it runs on and whose key it inherits
+// so the replay order stays deterministic. Only original nodes (hasOrig)
+// keep the recorded span for the identity shortcut and exogenous floor.
 type rnode struct {
-	kind               NodeKind
-	host               string
-	res                string
-	grp                string
-	dur                float64
-	exo                float64
-	preds              []redge
-	scaled             bool // duration or structure altered by the scenario
-	dropped            bool
-	hasOrig            bool
-	origStart, origEnd float64
-	keyT               float64
-	keyID              int
-	keySub             int
+	kind    NodeKind
+	orig    int
+	dur     float64
+	exo     float64
+	preds   []redge
+	scaled  bool // duration or structure altered by the scenario
+	dropped bool
+	hasOrig bool
+	keySub  int
 
 	newStart, newEnd float64
 }
 
 type retimer struct {
-	g        *retimerGraph
+	src      *Graph // read only: its nodes read the caller's event log
 	nodes    []*rnode
 	redirect map[int][]int // dropped original id -> replacement indices for incoming edges
-	groups   map[string][]int
 }
 
-// retimerGraph is the slice of Graph the retimer needs, kept separate so
-// transforms cannot accidentally mutate the source graph.
-type retimerGraph struct {
-	src       *Graph
-	recvOfMID map[int64]int
-}
+// origOf returns the original node rn stands for.
+func (r *retimer) origOf(rn *rnode) *Node { return &r.src.Nodes[rn.orig] }
 
 // lower copies the graph into mutable retimer nodes, computing each
-// original node's exogenous floor from its recorded gating.
+// original node's exogenous floor from its recorded gating. The nodes and
+// their edges come from one slab each; synthesized nodes are appended.
 func lower(g *Graph) *retimer {
-	r := &retimer{
-		g:        &retimerGraph{src: g, recvOfMID: map[int64]int{}},
-		redirect: map[int][]int{},
-		groups:   map[string][]int{},
+	r := &retimer{src: g, redirect: map[int][]int{}}
+	nedges := 0
+	for i := range g.Nodes {
+		nedges += len(g.Nodes[i].Preds)
 	}
-	for _, n := range g.Nodes {
-		if n.Kind == KindRecv && n.MID != 0 {
-			r.g.recvOfMID[n.MID] = n.ID
-		}
-	}
-	for grp, ids := range g.Groups { //mlstar:nolint determinism -- order-insensitive: copying a map into a map
-		r.groups[grp] = append([]int(nil), ids...)
-	}
-	for _, n := range g.Nodes {
-		rn := &rnode{
-			kind: n.Kind, host: n.Host, res: n.Res, grp: n.Grp, dur: n.Dur,
-			hasOrig: true, origStart: n.Start, origEnd: n.End,
-			keyT: n.Start, keyID: n.ID,
-		}
+	slab, edges := make([]rnode, len(g.Nodes)), make([]redge, 0, nedges)
+	r.nodes = make([]*rnode, len(g.Nodes))
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		rn := &slab[i]
+		*rn = rnode{kind: n.Kind, orig: i, dur: n.Dur, hasOrig: true}
 		gate := math.Inf(-1)
+		at := len(edges)
 		for _, e := range n.Preds {
-			rn.preds = append(rn.preds, redge{from: e.From, lag: e.Lag})
+			edges = append(edges, redge{from: e.From, lag: e.Lag})
 			if ready := g.Nodes[e.From].End + e.Lag; ready > gate {
 				gate = ready
 			}
 		}
+		rn.preds = edges[at:len(edges):len(edges)]
 		// Resource readiness counts toward the gate for recvs (the in-NIC
 		// reservation starts at max(arrival, free)), not for sends, whose
 		// recorded start is the request time before any queueing.
@@ -157,7 +144,7 @@ func lower(g *Graph) *retimer {
 		if n.Start > gate+eps {
 			rn.exo = n.Start
 		}
-		r.nodes = append(r.nodes, rn)
+		r.nodes[i] = rn
 	}
 	return r
 }
@@ -176,9 +163,10 @@ func (r *retimer) applyScales(sc Scenario) {
 		if rn.dropped {
 			continue
 		}
+		driver := sc.DriverZero && isDriverHost(r.origOf(rn).Host())
 		switch rn.kind {
 		case KindSend, KindRecv:
-			if sc.DriverZero && isDriverHost(rn.host) {
+			if driver {
 				rn.dur, rn.scaled = 0, true
 				continue
 			}
@@ -188,7 +176,7 @@ func (r *retimer) applyScales(sc Scenario) {
 				rn.scaled = true
 			}
 		case KindSpan:
-			if sc.DriverZero && isDriverHost(rn.host) {
+			if driver {
 				rn.dur, rn.scaled = 0, true
 				continue
 			}
@@ -230,12 +218,13 @@ func (r *retimer) finalize() {
 // replay is exact.
 func (r *retimer) keyLess(a, b int) bool {
 	na, nb := r.nodes[a], r.nodes[b]
+	ta, tb := r.src.Nodes[na.orig].Start, r.src.Nodes[nb.orig].Start
 	//mlstar:nolint floateq -- exact compare intentional: equal keys fall through to the id tie-breaks
-	if na.keyT != nb.keyT {
-		return na.keyT < nb.keyT
+	if ta != tb {
+		return ta < tb
 	}
-	if na.keyID != nb.keyID {
-		return na.keyID < nb.keyID
+	if na.orig != nb.orig {
+		return na.orig < nb.orig
 	}
 	return na.keySub < nb.keySub
 }
@@ -250,30 +239,46 @@ func (r *retimer) keyLess(a, b int) bool {
 // cycle (malformed input) drains in key order rather than hanging.
 func (r *retimer) readyOrder() []int {
 	n := len(r.nodes)
-	indeg := make([]int, n)
-	succs := make([][]int, n)
-	live := 0
-	addDep := func(from, to int) {
-		if from == to || r.nodes[from].dropped {
-			return
+	// deps hands every dependency to dep, each node's in pred order. Run
+	// twice — to count, then to fill — it lays the successor lists out in
+	// one slab: node i's are succs[start[i]:start[i+1]].
+	deps := func(dep func(from, to int)) {
+		add := func(from, to int) {
+			if from != to && !r.nodes[from].dropped {
+				dep(from, to)
+			}
 		}
-		succs[from] = append(succs[from], to)
-		indeg[to]++
-	}
-	for i, rn := range r.nodes {
-		if rn.dropped {
-			continue
-		}
-		live++
-		for _, e := range rn.preds {
-			p := r.nodes[e.from]
-			if p.kind == KindBarrier && p.grp != "" {
-				for _, m := range r.groups[p.grp] {
-					addDep(m, i)
-				}
+		for i, rn := range r.nodes {
+			if rn.dropped {
 				continue
 			}
-			addDep(e.from, i)
+			for _, e := range rn.preds {
+				p := r.nodes[e.from]
+				if grp := r.origOf(p).Grp; p.kind == KindBarrier && grp != "" {
+					for _, m := range r.src.Groups[grp] {
+						add(m, i)
+					}
+					continue
+				}
+				add(e.from, i)
+			}
+		}
+	}
+	start := make([]int, n+1)
+	deps(func(from, _ int) { start[from+1]++ })
+	for i := range n {
+		start[i+1] += start[i]
+	}
+	succs, fill, indeg := make([]int, start[n]), slices.Clone(start[:n]), make([]int, n)
+	deps(func(from, to int) {
+		succs[fill[from]] = to
+		fill[from]++
+		indeg[to]++
+	})
+	live := 0
+	for _, rn := range r.nodes {
+		if !rn.dropped {
+			live++
 		}
 	}
 	h := &keyHeap{r: r}
@@ -288,7 +293,7 @@ func (r *retimer) readyOrder() []int {
 		i := h.pop()
 		order = append(order, i)
 		placed[i] = true
-		for _, s := range succs[i] {
+		for _, s := range succs[start[i]:start[i+1]] {
 			if indeg[s]--; indeg[s] == 0 {
 				h.push(s)
 			}
@@ -355,11 +360,11 @@ func (h *keyHeap) pop() int {
 // FIFO and lazy barrier resolution, returning the new makespan.
 func (r *retimer) schedule(latScale float64) float64 {
 	order := r.readyOrder()
-	freeAt := map[string]float64{}
+	freeAt := map[resource]float64{}
 	// Per resource: every occupant so far reproduced its original end
 	// bit-for-bit, so max(gate, freeAt) is the arithmetic the simulator did.
-	perfect := map[string]bool{}
-	perfectAt := func(res string) bool {
+	perfect := map[resource]bool{}
+	perfectAt := func(res resource) bool {
 		p, seen := perfect[res]
 		return p || !seen
 	}
@@ -371,21 +376,24 @@ func (r *retimer) schedule(latScale float64) float64 {
 		}
 		// A barrier's release is the slowest member's (re-timed) arrival;
 		// every member is scheduled before any successor reads this.
-		e, ok := grpEnd[n.grp]
+		grp := r.origOf(n).Grp
+		e, ok := grpEnd[grp]
 		if !ok {
 			e = math.Inf(-1)
-			for _, m := range r.groups[n.grp] {
+			for _, m := range r.src.Groups[grp] {
 				if s := r.nodes[m].newStart; s > e {
 					e = s
 				}
 			}
-			grpEnd[n.grp] = e
+			grpEnd[grp] = e
 		}
 		return e
 	}
 	makespan := 0.0
 	for _, i := range order {
 		rn := r.nodes[i]
+		orig := r.origOf(rn)
+		res, _ := resourceOf(rn.kind, orig.Host())
 		gate := rn.exo
 		for _, e := range rn.preds {
 			if ready := endOf(e.from) + e.lag*latScale; ready > gate {
@@ -395,37 +403,35 @@ func (r *retimer) schedule(latScale float64) float64 {
 		switch rn.kind {
 		case KindSend:
 			rn.newStart = gate
-			res := rn.res
 			busy := math.Max(gate, freeAt[res])
 			//mlstar:nolint floateq -- exact compare intentional: the identity shortcut fires only on bitwise reproduction
-			ok, wasPerfect := !rn.scaled && rn.hasOrig && rn.newStart == rn.origStart, perfectAt(res)
+			ok, wasPerfect := !rn.scaled && rn.hasOrig && rn.newStart == orig.Start, perfectAt(res)
 			if ok && wasPerfect {
-				rn.newEnd = rn.origEnd
+				rn.newEnd = orig.End
 			} else {
 				rn.newEnd = busy + rn.dur
 			}
 			//mlstar:nolint floateq -- exact compare intentional: the identity shortcut fires only on bitwise reproduction
-			perfect[res] = wasPerfect && ok && rn.newEnd == rn.origEnd
+			perfect[res] = wasPerfect && ok && rn.newEnd == orig.End
 			freeAt[res] = rn.newEnd
 		case KindRecv:
-			res := rn.res
 			busy := math.Max(gate, freeAt[res])
 			rn.newStart = busy
 			//mlstar:nolint floateq -- exact compare intentional: the identity shortcut fires only on bitwise reproduction
-			ok, wasPerfect := !rn.scaled && rn.hasOrig && busy == rn.origStart, perfectAt(res)
+			ok, wasPerfect := !rn.scaled && rn.hasOrig && busy == orig.Start, perfectAt(res)
 			if ok && wasPerfect {
-				rn.newEnd = rn.origEnd
+				rn.newEnd = orig.End
 			} else {
 				rn.newEnd = busy + rn.dur
 			}
 			//mlstar:nolint floateq -- exact compare intentional: the identity shortcut fires only on bitwise reproduction
-			perfect[res] = wasPerfect && ok && rn.newEnd == rn.origEnd
+			perfect[res] = wasPerfect && ok && rn.newEnd == orig.End
 			freeAt[res] = rn.newEnd
 		case KindSpan:
 			rn.newStart = gate
 			//mlstar:nolint floateq -- exact compare intentional: the identity shortcut fires only on bitwise reproduction
-			if !rn.scaled && rn.hasOrig && gate == rn.origStart {
-				rn.newEnd = rn.origEnd
+			if !rn.scaled && rn.hasOrig && gate == orig.Start {
+				rn.newEnd = orig.End
 			} else {
 				rn.newEnd = gate + rn.dur
 			}

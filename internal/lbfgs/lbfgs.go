@@ -53,9 +53,16 @@ type pair struct {
 // value and gradient at each iterate (which is what makes the distributed
 // variants possible: the gradient can come from anywhere), and State turns
 // them into the next iterate.
+//
+// A run allocates at most Memory+1 curvature pairs: once the window is
+// full, Update writes the new pair into the buffers of the one it evicts,
+// and a pair the curvature test rejects keeps its buffers for the next
+// Update. Buffer reuse moves no bit: every pair element is overwritten
+// before it is read.
 type State struct {
 	opts  Options
 	pairs []pair // most recent last
+	spare pair   // buffers of the last evicted or rejected pair, reused by the next Update
 	prevW []float64
 	prevG []float64
 	dir   []float64
@@ -105,17 +112,24 @@ func (st *State) Direction(g []float64) []float64 {
 // (they would break positive-definiteness).
 func (st *State) Update(w, g []float64) {
 	if st.prevW != nil {
-		s := make([]float64, len(w))
-		y := make([]float64, len(g))
-		for i := range w {
-			s[i] = w[i] - st.prevW[i]
-			y[i] = g[i] - st.prevG[i]
+		p := st.spare
+		if len(p.s) != len(w) {
+			p = pair{s: make([]float64, len(w)), y: make([]float64, len(g))}
 		}
-		if ys := dot(y, s); ys > 1e-12 {
-			st.pairs = append(st.pairs, pair{s: s, y: y, rho: 1 / ys})
-			if len(st.pairs) > st.opts.Memory {
-				st.pairs = st.pairs[1:]
+		for i := range w {
+			p.s[i] = w[i] - st.prevW[i]
+			p.y[i] = g[i] - st.prevG[i]
+		}
+		if ys := dot(p.y, p.s); ys > 1e-12 {
+			p.rho = 1 / ys
+			st.spare = pair{}
+			if len(st.pairs) == st.opts.Memory {
+				st.spare = st.pairs[0]
+				st.pairs = append(st.pairs[:0], st.pairs[1:]...)
 			}
+			st.pairs = append(st.pairs, p)
+		} else {
+			st.spare = p
 		}
 	} else {
 		st.prevW = make([]float64, len(w))
