@@ -36,7 +36,7 @@ fuzz: ## short fuzz runs: libsvm reader + the one loss body against the oracle's
 # `go test -run` with a stale name prints "no tests to run" and passes.
 SMOKE_BENCH_RUN := TestSparseTrafficReduction|TestPipelineNoSlowdown|TestPipelineOverlapSpeedupTarget|TestCSRKernelZeroAllocs|TestCSRKernelFeatMajorZeroAllocs|TestFig3GanttGolden|TestGanttReplayEqualsLive
 SMOKE_DATA_BENCH := BenchmarkSlabKernels|BenchmarkAddGradientRowsCold|BenchmarkGenerate
-SMOKE_MLLIB_BENCH := BenchmarkSampleRows
+SMOKE_CORE_BENCH := BenchmarkSampleRows
 SMOKE_DES_BENCH := BenchmarkDes
 SMOKE_DES_RUN := TestDesZeroAllocs
 SMOKE_PS_RUN := TestPSSteadyStateAllocs|TestPushTouchedEqualsDense
@@ -50,7 +50,7 @@ SMOKE_ALLREDUCE_RUN := TestSparseFoldBufferPooled
 bench-smoke: ## deterministic simulated-ratio floors + the Figure-3 gantt goldens and the live-vs-replay gantt test + slab-kernel and des zero-alloc guards + slab-kernel ns/nnz per kernel, loss and row width + the sampled-row gradient on a 72 MB arena (cold rows) + the generator's ns/nnz at compute8's shape + the mini-batch sampler's ns/draw + des ns/switch, ns/event + the ps steady-state allocation guard + the telemetry write path's allocation guard + the L-BFGS pair, causal node-arena and sparse fold-buffer allocation guards + the evaluator's blocking-loss overlap tests, its blocked evaluation's bit identity and the Params validation table + the pool's claimable parts and helping join (both under -race)
 	$(GO) test -run '$(SMOKE_BENCH_RUN)' -v ./internal/bench
 	$(GO) test -run '^$$' -bench '$(SMOKE_DATA_BENCH)' -benchtime=1x ./internal/data
-	$(GO) test -run '^$$' -bench '$(SMOKE_MLLIB_BENCH)' -benchtime=1x ./internal/mllib
+	$(GO) test -run '^$$' -bench '$(SMOKE_CORE_BENCH)' -benchtime=1x ./internal/core
 	$(GO) test -bench '$(SMOKE_DES_BENCH)' -benchtime=100000x -run '$(SMOKE_DES_RUN)' -v ./internal/des
 	$(GO) test -run '$(SMOKE_PS_RUN)' -v ./internal/ps
 	$(GO) test -run '$(SMOKE_OBS_RUN)' -v ./internal/obs
@@ -70,7 +70,7 @@ smoke-lists: ## every alternative of bench-smoke's -run and -bench lists must ma
 	}; \
 	check ./internal/bench '$(SMOKE_BENCH_RUN)'; \
 	check ./internal/data '$(SMOKE_DATA_BENCH)'; \
-	check ./internal/mllib '$(SMOKE_MLLIB_BENCH)'; \
+	check ./internal/core '$(SMOKE_CORE_BENCH)'; \
 	check ./internal/des '$(SMOKE_DES_BENCH)|$(SMOKE_DES_RUN)'; \
 	check ./internal/ps '$(SMOKE_PS_RUN)'; \
 	check ./internal/obs '$(SMOKE_OBS_RUN)'; \

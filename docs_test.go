@@ -10,6 +10,7 @@ package mllibstar_test
 
 import (
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -57,6 +58,31 @@ func TestDocsLinks(t *testing.T) {
 			}
 			if _, err := os.Stat(filepath.FromSlash(target)); err != nil {
 				t.Errorf("%s: broken intra-repo link %q: %v", doc, m[1], err)
+			}
+		}
+	}
+}
+
+// docPathRe matches a repository path under internal/ as the documents
+// name it.
+var docPathRe = regexp.MustCompile(`internal/[A-Za-z0-9_]+(?:/[A-Za-z0-9_.\-]+)*`)
+
+// TestDocsPackages verifies that every internal/ path the guarded documents
+// name is a directory of the repository once its file name is stripped, so
+// no document names a deleted or moved package.
+func TestDocsPackages(t *testing.T) {
+	for _, doc := range docFiles {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatalf("reading %s: %v", doc, err)
+		}
+		for _, m := range docPathRe.FindAllString(string(text), -1) {
+			dir := strings.TrimRight(m, ".") // a sentence's full stop
+			for strings.Contains(path.Base(dir), ".") {
+				dir = path.Dir(dir)
+			}
+			if fi, err := os.Stat(filepath.FromSlash(dir)); err != nil || !fi.IsDir() {
+				t.Errorf("%s names %s, but %s is not a directory of the repository", doc, m, dir)
 			}
 		}
 	}

@@ -46,8 +46,6 @@ var Analyzer = &analysis.Analyzer{
 		"mllibstar/internal/core",
 		"mllibstar/internal/engine",
 		"mllibstar/internal/lbfgs",
-		"mllibstar/internal/mavg",
-		"mllibstar/internal/mllib",
 		"mllibstar/internal/opt",
 		"mllibstar/internal/petuum",
 		"mllibstar/internal/ps",

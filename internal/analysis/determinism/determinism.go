@@ -65,9 +65,7 @@ var Analyzer = &analysis.Analyzer{
 		"mllibstar/internal/feats",
 		"mllibstar/internal/glm",
 		"mllibstar/internal/lbfgs",
-		"mllibstar/internal/mavg",
 		"mllibstar/internal/metrics",
-		"mllibstar/internal/mllib",
 		"mllibstar/internal/obs",
 		"mllibstar/internal/opt",
 		"mllibstar/internal/petuum",

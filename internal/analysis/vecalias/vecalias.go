@@ -43,10 +43,9 @@ var Analyzer = &analysis.Analyzer{
 	DefaultScope: []string{
 		"mllibstar/internal/allreduce",
 		"mllibstar/internal/angel",
+		"mllibstar/internal/core",
 		"mllibstar/internal/engine",
 		"mllibstar/internal/lbfgs",
-		"mllibstar/internal/mavg",
-		"mllibstar/internal/mllib",
 		"mllibstar/internal/opt",
 		"mllibstar/internal/petuum",
 		"mllibstar/internal/ps",

@@ -22,8 +22,6 @@ import (
 	"mllibstar/internal/allreduce"
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/core"
-	"mllibstar/internal/glm"
-	"mllibstar/internal/lbfgs"
 	"mllibstar/internal/obs"
 	"mllibstar/internal/sparse"
 	"mllibstar/internal/train"
@@ -95,16 +93,10 @@ func systemRow(system string, l2 float64) trainerRow {
 	}}
 }
 
-// lbfgsRow runs distributed L-BFGS aggregating through the AllReduce
-// (LBFGS*) or through the driver's tree aggregate (LBFGS).
-func lbfgsRow(name string, allReduce bool) trainerRow {
+// paramsRow runs a system with the given params.
+func paramsRow(name, system string, prm train.Params) trainerRow {
 	return trainerRow{name: name, run: func(t *testing.T, w *workload, sink *obs.Sink) *train.Result {
-		_, _, ctx := clusters.Test(4).Build(sink)
-		res, err := lbfgs.TrainDistributed(ctx, w.ds.Partition(4, 3), w.ds.Features, lbfgs.DistConfig{
-			Objective: glm.LogReg(0.01),
-			MaxIters:  6,
-			AllReduce: allReduce,
-		}, w.eval, w.ds.Name)
+		res, err := runSystem(system, clusters.Test(4), w, prm, sink)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,17 +106,9 @@ func lbfgsRow(name string, allReduce bool) trainerRow {
 
 var (
 	rowsMLlibStar = []trainerRow{systemRow(sysMLlibStar, 0.1), systemRow(sysMLlibStar, 0)}
-	rowLBFGSStar  = lbfgsRow("LBFGS*", true)
-	rowLBFGSTree  = lbfgsRow("LBFGS-tree", false)
-	rowSVRG       = trainerRow{name: "MLlib*-SVRG", run: func(t *testing.T, w *workload, sink *obs.Sink) *train.Result {
-		_, _, ctx := clusters.Test(4).Build(sink)
-		prm := train.Params{Objective: glm.LogReg(0.01), Eta: 0.1, MaxSteps: 5, EvalEvery: 1, Seed: 7}
-		res, err := core.TrainSVRG(ctx, w.ds.Partition(4, 3), w.ds.Features, prm, w.eval, w.ds.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}}
+	rowLBFGSStar  = paramsRow("LBFGS*", core.LBFGSStar, lbfgsParams)
+	rowLBFGSTree  = paramsRow("LBFGS-tree", core.LBFGS, lbfgsParams)
+	rowSVRG       = paramsRow("MLlib*-SVRG", core.MLlibStarSVRG, svrgParams)
 	// The systems without a collective: the driver-aggregating and the
 	// parameter-server ones.
 	rowsNoCollective = []trainerRow{

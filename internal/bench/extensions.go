@@ -6,7 +6,6 @@ import (
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/core"
 	"mllibstar/internal/glm"
-	"mllibstar/internal/lbfgs"
 	"mllibstar/internal/opt"
 	"mllibstar/internal/train"
 )
@@ -51,14 +50,12 @@ func runExtLBFGS(cfg RunConfig) (*Report, error) {
 	r := &Report{ID: "ext-lbfgs", Title: "L-BFGS: treeAggregate (spark.ml) vs AllReduce"}
 	obj := glm.LogReg(0.01)
 	csv := "variant,iterations,sim_time_s,time_per_iter_s,final_objective,driver_bytes\n"
-	for _, allReduce := range []bool{false, true} {
+	// L-BFGS reads no learning rate, but Params requires a valid one.
+	prm := train.Params{Objective: obj, Eta: 1, MaxSteps: 25}
+	for _, system := range []string{core.LBFGS, core.LBFGSStar} {
 		_, cl, ctx := clusters.Cluster1(8).Build(cfg.Sink)
 		parts := w.ds.Partition(8, 3)
-		res, err := lbfgs.TrainDistributed(ctx, parts, w.ds.Features, lbfgs.DistConfig{
-			Objective: obj,
-			MaxIters:  25,
-			AllReduce: allReduce,
-		}, w.eval, w.ds.Name)
+		res, err := core.Train(system, ctx, parts, w.ds.Features, prm, w.eval, w.ds.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -250,25 +247,18 @@ func runExtSVRG(cfg RunConfig) (*Report, error) {
 	target := ref + 0.005
 	r.addLine("target objective (optimum + 0.005): %.4f", target)
 	csv := "variant,steps_to_target,time_to_target_s,best_objective\n"
-	parts := w.ds.Partition(8, 3)
 	for _, svrg := range []bool{false, true} {
-		name := "SGD"
+		name, system := "SGD", sysMLlibStar
 		if svrg {
-			name = "SVRG"
+			name, system = "SVRG", core.MLlibStarSVRG
 		}
-		_, _, ctx := clusters.Cluster1(8).Build(cfg.Sink)
 		prm := tuned(sysMLlibStar, w.ds.Name, 0)
 		prm.Objective = obj
 		prm.Eta = 0.2
 		prm.Decay = !svrg // SVRG uses a constant step; SGD needs decay
 		prm.MaxSteps = 100
 		prm.TargetObjective = target
-		var res *train.Result
-		if svrg {
-			res, err = core.TrainSVRG(ctx, parts, w.ds.Features, prm, w.eval, w.ds.Name)
-		} else {
-			res, err = core.Train(ctx, parts, w.ds.Features, prm, w.eval, w.ds.Name)
-		}
+		res, err := runSystem(system, clusters.Cluster1(8), w, prm, cfg.Sink)
 		if err != nil {
 			return nil, err
 		}

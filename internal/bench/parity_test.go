@@ -14,8 +14,6 @@ import (
 
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/core"
-	"mllibstar/internal/glm"
-	"mllibstar/internal/lbfgs"
 	"mllibstar/internal/par"
 	"mllibstar/internal/train"
 )
@@ -98,15 +96,9 @@ func TestParallelOffloadBitIdentityLBFGS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, allReduce := range []bool{false, true} {
+	for _, v := range lbfgsVariants {
 		run := func() *train.Result {
-			_, _, ctx := clusters.Test(4).Build(nil)
-			parts := w.ds.Partition(4, 3)
-			res, err := lbfgs.TrainDistributed(ctx, parts, w.ds.Features, lbfgs.DistConfig{
-				Objective: glm.LogReg(0.01),
-				MaxIters:  6,
-				AllReduce: allReduce,
-			}, w.eval, w.ds.Name)
+			res, err := runSystem(v.system, clusters.Test(4), w, lbfgsParams, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,11 +107,7 @@ func TestParallelOffloadBitIdentityLBFGS(t *testing.T) {
 		var seq, con *train.Result
 		runWithPar(false, func() { seq = run() })
 		runWithPar(true, func() { con = run() })
-		name := "LBFGS-tree"
-		if allReduce {
-			name = "LBFGS-allreduce"
-		}
-		requireSameResult(t, name, seq, con)
+		requireSameResult(t, v.name, seq, con)
 	}
 }
 
@@ -129,11 +117,8 @@ func TestParallelOffloadBitIdentitySVRG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prm := train.Params{Objective: glm.LogReg(0.01), Eta: 0.1, MaxSteps: 5, EvalEvery: 1, Seed: 7}
 	run := func() *train.Result {
-		_, _, ctx := clusters.Test(4).Build(nil)
-		parts := w.ds.Partition(4, 3)
-		res, err := core.TrainSVRG(ctx, parts, w.ds.Features, prm, w.eval, w.ds.Name)
+		res, err := runSystem(core.MLlibStarSVRG, clusters.Test(4), w, svrgParams, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,10 +6,6 @@ import (
 	"mllibstar/internal/angel"
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/core"
-	"mllibstar/internal/data"
-	"mllibstar/internal/engine"
-	"mllibstar/internal/mavg"
-	"mllibstar/internal/mllib"
 	"mllibstar/internal/obs"
 	"mllibstar/internal/petuum"
 	"mllibstar/internal/train"
@@ -17,9 +13,9 @@ import (
 
 // Systems understood by runSystem, in the paper's naming.
 const (
-	sysMLlib      = "MLlib"
-	sysMAvg       = "MLlib+MA"
-	sysMLlibStar  = "MLlib*"
+	sysMLlib      = core.MLlib
+	sysMAvg       = core.MLlibMA
+	sysMLlibStar  = core.MLlibStar
 	sysPetuum     = "Petuum"
 	sysPetuumStar = "Petuum*"
 	sysAngel      = "Angel"
@@ -31,17 +27,11 @@ const (
 func runSystem(system string, spec clusters.Spec, w *workload, prm train.Params, sink *obs.Sink) (*train.Result, error) {
 	parts := w.ds.Partition(spec.Executors, 3)
 	dim := w.ds.Features
-	switch system {
-	case sysMLlib, sysMAvg, sysMLlibStar:
+	if _, spark := core.AggregationOf(system); spark {
 		_, _, ctx := spec.Build(sink)
-		switch system {
-		case sysMLlib:
-			return mllib.Train(ctx, parts, dim, prm, w.eval, w.ds.Name)
-		case sysMAvg:
-			return mavg.Train(ctx, parts, dim, prm, w.eval, w.ds.Name)
-		default:
-			return core.Train(ctx, parts, dim, prm, w.eval, w.ds.Name)
-		}
+		return core.Train(system, ctx, parts, dim, prm, w.eval, w.ds.Name)
+	}
+	switch system {
 	case sysPetuum, sysPetuumStar:
 		sim, net, names := spec.BuildNet(sink)
 		return petuum.Train(sim, net, names, parts, dim, prm, w.eval, w.ds.Name, system == sysPetuum)
@@ -50,20 +40,6 @@ func runSystem(system string, spec clusters.Spec, w *workload, prm train.Params,
 		return angel.Train(sim, net, names, parts, dim, prm, w.eval, w.ds.Name)
 	}
 	return nil, fmt.Errorf("bench: unknown system %q", system)
-}
-
-// trainOn runs one of the Spark-side systems on an already-built engine
-// context, for experiments that need to inspect the cluster afterwards.
-func trainOn(system string, ctx *engine.Context, parts []data.View, w *workload, prm train.Params) (*train.Result, error) {
-	switch system {
-	case sysMLlib:
-		return mllib.Train(ctx, parts, w.ds.Features, prm, w.eval, w.ds.Name)
-	case sysMAvg:
-		return mavg.Train(ctx, parts, w.ds.Features, prm, w.eval, w.ds.Name)
-	case sysMLlibStar:
-		return core.Train(ctx, parts, w.ds.Features, prm, w.eval, w.ds.Name)
-	}
-	return nil, fmt.Errorf("bench: trainOn does not support %q", system)
 }
 
 // runTuned runs a system with its tuned (or grid-searched) hyperparameters,

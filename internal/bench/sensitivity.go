@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mllibstar/internal/clusters"
+	"mllibstar/internal/core"
 )
 
 func init() {
@@ -53,11 +54,10 @@ func runExtTorrent(cfg RunConfig) (*Report, error) {
 		prm.TorrentBroadcast = v.torrent
 		_, cl, ctx := clusters.Cluster1(8).Build(cfg.Sink)
 		parts := w.ds.Partition(8, 3)
-		res, err := trainOn(v.system, ctx, parts, w, prm)
+		res, err := core.Train(v.system, ctx, parts, w.ds.Features, prm, w.eval, w.ds.Name)
 		if err != nil {
 			return nil, err
 		}
-		_ = cl
 		perStep := res.SimTime / float64(res.CommSteps)
 		sent := cl.Net.Node("driver").BytesSent()
 		r.addLine("%-26s %.4f s/step, driver sent %.1f MB", v.label, perStep, sent/1e6)
@@ -91,9 +91,7 @@ func runExtBandwidth(cfg RunConfig) (*Report, error) {
 		for _, system := range []string{sysMAvg, sysMLlibStar} {
 			prm := tuned(system, w.ds.Name, 0)
 			prm.MaxSteps = 4
-			_, _, ctx := spec.Build(cfg.Sink)
-			parts := w.ds.Partition(8, 3)
-			res, err := trainOn(system, ctx, parts, w, prm)
+			res, err := runSystem(system, spec, w, prm, cfg.Sink)
 			if err != nil {
 				return nil, err
 			}
@@ -133,9 +131,7 @@ func runExtSpeculation(cfg RunConfig) (*Report, error) {
 		prm.MaxSteps = 30
 		prm.Aggregators = 32 // flat: tasks are pure and speculatable
 		prm.EvalEvery = 10
-		_, _, ctx := spec.Build(cfg.Sink)
-		parts := w.ds.Partition(32, 3)
-		res, err := trainOn(sysMLlib, ctx, parts, w, prm)
+		res, err := runSystem(sysMLlib, spec, w, prm, cfg.Sink)
 		if err != nil {
 			return nil, err
 		}

@@ -22,8 +22,6 @@ import (
 
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/core"
-	"mllibstar/internal/glm"
-	"mllibstar/internal/lbfgs"
 	"mllibstar/internal/sparse"
 	"mllibstar/internal/train"
 )
@@ -122,15 +120,9 @@ func TestSparseExchangeBitIdentityLBFGS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, allReduce := range []bool{false, true} {
+	for _, v := range lbfgsVariants {
 		run := func() *train.Result {
-			_, _, ctx := clusters.Test(4).Build(nil)
-			parts := w.ds.Partition(4, 3)
-			res, err := lbfgs.TrainDistributed(ctx, parts, w.ds.Features, lbfgs.DistConfig{
-				Objective: glm.LogReg(0.01),
-				MaxIters:  6,
-				AllReduce: allReduce,
-			}, w.eval, w.ds.Name)
+			res, err := runSystem(v.system, clusters.Test(4), w, lbfgsParams, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,11 +131,7 @@ func TestSparseExchangeBitIdentityLBFGS(t *testing.T) {
 		var off, on *train.Result
 		runWithSparse(false, func() { off = run() })
 		runWithSparse(true, func() { on = run() })
-		name := "LBFGS-tree"
-		if allReduce {
-			name = "LBFGS-allreduce"
-		}
-		requireSameNumerics(t, name, off, on)
+		requireSameNumerics(t, v.name, off, on)
 	}
 }
 
@@ -153,11 +141,8 @@ func TestSparseExchangeBitIdentitySVRG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prm := train.Params{Objective: glm.LogReg(0.01), Eta: 0.1, MaxSteps: 5, EvalEvery: 1, Seed: 7}
 	run := func() *train.Result {
-		_, _, ctx := clusters.Test(4).Build(nil)
-		parts := w.ds.Partition(4, 3)
-		res, err := core.TrainSVRG(ctx, parts, w.ds.Features, prm, w.eval, w.ds.Name)
+		res, err := runSystem(core.MLlibStarSVRG, clusters.Test(4), w, svrgParams, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

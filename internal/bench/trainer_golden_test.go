@@ -29,7 +29,6 @@ import (
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/core"
 	"mllibstar/internal/glm"
-	"mllibstar/internal/lbfgs"
 	"mllibstar/internal/train"
 )
 
@@ -160,29 +159,29 @@ func TestCSRKernelBitIdentitySquaredLoss(t *testing.T) {
 
 func TestCSRKernelBitIdentityLBFGS(t *testing.T) {
 	w := goldenWorkload(t)
-	for _, allReduce := range []bool{false, true} {
-		name := "LBFGS-tree"
-		if allReduce {
-			name = "LBFGS-allreduce"
-		}
+	for _, v := range lbfgsVariants {
 		bothPools(func() {
-			_, _, ctx := clusters.Test(4).Build(nil)
-			res, err := lbfgs.TrainDistributed(ctx, w.ds.Partition(4, 3), w.ds.Features, lbfgs.DistConfig{
-				Objective: glm.LogReg(0.01),
-				MaxIters:  6,
-				AllReduce: allReduce,
-			}, w.eval, w.ds.Name)
-			requireGolden(t, name, res, err)
+			res, err := runSystem(v.system, clusters.Test(4), w, lbfgsParams, nil)
+			requireGolden(t, v.name, res, err)
 		})
 	}
 }
 
+// lbfgsVariants names the L-BFGS systems by their golden and parity row
+// names.
+var lbfgsVariants = []struct{ name, system string }{{"LBFGS-tree", core.LBFGS}, {"LBFGS-allreduce", core.LBFGSStar}}
+
+var (
+	// lbfgsParams runs 6 iterations; L-BFGS reads no learning rate, but
+	// Params requires a valid one.
+	lbfgsParams = train.Params{Objective: glm.LogReg(0.01), Eta: 1, MaxSteps: 6}
+	svrgParams  = train.Params{Objective: glm.LogReg(0.01), Eta: 0.1, MaxSteps: 5, EvalEvery: 1, Seed: 7}
+)
+
 func TestCSRKernelBitIdentitySVRG(t *testing.T) {
 	w := goldenWorkload(t)
-	prm := train.Params{Objective: glm.LogReg(0.01), Eta: 0.1, MaxSteps: 5, EvalEvery: 1, Seed: 7}
 	bothPools(func() {
-		_, _, ctx := clusters.Test(4).Build(nil)
-		res, err := core.TrainSVRG(ctx, w.ds.Partition(4, 3), w.ds.Features, prm, w.eval, w.ds.Name)
+		res, err := runSystem(core.MLlibStarSVRG, clusters.Test(4), w, svrgParams, nil)
 		requireGolden(t, "MLlib*-SVRG", res, err)
 	})
 }

@@ -1,149 +1,239 @@
-// Package core implements MLlib*, the paper's contribution: the SendModel
-// paradigm with model averaging (removing bottleneck B1 — one model update
-// per communication step) executed over a driverless AllReduce built from
-// two shuffle rounds (removing bottleneck B2 — the driver and intermediate
-// aggregators serializing model traffic). This is Algorithm 3 of the paper.
+// Package core holds every Spark-side trainer, laid out as the paper's 2×2:
+// an update pattern crossed with an aggregation path, each axis removing one
+// bottleneck.
 //
-// Each executor keeps a persistent local model. One communication step is a
-// single BSP stage in which every executor (1) refines its local model with
-// per-example SGD over its whole partition — using Bottou's lazily scaled
-// update when an L2 term is present, (2) participates in Reduce-Scatter to
-// average the partition of the model it owns, and (3) participates in
-// AllGather to reassemble the full averaged model. The driver only
-// schedules the stage; no model bytes ever flow through it.
+//   - Update pattern. SendGradient (MLlib's mini-batch gradient descent,
+//     Algorithm 2) has every executor return a sampled mini batch's gradient
+//     sum and applies one model update per communication step at the driver:
+//     bottleneck B1. SendModel has every executor refine a model with
+//     per-example SGD over its whole partition (Bottou's lazily scaled update
+//     under L2) and averages the models, which removes B1.
+//   - Aggregation path. Tree is MLlib's treeAggregate: the driver ships the
+//     model with the task descriptors and the results fold through
+//     intermediate executors into the driver, which serialises all model
+//     traffic: bottleneck B2. AllReduce is the driverless Reduce-Scatter +
+//     AllGather of two shuffle rounds (Algorithm 3): executors keep
+//     persistent local models and the driver only schedules, which removes
+//     B2.
+//
+// MLlib is SendGradient over Tree, MLlib+MA SendModel over Tree and MLlib*
+// SendModel over AllReduce; the fourth cell has no system. MLlib*-SVRG runs
+// variance-reduced inner epochs over AllReduce, and spark.ml's full-batch
+// L-BFGS runs over either path (LBFGS, LBFGS*). Each system is one row of the
+// system table, and Train runs them all through one driver loop.
 package core
 
 import (
 	"fmt"
+	"math"
 
-	"mllibstar/internal/allreduce"
 	"mllibstar/internal/data"
 	"mllibstar/internal/des"
 	"mllibstar/internal/engine"
-	"mllibstar/internal/opt"
+	"mllibstar/internal/glm"
+	"mllibstar/internal/obs"
 	"mllibstar/internal/train"
 	"mllibstar/internal/vec"
 )
 
-// System is the curve label for this trainer.
-const System = "MLlib*"
+// Aggregation is how a communication step combines the executors' results.
+type Aggregation int
 
-// Train runs MLlib* on the cluster behind ctx. parts must have one
-// partition per executor, in executor order. evalData is the out-of-band
-// evaluation set; dataset labels the returned curve.
-func Train(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
+const (
+	// Tree is MLlib's treeAggregate into the driver, through
+	// train.Params.Aggregators intermediate executors (default ⌈√k⌉).
+	Tree Aggregation = iota
+	// AllReduce is the Reduce-Scatter/AllGather plan of internal/allreduce.
+	AllReduce
+)
+
+// The systems of the table, by curve label.
+const (
+	MLlib         = "MLlib"
+	MLlibMA       = "MLlib+MA"
+	MLlibStar     = "MLlib*"
+	MLlibStarSVRG = "MLlib*-SVRG"
+	LBFGS         = "LBFGS"
+	LBFGSStar     = "LBFGS*"
+)
+
+// system is one row of the system table.
+type system struct {
+	name  string
+	agg   Aggregation
+	proc  string // the driver process
+	stage string // the step's stage tag, with one %d for the step
+	note  string // the note of the model-update charge
+	// smooth marks the optimizers that need a differentiable loss.
+	smooth bool
+	// steps builds the system's trainer for one run.
+	steps func(*run) trainer
+}
+
+var systems = []system{
+	{MLlib, Tree, "driver:mllib", "mgd%d", "model update", false, sendGradient},
+	{MLlibMA, Tree, "driver:mavg", "ma%d", "model averaging", false, sendModel},
+	{MLlibStar, AllReduce, "driver:mllibstar", "mllibstar-%d", "", false, sendModel},
+	{MLlibStarSVRG, AllReduce, "driver:mllibstar-svrg", "svrg-%d", "", true, svrg},
+	{LBFGS, Tree, "driver:lbfgs", "lb%d", "two-loop", true, fullBatchLBFGS},
+	{LBFGSStar, AllReduce, "driver:lbfgsstar", "lbfgsstar-%d", "two-loop", true, fullBatchLBFGS},
+}
+
+// lookup returns the named system's row, nil when the table has none.
+func lookup(name string) *system {
+	for i := range systems {
+		if systems[i].name == name {
+			return &systems[i]
+		}
+	}
+	return nil
+}
+
+// AggregationOf reports the aggregation path of the named system, and
+// whether the table has the system at all.
+func AggregationOf(name string) (Aggregation, bool) {
+	if s := lookup(name); s != nil {
+		return s.agg, true
+	}
+	return 0, false
+}
+
+// run is one training run: what the driver loop and a system's steps share.
+type run struct {
+	system
+	ctx    *engine.Context
+	parts  []data.View
+	dim, k int
+	total  int // training rows over all partitions
+	aggs   int // the Tree fan-in
+	prm    train.Params
+	res    *train.Result
+}
+
+// trainer is what a system hands the driver loop.
+type trainer struct {
+	// model is the model the curve records and the run returns.
+	model []float64
+	// start, if set, runs once after the step-0 point is recorded.
+	start func(p *des.Proc)
+	// step runs communication step t and reports whether the run goes on;
+	// false ends it without recording the step.
+	step func(p *des.Proc, t int) bool
+}
+
+// Train runs the named system on the cluster behind ctx. parts must hold one
+// partition per executor, in executor order; evalData is the out-of-band
+// evaluation set and dataset labels the curve.
+func Train(name string, ctx *engine.Context, parts []data.View, dim int, prm train.Params,
 	evalData data.View, dataset string) (*train.Result, error) {
 
+	s := lookup(name)
+	if s == nil {
+		return nil, fmt.Errorf("core: unknown system %q", name)
+	}
 	if err := prm.Validate(); err != nil {
 		return nil, err
+	}
+	if _, hinge := prm.Objective.Loss.(glm.Hinge); hinge && s.smooth {
+		return nil, fmt.Errorf("core: %s needs a differentiable loss; use logistic or squared", name)
 	}
 	k := ctx.NumExecutors()
 	if len(parts) != k {
 		return nil, fmt.Errorf("core: %d partitions for %d executors", len(parts), k)
 	}
+	total := 0
+	for _, part := range parts {
+		total += part.NumRows()
+	}
+	if total == 0 {
+		return nil, fmt.Errorf("core: empty dataset")
+	}
 
-	sim := ctx.Cluster.Sim
 	net := ctx.Cluster.Net
-	ev := train.NewEvaluatorInto(net.Sink(), System, dataset, prm.Objective, evalData, prm.EvalEvery)
+	ev := train.NewEvaluatorInto(net.Sink(), name, dataset, prm.Objective, evalData, prm.EvalEvery)
 	ev.StopAt(prm.TargetObjective)
-	sched := prm.Schedule()
-
-	res := &train.Result{System: System, Curve: ev.Curve}
-
-	// Persistent per-executor local models — the heart of SendModel: they
-	// live on the executors across steps and are never broadcast.
-	locals := make([][]float64, k)
-	for i := range locals {
-		locals[i] = make([]float64, dim)
+	r := &run{
+		system: *s, ctx: ctx, parts: parts, dim: dim, k: k, total: total,
+		aggs: aggregators(prm, k), prm: prm, res: &train.Result{System: name, Curve: ev.Curve},
 	}
-	// Per-executor AdaGrad accumulators, also persistent across steps.
-	var adagrads []*opt.AdaGrad
-	if prm.AdaGrad {
-		adagrads = make([]*opt.AdaGrad, k)
-		for i := range adagrads {
-			adagrads[i] = opt.NewAdaGrad(dim, prm.Eta)
+	tr := s.steps(r)
+	ctx.Cluster.Sim.Spawn(s.proc, func(p *des.Proc) {
+		ev.Record(0, p.Now(), tr.model)
+		if tr.start != nil {
+			tr.start(p)
 		}
-	}
-	// Per-executor optimizer scratch, reused across steps. Each slot is only
-	// touched by executor i's pure closure, one stage at a time.
-	scratch := make([]*opt.PassScratch, k)
-	for i := range scratch {
-		scratch[i] = opt.NewPassScratch()
-	}
-	// ref snapshots the synchronized model at the top of each step — the
-	// reference every executor's local already equals bitwise, against which
-	// the AllReduce delta-encodes when sparse exchange is on. The snapshot is
-	// simulation bookkeeping, not a modeled computation (each executor holds
-	// the same bits as locals[i]), so it is not charged.
-	ref := make([]float64, dim)
-
-	sim.Spawn("driver:mllibstar", func(p *des.Proc) {
-		ev.Record(0, p.Now(), locals[0])
 		for t := 1; t <= prm.MaxSteps; t++ {
-			ctx.Cluster.Net.Sink().SetStep(t, p.Now())
-			copy(ref, locals[0])
-			tasks := make([]engine.Task, k)
-			for i := 0; i < k; i++ {
-				i := i
-				tasks[i] = engine.Task{
-					Exec: ctx.Cluster.Execs[i],
-					// UpdateModel: per-example SGD over the local partition
-					// (lazy L2 when regularized), offloaded as the task's
-					// pure closure — it touches only locals[i] and executor
-					// i's private optimizer state. The learning rate is
-					// constant within a step and decays (if configured)
-					// across steps. With Splash-style reweighting the local
-					// step size is scaled by k, as if the partition were the
-					// whole dataset, before averaging.
-					Pure: func() float64 {
-						local := locals[i]
-						work := 0
-						if prm.AdaGrad {
-							for pass := 0; pass < prm.LocalPasses; pass++ {
-								work += adagrads[i].Pass(prm.Objective, local, parts[i])
-							}
-						} else {
-							eta := sched(t - 1)
-							if prm.Reweight {
-								eta *= float64(k)
-							}
-							etaT := opt.Const(eta)
-							for pass := 0; pass < prm.LocalPasses; pass++ {
-								work += opt.LocalPassView(prm.Objective, local, parts[i], etaT, 0, scratch[i])
-							}
-						}
-						return float64(work)
-					},
-					Run: func(p *des.Proc, ex *engine.Executor) (any, float64) {
-						// Reduce-Scatter + AllGather: distributed averaging.
-						// The exchange delta-encodes against the step-start
-						// model when sparse communication is enabled.
-						allreduce.AverageDelta(p, ex, ctx.Cluster.Execs, i, fmt.Sprintf("s%d", t), locals[i], ref)
-						return nil, 0
-					},
-				}
-			}
-			ctx.RunStage(p, fmt.Sprintf("mllibstar-%d", t), tasks)
-			var stepUpdates int64
-			for i := range parts {
-				stepUpdates += int64(prm.LocalPasses * parts[i].NumRows())
-			}
-			res.Updates += stepUpdates
-			ctx.Cluster.Net.Sink().Updates(t, "", stepUpdates, p.Now())
-
-			res.CommSteps = t
-			// After AllReduce all locals hold the identical averaged model.
-			if ev.Record(t, p.Now(), locals[0]) {
+			net.Sink().SetStep(t, p.Now())
+			if !tr.step(p, t) {
 				break
 			}
-			if prm.MaxSimTime > 0 && p.Now() >= prm.MaxSimTime {
+			r.res.CommSteps = t
+			if ev.Record(t, p.Now(), tr.model) || prm.MaxSimTime > 0 && p.Now() >= prm.MaxSimTime {
 				break
 			}
 		}
 	})
-	res.SimTime = sim.Run()
+	r.res.SimTime = ctx.Cluster.Sim.Run()
 	ev.Wait()
-	res.FinalW = vec.Copy(locals[0])
-	res.TotalBytes = net.TotalBytes()
-	return res, nil
+	r.res.FinalW = vec.Copy(tr.model)
+	r.res.TotalBytes = net.TotalBytes()
+	return r.res, nil
+}
+
+// aggregators resolves the treeAggregate fan-in: the explicit value if set,
+// otherwise ⌈√k⌉ — the branching of MLlib's default depth-2 tree.
+func aggregators(prm train.Params, k int) int {
+	if prm.Aggregators > 0 {
+		return prm.Aggregators
+	}
+	return max(1, int(math.Ceil(math.Sqrt(float64(k)))))
+}
+
+// tag is the stage tag of step t.
+func (r *run) tag(t int) string { return fmt.Sprintf(r.stage, t) }
+
+// replicas allocates the executors' persistent local models, which live on
+// the executors across steps and are never broadcast, and ref: the snapshot
+// of the synchronized model taken at the top of each step, against which the
+// step's AllReduce delta-encodes when sparse exchange is on. Every local
+// equals it bitwise then, so the snapshot is simulation bookkeeping, not a
+// modeled computation, and is not charged.
+func (r *run) replicas() (locals [][]float64, ref []float64) {
+	locals = make([][]float64, r.k)
+	for i := range locals {
+		locals[i] = make([]float64, r.dim)
+	}
+	return locals, make([]float64, r.dim)
+}
+
+// allReduceStage runs step t as one stage with a task per executor: run is
+// task i's body on executor i, and pure, if set, its offloaded closure
+// (engine.Task.Pure), returning the work to charge.
+func (r *run) allReduceStage(p *des.Proc, t int, pure func(i int) float64, run func(p *des.Proc, ex *engine.Executor, i int)) {
+	tasks := make([]engine.Task, r.k)
+	for i := range tasks {
+		tasks[i] = engine.Task{
+			Exec: r.ctx.Cluster.Execs[i],
+			Run: func(p *des.Proc, ex *engine.Executor) (any, float64) {
+				run(p, ex, i)
+				return nil, 0
+			},
+		}
+		if pure != nil {
+			tasks[i].Pure = func() float64 { return pure(i) }
+		}
+	}
+	r.ctx.RunStage(p, r.tag(t), tasks)
+}
+
+// driverUpdate charges the model update at the driver.
+func (r *run) driverUpdate(p *des.Proc, work float64) {
+	r.ctx.Cluster.Net.Node(r.ctx.Cluster.Driver).ComputeKind(p, work, obs.PhaseUpdate, r.note)
+}
+
+// updated books n model updates of step t, applied at node ("" for every
+// executor).
+func (r *run) updated(p *des.Proc, t int, node string, n int64) {
+	r.res.Updates += n
+	r.ctx.Cluster.Net.Sink().Updates(t, node, n, p.Now())
 }

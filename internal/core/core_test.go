@@ -9,15 +9,9 @@ import (
 	"mllibstar/internal/data"
 	"mllibstar/internal/engine"
 	"mllibstar/internal/glm"
-	"mllibstar/internal/mavg"
-	"mllibstar/internal/mllib"
 	"mllibstar/internal/opt"
 	"mllibstar/internal/train"
 )
-
-// trainFn is the common signature of the three Spark-side trainers.
-type trainFn func(ctx *engine.Context, parts []data.View, dim int, prm train.Params,
-	evalData data.View, dataset string) (*train.Result, error)
 
 // smallWorkload builds a deterministic toy dataset with k partitions.
 func smallWorkload(k int) (*data.Dataset, []data.View) {
@@ -27,11 +21,11 @@ func smallWorkload(k int) (*data.Dataset, []data.View) {
 	return d, d.Partition(k, 3)
 }
 
-func runSystem(t *testing.T, fn trainFn, k int, prm train.Params) *train.Result {
+func runSystem(t *testing.T, system string, k int, prm train.Params) *train.Result {
 	t.Helper()
 	d, parts := smallWorkload(k)
 	_, _, ctx := clusters.Test(k).Build(nil)
-	res, err := fn(ctx, parts, d.Features, prm, d.View(), d.Name)
+	res, err := core.Train(system, ctx, parts, d.Features, prm, d.View(), d.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,15 +50,15 @@ func TestAllSystemsApproachSequentialOptimum(t *testing.T) {
 
 	for _, tc := range []struct {
 		name  string
-		fn    trainFn
+		sys   string
 		steps int
 		eta   float64
 	}{
 		// MLlib applies one update per communication step, so it needs far
 		// more steps and a larger rate — itself the paper's observation.
-		{"mllib", mllib.Train, 1200, 1.0},
-		{"mavg", mavg.Train, 60, 0.1},
-		{"mllibstar", core.Train, 60, 0.1},
+		{"mllib", core.MLlib, 1200, 1.0},
+		{"mavg", core.MLlibMA, 60, 0.1},
+		{"mllibstar", core.MLlibStar, 60, 0.1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prm := baseParams()
@@ -72,7 +66,7 @@ func TestAllSystemsApproachSequentialOptimum(t *testing.T) {
 			prm.MaxSteps = tc.steps
 			prm.Eta = tc.eta
 			prm.EvalEvery = 5
-			res := runSystem(t, tc.fn, 4, prm)
+			res := runSystem(t, tc.sys, 4, prm)
 			best := res.Curve.Best()
 			// The convex objective has a unique optimum; every system must
 			// close most of the gap from the zero-model loss (~1.0).
@@ -90,14 +84,14 @@ func TestMLlibStarConvergesInFarFewerSteps(t *testing.T) {
 	// fixed objective target.
 	prm := baseParams()
 	prm.MaxSteps = 40
-	starRes := runSystem(t, core.Train, 4, prm)
+	starRes := runSystem(t, core.MLlibStar, 4, prm)
 
 	// Target: what MLlib* comfortably reaches; ask MLlib to match it.
 	target := starRes.Curve.Best() + 0.02
 	prm.MaxSteps = 400
 	prm.Eta = 1.0 // favor the baseline
 	prm.TargetObjective = target
-	mlRes := runSystem(t, mllib.Train, 4, prm)
+	mlRes := runSystem(t, core.MLlib, 4, prm)
 
 	starSteps, ok1 := starRes.Curve.StepsToReach(target)
 	mlSteps, ok2 := mlRes.Curve.StepsToReach(target)
@@ -124,16 +118,16 @@ func TestMLlibStarFasterPerStepThanMAVGOnLargeModels(t *testing.T) {
 	prm := baseParams()
 	prm.MaxSteps = 5
 
-	perStep := func(fn trainFn) float64 {
+	perStep := func(system string) float64 {
 		_, _, ctx := clusters.Test(8).Build(nil)
-		res, err := fn(ctx, parts, d.Features, prm, d.View(), d.Name)
+		res, err := core.Train(system, ctx, parts, d.Features, prm, d.View(), d.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.SimTime / float64(res.CommSteps)
 	}
-	star := perStep(core.Train)
-	ma := perStep(mavg.Train)
+	star := perStep(core.MLlibStar)
+	ma := perStep(core.MLlibMA)
 	if star >= ma {
 		t.Errorf("per-step time: MLlib* %g >= MLlib+MA %g — AllReduce should beat the driver path", star, ma)
 	}
@@ -149,9 +143,9 @@ func TestTrafficPerStepMatches2km(t *testing.T) {
 	prm.MaxSteps = 4
 	prm.Aggregators = k // flat aggregation so MLlib's pattern is exactly 2km
 
-	bytesPerStep := func(fn trainFn) float64 {
+	bytesPerStep := func(system string) float64 {
 		_, _, ctx := clusters.Test(k).Build(nil)
-		res, err := fn(ctx, parts, d.Features, prm, d.View(), d.Name)
+		res, err := core.Train(system, ctx, parts, d.Features, prm, d.View(), d.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,12 +153,12 @@ func TestTrafficPerStepMatches2km(t *testing.T) {
 	}
 	m := float64(d.Features) * engine.FloatBytes
 	wantStar := 2 * float64(k-1) * m // (k-1)/k × 2km: owners skip themselves
-	gotStar := bytesPerStep(core.Train)
+	gotStar := bytesPerStep(core.MLlibStar)
 	if math.Abs(gotStar-wantStar) > 0.1*wantStar {
 		t.Errorf("MLlib* bytes/step = %g, want ~%g", gotStar, wantStar)
 	}
 	wantML := 2 * float64(k) * m // broadcast k·m + gradients k·m (dim+1 ≈ dim)
-	gotML := bytesPerStep(mllib.Train)
+	gotML := bytesPerStep(core.MLlib)
 	if math.Abs(gotML-wantML) > 0.1*wantML {
 		t.Errorf("MLlib bytes/step = %g, want ~%g", gotML, wantML)
 	}
@@ -176,7 +170,7 @@ func TestLocalModelsIdenticalAfterStep(t *testing.T) {
 	// from the same initial state must both yield finite, consistent models.
 	prm := baseParams()
 	prm.MaxSteps = 3
-	res := runSystem(t, core.Train, 4, prm)
+	res := runSystem(t, core.MLlibStar, 4, prm)
 	for _, v := range res.FinalW {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatal("non-finite weight in final model")
@@ -193,8 +187,8 @@ func TestLocalModelsIdenticalAfterStep(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	prm := baseParams()
 	prm.MaxSteps = 5
-	a := runSystem(t, core.Train, 4, prm)
-	b := runSystem(t, core.Train, 4, prm)
+	a := runSystem(t, core.MLlibStar, 4, prm)
+	b := runSystem(t, core.MLlibStar, 4, prm)
 	if a.SimTime != b.SimTime {
 		t.Errorf("sim times differ: %g vs %g", a.SimTime, b.SimTime)
 	}
@@ -209,7 +203,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 	_, _, ctx := clusters.Test(2).Build(nil)
 	prm := baseParams()
 	prm.Eta = 0
-	if _, err := core.Train(ctx, make([]data.View, 2), 4, prm, data.View{}, "d"); err == nil {
+	if _, err := core.Train(core.MLlibStar, ctx, make([]data.View, 2), 4, prm, data.View{}, "d"); err == nil {
 		t.Error("want error for eta=0")
 	}
 }
@@ -217,7 +211,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 func TestPartitionCountMismatch(t *testing.T) {
 	_, _, ctx := clusters.Test(3).Build(nil)
 	prm := baseParams()
-	if _, err := core.Train(ctx, make([]data.View, 2), 4, prm, data.View{}, "d"); err == nil {
+	if _, err := core.Train(core.MLlibStar, ctx, make([]data.View, 2), 4, prm, data.View{}, "d"); err == nil {
 		t.Error("want error for wrong partition count")
 	}
 }
@@ -226,7 +220,7 @@ func TestTargetObjectiveStopsEarly(t *testing.T) {
 	prm := baseParams()
 	prm.MaxSteps = 100
 	prm.TargetObjective = 0.9 // easily reached in 1-2 steps
-	res := runSystem(t, core.Train, 4, prm)
+	res := runSystem(t, core.MLlibStar, 4, prm)
 	if res.CommSteps >= 100 {
 		t.Errorf("did not stop early: %d steps", res.CommSteps)
 	}
@@ -236,7 +230,7 @@ func TestMaxSimTimeStops(t *testing.T) {
 	prm := baseParams()
 	prm.MaxSteps = 10000
 	prm.MaxSimTime = 0.5
-	res := runSystem(t, core.Train, 4, prm)
+	res := runSystem(t, core.MLlibStar, 4, prm)
 	if res.CommSteps >= 10000 {
 		t.Error("MaxSimTime did not bound the run")
 	}
@@ -253,7 +247,7 @@ func TestLazyL2PathUsedWhenRegularized(t *testing.T) {
 		prm := baseParams()
 		prm.Objective = glm.SVM(l2)
 		prm.MaxSteps = 3
-		res, err := core.Train(ctx, parts, d.Features, prm, d.View(), d.Name)
+		res, err := core.Train(core.MLlibStar, ctx, parts, d.Features, prm, d.View(), d.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +264,7 @@ func TestAdaGradLocalOptimizer(t *testing.T) {
 	prm.AdaGrad = true
 	prm.Eta = 0.5
 	prm.MaxSteps = 20
-	res := runSystem(t, core.Train, 4, prm)
+	res := runSystem(t, core.MLlibStar, 4, prm)
 	first := res.Curve.Points[0].Objective
 	if best := res.Curve.Best(); best >= first*0.7 {
 		t.Errorf("AdaGrad barely moved: %g -> %g", first, best)
@@ -291,11 +285,11 @@ func TestReweightScalesLocalSteps(t *testing.T) {
 	prm.Decay = false
 	prm.MaxSteps = 5
 	prm.Eta = 0.4
-	plain := runSystem(t, core.Train, 4, prm)
+	plain := runSystem(t, core.MLlibStar, 4, prm)
 
 	prm.Reweight = true
 	prm.Eta = 0.1 // 0.1 * k(=4) = 0.4
-	rew := runSystem(t, core.Train, 4, prm)
+	rew := runSystem(t, core.MLlibStar, 4, prm)
 	for i := range plain.FinalW {
 		if math.Abs(plain.FinalW[i]-rew.FinalW[i]) > 1e-12 {
 			t.Fatalf("reweight(eta/k) != plain(eta) at coord %d", i)
@@ -306,7 +300,7 @@ func TestReweightScalesLocalSteps(t *testing.T) {
 func TestSVRGRejectsHinge(t *testing.T) {
 	_, _, ctx := clusters.Test(2).Build(nil)
 	prm := baseParams() // hinge
-	if _, err := core.TrainSVRG(ctx, make([]data.View, 2), 4, prm, data.View{}, "d"); err == nil {
+	if _, err := core.Train(core.MLlibStarSVRG, ctx, make([]data.View, 2), 4, prm, data.View{}, "d"); err == nil {
 		t.Error("want error for hinge")
 	}
 }
@@ -327,9 +321,9 @@ func TestSVRGMatchesOrBeatsSGDPerStep(t *testing.T) {
 		var res *train.Result
 		var err error
 		if svrg {
-			res, err = core.TrainSVRG(ctx, parts, d.Features, prm, d.View(), d.Name)
+			res, err = core.Train(core.MLlibStarSVRG, ctx, parts, d.Features, prm, d.View(), d.Name)
 		} else {
-			res, err = core.Train(ctx, parts, d.Features, prm, d.View(), d.Name)
+			res, err = core.Train(core.MLlibStar, ctx, parts, d.Features, prm, d.View(), d.Name)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -355,9 +349,9 @@ func TestSVRGDoublesTrafficPerStep(t *testing.T) {
 		var res *train.Result
 		var err error
 		if svrg {
-			res, err = core.TrainSVRG(ctx, parts, d.Features, prm, d.View(), d.Name)
+			res, err = core.Train(core.MLlibStarSVRG, ctx, parts, d.Features, prm, d.View(), d.Name)
 		} else {
-			res, err = core.Train(ctx, parts, d.Features, prm, d.View(), d.Name)
+			res, err = core.Train(core.MLlibStar, ctx, parts, d.Features, prm, d.View(), d.Name)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -1,4 +1,4 @@
-package mllib
+package core
 
 import (
 	"fmt"
@@ -8,7 +8,20 @@ import (
 	"testing"
 
 	"mllibstar/internal/detrand"
+	"mllibstar/internal/train"
 )
+
+func TestAggregatorsDefaultIsSqrt(t *testing.T) {
+	if got := aggregators(train.Params{}, 8); got != 3 { // ceil(sqrt(8))
+		t.Errorf("aggregators(8) = %d, want 3", got)
+	}
+	if got := aggregators(train.Params{}, 1); got != 1 {
+		t.Errorf("aggregators(1) = %d, want 1", got)
+	}
+	if got := aggregators(train.Params{Aggregators: 5}, 8); got != 5 {
+		t.Errorf("explicit aggregators = %d", got)
+	}
+}
 
 // TestSampleRowsEqualsFloat64Reference holds the block sampler to the
 // `rng.Float64() < fraction` loop it replaced, on seeded streams: the same

@@ -1,24 +1,26 @@
-package mllib_test
+package core_test
 
 import (
 	"testing"
 
 	"mllibstar/internal/clusters"
+	"mllibstar/internal/core"
 	"mllibstar/internal/data"
 	"mllibstar/internal/glm"
-	"mllibstar/internal/mllib"
 	"mllibstar/internal/obs"
 	"mllibstar/internal/train"
 )
 
-func workload(k int) (*data.Dataset, []data.View) {
+// toyWorkload is a small dataset with k partitions.
+func toyWorkload(k int) (*data.Dataset, []data.View) {
 	d := data.Generate(data.Spec{
 		Name: "toy", Rows: 800, Cols: 100, NNZPerRow: 8, Seed: 11, NoiseRate: 0.02,
 	})
 	return d, d.Partition(k, 3)
 }
 
-func params() train.Params {
+// sgParams configures a SendGradient run on toyWorkload.
+func sgParams() train.Params {
 	return train.Params{
 		Objective:     glm.SVM(0),
 		Eta:           0.5,
@@ -29,22 +31,10 @@ func params() train.Params {
 	}
 }
 
-func TestAggregatorsDefaultIsSqrt(t *testing.T) {
-	if got := mllib.Aggregators(train.Params{}, 8); got != 3 { // ceil(sqrt(8))
-		t.Errorf("aggregators(8) = %d, want 3", got)
-	}
-	if got := mllib.Aggregators(train.Params{}, 1); got != 1 {
-		t.Errorf("aggregators(1) = %d, want 1", got)
-	}
-	if got := mllib.Aggregators(train.Params{Aggregators: 5}, 8); got != 5 {
-		t.Errorf("explicit aggregators = %d", got)
-	}
-}
-
 func TestOneUpdatePerStep(t *testing.T) {
-	d, parts := workload(4)
+	d, parts := toyWorkload(4)
 	_, _, ctx := clusters.Test(4).Build(nil)
-	res, err := mllib.Train(ctx, parts, d.Features, params(), d.View(), d.Name)
+	res, err := core.Train(core.MLlib, ctx, parts, d.Features, sgParams(), d.View(), d.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +46,11 @@ func TestOneUpdatePerStep(t *testing.T) {
 }
 
 func TestObjectiveDecreases(t *testing.T) {
-	d, parts := workload(4)
+	d, parts := toyWorkload(4)
 	_, _, ctx := clusters.Test(4).Build(nil)
-	prm := params()
+	prm := sgParams()
 	prm.MaxSteps = 100
-	res, err := mllib.Train(ctx, parts, d.Features, prm, d.View(), d.Name)
+	res, err := core.Train(core.MLlib, ctx, parts, d.Features, prm, d.View(), d.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +69,10 @@ func TestDriverIsBottleneck(t *testing.T) {
 	parts := d.Partition(8, 3)
 	sink := obs.NewSink()
 	_, _, ctx := clusters.Test(8).Build(sink)
-	prm := params()
+	prm := sgParams()
 	prm.MaxSteps = 3
 	prm.Aggregators = 8 // flat: all gradients to the driver
-	res, err := mllib.Train(ctx, parts, d.Features, prm, d.View(), d.Name)
+	res, err := core.Train(core.MLlib, ctx, parts, d.Features, prm, d.View(), d.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +88,10 @@ func TestTreeAggregationShiftsLoadFromDriver(t *testing.T) {
 	parts := d.Partition(8, 3)
 	driverRecv := func(aggs int) float64 {
 		_, cl, ctx := clusters.Test(8).Build(nil)
-		prm := params()
+		prm := sgParams()
 		prm.MaxSteps = 2
 		prm.Aggregators = aggs
-		if _, err := mllib.Train(ctx, parts, d.Features, prm, d.View(), d.Name); err != nil {
+		if _, err := core.Train(core.MLlib, ctx, parts, d.Features, prm, d.View(), d.Name); err != nil {
 			t.Fatal(err)
 		}
 		return cl.Net.Node("driver").BytesRecv()
@@ -114,12 +104,12 @@ func TestTreeAggregationShiftsLoadFromDriver(t *testing.T) {
 
 func TestBatchFractionOne(t *testing.T) {
 	// BatchFraction 0 defaults to full-batch gradient descent.
-	d, parts := workload(2)
+	d, parts := toyWorkload(2)
 	_, _, ctx := clusters.Test(2).Build(nil)
-	prm := params()
+	prm := sgParams()
 	prm.BatchFraction = 0
 	prm.MaxSteps = 5
-	res, err := mllib.Train(ctx, parts, d.Features, prm, d.View(), d.Name)
+	res, err := core.Train(core.MLlib, ctx, parts, d.Features, prm, d.View(), d.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,15 +118,15 @@ func TestBatchFractionOne(t *testing.T) {
 	}
 }
 
-func TestErrors(t *testing.T) {
+func TestSendGradientErrors(t *testing.T) {
 	_, _, ctx := clusters.Test(2).Build(nil)
-	if _, err := mllib.Train(ctx, make([]data.View, 3), 10, params(), data.View{}, "d"); err == nil {
+	if _, err := core.Train(core.MLlib, ctx, make([]data.View, 3), 10, sgParams(), data.View{}, "d"); err == nil {
 		t.Error("want partition mismatch error")
 	}
 	_, _, ctx2 := clusters.Test(2).Build(nil)
-	bad := params()
+	bad := sgParams()
 	bad.MaxSteps = 0
-	if _, err := mllib.Train(ctx2, make([]data.View, 2), 10, bad, data.View{}, "d"); err == nil {
+	if _, err := core.Train(core.MLlib, ctx2, make([]data.View, 2), 10, bad, data.View{}, "d"); err == nil {
 		t.Error("want validation error")
 	}
 }

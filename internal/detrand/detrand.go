@@ -17,7 +17,8 @@
 //
 // Stream (stream.go) is the same generator read a block of raw outputs at a
 // time, for the one consumer that draws 8·10⁷ numbers per benchmark
-// repetition (mllib's per-step Bernoulli sampler). Its contract:
+// repetition (the SendGradient trainer's per-step Bernoulli sampler). Its
+// contract:
 //
 //   - Only this package can build one (NewStream; the fields are unexported),
 //     so the source under a Stream is always math/rand's own, seeded by

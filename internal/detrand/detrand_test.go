@@ -60,10 +60,11 @@ func TestStreamBlocksAroundWindowEnd(t *testing.T) {
 	}
 }
 
-// TestSeedStepEqualsStep pins the contract mllib's per-executor streams rest
-// on: a Stream re-seeded in place — fresh, half-consumed inside its first
-// window, or left far into the recurrence by another step — continues with
-// exactly the draws a newly built Step generator makes.
+// TestSeedStepEqualsStep pins the contract the SendGradient trainer's
+// per-executor streams rest on: a Stream re-seeded in place — fresh,
+// half-consumed inside its first window, or left far into the recurrence by
+// another step — continues with exactly the draws a newly built Step
+// generator makes.
 func TestSeedStepEqualsStep(t *testing.T) {
 	const seed = 7
 	s := NewStream(seed)

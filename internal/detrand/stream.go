@@ -12,7 +12,7 @@ const (
 // Stream is math/rand's generator for one seed, readable a block of raw
 // 64-bit outputs at a time (Next) instead of one interface call per draw. See
 // the package comment for its contract. A Stream is not safe for concurrent
-// use; mllib keeps one per executor.
+// use; the SendGradient trainer keeps one per executor.
 type Stream struct {
 	// src is seeded in place on every (re)seed and read only for the
 	// stream's first streamLen outputs.

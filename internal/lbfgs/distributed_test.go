@@ -1,14 +1,19 @@
 package lbfgs_test
 
+// The distributed L-BFGS variants (internal/core's LBFGS and LBFGS*)
+// against the sequential Minimize and against each other.
+
 import (
 	"math"
 	"strings"
 	"testing"
 
 	"mllibstar/internal/clusters"
+	"mllibstar/internal/core"
 	"mllibstar/internal/data"
 	"mllibstar/internal/glm"
 	"mllibstar/internal/lbfgs"
+	"mllibstar/internal/train"
 )
 
 func workload(k int) (*data.Dataset, []data.View) {
@@ -18,12 +23,18 @@ func workload(k int) (*data.Dataset, []data.View) {
 	return d, d.Partition(k, 3)
 }
 
-func distCfg(allReduce bool) lbfgs.DistConfig {
-	return lbfgs.DistConfig{
-		Objective: glm.LogReg(0.01),
-		MaxIters:  40,
-		AllReduce: allReduce,
+// params configures a run of 40 iterations; L-BFGS reads no learning rate,
+// but Params requires a valid one.
+func params() train.Params {
+	return train.Params{Objective: glm.LogReg(0.01), Eta: 1, MaxSteps: 40}
+}
+
+// system names the L-BFGS variant over the AllReduce or the tree.
+func system(allReduce bool) string {
+	if allReduce {
+		return core.LBFGSStar
 	}
+	return core.LBFGS
 }
 
 func TestBothVariantsMatchSequentialOptimum(t *testing.T) {
@@ -34,7 +45,7 @@ func TestBothVariantsMatchSequentialOptimum(t *testing.T) {
 	}
 	for _, allReduce := range []bool{false, true} {
 		_, _, ctx := clusters.Test(4).Build(nil)
-		res, err := lbfgs.TrainDistributed(ctx, parts, d.Features, distCfg(allReduce), d.View(), d.Name)
+		res, err := core.Train(system(allReduce), ctx, parts, d.Features, params(), d.View(), d.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,9 +63,9 @@ func TestVariantsComputeSameIterates(t *testing.T) {
 	finals := make([][]float64, 2)
 	for i, allReduce := range []bool{false, true} {
 		_, _, ctx := clusters.Test(4).Build(nil)
-		cfg := distCfg(allReduce)
-		cfg.MaxIters = 15
-		res, err := lbfgs.TrainDistributed(ctx, parts, d.Features, cfg, d.View(), d.Name)
+		prm := params()
+		prm.MaxSteps = 15
+		res, err := core.Train(system(allReduce), ctx, parts, d.Features, prm, d.View(), d.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,9 +84,9 @@ func TestAllReduceVariantMovesLessDriverTraffic(t *testing.T) {
 	parts := d.Partition(8, 3)
 	driverBytes := func(allReduce bool) float64 {
 		_, cl, ctx := clusters.Test(8).Build(nil)
-		cfg := distCfg(allReduce)
-		cfg.MaxIters = 5
-		if _, err := lbfgs.TrainDistributed(ctx, parts, d.Features, cfg, d.View(), d.Name); err != nil {
+		prm := params()
+		prm.MaxSteps = 5
+		if _, err := core.Train(system(allReduce), ctx, parts, d.Features, prm, d.View(), d.Name); err != nil {
 			t.Fatal(err)
 		}
 		return cl.Net.Node("driver").BytesSent() + cl.Net.Node("driver").BytesRecv()
@@ -88,41 +99,41 @@ func TestAllReduceVariantMovesLessDriverTraffic(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	_, _, ctx := clusters.Test(2).Build(nil)
-	cfg := distCfg(false)
-	cfg.Objective = glm.SVM(0)
-	if _, err := lbfgs.TrainDistributed(ctx, make([]data.View, 2), 10, cfg, data.View{}, "d"); err == nil {
+	prm := params()
+	prm.Objective = glm.SVM(0)
+	if _, err := core.Train(core.LBFGS, ctx, make([]data.View, 2), 10, prm, data.View{}, "d"); err == nil {
 		t.Error("want error for hinge")
 	}
 	_, _, ctx2 := clusters.Test(2).Build(nil)
-	cfg2 := distCfg(false)
-	cfg2.MaxIters = 0
-	if _, err := lbfgs.TrainDistributed(ctx2, make([]data.View, 2), 10, cfg2, data.View{}, "d"); err == nil {
+	prm2 := params()
+	prm2.MaxSteps = 0
+	if _, err := core.Train(core.LBFGS, ctx2, make([]data.View, 2), 10, prm2, data.View{}, "d"); err == nil {
 		t.Error("want error for zero iters")
 	}
 	_, _, ctx3 := clusters.Test(3).Build(nil)
-	if _, err := lbfgs.TrainDistributed(ctx3, make([]data.View, 2), 10, distCfg(false), data.View{}, "d"); err == nil {
+	if _, err := core.Train(core.LBFGS, ctx3, make([]data.View, 2), 10, params(), data.View{}, "d"); err == nil {
 		t.Error("want error for partition mismatch")
 	}
 	_, _, ctx4 := clusters.Test(2).Build(nil)
-	if _, err := lbfgs.TrainDistributed(ctx4, make([]data.View, 2), 10, distCfg(false), data.View{}, "d"); err == nil {
+	if _, err := core.Train(core.LBFGS, ctx4, make([]data.View, 2), 10, params(), data.View{}, "d"); err == nil {
 		t.Error("want error for empty dataset")
 	}
 	// Stop criteria and cadence: non-finite or negative is an error naming
 	// the field (a NaN target would otherwise never stop the run).
 	for _, c := range []struct {
 		field  string
-		mutate func(*lbfgs.DistConfig)
+		mutate func(*train.Params)
 	}{
-		{"TargetObjective", func(c *lbfgs.DistConfig) { c.TargetObjective = math.NaN() }},
-		{"TargetObjective", func(c *lbfgs.DistConfig) { c.TargetObjective = -0.1 }},
-		{"MaxSimTime", func(c *lbfgs.DistConfig) { c.MaxSimTime = math.Inf(1) }},
-		{"MaxSimTime", func(c *lbfgs.DistConfig) { c.MaxSimTime = -1 }},
-		{"EvalEvery", func(c *lbfgs.DistConfig) { c.EvalEvery = -1 }},
+		{"TargetObjective", func(p *train.Params) { p.TargetObjective = math.NaN() }},
+		{"TargetObjective", func(p *train.Params) { p.TargetObjective = -0.1 }},
+		{"MaxSimTime", func(p *train.Params) { p.MaxSimTime = math.Inf(1) }},
+		{"MaxSimTime", func(p *train.Params) { p.MaxSimTime = -1 }},
+		{"EvalEvery", func(p *train.Params) { p.EvalEvery = -1 }},
 	} {
 		_, _, ctx := clusters.Test(2).Build(nil)
-		cfg := distCfg(false)
-		c.mutate(&cfg)
-		_, err := lbfgs.TrainDistributed(ctx, make([]data.View, 2), 10, cfg, data.View{}, "d")
+		prm := params()
+		c.mutate(&prm)
+		_, err := core.Train(core.LBFGS, ctx, make([]data.View, 2), 10, prm, data.View{}, "d")
 		if err == nil || !strings.Contains(err.Error(), c.field) {
 			t.Errorf("want error naming %s, got %v", c.field, err)
 		}
@@ -133,9 +144,9 @@ func TestDeterministic(t *testing.T) {
 	d, parts := workload(3)
 	run := func() float64 {
 		_, _, ctx := clusters.Test(3).Build(nil)
-		cfg := distCfg(true)
-		cfg.MaxIters = 8
-		res, err := lbfgs.TrainDistributed(ctx, parts, d.Features, cfg, d.View(), d.Name)
+		prm := params()
+		prm.MaxSteps = 8
+		res, err := core.Train(system(true), ctx, parts, d.Features, prm, d.View(), d.Name)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,19 +1,20 @@
 // Package lbfgs implements the limited-memory BFGS optimizer [27 in the
-// paper] and its distributed variants. The paper's conclusion singles out
-// spark.ml's L-BFGS as the natural follow-up question: do the MLlib*
-// techniques transfer to a second-order method? This package answers it by
-// providing both communication patterns for the distributed gradient:
-//
-//   - TreeAggregate (how spark.ml actually aggregates) — the driver remains
-//     on the critical path of every iteration, and
-//   - AllReduce — the gradient is averaged with Reduce-Scatter + AllGather,
-//     removing the driver exactly as MLlib* does for first-order MGD.
+// paper]: the curvature-pair window, the two-loop direction and the
+// line-search constants. The paper's conclusion singles out spark.ml's
+// L-BFGS as the natural follow-up question: do the MLlib* techniques
+// transfer to a second-order method? internal/core answers it by driving
+// this state over both aggregation paths — treeAggregate through the driver
+// (LBFGS, how spark.ml aggregates) and the driverless AllReduce (LBFGS*).
 //
 // L-BFGS needs a differentiable objective; use the logistic or squared
 // loss (the hinge subgradient breaks the curvature-pair update).
 package lbfgs
 
-import "mllibstar/internal/vec"
+import (
+	"math"
+
+	"mllibstar/internal/vec"
+)
 
 // Options configures the optimizer.
 type Options struct {
@@ -74,6 +75,26 @@ func New(opts Options) *State {
 	opts.defaults()
 	return &State{opts: opts}
 }
+
+// Options returns the state's options, defaults filled in.
+func (st *State) Options() Options { return st.opts }
+
+// Descent returns the search direction at gradient g and g·dir: the
+// two-loop direction, or — when that is not a descent direction (numerical
+// trouble) — steepest descent after the curvature memory is dropped.
+func (st *State) Descent(g []float64) (dir []float64, gd float64) {
+	dir = st.Direction(g)
+	if gd = dot(g, dir); gd >= 0 {
+		st.pairs = st.pairs[:0]
+		dir = st.Direction(g)
+		gd = dot(g, dir)
+	}
+	return dir, gd
+}
+
+// Converged reports whether the gradient norm is below the tolerance at
+// which an iteration stops.
+func Converged(g []float64) bool { return math.Sqrt(vec.Norm2Sq(g)) < gradTolerance }
 
 // Direction computes the descent direction -H·g using the two-loop
 // recursion over the stored curvature pairs. The first iteration (no

@@ -6,7 +6,6 @@ package lbfgs
 
 import (
 	"fmt"
-	"math"
 
 	"mllibstar/internal/glm"
 	"mllibstar/internal/oracle"
@@ -52,18 +51,11 @@ func Minimize(obj glm.Objective, data []glm.Example, dim, maxIters int, opts Opt
 	st.Update(w, g)
 	for it := 0; it < maxIters; it++ {
 		res.Iterations = it + 1
-		if math.Sqrt(vec.Norm2Sq(g)) < gradTolerance {
+		if Converged(g) {
 			res.Converged = true
 			break
 		}
-		dir := st.Direction(g)
-		gd := dot(g, dir)
-		if gd >= 0 {
-			// Not a descent direction (numerical trouble): restart memory.
-			st.pairs = st.pairs[:0]
-			dir = st.Direction(g)
-			gd = dot(g, dir)
-		}
+		dir, gd := st.Descent(g)
 		step := opts.InitialStep
 		trial := make([]float64, dim)
 		var fNew float64

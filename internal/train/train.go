@@ -1,7 +1,7 @@
 // Package train defines the configuration and result types shared by every
-// distributed GLM trainer in this repository (MLlib baseline, MLlib+MA,
-// MLlib*, Petuum, Petuum*, Angel), plus the out-of-band evaluator that
-// records convergence curves.
+// distributed GLM trainer in this repository (the Spark-side systems of
+// internal/core, Petuum, Petuum* and Angel), plus the out-of-band evaluator
+// that records convergence curves.
 //
 // Evaluation is instrumentation: computing f(w, X) between communication
 // steps does not consume simulated time, mirroring how the paper's plots
@@ -97,8 +97,19 @@ func (p *Params) Validate() error {
 	if !(p.BatchFraction >= 0 && p.BatchFraction <= 1) {
 		return fmt.Errorf("train: BatchFraction %g out of [0,1]", p.BatchFraction)
 	}
-	if err := CheckStop(p.TargetObjective, p.MaxSimTime, p.EvalEvery); err != nil {
-		return fmt.Errorf("train: %w", err)
+	// Zero means "disabled" for the stop criteria and "default" for the
+	// cadence.
+	for _, f := range []struct {
+		field string
+		v     float64
+	}{
+		{"TargetObjective", p.TargetObjective},
+		{"MaxSimTime", p.MaxSimTime},
+		{"EvalEvery", float64(p.EvalEvery)},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("train: %s %g must be finite and >= 0", f.field, f.v)
+		}
 	}
 	if p.LocalPasses < 0 {
 		return fmt.Errorf("train: LocalPasses %d must be >= 0", p.LocalPasses)
@@ -114,26 +125,6 @@ func (p *Params) Validate() error {
 	}
 	if p.Aggregators < 0 {
 		return fmt.Errorf("train: aggregators %d must be >= 0", p.Aggregators)
-	}
-	return nil
-}
-
-// CheckStop rejects non-finite or negative stop criteria and a negative
-// evaluation cadence, naming the field; zero means "disabled" (or, for the
-// cadence, "default"). lbfgs.DistConfig carries the same three fields and
-// shares the check.
-func CheckStop(targetObjective, maxSimTime float64, evalEvery int) error {
-	for _, f := range []struct {
-		field string
-		v     float64
-	}{
-		{"TargetObjective", targetObjective},
-		{"MaxSimTime", maxSimTime},
-		{"EvalEvery", float64(evalEvery)},
-	} {
-		if !(f.v >= 0) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("%s %g must be finite and >= 0", f.field, f.v)
-		}
 	}
 	return nil
 }

@@ -1,6 +1,10 @@
 package vec
 
-import "sync"
+import (
+	"math"
+	"sync"
+	"testing"
+)
 
 // Pool recycles dense model-sized buffers across training steps, keyed by
 // length. Get and Copy transfer ownership of a buffer to the caller; Put
@@ -19,10 +23,24 @@ import "sync"
 // Buffer identity never influences numerics — Get returns all zeros and Copy
 // overwrites every element — so the pool is outside the bit-identity
 // contract.
+//
+// In a test binary (testing.Testing) the pool checks ownership at run time:
+// Put fills a buffer with poison, a NaN whose payload no arithmetic
+// produces, and taking a recycled buffer panics when it is still in the free
+// list too (it was Put twice) or no longer holds the poison (it was written
+// after its Put). A read after Put sees NaN, which shows in the results.
+// Zero-length buffers hold nothing and are not checked. Outside tests none
+// of this runs.
 type Pool struct {
 	mu   sync.Mutex
 	free map[int][][]float64
 }
+
+// checked turns the run-time ownership checks on.
+var checked = testing.Testing()
+
+// poisonBits is the NaN a checked pool writes into every buffer Put.
+const poisonBits = 0x7ff8_0000_dead_beef
 
 // NewPool returns an empty buffer pool.
 func NewPool() *Pool {
@@ -39,6 +57,18 @@ func (p *Pool) take(n int) (b []float64, ok bool) {
 	}
 	b = list[len(list)-1]
 	p.free[n] = list[:len(list)-1]
+	if checked && n > 0 {
+		for _, other := range p.free[n] {
+			if &other[0] == &b[0] {
+				panic("vec: a buffer was Put twice")
+			}
+		}
+		for _, v := range b {
+			if math.Float64bits(v) != poisonBits {
+				panic("vec: a pooled buffer was written after its Put")
+			}
+		}
+	}
 	return b, true
 }
 
@@ -73,6 +103,11 @@ func (p *Pool) Copy(src []float64) []float64 {
 func (p *Pool) Put(b []float64) {
 	if b == nil {
 		return
+	}
+	if checked {
+		for i := range b {
+			b[i] = math.Float64frombits(poisonBits)
+		}
 	}
 	p.mu.Lock()
 	p.free[len(b)] = append(p.free[len(b)], b) //mlstar:nolint vecalias -- Put is the ownership-transfer point: the caller forfeits b

@@ -32,10 +32,7 @@ import (
 	"mllibstar/internal/core"
 	"mllibstar/internal/data"
 	"mllibstar/internal/glm"
-	"mllibstar/internal/lbfgs"
-	"mllibstar/internal/mavg"
 	"mllibstar/internal/metrics"
-	"mllibstar/internal/mllib"
 	"mllibstar/internal/obs"
 	"mllibstar/internal/petuum"
 	"mllibstar/internal/train"
@@ -51,27 +48,23 @@ type System string
 // the AllReduce pattern of MLlib*. Both require a differentiable loss
 // (logistic or squared).
 const (
-	MLlib      System = "MLlib"
-	MLlibMA    System = "MLlib+MA"
-	MLlibStar  System = "MLlib*"
+	MLlib      System = core.MLlib
+	MLlibMA    System = core.MLlibMA
+	MLlibStar  System = core.MLlibStar
 	Petuum     System = "Petuum"
 	PetuumStar System = "Petuum*"
 	Angel      System = "Angel"
-	LBFGS      System = "LBFGS"
-	LBFGSStar  System = "LBFGS*"
+	LBFGS      System = core.LBFGS
+	LBFGSStar  System = core.LBFGSStar
 	// MLlibStarSVRG is MLlib* with variance-reduced (SVRG) local updates:
 	// two AllReduce collectives per step, constant learning rate,
 	// differentiable losses only.
-	MLlibStarSVRG System = "MLlib*-SVRG"
+	MLlibStarSVRG System = core.MLlibStarSVRG
 )
 
 // Systems lists every supported system.
 func Systems() []System {
 	return []System{MLlib, MLlibMA, MLlibStar, Petuum, PetuumStar, Angel, LBFGS, LBFGSStar, MLlibStarSVRG}
-}
-
-func unknownSystem(system System) error {
-	return fmt.Errorf("mllibstar: unknown system %q (valid: %q)", system, Systems())
 }
 
 // Dataset is a labelled sparse dataset (see GenerateDataset, ReadLibSVM,
@@ -273,15 +266,16 @@ func Train(ds *Dataset, cfg Config) (*Result, error) {
 	}
 	// Resolved before Partition, the most expensive setup step.
 	if !slices.Contains(Systems(), system) {
-		return nil, unknownSystem(system)
+		return nil, fmt.Errorf("mllibstar: unknown system %q (valid: %q)", system, Systems())
 	}
+	agg, spark := core.AggregationOf(string(system))
 	// Each of these shapes one family of systems and nothing else; any
 	// other system would train as if it were unset.
 	for _, o := range []struct {
 		set, used bool
 		what      string
 	}{
-		{allreduce.Enabled() || allreduce.OverlapEnabled(), usesAllReduce(system), "-pipeline, -chunks and -overlap configure the AllReduce collective"},
+		{allreduce.Enabled() || allreduce.OverlapEnabled(), spark && agg == core.AllReduce, "-pipeline, -chunks and -overlap configure the AllReduce collective"},
 		{cfg.AdaGrad, system == MLlibStar, "AdaGrad configures MLlib*'s local optimizer"},
 		{cfg.Reweight, system == MLlibStar, "Reweight configures MLlib*'s model averaging"},
 		{cfg.TorrentBroadcast, system == MLlib, "TorrentBroadcast configures MLlib's broadcast"},
@@ -311,39 +305,17 @@ func Train(ds *Dataset, cfg Config) (*Result, error) {
 	dim := ds.Features
 
 	var res *train.Result
-	switch system {
-	case MLlib, MLlibMA, MLlibStar, MLlibStarSVRG:
+	switch {
+	case spark:
 		_, _, ctx := cluster.Build(sink)
-		switch system {
-		case MLlib:
-			res, err = mllib.Train(ctx, parts, dim, prm, evalData, ds.Name)
-		case MLlibMA:
-			res, err = mavg.Train(ctx, parts, dim, prm, evalData, ds.Name)
-		case MLlibStarSVRG:
-			res, err = core.TrainSVRG(ctx, parts, dim, prm, evalData, ds.Name)
-		default:
-			res, err = core.Train(ctx, parts, dim, prm, evalData, ds.Name)
-		}
-	case Petuum, PetuumStar:
+		res, err = core.Train(string(system), ctx, parts, dim, prm, evalData, ds.Name)
+	case system == Petuum || system == PetuumStar:
 		sim, net, names := cluster.BuildNet(sink)
 		res, err = petuum.Train(sim, net, names, parts, dim, prm, evalData, ds.Name,
 			petuum.Summation(system == Petuum))
-	case Angel:
+	default: // Angel
 		sim, net, names := cluster.BuildNet(sink)
 		res, err = angel.Train(sim, net, names, parts, dim, prm, evalData, ds.Name)
-	case LBFGS, LBFGSStar:
-		_, _, ctx := cluster.Build(sink)
-		res, err = lbfgs.TrainDistributed(ctx, parts, dim, lbfgs.DistConfig{
-			Objective:       obj,
-			MaxIters:        prm.MaxSteps,
-			AllReduce:       usesAllReduce(system),
-			TargetObjective: cfg.TargetObjective,
-			MaxSimTime:      cfg.MaxSimTime,
-			EvalEvery:       cfg.EvalEvery,
-			Seed:            cfg.Seed,
-		}, evalData, ds.Name)
-	default:
-		return nil, unknownSystem(system)
 	}
 	if err != nil {
 		return nil, err
@@ -360,12 +332,6 @@ func Train(ds *Dataset, cfg Config) (*Result, error) {
 		TotalBytes: res.TotalBytes,
 		Updates:    res.Updates,
 	}, nil
-}
-
-// usesAllReduce reports whether the system aggregates through the AllReduce
-// collective rather than through the driver or a parameter server.
-func usesAllReduce(system System) bool {
-	return system == MLlibStar || system == LBFGSStar || system == MLlibStarSVRG
 }
 
 // GenerateDataset builds a synthetic classification dataset with rows
