@@ -45,9 +45,10 @@ SMOKE_TRAIN_RUN := TestEvaluatorOverlap|TestEvaluatorInlineWhenRead|TestEvaluato
 SMOKE_PAR_RUN := TestGoPartsRunsEveryPartOnce|TestGoPartsLazyRunsInIndexOrderAtJoin|TestGoPartsJoinHelps|TestGoPartsPanicAtJoin|TestGoPartsDisjointWritesRace
 SMOKE_LBFGS_RUN := TestUpdateSteadyStateAllocs
 SMOKE_CAUSAL_RUN := TestBuildAllocs
-SMOKE_ALLREDUCE_RUN := TestSparseFoldBufferPooled
+SMOKE_ALLREDUCE_RUN := TestSparseFoldBufferPooled|TestDenseSuperstepAllocs|TestMailboxesReclaimed
+SMOKE_SIMNET_RUN := TestSendRecvZeroAllocs|TestMailboxesReclaimed
 
-bench-smoke: ## deterministic simulated-ratio floors + the Figure-3 gantt goldens and the live-vs-replay gantt test + slab-kernel and des zero-alloc guards + slab-kernel ns/nnz per kernel, loss and row width + the sampled-row gradient on a 72 MB arena (cold rows) + the generator's ns/nnz at compute8's shape + the mini-batch sampler's ns/draw + des ns/switch, ns/event + the ps steady-state allocation guard + the telemetry write path's allocation guard + the L-BFGS pair, causal node-arena and sparse fold-buffer allocation guards + the evaluator's blocking-loss overlap tests, its blocked evaluation's bit identity and the Params validation table + the pool's claimable parts and helping join (both under -race)
+bench-smoke: ## deterministic simulated-ratio floors + the Figure-3 gantt goldens and the live-vs-replay gantt test + slab-kernel and des zero-alloc guards + slab-kernel ns/nnz per kernel, loss and row width + the sampled-row gradient on a 72 MB arena (cold rows) + the generator's ns/nnz at compute8's shape + the mini-batch sampler's ns/draw + des ns/switch, ns/event + the ps steady-state allocation guard + the telemetry write path's allocation guard + the L-BFGS pair, causal node-arena and sparse fold-buffer allocation guards + the message path's steady state (a simnet round trip allocates nothing, a further dense superstep nothing per message beyond its block copies, drained mailboxes reclaimed) + the evaluator's blocking-loss overlap tests, its blocked evaluation's bit identity and the Params validation table + the pool's claimable parts and helping join (both under -race)
 	$(GO) test -run '$(SMOKE_BENCH_RUN)' -v ./internal/bench
 	$(GO) test -run '^$$' -bench '$(SMOKE_DATA_BENCH)' -benchtime=1x ./internal/data
 	$(GO) test -run '^$$' -bench '$(SMOKE_CORE_BENCH)' -benchtime=1x ./internal/core
@@ -57,6 +58,7 @@ bench-smoke: ## deterministic simulated-ratio floors + the Figure-3 gantt golden
 	$(GO) test -run '$(SMOKE_LBFGS_RUN)' -v ./internal/lbfgs
 	$(GO) test -run '$(SMOKE_CAUSAL_RUN)' -v ./internal/causal
 	$(GO) test -run '$(SMOKE_ALLREDUCE_RUN)' -v ./internal/allreduce
+	$(GO) test -run '$(SMOKE_SIMNET_RUN)' -v ./internal/simnet
 	$(GO) test -race -run '$(SMOKE_TRAIN_RUN)' -v ./internal/train
 	$(GO) test -race -run '$(SMOKE_PAR_RUN)' -v ./internal/par
 
@@ -77,6 +79,7 @@ smoke-lists: ## every alternative of bench-smoke's -run and -bench lists must ma
 	check ./internal/lbfgs '$(SMOKE_LBFGS_RUN)'; \
 	check ./internal/causal '$(SMOKE_CAUSAL_RUN)'; \
 	check ./internal/allreduce '$(SMOKE_ALLREDUCE_RUN)'; \
+	check ./internal/simnet '$(SMOKE_SIMNET_RUN)'; \
 	check ./internal/train '$(SMOKE_TRAIN_RUN)'; \
 	check ./internal/par '$(SMOKE_PAR_RUN)'; \
 	[ $$status -eq 0 ] && echo "smoke-lists: every bench-smoke alternative names a test"; \

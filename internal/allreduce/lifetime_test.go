@@ -58,9 +58,8 @@ func lifetimeInputs(k, dim, steps int, mixed bool) (in [][][]float64, refs [][]f
 // back to back on one local vector — AverageDelta, or under overlap
 // AverageProduced on every odd superstep — and scribbles NaN over local the
 // moment each returns, so a peer still reading it through a shared payload
-// would fold the scribble. It returns the bytes the run allocated and, when
-// keep is set, every executor's result of every superstep.
-func supersteps(t *testing.T, spec clusters.Spec, sw switches, in [][][]float64, refs [][]float64, keep bool) (out [][][]float64, alloc uint64) {
+// would fold the scribble.
+func supersteps(t *testing.T, spec clusters.Spec, sw switches, in [][][]float64, refs [][]float64, keep bool) superstepRun {
 	t.Helper()
 	allreduce.Configure(sw.chunks)
 	sparse.Configure(sw.sparse)
@@ -74,7 +73,7 @@ func supersteps(t *testing.T, spec clusters.Spec, sw switches, in [][][]float64,
 	runtime.ReadMemStats(&before)
 	k, dim := spec.Executors, len(refs[0])
 	sim, cl, ctx := spec.Build(nil)
-	out = make([][][]float64, len(in))
+	out := make([][][]float64, len(in))
 	for s := range out {
 		out[s] = make([][]float64, k)
 	}
@@ -107,7 +106,14 @@ func supersteps(t *testing.T, spec clusters.Spec, sw switches, in [][][]float64,
 	})
 	sim.Run()
 	runtime.ReadMemStats(&after)
-	return out, after.TotalAlloc - before.TotalAlloc
+	return superstepRun{out: out, bytes: after.TotalAlloc - before.TotalAlloc, objects: after.Mallocs - before.Mallocs, cl: cl}
+}
+
+// superstepRun is what supersteps reports.
+type superstepRun struct {
+	out            [][][]float64 // every executor's result of every superstep, when kept
+	bytes, objects uint64        // what the run allocated
+	cl             *engine.Cluster
 }
 
 // lagging is a cluster whose executors fold at speeds four times apart, so
@@ -132,9 +138,9 @@ func TestSparseFoldBufferLifetime(t *testing.T) {
 	in, refs := lifetimeInputs(k, dim, steps, true)
 	for _, sw := range []switches{{chunks: 1}, {chunks: 8, overlap: true}} {
 		t.Run(fmt.Sprintf("C%d/overlap=%v", sw.chunks, sw.overlap), func(t *testing.T) {
-			want, _ := supersteps(t, lagging(k), sw, in, refs, true)
+			want := supersteps(t, lagging(k), sw, in, refs, true).out
 			sw.sparse = true
-			got, _ := supersteps(t, lagging(k), sw, in, refs, true)
+			got := supersteps(t, lagging(k), sw, in, refs, true).out
 			for s := range want {
 				for i := range want[s] {
 					for j := range want[s][i] {
@@ -158,8 +164,8 @@ func TestSparseFoldBufferPooled(t *testing.T) {
 	modelBytes := uint64(dim * engine.FloatBytes)
 	for _, sw := range []switches{{chunks: 1, sparse: true}, {chunks: 8, sparse: true, overlap: true}} {
 		in, refs := lifetimeInputs(k, dim, 2*n, false)
-		_, short := supersteps(t, lagging(k), sw, in[:n], refs[:n], false)
-		_, long := supersteps(t, lagging(k), sw, in, refs, false)
+		short := supersteps(t, lagging(k), sw, in[:n], refs[:n], false).bytes
+		long := supersteps(t, lagging(k), sw, in, refs, false).bytes
 		if long < short {
 			continue
 		}
@@ -167,6 +173,47 @@ func TestSparseFoldBufferPooled(t *testing.T) {
 		t.Logf("C%d: %d supersteps allocate %d B, %d supersteps %d B: %d B per further superstep, model %d B", sw.chunks, n, short, 2*n, long, perStep, modelBytes)
 		if perStep > modelBytes/2 {
 			t.Errorf("C%d: a further superstep allocates %d B, more than half of one %d B model: the fold buffers are allocated again", sw.chunks, perStep, modelBytes)
+		}
+	}
+}
+
+// TestDenseSuperstepAllocs pins the message path's steady state: a further
+// dense superstep at k = 16 allocates the Reduce-Scatter's k(k−1) block
+// copies (EncodeCopy's data) and a fixed number of objects per executor —
+// its task, tags, receive buffers and offloaded closures, 18 of them — not
+// one per message of the 2(k−1) each sends: headers, simnet messages and
+// mailboxes are recycled, and the folds order their blocks without a sort.
+func TestDenseSuperstepAllocs(t *testing.T) {
+	const k, dim, n, perExecutor = 16, 16 * 64, 8, 24
+	in, refs := lifetimeInputs(k, dim, 2*n, true)
+	sw := switches{chunks: 1}
+	short := supersteps(t, clusters.Test(k), sw, in[:n], refs[:n], false).objects
+	long := supersteps(t, clusters.Test(k), sw, in, refs, false).objects
+	if long < short {
+		return
+	}
+	perStep := float64(long-short) / n
+	copies := float64(k * (k - 1))
+	extra := (perStep - copies) / k
+	t.Logf("a further superstep allocates %.0f objects: %.0f block copies and %.1f more per executor, which sends %d messages", perStep, copies, extra, 2*(k-1))
+	if extra > perExecutor {
+		t.Errorf("a further superstep allocates %.1f objects per executor beyond the block copies, more than %d: the message path allocates per message again", extra, perExecutor)
+	}
+}
+
+// TestMailboxesReclaimed: a node keeps no mailbox for a collective that is
+// over. After 100 back-to-back collectives, each executor holds at most the
+// mailboxes of the tags that can be in flight at once — its task mailbox
+// and one collective's two rounds — counting reclaimed ones kept for reuse.
+func TestMailboxesReclaimed(t *testing.T) {
+	const k, dim, steps = 4, 64, 100
+	in, refs := lifetimeInputs(k, dim, steps, true)
+	r := supersteps(t, lagging(k), switches{chunks: 1}, in, refs, false)
+	for _, name := range r.cl.Execs {
+		held, spare := r.cl.Net.Node(name).Mailboxes()
+		t.Logf("%s: %d mailboxes under a tag, %d spare", name, held, spare)
+		if held+spare > 3 {
+			t.Errorf("%s holds %d mailboxes (%d under a tag, %d spare) after %d collectives, want at most 3", name, held+spare, held, spare, steps)
 		}
 	}
 }

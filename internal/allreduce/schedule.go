@@ -50,11 +50,11 @@ func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name 
 		sender = ex.StartSender(p, name)
 	}
 	send := func(j int, tag string, e sparse.Enc) {
-		b := engine.Block{From: self, To: j, Bytes: e.WireBytes(), Payload: e}
+		h := ex.NewHeader(self, e)
 		if sender == nil {
-			ex.Send(p, execs[j], tag, b.Bytes, b)
+			ex.Send(p, execs[j], tag, e.WireBytes(), h)
 		} else {
-			sender.Send(execs[j], tag, b.Bytes, b)
+			sender.Send(execs[j], tag, e.WireBytes(), h)
 		}
 	}
 	var order []int // the Reduce-Scatter visit order; nil is ascending
@@ -70,16 +70,27 @@ func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name 
 	for c := 0; c < C; c++ {
 		tags[c], tags[C+c] = xchTag(RS, name, C, c), xchTag(AG, name, C, c)
 	}
-	recv := func(tag string) []engine.Block {
+	// recv takes one chunk's k−1 headers into arrived, in arrival order —
+	// the order the charges replay — and into bySender at their sender's
+	// index, the fold order. Both buffers serve every round and chunk of
+	// the call: each receive's headers are released, and their closure
+	// joined, before the next receive.
+	arrived, bySender := make([]*engine.Header, k-1), make([]*engine.Header, k)
+	recv := func(tag string) {
 		idle := p.Now()
-		blocks := make([]engine.Block, 0, k-1)
-		for len(blocks) < k-1 {
-			blocks = append(blocks, ex.Recv(p, tag).Payload.(engine.Block))
+		for i := range arrived {
+			h := ex.Recv(p, tag).Payload.(*engine.Header)
+			arrived[i], bySender[h.From] = h, h
 		}
 		if now := p.Now(); C > 1 && now > idle {
 			ex.Node().Observe(p, obs.PhasePipeline, idle, now, tag)
 		}
-		return blocks
+	}
+	release := func() {
+		for _, h := range arrived {
+			ex.ReleaseHeader(h)
+		}
+		clear(bySender)
 	}
 
 	// own is the own partition, folded in place; encs (sparse only) holds
@@ -146,16 +157,15 @@ func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name 
 					copy(own, local[lo:hi])
 				}
 			}
-			blocks := recv(tag)
-			folded := append([]engine.Block(nil), blocks...)
-			sort.Slice(folded, func(a, b int) bool { return folded[a].From < folded[b].From })
+			recv(tag)
 			ownChunk, refChunk := own[s.Lo-lo:s.Hi-lo], refRange(s.Lo, s.Hi)
-			scratch := foldScratch(ex, folded, s.Hi-s.Lo)
-			h := par.Do(func() { fold(ownChunk, folded, scratch, refChunk, average, k) })
-			for _, b := range blocks {
+			scratch := foldScratch(ex, arrived, s.Hi-s.Lo)
+			h := par.Do(func() { fold(ownChunk, bySender, scratch, refChunk, average, k) })
+			for _, b := range arrived {
 				ex.ChargeKind(p, float64(s.Hi-s.Lo), phaseOf(b, obs.PhaseAgg), name)
 			}
 			h.Join()
+			release()
 			ex.PutVec(scratch)
 			if !dense && s.Chunk == C-1 {
 				// The adaptive decision must see the fully folded partition.
@@ -170,18 +180,19 @@ func allReduce(p *des.Proc, ex *engine.Executor, execs []string, self int, name 
 			}
 			// Pieces land in disjoint ranges of local, so decode order is
 			// immaterial; the charges replay arrivals.
-			gathered := recv(tag)
+			recv(tag)
 			h := par.Do(func() {
-				for _, b := range gathered {
+				for _, b := range arrived {
 					clo, chi := chunkRange(dim, k, C, b.From, s.Chunk)
-					b.Payload.(sparse.Enc).DecodeInto(local[clo:chi], refRange(clo, chi))
+					b.Enc.DecodeInto(local[clo:chi], refRange(clo, chi))
 				}
 			})
-			for _, b := range gathered {
+			for _, b := range arrived {
 				clo, chi := chunkRange(dim, k, C, b.From, s.Chunk)
 				ex.ChargeKind(p, float64(chi-clo), phaseOf(b, obs.PhaseUpdate), name)
 			}
 			h.Join()
+			release()
 		}
 	}
 	if !dense && encs[self].IsSparse() {
@@ -199,7 +210,7 @@ func chunkOf(e sparse.Enc, C, c int) sparse.Enc {
 }
 
 // phaseOf is a received block's charge phase: encode if sparse, else dense.
-func phaseOf(b engine.Block, dense obs.Phase) obs.Phase {
+func phaseOf(b *engine.Header, dense obs.Phase) obs.Phase {
 	if b.IsSparse() {
 		return obs.PhaseEncode
 	}
@@ -209,20 +220,23 @@ func phaseOf(b engine.Block, dense obs.Phase) obs.Phase {
 // foldScratch returns the one pooled vector a fold decodes its sparse copies
 // through, or nil when every copy is dense and read in place. The caller
 // PutVecs it after joining the fold.
-func foldScratch(ex *engine.Executor, copies []engine.Block, n int) []float64 {
-	if slices.ContainsFunc(copies, engine.Block.IsSparse) {
+func foldScratch(ex *engine.Executor, copies []*engine.Header, n int) []float64 {
+	if slices.ContainsFunc(copies, (*engine.Header).IsSparse) {
 		return ex.GetVec(n)
 	}
 	return nil
 }
 
-// fold adds the received copies of one chunk into own in the order given —
-// ascending sender — then scales. A sparse copy is added densely after
-// decoding into scratch: the coordinates it does not list still take part
-// (−0 + 0 is +0), which keeps the result bit-identical to the dense exchange.
-func fold(own []float64, chunks []engine.Block, scratch, ref []float64, average bool, k int) {
-	for _, b := range chunks {
-		vec.AddScaled(own, b.Payload.(sparse.Enc).Decoded(scratch, ref), 1)
+// fold adds the received copies of one chunk into own in ascending sender
+// order — bySender holds each copy at its sender's index and nil at the
+// owner's — then scales. A sparse copy is added densely after decoding into
+// scratch: the coordinates it does not list still take part (−0 + 0 is
+// +0), which keeps the result bit-identical to the dense exchange.
+func fold(own []float64, bySender []*engine.Header, scratch, ref []float64, average bool, k int) {
+	for _, b := range bySender {
+		if b != nil {
+			vec.AddScaled(own, b.Enc.Decoded(scratch, ref), 1)
+		}
 	}
 	if average {
 		vec.Scale(own, 1/float64(k))

@@ -50,8 +50,8 @@ func runExtLBFGS(cfg RunConfig) (*Report, error) {
 	r := &Report{ID: "ext-lbfgs", Title: "L-BFGS: treeAggregate (spark.ml) vs AllReduce"}
 	obj := glm.LogReg(0.01)
 	csv := "variant,iterations,sim_time_s,time_per_iter_s,final_objective,driver_bytes\n"
-	// L-BFGS reads no learning rate, but Params requires a valid one.
-	prm := train.Params{Objective: obj, Eta: 1, MaxSteps: 25}
+	// L-BFGS reads no learning rate.
+	prm := train.Params{Objective: obj, MaxSteps: 25}
 	for _, system := range []string{core.LBFGS, core.LBFGSStar} {
 		_, cl, ctx := clusters.Cluster1(8).Build(cfg.Sink)
 		parts := w.ds.Partition(8, 3)

@@ -172,9 +172,8 @@ func TestCSRKernelBitIdentityLBFGS(t *testing.T) {
 var lbfgsVariants = []struct{ name, system string }{{"LBFGS-tree", core.LBFGS}, {"LBFGS-allreduce", core.LBFGSStar}}
 
 var (
-	// lbfgsParams runs 6 iterations; L-BFGS reads no learning rate, but
-	// Params requires a valid one.
-	lbfgsParams = train.Params{Objective: glm.LogReg(0.01), Eta: 1, MaxSteps: 6}
+	// lbfgsParams runs 6 iterations; L-BFGS reads no learning rate.
+	lbfgsParams = train.Params{Objective: glm.LogReg(0.01), MaxSteps: 6}
 	svrgParams  = train.Params{Objective: glm.LogReg(0.01), Eta: 0.1, MaxSteps: 5, EvalEvery: 1, Seed: 7}
 )
 

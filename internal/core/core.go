@@ -66,17 +66,20 @@ type system struct {
 	note  string // the note of the model-update charge
 	// smooth marks the optimizers that need a differentiable loss.
 	smooth bool
+	// eta marks the systems whose updates read the step size
+	// (train.Params.Eta, Decay); L-BFGS's line search picks its own.
+	eta bool
 	// steps builds the system's trainer for one run.
 	steps func(*run) trainer
 }
 
 var systems = []system{
-	{MLlib, Tree, "driver:mllib", "mgd%d", "model update", false, sendGradient},
-	{MLlibMA, Tree, "driver:mavg", "ma%d", "model averaging", false, sendModel},
-	{MLlibStar, AllReduce, "driver:mllibstar", "mllibstar-%d", "", false, sendModel},
-	{MLlibStarSVRG, AllReduce, "driver:mllibstar-svrg", "svrg-%d", "", true, svrg},
-	{LBFGS, Tree, "driver:lbfgs", "lb%d", "two-loop", true, fullBatchLBFGS},
-	{LBFGSStar, AllReduce, "driver:lbfgsstar", "lbfgsstar-%d", "two-loop", true, fullBatchLBFGS},
+	{MLlib, Tree, "driver:mllib", "mgd%d", "model update", false, true, sendGradient},
+	{MLlibMA, Tree, "driver:mavg", "ma%d", "model averaging", false, true, sendModel},
+	{MLlibStar, AllReduce, "driver:mllibstar", "mllibstar-%d", "", false, true, sendModel},
+	{MLlibStarSVRG, AllReduce, "driver:mllibstar-svrg", "svrg-%d", "", true, true, svrg},
+	{LBFGS, Tree, "driver:lbfgs", "lb%d", "two-loop", true, false, fullBatchLBFGS},
+	{LBFGSStar, AllReduce, "driver:lbfgsstar", "lbfgsstar-%d", "two-loop", true, false, fullBatchLBFGS},
 }
 
 // lookup returns the named system's row, nil when the table has none.
@@ -96,6 +99,14 @@ func AggregationOf(name string) (Aggregation, bool) {
 		return s.agg, true
 	}
 	return 0, false
+}
+
+// ReadsEta reports whether the named system's updates read the step size,
+// train.Params.Eta; false for L-BFGS, whose line search picks the step, and
+// for a name the table does not have.
+func ReadsEta(name string) bool {
+	s := lookup(name)
+	return s != nil && s.eta
 }
 
 // run is one training run: what the driver loop and a system's steps share.
@@ -131,7 +142,11 @@ func Train(name string, ctx *engine.Context, parts []data.View, dim int, prm tra
 	if s == nil {
 		return nil, fmt.Errorf("core: unknown system %q", name)
 	}
-	if err := prm.Validate(); err != nil {
+	validate := prm.Validate
+	if !s.eta {
+		validate = prm.ValidateIgnoringEta
+	}
+	if err := validate(); err != nil {
 		return nil, err
 	}
 	if _, hinge := prm.Objective.Loss.(glm.Hinge); hinge && s.smooth {

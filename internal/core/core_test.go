@@ -208,6 +208,28 @@ func TestValidateRejectsBadParams(t *testing.T) {
 	}
 }
 
+// TestLBFGSIgnoresEta: the L-BFGS systems pick their step by line search, so
+// a zero Eta is no error for them, and the iterates do not depend on it.
+func TestLBFGSIgnoresEta(t *testing.T) {
+	for _, system := range []string{core.LBFGS, core.LBFGSStar} {
+		if core.ReadsEta(system) {
+			t.Errorf("%s: the table says it reads Eta", system)
+		}
+		prm := train.Params{Objective: glm.LogReg(0.01), MaxSteps: 3}
+		zero := runSystem(t, system, 2, prm)
+		prm.Eta = 0.7
+		set := runSystem(t, system, 2, prm)
+		for i := range zero.FinalW {
+			if math.Float64bits(zero.FinalW[i]) != math.Float64bits(set.FinalW[i]) {
+				t.Fatalf("%s: weight %d is %v with Eta 0, %v with Eta 0.7", system, i, zero.FinalW[i], set.FinalW[i])
+			}
+		}
+	}
+	if !core.ReadsEta(core.MLlibStar) {
+		t.Error("MLlib*: the table says it does not read Eta")
+	}
+}
+
 func TestPartitionCountMismatch(t *testing.T) {
 	_, _, ctx := clusters.Test(3).Build(nil)
 	prm := baseParams()

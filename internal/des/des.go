@@ -146,6 +146,7 @@ const (
 // a string.
 type blockReason struct {
 	kind            blockKind
+	owner           string  // the queue's owner, prefixed to name when set
 	name            string  // queue, barrier or signal
 	t               float64 // wake-up time
 	gen, arrived, n int     // barrier generation and head count
@@ -156,6 +157,9 @@ func (r blockReason) String() string {
 	case blockedWait:
 		return fmt.Sprintf("wait until t=%.6f", r.t)
 	case blockedRecv:
+		if r.owner != "" {
+			return fmt.Sprintf("recv on queue %q", r.owner+"/"+r.name)
+		}
 		return fmt.Sprintf("recv on queue %q", r.name)
 	case blockedBarrier:
 		return fmt.Sprintf("barrier %q gen %d (%d/%d arrived)", r.name, r.gen, r.arrived, r.n)

@@ -8,6 +8,7 @@ import "fmt"
 // getters arrived (FIFO fairness), which keeps simulations deterministic.
 type Queue[T any] struct {
 	sim     *Sim
+	owner   string // optional scope of name in deadlock reports; see Rename
 	name    string
 	items   fifo[T]
 	waiters fifo[*Proc] // blocked getters; each receives through its Proc's slot
@@ -54,6 +55,21 @@ func NewQueue[T any](sim *Sim, name string) *Queue[T] {
 	return &Queue[T]{sim: sim, name: name}
 }
 
+// Idle reports whether the queue holds no values and no blocked getters: a
+// mailbox in this state can be given up, or renamed for another use.
+func (q *Queue[T]) Idle() bool { return q.items.len() == 0 && q.waiters.len() == 0 }
+
+// Rename rebinds an idle queue to a new name, reported in deadlock reports
+// as "owner/name" (just name when owner is empty), so an owner can recycle
+// drained mailboxes, with their buffers, instead of allocating one per name.
+// It panics unless the queue is Idle.
+func (q *Queue[T]) Rename(owner, name string) {
+	if !q.Idle() {
+		panic(fmt.Sprintf("des: Rename of queue %q, which is not idle", q.name))
+	}
+	q.owner, q.name = owner, name
+}
+
 // Put appends v to the queue. If a process is blocked on Get, the value is
 // assigned to the longest-waiting getter, which is woken at the current
 // virtual time. Put may be called from any process or before Run.
@@ -77,7 +93,7 @@ func (q *Queue[T]) Get(p *Proc) T {
 		return v
 	}
 	q.waiters.push(p)
-	p.block(blockReason{kind: blockedRecv, name: q.name})
+	p.block(blockReason{kind: blockedRecv, owner: q.owner, name: q.name})
 	if !p.recvFull {
 		panic(fmt.Sprintf("des: process %s woken on queue %q without a value", p.name, q.name))
 	}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"mllibstar/internal/des"
 	"mllibstar/internal/obs"
@@ -13,17 +12,6 @@ import (
 
 // FloatBytes is the wire size of one float64 model coordinate.
 const FloatBytes = 8
-
-// aggMsg is a leaf partial in flight to its group aggregator, tagged with
-// the sender's task index so the aggregator can fold in canonical order.
-type aggMsg struct {
-	from int
-	enc  sparse.Enc
-}
-
-// IsSparse reports the wire encoding of the carried partial, so telemetry
-// books the message under the right encoding (see obs.EncodingOf).
-func (m aggMsg) IsSparse() bool { return m.enc.IsSparse() }
 
 // TreeAggregateVec runs compute on every executor to produce a partial dense
 // vector of length dim, then aggregates the partials into the driver through
@@ -118,7 +106,7 @@ func (ctx *Context) TreeAggregateVecDelta(p *des.Proc, name string, dim, aggrega
 					// dead at the sender; a dense encoding ships the buffer
 					// itself and the aggregator recycles it after the fold.
 					enc := sparse.EncodeShared(partial, ref)
-					ex.Send(p, aggName, tag, enc.WireBytes(), aggMsg{from: i, enc: enc})
+					ex.Send(p, aggName, tag, enc.WireBytes(), ex.NewHeader(i, enc))
 					if enc.IsSparse() {
 						ctx.PutVec(partial)
 					}
@@ -127,38 +115,40 @@ func (ctx *Context) TreeAggregateVecDelta(p *des.Proc, name string, dim, aggrega
 				// Aggregator: collect the group members' partials under the
 				// same per-message Aggregate charge the dense engine pays,
 				// then fold them in ascending sender order — the canonical
-				// summation order — on the offload pool. A sparse partial is
+				// summation order — on the offload pool. Member m of the
+				// group is task group+m·aggregators, so placing each header
+				// at m−1 orders the fold without a sort. A sparse partial is
 				// decoded through one scratch vector and added densely: the
 				// coordinates it does not list must be added too (−0 + 0 is
 				// +0). A dense partial is the sender's pooled buffer, handed
-				// over with the message and recycled here after the fold.
-				members := make([]aggMsg, 0, groupSize[group]-1)
+				// over with the message and recycled here after the fold,
+				// with the header.
+				members := make([]*Header, groupSize[group]-1)
 				var scratch []float64
-				for m := 1; m < groupSize[group]; m++ {
-					msg := ex.Recv(p, tag)
-					am := msg.Payload.(aggMsg)
+				for range members {
+					h := ex.Recv(p, tag).Payload.(*Header)
 					// A sparse-encoded partial's per-message charge models
 					// the decode, so it is recorded as Encode; the dense path
 					// keeps the Aggregate phase (the charge is the fold).
 					ph := obs.PhaseAgg
-					if am.enc.IsSparse() {
+					if h.Enc.IsSparse() {
 						ph = obs.PhaseEncode
 						if scratch == nil {
 							scratch = ctx.GetVec(dim)
 						}
 					}
 					ex.ChargeKind(p, float64(dim), ph, name)
-					members = append(members, am)
+					members[h.From/aggregators-1] = h
 				}
-				sort.Slice(members, func(a, b int) bool { return members[a].from < members[b].from })
-				h := par.Do(func() {
+				fold := par.Do(func() {
 					for _, m := range members {
-						vec.AddScaled(partial, m.enc.Decoded(scratch, ref), 1)
+						vec.AddScaled(partial, m.Enc.Decoded(scratch, ref), 1)
 					}
 				})
-				h.Join()
+				fold.Join()
 				for _, m := range members {
-					ctx.PutVec(m.enc.Dense())
+					ctx.PutVec(m.Enc.Dense())
+					ex.ReleaseHeader(m)
 				}
 				ctx.PutVec(scratch)
 				// The reply to the driver is charged at its encoded size;

@@ -13,10 +13,12 @@ package engine
 
 import (
 	"fmt"
+	"testing"
 
 	"mllibstar/internal/des"
 	"mllibstar/internal/obs"
 	"mllibstar/internal/simnet"
+	"mllibstar/internal/sparse"
 	"mllibstar/internal/vec"
 )
 
@@ -53,6 +55,9 @@ type Cluster struct {
 	Execs  []string
 	execs  map[string]*Executor
 	pool   *vec.Pool // model-sized buffers of the driver and every executor (Context.GetVec, Executor.GetVec)
+	// headers are the released message headers (Executor.NewHeader). Only
+	// the simulation thread takes and releases them.
+	headers []*Header
 }
 
 // NewCluster builds a cluster from node specs. The first spec is the driver;
@@ -140,6 +145,67 @@ func (ex *Executor) GetVec(n int) []float64 { return ex.cluster.pool.Get(n) }
 // must not use b afterwards.
 func (ex *Executor) PutVec(b []float64) { ex.cluster.pool.Put(b) }
 
+// Header is the envelope of one encoded vector in flight between two
+// executors — an AllReduce block or a treeAggregate partial: the sender's
+// executor index, by which the receiver orders its fold, and the encoding,
+// held by value. Headers
+// come from the cluster's free list (NewHeader) and ride a message as its
+// payload; the receiver releases each one (ReleaseHeader) when nothing reads
+// it any more, which for a header read by an offloaded fold or decode is
+// after joining it. Only the encoding's data is shared with the sender.
+//
+// In a test binary (testing.Testing) a released header is poisoned: its
+// encoding is the empty one, which no fold or decode of a nonempty range
+// accepts, so a read after release panics; releasing one twice, or taking
+// one that was written after its release, panics too.
+type Header struct {
+	From     int
+	Enc      sparse.Enc
+	released bool
+}
+
+// IsSparse reports the wire encoding of the carried vector, so telemetry
+// books the message under the right encoding (see obs.EncodingOf).
+func (h *Header) IsSparse() bool { return h.Enc.IsSparse() }
+
+// checked turns the run-time ownership checks of recycled headers on.
+var checked = testing.Testing()
+
+// poisoned reports whether h holds what ReleaseHeader wrote into it.
+func (h *Header) poisoned() bool {
+	return h.released && h.From == -1 && h.Enc.Len() == 0 && !h.Enc.IsSparse() && h.Enc.Dense() == nil
+}
+
+// NewHeader returns a header from the cluster's free list, or a new one,
+// holding from and enc. The header belongs to the message it is sent
+// with; its receiver releases it.
+func (ex *Executor) NewHeader(from int, enc sparse.Enc) *Header {
+	c := ex.cluster
+	var h *Header
+	if n := len(c.headers); n > 0 {
+		h, c.headers = c.headers[n-1], c.headers[:n-1]
+		if checked && !h.poisoned() {
+			panic("engine: a message header was written after its release")
+		}
+	} else {
+		h = new(Header)
+	}
+	*h = Header{From: from, Enc: enc}
+	return h
+}
+
+// ReleaseHeader returns a received header to the cluster's free list. The
+// caller must not read h afterwards, nor let an unjoined closure read it.
+func (ex *Executor) ReleaseHeader(h *Header) {
+	if checked {
+		if h.released {
+			panic("engine: a message header was released twice")
+		}
+		*h = Header{From: -1, released: true}
+	}
+	ex.cluster.headers = append(ex.cluster.headers, h)
+}
+
 // TasksRun returns how many tasks this executor has completed.
 func (ex *Executor) TasksRun() int { return ex.tasksRun }
 
@@ -179,7 +245,7 @@ func (ex *Executor) Send(p *des.Proc, to, tag string, bytes float64, payload any
 }
 
 // Recv receives a message sent to this executor with the given tag.
-func (ex *Executor) Recv(p *des.Proc, tag string) *simnet.Message {
+func (ex *Executor) Recv(p *des.Proc, tag string) simnet.Message {
 	return ex.node.Recv(p, tag)
 }
 

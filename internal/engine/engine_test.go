@@ -9,6 +9,7 @@ import (
 	"mllibstar/internal/des"
 	"mllibstar/internal/obs"
 	"mllibstar/internal/simnet"
+	"mllibstar/internal/sparse"
 )
 
 // testCluster builds a driver + k executors cluster with simple rates:
@@ -333,5 +334,44 @@ func TestStageMarksRecorded(t *testing.T) {
 	}
 	if ctx.Stages() != 1 {
 		t.Errorf("stages = %d", ctx.Stages())
+	}
+}
+
+// TestHeadersCheckOwnership: in a test binary a released message header is
+// poisoned — its encoding is the empty one, so a fold reading it after the
+// release fails — and releasing it twice, or taking it back after something
+// wrote to it, panics.
+func TestHeadersCheckOwnership(t *testing.T) {
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	enc := sparse.EncodeShared([]float64{1, 2}, nil)
+	_, cl, _ := testCluster(2, DefaultConfig())
+	ex := cl.Executor(cl.Execs[0])
+	h := ex.NewHeader(0, enc)
+	ex.ReleaseHeader(h)
+	if h.Enc.Len() != 0 || h.From != -1 {
+		t.Errorf("a released header holds %+v, want the poison", *h)
+	}
+	mustPanic("a second release", func() { ex.ReleaseHeader(h) })
+
+	_, cl, _ = testCluster(2, DefaultConfig())
+	ex = cl.Executor(cl.Execs[0])
+	h = ex.NewHeader(0, enc)
+	ex.ReleaseHeader(h)
+	h.Enc = enc
+	mustPanic("taking a header written after its release", func() { ex.NewHeader(1, enc) })
+
+	_, cl, _ = testCluster(2, DefaultConfig())
+	ex = cl.Executor(cl.Execs[0])
+	ex.ReleaseHeader(ex.NewHeader(0, enc))
+	if h := ex.NewHeader(1, enc); h.From != 1 || h.Enc.Len() != 2 {
+		t.Errorf("a recycled header holds %+v", *h)
 	}
 }

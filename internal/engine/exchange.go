@@ -8,27 +8,14 @@ import (
 
 // Block is one unit of shuffle data in flight from one executor to another
 // during an Exchange. Bytes is the modeled wire size — what the virtual
-// clock is charged — and may be smaller than the in-memory size of Payload:
-// with sparse model-delta exchange enabled (internal/sparse), a block
-// carrying a mostly-unchanged model costs 12 bytes per changed coordinate
-// instead of 8 per coordinate of the full vector, while Payload still holds
-// the encoding the receiver decodes. The simulation deliberately separates
-// the two: Go data structures are the mechanism, Bytes is the model.
+// clock is charged — and need not be the in-memory size of Payload: the
+// simulation deliberately separates the two, Go data structures being the
+// mechanism and Bytes the model.
 type Block struct {
 	From    int
 	To      int
 	Bytes   float64
 	Payload any
-}
-
-// IsSparse reports whether the carried payload is a sparse wire encoding,
-// so telemetry books the shuffle message under the right encoding (see
-// obs.EncodingOf).
-func (b Block) IsSparse() bool {
-	if s, ok := b.Payload.(interface{ IsSparse() bool }); ok {
-		return s.IsSparse()
-	}
-	return false
 }
 
 // Exchange is the engine's generic all-to-all shuffle round, the primitive

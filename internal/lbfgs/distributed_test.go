@@ -23,10 +23,9 @@ func workload(k int) (*data.Dataset, []data.View) {
 	return d, d.Partition(k, 3)
 }
 
-// params configures a run of 40 iterations; L-BFGS reads no learning rate,
-// but Params requires a valid one.
+// params configures a run of 40 iterations; L-BFGS reads no learning rate.
 func params() train.Params {
-	return train.Params{Objective: glm.LogReg(0.01), Eta: 1, MaxSteps: 40}
+	return train.Params{Objective: glm.LogReg(0.01), MaxSteps: 40}
 }
 
 // system names the L-BFGS variant over the AllReduce or the tree.

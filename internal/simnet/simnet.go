@@ -19,10 +19,23 @@
 // encoded size (12·nnz instead of 8·m bytes), so simulated traffic and
 // virtual time reflect the compression while the payload Go slices are
 // untouched. See ARCHITECTURE.md for the full byte-accounting rules.
+//
+// The message path allocates nothing per message in steady state. A
+// message in flight is a *Message from the network's free list; Recv
+// returns a copy of it by value and recycles the pointer. Only the payload
+// is shared between sender and receiver. A (node, tag) mailbox that a Recv
+// leaves with no message and no receiver is reclaimed, with its buffers,
+// when the node next sees a new tag, if it is still idle then: a node holds
+// about as many mailboxes as it has tags in flight, not one per tag it has
+// ever seen, and a mailbox that keeps draining under one tag is not rebuilt
+// each time. In a test binary (testing.Testing) a recycled message is
+// poisoned: releasing one twice, or taking back one that was written after
+// its release, panics.
 package simnet
 
 import (
 	"fmt"
+	"testing"
 
 	"mllibstar/internal/des"
 	"mllibstar/internal/obs"
@@ -57,15 +70,25 @@ type Message struct {
 	channel   obs.Channel  // logical link class, from the tag
 	enc       obs.Encoding // wire encoding, from the payload
 	mid       int64        // causal message id pairing send and recv events; 0 without a sink
+	released  bool         // on the network's free list (checked only in tests)
 }
+
+// checked turns the run-time ownership checks of recycled messages on.
+var checked = testing.Testing()
+
+// poison is what a released message holds in a test binary: no Send writes
+// a negative size or time, nor this tag.
+var poison = Message{Tag: "simnet: released message", Bytes: -1, SentAt: -1, DeliverAt: -1, recvStart: -1, mid: -1, released: true}
 
 // Node is one simulated machine.
 type Node struct {
-	spec  NodeSpec
-	net   *Network
-	out   *des.Resource
-	in    *des.Resource
-	boxes map[string]*des.Queue[*Message]
+	spec    NodeSpec
+	net     *Network
+	out     *des.Resource
+	in      *des.Resource
+	boxes   map[string]*mailbox // the mailboxes held, by tag
+	drained []*mailbox          // emptied by a Recv since the last new tag
+	spare   []*mailbox          // reclaimed, for the next new tag
 
 	bytesSent float64
 	bytesRecv float64
@@ -79,6 +102,7 @@ type Network struct {
 	nodes map[string]*Node
 	order []string
 	sink  *obs.Sink
+	free  []*Message // delivered messages, for the next Send
 
 	totalBytes float64
 	totalMsgs  int
@@ -101,7 +125,7 @@ func New(sim *des.Sim, cfg Config, specs []NodeSpec, sink *obs.Sink) *Network {
 			net:   n,
 			out:   des.NewResource(sim, sp.Name+"/out"),
 			in:    des.NewResource(sim, sp.Name+"/in"),
-			boxes: map[string]*des.Queue[*Message]{},
+			boxes: map[string]*mailbox{},
 		}
 		n.order = append(n.order, sp.Name)
 	}
@@ -149,13 +173,63 @@ func (nd *Node) BytesSent() float64 { return nd.bytesSent }
 // BytesRecv returns total payload bytes this node has received.
 func (nd *Node) BytesRecv() float64 { return nd.bytesRecv }
 
-func (nd *Node) box(tag string) *des.Queue[*Message] {
-	b, ok := nd.boxes[tag]
-	if !ok {
-		b = des.NewQueue[*Message](nd.net.sim, nd.spec.Name+"/"+tag)
-		nd.boxes[tag] = b
+// mailbox is the queue of one (node, tag).
+type mailbox struct {
+	q       *des.Queue[*Message]
+	tag     string // "" while spare
+	drained bool   // in the node's drained list
+}
+
+// box returns the mailbox of tag. A new tag first reclaims the mailboxes
+// that have stayed idle since a Recv drained them, then takes a spare one.
+func (nd *Node) box(tag string) *mailbox {
+	if b, ok := nd.boxes[tag]; ok {
+		return b
 	}
+	for _, b := range nd.drained {
+		b.drained = false
+		if b.q.Idle() {
+			delete(nd.boxes, b.tag)
+			b.tag = ""
+			nd.spare = append(nd.spare, b)
+		}
+	}
+	nd.drained = nd.drained[:0]
+	var b *mailbox
+	if n := len(nd.spare); n > 0 {
+		b, nd.spare = nd.spare[n-1], nd.spare[:n-1]
+	} else {
+		b = &mailbox{q: des.NewQueue[*Message](nd.net.sim, "")}
+	}
+	b.tag = tag
+	b.q.Rename(nd.spec.Name, tag)
+	nd.boxes[tag] = b
 	return b
+}
+
+// newMessage takes a message from the free list, or allocates one.
+func (n *Network) newMessage() *Message {
+	k := len(n.free)
+	if k == 0 {
+		return new(Message)
+	}
+	m := n.free[k-1]
+	n.free = n.free[:k-1]
+	if checked && *m != poison {
+		panic("simnet: a message was written after its release")
+	}
+	return m
+}
+
+// release puts a delivered message on the free list.
+func (n *Network) release(m *Message) {
+	if checked {
+		if m.released {
+			panic("simnet: a message was released twice")
+		}
+		*m = poison
+	}
+	n.free = append(n.free, m)
 }
 
 // Compute blocks p while the node performs work units of computation and
@@ -253,7 +327,8 @@ func (nd *Node) sendPhase(p *des.Proc, to, tag string, bytes float64, payload an
 
 	arrive := outEnd + nd.net.cfg.Latency
 	rs, re := dst.in.ReserveAt(arrive, wire/dst.spec.RecvBW)
-	msg := &Message{
+	msg := nd.net.newMessage()
+	*msg = Message{
 		From: nd.spec.Name, To: to, Tag: tag, Bytes: bytes, Payload: payload,
 		SentAt: sentAt, DeliverAt: re, recvStart: rs,
 		phase: ph, channel: ch, enc: enc, mid: mid,
@@ -262,27 +337,52 @@ func (nd *Node) sendPhase(p *des.Proc, to, tag string, bytes float64, payload an
 	dst.bytesRecv += bytes
 	nd.net.totalBytes += bytes
 	nd.net.totalMsgs++
-	dst.box(tag).Put(msg)
+	dst.box(tag).q.Put(msg)
 }
 
 // Recv blocks p until a message with the given tag has been fully received
-// by this node's inbound NIC, records the Recv span, and returns it.
-func (nd *Node) Recv(p *des.Proc, tag string) *Message {
-	msg := nd.box(tag).Get(p)
-	p.WaitUntil(msg.DeliverAt)
-	nd.net.sink.MessageProc(nd.spec.Name, msg.phase, msg.channel, obs.DirRecv, msg.enc, msg.Bytes, msg.recvStart, msg.DeliverAt, tag, p, msg.mid)
+// by this node's inbound NIC, records the Recv span, and returns a copy of
+// the message.
+func (nd *Node) Recv(p *des.Proc, tag string) Message {
+	m := nd.recv(p, tag)
+	msg := *m
+	nd.net.release(m)
 	return msg
 }
 
 // RecvN receives n messages with the given tag and returns them in delivery
 // order.
-func (nd *Node) RecvN(p *des.Proc, tag string, count int) []*Message {
-	out := make([]*Message, 0, count)
-	for len(out) < count {
-		out = append(out, nd.Recv(p, tag))
+func (nd *Node) RecvN(p *des.Proc, tag string, count int) []Message {
+	out := make([]Message, count)
+	for i := range out {
+		m := nd.recv(p, tag)
+		out[i] = *m
+		nd.net.release(m)
 	}
 	return out
 }
+
+// recv is Recv up to the copy: it returns the delivered message itself,
+// which the caller copies and releases. A receive that leaves the mailbox
+// with no message and no receiver lists it as drained, for the next new tag
+// to reclaim.
+func (nd *Node) recv(p *des.Proc, tag string) *Message {
+	b := nd.box(tag)
+	m := b.q.Get(p)
+	// While this receiver was blocked, another receiver of tag may have
+	// drained b and a new tag reclaimed it; then b is no longer tag's box.
+	if !b.drained && b.tag == tag && b.q.Idle() {
+		b.drained = true
+		nd.drained = append(nd.drained, b)
+	}
+	p.WaitUntil(m.DeliverAt)
+	nd.net.sink.MessageProc(nd.spec.Name, m.phase, m.channel, obs.DirRecv, m.enc, m.Bytes, m.recvStart, m.DeliverAt, tag, p, m.mid)
+	return m
+}
+
+// Mailboxes returns how many mailboxes the node holds under a tag, and how
+// many reclaimed ones it keeps for new tags.
+func (nd *Node) Mailboxes() (held, spare int) { return len(nd.boxes), len(nd.spare) }
 
 // Uniform returns count node specs with identical rates, named prefix0..N-1.
 func Uniform(prefix string, count int, computeRate, bw float64) []NodeSpec {

@@ -227,3 +227,119 @@ func TestHooksStampCausalIdentity(t *testing.T) {
 		t.Errorf("events carry the identities %q, want %q (compute, send, recv)", procs, want)
 	}
 }
+
+// TestSendRecvZeroAllocs: once warm, a message's round trip — Send, delivery
+// into a mailbox, Recv — allocates nothing: the message comes from the
+// network's free list and goes back on Recv, and the mailbox, drained by
+// every Recv, stays under its tag.
+func TestSendRecvZeroAllocs(t *testing.T) {
+	sim, net := twoNodes(0.5, nil)
+	a, b := net.Node("a"), net.Node("b")
+	sim.Spawn("echo", func(p *des.Proc) {
+		for {
+			m := b.Recv(p, "ping")
+			b.Send(p, "a", "pong", m.Bytes, m.Payload)
+		}
+	})
+	sim.Spawn("measured", func(p *des.Proc) {
+		token := new(int)
+		if allocs := testing.AllocsPerRun(100, func() {
+			a.Send(p, "b", "ping", 64, token)
+			if m := a.Recv(p, "pong"); m.Payload != token {
+				t.Errorf("payload %v, want the token sent", m.Payload)
+			}
+		}); allocs != 0 {
+			t.Errorf("%g allocs per round trip of two messages, want 0", allocs)
+		}
+	})
+	sim.Run()
+}
+
+// TestMailboxesReclaimed: a new tag reclaims the mailboxes Recv drained, so
+// a node that has seen 100 tags one after another holds one mailbox, not
+// 100.
+func TestMailboxesReclaimed(t *testing.T) {
+	sim, net := twoNodes(0, nil)
+	sim.Spawn("sender", func(p *des.Proc) {
+		for i := range 100 {
+			net.Node("a").Send(p, "b", fmt.Sprintf("t%d", i), 8, nil)
+		}
+	})
+	sim.Spawn("receiver", func(p *des.Proc) {
+		for i := range 100 {
+			net.Node("b").Recv(p, fmt.Sprintf("t%d", i))
+		}
+	})
+	sim.Run()
+	if held, spare := net.Node("b").Mailboxes(); held+spare != 1 {
+		t.Errorf("after 100 tags b holds %d mailboxes under a tag and %d spare, want one in all", held, spare)
+	}
+}
+
+// TestMessagesCheckOwnership: in a test binary a released message is
+// poisoned, so releasing it twice, or taking it back after something wrote
+// to it, panics.
+func TestMessagesCheckOwnership(t *testing.T) {
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	_, net := twoNodes(0, nil)
+	m := net.newMessage()
+	net.release(m)
+	mustPanic("a second release", func() { net.release(m) })
+
+	_, net = twoNodes(0, nil)
+	m = net.newMessage()
+	net.release(m)
+	m.Bytes = 8
+	mustPanic("taking a message written after its release", func() { net.newMessage() })
+
+	_, net = twoNodes(0, nil)
+	net.release(net.newMessage())
+	if m := net.newMessage(); *m != poison {
+		t.Errorf("a recycled message holds %+v, want the poison", *m)
+	}
+}
+
+// TestSharedTagMailboxReclaimedOnce: two receivers blocked on one tag are
+// both handed a message before either resumes, and both find the mailbox
+// drained. It must be reclaimed once, or two later tags would share it.
+func TestSharedTagMailboxReclaimedOnce(t *testing.T) {
+	sim := des.New()
+	specs := []NodeSpec{
+		{Name: "a", ComputeRate: 1, SendBW: 1, RecvBW: 1},
+		{Name: "c", ComputeRate: 1, SendBW: 1, RecvBW: 1},
+		{Name: "b", ComputeRate: 1, SendBW: 1, RecvBW: 1e9},
+	}
+	net := New(sim, Config{}, specs, nil)
+	b := net.Node("b")
+	for range 2 {
+		sim.Spawn("receiver", func(p *des.Proc) { b.Recv(p, "x") })
+	}
+	// Both sends finish serializing at t = 8 and put their message into
+	// x's mailbox before either receiver runs again.
+	for _, from := range []string{"a", "c"} {
+		sim.Spawn("sender", func(p *des.Proc) { net.Node(from).Send(p, "b", "x", 8, nil) })
+	}
+	got := map[string]any{}
+	sim.Spawn("two tags", func(p *des.Proc) {
+		p.WaitUntil(100)
+		if held, spare := b.Mailboxes(); held+spare != 1 {
+			t.Errorf("b holds %d mailboxes under a tag and %d spare, want one in all", held, spare)
+		}
+		net.Node("a").Send(p, "b", "y", 0, "for y")
+		net.Node("a").Send(p, "b", "z", 0, "for z")
+		got["z"] = b.Recv(p, "z").Payload
+		got["y"] = b.Recv(p, "y").Payload
+	})
+	sim.Run()
+	if got["y"] != "for y" || got["z"] != "for z" {
+		t.Errorf("received %v, want each tag's own payload", got)
+	}
+}

@@ -85,11 +85,20 @@ type Params struct {
 // field. NaN and ±Inf are rejected everywhere: a NaN fails every ordered
 // comparison, so it would pass a plain range test.
 func (p *Params) Validate() error {
-	if p.Objective.Loss == nil || p.Objective.Reg == nil {
-		return fmt.Errorf("train: objective not fully specified")
+	if err := p.ValidateIgnoringEta(); err != nil {
+		return err
 	}
 	if !(p.Eta > 0) || math.IsInf(p.Eta, 0) {
 		return fmt.Errorf("train: Eta %g must be finite and positive", p.Eta)
+	}
+	return nil
+}
+
+// ValidateIgnoringEta is Validate for the optimizers that never read Eta:
+// L-BFGS's line search picks its own step.
+func (p *Params) ValidateIgnoringEta() error {
+	if p.Objective.Loss == nil || p.Objective.Reg == nil {
+		return fmt.Errorf("train: objective not fully specified")
 	}
 	if p.MaxSteps <= 0 {
 		return fmt.Errorf("train: MaxSteps %d must be positive", p.MaxSteps)

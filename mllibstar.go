@@ -322,6 +322,9 @@ func Train(ds *Dataset, cfg Config) (*Result, error) {
 	}
 	// A step too large for the data and regularizer overflows the model.
 	if f := res.Curve.Final().Objective; math.IsNaN(f) || math.IsInf(f, 0) {
+		if spark && !core.ReadsEta(string(system)) {
+			return nil, fmt.Errorf("mllibstar: training diverged to objective %g", f)
+		}
 		return nil, fmt.Errorf("mllibstar: training diverged to objective %g: Eta %g is too large", f, prm.Eta)
 	}
 	return &Result{
