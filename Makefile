@@ -14,7 +14,7 @@ test: ## unit tests
 race: ## unit tests under the race detector
 	$(GO) test -race ./...
 
-lint: ## gofmt -l must list nothing; then go vet beside the repo's seven analyzers, one pass over the whole module, cold every run (2-3 s on 2 vCPUs after go build ./...)
+lint: ## gofmt -l must list nothing; then go vet beside the repo's five analyzers, one pass over the whole module, cold every run (about 2 s on 2 vCPUs after go build ./...)
 	@unformatted=$$(gofmt -l .) && if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/mlstar-lint ./...
 
@@ -91,11 +91,11 @@ benchmark: ## the repository benchmark (benchmark/README.md): all four workloads
 benchmark-compare: ## compare two -json result files: make benchmark-compare A=.bench_out/parent.json B=.bench_out/change.json
 	$(GO) run ./benchmark -compare $(A) $(B)
 
-repro-check: ## regenerate the -quick artifacts into a temp dir; every CSV and SVG written must equal its copy in results/
+repro-check: ## regenerate every artifact (a full mlstar-repro, fig6 included, about a minute) into a temp dir; every file written must equal its copy in results/
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run ./cmd/mlstar-repro -quick -out "$$tmp" && \
-	for f in "$$tmp"/*.csv "$$tmp"/*.svg; do cmp "$$f" "results/$$(basename "$$f")" || exit 1; done && \
-	echo "repro-check: every regenerated CSV and SVG matches results/"
+	$(GO) run ./cmd/mlstar-repro -out "$$tmp" && \
+	for f in "$$tmp"/*; do cmp "$$f" "results/$$(basename "$$f")" || exit 1; done && \
+	echo "repro-check: every regenerated file matches results/"
 
 obs: ## replay the committed sample event logs and diff against the golden reports
 	$(GO) run ./cmd/mlstar-obs -in internal/bench/testdata/obs_events_mllib.jsonl > obs_report_mllib.txt

@@ -2,12 +2,12 @@
 // the project-specific analyzers over the given package patterns and exits
 // non-zero on any finding.
 //
-// Each invariant has one analyzer. The syntactic ones (vecalias, floateq,
-// errdiscard, pkgdoc) check one construct at a time. The flow-sensitive
-// ones (determinism, buflife, costcharge) run the dataflow engine in
-// internal/analysis — CFGs, a call graph over the whole module, and
-// function summaries solved over it — so they follow values and effects
-// across statements, functions and packages.
+// Each invariant it checks has one analyzer. determinism, floateq,
+// errdiscard and pkgdoc check one construct at a time; costcharge follows
+// effects across functions and packages, over a call graph of the whole
+// module with function summaries solved over it. Buffer ownership and what
+// map-order values reach are checked at run time instead, by the pool
+// poison and the tier-1 tests (ARCHITECTURE.md, "Static guarantees").
 //
 // Usage:
 //
@@ -37,21 +37,17 @@ import (
 	"strings"
 
 	"mllibstar/internal/analysis"
-	"mllibstar/internal/analysis/buflife"
 	"mllibstar/internal/analysis/costcharge"
 	"mllibstar/internal/analysis/determinism"
 	"mllibstar/internal/analysis/errdiscard"
 	"mllibstar/internal/analysis/floateq"
 	"mllibstar/internal/analysis/loader"
 	"mllibstar/internal/analysis/pkgdoc"
-	"mllibstar/internal/analysis/vecalias"
 )
 
 // analyzers is the suite, in reporting order.
 var analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
-	vecalias.Analyzer,
-	buflife.Analyzer,
 	costcharge.Analyzer,
 	floateq.Analyzer,
 	errdiscard.Analyzer,

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	mlstar-repro -out results/           # everything (several minutes)
+//	mlstar-repro -out results/           # everything (about a minute)
 //	mlstar-repro -out results/ -quick    # skip the WX/cluster2 experiments
 //	mlstar-repro -out results/ -quick -trace trace.out
 //	mlstar-repro -out results/ -sparse=on   # sparse model-delta exchange

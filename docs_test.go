@@ -18,13 +18,11 @@ import (
 	"testing"
 
 	"mllibstar/internal/analysis"
-	"mllibstar/internal/analysis/buflife"
 	"mllibstar/internal/analysis/costcharge"
 	"mllibstar/internal/analysis/determinism"
 	"mllibstar/internal/analysis/errdiscard"
 	"mllibstar/internal/analysis/floateq"
 	"mllibstar/internal/analysis/pkgdoc"
-	"mllibstar/internal/analysis/vecalias"
 	"mllibstar/internal/bench"
 )
 
@@ -136,13 +134,15 @@ func makeTargets(t *testing.T) map[string]bool {
 
 // TestDocsAnalyzers verifies that README.md and ARCHITECTURE.md document
 // every analyzer in the mlstar-lint suite by name — adding an analyzer
-// without telling readers what gate their code now has to pass fails here.
+// without telling readers what gate their code now has to pass fails here —
+// and name no retired one as if it still ran: a retired analyzer may be
+// mentioned in prose, not as a `name` in backticks.
 func TestDocsAnalyzers(t *testing.T) {
 	suite := []*analysis.Analyzer{
-		determinism.Analyzer,
-		vecalias.Analyzer, buflife.Analyzer, costcharge.Analyzer,
+		determinism.Analyzer, costcharge.Analyzer,
 		floateq.Analyzer, errdiscard.Analyzer, pkgdoc.Analyzer,
 	}
+	retired := []string{"buflife", "vecalias", "detflow"}
 	for _, doc := range []string{"README.md", "ARCHITECTURE.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -151,6 +151,11 @@ func TestDocsAnalyzers(t *testing.T) {
 		for _, a := range suite {
 			if !strings.Contains(string(text), a.Name) {
 				t.Errorf("%s: analyzer %q is in the lint suite but never mentioned", doc, a.Name)
+			}
+		}
+		for _, name := range retired {
+			if strings.Contains(string(text), "`"+name+"`") {
+				t.Errorf("%s: names the retired analyzer `%s` as if it ran", doc, name)
 			}
 		}
 	}

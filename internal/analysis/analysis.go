@@ -2,16 +2,21 @@
 // golang.org/x/tools/go/analysis, built only on the standard library so the
 // repository keeps its zero-dependency policy. It provides the Analyzer and
 // Pass types that the mlstar lint suite (cmd/mlstar-lint) drives and the
-// //mlstar:nolint suppressor; the sibling packages (determinism, vecalias,
-// buflife, costcharge, floateq, errdiscard, pkgdoc) implement the
-// project-specific invariants on top of it.
+// //mlstar:nolint suppressor; the sibling packages (determinism,
+// costcharge, floateq, errdiscard, pkgdoc) implement the project-specific
+// invariants on top of it.
 //
 // The framework mirrors the upstream API shape — an Analyzer with a Run
 // function over a Pass carrying syntax and type information — with one
 // difference: a Pass holds every package of the run at once, in one type
-// universe. An interprocedural analyzer then builds one call graph over the
-// whole module and solves its function summaries in one fixpoint, where
-// upstream would export per-package facts and import them downstream.
+// universe. The interprocedural analyzer (costcharge) then builds one call
+// graph over the whole module and solves its function summaries in one
+// fixpoint, where upstream would export per-package facts and import them
+// downstream.
+//
+// Buffer ownership and the flow of map-order values are not checked here:
+// the pooled-buffer poison (vec.Pool, engine.Header, simnet.Message) and
+// the tier-1 tests check them at run time.
 package analysis
 
 import (
@@ -20,7 +25,6 @@ import (
 	"go/token"
 	"go/types"
 
-	"mllibstar/internal/analysis/callgraph"
 	"mllibstar/internal/analysis/loader"
 )
 
@@ -73,14 +77,12 @@ type Pass struct {
 
 	// Report delivers one diagnostic. The driver installs it.
 	Report func(Diagnostic)
-
-	program **callgraph.Program // built on first use, shared by For's copies
 }
 
 // NewPass builds a pass over pkgs, which must come from one loader.Module
 // (or be one corpus package). For hands it to each analyzer.
 func NewPass(pkgs []*loader.Package) *Pass {
-	p := &Pass{Pkgs: pkgs, program: new(*callgraph.Program)}
+	p := &Pass{Pkgs: pkgs}
 	for _, pkg := range pkgs {
 		p.Fset, p.TypesInfo = pkg.Fset, pkg.TypesInfo
 		p.Files = append(p.Files, pkg.Files...)
@@ -89,20 +91,11 @@ func NewPass(pkgs []*loader.Package) *Pass {
 }
 
 // For returns a copy of the pass for one analyzer, reporting through
-// report. The copies share one Program.
+// report.
 func (p *Pass) For(a *Analyzer, report func(Diagnostic)) *Pass {
 	q := *p
 	q.Analyzer, q.Report = a, report
 	return &q
-}
-
-// Program returns the call graph of the pass's packages with every
-// function's CFG, built once and shared by the interprocedural analyzers.
-func (p *Pass) Program() *callgraph.Program {
-	if *p.program == nil {
-		*p.program = callgraph.NewProgram(p.TypesInfo, p.Files)
-	}
-	return *p.program
 }
 
 // Diagnostic is one finding at a source position.
@@ -130,13 +123,6 @@ func IsFloat(t types.Type) bool {
 	return ok && b.Info()&types.IsFloat != 0
 }
 
-// IsFloatSlice reports whether t's underlying type is a slice of
-// floating-point scalars (e.g. []float64 or a named vector type over it).
-func IsFloatSlice(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
-	return ok && IsFloat(s.Elem())
-}
-
 // PkgOf returns the package of the pass whose files hold pos, or nil.
 func (p *Pass) PkgOf(pos token.Pos) *loader.Package {
 	for _, pkg := range p.Pkgs {
@@ -147,13 +133,6 @@ func (p *Pass) PkgOf(pos token.Pos) *loader.Package {
 		}
 	}
 	return nil
-}
-
-// IsPackageVar reports whether obj is a package-level variable: state that
-// outlives every call.
-func IsPackageVar(obj types.Object) bool {
-	_, isVar := obj.(*types.Var)
-	return isVar && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()
 }
 
 // IsCharge reports whether fn is a simulation charge: an operation that

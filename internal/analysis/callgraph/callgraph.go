@@ -17,9 +17,7 @@
 //
 // SCCs and BottomUp give analyzers a callee-first traversal with fixpoint
 // iteration inside recursive components, the order function summaries must
-// be computed in; Program bundles the graph with each node's CFG, the
-// scaffold every interprocedural analyzer shares, and Summaries gives one
-// analyzer its own summary per node.
+// be computed in, and Summaries gives an analyzer its own summary per node.
 package callgraph
 
 import (
@@ -28,8 +26,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-
-	"mllibstar/internal/analysis/cfg"
 )
 
 // Node is one function in the graph: a declared function/method (Fn and
@@ -69,26 +65,8 @@ func (n *Node) Pos() token.Pos {
 	return token.NoPos
 }
 
-// Params returns the node's parameter objects, in order.
-func (n *Node) Params(info *types.Info) []types.Object {
-	var ftype *ast.FuncType
-	if n.Decl != nil {
-		ftype = n.Decl.Type
-	} else {
-		ftype = n.Lit.Type
-	}
-	var out []types.Object
-	for _, f := range ftype.Params.List {
-		for _, name := range f.Names {
-			out = append(out, info.Defs[name])
-		}
-	}
-	return out
-}
-
 // Call is one call site inside a node.
 type Call struct {
-	Site *ast.CallExpr
 	// Callee is the target in the graph (declared function or literal)
 	// when the call resolves statically to a body of the pass; nil
 	// otherwise.
@@ -279,46 +257,46 @@ func resolve(g *Graph, info *types.Info, call *ast.CallExpr) []Call {
 	}
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.FuncLit:
-		return []Call{{Site: call, Callee: g.ByLit[fun]}}
+		return []Call{{Callee: g.ByLit[fun]}}
 	case *ast.Ident:
 		switch obj := info.Uses[fun].(type) {
 		case *types.Func:
-			return toFunc(g, call, obj)
+			return toFunc(g, obj)
 		case *types.Var:
 			if b := g.Bindings[obj]; b != nil {
 				var out []Call
 				for _, lit := range b.Lits {
-					out = append(out, Call{Site: call, Callee: g.ByLit[lit]})
+					out = append(out, Call{Callee: g.ByLit[lit]})
 				}
 				for _, fn := range b.Funcs {
-					out = append(out, toFunc(g, call, fn)...)
+					out = append(out, toFunc(g, fn)...)
 				}
 				return out
 			}
-			return []Call{{Site: call, Dynamic: true}}
+			return []Call{{Dynamic: true}}
 		case *types.Builtin, nil:
 			return nil
 		}
-		return []Call{{Site: call, Dynamic: true}}
+		return []Call{{Dynamic: true}}
 	case *ast.SelectorExpr:
 		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
 			// Interface method calls have no body anywhere: mark dynamic.
 			if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
 				if types.IsInterface(sel.Recv()) {
-					return []Call{{Site: call, Func: origin(fn), Dynamic: true}}
+					return []Call{{Func: origin(fn), Dynamic: true}}
 				}
 			}
-			return toFunc(g, call, fn)
+			return toFunc(g, fn)
 		}
-		return []Call{{Site: call, Dynamic: true}}
+		return []Call{{Dynamic: true}}
 	}
-	return []Call{{Site: call, Dynamic: true}}
+	return []Call{{Dynamic: true}}
 }
 
 // toFunc resolves a *types.Func to its node, when its body is in the graph.
-func toFunc(g *Graph, call *ast.CallExpr, fn *types.Func) []Call {
+func toFunc(g *Graph, fn *types.Func) []Call {
 	fn = origin(fn)
-	return []Call{{Site: call, Callee: g.ByFunc[fn], Func: fn}}
+	return []Call{{Callee: g.ByFunc[fn], Func: fn}}
 }
 
 // origin maps a generic instantiation back to its declared function so
@@ -414,38 +392,17 @@ func hasSelfLoop(n *Node) bool {
 	return false
 }
 
-// Program is the scaffold the interprocedural analyzers share: the call
-// graph of a pass, each node's CFG, and the call records of each site.
-type Program struct {
-	*Graph
-	CFG   map[*Node]*cfg.Graph
-	sites map[*ast.CallExpr][]Call
-}
-
-// NewProgram builds the graph of the given files and every node's CFG.
-func NewProgram(info *types.Info, files []*ast.File) *Program {
-	g := Build(info, files)
-	p := &Program{Graph: g, CFG: make(map[*Node]*cfg.Graph, len(g.Nodes)), sites: map[*ast.CallExpr][]Call{}}
-	for _, n := range g.Nodes {
-		p.CFG[n] = cfg.New(n.Body())
-		for _, c := range n.Calls {
-			p.sites[c.Site] = append(p.sites[c.Site], c)
-		}
-	}
-	return p
-}
-
-// Summaries is one analyzer's view of a program: a summary of type S per
+// Summaries is one analyzer's view of a graph: a summary of type S per
 // node, solved callee-first by Solve.
 type Summaries[S any] struct {
-	*Program
+	*Graph
 	Sums map[*Node]*S
 }
 
-// NewSummaries gives every node of p a zero summary.
-func NewSummaries[S any](p *Program) *Summaries[S] {
-	s := &Summaries[S]{Program: p, Sums: make(map[*Node]*S, len(p.Nodes))}
-	for _, n := range p.Nodes {
+// NewSummaries gives every node of g a zero summary.
+func NewSummaries[S any](g *Graph) *Summaries[S] {
+	s := &Summaries[S]{Graph: g, Sums: make(map[*Node]*S, len(g.Nodes))}
+	for _, n := range g.Nodes {
 		s.Sums[n] = new(S)
 	}
 	return s
@@ -455,19 +412,4 @@ func NewSummaries[S any](p *Program) *Summaries[S] {
 // summary from its callees' and reports whether it changed.
 func (s *Summaries[S]) Solve(update func(n *Node, sum *S) bool) {
 	BottomUp(s.Graph, func(n *Node) bool { return update(n, s.Sums[n]) })
-}
-
-// Callees returns the summaries of a call's possible targets in the graph,
-// and reports whether the graph holds every target: false for a dynamic
-// call or a callee whose body is not in the pass.
-func (s *Summaries[S]) Callees(call *ast.CallExpr) (sums []*S, known bool) {
-	known = true
-	for _, c := range s.sites[call] {
-		if c.Callee == nil {
-			known = false
-			continue
-		}
-		sums = append(sums, s.Sums[c.Callee])
-	}
-	return sums, known
 }

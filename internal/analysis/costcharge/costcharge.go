@@ -15,12 +15,12 @@
 //     determinism; charges from pool goroutines mutate virtual time off the
 //     simulation thread and corrupt the cost model.
 //
-//   - Within one basic block, two textually identical charge statements
-//     (the same Send/Compute call with the same arguments) account the same
-//     bytes or work twice — the copy-paste class of accounting bug; delete
-//     the duplicate. Loops are not false positives: a broadcast loop
-//     charges once per iteration through a single statement, which is
-//     exactly once per message.
+//   - Within one run of straight-line statements, two textually identical
+//     charge statements (the same Send/Compute call with the same
+//     arguments) account the same bytes or work twice — the copy-paste class
+//     of accounting bug; delete the duplicate. Loops are not false
+//     positives: a broadcast loop charges once per iteration through a
+//     single statement, which is exactly once per message.
 //
 // Function summaries ("reaches obs", "reaches a charge") are computed
 // callee-first over the whole module's call graph, so the reachability
@@ -77,7 +77,7 @@ func (s *summary) merge(o summary) bool {
 }
 
 func run(pass *analysis.Pass) error {
-	p := callgraph.NewSummaries[summary](pass.Program())
+	p := callgraph.NewSummaries[summary](callgraph.Build(pass.TypesInfo, pass.Files))
 	p.Solve(func(n *callgraph.Node, s *summary) bool {
 		changed := false
 		for _, c := range n.Calls {
@@ -90,9 +90,9 @@ func run(pass *analysis.Pass) error {
 	for _, pkg := range pass.Pkgs {
 		if !primitive(pkg.PkgPath) {
 			reportOffloadRoots(pass, p, pkg.Files)
+			reportDuplicateCharges(pass, pkg.Files)
 		}
 	}
-	reportDuplicateCharges(pass, p)
 	return nil
 }
 
@@ -225,36 +225,86 @@ func reportOffloadRoots(pass *analysis.Pass, p *callgraph.Summaries[summary], fi
 	}
 }
 
-// reportDuplicateCharges flags two identical charge statements in one basic
-// block.
-func reportDuplicateCharges(pass *analysis.Pass, p *callgraph.Summaries[summary]) {
-	for _, n := range p.Nodes {
-		if primitive(pass.PkgOf(n.Pos()).PkgPath) {
-			continue
-		}
-		for _, b := range p.CFG[n].Blocks {
-			seen := map[string]bool{}
-			for _, node := range b.Nodes {
-				es, ok := node.(*ast.ExprStmt)
-				if !ok {
+// reportDuplicateCharges flags two identical charge statements in one run
+// of straight-line statements: the simple statements between two points
+// where control can enter or leave. A compound statement (if, for, range,
+// switch, select), a label, a branch, a return or a call that never returns
+// ends the run; a bare block continues it. Each body, case clause and
+// function literal holds runs of its own.
+func reportDuplicateCharges(pass *analysis.Pass, files []*ast.File) {
+	bare := map[*ast.BlockStmt]bool{} // scanned as part of the enclosing run
+	var scan func(list []ast.Stmt, seen map[string]bool) map[string]bool
+	scan = func(list []ast.Stmt, seen map[string]bool) map[string]bool {
+		for _, st := range list {
+			for l, ok := st.(*ast.LabeledStmt); ok; l, ok = st.(*ast.LabeledStmt) {
+				seen, st = nil, l.Stmt // a label is a jump target: a run starts at it
+			}
+			switch st := st.(type) {
+			case *ast.BlockStmt:
+				bare[st] = true
+				seen = scan(st.List, seen)
+			case *ast.ExprStmt:
+				if terminal(st.X) {
+					seen = nil
 					continue
 				}
-				call, ok := ast.Unparen(es.X).(*ast.CallExpr)
+				call, ok := ast.Unparen(st.X).(*ast.CallExpr)
 				if !ok {
 					continue
 				}
 				if fn := analysis.FuncOf(pass.TypesInfo, call); fn == nil || !analysis.IsCharge(fn) {
 					continue
 				}
-				key := types.ExprString(es.X)
+				key := types.ExprString(st.X)
 				if seen[key] {
-					pass.Reportf(es.Pos(), "duplicate charge %s in the same block accounts the same bytes/work twice", key)
+					pass.Reportf(st.Pos(), "duplicate charge %s in the same block accounts the same bytes/work twice", key)
 					continue
 				}
+				if seen == nil {
+					seen = map[string]bool{}
+				}
 				seen[key] = true
+			case *ast.AssignStmt, *ast.DeclStmt, *ast.IncDecStmt, *ast.SendStmt, *ast.GoStmt, *ast.DeferStmt, *ast.EmptyStmt:
+			default:
+				seen = nil
 			}
 		}
+		return seen
 	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.BlockStmt:
+				if !bare[n] {
+					scan(n.List, nil)
+				}
+			case *ast.CaseClause:
+				scan(n.Body, nil)
+			case *ast.CommClause:
+				scan(n.Body, nil)
+			}
+			return true
+		})
+	}
+}
+
+// terminal reports whether the expression statement never returns: a call
+// of the panic built-in, os.Exit or log.Fatal*, matched by name.
+func terminal(e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun.Name == "panic"
+	case *ast.SelectorExpr:
+		if pkg, ok := fun.X.(*ast.Ident); ok {
+			return (pkg.Name == "os" && fun.Sel.Name == "Exit") ||
+				(pkg.Name == "log" && strings.HasPrefix(fun.Sel.Name, "Fatal"))
+		}
+	}
+	return false
 }
 
 // offloadCallee reports whether the call hands its func arguments to pool

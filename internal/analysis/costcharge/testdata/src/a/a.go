@@ -133,6 +133,61 @@ func broadcastLoop() {
 	}
 }
 
+// Identical charges on either side of an if are two runs: the branch may
+// leave the function between them. Inside one arm they share a run.
+func chargesAcrossIf(c bool) {
+	SendPhase(5, 64)
+	if c {
+		SendPhase(5, 64)
+		SendPhase(5, 64) // want `duplicate charge SendPhase\(5, 64\)`
+	} else {
+		SendPhase(5, 64)
+	}
+	SendPhase(5, 64)
+}
+
+// One charge in a loop body, identical to the charges around the loop: the
+// body is a run of its own, entered once per iteration.
+func chargeInLoopBody(n int) {
+	SendPhase(6, 64)
+	for i := 0; i < n; i++ {
+		SendPhase(6, 64)
+	}
+	SendPhase(6, 64)
+}
+
+// A label is a jump target, so a run starts at it; a goto back to it
+// charges once per pass. A bare block does not end the run it sits in.
+func chargesSplitByLabel(n int) {
+	SendPhase(7, 64)
+again:
+	SendPhase(7, 64)
+	{
+		SendPhase(7, 64) // want `duplicate charge SendPhase\(7, 64\)`
+	}
+	if n--; n > 0 {
+		goto again
+	}
+}
+
+// panic never returns: the charge after it starts a new (unreachable) run.
+func chargeAfterPanic(c bool) {
+	if c {
+		SendPhase(8, 64)
+		panic("unreachable charge below")
+		SendPhase(8, 64)
+	}
+}
+
+// An assignment between two identical charges is straight-line code: they
+// are still one run, and the second is a duplicate.
+func chargesSplitByAssignment() int {
+	SendPhase(9, 64)
+	n := 2
+	SendPhase(9, 64) // want `duplicate charge SendPhase\(9, 64\)`
+	return n
+}
+
 // Offloaded compute with no telemetry and no charges is the contract being
 // protected: clean.
 func cleanOffload() {

@@ -1,13 +1,11 @@
 // Package determinism implements the lint check that keeps every figure in
 // results/ bit-reproducible: simulated code must not consult global RNG
-// state, wall-clock time, or Go's randomized map iteration order, and no
-// value derived from the wall clock or from map order may reach what the
-// simulation computes.
+// state, wall-clock time, or Go's randomized map iteration order.
 //
 // The engine is a single-threaded discrete-event simulation, so the only
-// sources of run-to-run variation are exactly these; the analyzer turns the
-// determinism contract (documented in internal/engine/README.md) into a
-// machine-checked invariant in two halves. The first flags the sources:
+// sources of run-to-run variation are exactly these; the analyzer flags
+// each source where it appears (the determinism contract is documented in
+// internal/engine/README.md):
 //
 //   - calls to package-level math/rand functions (rand.Float64, rand.Intn,
 //     rand.Perm, ...) draw from the process-global, racy source and are
@@ -22,21 +20,21 @@
 //   - ranging over a map is flagged because iteration order varies per run:
 //     iterate over sorted keys or a recorded insertion-order slice, or
 //     suppress with //mlstar:nolint determinism when the loop is provably
-//     order-insensitive (e.g. building another map without float
-//     accumulation);
+//     order-insensitive — the directive's reason must say why the ranged
+//     values reach no float fold, simulation charge or seed;
 //   - raw `go` statements are flagged: concurrency in simulated code must be
 //     expressed as simulation processes (des.Spawn, des.Fork — what the
 //     pipelined AllReduce scheduler uses for its sender and fold/decode
 //     stages) or handed to the deterministic compute pool
 //     (par.Go/par.Do/par.GoParts), because a bare goroutine runs in
-//     wall-clock order outside the virtual clock. The des kernel's own Spawn implementation is the one audited
-//     exception, suppressed in place.
+//     wall-clock order outside the virtual clock. The pool itself is outside
+//     the scope; obshttp's dashboard server is the one audited exception,
+//     suppressed in place.
 //
-// The second half (flow.go) follows the values the sources produce as a
-// taint, through assignments and calls, to the sinks where they change
-// results. A directive on a source suppresses that source's finding only:
-// its taint still flows, so a fold of the values a suppressed map range
-// collected is still reported.
+// What a value from a suppressed source reaches is not followed: the
+// directive's reason is the audit, and a fold or charge in the wrong order
+// shows at run time, as a moved golden or a repetition of the repository
+// benchmark that is no longer bit-identical.
 package determinism
 
 import (
@@ -44,13 +42,12 @@ import (
 	"go/types"
 
 	"mllibstar/internal/analysis"
-	"mllibstar/internal/analysis/callgraph"
 )
 
 // Analyzer is the determinism check.
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc:  "forbid global rand state, wall-clock time, raw goroutines, and map-order dependence in simulated code, and track map-order and wall-clock taint into float folds, simulation charges, seeds and shared state",
+	Doc:  "forbid global rand state, wall-clock time, raw goroutines, and map-order dependence in simulated code",
 	DefaultScope: []string{
 		"mllibstar/internal/allreduce",
 		"mllibstar/internal/angel",
@@ -92,7 +89,7 @@ var randAllowed = map[string]bool{
 }
 
 // wallClockFuncs are the time package entry points that leak the wall clock
-// or real sleeping into simulated code. Their results carry clock taint.
+// or real sleeping into simulated code.
 var wallClockFuncs = map[string]bool{
 	"Now":       true,
 	"Since":     true,
@@ -116,12 +113,6 @@ func run(pass *analysis.Pass) error {
 		}
 		return true
 	})
-
-	a := &analyzer{pass: pass, prog: callgraph.NewSummaries[summary](pass.Program())}
-	a.prog.Solve(a.summarize)
-	for _, n := range a.prog.Nodes {
-		a.reportNode(n)
-	}
 	return nil
 }
 
@@ -134,12 +125,6 @@ func packageFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	return fn
-}
-
-// isWallClock reports whether fn is one of the time package's wall-clock
-// entry points.
-func isWallClock(fn *types.Func) bool {
-	return fn != nil && fn.Pkg().Path() == "time" && wallClockFuncs[fn.Name()]
 }
 
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {

@@ -36,7 +36,7 @@ func sleeps() {
 func mapOrder(m map[string]float64) float64 {
 	sum := 0.0
 	for _, v := range m { // want `map iteration order is nondeterministic`
-		sum += v // want `float accumulation folds map-iteration-order-dependent values`
+		sum += v
 	}
 	return sum
 }

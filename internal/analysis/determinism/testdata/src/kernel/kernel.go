@@ -3,9 +3,8 @@
 // loops, and structural work charges derived from row-pointer differences.
 // Every float fold here ranges over slices in index order and every charged
 // quantity is a structural count — there is no map-iteration or wall-clock
-// source anywhere — so the interprocedural taint analysis must stay silent
-// on this whole file even though it is dense with the sink shapes it
-// watches (float accumulations, charge-helper call sites).
+// source anywhere — so the determinism analyzer must stay silent on this
+// whole file.
 package kernel
 
 // ComputeKind is the charge primitive (bodyless: no node in the graph).

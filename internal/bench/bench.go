@@ -84,7 +84,7 @@ func (r *Report) addFile(name, contents string) {
 // addFilesFrom copies every output file of sub into r, in sorted name order.
 func (r *Report) addFilesFrom(sub *Report) {
 	names := make([]string, 0, len(sub.Files))
-	for name := range sub.Files { //mlstar:nolint determinism -- order-insensitive: keys sorted before use
+	for name := range sub.Files { //mlstar:nolint determinism -- names sorted before use; they only name output files, no fold, charge or seed
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -142,7 +142,7 @@ func register(e Experiment) {
 // All returns every registered experiment sorted by ID.
 func All() []Experiment {
 	ids := make([]string, 0, len(registry))
-	for id := range registry { //mlstar:nolint determinism -- order-insensitive: keys sorted before use
+	for id := range registry { //mlstar:nolint determinism -- ids sorted before use; they only pick experiments, no fold, charge or seed
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
@@ -158,7 +158,7 @@ func ByID(id string) (Experiment, error) {
 	e, ok := registry[id]
 	if !ok {
 		ids := make([]string, 0, len(registry))
-		for id := range registry { //mlstar:nolint determinism -- order-insensitive: keys sorted before use
+		for id := range registry { //mlstar:nolint determinism -- ids sorted before use; they only fill an error message
 			ids = append(ids, id)
 		}
 		sort.Strings(ids)

@@ -56,9 +56,23 @@ func init() {
 // Cluster 2 in the paper, so it is absent here too).
 var fig6Systems = []string{sysMLlib, sysMLlibStar, sysAngel}
 
+// fig6Run names one run of Figure 6 on a workload: panels a–c and d run
+// the same nine.
+type fig6Run struct {
+	system   string
+	machines int
+}
+
 // runTuned6 runs a system with the WX experiment's budgets: the common
 // target is looser than Figure 4/5's, so the step budgets can be tighter.
+// Without a sink a run is kept on its workload, so fig6d reads the runs of
+// a–c instead of repeating them; a run that records into a sink is always
+// made, so the sink holds every run's events.
 func runTuned6(system string, spec clusters.Spec, w *workload, cfg RunConfig) (*train.Result, error) {
+	key := fig6Run{system, spec.Executors}
+	if res := w.fig6[key]; res != nil && cfg.Sink == nil {
+		return res, nil
+	}
 	prm := tuned(system, w.ds.Name, 0)
 	prm.TargetObjective = w.reference(0) + 0.05
 	prm.EvalEvery = 2
@@ -79,7 +93,11 @@ func runTuned6(system string, spec clusters.Spec, w *workload, cfg RunConfig) (*
 	default:
 		prm.MaxSteps = 100
 	}
-	return runSystem(system, spec, w, prm, cfg.Sink)
+	res, err := runSystem(system, spec, w, prm, cfg.Sink)
+	if err == nil && cfg.Sink == nil {
+		w.fig6[key] = res
+	}
+	return res, err
 }
 
 // runFig6Panel runs the WX workload on Cluster 2 with the given machine

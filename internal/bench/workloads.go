@@ -15,8 +15,9 @@ import (
 // reference optimum per objective.
 type workload struct {
 	ds      *data.Dataset
-	eval    data.View           // the evaluation subsample's arena
-	refOpts map[float64]float64 // l2 -> reference optimum on the eval set
+	eval    data.View                 // the evaluation subsample's arena
+	refOpts map[float64]float64       // l2 -> reference optimum on the eval set
+	fig6    map[fig6Run]*train.Result // Figure 6 runs made without a sink
 }
 
 // workloadCache avoids regenerating datasets across experiments in one
@@ -47,7 +48,7 @@ func loadWorkload(name string, cfg RunConfig) (*workload, error) {
 // newWorkload prepares ds with an evaluation subsample of at most evalCap
 // rows.
 func newWorkload(ds *data.Dataset, evalCap int) *workload {
-	return &workload{ds: ds, eval: ds.Subsample(evalCap, 17).View(), refOpts: map[float64]float64{}}
+	return &workload{ds: ds, eval: ds.Subsample(evalCap, 17).View(), refOpts: map[float64]float64{}, fig6: map[fig6Run]*train.Result{}}
 }
 
 // reference returns (caching) the reference optimum for SVM with the given

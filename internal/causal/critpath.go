@@ -127,7 +127,7 @@ type share struct {
 
 func shareTable(m map[string]*share) []*share {
 	out := make([]*share, 0, len(m))
-	for _, s := range m { //mlstar:nolint determinism -- entries are fully sorted immediately below
+	for _, s := range m { //mlstar:nolint determinism -- sorted by (seconds, unique key) below before any caller reads them; no charge or seed reads them
 		out = append(out, s)
 	}
 	sort.Slice(out, func(a, b int) bool {

@@ -7,7 +7,9 @@
 //
 // The determinism analyzer (internal/analysis/determinism) enforces the
 // funnel: direct rand.New / rand.NewSource calls anywhere else in the
-// simulated packages fail the lint gate.
+// simulated packages fail the lint gate. What feeds a seed is not followed
+// statically: a seed derived from map order or the wall clock would show as
+// a moved golden.
 //
 // Compatibility note: the derivation arithmetic below reproduces, bit for
 // bit, the ad-hoc formulas the trainers used before this package existed

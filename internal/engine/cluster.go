@@ -253,7 +253,7 @@ func (ex *Executor) Recv(p *des.Proc, tag string) simnet.Message {
 // executor, forcing lineage recomputation on next access (fault injection).
 func (ex *Executor) DropCache(rddID int) {
 	victims := make([]blockID, 0)
-	for id := range ex.blocks { //mlstar:nolint determinism -- order-insensitive: collecting a delete set
+	for id := range ex.blocks { //mlstar:nolint determinism -- the ids only select entries to delete; no fold, charge or seed reads them or their order
 		if id.rdd == rddID {
 			victims = append(victims, id)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -185,6 +186,34 @@ func TestCountByKey(t *testing.T) {
 	sim.Run()
 	if !reflect.DeepEqual(got, map[string]int{"a": 2, "b": 1}) {
 		t.Errorf("got %v", got)
+	}
+}
+
+// TestShuffleRepeatsBitForBit runs one GroupByKey five times: the order of
+// each group's values (arrival order at the key's owner) and the virtual end
+// time must repeat exactly. The order in which an executor sends its blocks
+// decides both.
+func TestShuffleRepeatsBitForBit(t *testing.T) {
+	const k = 5
+	var data []Pair[string, int]
+	for i := 0; i < 200; i++ {
+		data = append(data, Pair[string, int]{string(rune('a' + i%13)), i})
+	}
+	run := func() ([][]Pair[string, []int], float64) {
+		sim, _, ctx := exchangeCluster(k)
+		var parts [][]Pair[string, []int]
+		sim.Spawn("driver", func(p *des.Proc) {
+			parts = Collect(p, GroupByKey(p, pairsRDD(ctx, k, data), "grp", 16), 16)
+		})
+		sim.Run()
+		return parts, sim.Now()
+	}
+	want, wantEnd := run()
+	for r := 1; r < 5; r++ {
+		got, end := run()
+		if !reflect.DeepEqual(got, want) || math.Float64bits(end) != math.Float64bits(wantEnd) {
+			t.Fatalf("run %d: groups or end time %v differ from run 0's (end %v)", r, end, wantEnd)
+		}
 	}
 }
 

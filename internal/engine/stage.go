@@ -36,7 +36,7 @@ func NewContext(c *Cluster, cfg Config) *Context {
 func (ctx *Context) GetVec(n int) []float64 { return ctx.Cluster.pool.Get(n) }
 
 // PutVec recycles a buffer obtained from GetVec. The caller must not use b
-// afterwards (the buflife analyzer enforces this).
+// afterwards; in a test binary the pool poisons b, so a later read sees NaN.
 func (ctx *Context) PutVec(b []float64) { ctx.Cluster.pool.Put(b) }
 
 // Task is one unit of work in a stage, bound to a specific executor. Run

@@ -108,6 +108,25 @@ func TestUtilizationExcludesBarrier(t *testing.T) {
 	}
 }
 
+// TestUtilizationFoldsInClassOrder: a node's busy classes are summed in
+// class order, so its utilization is one float however anything else is
+// iterated. The busy times make the sum order-sensitive: 1 + 2⁻⁵³ + 2⁻⁵³ is
+// 1 in class order (compute before aggregate and update), 1 + 2⁻⁵² with the
+// two small terms first.
+func TestUtilizationFoldsInClassOrder(t *testing.T) {
+	tiny := math.Ldexp(1, -53)
+	g := GanttFromEvents([]Event{
+		span("n", PhaseCompute, 0, 1),
+		span("n", PhaseAgg, 0, tiny),
+		span("n", PhaseUpdate, 0, tiny),
+	})
+	for range 20 {
+		if got := g.Utilization()["n"]; math.Float64bits(got) != math.Float64bits(1) {
+			t.Fatalf("utilization = %v (%x), want exactly 1", got, math.Float64bits(got))
+		}
+	}
+}
+
 func TestRenderASCII(t *testing.T) {
 	g := GanttFromEvents([]Event{
 		span("driver", PhaseUpdate, 5, 10),

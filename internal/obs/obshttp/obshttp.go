@@ -122,7 +122,6 @@ nav a { margin-right: 14px; font-size: 13px; }
 	// Analyze and skips it.
 	if g, err := causal.Analyze(events); err == nil {
 		b.WriteString("<h2>Critical path</h2><pre>")
-		//mlstar:nolint determinism -- render-only path: the report is HTML output, nothing flows back into the simulation
 		b.WriteString(html.EscapeString(causal.CriticalPath(g).Text(20)))
 		b.WriteString("</pre>")
 	}

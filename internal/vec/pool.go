@@ -9,9 +9,9 @@ import (
 // Pool recycles dense model-sized buffers across training steps, keyed by
 // length. Get and Copy transfer ownership of a buffer to the caller; Put
 // transfers it back. A buffer that rides a message changes owner with it:
-// the sender acquires, the receiver Puts. The ownership rules are enforced
-// by the buflife analyzer: a buffer must not be used after
-// Put, and must not be Put twice.
+// the sender acquires, the receiver Puts. A buffer must not be used after
+// Put, and must not be Put twice; the checks below enforce both at run time
+// in every test binary.
 //
 // The mutex (rather than sync.Pool) is deliberate: buffers are requested
 // from offloaded closures on worker threads while the simulation goroutine
@@ -110,6 +110,6 @@ func (p *Pool) Put(b []float64) {
 		}
 	}
 	p.mu.Lock()
-	p.free[len(b)] = append(p.free[len(b)], b) //mlstar:nolint vecalias -- Put is the ownership-transfer point: the caller forfeits b
+	p.free[len(b)] = append(p.free[len(b)], b)
 	p.mu.Unlock()
 }
