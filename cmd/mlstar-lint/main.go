@@ -37,29 +37,16 @@ import (
 	"strings"
 
 	"mllibstar/internal/analysis"
-	"mllibstar/internal/analysis/costcharge"
-	"mllibstar/internal/analysis/determinism"
-	"mllibstar/internal/analysis/errdiscard"
-	"mllibstar/internal/analysis/floateq"
 	"mllibstar/internal/analysis/loader"
-	"mllibstar/internal/analysis/pkgdoc"
+	"mllibstar/internal/analysis/suite"
 )
-
-// analyzers is the suite, in reporting order.
-var analyzers = []*analysis.Analyzer{
-	determinism.Analyzer,
-	costcharge.Analyzer,
-	floateq.Analyzer,
-	errdiscard.Analyzer,
-	pkgdoc.Analyzer,
-}
 
 func main() {
 	list := flag.Bool("list", false, "describe the analyzers and exit")
 	flag.Parse()
 
 	if *list {
-		for _, a := range analyzers {
+		for _, a := range suite.Analyzers {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 			if len(a.DefaultScope) > 0 {
 				fmt.Printf("%-12s scope: %s\n", "", strings.Join(a.DefaultScope, ", "))
@@ -126,8 +113,8 @@ func runSuite(dir string, patterns []string) ([]finding, error) {
 	}
 
 	var findings []finding
-	names := make([]string, len(analyzers))
-	for i, a := range analyzers {
+	names := make([]string, len(suite.Analyzers))
+	for i, a := range suite.Analyzers {
 		names[i] = a.Name
 	}
 	sup := analysis.NewSuppressor(names...)
@@ -142,7 +129,7 @@ func runSuite(dir string, patterns []string) ([]finding, error) {
 	}
 
 	base := analysis.NewPass(pkgs)
-	for _, a := range analyzers {
+	for _, a := range suite.Analyzers {
 		pass := base.For(a, func(d analysis.Diagnostic) {
 			pos := base.Fset.Position(d.Pos)
 			if !a.InScope(base.PkgOf(d.Pos).PkgPath) || sup.Suppressed(pos.Filename, pos.Line, a.Name) {

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mllibstar/internal/analysis/suite"
 )
 
 // TestDefaultScopesNamePackages requires every scope entry of every analyzer
@@ -18,7 +20,7 @@ func TestDefaultScopesNamePackages(t *testing.T) {
 		t.Fatalf("go list: %v", err)
 	}
 	pkgs := strings.Fields(string(out))
-	for _, a := range analyzers {
+	for _, a := range suite.Analyzers {
 		for _, entry := range a.DefaultScope {
 			covered := false
 			for _, pkg := range pkgs {

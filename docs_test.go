@@ -9,6 +9,10 @@ package mllibstar_test
 // instead of rotting in the README.
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
@@ -17,12 +21,7 @@ import (
 	"strings"
 	"testing"
 
-	"mllibstar/internal/analysis"
-	"mllibstar/internal/analysis/costcharge"
-	"mllibstar/internal/analysis/determinism"
-	"mllibstar/internal/analysis/errdiscard"
-	"mllibstar/internal/analysis/floateq"
-	"mllibstar/internal/analysis/pkgdoc"
+	"mllibstar/internal/analysis/suite"
 	"mllibstar/internal/bench"
 )
 
@@ -30,6 +29,9 @@ import (
 // root, so their relative links resolve against the test's working
 // directory.
 var docFiles = []string{"README.md", "ARCHITECTURE.md", "EXPERIMENTS.md", "DESIGN.md"}
+
+// inlineCodeRe matches an inline code span on one line.
+var inlineCodeRe = regexp.MustCompile("`([^`\n]+)`")
 
 var linkRe = regexp.MustCompile(`\[[^\]\n]*\]\(([^)\s]+)\)`)
 
@@ -86,6 +88,103 @@ func TestDocsPackages(t *testing.T) {
 	}
 }
 
+// identDocs are the documents whose backticked pkg.Ident mentions
+// TestDocsIdentifiers checks.
+var identDocs = append([]string{"internal/engine/README.md"}, docFiles...)
+
+// identRe matches a qualified identifier inside a code span: a lower-case
+// package name, a dot and an upper-case identifier, not preceded by another
+// selector or a path.
+var identRe = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+
+// moduleExports maps every package name of this module (its package
+// clause; main packages and testdata excluded) to the exported names its
+// non-test files declare at top level — functions, methods, types,
+// variables and constants — read with go/parser. Two directories with one
+// package name pool their names.
+func moduleExports(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	exports := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "testdata" || p != "." && strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if f.Name.Name == "main" {
+			return nil
+		}
+		names := exports[f.Name.Name]
+		if names == nil {
+			names = map[string]bool{}
+			exports[f.Name.Name] = names
+		}
+		add := func(id *ast.Ident) {
+			if id.IsExported() {
+				names[id.Name] = true
+			}
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				add(decl.Name)
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						add(spec.Name)
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							add(id)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exports
+}
+
+// TestDocsIdentifiers verifies that every backticked pkg.Ident the guarded
+// documents write, where pkg is a package of this module, names an exported
+// top-level identifier of that package that still exists: a function,
+// type, variable or constant, or a method, which the docs write as
+// `pkg.Method` too (`des.Spawn`, `prof.Start`). A field or a method after
+// its type is checked through the type (`engine.Context.RunStage` needs
+// `engine.Context`).
+func TestDocsIdentifiers(t *testing.T) {
+	exports := moduleExports(t)
+	for _, doc := range identDocs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatalf("reading %s: %v", doc, err)
+		}
+		for _, span := range inlineCodeRe.FindAllStringSubmatch(string(text), -1) {
+			for _, m := range identRe.FindAllStringSubmatch(span[1], -1) {
+				if names, ok := exports[m[1]]; ok && !names[m[2]] {
+					t.Errorf("%s: `%s` names %s.%s, which package %s does not export", doc, span[1], m[1], m[2], m[1])
+				}
+			}
+		}
+	}
+}
+
 // codeSnippets extracts the command-bearing text of a markdown document:
 // every line inside a fenced code block plus every inline `code` span.
 func codeSnippets(t *testing.T, doc string) []string {
@@ -94,7 +193,6 @@ func codeSnippets(t *testing.T, doc string) []string {
 	if err != nil {
 		t.Fatalf("reading %s: %v", doc, err)
 	}
-	inlineRe := regexp.MustCompile("`([^`\n]+)`")
 	var out []string
 	inFence := false
 	for _, line := range strings.Split(string(text), "\n") {
@@ -107,7 +205,7 @@ func codeSnippets(t *testing.T, doc string) []string {
 			out = append(out, line)
 			continue
 		}
-		for _, m := range inlineRe.FindAllStringSubmatch(line, -1) {
+		for _, m := range inlineCodeRe.FindAllStringSubmatch(line, -1) {
 			out = append(out, m[1])
 		}
 	}
@@ -138,17 +236,13 @@ func makeTargets(t *testing.T) map[string]bool {
 // and name no retired one as if it still ran: a retired analyzer may be
 // mentioned in prose, not as a `name` in backticks.
 func TestDocsAnalyzers(t *testing.T) {
-	suite := []*analysis.Analyzer{
-		determinism.Analyzer, costcharge.Analyzer,
-		floateq.Analyzer, errdiscard.Analyzer, pkgdoc.Analyzer,
-	}
 	retired := []string{"buflife", "vecalias", "detflow"}
 	for _, doc := range []string{"README.md", "ARCHITECTURE.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatalf("reading %s: %v", doc, err)
 		}
-		for _, a := range suite {
+		for _, a := range suite.Analyzers {
 			if !strings.Contains(string(text), a.Name) {
 				t.Errorf("%s: analyzer %q is in the lint suite but never mentioned", doc, a.Name)
 			}

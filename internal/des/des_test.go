@@ -157,23 +157,6 @@ func TestQueueTryGet(t *testing.T) {
 	}
 }
 
-func TestQueueGetN(t *testing.T) {
-	s := New()
-	q := NewQueue[int](s, "q")
-	var got []int
-	s.Spawn("c", func(p *Proc) { got = q.GetN(p, 3) })
-	s.Spawn("p", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Wait(1)
-			q.Put(i)
-		}
-	})
-	s.Run()
-	if !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Errorf("got %v", got)
-	}
-}
-
 func TestResourceSerializesFIFO(t *testing.T) {
 	s := New()
 	r := NewResource(s, "link")

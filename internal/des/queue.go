@@ -111,13 +111,3 @@ func (q *Queue[T]) TryGet() (T, bool) {
 	}
 	return q.items.pop(), true
 }
-
-// GetN blocks until n values have been received and returns them in arrival
-// order.
-func (q *Queue[T]) GetN(p *Proc, n int) []T {
-	out := make([]T, 0, n)
-	for len(out) < n {
-		out = append(out, q.Get(p))
-	}
-	return out
-}

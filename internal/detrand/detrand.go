@@ -1,7 +1,7 @@
 // Package detrand is the single place in the repository allowed to
 // construct random-number generators. Everything downstream of a config
-// seed — per-worker jitter, per-partition sampling, per-step mini-batch
-// selection — derives its stream here, so the answer to "which draws does
+// seed — per-worker jitter, per-step mini-batch selection, data shuffles,
+// straggler sampling — derives its stream here, so the answer to "which draws does
 // experiment X make at step t on worker r?" lives in one audited file
 // instead of being scattered as magic primes across five packages.
 //
@@ -45,9 +45,6 @@ import "math/rand"
 const (
 	// WorkerStride separates per-worker jitter streams (Petuum, Angel).
 	WorkerStride = 7907
-	// PartitionStride separates per-partition sampling streams
-	// (engine.Sample); 2654435761 is the 32-bit Knuth multiplier.
-	PartitionStride = 2654435761
 	// StepStride separates per-communication-step streams (MLlib
 	// mini-batch gradient descent); the worker index is added on top.
 	StepStride = 1_000_003
@@ -55,7 +52,7 @@ const (
 
 // New returns the root generator for a config seed — the only
 // un-derived stream. Use the derivation helpers for anything that exists
-// per worker, per partition, or per step.
+// per worker or per step.
 func New(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
@@ -64,12 +61,6 @@ func New(seed int64) *rand.Rand {
 // of the parameter-server trainers.
 func Worker(seed int64, r int) *rand.Rand {
 	return New(seed + int64(r)*WorkerStride)
-}
-
-// Partition returns partition part's stream: the per-partition Bernoulli
-// sampling sequence of engine.Sample.
-func Partition(seed int64, part int) *rand.Rand {
-	return New(seed + int64(part)*PartitionStride)
 }
 
 // Step returns the stream for communication step t on worker i: the

@@ -24,8 +24,7 @@ const FloatBytes = 8
 // this to broadcast the current model to every executor. compute must be a
 // pure closure in the offload sense (see Task.Pure): it receives the task
 // index (use it — not an executor name — to select the data partition, so
-// speculative copies and failure rerouting compute the right partition on
-// any host) and returns its partial plus the virtual-time work to charge;
+// a speculative copy computes the right partition on any host) and returns its partial plus the virtual-time work to charge;
 // the engine performs the charge. Partials may come from the context's
 // buffer pool (GetVec) — the engine recycles every partial it consumes, and
 // ownership of the returned sum transfers to the caller, who may PutVec it

@@ -53,7 +53,7 @@ func TestBroadcastTorrentFasterOnLargeModels(t *testing.T) {
 }
 
 func TestBroadcastSingleExecutor(t *testing.T) {
-	sim, _, ctx := testCluster(1, DefaultConfig())
+	sim, _, ctx := testCluster(1, testConfig)
 	runOnDriver(sim, func(p *des.Proc) {
 		ctx.BroadcastVec(p, "b", 100, true) // must not deadlock with k=1
 	})

@@ -1,9 +1,13 @@
 // Package engine implements a Spark-like BSP execution engine on top of the
 // simulated cluster in package simnet: a driver that schedules stages of
-// tasks onto long-running executors, RDDs with lineage, caching and
-// recomputation, and the aggregation primitives MLlib's gradient-descent
-// implementation uses (task dispatch with payload broadcast, hierarchical
-// treeAggregate, and in-task peer-to-peer shuffles for AllReduce).
+// tasks onto long-running executors (Context.RunStage, with stragglers and
+// speculative copies), and the communication primitives MLlib's
+// gradient-descent implementation and MLlib* use — task dispatch with
+// payload broadcast, hierarchical treeAggregate (TreeAggregateVec),
+// torrent broadcast (BroadcastVec) and the in-task all-to-all shuffle round
+// AllReduce is built on (Exchange). Each executor keeps its data partition
+// pinned for the whole run, the steady state a cached RDD reaches in Spark,
+// so the engine has no RDD lineage, block store or executor failure.
 //
 // Task functions execute real Go code — real gradients over real data — but
 // charge their computation to the simulated clock through Executor.Charge,
@@ -42,11 +46,6 @@ type Config struct {
 	StragglerSeed int64 // seed for straggler sampling
 }
 
-// DefaultConfig returns modest overheads suitable for unit tests.
-func DefaultConfig() Config {
-	return Config{TaskBytes: 1024, ResultBytes: 256}
-}
-
 // Cluster is a driver plus a set of executors on a simulated network.
 type Cluster struct {
 	Sim    *des.Sim
@@ -80,7 +79,6 @@ func NewCluster(sim *des.Sim, netCfg simnet.Config, specs []simnet.NodeSpec, sin
 			cluster: c,
 			name:    sp.Name,
 			node:    net.Node(sp.Name),
-			blocks:  map[blockID]any{},
 		}
 		c.Execs = append(c.Execs, sp.Name)
 		c.execs[sp.Name] = ex
@@ -98,28 +96,16 @@ func (c *Cluster) Executor(name string) *Executor {
 	return ex
 }
 
-// blockID identifies a cached RDD partition.
-type blockID struct {
-	rdd  int
-	part int
-}
-
 // Executor is a long-running worker: it receives task messages, runs them,
-// and sends results back to the driver. It also hosts the block store for
-// cached RDD partitions.
+// and sends results back to the driver. Its partition of the training data
+// stays pinned to it for the whole run — the steady state a cached RDD
+// reaches in Spark — so a task body reads it directly.
 type Executor struct {
 	cluster  *Cluster
 	name     string
 	node     *simnet.Node
-	blocks   map[blockID]any
 	tasksRun int
 	slowdown float64 // per-task straggler multiplier set by the scheduler (0 = none)
-	failed   bool    // out of service (see Cluster.FailExecutor)
-
-	// Identity of the currently executing task attempt, for accumulators.
-	curStage   int
-	curTask    int
-	curAttempt int
 }
 
 // Name returns the executor's node name.
@@ -249,25 +235,9 @@ func (ex *Executor) Recv(p *des.Proc, tag string) simnet.Message {
 	return ex.node.Recv(p, tag)
 }
 
-// DropCache removes all cached partitions of the given RDD from this
-// executor, forcing lineage recomputation on next access (fault injection).
-func (ex *Executor) DropCache(rddID int) {
-	victims := make([]blockID, 0)
-	for id := range ex.blocks { //mlstar:nolint determinism -- the ids only select entries to delete; no fold, charge or seed reads them or their order
-		if id.rdd == rddID {
-			victims = append(victims, id)
-		}
-	}
-	for _, id := range victims {
-		delete(ex.blocks, id)
-	}
-}
-
 // taskMsg is the driver→executor task descriptor.
 type taskMsg struct {
-	stage    int
 	index    int
-	attempt  int // 0 = original, 1 = speculative copy
 	replyTag string
 	envelope float64 // fixed result envelope size configured by the Context
 	run      func(p *des.Proc, ex *Executor) (result any, resultBytes float64)
@@ -275,9 +245,8 @@ type taskMsg struct {
 
 // taskResult is the executor→driver reply.
 type taskResult struct {
-	index   int
-	attempt int
-	result  any
+	index  int
+	result any
 }
 
 // serve is the executor's server loop: take a task, run it, reply.
@@ -285,10 +254,9 @@ func (ex *Executor) serve(p *des.Proc) {
 	for {
 		msg := ex.node.Recv(p, "task")
 		tm := msg.Payload.(*taskMsg)
-		ex.curStage, ex.curTask, ex.curAttempt = tm.stage, tm.index, tm.attempt
 		res, rb := tm.run(p, ex)
 		ex.tasksRun++
 		ex.node.Send(p, ex.cluster.Driver, tm.replyTag, tm.envelope+rb,
-			&taskResult{index: tm.index, attempt: tm.attempt, result: res})
+			&taskResult{index: tm.index, result: res})
 	}
 }

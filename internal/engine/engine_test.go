@@ -12,6 +12,9 @@ import (
 	"mllibstar/internal/sparse"
 )
 
+// testConfig is a modest task and result envelope.
+var testConfig = Config{TaskBytes: 1024, ResultBytes: 256}
+
 // testCluster builds a driver + k executors cluster with simple rates:
 // compute 1000 work/s, network 1e6 B/s, no latency.
 func testCluster(k int, cfg Config) (*des.Sim, *Cluster, *Context) {
@@ -34,13 +37,13 @@ func runOnDriver(sim *des.Sim, fn func(p *des.Proc)) float64 {
 }
 
 func TestRunStageResultsInOrder(t *testing.T) {
-	sim, _, ctx := testCluster(4, DefaultConfig())
+	sim, _, ctx := testCluster(4, testConfig)
 	runOnDriver(sim, func(p *des.Proc) {
 		tasks := make([]Task, 4)
 		for i := range tasks {
 			i := i
 			tasks[i] = Task{
-				Exec: ctx.RoundRobin(i),
+				Exec: ctx.Cluster.Execs[i],
 				Run: func(p *des.Proc, ex *Executor) (any, float64) {
 					// Executors take different times; results must still
 					// come back indexed correctly.
@@ -65,7 +68,7 @@ func TestRunStageIsBarrier(t *testing.T) {
 		for i := range tasks {
 			work := float64(100 * (i + 1)) // slowest: 300 work = 0.3s
 			tasks[i] = Task{
-				Exec: ctx.RoundRobin(i),
+				Exec: ctx.Cluster.Execs[i],
 				Run: func(p *des.Proc, ex *Executor) (any, float64) {
 					ex.Charge(p, work)
 					return nil, 0
@@ -80,7 +83,7 @@ func TestRunStageIsBarrier(t *testing.T) {
 }
 
 func TestRunStageEmptyReturnsNil(t *testing.T) {
-	sim, _, ctx := testCluster(2, DefaultConfig())
+	sim, _, ctx := testCluster(2, testConfig)
 	runOnDriver(sim, func(p *des.Proc) {
 		if res := ctx.RunStage(p, "s", nil); res != nil {
 			t.Errorf("res = %v", res)
@@ -96,7 +99,7 @@ func TestSchedulerWorkSerializesDispatch(t *testing.T) {
 		return runOnDriver(sim, func(p *des.Proc) {
 			tasks := make([]Task, n)
 			for i := range tasks {
-				tasks[i] = Task{Exec: ctx.RoundRobin(i), Run: func(p *des.Proc, ex *Executor) (any, float64) { return nil, 0 }}
+				tasks[i] = Task{Exec: ctx.Cluster.Execs[i], Run: func(p *des.Proc, ex *Executor) (any, float64) { return nil, 0 }}
 			}
 			ctx.RunStage(p, "s", tasks)
 		})
@@ -113,7 +116,7 @@ func TestStragglerDeterministicInflation(t *testing.T) {
 		return runOnDriver(sim, func(p *des.Proc) {
 			tasks := make([]Task, 4)
 			for i := range tasks {
-				tasks[i] = Task{Exec: ctx.RoundRobin(i), Run: func(p *des.Proc, ex *Executor) (any, float64) {
+				tasks[i] = Task{Exec: ctx.Cluster.Execs[i], Run: func(p *des.Proc, ex *Executor) (any, float64) {
 					ex.Charge(p, 100)
 					return nil, 0
 				}}
@@ -146,103 +149,9 @@ func TestWavesSerializeOnExecutor(t *testing.T) {
 	}
 }
 
-func makeParts(k, perPart int) [][]int {
-	parts := make([][]int, k)
-	v := 0
-	for i := range parts {
-		for j := 0; j < perPart; j++ {
-			parts[i] = append(parts[i], v)
-			v++
-		}
-	}
-	return parts
-}
-
-func TestRDDCollectRoundTrip(t *testing.T) {
-	sim, _, ctx := testCluster(3, DefaultConfig())
-	runOnDriver(sim, func(p *des.Proc) {
-		rdd := Parallelize(ctx, "nums", makeParts(3, 4))
-		got := Collect(p, rdd, 8)
-		if !reflect.DeepEqual(got, makeParts(3, 4)) {
-			t.Errorf("collect = %v", got)
-		}
-	})
-}
-
-func TestRDDMapFilterCount(t *testing.T) {
-	sim, _, ctx := testCluster(2, DefaultConfig())
-	runOnDriver(sim, func(p *des.Proc) {
-		rdd := Parallelize(ctx, "nums", makeParts(2, 5)) // 0..9
-		doubled := Map(rdd, "x2", 1, func(v int) int { return v * 2 })
-		big := Filter(doubled, "big", 1, func(v int) bool { return v >= 10 })
-		if n := Count(p, big); n != 5 { // 10,12,14,16,18
-			t.Errorf("count = %d, want 5", n)
-		}
-	})
-}
-
-func TestRDDReduce(t *testing.T) {
-	sim, _, ctx := testCluster(2, DefaultConfig())
-	runOnDriver(sim, func(p *des.Proc) {
-		rdd := Parallelize(ctx, "nums", makeParts(2, 5))
-		sum := Reduce(p, rdd, 8, 1, func(a, b int) int { return a + b })
-		if sum != 45 {
-			t.Errorf("sum = %d, want 45", sum)
-		}
-	})
-}
-
-func TestRDDReduceSkipsEmptyPartitions(t *testing.T) {
-	sim, _, ctx := testCluster(2, DefaultConfig())
-	runOnDriver(sim, func(p *des.Proc) {
-		rdd := Parallelize(ctx, "nums", [][]int{{1, 2}, {}})
-		if sum := Reduce(p, rdd, 8, 1, func(a, b int) int { return a + b }); sum != 3 {
-			t.Errorf("sum = %d", sum)
-		}
-	})
-}
-
-func TestRDDSampleDeterministicFraction(t *testing.T) {
-	sim, _, ctx := testCluster(2, DefaultConfig())
-	runOnDriver(sim, func(p *des.Proc) {
-		rdd := Parallelize(ctx, "nums", makeParts(2, 500))
-		s1 := Sample(rdd, "s", 0.2, 42)
-		n1 := Count(p, s1)
-		if n1 < 100 || n1 > 320 {
-			t.Errorf("sample size = %d, want ~200", n1)
-		}
-		s2 := Sample(rdd, "s", 0.2, 42)
-		if n2 := Count(p, s2); n2 != n1 {
-			t.Errorf("same seed sample sizes differ: %d vs %d", n1, n2)
-		}
-	})
-}
-
-func TestRDDCachingAvoidsRecompute(t *testing.T) {
-	sim, _, ctx := testCluster(2, Config{TaskBytes: 1, ResultBytes: 1})
-	computeCalls := 0
-	runOnDriver(sim, func(p *des.Proc) {
-		base := Parallelize(ctx, "nums", makeParts(2, 3))
-		mapped := Map(base, "m", 0, func(v int) int { computeCalls++; return v + 1 }).Cache()
-		Count(p, mapped)
-		callsAfterFirst := computeCalls
-		Count(p, mapped) // should hit the block store
-		if computeCalls != callsAfterFirst {
-			t.Errorf("cached RDD recomputed: %d -> %d calls", callsAfterFirst, computeCalls)
-		}
-		// Fault injection: drop one executor's blocks, forcing lineage replay
-		// for its partitions only.
-		ctx.Cluster.Executor("exec0").DropCache(mapped.ID())
-		Count(p, mapped)
-		if computeCalls <= callsAfterFirst || computeCalls >= 2*callsAfterFirst {
-			t.Errorf("lineage recompute after cache drop: calls %d (first pass %d)", computeCalls, callsAfterFirst)
-		}
-	})
-}
-
 func TestTreeAggregateVecSum(t *testing.T) {
 	for _, aggs := range []int{0, 1, 2, 4} {
-		sim, _, ctx := testCluster(4, DefaultConfig())
+		sim, _, ctx := testCluster(4, testConfig)
 		runOnDriver(sim, func(p *des.Proc) {
 			got := ctx.TreeAggregateVec(p, fmt.Sprintf("agg%d", aggs), 3, aggs, 0,
 				func(task int) ([]float64, float64) {
@@ -317,7 +226,7 @@ func TestPeerToPeerInsideTask(t *testing.T) {
 }
 
 func TestStageMarksRecorded(t *testing.T) {
-	sim, cl, ctx := testCluster(2, DefaultConfig())
+	sim, cl, ctx := testCluster(2, testConfig)
 	runOnDriver(sim, func(p *des.Proc) {
 		tasks := []Task{{Exec: "exec0", Run: func(p *des.Proc, ex *Executor) (any, float64) {
 			ex.Charge(p, 10)
@@ -332,8 +241,8 @@ func TestStageMarksRecorded(t *testing.T) {
 	if len(g.Markers) != 2 || g.Markers[0].Label != "stage mystage start" || g.Markers[1].Label != "stage mystage end" {
 		t.Errorf("stage markers = %v", g.Markers)
 	}
-	if ctx.Stages() != 1 {
-		t.Errorf("stages = %d", ctx.Stages())
+	if ctx.stageSeq != 1 {
+		t.Errorf("stages = %d", ctx.stageSeq)
 	}
 }
 
@@ -352,7 +261,7 @@ func TestHeadersCheckOwnership(t *testing.T) {
 		fn()
 	}
 	enc := sparse.EncodeShared([]float64{1, 2}, nil)
-	_, cl, _ := testCluster(2, DefaultConfig())
+	_, cl, _ := testCluster(2, testConfig)
 	ex := cl.Executor(cl.Execs[0])
 	h := ex.NewHeader(0, enc)
 	ex.ReleaseHeader(h)
@@ -361,14 +270,14 @@ func TestHeadersCheckOwnership(t *testing.T) {
 	}
 	mustPanic("a second release", func() { ex.ReleaseHeader(h) })
 
-	_, cl, _ = testCluster(2, DefaultConfig())
+	_, cl, _ = testCluster(2, testConfig)
 	ex = cl.Executor(cl.Execs[0])
 	h = ex.NewHeader(0, enc)
 	ex.ReleaseHeader(h)
 	h.Enc = enc
 	mustPanic("taking a header written after its release", func() { ex.NewHeader(1, enc) })
 
-	_, cl, _ = testCluster(2, DefaultConfig())
+	_, cl, _ = testCluster(2, testConfig)
 	ex = cl.Executor(cl.Execs[0])
 	ex.ReleaseHeader(ex.NewHeader(0, enc))
 	if h := ex.NewHeader(1, enc); h.From != 1 || h.Enc.Len() != 2 {

@@ -13,7 +13,7 @@ func speculationStage(ctx *Context, k, slowIdx int, speculatable bool) []Task {
 	tasks := make([]Task, k)
 	for i := 0; i < k; i++ {
 		i := i
-		home := ctx.RoundRobin(i)
+		home := ctx.Cluster.Execs[i]
 		tasks[i] = Task{
 			Exec:         home,
 			Speculatable: speculatable,
@@ -63,7 +63,7 @@ func TestSpeculationRespectsSpeculatableFlag(t *testing.T) {
 				work = 10000
 			}
 			tasks[i] = Task{
-				Exec:         ctx.RoundRobin(i),
+				Exec:         ctx.Cluster.Execs[i],
 				Speculatable: false,
 				Run: func(p *des.Proc, ex *Executor) (any, float64) {
 					runs++

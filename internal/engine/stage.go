@@ -16,10 +16,8 @@ type Context struct {
 	Cluster  *Cluster
 	Cfg      Config
 	stageSeq int
-	nextRDD  int
 	specSeq  int
 	rng      *rand.Rand
-	accums   []*Accumulator
 }
 
 // NewContext returns a Context over the cluster with the given engine
@@ -99,8 +97,8 @@ func (ctx *Context) RunStage(p *des.Proc, name string, tasks []Task) []any {
 		if ctx.Cfg.SchedulerWork > 0 {
 			driver.ComputeKind(p, ctx.Cfg.SchedulerWork, obs.PhaseSchedule, "schedule "+name)
 		}
-		msg := &taskMsg{stage: ctx.stageSeq, index: i, replyTag: replyTag, envelope: ctx.Cfg.ResultBytes, run: ctx.withStraggler(taskRunner(handles[i], t))}
-		driver.Send(p, ctx.Cluster.reroute(t.Exec, i), "task", ctx.Cfg.TaskBytes+t.PayloadBytes, msg)
+		msg := &taskMsg{index: i, replyTag: replyTag, envelope: ctx.Cfg.ResultBytes, run: ctx.withStraggler(taskRunner(handles[i], t))}
+		driver.Send(p, t.Exec, "task", ctx.Cfg.TaskBytes+t.PayloadBytes, msg)
 	}
 
 	// Collect results; with speculation enabled, once the quantile of tasks
@@ -121,18 +119,14 @@ func (ctx *Context) RunStage(p *des.Proc, name string, tasks []Task) []any {
 		done[tr.index] = true
 		results[tr.index] = tr.result
 		received++
-		for _, acc := range ctx.accums {
-			acc.commit(ctx.stageSeq, tr.index, tr.attempt)
-		}
 		if quantile > 0 && !speculated && received >= int(float64(len(tasks))*quantile) && received < len(tasks) {
 			speculated = true
 			for i, t := range tasks {
 				if done[i] || !t.Speculatable {
 					continue
 				}
-				copyTo := ctx.Cluster.reroute(ctx.pickSpeculationHost(t.Exec), i)
-				msg := &taskMsg{stage: ctx.stageSeq, index: i, attempt: 1, replyTag: replyTag, envelope: ctx.Cfg.ResultBytes, run: ctx.withStraggler(taskRunner(handles[i], t))}
-				driver.Send(p, copyTo, "task", ctx.Cfg.TaskBytes+t.PayloadBytes, msg)
+				msg := &taskMsg{index: i, replyTag: replyTag, envelope: ctx.Cfg.ResultBytes, run: ctx.withStraggler(taskRunner(handles[i], t))}
+				driver.Send(p, ctx.pickSpeculationHost(t.Exec), "task", ctx.Cfg.TaskBytes+t.PayloadBytes, msg)
 			}
 		}
 	}
@@ -181,31 +175,21 @@ func (ctx *Context) withStraggler(run func(p *des.Proc, ex *Executor) (any, floa
 	}
 }
 
-// pickSpeculationHost chooses a different live executor than the original
-// assignment, round-robin over the alive set.
+// pickSpeculationHost chooses a different executor than the original
+// assignment, round-robin over the cluster.
 func (ctx *Context) pickSpeculationHost(original string) string {
-	alive := ctx.Cluster.Alive()
-	if len(alive) <= 1 {
+	execs := ctx.Cluster.Execs
+	if len(execs) <= 1 {
 		return original
 	}
 	ctx.specSeq++
-	pick := alive[ctx.specSeq%len(alive)]
+	pick := execs[ctx.specSeq%len(execs)]
 	if pick == original {
 		ctx.specSeq++
-		pick = alive[ctx.specSeq%len(alive)]
+		pick = execs[ctx.specSeq%len(execs)]
 	}
 	return pick
 }
 
-// RoundRobin assigns n tasks over the cluster's executors in order,
-// producing the executor name for task i.
-func (ctx *Context) RoundRobin(i int) string {
-	execs := ctx.Cluster.Execs
-	return execs[i%len(execs)]
-}
-
 // NumExecutors returns the number of executors in the cluster.
 func (ctx *Context) NumExecutors() int { return len(ctx.Cluster.Execs) }
-
-// Stages returns how many stages this context has run.
-func (ctx *Context) Stages() int { return ctx.stageSeq }

@@ -194,25 +194,6 @@ func (r ElasticNet) DerivAt(wj float64) float64 {
 	return d
 }
 
-// RegByName returns a regularizer by name with the given strength.
-func RegByName(name string, lambda float64) (Regularizer, error) {
-	switch name {
-	case "none", "":
-		return None{}, nil
-	case "l2":
-		if lambda == 0 {
-			return None{}, nil
-		}
-		return L2{Strength: lambda}, nil
-	case "l1":
-		if lambda == 0 {
-			return None{}, nil
-		}
-		return L1{Strength: lambda}, nil
-	}
-	return nil, fmt.Errorf("glm: unknown regularizer %q", name)
-}
-
 // Objective bundles a loss and a regularizer: f(w, X) = mean loss + Ω(w).
 type Objective struct {
 	Loss Loss

@@ -124,16 +124,6 @@ func TestByNameLookups(t *testing.T) {
 	if _, err := LossByName("nope"); err == nil {
 		t.Error("want error")
 	}
-	r, err := RegByName("l2", 0.1)
-	if err != nil || r.Name() != "l2" || r.Lambda() != 0.1 {
-		t.Errorf("RegByName l2 = %v, %v", r, err)
-	}
-	if r, _ := RegByName("l2", 0); r.Name() != "none" {
-		t.Error("l2 with lambda 0 should collapse to none")
-	}
-	if _, err := RegByName("nope", 1); err == nil {
-		t.Error("want error")
-	}
 }
 
 func TestAccuracy(t *testing.T) {

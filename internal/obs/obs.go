@@ -76,7 +76,7 @@ const (
 	PhaseReduceScatter Phase = "reduce-scatter" // AllReduce phase 1 shuffle
 	PhaseAllGather     Phase = "allgather"      // AllReduce phase 2 shuffle
 	PhaseBroadcast     Phase = "broadcast"      // model broadcast (task payload or torrent chunks)
-	PhaseShuffle       Phase = "shuffle"        // generic ByKey shuffle traffic
+	PhaseShuffle       Phase = "shuffle"        // any other engine.Exchange round
 	PhasePSPull        Phase = "ps-pull"        // parameter-server model pull (request + ranges)
 	PhasePSPush        Phase = "ps-push"        // parameter-server delta push
 	PhaseComm          Phase = "comm"           // unclassified communication
@@ -151,8 +151,8 @@ func EncodingOf(payload any) Encoding {
 // collective that uses it. The tag namespace is engine-defined: "task" and
 // "res:<stage>" are the driver's dispatch/result legs, "agg:<name>" the
 // treeAggregate legs, "xch:rs:<name>"/"xch:ag:<name>" the AllReduce shuffle
-// rounds, "xch:bc<step>" the torrent-broadcast chunks, other "xch:" tags the
-// generic ByKey shuffles, "ps." the parameter-server mailboxes (whose
+// rounds, "xch:bc<step>" the torrent-broadcast chunks, other "xch:" tags any
+// other Exchange round, "ps." the parameter-server mailboxes (whose
 // pull/push split is supplied explicitly by internal/ps, since both request
 // kinds share one server mailbox tag).
 func ClassifyTag(tag string) (Phase, Channel) {

@@ -31,51 +31,6 @@ func randDense(rng *rand.Rand, n int) []float64 {
 	return w
 }
 
-// TestScaleAxpyBitIdentical asserts the fused kernel matches the
-// Scale-then-Axpy composition bit for bit, including on examples whose
-// indices exceed the model length.
-func TestScaleAxpyBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		dim := 1 + rng.Intn(40)
-		x := randSparse(rng, dim+5) // some indices beyond len(w)
-		w := randDense(rng, dim)
-		alpha := rng.NormFloat64()
-		beta := rng.NormFloat64()
-
-		want := Copy(w)
-		Scale(want, alpha)
-		Axpy(beta, x, want)
-
-		got := Copy(w)
-		ScaleAxpy(got, alpha, beta, x)
-
-		for j := range want {
-			if math.Float64bits(want[j]) != math.Float64bits(got[j]) {
-				t.Fatalf("trial %d: ScaleAxpy[%d] = %x, want %x", trial, j,
-					math.Float64bits(got[j]), math.Float64bits(want[j]))
-			}
-		}
-	}
-}
-
-// TestDotNormBitIdentical asserts DotNorm matches Dot + Sparse.Norm2Sq.
-func TestDotNormBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 200; trial++ {
-		dim := 1 + rng.Intn(40)
-		x := randSparse(rng, dim+5)
-		w := randDense(rng, dim)
-		dot, norm2 := DotNorm(w, x)
-		if math.Float64bits(dot) != math.Float64bits(Dot(w, x)) {
-			t.Fatalf("trial %d: dot %g != %g", trial, dot, Dot(w, x))
-		}
-		if math.Float64bits(norm2) != math.Float64bits(x.Norm2Sq()) {
-			t.Fatalf("trial %d: norm2 %g != %g", trial, norm2, x.Norm2Sq())
-		}
-	}
-}
-
 // TestDot2BitIdentical asserts Dot2 matches two separate Dot calls.
 func TestDot2BitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))

@@ -141,40 +141,6 @@ func ScaleTo(dst []float64, alpha float64, src []float64) {
 	}
 }
 
-// ScaleAxpy performs w = alpha*w + beta*x for sparse x in a single dense
-// pass, merging the sparse updates into the scaling sweep instead of
-// touching w twice. It is the fused form of Scale(w, alpha) followed by
-// Axpy(beta, x, w) and is bit-identical to that composition (each element
-// still sees exactly one multiply, then at most one multiply-add, in the
-// same order). Indices of x beyond len(w) are ignored, matching Axpy.
-func ScaleAxpy(w []float64, alpha float64, beta float64, x Sparse) {
-	k := 0
-	for j := range w {
-		w[j] *= alpha
-		if k < len(x.Ind) && x.Ind[k] == int32(j) {
-			w[j] += beta * x.Val[k]
-			k++
-		}
-	}
-}
-
-// DotNorm returns <w, x> and ||x||² in one pass over x's nonzeros — the
-// margin and the example norm that normalized-update rules need together.
-// Each sum accumulates in the same order as the unfused Dot and
-// Sparse.Norm2Sq, so the results are bit-identical to calling them
-// separately.
-func DotNorm(w []float64, x Sparse) (dot, norm2 float64) {
-	n := int32(len(w))
-	for i, ix := range x.Ind {
-		v := x.Val[i]
-		norm2 += v * v
-		if ix < n {
-			dot += w[ix] * v
-		}
-	}
-	return dot, norm2
-}
-
 // Dot2 returns <a, x> and <b, x> in one pass over x's nonzeros — the two
 // margins SVRG's corrected step evaluates per example (current model and
 // snapshot). Both sums accumulate in the same order as separate Dot calls,
