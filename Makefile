@@ -11,10 +11,10 @@ build: ## compile everything
 test: ## unit tests
 	$(GO) test ./...
 
-race: ## unit tests under the race detector
+race: ## unit tests under the race detector; also the offload-purity check (the obs sink takes no lock, so a recording from a pool closure is a race)
 	$(GO) test -race ./...
 
-lint: ## gofmt -l must list nothing; then go vet beside the repo's five analyzers, one pass over the whole module, cold every run (about 2 s on 2 vCPUs after go build ./...)
+lint: ## gofmt -l must list nothing; then go vet beside the repo's four analyzers, one pass over the whole module, cold every run (about 2 s on 2 vCPUs after go build ./...)
 	@unformatted=$$(gofmt -l .) && if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/mlstar-lint ./...
 

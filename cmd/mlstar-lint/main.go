@@ -2,12 +2,13 @@
 // the project-specific analyzers over the given package patterns and exits
 // non-zero on any finding.
 //
-// Each invariant it checks has one analyzer. determinism, floateq,
-// errdiscard and pkgdoc check one construct at a time; costcharge follows
-// effects across functions and packages, over a call graph of the whole
-// module with function summaries solved over it. Buffer ownership and what
-// map-order values reach are checked at run time instead, by the pool
-// poison and the tier-1 tests (ARCHITECTURE.md, "Static guarantees").
+// Each invariant it checks has one analyzer, and each analyzer checks one
+// construct at a time: determinism, floateq, errdiscard and pkgdoc. What
+// crosses function boundaries is checked at run time instead: buffer
+// ownership by the pool poison, what map-order values reach by the goldens,
+// and offload purity — no telemetry and no charge from a par pool closure —
+// by `go test -race`, the des kernel and the goldens (ARCHITECTURE.md,
+// "Static guarantees").
 //
 // Usage:
 //
@@ -23,8 +24,7 @@
 // reason`; a malformed or unattached directive, or one naming no analyzer
 // of the suite, is itself reported as a finding of the analyzer "nolint".
 // Each analyzer reports in a fixed set of package-path prefixes (its
-// scope); -list prints them. Its summaries cover every package, so a helper
-// outside the scope still carries its effects to callers inside it.
+// scope); -list prints them.
 package main
 
 import (
@@ -69,7 +69,7 @@ func main() {
 	vet.Stdout, vet.Stderr = &vetOut, &vetErr
 	started := vet.Start()
 
-	findings, err := runSuite("", patterns)
+	findings, err := runSuite(patterns)
 	failed := started != nil || vet.Wait() != nil
 	_, _ = os.Stdout.Write(vetOut.Bytes()) // nowhere left to report a failed write
 	_, _ = os.Stderr.Write(vetErr.Bytes())
@@ -98,12 +98,12 @@ type finding struct {
 	Message  string
 }
 
-// runSuite lists and loads the packages matched by patterns in dir ("" =
-// the working directory) and runs each analyzer once over all of them,
+// runSuite lists and loads the packages matched by patterns in the working
+// directory and runs each analyzer once over all of them,
 // keeping the findings inside its scope. The findings come back sorted by
 // position.
-func runSuite(dir string, patterns []string) ([]finding, error) {
-	mod, err := loader.List(dir, patterns)
+func runSuite(patterns []string) ([]finding, error) {
+	mod, err := loader.List("", patterns)
 	if err != nil {
 		return nil, err
 	}

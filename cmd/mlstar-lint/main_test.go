@@ -2,7 +2,6 @@ package main
 
 import (
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -32,35 +31,6 @@ func TestDefaultScopesNamePackages(t *testing.T) {
 			if !covered {
 				t.Errorf("%s: scope entry %s covers no package of the module", a.Name, entry)
 			}
-		}
-	}
-}
-
-// TestCrossPackageFacts runs the suite over a fixture module in which every
-// finding of package a depends on a summary of package b: a helper that
-// reaches obs, directly or, for the second finding, through a helper of
-// package c, two package hops from a. Without the summaries crossing
-// package boundaries, a would be clean.
-func TestCrossPackageFacts(t *testing.T) {
-	findings, err := runSuite("testdata/twopkg", []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []struct {
-		analyzer string
-		line     int
-	}{
-		{"costcharge", 11},
-		{"costcharge", 15},
-	}
-	if len(findings) != len(want) {
-		t.Fatalf("got %d findings, want %d: %+v", len(findings), len(want), findings)
-	}
-	for i, w := range want {
-		f := findings[i]
-		if f.Analyzer != w.analyzer || f.Line != w.line || filepath.Base(f.File) != "a.go" {
-			t.Errorf("finding %d = %s:%d [%s] %s, want a.go:%d [%s]",
-				i, filepath.Base(f.File), f.Line, f.Analyzer, f.Message, w.line, w.analyzer)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Command mlstar-obs replays a superstep event log (the JSONL written by
-// internal/obs, e.g. via the -obs flag of mlstar-bench/mlstar-repro or the
-// /events endpoint) and renders it offline:
+// internal/obs, e.g. via the -obs flag of mlstar-bench/mlstar-repro) and
+// renders it offline:
 //
 //   - the bottleneck attribution report (default, text; -json for the
 //     machine-readable form), which classifies each run's dominant cost as
@@ -23,7 +23,6 @@
 //	mlstar-obs -in events.jsonl -curve c.svg    # convergence SVG
 //	mlstar-obs -in events.jsonl -critpath       # critical-path report
 //	mlstar-obs -in events.jsonl -whatif         # what-if re-timing table
-//	mlstar-obs -in events.jsonl -serve :8080    # live dashboard over the log
 //
 // Everything is derived from the event log, so two runs that produced
 // byte-identical logs produce byte-identical reports — the golden-file
@@ -39,7 +38,6 @@ import (
 	"mllibstar/internal/causal"
 	"mllibstar/internal/metrics"
 	"mllibstar/internal/obs"
-	"mllibstar/internal/obs/obshttp"
 )
 
 func main() {
@@ -60,7 +58,6 @@ func run() error {
 		crit    = flag.Bool("critpath", false, "emit the critical-path report (from the log's causal fields; a log recorded by an older build or another tool may lack them)")
 		whatif  = flag.Bool("whatif", false, "emit the what-if re-timing table (from the log's causal fields; a log recorded by an older build or another tool may lack them)")
 		topN    = flag.Int("top", 20, "number of path segments in the -critpath report")
-		serve   = flag.String("serve", "", "serve the log's dashboard on this address (e.g. :8080) instead of exiting")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -104,16 +101,6 @@ func run() error {
 		if err := os.WriteFile(*curve, []byte(svg), 0o644); err != nil {
 			return err
 		}
-	}
-
-	if *serve != "" {
-		s := obs.SinkFromEvents(events)
-		addr, _, err := obshttp.Serve(*serve, s)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "mlstar-obs: dashboard on http://%s/ (ctrl-C to stop)\n", addr)
-		select {} // serve until interrupted
 	}
 
 	switch {

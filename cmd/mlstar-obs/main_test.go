@@ -39,6 +39,17 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
+// TestServeIsNotAFlag: the log's reports are files and stdout, read after
+// the run; there is no live dashboard, so -serve fails to parse.
+func TestServeIsNotAFlag(t *testing.T) {
+	if err := runWith(t, "-serve", ":0", "-in", sampleLog); err == nil {
+		t.Error("-serve :0 ran without an error")
+	}
+	if flag.CommandLine.Lookup("serve") != nil {
+		t.Error("-serve is still defined")
+	}
+}
+
 // TestCritpathRunsWithGoodFlags: the check passes the default and the
 // smallest valid -top.
 func TestCritpathRunsWithGoodFlags(t *testing.T) {

@@ -236,7 +236,7 @@ func makeTargets(t *testing.T) map[string]bool {
 // and name no retired one as if it still ran: a retired analyzer may be
 // mentioned in prose, not as a `name` in backticks.
 func TestDocsAnalyzers(t *testing.T) {
-	retired := []string{"buflife", "vecalias", "detflow"}
+	retired := []string{"buflife", "vecalias", "detflow", "costcharge"}
 	for _, doc := range []string{"README.md", "ARCHITECTURE.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {

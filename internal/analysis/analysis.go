@@ -2,21 +2,22 @@
 // golang.org/x/tools/go/analysis, built only on the standard library so the
 // repository keeps its zero-dependency policy. It provides the Analyzer and
 // Pass types that the mlstar lint suite (cmd/mlstar-lint) drives and the
-// //mlstar:nolint suppressor; the sibling packages (determinism,
-// costcharge, floateq, errdiscard, pkgdoc) implement the project-specific
-// invariants on top of it.
+// //mlstar:nolint suppressor; the sibling packages (determinism, floateq,
+// errdiscard, pkgdoc) implement the project-specific invariants on top of
+// it, each one construct at a time.
 //
 // The framework mirrors the upstream API shape — an Analyzer with a Run
 // function over a Pass carrying syntax and type information — with one
 // difference: a Pass holds every package of the run at once, in one type
-// universe. The interprocedural analyzer (costcharge) then builds one call
-// graph over the whole module and solves its function summaries in one
-// fixpoint, where upstream would export per-package facts and import them
-// downstream.
+// universe, so the module is loaded and type-checked once for the suite.
 //
-// Buffer ownership and the flow of map-order values are not checked here:
-// the pooled-buffer poison (vec.Pool, engine.Header, simnet.Message) and
-// the tier-1 tests check them at run time.
+// What crosses function boundaries is checked at run time, not here. Buffer
+// ownership: the pooled-buffer poison (vec.Pool, engine.Header,
+// simnet.Message) and the tier-1 tests. The flow of map-order values: the
+// goldens. That offloaded closures neither record telemetry nor charge
+// virtual time: `go test -race` (the obs sink takes no lock), the des
+// kernel (a charge off the simulation thread panics) and the goldens (a
+// duplicated charge moves them).
 package analysis
 
 import (
@@ -39,9 +40,7 @@ type Analyzer struct {
 
 	// DefaultScope lists package-path prefixes whose findings the driver
 	// keeps when it runs the suite over the whole repository. Empty means
-	// every package. The analyzer still sees every package, so summaries of
-	// helpers outside the scope (internal/vec, say) feed findings inside
-	// it. Test harnesses ignore the scope.
+	// every package. Test harnesses ignore the scope.
 	DefaultScope []string
 
 	// Run applies the check to every package of the pass and reports
@@ -133,28 +132,6 @@ func (p *Pass) PkgOf(pos token.Pos) *loader.Package {
 		}
 	}
 	return nil
-}
-
-// IsCharge reports whether fn is a simulation charge: an operation that
-// consumes virtual time or bytes. ComputeKind, ComputeAsyncKind,
-// ChargeAsync, SendPhase, RecvN and WaitUntil exist nowhere else in the
-// module, so they match by name alone and corpora can mirror them; the
-// generic names Send, Compute and Recv match only in simnet, Wait only in
-// des.
-func IsCharge(fn *types.Func) bool {
-	pkg := ""
-	if fn.Pkg() != nil {
-		pkg = fn.Pkg().Path()
-	}
-	switch fn.Name() {
-	case "ComputeKind", "ComputeAsyncKind", "ChargeAsync", "SendPhase", "RecvN", "WaitUntil":
-		return true
-	case "Send", "Compute", "Recv":
-		return pkg == "mllibstar/internal/simnet"
-	case "Wait":
-		return pkg == "mllibstar/internal/des"
-	}
-	return false
 }
 
 // FuncOf resolves the called function object of a call expression, looking

@@ -28,8 +28,7 @@
 //     stages) or handed to the deterministic compute pool
 //     (par.Go/par.Do/par.GoParts), because a bare goroutine runs in
 //     wall-clock order outside the virtual clock. The pool itself is outside
-//     the scope; obshttp's dashboard server is the one audited exception,
-//     suppressed in place.
+//     the scope.
 //
 // What a value from a suppressed source reaches is not followed: the
 // directive's reason is the audit, and a fold or charge in the wrong order

@@ -16,7 +16,7 @@ func parse(t *testing.T, src string) (*Suppressor, []Misuse, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSuppressor("determinism", "floateq", "costcharge")
+	s := NewSuppressor("determinism", "floateq", "errdiscard")
 	mis := s.AddPackage(fset, []*ast.File{f})
 	return s, mis, "p.go"
 }
@@ -31,7 +31,7 @@ var d = 4
 var e = 5
 
 func f() {
-	x := call( //mlstar:nolint costcharge -- audited: runs after the pool join
+	x := call( //mlstar:nolint errdiscard -- audited: the caller checks the error
 		1,
 		2,
 	)
@@ -64,12 +64,12 @@ func h(m map[int]float64) (s float64) {
 		{3, "determinism", false},  // trailing marker names a different analyzer
 		{4, "floateq", true},       // comma-separated list, first name
 		{4, "determinism", true},   // comma-separated list, second name
-		{4, "costcharge", false},   // not in the list
+		{4, "errdiscard", false},   // not in the list
 		{6, "determinism", true},   // marker-only line covers the statement below
 		{6, "floateq", false},      // ...for the named analyzer only
 		{7, "determinism", false},  // the next statement is not covered
-		{10, "costcharge", true},   // trailing marker on a multi-line statement...
-		{12, "costcharge", true},   // ...covers the whole statement
+		{10, "errdiscard", true},   // trailing marker on a multi-line statement...
+		{12, "errdiscard", true},   // ...covers the whole statement
 		{12, "floateq", false},     // ...but only the named analyzer
 		{20, "determinism", true},  // declaration-attached directive covers the body
 		{24, "determinism", true},  // a directive on a range covers its header...

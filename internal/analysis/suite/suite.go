@@ -6,7 +6,6 @@ package suite
 
 import (
 	"mllibstar/internal/analysis"
-	"mllibstar/internal/analysis/costcharge"
 	"mllibstar/internal/analysis/determinism"
 	"mllibstar/internal/analysis/errdiscard"
 	"mllibstar/internal/analysis/floateq"
@@ -16,7 +15,6 @@ import (
 // Analyzers is the suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
-	costcharge.Analyzer,
 	floateq.Analyzer,
 	errdiscard.Analyzer,
 	pkgdoc.Analyzer,

@@ -38,6 +38,7 @@ import (
 	"mllibstar/internal/causal"
 	"mllibstar/internal/clusters"
 	"mllibstar/internal/obs"
+	"mllibstar/internal/par"
 	"mllibstar/internal/train"
 )
 
@@ -56,8 +57,12 @@ func requireObsIdentical(t *testing.T, system string, off, on *train.Result) {
 // runSinkTable trains each row twice — with no sink and into a private one —
 // and requires bitwise-equal results and charged bytes, a non-empty log and
 // a causal graph that passes requireCausalGraph. It returns the recorded
-// logs by row name.
+// logs by row name. The offload pool is forced on at any CPU count: the sink
+// takes no lock, so under `go test -race` a recording from a pool closure
+// is a data race whether or not the machine has a second CPU.
 func runSinkTable(t *testing.T, w *workload, rows []trainerRow) map[string][]obs.Event {
+	par.ForceEnable(4)
+	t.Cleanup(func() { par.Configure(true, 0) })
 	logs := map[string][]obs.Event{}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -72,32 +72,46 @@ func (ctx *Context) TreeAggregateVecDelta(p *des.Proc, name string, dim, aggrega
 		groupSize[i%aggregators]++
 	}
 
-	// partials[i] is written by task i's pure closure and read by its Run
-	// after the engine joins the closure — the join's happens-before edge
-	// orders the two.
-	partials := make([][]float64, k)
+	// outs[i] is written by task i's pure closure and read by its Run after
+	// the engine joins the closure — the join's happens-before edge orders
+	// the two. With flat aggregation every task is a pure compute-and-reply
+	// (no peer messaging), so speculative copies are safe; the closure,
+	// which the original and its copy share, also sizes the reply, because a
+	// losing copy's Run starts after the driver has recycled the winner's
+	// partial and must not read it.
+	type taskOut struct {
+		partial    []float64
+		replyBytes float64 // flat aggregation only
+	}
+	outs := make([]taskOut, k)
+	flat := aggregators >= k
 	tasks := make([]Task, k)
 	for i := 0; i < k; i++ {
 		i := i
 		group := i % aggregators
 		isAgg := i < aggregators
 		aggName := ctx.Cluster.Execs[group]
+		out := &outs[i]
 		tasks[i] = Task{
 			Exec:         ctx.Cluster.Execs[i],
 			PayloadBytes: payloadBytes,
-			// With flat aggregation every task is a pure compute-and-reply
-			// (no peer messaging), so speculative copies are safe.
-			Speculatable: aggregators >= k,
+			Speculatable: flat,
 			Pure: func() float64 {
 				partial, work := compute(i)
 				if len(partial) != dim {
 					panic(fmt.Sprintf("engine: partial dim %d != %d", len(partial), dim))
 				}
-				partials[i] = partial
+				out.partial = partial
+				if flat {
+					out.replyBytes = sparse.WireBytesFor(partial, ref)
+				}
 				return work
 			},
 			Run: func(p *des.Proc, ex *Executor) (any, float64) {
-				partial := partials[i]
+				partial := out.partial
+				if flat {
+					return partial, out.replyBytes
+				}
 				if !isAgg {
 					// Forward the partial to the group's aggregator and
 					// return an empty result to the driver. A sparse

@@ -10,9 +10,10 @@
 // des virtual-time spans, histograms observe virtual durations, and no code
 // path consults the wall clock (the determinism analyzer enforces this).
 // Recording happens exclusively from DES process code — never from offloaded
-// pure closures (the costcharge analyzer enforces that) — so the event sequence
-// is a pure function of the simulated execution and is byte-identical across
-// runs. Turning the sink on or off changes no training numeric, no simulated
+// pure closures — so the event sequence is a pure function of the simulated
+// execution and is byte-identical across runs. The sink takes no lock, so a
+// recording from a par pool goroutine is a data race that `go test -race`
+// reports. Turning the sink on or off changes no training numeric, no simulated
 // byte, and no virtual timestamp: hooks only observe, they never charge.
 //
 // # Wiring
@@ -29,21 +30,18 @@
 //
 // # Write path and read path
 //
-// Recording an event is one append under the sink's mutex; everything a
-// reader needs is computed when it reads. Three contracts keep that split
-// honest:
+// Recording an event is one append; everything a reader needs is computed
+// when it reads, on the same goroutine, after the run. Three contracts keep
+// that split honest:
 //
 //   - The log is stored in fixed-capacity blocks that are append-only and
 //     never rewritten: a recorded event is not copied, moved or modified
-//     again. A reader (Events, WriteJSONL, the live HTTP endpoint in
-//     internal/obs/obshttp) copies the block headers under the mutex and
-//     reads the events outside it, concurrently with the running simulation.
-//   - The metrics registry is a fold over the log, caught up on read:
-//     Sink.Registry folds the events recorded since the last read, in log
-//     order, before it returns. A live sink and a replayed log
-//     (SinkFromEvents) run the same fold over the same events, so their
-//     expositions are byte-identical, whenever and however often either is
-//     read.
+//     again. Events and WriteJSONL read the blocks in place.
+//   - The metrics registry is a fold over the log, done when it is read:
+//     Sink.Registry folds every event, in log order, into a fresh registry.
+//     A live sink and a replayed log (SinkFromEvents) run the same fold over
+//     the same events, so their expositions are byte-identical, whenever and
+//     however often either is read.
 //   - The JSONL writer is a hand-written encoder of the fixed Event schema
 //     that is exact against encoding/json — the committed logs and goldens
 //     were written by encoding/json and must not change by a byte. Only a

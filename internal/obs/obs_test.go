@@ -189,8 +189,8 @@ func TestEnableDisable(t *testing.T) {
 func TestRegistryPanics(t *testing.T) {
 	reg := NewRegistry()
 	f := reg.Counter("c_total", "help", "l")
-	mustPanic(t, "negative counter", func() { f.Add(-1, "x") })
-	mustPanic(t, "label arity", func() { f.Add(1) })
+	mustPanic(t, "negative counter", func() { f.add(-1, "x") })
+	mustPanic(t, "label arity", func() { f.add(1) })
 	mustPanic(t, "redeclare shape", func() { reg.Gauge("c_total", "help", "l") })
 }
 

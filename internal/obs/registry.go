@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Registry is a small, deterministic metrics registry: counters, gauges, and
@@ -22,7 +21,6 @@ import (
 // far smaller: a Family is declared once with its label names, and samples
 // are recorded with positional label values.
 type Registry struct {
-	mu       sync.Mutex
 	families map[string]*Family
 	order    []string
 }
@@ -39,7 +37,6 @@ const (
 
 // Family is one named metric with a fixed label set.
 type Family struct {
-	reg     *Registry
 	name    string
 	help    string
 	kind    FamilyKind
@@ -80,8 +77,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 }
 
 func (r *Registry) family(name, help string, kind FamilyKind, buckets []float64, labels []string) *Family {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
 		if f.kind != kind || len(f.labels) != len(labels) {
 			panic(fmt.Sprintf("obs: family %q redeclared with different shape", name))
@@ -89,7 +84,7 @@ func (r *Registry) family(name, help string, kind FamilyKind, buckets []float64,
 		return f
 	}
 	f := &Family{
-		reg: r, name: name, help: help, kind: kind,
+		name: name, help: help, kind: kind,
 		labels:  append([]string(nil), labels...),
 		buckets: append([]float64(nil), buckets...),
 		series:  map[string]*series{},
@@ -99,8 +94,7 @@ func (r *Registry) family(name, help string, kind FamilyKind, buckets []float64,
 	return f
 }
 
-// get finds or creates the series for the given label values. Caller holds
-// the registry lock.
+// get finds or creates the series for the given label values.
 func (f *Family) get(labelVals []string) *series {
 	if len(labelVals) != len(f.labels) {
 		panic(fmt.Sprintf("obs: family %q wants %d label values, got %d", f.name, len(f.labels), len(labelVals)))
@@ -118,17 +112,8 @@ func (f *Family) get(labelVals []string) *series {
 	return s
 }
 
-// Add increments a counter series by v (v must be non-negative).
-func (f *Family) Add(v float64, labelVals ...string) {
-	f.reg.mu.Lock()
-	defer f.reg.mu.Unlock()
-	f.add(v, labelVals...)
-}
-
-// add, set and observe update a counter, gauge or histogram series for a
-// caller that already holds the registry lock: Sink.Registry folds a whole
-// batch of events under one acquisition, so an exposition never sees part of
-// an event.
+// add, set and observe update a counter (v must be non-negative), gauge or
+// histogram series; Sink.Registry's fold is their one caller.
 func (f *Family) add(v float64, labelVals ...string) {
 	if v < 0 {
 		panic(fmt.Sprintf("obs: negative counter increment %g on %s", v, f.name))
@@ -208,8 +193,6 @@ func (f *Family) sortedSeries() []*series {
 // WriteText renders the registry in the Prometheus text exposition format,
 // families sorted by name, series by label values.
 func (r *Registry) WriteText(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	names := append([]string(nil), r.order...)
 	sort.Strings(names)
 	var b strings.Builder
@@ -259,8 +242,6 @@ type SnapshotFamily struct {
 // Snapshot returns the registry's state as a JSON-marshalable structure with
 // the same canonical ordering as WriteText (json sorts the label maps).
 func (r *Registry) Snapshot() []SnapshotFamily {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	names := append([]string(nil), r.order...)
 	sort.Strings(names)
 	out := make([]SnapshotFamily, 0, len(names))

@@ -3,8 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 )
 
 // superstepBuckets are the histogram bounds for per-superstep virtual
@@ -18,32 +16,35 @@ var superstepBuckets = []float64{
 // blockEvents is the capacity of one storage block of the event log.
 const blockEvents = 4096
 
-// Sink accumulates the superstep event log and derives the metrics registry
-// from it. Recording is one append: the log lives in fixed-capacity blocks,
-// so an event, once recorded, is never copied or rewritten — a full block is
-// followed by a fresh one, not regrown. The registry is a fold over the log,
-// caught up when it is read (Registry), so a live sink and a JSONL log
-// replayed through SinkFromEvents expose identical metrics by construction.
+// Sink accumulates the superstep event log. Recording is one append: the
+// log lives in fixed-capacity blocks, so an event, once recorded, is never
+// copied or rewritten — a full block is followed by a fresh one, not
+// regrown. Everything else is derived from the log when it is read: the
+// metrics registry is a fold over it (Registry), so a live sink and a JSONL
+// log replayed through SinkFromEvents expose identical metrics by
+// construction.
 //
 // Methods are nil-safe (a nil *Sink records nothing) so instrumentation
-// sites call the run's sink unconditionally. The mutex exists for
-// the live HTTP endpoint: the simulation writes from its single DES
-// goroutine while obshttp readers snapshot concurrently. It guards only the
-// block list; readers copy the block headers under it and read the events
-// outside it, which is race-free because the elements below a snapshotted
-// length are immutable. The fold state is guarded by the registry's own
-// lock.
+// sites call the run's sink unconditionally. A sink has one goroutine: the
+// DES thread that runs the simulation records into it, and its readers run
+// after the run. It takes no lock, so a recording from an offloaded closure
+// on a par pool goroutine is a data race that `go test -race` reports.
 type Sink struct {
-	mu     sync.Mutex
-	blocks [][]Event    // every block but the last is full; a block's elements are written once, by the append that adds them
-	step   atomic.Int64 // current superstep: stored by record on a step marker, read by the hooks (Step) without the lock
+	blocks [][]Event // every block but the last is full
+	step   int       // current superstep: set by record on a step marker, read by the hooks (Step)
+	mid    int64     // message-id allocator; ids start at 1 so 0 means "no causal pairing"
+}
 
+// NewSink returns an empty sink. Most callers want Enable, which also
+// installs the sink process-wide.
+func NewSink() *Sink { return &Sink{} }
+
+// runMetrics is the metrics registry of one fold over a log, with the
+// families the fold books into and the superstep it has reached.
+type runMetrics struct {
 	reg       *Registry
-	folded    int     // events already folded into reg; with stepStart and haveStep, guarded by reg.mu
-	stepStart float64 // fold state: start of the superstep in progress at event folded-1
+	stepStart float64 // start of the superstep in progress
 	haveStep  bool
-
-	mid atomic.Int64 // message-id allocator; ids start at 1 so 0 means "no causal pairing"
 
 	mSuperstep *Family // gauge: current superstep
 	mStepDur   *Family // histogram: superstep virtual duration
@@ -54,14 +55,11 @@ type Sink struct {
 	mStale     *Family // gauge: configured SSP staleness
 	mUpdates   *Family // counter: model updates applied
 	mVirtual   *Family // gauge: virtual clock at the last event
-
 }
 
-// NewSink returns an empty sink with its registry families declared. Most
-// callers want Enable, which also installs the sink process-wide.
-func NewSink() *Sink {
+func newRunMetrics() *runMetrics {
 	reg := NewRegistry()
-	return &Sink{
+	return &runMetrics{
 		reg:        reg,
 		mSuperstep: reg.Gauge("mlstar_superstep", "current superstep (communication step) of the run"),
 		mStepDur: reg.Histogram("mlstar_superstep_seconds",
@@ -81,52 +79,29 @@ func NewSink() *Sink {
 	}
 }
 
-// snapshot returns the block headers of the log recorded so far. The caller
-// may read the events without the lock; it must not write them.
-func (s *Sink) snapshot() [][]Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([][]Event(nil), s.blocks...)
-}
-
-// logLen is the number of events in a snapshot.
-func logLen(blocks [][]Event) int {
-	if len(blocks) == 0 {
-		return 0
-	}
-	return (len(blocks)-1)*blockEvents + len(blocks[len(blocks)-1])
-}
-
-// Registry returns the sink's metrics registry, caught up with the log: the
-// events recorded since the last call are folded in first, in log order and
-// under one hold of the registry lock, so every exposition is the registry
-// of a prefix of the log.
+// Registry returns the metrics registry of the log recorded so far: a fresh
+// fold of every event, in log order, so the exposition does not depend on
+// when or how often it is read.
 func (s *Sink) Registry() *Registry {
 	if s == nil {
 		return nil
 	}
-	blocks := s.snapshot()
-	s.reg.mu.Lock()
-	defer s.reg.mu.Unlock()
-	// A concurrent reader may have folded a later snapshot already; then
-	// there is nothing left to do for this one.
-	for n := logLen(blocks); s.folded < n; s.folded++ {
-		s.fold(&blocks[s.folded/blockEvents][s.folded%blockEvents])
+	m := newRunMetrics()
+	for _, b := range s.blocks {
+		for i := range b {
+			m.fold(&b[i])
+		}
 	}
-	return s.reg
+	return m.reg
 }
 
 // Events returns a copy of the event log recorded so far.
 func (s *Sink) Events() []Event {
-	if s == nil {
+	if s == nil || len(s.blocks) == 0 {
 		return nil
 	}
-	blocks := s.snapshot()
-	if len(blocks) == 0 {
-		return nil
-	}
-	out := make([]Event, 0, logLen(blocks))
-	for _, b := range blocks {
+	out := make([]Event, 0, s.Len())
+	for _, b := range s.blocks {
 		out = append(out, b...)
 	}
 	return out
@@ -134,22 +109,20 @@ func (s *Sink) Events() []Event {
 
 // Len returns the number of events recorded so far.
 func (s *Sink) Len() int {
-	if s == nil {
+	if s == nil || len(s.blocks) == 0 {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return logLen(s.blocks)
+	return (len(s.blocks)-1)*blockEvents + len(s.blocks[len(s.blocks)-1])
 }
 
 // WriteJSONL writes the event log recorded so far to w, block by block,
-// without flattening it and without holding the sink lock while it encodes.
+// without flattening it.
 func (s *Sink) WriteJSONL(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
 	jw := newJSONLWriter(w)
-	for _, b := range s.snapshot() {
+	for _, b := range s.blocks {
 		if err := jw.write(b); err != nil {
 			return err
 		}
@@ -162,7 +135,7 @@ func (s *Sink) Step() int {
 	if s == nil {
 		return 0
 	}
-	return int(s.step.Load())
+	return s.step
 }
 
 // NewMID allocates the next message id, or returns 0 on a nil sink — send
@@ -172,16 +145,16 @@ func (s *Sink) NewMID() int64 {
 	if s == nil {
 		return 0
 	}
-	return s.mid.Add(1)
+	s.mid++
+	return s.mid
 }
 
 // record appends an event to the log, noting the superstep a step marker
-// opens. Caller holds no locks. This is the single ingestion path, shared by
-// the live hooks and by SinkFromEvents replay; everything a reader derives
-// from the log (the registry, attribution, the causal graph) is computed
-// from what it appended.
+// opens. This is the single ingestion path, shared by the live hooks and by
+// SinkFromEvents replay; everything a reader derives from the log (the
+// registry, attribution, the causal graph) is computed from what it
+// appended.
 func (s *Sink) record(e Event) {
-	s.mu.Lock()
 	last := len(s.blocks) - 1
 	if last < 0 || len(s.blocks[last]) == blockEvents {
 		s.blocks = append(s.blocks, make([]Event, 0, blockEvents))
@@ -189,36 +162,35 @@ func (s *Sink) record(e Event) {
 	}
 	s.blocks[last] = append(s.blocks[last], e)
 	if e.Phase == PhaseStep {
-		s.step.Store(int64(e.Step))
+		s.step = e.Step
 	}
-	s.mu.Unlock()
 }
 
-// fold books one event into the registry. Caller holds the registry lock.
-// Events are folded exactly once and in log order, so the float additions —
-// and with them the exposition — do not depend on when the registry is read.
-func (s *Sink) fold(e *Event) {
+// fold books one event into the registry. Events are folded exactly once
+// and in log order, so the float additions — and with them the exposition —
+// are a function of the log alone.
+func (m *runMetrics) fold(e *Event) {
 	if e.End > 0 {
-		s.mVirtual.set(e.End)
+		m.mVirtual.set(e.End)
 	}
 	switch {
 	case e.Dir == DirSend:
-		s.mBytes.add(e.Bytes, string(e.Chan), string(e.Enc))
-		s.mMsgs.add(1, string(e.Chan), string(e.Enc))
-		s.mPhaseSec.add(e.End-e.Start, e.Node, string(e.Phase), string(e.Dir))
+		m.mBytes.add(e.Bytes, string(e.Chan), string(e.Enc))
+		m.mMsgs.add(1, string(e.Chan), string(e.Enc))
+		m.mPhaseSec.add(e.End-e.Start, e.Node, string(e.Phase), string(e.Dir))
 	case e.Dir == DirRecv:
-		s.mPhaseSec.add(e.End-e.Start, e.Node, string(e.Phase), string(e.Dir))
+		m.mPhaseSec.add(e.End-e.Start, e.Node, string(e.Phase), string(e.Dir))
 	case e.Phase == PhaseStep:
-		if s.haveStep {
-			s.mStepDur.observe(e.Start - s.stepStart)
+		if m.haveStep {
+			m.mStepDur.observe(e.Start - m.stepStart)
 		}
-		s.stepStart, s.haveStep = e.Start, true
-		s.mSuperstep.set(float64(e.Step))
+		m.stepStart, m.haveStep = e.Start, true
+		m.mSuperstep.set(float64(e.Step))
 	case e.Phase == PhaseEval:
-		s.mLoss.set(e.Loss)
-		s.mStale.set(float64(e.Stale))
+		m.mLoss.set(e.Loss)
+		m.mStale.set(float64(e.Stale))
 	case e.Phase == PhaseUpdates:
-		s.mUpdates.add(float64(e.Count))
+		m.mUpdates.add(float64(e.Count))
 	case e.Phase == PhaseMeta:
 		// metadata carries no metric
 	case e.Phase == PhaseStage:
@@ -229,7 +201,7 @@ func (s *Sink) fold(e *Event) {
 		// (a barrier event's span is the participant's wait, which the
 		// attribution already derives as residual wait time)
 	default:
-		s.mPhaseSec.add(e.End-e.Start, e.Node, string(e.Phase), "")
+		m.mPhaseSec.add(e.End-e.Start, e.Node, string(e.Phase), "")
 	}
 }
 

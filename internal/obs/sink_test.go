@@ -144,10 +144,11 @@ func expositionOf(t *testing.T, s *Sink) string {
 	return b.String()
 }
 
-// TestRegistryCatchUp pins the fold-on-read contract: however often the
-// registry is read while a log is recorded — after every event, at odd
-// strides, exactly at and just past a block boundary — it ends in the same
-// exposition as a single read at the end and as a replay of the log.
+// TestRegistryCatchUp pins the fold-on-read contract: a registry read while
+// a log is recorded — exactly at and just past a block boundary, at odd
+// points — is the registry of the prefix recorded so far, and it leaves the
+// registry read at the end equal to a single read and to a replay of the
+// log.
 func TestRegistryCatchUp(t *testing.T) {
 	const n = 2*blockEvents + 100
 	events := syntheticLog(n).Events()
@@ -163,20 +164,23 @@ func TestRegistryCatchUp(t *testing.T) {
 	if got := expositionOf(t, syntheticLog(n)); got != want {
 		t.Errorf("live registry, one read at the end, differs from the replay")
 	}
-	for _, k := range []int{1, 7, blockEvents, blockEvents + 1} {
-		s := NewSink()
-		for i := range events {
+	s := NewSink()
+	for _, cut := range []int{1, 7, blockEvents, blockEvents + 1, 2*blockEvents - 3} {
+		for i := s.Len(); i < cut; i++ {
 			s.record(events[i])
-			if (i+1)%k == 0 {
-				s.Registry()
-			}
 		}
-		if got := expositionOf(t, s); got != want {
-			t.Errorf("registry read after every %d events differs from one read at the end:\ngot:\n%s\nwant:\n%s", k, got, want)
+		if got, prefix := expositionOf(t, s), expositionOf(t, SinkFromEvents(events[:cut])); got != prefix {
+			t.Errorf("registry read after %d events differs from a replay of those events:\ngot:\n%s\nwant:\n%s", cut, got, prefix)
 		}
-		if got := expositionOf(t, s); got != want {
-			t.Errorf("a second read with nothing new recorded changed the exposition (k = %d)", k)
-		}
+	}
+	for i := s.Len(); i < n; i++ {
+		s.record(events[i])
+	}
+	if got := expositionOf(t, s); got != want {
+		t.Errorf("registry read at the end, after reads in the middle, differs from one read at the end:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	if got := expositionOf(t, s); got != want {
+		t.Errorf("a second read with nothing new recorded changed the exposition")
 	}
 }
 
@@ -240,8 +244,7 @@ func TestSinkRecordAllocs(t *testing.T) {
 				"xch:rs:s1", procID("task:mgd3#17"), s.NewMID())
 		}
 	}
-	// NewSink declares 15 registry families (a few objects each); that set-up
-	// is measured on an empty sink and taken off.
+	// The empty sink's set-up is measured and taken off.
 	setup := testing.AllocsPerRun(5, func() { s = NewSink() })
 	blocks := float64((n + blockEvents - 1) / blockEvents)
 	if got := testing.AllocsPerRun(5, record) - setup; got > blocks+8 {
@@ -258,8 +261,8 @@ func TestSinkRecordAllocs(t *testing.T) {
 	if s.Len() != n {
 		t.Fatalf("recorded %d events, want %d", s.Len(), n)
 	}
-	// Writing: the encoder's buffer, the writer and the block-header
-	// snapshot — not one object per event or per line.
+	// Writing: the encoder's buffer and the writer — not one object per
+	// event or per line.
 	if got := testing.AllocsPerRun(3, func() {
 		if err := s.WriteJSONL(io.Discard); err != nil {
 			t.Fatal(err)

@@ -18,6 +18,11 @@
 //     the joining process (via channel close), so offloaded runs stay clean
 //     under the race detector.
 //
+// The race detector also checks the first rule for telemetry: the obs sink
+// takes no lock, so a closure that records an event is a data race under
+// `go test -race`. A closure that charges virtual time panics in the des
+// kernel.
+//
 // Three kinds of closure are submitted with Go or Do. A task's numeric body
 // (engine Task.Pure, Node.ComputeAsyncKind, Executor.ChargeAsync) reads the
 // step's model and its partition and writes the task's own buffers. A

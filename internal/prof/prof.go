@@ -2,8 +2,8 @@
 // switches into the repository's CLIs: -sparse (SparCML-style sparse
 // model-delta exchange), -pipeline/-chunks (chunked collectives overlapping
 // compute with communication), -overlap (feature-major gradient production
-// feeding the pipelined collective), -obs/-obs-http (the structured telemetry
-// layer), -cpuprofile, -memprofile, and -trace. -sparse and -pipeline keep
+// feeding the pipelined collective), -obs and -metrics-out (the structured
+// telemetry layer), -cpuprofile, -memprofile, and -trace. -sparse and -pipeline keep
 // every training numeric and byte count bit-identical, but shrink simulated
 // time (that is their point), so compare simulated timings only within one
 // -sparse/-pipeline setting. -obs observes without charging: enabling it
@@ -31,7 +31,6 @@ import (
 
 	"mllibstar/internal/allreduce"
 	"mllibstar/internal/obs"
-	"mllibstar/internal/obs/obshttp"
 	"mllibstar/internal/sparse"
 )
 
@@ -46,7 +45,6 @@ type Config struct {
 	mem        *string
 	trace      *string
 	obsOut     *string
-	obsHTTP    *string
 	metricsOut *string
 }
 
@@ -89,7 +87,6 @@ func Register(fs *flag.FlagSet) *Config {
 	c.mem = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	c.trace = fs.String("trace", "", "write a runtime execution trace to this file")
 	c.obsOut = fs.String("obs", "", "record the structured superstep event log and write it to this file as JSONL on exit (replay with mlstar-obs)")
-	c.obsHTTP = fs.String("obs-http", "", "serve live telemetry (/metrics, /events, dashboard) on this address, e.g. :8080; implies event recording")
 	c.metricsOut = fs.String("metrics-out", "", "write the final metrics registry as canonical JSON to this file on exit; implies event recording (deterministic runs produce byte-identical files; internal/obs/testdata/metrics.golden pins the registry they render)")
 	return c
 }
@@ -148,29 +145,12 @@ func (c *Config) Start() (stop func(), err error) {
 			return nil, fmt.Errorf("prof: %w", err)
 		}
 	}
-	// Telemetry last: nothing after it can fail, so the server and sink
-	// never leak on an error return. Recording observes the run without
+	// Telemetry last: nothing after it can fail, so the sink is never left
+	// installed on an error return. Recording observes the run without
 	// charging it — results stay bit-identical with -obs on or off.
 	var sink *obs.Sink
-	var stopHTTP func()
-	if *c.obsOut != "" || *c.obsHTTP != "" || *c.metricsOut != "" {
+	if *c.obsOut != "" || *c.metricsOut != "" {
 		sink = obs.Enable()
-	}
-	if *c.obsHTTP != "" {
-		addr, stopFn, serveErr := obshttp.Serve(*c.obsHTTP, sink)
-		if serveErr != nil {
-			if traceFile != nil {
-				rtrace.Stop()
-				_ = traceFile.Close()
-			}
-			if cpuFile != nil {
-				pprof.StopCPUProfile()
-				_ = cpuFile.Close()
-			}
-			return nil, fmt.Errorf("prof: %w", serveErr)
-		}
-		stopHTTP = stopFn
-		fmt.Fprintf(os.Stderr, "prof: telemetry dashboard on http://%s/\n", addr)
 	}
 
 	return func() {
@@ -192,9 +172,6 @@ func (c *Config) Start() (stop func(), err error) {
 			} else if err := os.WriteFile(*c.metricsOut, append(blob, '\n'), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, "prof:", err)
 			}
-		}
-		if stopHTTP != nil {
-			stopHTTP()
 		}
 		if traceFile != nil {
 			rtrace.Stop()

@@ -44,6 +44,7 @@ func TestRegisterStartFlagCombinations(t *testing.T) {
 		{args: []string{"-csr" + "kernels=off"}, parseErr: "flag provided but not defined"},
 		{args: []string{"-par=off"}, parseErr: "flag provided but not defined"},
 		{args: []string{"-par" + "workers", "2"}, parseErr: "flag provided but not defined"},
+		{args: []string{"-obs-" + "http", ":0"}, parseErr: "flag provided but not defined"},
 	} {
 		name := strings.Join(tc.args, " ")
 		fs := flag.NewFlagSet("prof", flag.ContinueOnError)
