@@ -117,7 +117,7 @@ critpath: ## replay the committed causal logs and diff the critical-path + what-
 	@rm -f critpath_mllib.txt critpath_mllibstar.txt whatif_mllib.txt whatif_mllibstar.txt
 	@echo "critpath: replayed reports match the goldens"
 
-docs: ## check ARCHITECTURE/README/EXPERIMENTS: intra-repo links + quoted commands
+docs: ## check ARCHITECTURE/README/EXPERIMENTS/DESIGN: links, quoted commands, named paths + README package map
 	$(GO) test -run 'TestDocs' -v ./...
 
 check: build lint race fuzz repro-check obs critpath bench-smoke smoke-lists docs ## everything CI runs

@@ -36,7 +36,6 @@ func run() error {
 		dataPath  = flag.String("data", "", "libsvm file to train on (alternative to -preset)")
 		loss      = flag.String("loss", "hinge", "loss: hinge, logistic, squared")
 		l2        = flag.Float64("l2", 0, "L2 regularization strength")
-		l1        = flag.Float64("l1", 0, "L1 regularization strength")
 		eta       = flag.Float64("eta", 0.3, "base learning rate")
 		decay     = flag.Bool("decay", true, "apply 1/sqrt(t) learning-rate decay")
 		batch     = flag.Float64("batch", 0.1, "mini-batch fraction (batch-based systems)")
@@ -101,7 +100,6 @@ func run() error {
 		Cluster:          cl,
 		Loss:             *loss,
 		L2:               *l2,
-		L1:               *l1,
 		Eta:              *eta,
 		Decay:            *decay,
 		BatchFraction:    *batch,

@@ -63,26 +63,67 @@ func TestDocsLinks(t *testing.T) {
 	}
 }
 
-// docPathRe matches a repository path under internal/ as the documents
-// name it.
-var docPathRe = regexp.MustCompile(`internal/[A-Za-z0-9_]+(?:/[A-Za-z0-9_.\-]+)*`)
+// docPathRe matches a repository path under internal/, cmd/ or examples/
+// as the documents name it.
+var docPathRe = regexp.MustCompile(`(?:internal|cmd|examples)/[A-Za-z0-9_\-]+(?:/[A-Za-z0-9_.\-]+)*`)
 
-// TestDocsPackages verifies that every internal/ path the guarded documents
-// name is a directory of the repository once its file name is stripped, so
-// no document names a deleted or moved package.
+// TestDocsPackages verifies that every internal/, cmd/ or examples/ path the
+// guarded documents name is a directory of the repository once its file
+// name is stripped, so no document names a deleted or moved package. A path
+// that ends in a glob (cmd/mlstar-*) names no one directory and is skipped.
 func TestDocsPackages(t *testing.T) {
 	for _, doc := range docFiles {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatalf("reading %s: %v", doc, err)
 		}
-		for _, m := range docPathRe.FindAllString(string(text), -1) {
+		for _, loc := range docPathRe.FindAllStringIndex(string(text), -1) {
+			m := string(text[loc[0]:loc[1]])
+			if loc[1] < len(text) && text[loc[1]] == '*' {
+				continue
+			}
 			dir := strings.TrimRight(m, ".") // a sentence's full stop
 			for strings.Contains(path.Base(dir), ".") {
 				dir = path.Dir(dir)
 			}
 			if fi, err := os.Stat(filepath.FromSlash(dir)); err != nil || !fi.IsDir() {
 				t.Errorf("%s names %s, but %s is not a directory of the repository", doc, m, dir)
+			}
+		}
+	}
+}
+
+// mapRowRe matches the path that opens a row of README.md's Architecture
+// block, indented two spaces; its continuation lines are indented further.
+var mapRowRe = regexp.MustCompile(`(?m)^  ([^ \n]+)`)
+
+// TestDocsPackageMap holds README.md's Architecture block to the tree:
+// every directory under internal/ and cmd/ opens one of its rows, and every
+// path that opens a row exists.
+func TestDocsPackageMap(t *testing.T) {
+	text, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(text), "## Architecture\n\n```\n")
+	if block, _, ok = strings.Cut(block, "```"); !ok {
+		t.Fatal("README.md has no Architecture code block")
+	}
+	named := map[string]bool{}
+	for _, m := range mapRowRe.FindAllStringSubmatch(block, -1) {
+		named[m[1]] = true
+		if _, err := os.Stat(filepath.FromSlash(m[1])); err != nil {
+			t.Errorf("the Architecture block names %s: %v", m[1], err)
+		}
+	}
+	for _, root := range []string{"internal", "cmd"} {
+		entries, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if dir := root + "/" + e.Name(); e.IsDir() && !named[dir] {
+				t.Errorf("the Architecture block does not name %s", dir)
 			}
 		}
 	}

@@ -58,7 +58,6 @@ var Analyzer = &analysis.Analyzer{
 		"mllibstar/internal/des",
 		"mllibstar/internal/dfs",
 		"mllibstar/internal/engine",
-		"mllibstar/internal/feats",
 		"mllibstar/internal/glm",
 		"mllibstar/internal/lbfgs",
 		"mllibstar/internal/metrics",

@@ -418,8 +418,8 @@ func TestReadLibSVMRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestDatasetViewSharesTheArena: a generated, subsampled, split, folded or
-// libsvm-read dataset evaluates in the arena its Examples view — View
+// TestDatasetViewSharesTheArena: a generated, subsampled or libsvm-read
+// dataset evaluates in the arena its Examples view — View
 // allocates nothing and returns the same rows — and a reassigned Examples is
 // packed once, on the first View after it.
 func TestDatasetViewSharesTheArena(t *testing.T) {
@@ -432,14 +432,6 @@ func TestDatasetViewSharesTheArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, test, err := gen.Split(0.3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	folds, err := gen.KFold(3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name string
 		d    *Dataset
@@ -447,10 +439,6 @@ func TestDatasetViewSharesTheArena(t *testing.T) {
 		{"generated", gen},
 		{"subsampled", gen.Subsample(40, 3)},
 		{"libsvm", read},
-		{"split train", train},
-		{"split test", test},
-		{"fold train", folds[1].Train},
-		{"fold test", folds[1].Test},
 	} {
 		if allocs := testing.AllocsPerRun(20, func() { tc.d.View() }); allocs != 0 {
 			t.Errorf("%s: View allocates %g times, want 0", tc.name, allocs)
@@ -487,65 +475,5 @@ func TestStatsString(t *testing.T) {
 	s := d.Stats().String()
 	if !strings.Contains(s, "instances") || !strings.Contains(s, "determined") {
 		t.Errorf("stats string = %q", s)
-	}
-}
-
-func TestSplit(t *testing.T) {
-	d := Generate(Spec{Name: "t", Rows: 100, Cols: 20, NNZPerRow: 3, Seed: 1})
-	train, test, err := d.Split(0.2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(train.Examples) != 80 || len(test.Examples) != 20 {
-		t.Errorf("split = %d/%d", len(train.Examples), len(test.Examples))
-	}
-	if train.Features != 20 || test.Features != 20 {
-		t.Error("features not propagated")
-	}
-	// The shuffled rows, bit for bit: the first 20 are the test set.
-	perm := detrand.Perm(7, 100)
-	for i, j := range perm {
-		got := test.Examples
-		if i >= 20 {
-			got, i = train.Examples, i-20
-		}
-		if !reflect.DeepEqual(got[i], d.Examples[j]) {
-			t.Fatalf("split row %d is not dataset row %d", i, j)
-		}
-	}
-	// Deterministic.
-	tr2, _, _ := d.Split(0.2, 7)
-	if !reflect.DeepEqual(train.Examples[0], tr2.Examples[0]) {
-		t.Error("split not deterministic")
-	}
-	if _, _, err := d.Split(0, 7); err == nil {
-		t.Error("want error for fraction 0")
-	}
-	if _, _, err := (&Dataset{}).Split(0.5, 7); err == nil {
-		t.Error("want error for empty dataset")
-	}
-}
-
-func TestKFold(t *testing.T) {
-	d := Generate(Spec{Name: "t", Rows: 103, Cols: 20, NNZPerRow: 3, Seed: 1})
-	folds, err := d.KFold(5, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(folds) != 5 {
-		t.Fatalf("folds = %d", len(folds))
-	}
-	totalTest := 0
-	for i, f := range folds {
-		totalTest += len(f.Test.Examples)
-		if len(f.Train.Examples)+len(f.Test.Examples) != 103 {
-			t.Errorf("fold %d sizes: %d + %d != 103", i, len(f.Train.Examples), len(f.Test.Examples))
-		}
-	}
-	if totalTest != 103 {
-		t.Errorf("test folds cover %d examples, want 103", totalTest)
-	}
-	if _, err := d.KFold(1, 7); err == nil {
-		t.Error("want error for k=1")
 	}
 }

@@ -17,7 +17,7 @@ import (
 // Views are the entry point to the slab kernels (AddGradient, LossRows,
 // SGDPassPlain, ...): a kernel streams the ind/val slabs of the underlying
 // arena across [lo, hi) directly. Code that needs one row as a glm.Example
-// (AdaGrad, SVRG, the L1/ElasticNet eager pass) asks for it with Example,
+// (AdaGrad, SVRG, the eager-L2 ablation) asks for it with Example,
 // which builds it from the slabs without allocating.
 type View struct {
 	c      *CSR

@@ -1,7 +1,7 @@
 // Package glm defines generalized linear models as the paper studies them:
 // an objective f(w, X) = l(w, X) + Ω(w) where l is a margin-based loss
 // (hinge for SVM, logistic for LR, squared for linear regression) averaged
-// over the data and Ω is a regularization term (none, L1, or L2).
+// over the data and Ω is a regularization term (none or L2).
 //
 // All trainers in this repository — sequential MGD, MLlib's SendGradient,
 // MLlib*'s model averaging, and the parameter-server baselines — share these
@@ -12,7 +12,6 @@ package glm
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mllibstar/internal/vec"
 )
@@ -153,47 +152,6 @@ func (r L2) Lambda() float64            { return r.Strength }
 func (r L2) Value(w []float64) float64  { return r.Strength / 2 * vec.Norm2Sq(w) }
 func (r L2) DerivAt(wj float64) float64 { return r.Strength * wj }
 
-// L1 is lasso regularization Ω(w) = λ·‖w‖₁ with the subgradient λ·sign(w).
-type L1 struct{ Strength float64 }
-
-func (r L1) Name() string              { return "l1" }
-func (r L1) Lambda() float64           { return r.Strength }
-func (r L1) Value(w []float64) float64 { return r.Strength * vec.Norm1(w) }
-func (r L1) DerivAt(wj float64) float64 {
-	switch {
-	case wj > 0:
-		return r.Strength
-	case wj < 0:
-		return -r.Strength
-	}
-	return 0
-}
-
-// ElasticNet combines L1 and L2 regularization:
-// Ω(w) = α·λ·‖w‖₁ + (1−α)·λ/2·‖w‖², the mixture spark.ml exposes for GLMs.
-type ElasticNet struct {
-	Strength float64 // λ
-	L1Ratio  float64 // α in [0, 1]: 1 = pure lasso, 0 = pure ridge
-}
-
-func (r ElasticNet) Name() string    { return "elasticnet" }
-func (r ElasticNet) Lambda() float64 { return r.Strength }
-
-func (r ElasticNet) Value(w []float64) float64 {
-	return r.Strength * (r.L1Ratio*vec.Norm1(w) + (1-r.L1Ratio)/2*vec.Norm2Sq(w))
-}
-
-func (r ElasticNet) DerivAt(wj float64) float64 {
-	d := r.Strength * (1 - r.L1Ratio) * wj
-	switch {
-	case wj > 0:
-		d += r.Strength * r.L1Ratio
-	case wj < 0:
-		d -= r.Strength * r.L1Ratio
-	}
-	return d
-}
-
 // Objective bundles a loss and a regularizer: f(w, X) = mean loss + Ω(w).
 type Objective struct {
 	Loss Loss
@@ -231,49 +189,6 @@ func Accuracy(w []float64, data []Example) float64 {
 		}
 	}
 	return float64(correct) / float64(len(data))
-}
-
-// AUC returns the area under the ROC curve of the model's margins over the
-// examples — the ranking metric CTR practitioners actually optimize. It is
-// computed exactly via the rank-sum formulation, with ties sharing average
-// ranks. It returns 0.5 when either class is absent.
-func AUC(w []float64, data []Example) float64 {
-	type scored struct {
-		margin float64
-		pos    bool
-	}
-	scores := make([]scored, len(data))
-	nPos := 0
-	for i, e := range data {
-		pos := e.Label > 0
-		if pos {
-			nPos++
-		}
-		scores[i] = scored{margin: vec.Dot(w, e.X), pos: pos}
-	}
-	nNeg := len(data) - nPos
-	if nPos == 0 || nNeg == 0 {
-		return 0.5
-	}
-	sort.Slice(scores, func(i, j int) bool { return scores[i].margin < scores[j].margin })
-	// Rank sum of the positives, averaging ranks within tied margins.
-	rankSum := 0.0
-	i := 0
-	for i < len(scores) {
-		j := i
-		//mlstar:nolint floateq -- exact compare intentional: tie groups are runs of identical sorted margins
-		for j < len(scores) && scores[j].margin == scores[i].margin {
-			j++
-		}
-		avgRank := float64(i+j+1) / 2 // 1-based average rank of the tie group
-		for t := i; t < j; t++ {
-			if scores[t].pos {
-				rankSum += avgRank
-			}
-		}
-		i = j
-	}
-	return (rankSum - float64(nPos)*float64(nPos+1)/2) / (float64(nPos) * float64(nNeg))
 }
 
 // NNZTotal returns the total number of nonzero features across the examples.

@@ -25,11 +25,10 @@ import (
 //
 // costs O(nnz(x)) — the shrinkage folds into the scalar s and only the
 // touched coordinates of v change — and materializes w once at the end. The
-// shadow v is sc's buffer (nil allocates per call); a negative λ panics. It
-// is the worker-local computation of the SendModel paradigm, and the
-// returned work drives the compute cost model. L1 and ElasticNet have no
-// lazy form and no slab body: they run EagerSGDStep over the view's rows,
-// one View.Example at a time.
+// shadow v is sc's buffer (nil allocates per call); a negative λ panics,
+// and so does any regulariser other than None and L2. It is the
+// worker-local computation of the SendModel paradigm, and the returned work
+// drives the compute cost model.
 func LocalPassView(obj glm.Objective, w []float64, v data.View, sched Schedule, stepBase int, sc *PassScratch) (work int) {
 	switch reg := obj.Reg.(type) {
 	case glm.None:
@@ -43,10 +42,7 @@ func LocalPassView(obj glm.Objective, w []float64, v data.View, sched Schedule, 
 		vec.ScaleTo(w, s, shadow)
 		return work + len(w) // final materialization
 	default:
-		for i := 0; i < v.NumRows(); i++ {
-			work += EagerSGDStep(obj, w, v.Example(i), sched(stepBase+i))
-		}
-		return work
+		panic(fmt.Sprintf("opt: no local pass for regulariser %T", reg))
 	}
 }
 

@@ -86,14 +86,13 @@ func TestLocalMGDEpochViewMatchesDense(t *testing.T) {
 
 // TestReferenceOptimumOnMatchesOracle holds the target every experiment
 // reads to the per-example reference bit for bit: both regulariser paths of
-// the pass (plain, lazy L2, eager L1), the loss-sum objective on a separate
+// the pass (plain, lazy L2), the loss-sum objective on a separate
 // evaluation set, and an empty one (Ω(w) alone).
 func TestReferenceOptimumOnMatchesOracle(t *testing.T) {
 	const dim = 30
 	rng := rand.New(rand.NewSource(14))
 	train, eval := synthBatch(rng, 80, dim), synthBatch(rng, 25, dim)
-	objs := append([]glm.Objective{{Loss: glm.Hinge{}, Reg: glm.L1{Strength: 0.01}}}, viewObjectives...)
-	for _, obj := range objs {
+	for _, obj := range viewObjectives {
 		for _, ev := range [][]glm.Example{eval, nil} {
 			got := ReferenceOptimumOn(obj, data.ViewOf(train), data.ViewOf(ev), dim, 6)
 			want := oracle.ReferenceOptimumOn(obj, train, ev, dim, 6)

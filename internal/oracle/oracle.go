@@ -162,7 +162,8 @@ func (l *LazyL2SGD) Weights() []float64 {
 
 // LocalPass runs per-example SGD over data (one epoch, in the given order),
 // using the lazy representation when obj has an L2 term and plain sparse
-// updates otherwise, as opt.LocalPassView does over a view.
+// updates without one, as opt.LocalPassView does over a view; any other
+// regulariser panics.
 func LocalPass(obj glm.Objective, w []float64, data []glm.Example, sched func(int) float64, stepBase int) (work int) {
 	switch reg := obj.Reg.(type) {
 	case glm.None:
@@ -182,9 +183,7 @@ func LocalPass(obj glm.Objective, w []float64, data []glm.Example, sched func(in
 		copy(w, lazy.Weights())
 		work += len(w) // final materialization
 	default:
-		for i, e := range data {
-			work += EagerSGDStep(obj, w, e, sched(stepBase+i))
-		}
+		panic(fmt.Sprintf("oracle: no local pass for regulariser %T", reg))
 	}
 	return work
 }

@@ -214,15 +214,6 @@ func EqTol(a, b, tol float64) bool {
 	return diff <= tol*scale
 }
 
-// Norm1 returns the L1 norm of dense w.
-func Norm1(w []float64) float64 {
-	sum := 0.0
-	for _, v := range w {
-		sum += math.Abs(v)
-	}
-	return sum
-}
-
 // Average overwrites dst with the element-wise mean of the given models,
 // which must all have the same length as dst. It is the model-averaging
 // kernel of the SendModel paradigm.

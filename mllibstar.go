@@ -97,9 +97,9 @@ type Config struct {
 
 	// Loss is "hinge" (default), "logistic", or "squared".
 	Loss string
-	// L2 and L1 are the regularization strengths, finite and >= 0 (both
-	// nonzero is an elastic net).
-	L2, L1 float64
+	// L2 is the regularization strength, finite and >= 0 (0 trains with
+	// no regulariser).
+	L2 float64
 
 	// Eta is the base learning rate (default 0.1); Decay applies 1/sqrt(t).
 	Eta   float64
@@ -168,10 +168,6 @@ func (m *Model) Classify(x Example) float64 {
 // Accuracy returns the fraction of examples classified correctly.
 func (m *Model) Accuracy(data []Example) float64 { return glm.Accuracy(m.Weights, data) }
 
-// AUC returns the area under the ROC curve of the model's margins over the
-// examples — the ranking metric used for CTR-style workloads.
-func (m *Model) AUC(data []Example) float64 { return glm.AUC(m.Weights, data) }
-
 // Result is the outcome of a training run.
 type Result struct {
 	// Model is the final trained model.
@@ -200,24 +196,12 @@ func (c Config) objective() (glm.Objective, error) {
 	}
 	// A NaN fails every ordered comparison, so it would pass a plain
 	// negativity test and train with no regulariser at all.
-	for _, f := range []struct {
-		field string
-		v     float64
-	}{{"L1", c.L1}, {"L2", c.L2}} {
-		if !(f.v >= 0) || math.IsInf(f.v, 0) {
-			return glm.Objective{}, fmt.Errorf("mllibstar: %s %g must be finite and >= 0", f.field, f.v)
-		}
+	if !(c.L2 >= 0) || math.IsInf(c.L2, 0) {
+		return glm.Objective{}, fmt.Errorf("mllibstar: L2 %g must be finite and >= 0", c.L2)
 	}
 	var reg glm.Regularizer = glm.None{}
-	switch {
-	case c.L1 > 0 && c.L2 > 0:
-		// Both set: elastic net with λ = L1+L2 and the matching mix.
-		total := c.L1 + c.L2
-		reg = glm.ElasticNet{Strength: total, L1Ratio: c.L1 / total}
-	case c.L2 > 0:
+	if c.L2 > 0 {
 		reg = glm.L2{Strength: c.L2}
-	case c.L1 > 0:
-		reg = glm.L1{Strength: c.L1}
 	}
 	return glm.Objective{Loss: loss, Reg: reg}, nil
 }

@@ -70,8 +70,6 @@ func TestLogisticAndRegularizers(t *testing.T) {
 	ds := toyDataset()
 	for _, cfg := range []Config{
 		{Loss: "logistic", L2: 0.01, MaxSteps: 10},
-		{Loss: "hinge", L1: 0.001, MaxSteps: 10},
-		{Loss: "hinge", L1: 0.001, L2: 0.01, MaxSteps: 10}, // elastic net
 	} {
 		cfg.Eta = 0.2
 		if _, err := Train(ds, cfg); err != nil {
@@ -111,11 +109,8 @@ func TestConfigErrors(t *testing.T) {
 	cases := []Config{
 		{Loss: "nope"},
 		{L2: -1},
-		{L1: -0.5},
 		{L2: math.NaN()},
-		{L1: math.NaN()},
 		{L2: math.Inf(1)},
-		{L1: math.Inf(-1)},
 		{System: "NotASystem"},
 		{Eta: math.NaN()},
 		{BatchFraction: math.NaN()},
@@ -155,14 +150,12 @@ func TestRegularizationStrengthErrorsNameTheField(t *testing.T) {
 		field string
 	}{
 		{Config{L2: math.NaN()}, "L2"},
-		{Config{L1: math.NaN()}, "L1"},
 		{Config{L2: math.Inf(1)}, "L2"},
-		{Config{L1: math.Inf(-1)}, "L1"},
 		{Config{L2: -1}, "L2"},
 	} {
 		_, err := Train(toyDataset(), tc.cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.field+" ") {
-			t.Errorf("L1=%g L2=%g: err = %v, want one naming %s", tc.cfg.L1, tc.cfg.L2, err, tc.field)
+			t.Errorf("L2=%g: err = %v, want one naming %s", tc.cfg.L2, err, tc.field)
 		}
 	}
 }

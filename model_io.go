@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"mllibstar/internal/data"
-	"mllibstar/internal/feats"
 	"mllibstar/internal/glm"
 )
 
@@ -44,50 +42,4 @@ func LoadModel(r io.Reader) (*Model, error) {
 		return nil, err
 	}
 	return &Model{Weights: mf.Weights, loss: loss}, nil
-}
-
-// SplitDataset partitions a dataset into train and test sets (deterministic
-// by seed).
-func SplitDataset(ds *Dataset, testFraction float64, seed int64) (train, test *Dataset, err error) {
-	return ds.Split(testFraction, seed)
-}
-
-// Fold is one cross-validation fold.
-type Fold = data.Fold
-
-// KFold returns k cross-validation folds (deterministic by seed).
-func KFold(ds *Dataset, k int, seed int64) ([]Fold, error) {
-	return ds.KFold(k, seed)
-}
-
-// Hasher maps raw categorical tokens into a fixed sparse feature space via
-// the hashing trick — how CTR datasets like avazu are produced.
-type Hasher = feats.Hasher
-
-// NewHasher returns a hasher into a dim-dimensional feature space.
-func NewHasher(dim int) (*Hasher, error) { return feats.NewHasher(dim) }
-
-// DatasetFromTokens builds a dataset from raw token bags using the hashing
-// trick: row i has label labels[i] and features hashed from tokenBags[i].
-func DatasetFromTokens(name string, dim int, labels []float64, tokenBags [][]string) (*Dataset, error) {
-	if len(labels) != len(tokenBags) {
-		return nil, fmt.Errorf("mllibstar: %d labels for %d token bags", len(labels), len(tokenBags))
-	}
-	h, err := feats.NewHasher(dim)
-	if err != nil {
-		return nil, err
-	}
-	examples := make([]Example, len(labels))
-	for i := range labels {
-		examples[i] = h.Example(labels[i], tokenBags[i])
-	}
-	return &Dataset{Name: name, Features: dim, Examples: examples}, nil
-}
-
-// StandardizeFeatures fits a sparse-safe scaler on the dataset and returns
-// a new dataset with unit-variance features (no mean centering, preserving
-// sparsity).
-func StandardizeFeatures(ds *Dataset) *Dataset {
-	s := feats.FitScaler(ds.Examples, ds.Features)
-	return &Dataset{Name: ds.Name, Features: ds.Features, Examples: s.TransformAll(ds.Examples)}
 }
